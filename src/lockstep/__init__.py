@@ -24,16 +24,12 @@ from lockstep.consensus import (
 )
 from lockstep.muxer import MuxHost, nonce_for
 from lockstep.marker import (
-    BBMarkerSystem,
     Marking,
-    QuorumMarkerSystem,
+    MarkerSystem,
     check_marker_round,
+    measure_z,
 )
-from lockstep.cyclecoin import (
-    CycleCoinSystem,
-    PoRSystem,
-    verify_payment_claim,
-)
+from lockstep.cyclecoin import verify_payment_claim
 from lockstep.payments import Bank
 from lockstep.hopnet import (
     CycleSet,
@@ -57,29 +53,27 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackResult",
-    "BBMarkerSystem",
     "Bank",
     "BroadcastRun",
     "CodecError",
     "ConfigFault",
-    "CycleCoinSystem",
     "CycleSet",
     "ForgeryViolation",
     "HopNetwork",
     "HopPath",
+    "MarkerSystem",
     "Marking",
     "MuxHost",
     "Network",
     "PairingInstance",
-    "PoRSystem",
     "ProtocolFault",
-    "QuorumMarkerSystem",
     "SignatureOracle",
     "SignedMessage",
     "check_marker_round",
     "gen_binary_search_pair",
     "gen_random_cycles",
     "load_cycles",
+    "measure_z",
     "nonce_for",
     "pair_bruteforce",
     "pair_greedy",

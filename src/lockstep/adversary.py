@@ -34,8 +34,7 @@ from lockstep.cyclecoin import (
     TAG_X,
     TAG_Y,
     CCProcess,
-    CycleCoinSystem,
-    PoRSystem,
+    PoRProcess,
     append_record,
     cycle_round_steps,
     record_content,
@@ -55,18 +54,21 @@ from lockstep.hopnet import (
 )
 from lockstep.marker import (
     Marking,
+    MarkerProcess,
+    MarkerSystem,
     QMProcess,
-    QuorumMarkerSystem,
     check_marker_round,
     default_broadcasters,
     encode_proof,
     intent_content,
+    measure_z,
     receipt_content,
 )
 from lockstep.muxer import nonce_for
-from lockstep.payments import Bank
+from lockstep.payments import FAMILIES as BANK_FAMILIES, Bank
 from lockstep.simnet import (
     Adversary,
+    CodecError,
     ConfigFault,
     Delivery,
     Network,
@@ -80,8 +82,6 @@ from lockstep.simnet import (
     seeded_rng,
     tag_payload,
 )
-
-FAMILIES = ("quorum", "cycle", "strawman")
 
 
 @dataclass(frozen=True)
@@ -414,10 +414,7 @@ class SplitAdversary(Adversary):
 # the strawman
 
 
-STRAWMAN_STEPS = 2
-
-
-class StrawmanProcess(Process):
+class StrawmanProcess(MarkerProcess):
     """Direct handoff marker with none of the protections.
 
     The payer mails one signed note straight to the target and the
@@ -428,20 +425,20 @@ class StrawmanProcess(Process):
     around to show the attack and the round checker both working.
     """
 
-    def __init__(self, n: int, N: int, oracle, genesis_holder: int = 0):
-        super().__init__(n)
-        self.N = N
-        self.oracle = oracle
+    def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
+        super().__init__(n, N, f, oracle, genesis_holder)
         self.marked = n == genesis_holder
-        self.pending: dict[int, int] = {}
-        self.markings: list[Marking] = []
+
+    @staticmethod
+    def steps(N: int, f: int) -> int:
+        return 2
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
-        r, phase = divmod(t, STRAWMAN_STEPS)
+        r, phase = divmod(t, self.round_steps)
         for d in inbox:
             try:
                 sm = SignedMessage.from_bytes(d.payload)
-            except Exception:
+            except CodecError:
                 continue
             body = sm.payload
             want = enc_str("pay") + enc_int(r) + enc_int(d.sender) + enc_int(self.n)
@@ -460,74 +457,22 @@ class StrawmanProcess(Process):
         return []
 
 
-class StrawmanSystem:
-    """Driver for the strawman, API matched to the real marker systems."""
-
-    def __init__(self, N: int, corrupted: frozenset[int] = frozenset(),
-                 adversary=None, genesis_holder: int = 0,
-                 oracle: SignatureOracle | None = None):
-        self.N = N
-        self.corrupted = frozenset(corrupted)
-        if oracle is None:
-            oracle = SignatureOracle(self.corrupted)
-        self.procs = [StrawmanProcess(n, N, oracle, genesis_holder)
-                      for n in range(N)]
-        self.net = Network(self.procs, self.corrupted, adversary, oracle)
-        self.round_index = 0
-
-    def run_round(self, inputs: dict[int, int] | None = None) -> list[Marking]:
-        r = self.round_index
-        base = r * STRAWMAN_STEPS
-        self.net.round = r
-        for payer, target in (inputs or {}).items():
-            if payer in self.corrupted:
-                continue
-            if not self.procs[payer].marked:
-                raise ConfigFault(f"process {payer} is not marked in round {r}")
-            self.procs[payer].pending[r] = target
-            self.net.wake(payer, base)
-        self.net.run_until(base + STRAWMAN_STEPS - 1)
-        self.round_index += 1
-        return [m for n in range(self.N) if n not in self.corrupted
-                for m in self.procs[n].markings if m.round == r]
-
-
 # ---------------------------------------------------------------------------
 # contact sets and the split double spend
 
 
-def _family_process(family: str, n: int, N: int, f: int, oracle,
-                    genesis: int) -> Process:
-    if family == "quorum":
-        return QMProcess(n, N, f, oracle, genesis)
-    if family == "cycle":
-        return CCProcess(n, N, oracle, genesis_holder=genesis)
-    if family == "strawman":
-        return StrawmanProcess(n, N, oracle, genesis)
-    raise ConfigFault(f"unknown protocol family {family!r}")
+# family name -> process class, the bank families plus the strawman
+FAMILIES = {**BANK_FAMILIES, "strawman": StrawmanProcess}
 
 
-def _family_system(family: str, N: int, f: int,
-                   corrupted: frozenset[int] = frozenset(), adversary=None,
-                   genesis: int = 0, oracle: SignatureOracle | None = None):
-    if family == "quorum":
-        return QuorumMarkerSystem(N, f, corrupted, adversary, genesis, oracle)
-    if family == "cycle":
-        return CycleCoinSystem(N, corrupted, adversary, genesis, oracle)
-    if family == "strawman":
-        return StrawmanSystem(N, corrupted, adversary, genesis, oracle)
-    raise ConfigFault(f"unknown protocol family {family!r}")
-
-
-def x_set(family: str, N: int, f: int, payer: int, target: int,
-          *, genesis: int | None = None) -> frozenset[int]:
+def x_set(family: str, N: int, f: int, payer: int,
+          target: int) -> frozenset[int]:
     """Processes touching any message when ``payer`` pays ``target``.
 
     Measured on a fresh all honest system, senders and recipients both
     count.  A payment to yourself touches nobody.
     """
-    system = _family_system(family, N, f, genesis=payer if genesis is None
-                            else genesis)
+    system = MarkerSystem(FAMILIES[family], N, f, genesis_holder=payer)
     system.run_round({payer: target})
     events = system.net.transcript.events
     return frozenset(e.sender for e in events) | \
@@ -541,13 +486,10 @@ def message_floor_report(family: str, N: int, f: int) -> list[str]:
     explains at most two contacts, so measured cost below half the set
     size would mean the bookkeeping is broken."""
     problems = []
-    for target in range(N):
-        if target == 0:
-            continue
+    costs = measure_z(FAMILIES[family], N, f)
+    for target in range(1, N):
         contacts = x_set(family, N, f, 0, target)
-        system = _family_system(family, N, f, genesis=0)
-        system.run_round({0: target})
-        z = system.net.metrics.messages()
+        z = costs[target]
         if z < len(contacts) / 2:
             problems.append(
                 f"target {target}: {z} messages for {len(contacts)} contacts")
@@ -606,14 +548,14 @@ def split_double_spend(family: str, N: int, f: int, payer: int,
     worlds = []
     for name, target, feed in (("first", n1, x1 - chosen),
                                ("second", n2, x2 - chosen)):
-        sims = {z: _family_process(family, z, N, f, shadow, payer)
+        sims = {z: FAMILIES[family](z, N, f, shadow, payer)
                 for z in sorted(chosen)}
         world = SimWorld(name, sims, feed)
         world.prime_payment(payer, 0, target, 0)
         worlds.append(world)
     adversary = SplitAdversary(chosen, worlds)
-    system = _family_system(family, N, f, corrupted=chosen,
-                            adversary=adversary, genesis=payer, oracle=oracle)
+    system = MarkerSystem(FAMILIES[family], N, f, chosen, adversary, payer,
+                          oracle)
     markings = system.run_round({})
     honest = frozenset(range(N)) - chosen
     violations = check_marker_round(0, honest, markings, None, False, None)
@@ -668,8 +610,8 @@ def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
     proof = encode_proof(())
     sends = {0: [(0, b, intent_content(0, 0, 1, proof)) for b in casters[:half]]
              + [(0, b, intent_content(0, 0, 2, proof)) for b in casters[half:]]}
-    system = QuorumMarkerSystem(N, f, frozenset({0}),
-                                QuorumScriptAdversary(frozenset({0}), sends))
+    system = MarkerSystem(QMProcess, N, f, frozenset({0}),
+                          QuorumScriptAdversary(frozenset({0}), sends))
     violations = _audited_rounds(system, [{}])
     results.append(AttackResult("quorum-split-intents", "quorum", N, f,
                                 tuple(violations)))
@@ -677,8 +619,8 @@ def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
     # pay honestly, then replay the spent proof with a new round number
     sends = {0: [(0, b, intent_content(0, 0, 1, proof)) for b in casters],
              3: [(0, b, intent_content(1, 0, 2, proof)) for b in casters]}
-    system = QuorumMarkerSystem(N, f, frozenset({0}),
-                                QuorumScriptAdversary(frozenset({0}), sends))
+    system = MarkerSystem(QMProcess, N, f, frozenset({0}),
+                          QuorumScriptAdversary(frozenset({0}), sends))
     violations = _audited_rounds(system, [{}, {1: 3}])
     marked = [n for n in (2, 3) if system.procs[n].marked]
     if marked != [3]:
@@ -689,14 +631,14 @@ def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
     # corrupted broadcasters countersign a handoff that never happened
     crooked = frozenset(casters[-f:])
     fake = [(b, 1, receipt_content(0, 0, 1)) for b in sorted(crooked)]
-    system = QuorumMarkerSystem(N, f, crooked,
-                                QuorumScriptAdversary(crooked, {1: fake}))
+    system = MarkerSystem(QMProcess, N, f, crooked,
+                          QuorumScriptAdversary(crooked, {1: fake}))
     violations = _audited_rounds(system, [{0: 2}])
     results.append(AttackResult("quorum-fake-receipts", "quorum", N, f,
                                 tuple(violations)))
 
     # corrupted holder that never spends: nothing may move
-    system = QuorumMarkerSystem(N, f, frozenset({0}))
+    system = MarkerSystem(QMProcess, N, f, frozenset({0}))
     violations = _audited_rounds(system, [{}, {}])
     results.append(AttackResult("quorum-silent-holder", "quorum", N, f,
                                 tuple(violations)))
@@ -748,10 +690,9 @@ class ForgedChainAdversary(Adversary):
         return [(min(self.corrupted), Send(self.recipient, payload))]
 
 
-def _honest_world(family: str, N: int, f: int, coalition: frozenset[int],
-                  oracle, genesis: int) -> SimWorld:
-    sims = {z: _family_process(family, z, N, f, oracle, genesis)
-            for z in sorted(coalition)}
+def _honest_world(N: int, coalition: frozenset[int], oracle,
+                  genesis: int) -> SimWorld:
+    sims = {z: CCProcess(z, N, 0, oracle, genesis) for z in sorted(coalition)}
     return SimWorld("single", sims, frozenset(range(N)) - coalition)
 
 
@@ -768,11 +709,11 @@ def cycle_stale_replay(N: int, first_target: int, *,
     oracle = SignatureOracle(coalition)
     shadow = CoalitionOracle(oracle)
     shadow.sign(0, record_content((), TAG_BASE))
-    world = _honest_world("cycle", N, 0, coalition, shadow, 0)
+    world = _honest_world(N, coalition, shadow, 0)
     world.prime_payment(0, 0, first_target, 0)
     steps = cycle_round_steps(N)
     adversary = ReplayAdversary(coalition, [world], steps)
-    system = CycleCoinSystem(N, coalition, adversary, 0, oracle)
+    system = MarkerSystem(CCProcess, N, 0, coalition, adversary, 0, oracle)
     if follow_up is None:
         follow_up = first_target + 1 if first_target + 1 < N else first_target
     violations = _audited_rounds(system, [{}, {first_target: follow_up}])
@@ -799,7 +740,7 @@ def cycle_equal_weight(N: int) -> AttackResult:
     oracle = SignatureOracle(coalition)
     shadow = CoalitionOracle(oracle)
     shadow.sign(0, record_content((), TAG_BASE))
-    world = _honest_world("cycle", N, 0, coalition, shadow, 0)
+    world = _honest_world(N, coalition, shadow, 0)
     world.prime_payment(0, 0, 2, 0)
     steps = cycle_round_steps(N)
     forged: list[tuple[Record, ...]] = []
@@ -824,7 +765,7 @@ def cycle_equal_weight(N: int) -> AttackResult:
             return forger.act(t, net)
 
     adversary = Both(coalition, [world])
-    system = CycleCoinSystem(N, coalition, adversary, 0, oracle)
+    system = MarkerSystem(CCProcess, N, 0, coalition, adversary, 0, oracle)
     violations = _audited_rounds(system, [{}, {2: 3}])
     target = system.procs[2]
     if [m for m in target.markings if m.round == 1]:
@@ -842,7 +783,7 @@ def cycle_silent_responder(N: int, f: int, target: int,
     The payment must complete anyway and every honest process must agree
     the silent process is gone from the cycle.
     """
-    system = PoRSystem(N, f, frozenset({silent}))
+    system = MarkerSystem(PoRProcess, N, f, frozenset({silent}))
     violations = _audited_rounds(system, [{0: target}])
     honest = [n for n in range(N) if n != silent]
     for n in honest:
@@ -870,7 +811,7 @@ def cycle_junk(N: int, seed: int) -> AttackResult:
                 out.append((N - 1, Send(recipient, wire(KIND_QUERY, ()))))
             return out
 
-    system = CycleCoinSystem(N, coalition, Junk())
+    system = MarkerSystem(CCProcess, N, 0, coalition, Junk())
     violations = _audited_rounds(system, [{0: 1}, {1: 2}])
     return AttackResult("cycle-junk", "cycle", N, 1, tuple(violations),
                         details=f"seed={seed}")

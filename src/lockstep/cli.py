@@ -46,7 +46,6 @@ from lockstep.consensus import (
     ds_signature_floor,
     run_dolev_strong,
 )
-from lockstep.cyclecoin import CycleCoinSystem, measure_cycle_z
 from lockstep.hopnet import (
     gen_binary_search_pair,
     gen_random_cycles,
@@ -54,8 +53,8 @@ from lockstep.hopnet import (
     hop_experiment,
     HopNetwork,
 )
-from lockstep.marker import QuorumMarkerSystem, check_marker_round, measure_quorum_z
-from lockstep.payments import Bank
+from lockstep.marker import MarkerSystem, check_marker_round, measure_z
+from lockstep.payments import FAMILIES, Bank
 from lockstep.simnet import ConfigFault, seeded_rng
 
 DEFAULTS = {
@@ -148,10 +147,7 @@ def _run_broadcast(cfg: dict):
 
 def _run_marker(cfg: dict):
     N, f, seed = cfg["n"], cfg["f"], cfg["seed"]
-    if cfg["protocol"] == "quorum":
-        system = QuorumMarkerSystem(N, f)
-    else:
-        system = CycleCoinSystem(N)
+    system = MarkerSystem(FAMILIES[cfg["protocol"]], N, f)
     rng = seeded_rng(seed, 2)
     honest = frozenset(range(N))
     holder = 0
@@ -251,7 +247,7 @@ def _broadcast_cell(args: tuple) -> dict:
 
 def _quorum_cell(args: tuple) -> dict:
     N, f = args
-    total = sum(measure_quorum_z(N, f))
+    total = sum(measure_z(FAMILIES["quorum"], N, f))
     expected = N * (6 * f + 2)
     cell = {"N": N, "f": f, "total": total, "expected": expected}
     cell["problems"] = ([] if total == expected else
@@ -260,7 +256,7 @@ def _quorum_cell(args: tuple) -> dict:
 
 
 def _cycle_cell(N: int) -> dict:
-    total = sum(measure_cycle_z(N))
+    total = sum(measure_z(FAMILIES["cycle"], N))
     return {"N": N, "total": total, "problems": []}
 
 

@@ -15,7 +15,6 @@ agreement back into a broadcast.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -355,10 +354,6 @@ class TurpinCoanProcess(Process):
             if tally:
                 top = max(tally.values())
                 best = [v for v, c in tally.items() if c == top]
-                if len(best) > 1:
-                    warnings.warn(
-                        "value poll tie broken toward smallest encoding",
-                        stacklevel=2)
                 self.fallback = min(best, key=enc_int)
             return self.sub.step(0, passthrough)
         return self.sub.step(t - 2, inbox)

@@ -13,7 +13,7 @@ whole safety story.  Nobody else hears about the payment, which is why a
 payment over distance d costs exactly 2(d-1)+1 messages and a payment to
 yourself costs none.
 
-The classes at the bottom wrap the same logic in a response enforcement
+The class at the bottom wraps the same logic in a response enforcement
 schedule.  Every query slot is followed by room for a complaint broadcast
 and a response broadcast, so a process that goes silent on the payment path
 is either exposed and deleted from the cycle by all honest processes, or
@@ -26,18 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from lockstep.consensus import DSProcess, default_relays
-from lockstep.marker import GENESIS_ROUND, Marking
+from lockstep.marker import GENESIS_ROUND, Marking, MarkerProcess
 from lockstep.muxer import nonce_for
 from lockstep.simnet import (
     ByteReader,
     CodecError,
     ConfigFault,
     Delivery,
-    Network,
-    Process,
     ScopedOracle,
     Send,
-    SignatureOracle,
     enc_bytes,
     enc_int,
     enc_str,
@@ -322,7 +319,7 @@ def cycle_round_steps(N: int) -> int:
 # protocol logic
 
 
-class CCProcess(Process):
+class CCProcess(MarkerProcess):
     """One participant of the chain marker.
 
     ``signed_log`` maps each weight this process ever vouched for to the
@@ -334,25 +331,20 @@ class CCProcess(Process):
     what makes every refusal provable to a third party.
     """
 
-    def __init__(self, n: int, N: int, oracle, *, genesis_holder: int = 0,
-                 round_steps: int | None = None):
-        super().__init__(n)
-        self.N = N
-        self.oracle = oracle
-        self.genesis_holder = genesis_holder
-        self.round_steps = round_steps if round_steps is not None else cycle_round_steps(N)
+    def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
+        super().__init__(n, N, f, oracle, genesis_holder)
         self.deleted: set[int] = set()
         self.marked = n == genesis_holder
         self.marked_round: int | None = GENESIS_ROUND if self.marked else None
         self.chain: tuple[Record, ...] = ((Record(TAG_BASE, genesis_holder),)
                                           if self.marked else ())
+        if self.marked and n not in oracle.corrupted:
+            oracle.sign(n, record_content((), TAG_BASE))
         self.chain_groups = 0
         self.weight = 0 if self.marked else None
         self.predecessor: int | None = None
-        self.pending: dict[int, int] = {}
         self.signed_log: dict[int, tuple[Record, ...]] = {}
         self.received_log: dict[int, tuple[Record, ...]] = {}
-        self.markings: list[Marking] = []
         self.refusals: list[tuple[int, int, str]] = []
         self.evidence: list[tuple[Record, ...]] = []
         self.proofs: dict[int, tuple[Record, ...]] = {}
@@ -361,6 +353,20 @@ class CCProcess(Process):
         self.target: int | None = None
         self.paced = False
         self.ready: list[Send] | None = None
+
+    @staticmethod
+    def check(N: int, f: int) -> None:
+        if not 0 <= f <= N - 2:
+            raise ConfigFault(f"the cycle needs 0 <= f <= N-2, got N={N} f={f}")
+
+    @staticmethod
+    def steps(N: int, f: int) -> int:
+        return cycle_round_steps(N)
+
+    def pay(self, r: int, target: int) -> None:
+        if self.marked and target in self.deleted:
+            raise ConfigFault(f"target {target} was deleted from the cycle")
+        super().pay(r, target)
 
     # -- payer side ---------------------------------------------------------
 
@@ -435,10 +441,28 @@ class CCProcess(Process):
 
     # -- responder side -----------------------------------------------------
 
-    def _refuse(self, requester: int, r: int, w: int, reason: str,
-                artifact: tuple[Record, ...]) -> list[Send]:
-        self.refusals.append((r, w, reason))
-        return [Send(requester, wire(KIND_REFUSE, artifact), len(artifact))]
+    def _vouch(self, r: int, w: int, records: tuple[Record, ...]
+               ) -> tuple[str, tuple[Record, ...]] | None:
+        """Countersign the partial ``records`` of weight ``w``, or log the
+        refusal and return its reason with the artifact that proves it."""
+        refusal = None
+        if self.marked:
+            # the holder vouches for nothing: a signature above its own
+            # weight is exactly what a rival chain would need to outgrow it
+            refusal = "marked", self.chain
+        else:
+            for reason, log in (("signed", self.signed_log),
+                                ("received", self.received_log)):
+                over = [v for v in log if v >= w]
+                if over:
+                    refusal = reason, log[max(over)]
+                    break
+        if refusal is None:
+            self.signed_log[w] = records
+            self.oracle.sign(self.n, record_content(records, TAG_PATH))
+        else:
+            self.refusals.append((r, w, refusal[0]))
+        return refusal
 
     def _on_query(self, sender: int, records: tuple[Record, ...],
                   r: int) -> list[Send]:
@@ -452,19 +476,10 @@ class CCProcess(Process):
             return []
         if len(shape.groups) - 1 != r:
             return []
-        w = shape.weight
-        if self.marked:
-            # the holder vouches for nothing: a signature above its own
-            # weight is exactly what a rival chain would need to outgrow it
-            return self._refuse(sender, r, w, "marked", self.chain)
-        over = [v for v in self.signed_log if v >= w]
-        if over:
-            return self._refuse(sender, r, w, "signed", self.signed_log[max(over)])
-        over = [v for v in self.received_log if v >= w]
-        if over:
-            return self._refuse(sender, r, w, "received", self.received_log[max(over)])
-        self.signed_log[w] = records
-        self.oracle.sign(self.n, record_content(records, TAG_PATH))
+        refusal = self._vouch(r, shape.weight, records)
+        if refusal is not None:
+            artifact = refusal[1]
+            return [Send(sender, wire(KIND_REFUSE, artifact), len(artifact))]
         return [Send(sender, wire(KIND_RESPONSE, records), 1)]
 
     # -- target side --------------------------------------------------------
@@ -522,71 +537,9 @@ class CCProcess(Process):
         return self._handle(t, inbox)
 
 
-class CycleCoinSystem:
-    """Driver for the chain marker; the round API matches the other marker
-    systems."""
-
-    def __init__(self, N: int, corrupted: frozenset[int] = frozenset(),
-                 adversary=None, genesis_holder: int = 0,
-                 oracle: SignatureOracle | None = None):
-        if N < 2:
-            raise ConfigFault("the cycle needs at least two processes")
-        self.N = N
-        self.corrupted = frozenset(corrupted)
-        if oracle is None:
-            oracle = SignatureOracle(self.corrupted)
-        self.oracle = oracle
-        self.genesis_holder = genesis_holder
-        self.procs = self._build_processes()
-        if genesis_holder not in self.corrupted:
-            oracle.sign(genesis_holder, record_content((), TAG_BASE))
-        self.net = Network(self.procs, self.corrupted, adversary, oracle)
-        self.round_steps = self.procs[0].round_steps
-        self.round_index = 0
-
-    def _build_processes(self) -> list[CCProcess]:
-        return [CCProcess(n, self.N, self.oracle,
-                          genesis_holder=self.genesis_holder)
-                for n in range(self.N)]
-
-    def _round_wakes(self, base: int) -> None:
-        pass
-
-    def run_round(self, inputs: dict[int, int] | None = None) -> list[Marking]:
-        r = self.round_index
-        base = r * self.round_steps
-        self.net.round = r
-        for payer, target in (inputs or {}).items():
-            if payer in self.corrupted:
-                continue
-            proc = self.procs[payer]
-            if not proc.marked:
-                raise ConfigFault(f"process {payer} is not marked in round {r}")
-            if target in proc.deleted:
-                raise ConfigFault(f"target {target} was deleted from the cycle")
-            proc.pending[r] = target
-            self.net.wake(payer, base)
-        self._round_wakes(base)
-        self.net.run_until(base + self.round_steps - 1)
-        self.round_index += 1
-        return [m for n in range(self.N) if n not in self.corrupted
-                for m in self.procs[n].markings if m.round == r]
-
-
 def cycle_payment_messages(distance: int) -> int:
     """Honest message cost of a payment over the given cycle distance."""
     return 2 * max(distance - 1, 0) + (1 if distance >= 1 else 0)
-
-
-def measure_cycle_z(N: int) -> list[int]:
-    """Message cost of one payment from the genesis holder to each target,
-    measured on fresh systems."""
-    costs = []
-    for target in range(N):
-        system = CycleCoinSystem(N)
-        system.run_round({0: target})
-        costs.append(system.net.metrics.messages())
-    return costs
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +627,9 @@ def parse_refusal(value: bytes) -> tuple[Record, ...] | None:
 class PoRProcess(CCProcess):
     """Chain marker participant under the response enforcement schedule.
 
-    A round is split into ``periods`` periods of 2f+8 steps.  The payer
-    gets one exchange per period: query at the first step, answer at the
-    second.  On silence the payer broadcasts the unanswered request (steps
+    A round is split into N periods of 2f+8 steps.  The payer gets one
+    exchange per period: query at the first step, answer at the second.
+    On silence the payer broadcasts the unanswered request (steps
     2..f+4), the accused process broadcasts its countersignature or its
     justification (steps f+5..2f+7), and every honest process draws the
     same conclusion: the answer exists and the payment goes on, or the
@@ -685,19 +638,25 @@ class PoRProcess(CCProcess):
     weights: the same partial simply points one position further.
     """
 
-    def __init__(self, n: int, N: int, f: int, oracle, *,
-                 genesis_holder: int = 0, periods: int | None = None):
-        self.f = f
+    def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
+        super().__init__(n, N, f, oracle, genesis_holder)
         self.period_steps = por_period_steps(f)
-        self.periods = periods if periods is not None else N
-        super().__init__(n, N, oracle, genesis_holder=genesis_holder,
-                         round_steps=self.periods * self.period_steps)
         self.paced = True
         self.subs: dict[bytes, tuple[DSProcess, int]] = {}
         self.accused: dict[tuple[int, int], tuple[int, tuple[Record, ...]]] = {}
         self.pending_response: dict[tuple[int, int], bytes] = {}
         self.query_mark = None
         self.deletions: list[tuple[int, int, int]] = []
+
+    @staticmethod
+    def steps(N: int, f: int) -> int:
+        return N * por_period_steps(f)
+
+    def round_wakes(self, base: int) -> None:
+        offsets = (0, 2, self.f + 4, self.f + 5, 2 * self.f + 7)
+        for k in range(self.N):
+            for off in offsets:
+                self.net.wake(self.n, base + k * self.period_steps + off)
 
     # -- broadcast plumbing -------------------------------------------------
 
@@ -717,7 +676,7 @@ class PoRProcess(CCProcess):
             r = int.from_bytes(rest[0:4], "big")
             k = int.from_bytes(rest[4:8], "big")
             a = int.from_bytes(rest[8:12], "big")
-            if not 0 <= a < self.N or not 0 <= k < self.periods:
+            if not 0 <= a < self.N or not 0 <= k < self.N:
                 return []
             base = r * self.round_steps + k * self.period_steps + 2
         elif prefix == RESPONSE_PREFIX and len(rest) == 8:
@@ -775,23 +734,9 @@ class PoRProcess(CCProcess):
         shape = inspect_request(request, self.N, self.oracle,
                                 genesis=self.genesis_holder,
                                 deleted=frozenset(self.deleted))
-        w = shape.weight
-        if self.marked:
-            self.refusals.append((r, w, "marked"))
-            value = refusal_wire(self.chain)
-        elif any(v >= w for v in self.signed_log):
-            best = max(v for v in self.signed_log if v >= w)
-            self.refusals.append((r, w, "signed"))
-            value = refusal_wire(self.signed_log[best])
-        elif any(v >= w for v in self.received_log):
-            best = max(v for v in self.received_log if v >= w)
-            self.refusals.append((r, w, "received"))
-            value = refusal_wire(self.received_log[best])
-        else:
-            self.signed_log[w] = request
-            self.oracle.sign(self.n, record_content(request, TAG_PATH))
-            value = COMPLY
-        self.pending_response[(r, k)] = value
+        refusal = self._vouch(r, shape.weight, request)
+        self.pending_response[(r, k)] = (COMPLY if refusal is None
+                                         else refusal_wire(refusal[1]))
 
     def _answer_complaint(self, t: int, r: int, k: int) -> list[Send]:
         value = self.pending_response.pop((r, k), None)
@@ -922,33 +867,3 @@ class PoRProcess(CCProcess):
         wrapped.extend(Send(s.recipient, tag_payload(s.payload, s.nonce),
                             s.signatures, s.nonce) for s in sub_sends)
         return wrapped
-
-
-class PoRSystem(CycleCoinSystem):
-    """Chain marker driver with the response enforcement schedule."""
-
-    def __init__(self, N: int, f: int, corrupted: frozenset[int] = frozenset(),
-                 adversary=None, genesis_holder: int = 0,
-                 oracle: SignatureOracle | None = None,
-                 periods: int | None = None):
-        if not 0 <= f <= N - 2:
-            raise ConfigFault(f"the broadcasts need f <= N-2, got N={N} f={f}")
-        self.f = f
-        self.periods = periods if periods is not None else N
-        super().__init__(N, corrupted, adversary, genesis_holder, oracle)
-
-    def _build_processes(self) -> list[PoRProcess]:
-        return [PoRProcess(n, self.N, self.f, self.oracle,
-                           genesis_holder=self.genesis_holder,
-                           periods=self.periods)
-                for n in range(self.N)]
-
-    def _round_wakes(self, base: int) -> None:
-        period = por_period_steps(self.f)
-        offsets = (0, 2, self.f + 4, self.f + 5, 2 * self.f + 7)
-        for n in range(self.N):
-            if n in self.corrupted:
-                continue
-            for k in range(self.periods):
-                for off in offsets:
-                    self.net.wake(n, base + k * period + off)

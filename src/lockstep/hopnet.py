@@ -467,15 +467,6 @@ class HopNetwork:
         self.macro_index += 1
         return outcome
 
-    def bank_messages(self, outcome: MacroOutcome) -> int:
-        """Messages the banks actually sent during the macro round."""
-        total = 0
-        for bank in self.banks:
-            for m in range(outcome.base_round,
-                           outcome.base_round + self.micro_rounds):
-                total += bank.net.metrics.round_messages(m)
-        return total
-
     # -- dispute -------------------------------------------------------------
 
     def _leg_proof(self, leg_index: int, outcome: MacroOutcome):

@@ -6,23 +6,24 @@ one honest process becomes marked per round, an honest handoff between
 honest processes always lands, and nobody can be marked in the name of an
 honest process that did not pay.
 
-Two interchangeable solutions live here.  The broadcast solution replays
-every handoff through the authenticated broadcast of
-:mod:`lockstep.consensus`, so everybody tracks the marker and each round
-costs a full broadcast.  The quorum solution designates 3f+1 broadcaster
-processes; a handoff is one signed intent to the broadcasters plus their
-countersigned receipts to the target, and the receipt set doubles as the
-proof of ownership for the next handoff.  Receipt freshness is enforced by
-each broadcaster against its own countersign history, and any two receipt
-quorums share an honest broadcaster, which is what makes stale or split
-proofs unusable.
+Every construction is a :class:`MarkerProcess` subclass, and one
+:class:`MarkerSystem` drives any of them.  Two constructions live here.
+The broadcast solution replays every handoff through the authenticated
+broadcast of :mod:`lockstep.consensus`, so everybody tracks the marker and
+each round costs a full broadcast.  The quorum solution designates 3f+1
+broadcaster processes; a handoff is one signed intent to the broadcasters
+plus their countersigned receipts to the target, and the receipt set
+doubles as the proof of ownership for the next handoff.  Receipt freshness
+is enforced by each broadcaster against its own countersign history, and
+any two receipt quorums share an honest broadcaster, which is what makes
+stale or split proofs unusable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from lockstep.consensus import DSProcess, default_relays, ds_all_honest_messages
+from lockstep.consensus import DSProcess, default_relays
 from lockstep.muxer import nonce_for
 from lockstep.simnet import (
     ByteReader,
@@ -41,8 +42,6 @@ from lockstep.simnet import (
 )
 
 GENESIS_ROUND = -1
-
-QUORUM_STEPS_PER_ROUND = 3
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,103 @@ def check_marker_round(round_index: int, honest: frozenset[int],
                 f"round {round_index}: {m.target} marked in the name of honest "
                 f"{m.predecessor} without a matching handoff")
     return violations
+
+
+# ---------------------------------------------------------------------------
+# one driver for every construction
+
+
+class MarkerProcess(Process):
+    """One participant of a single marker instance, of any construction.
+
+    A construction is a subclass.  It says at which (N, f) it runs and how
+    many steps one round occupies, keeps ``marked`` true while it holds the
+    marker, and appends a :class:`Marking` to ``markings`` whenever it
+    accepts one.  ``pending`` maps a round to the target the process pays
+    in it.
+    """
+
+    def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
+        super().__init__(n)
+        self.N = N
+        self.f = f
+        self.oracle = oracle
+        self.genesis_holder = genesis_holder
+        self.pending: dict[int, int] = {}
+        self.markings: list[Marking] = []
+        self.round_steps = self.steps(N, f)
+
+    @staticmethod
+    def check(N: int, f: int) -> None:
+        """Raise :class:`ConfigFault` unless the construction runs at (N, f)."""
+
+    @staticmethod
+    def steps(N: int, f: int) -> int:
+        """Steps one round occupies."""
+        raise NotImplementedError
+
+    def pay(self, r: int, target: int) -> None:
+        """Hand the marker to ``target`` in round ``r``."""
+        if not self.marked:
+            raise ConfigFault(f"process {self.n} is not marked in round {r}")
+        self.pending[r] = target
+
+    def round_wakes(self, base: int) -> None:
+        """Schedule the spontaneous steps of the round starting at ``base``."""
+
+    def end_round(self, r: int) -> None:
+        """Local state transition after the last step of round ``r``."""
+
+
+class MarkerSystem:
+    """Driver for one persistent marker instance; ``family`` is the
+    process class of the construction."""
+
+    def __init__(self, family: type[MarkerProcess], N: int, f: int = 0,
+                 corrupted: frozenset[int] = frozenset(), adversary=None,
+                 genesis_holder: int = 0,
+                 oracle: SignatureOracle | None = None):
+        family.check(N, f)
+        self.N = N
+        self.f = f
+        self.corrupted = frozenset(corrupted)
+        if oracle is None:
+            oracle = SignatureOracle(self.corrupted)
+        self.procs = [family(n, N, f, oracle, genesis_holder) for n in range(N)]
+        self.net = Network(self.procs, self.corrupted, adversary, oracle)
+        self.round_steps = family.steps(N, f)
+        self.round_index = 0
+
+    def run_round(self, inputs: dict[int, int] | None = None) -> list[Marking]:
+        """Advance one round.  ``inputs`` maps honest payers to targets;
+        returns the markings honest processes accepted in the round."""
+        r = self.round_index
+        base = r * self.round_steps
+        self.net.round = r
+        honest = [p for p in self.procs if p.n not in self.corrupted]
+        for payer, target in (inputs or {}).items():
+            if payer in self.corrupted:
+                continue
+            self.procs[payer].pay(r, target)
+            self.net.wake(payer, base)
+        for proc in honest:
+            proc.round_wakes(base)
+        self.net.run_until(base + self.round_steps - 1)
+        for proc in honest:
+            proc.end_round(r)
+        self.round_index += 1
+        return [m for proc in honest for m in proc.markings if m.round == r]
+
+
+def measure_z(family: type[MarkerProcess], N: int, f: int = 0) -> list[int]:
+    """Honest message cost of one handoff from process 0, the genesis
+    holder, to each possible target, measured on fresh systems."""
+    costs = []
+    for target in range(N):
+        system = MarkerSystem(family, N, f)
+        system.run_round({0: target})
+        costs.append(system.net.metrics.messages())
+    return costs
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +244,7 @@ def parse_typed(payload: bytes, expected: str, fields: int) -> tuple[int, ...] |
         return None
 
 
-class QMProcess(Process):
+class QMProcess(MarkerProcess):
     """One participant of the quorum marker, possibly also a broadcaster.
 
     Rounds occupy three steps: intent, countersign, accept.  A broadcaster
@@ -160,19 +256,22 @@ class QMProcess(Process):
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
-        super().__init__(n)
-        self.N = N
-        self.f = f
-        self.oracle = oracle
-        self.genesis_holder = genesis_holder
+        super().__init__(n, N, f, oracle, genesis_holder)
         self.broadcasters = default_broadcasters(N, f)
         self.marked = n == genesis_holder
         self.marked_round = GENESIS_ROUND
         self.predecessor: int | None = None
         self.proof: tuple[bytes, ...] = ()
-        self.pending: dict[int, int] = {}
         self.history: list[tuple[int, int, int]] = []
-        self.markings: list[Marking] = []
+
+    @staticmethod
+    def check(N: int, f: int) -> None:
+        if 3 * f + 1 > N:
+            raise ConfigFault(f"quorum marker needs 3f+1 <= N, got N={N} f={f}")
+
+    @staticmethod
+    def steps(N: int, f: int) -> int:
+        return 3
 
     # -- payer side ---------------------------------------------------------
 
@@ -280,7 +379,7 @@ class QMProcess(Process):
                 break
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
-        r, phase = divmod(t, QUORUM_STEPS_PER_ROUND)
+        r, phase = divmod(t, self.round_steps)
         if phase == 0:
             if self.marked and r in self.pending:
                 return self._intent_sends(r)
@@ -292,60 +391,11 @@ class QMProcess(Process):
         return []
 
 
-class QuorumMarkerSystem:
-    """Driver for a persistent quorum marker instance."""
-
-    def __init__(self, N: int, f: int, corrupted: frozenset[int] = frozenset(),
-                 adversary=None, genesis_holder: int = 0,
-                 oracle: SignatureOracle | None = None):
-        if 3 * f + 1 > N:
-            raise ConfigFault(f"quorum marker needs 3f+1 <= N, got N={N} f={f}")
-        self.N = N
-        self.f = f
-        self.corrupted = frozenset(corrupted)
-        if oracle is None:
-            oracle = SignatureOracle(self.corrupted)
-        self.procs = [QMProcess(n, N, f, oracle, genesis_holder) for n in range(N)]
-        self.net = Network(self.procs, self.corrupted, adversary, oracle)
-        self.round_index = 0
-
-    def run_round(self, inputs: dict[int, int] | None = None) -> list[Marking]:
-        """Advance one round.  ``inputs`` maps honest payers to targets."""
-        r = self.round_index
-        base = r * QUORUM_STEPS_PER_ROUND
-        self.net.round = r
-        for payer, target in (inputs or {}).items():
-            if payer in self.corrupted:
-                continue
-            if not self.procs[payer].marked:
-                raise ConfigFault(f"process {payer} is not marked in round {r}")
-            self.procs[payer].pending[r] = target
-            self.net.wake(payer, base)
-        self.net.run_until(base + QUORUM_STEPS_PER_ROUND - 1)
-        self.round_index += 1
-        return [m for n in range(self.N) if n not in self.corrupted
-                for m in self.procs[n].markings if m.round == r]
-
-    def quorum_messages_per_handoff(self) -> int:
-        return 2 * (3 * self.f + 1)
-
-
-def measure_quorum_z(N: int, f: int) -> list[int]:
-    """Honest message cost of one handoff from the genesis holder to each
-    possible target, measured on fresh systems."""
-    costs = []
-    for target in range(N):
-        system = QuorumMarkerSystem(N, f)
-        system.run_round({0: target})
-        costs.append(system.net.metrics.messages())
-    return costs
-
-
 # ---------------------------------------------------------------------------
 # broadcast solution
 
 
-class BBMProcess(Process):
+class BBMProcess(MarkerProcess):
     """Marker tracking by one authenticated broadcast per round.
 
     The current holder is the broadcast leader; the broadcast value is the
@@ -356,15 +406,23 @@ class BBMProcess(Process):
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
-        super().__init__(n)
-        self.N = N
-        self.f = f
-        self.oracle = oracle
+        super().__init__(n, N, f, oracle, genesis_holder)
         self.holder = genesis_holder
-        self.pending: dict[int, int] = {}
-        self.markings: list[Marking] = []
         self.ds: DSProcess | None = None
         self.ds_round = -1
+
+    @staticmethod
+    def check(N: int, f: int) -> None:
+        if f > N - 2:
+            raise ConfigFault(f"broadcast marker needs f <= N-2, got N={N} f={f}")
+
+    @staticmethod
+    def steps(N: int, f: int) -> int:
+        return f + 3
+
+    @property
+    def marked(self) -> bool:
+        return self.holder == self.n
 
     def _rotate(self, r: int) -> None:
         if self.ds_round == r:
@@ -378,13 +436,13 @@ class BBMProcess(Process):
         self.ds_round = r
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
-        r, phase = divmod(t, self.f + 3)
+        r, phase = divmod(t, self.round_steps)
         self._rotate(r)
         nonce = nonce_for(r)
         return [Send(s.recipient, s.payload, s.signatures, nonce)
                 for s in self.ds.step(phase, inbox)]
 
-    def finalize_round(self, r: int) -> None:
+    def end_round(self, r: int) -> None:
         """Apply the round's broadcast decision to the replicated holder.
 
         This is the local end of round state transition; it consumes no
@@ -399,50 +457,3 @@ class BBMProcess(Process):
         self.holder = target
         if self.n == target:
             self.markings.append(Marking(r, self.n, predecessor))
-
-
-class BBMarkerSystem:
-    """Driver for the broadcast based marker."""
-
-    def __init__(self, N: int, f: int, corrupted: frozenset[int] = frozenset(),
-                 adversary=None, genesis_holder: int = 0,
-                 oracle: SignatureOracle | None = None):
-        if f > N - 2:
-            raise ConfigFault(f"broadcast marker needs f <= N-2, got N={N} f={f}")
-        self.N = N
-        self.f = f
-        self.corrupted = frozenset(corrupted)
-        if oracle is None:
-            oracle = SignatureOracle(self.corrupted)
-        self.procs = [BBMProcess(n, N, f, oracle, genesis_holder) for n in range(N)]
-        self.net = Network(self.procs, self.corrupted, adversary, oracle)
-        self.round_index = 0
-
-    def run_round(self, inputs: dict[int, int] | None = None) -> list[Marking]:
-        r = self.round_index
-        base = r * (self.f + 3)
-        self.net.round = r
-        for payer, target in (inputs or {}).items():
-            if payer in self.corrupted:
-                continue
-            if self.procs[payer].holder != payer:
-                raise ConfigFault(f"process {payer} is not marked in round {r}")
-            self.procs[payer].pending[r] = target
-            self.net.wake(payer, base)
-        self.net.run_until(base + self.f + 2)
-        for n in range(self.N):
-            if n not in self.corrupted:
-                self.procs[n].finalize_round(r)
-        self.round_index += 1
-        return [m for n in range(self.N) if n not in self.corrupted
-                for m in self.procs[n].markings if m.round == r]
-
-
-def measure_bb_z(N: int, f: int) -> list[int]:
-    costs = []
-    for target in range(N):
-        system = BBMarkerSystem(N, f)
-        system.run_round({0: target})
-        costs.append(system.net.metrics.messages())
-    assert all(c == ds_all_honest_messages(N, f) for c in costs)
-    return costs

@@ -38,14 +38,13 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .cyclecoin import (CCProcess, TAG_BASE, cycle_round_steps,
-                        record_content)
-from .marker import (Marking, QMProcess, QUORUM_STEPS_PER_ROUND,
-                     check_marker_round)
+from .cyclecoin import CCProcess
+from .marker import Marking, QMProcess, check_marker_round
 from .muxer import MuxHost, nonce_for
 from .simnet import (ConfigFault, Network, ScopedOracle, SignatureOracle)
 
-FAMILIES = ("quorum", "cycle")
+# family name -> the process class of one marking instance
+FAMILIES = {"quorum": QMProcess, "cycle": CCProcess}
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,8 @@ class Bank:
             raise ConfigFault(f"unknown marking family {family!r}")
         if len(initial) != N or any(v < 0 for v in initial):
             raise ConfigFault(f"initial balances must be {N} non-negative values")
-        if family == "quorum" and 3 * f + 1 > N:
-            raise ConfigFault(f"quorum family needs 3f+1 <= N, got N={N} f={f}")
-        if family == "cycle" and f > N - 2:
-            raise ConfigFault(f"cycle family needs f <= N-2, got N={N} f={f}")
+        process = FAMILIES[family]
+        process.check(N, f)
         self.N = N
         self.f = f
         self.family = family
@@ -100,29 +97,16 @@ class Bank:
         if oracle is None:
             oracle = SignatureOracle(self.corrupted)
         self.oracle = oracle
-        if family == "quorum":
-            self.steps_per_round = QUORUM_STEPS_PER_ROUND
-        else:
-            self.steps_per_round = cycle_round_steps(N)
-            for v, holder in enumerate(self.holders0):
-                if holder not in self.corrupted:
-                    ScopedOracle(oracle, self.nonces[v]).sign(
-                        holder, record_content((), TAG_BASE))
+        self.steps_per_round = process.steps(N, f)
         self.hosts = [
-            MuxHost(n, {self.nonces[v]: self._instance(n, self.holders0[v],
-                                                       self.nonces[v])
-                        for v in range(self.supply)})
+            MuxHost(n, {nonce: process(n, N, f, ScopedOracle(oracle, nonce),
+                                       self.holders0[v])
+                        for v, nonce in enumerate(self.nonces)})
             for n in range(N)
         ]
         self.net = Network(self.hosts, self.corrupted, adversary, oracle)
         self.round_index = 0
         self.history: list[BankRound] = []
-
-    def _instance(self, n: int, holder: int, nonce: bytes):
-        scoped = ScopedOracle(self.oracle, nonce)
-        if self.family == "quorum":
-            return QMProcess(n, self.N, self.f, scoped, genesis_holder=holder)
-        return CCProcess(n, self.N, scoped, genesis_holder=holder)
 
     # -- book keeping --------------------------------------------------------
 
@@ -159,8 +143,7 @@ class Bank:
                 continue
             target = given.get(payer, payer)
             v = min(u for u in range(self.supply) if self._marked(payer, u))
-            sub = self.hosts[payer].instances[self.nonces[v]]
-            sub.pending[r] = target
+            self.hosts[payer].instances[self.nonces[v]].pay(r, target)
             self.hosts[payer].wake_instance(self.nonces[v], base)
             effective[payer] = target
             spent[payer] = v

@@ -332,18 +332,6 @@ class MetricsLedger:
         return sum(row[1] for key, row in self._rows.items()
                    if nonce is None or key[1] == nonce)
 
-    def round_messages(self, round_index: int, nonce: bytes | None = None) -> int:
-        return sum(row[0] for key, row in self._rows.items()
-                   if key[0] == round_index and (nonce is None or key[1] == nonce))
-
-    def per_nonce(self) -> dict[bytes, tuple[int, int]]:
-        out: dict[bytes, list[int]] = {}
-        for (_, nonce), row in self._rows.items():
-            agg = out.setdefault(nonce, [0, 0])
-            agg[0] += row[0]
-            agg[1] += row[1]
-        return {k: (v[0], v[1]) for k, v in out.items()}
-
     def to_csv(self) -> str:
         per_round: dict[int, list[int]] = {}
         for (round_index, _), row in self._rows.items():

@@ -43,14 +43,13 @@ from lockstep.consensus import (
     turpin_coan_steps,
 )
 from lockstep.cyclecoin import (
-    CycleCoinSystem,
-    PoRSystem,
+    CCProcess,
+    PoRProcess,
     cycle_distance,
     cycle_payment_messages,
-    measure_cycle_z,
 )
 from lockstep.hopnet import hop_experiment
-from lockstep.marker import QuorumMarkerSystem, measure_quorum_z
+from lockstep.marker import MarkerSystem, QMProcess, measure_z
 from lockstep.payments import Bank
 from lockstep.simnet import seeded_rng
 
@@ -131,10 +130,10 @@ def test_criterion_04_quorum_marker_exact_counts():
         for f in range(1, 4):
             if 3 * f >= N:
                 continue
-            costs = measure_quorum_z(N, f)
+            costs = measure_z(QMProcess, N, f)
             ok = ok and costs == [2 * (3 * f + 1)] * N
             ok = ok and sum(costs) == N * (6 * f + 2)
-    system = QuorumMarkerSystem(7, 2)
+    system = MarkerSystem(QMProcess, 7, 2)
     system.run_round({0: 3})
     ok = ok and system.net.now == 3
     _verdict(4, ok, "per-handoff 2(3f+1), totals N(6f+2) on the full "
@@ -144,13 +143,13 @@ def test_criterion_04_quorum_marker_exact_counts():
 def test_criterion_05_cycle_coin_locality():
     ok = True
     for N in range(4, 11):
-        costs = measure_cycle_z(N)
+        costs = measure_z(CCProcess, N)
         expected = [cycle_payment_messages(cycle_distance(0, t, N))
                     for t in range(N)]
         ok = ok and costs == expected
         ok = ok and costs[0] == 0
     N = 10
-    system = CycleCoinSystem(N)
+    system = MarkerSystem(CCProcess, N)
     for payer in range(N - 2):
         system.run_round({payer: payer + 1})
     heard = [e for e in system.net.transcript.events
@@ -165,9 +164,9 @@ def test_criterion_06_cycle_coin_safety_under_attack():
     results = cycle_gallery(8) + exhaustive_cycle_cases(4)
     results += [random_cycle_attack(seed, N=8) for seed in range(10_000)]
     bad = [r for r in results if not r.ok]
-    plain = CycleCoinSystem(7)
+    plain = MarkerSystem(CCProcess, 7)
     plain.run_round({0: 4})
-    backed = PoRSystem(7, 2)
+    backed = MarkerSystem(PoRProcess, 7, 2)
     backed.run_round({0: 4})
     free = backed.net.metrics.messages() == plain.net.metrics.messages()
     elapsed = time.perf_counter() - t0
@@ -199,7 +198,7 @@ def test_criterion_07_payment_system_conditions():
 
 def test_criterion_08_cycle_cost_growth():
     sizes = list(range(6, 25, 2))
-    totals = [sum(measure_cycle_z(N)) for N in sizes]
+    totals = [sum(measure_z(CCProcess, N)) for N in sizes]
     floor_ok = all(total >= 0.2 * N * (N - 2)
                    for N, total in zip(sizes, totals))
     (_, exponent), _ = curve_fit(lambda x, a, b: a * np.power(x, b),

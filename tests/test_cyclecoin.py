@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lockstep.cyclecoin import (
-    CycleCoinSystem,
-    PoRSystem,
+    CCProcess,
+    PoRProcess,
     Record,
     TAG_BASE,
     TAG_PATH,
@@ -18,9 +18,9 @@ from lockstep.cyclecoin import (
     cycle_payment_messages,
     decode_records,
     encode_records,
-    measure_cycle_z,
     verify_payment_claim,
 )
+from lockstep.marker import MarkerSystem, measure_z
 from lockstep.simnet import CodecError, SignatureOracle
 
 record_lists = st.lists(
@@ -58,7 +58,7 @@ def test_cycle_path_skips_deleted_positions():
 
 def test_payment_cost_depends_only_on_distance():
     for N in (4, 7, 10):
-        costs = measure_cycle_z(N)
+        costs = measure_z(CCProcess, N)
         expected = [cycle_payment_messages(cycle_distance(0, t, N))
                     for t in range(N)]
         assert costs == expected
@@ -75,7 +75,7 @@ def test_payment_message_formula():
 
 def test_sequential_payments_never_touch_the_last_process():
     N = 8
-    system = CycleCoinSystem(N)
+    system = MarkerSystem(CCProcess, N)
     for payer in range(N - 2):
         markings = system.run_round({payer: payer + 1})
         assert [(m.target, m.predecessor) for m in markings] == \
@@ -86,21 +86,21 @@ def test_sequential_payments_never_touch_the_last_process():
 
 
 def test_self_payment_is_free_and_keeps_the_marker():
-    system = CycleCoinSystem(6)
+    system = MarkerSystem(CCProcess, 6)
     system.run_round({0: 0})
     assert system.net.metrics.messages() == 0
     assert system.procs[0].marked
 
 
 def test_marker_lands_across_the_wrap():
-    system = CycleCoinSystem(6)
+    system = MarkerSystem(CCProcess, 6)
     system.run_round({0: 4})
     markings = system.run_round({4: 2})
     assert [(m.target, m.predecessor) for m in markings] == [(2, 4)]
 
 
 def test_payment_claim_verdicts():
-    system = CycleCoinSystem(6)
+    system = MarkerSystem(CCProcess, 6)
     system.run_round({0: 3})
     target = system.procs[3]
     verdict, conflict = verify_payment_claim(target, target.chain, 0)
@@ -111,9 +111,9 @@ def test_payment_claim_verdicts():
 
 
 def test_response_enforcement_is_free_when_honest():
-    plain = CycleCoinSystem(7)
+    plain = MarkerSystem(CCProcess, 7)
     plain.run_round({0: 4})
-    backed = PoRSystem(7, 2)
+    backed = MarkerSystem(PoRProcess, 7, 2)
     backed.run_round({0: 4})
     assert backed.net.metrics.messages() == plain.net.metrics.messages()
     assert [p.deleted for p in backed.procs] == [frozenset()] * 7
