@@ -187,7 +187,7 @@ class ScriptedDSAdversary(Adversary):
             for obs in net.observed:
                 try:
                     cand = SignedMessage.from_bytes(obs.payload)
-                except Exception:
+                except CodecError:
                     continue
                 if cand.payload != value or not cand.signers:
                     continue

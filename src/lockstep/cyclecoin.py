@@ -23,7 +23,7 @@ zero messages when every queried process answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from lockstep.consensus import DSProcess, default_relays
 from lockstep.marker import GENESIS_ROUND, Marking, MarkerProcess
@@ -56,34 +56,72 @@ class Record:
 
     ``signer`` signed the serialization of every record before this one
     plus the role tag, so a record is only meaningful in the exact prefix
-    context it was issued for.
+    context it was issued for.  ``enc`` carries the record's wire bytes,
+    ``enc_str(tag) + enc_int(signer)``, made once with the record, so
+    encoding a chain joins them instead of rebuilding them.  It takes no
+    part in equality, hashing or ``repr``.
     """
 
     tag: str
     signer: int
+    enc: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "enc", enc_str(self.tag) + enc_int(self.signer))
 
 
 def encode_records(records: tuple[Record, ...]) -> bytes:
-    parts = [enc_int(len(records))]
-    for rec in records:
-        parts.append(enc_str(rec.tag))
-        parts.append(enc_int(rec.signer))
-    return b"".join(parts)
+    return enc_int(len(records)) + b"".join([rec.enc for rec in records])
+
+
+# the most records the shared table of decode_records ever holds
+SHARED_RECORDS_MAX = 1 << 14
+
+_shared_records: dict[bytes, Record] = {}
+
+
+def _parse_record(piece: bytes) -> Record:
+    reader = ByteReader(piece)
+    tag = reader.read_str()
+    signer = reader.read_int()
+    # a successful parse consumed all of ``piece``: its length was taken
+    # from the same tag length prefix, and the integer chunk is 8 bytes
+    if tag not in _TAGS:
+        raise CodecError(f"unknown record tag {tag!r}")
+    rec = Record(tag, signer)
+    if len(_shared_records) < SHARED_RECORDS_MAX:
+        _shared_records[piece] = rec
+    return rec
 
 
 def decode_records(data: bytes) -> tuple[Record, ...]:
+    """Inverse of :func:`encode_records`; raises CodecError on bad bytes.
+
+    Records are looked up by their wire bytes in a table shared by every
+    caller in the process, so a record decoded before costs one slice and
+    one dictionary lookup, and every copy of it is the same object.  Only
+    a piece not in the table is parsed in full.  Records are immutable and
+    compare by value, so sharing them changes no result.  The table holds
+    at most ``SHARED_RECORDS_MAX`` (16,384) records, four tags for each of
+    4,096 signers; once it is full, new pieces are parsed into fresh
+    records that are not kept, so wire input naming any number of signer
+    ids cannot grow it further.
+    """
     reader = ByteReader(data)
     count = reader.read_int()
     if count < 0:
         raise CodecError("negative record count")
+    pos, size = 12, len(data)
     records = []
     for _ in range(count):
-        tag = reader.read_str()
-        signer = reader.read_int()
-        if tag not in _TAGS:
-            raise CodecError(f"unknown record tag {tag!r}")
-        records.append(Record(tag, signer))
-    if not reader.at_end():
+        # a record is a tag chunk (4 + tag length bytes) and an 8 byte
+        # integer chunk (12 bytes); a short piece fails in _parse_record
+        stop = pos + 16 + int.from_bytes(data[pos:pos + 4], "big")
+        piece = data[pos:stop]
+        rec = _shared_records.get(piece)
+        records.append(rec if rec is not None else _parse_record(piece))
+        pos = stop
+    if pos != size:
         raise CodecError("trailing bytes after records")
     return tuple(records)
 
@@ -106,8 +144,19 @@ def append_record(oracle, signer: int, records: tuple[Record, ...], tag: str,
 
 
 def chain_signatures_ok(records: tuple[Record, ...], oracle) -> bool:
-    return all(oracle.verify(rec.signer, record_content(records[:k], rec.tag))
-               for k, rec in enumerate(records))
+    """True when every record verifies as signed over the records before
+    it, that is against ``record_content(records[:k], rec.tag)``.
+
+    One pass: the encoded prefix grows by one record's bytes per step
+    instead of being encoded again for every k.
+    """
+    body = bytearray()
+    for k, rec in enumerate(records):
+        content = enc_bytes(enc_int(k) + body) + enc_str(rec.tag)
+        if not oracle.verify(rec.signer, content):
+            return False
+        body += rec.enc
+    return True
 
 
 def cycle_distance(a: int, b: int, N: int) -> int:
@@ -721,19 +770,15 @@ class PoRProcess(CCProcess):
             shape = inspect_request(request, self.N, self.oracle,
                                     genesis=self.genesis_holder,
                                     deleted=frozenset(self.deleted))
-            if shape is None or len(shape.groups) - 1 != r:
-                continue
-            if shape.groups[-1].extender != a:
-                continue
-            self.accused[(r, k)] = (shape.groups[-1].end, request)
-            break
-        info = self.accused.get((r, k))
-        if info is None or info[0] != self.n:
+            if (shape is not None and len(shape.groups) - 1 == r
+                    and shape.groups[-1].extender == a):
+                break
+        else:
             return
-        accused, request = info
-        shape = inspect_request(request, self.N, self.oracle,
-                                genesis=self.genesis_holder,
-                                deleted=frozenset(self.deleted))
+        accused = shape.groups[-1].end
+        self.accused[(r, k)] = (accused, request)
+        if accused != self.n:
+            return
         refusal = self._vouch(r, shape.weight, request)
         self.pending_response[(r, k)] = (COMPLY if refusal is None
                                          else refusal_wire(refusal[1]))

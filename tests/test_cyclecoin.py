@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lockstep.cyclecoin import (
+    KIND_QUERY,
+    MAIN_NONCE,
     CCProcess,
     PoRProcess,
     Record,
@@ -18,10 +20,18 @@ from lockstep.cyclecoin import (
     cycle_payment_messages,
     decode_records,
     encode_records,
+    parse_wire,
+    record_content,
     verify_payment_claim,
 )
 from lockstep.marker import MarkerSystem, measure_z
-from lockstep.simnet import CodecError, SignatureOracle
+from lockstep.simnet import (
+    Adversary,
+    CodecError,
+    Delivery,
+    SignatureOracle,
+    split_payload,
+)
 
 record_lists = st.lists(
     st.builds(Record,
@@ -117,3 +127,66 @@ def test_response_enforcement_is_free_when_honest():
     backed.run_round({0: 4})
     assert backed.net.metrics.messages() == plain.net.metrics.messages()
     assert [p.deleted for p in backed.procs] == [frozenset()] * 7
+
+
+class WithheldQuery(Adversary):
+    """Runs the honest payer code of corrupted genesis holder 0 but never
+    sends its first query, so the payer complains about a responder that
+    heard nothing."""
+
+    def __init__(self, N: int, f: int, oracle):
+        self.corrupted = frozenset({0})
+        oracle.adversary_sign(0, record_content((), TAG_BASE))
+        self.N, self.f, self.oracle = N, f, oracle
+        self.restart()
+
+    def restart(self) -> None:
+        """Hold the genesis again, whatever was spent since."""
+        self.payer = PoRProcess(0, self.N, self.f, self.oracle)
+        self.withheld = False
+
+    def act(self, t, net):
+        inbox = [Delivery(o.sender, o.payload) for o in net.observed
+                 if o.step == t]
+        out = []
+        for send in self.payer.step(t, inbox):
+            body, nonce = split_payload(send.payload)
+            if (not self.withheld and nonce == MAIN_NONCE
+                    and parse_wire(body)[0] == KIND_QUERY):
+                self.withheld = True
+                continue
+            out.append((0, send))
+        return out
+
+
+def _withheld_query_system(N: int = 5, f: int = 1):
+    oracle = SignatureOracle(frozenset({0}))
+    adversary = WithheldQuery(N, f, oracle)
+    system = MarkerSystem(PoRProcess, N, f, frozenset({0}), adversary,
+                          oracle=oracle)
+    return system, adversary
+
+
+def test_accused_process_countersigns_through_the_complaint():
+    system, adversary = _withheld_query_system()
+    adversary.payer.pay(0, 3)
+    markings = system.run_round({})
+    assert adversary.withheld
+    assert [(m.target, m.predecessor) for m in markings] == [(3, 0)]
+    assert sorted(system.procs[1].signed_log) == [1]
+    assert all(not p.refusals and not p.deleted for p in system.procs[1:])
+
+
+def test_accused_holder_refuses_through_the_complaint():
+    system, adversary = _withheld_query_system()
+    adversary.payer.pay(0, 1)
+    system.run_round({})
+    # the payer spends the genesis a second time; the holder of the
+    # first payment is the first process it queries
+    adversary.restart()
+    adversary.payer.pay(1, 3)
+    assert system.run_round({}) == []
+    assert adversary.withheld
+    assert system.procs[1].refusals == [(1, 1, "marked")]
+    assert adversary.payer.evidence == [system.procs[1].chain]
+    assert all(not p.deleted for p in system.procs[1:])

@@ -8,14 +8,23 @@ check that a refactor leaves every output byte where it was.  The
 ``build`` field of ``summary.json`` names the source tree, so it is
 dropped before hashing.  A change that alters output bytes on purpose
 updates the digests and says why in ``CHANGES.md``.
+
+The CLI outputs carry no signed content, so two registry digests pin it:
+the sha256 of the sorted (signer, content) pairs the oracle issued in a
+chain-marker bank and in a response enforcement run with a silent process.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from lockstep.cli import DEFAULTS, execute
+from lockstep.cyclecoin import PoRProcess
+from lockstep.marker import MarkerSystem
+from lockstep.payments import Bank
+from lockstep.simnet import enc_bytes, enc_int
 
 CONFIGS = {
     **{f"run-{protocol}": dict(command="run", protocol=protocol, n=7, f=2,
@@ -99,3 +108,31 @@ def _digests(files: dict[str, str]) -> dict[str, str]:
 def test_outputs_match_the_pinned_digests(name):
     files, _ = execute(dict(DEFAULTS, **CONFIGS[name]))
     assert _digests(files) == GOLDEN[name]
+
+
+def _registry_digest(oracle) -> str:
+    h = hashlib.sha256()
+    for signer, content in sorted(oracle._issued):
+        h.update(enc_int(signer) + enc_bytes(content))
+    return h.hexdigest()
+
+
+def test_cycle_bank_signs_the_pinned_contents():
+    bank = Bank(6, 2, [1] * 6, family="cycle")
+    rng = random.Random(7)
+    for _ in range(20):
+        bank.run_round({payer: rng.randrange(6)
+                        for payer, balance in bank.balances().items()
+                        if balance > 0 and rng.random() < 0.6})
+    assert len(bank.oracle._issued) == 337
+    assert _registry_digest(bank.oracle) == \
+        "9e2f2d7c450796a7e857b136f321dd71236961e2b68e2bd8340c45c02dcd71a0"
+
+
+def test_response_enforcement_signs_the_pinned_contents():
+    system = MarkerSystem(PoRProcess, 6, 1, frozenset({2}))
+    system.run_round({0: 4})
+    system.run_round({4: 3})
+    assert [sorted(p.deleted) for p in system.procs] == [[2]] * 2 + [[]] + [[2]] * 3
+    assert _registry_digest(system.net.oracle) == \
+        "c289e0f96cd937d60224fed50b1d229b74248aa19b94b6d87760eb8bcd1585e5"
