@@ -41,7 +41,7 @@ from lockstep.cyclecoin import (
     verify_payment_claim,
     wire,
 )
-from lockstep.consensus import run_dolev_strong
+from lockstep.consensus import inspect_proper, run_dolev_strong
 from lockstep.hopnet import (
     CheatPlan,
     HopNetwork,
@@ -60,8 +60,8 @@ from lockstep.marker import (
     check_marker_round,
     default_broadcasters,
     encode_proof,
+    handoff,
     intent_content,
-    measure_z,
     receipt_content,
 )
 from lockstep.muxer import nonce_for
@@ -171,12 +171,10 @@ class ScriptedDSAdversary(Adversary):
     """
 
     def __init__(self, corrupted: frozenset[int], leader: int,
-                 script: dict[tuple[int, int], int],
-                 values: tuple[bytes, ...] = (enc_int(0), enc_int(1))):
+                 script: dict[tuple[int, int], int]):
         self.corrupted = frozenset(corrupted)
         self.leader = leader
         self.script = script
-        self.values = values
 
     def _chain(self, value: bytes, want_len: int, net: Network) -> SignedMessage | None:
         if self.leader in self.corrupted:
@@ -185,17 +183,8 @@ class ScriptedDSAdversary(Adversary):
         else:
             sm = None
             for obs in net.observed:
-                try:
-                    cand = SignedMessage.from_bytes(obs.payload)
-                except CodecError:
-                    continue
-                if cand.payload != value or not cand.signers:
-                    continue
-                if cand.signers[0] != self.leader:
-                    continue
-                if len(set(cand.signers)) != len(cand.signers):
-                    continue
-                if not cand.verify_stack(net.oracle):
+                cand = inspect_proper(obs.payload, self.leader, net.oracle)
+                if cand is None or cand.payload != value:
                     continue
                 if sm is None or len(cand.stack) > len(sm.stack):
                     sm = cand
@@ -213,7 +202,7 @@ class ScriptedDSAdversary(Adversary):
         for (step, recipient), action in sorted(self.script.items()):
             if step != t or action == 0:
                 continue
-            sm = self._chain(self.values[action - 1], t + 1, net)
+            sm = self._chain(enc_int(action - 1), t + 1, net)
             if sm is None:
                 continue
             sender = sm.signers[-1] if sm.signers[-1] in self.corrupted \
@@ -472,11 +461,7 @@ def x_set(family: str, N: int, f: int, payer: int,
     Measured on a fresh all honest system, senders and recipients both
     count.  A payment to yourself touches nobody.
     """
-    system = MarkerSystem(FAMILIES[family], N, f, genesis_holder=payer)
-    system.run_round({payer: target})
-    events = system.net.transcript.events
-    return frozenset(e.sender for e in events) | \
-        frozenset(e.recipient for e in events)
+    return handoff(FAMILIES[family], N, f, payer, target)[1]
 
 
 def message_floor_report(family: str, N: int, f: int) -> list[str]:
@@ -486,10 +471,8 @@ def message_floor_report(family: str, N: int, f: int) -> list[str]:
     explains at most two contacts, so measured cost below half the set
     size would mean the bookkeeping is broken."""
     problems = []
-    costs = measure_z(FAMILIES[family], N, f)
     for target in range(1, N):
-        contacts = x_set(family, N, f, 0, target)
-        z = costs[target]
+        z, contacts = handoff(FAMILIES[family], N, f, 0, target)
         if z < len(contacts) / 2:
             problems.append(
                 f"target {target}: {z} messages for {len(contacts)} contacts")
@@ -514,6 +497,14 @@ class SplitReport:
     @property
     def double_spend(self) -> bool:
         return self.accepted[0] and self.accepted[1]
+
+    def result(self, name: str, *, expect_violation: bool = False,
+               details: str = "") -> AttackResult:
+        """The gallery entry: the audit violations, plus one more when
+        both targets accepted the marker."""
+        extra = ("double spend landed",) if self.double_spend else ()
+        return AttackResult(name, self.family, self.N, self.f,
+                            self.violations + extra, expect_violation, details)
 
 
 def split_double_spend(family: str, N: int, f: int, payer: int,
@@ -691,13 +682,18 @@ class ForgedChainAdversary(Adversary):
 
 
 def _honest_world(N: int, coalition: frozenset[int], oracle,
-                  genesis: int) -> SimWorld:
-    sims = {z: CCProcess(z, N, 0, oracle, genesis) for z in sorted(coalition)}
-    return SimWorld("single", sims, frozenset(range(N)) - coalition)
+                  target: int) -> SimWorld:
+    """The coalition running the honest chain code on a shadow of
+    ``oracle``, its genesis holder 0 paying ``target`` in round 0."""
+    shadow = CoalitionOracle(oracle)
+    shadow.sign(0, record_content((), TAG_BASE))
+    sims = {z: CCProcess(z, N, 0, shadow, 0) for z in sorted(coalition)}
+    world = SimWorld("single", sims, frozenset(range(N)) - coalition)
+    world.prime_payment(0, 0, target, 0)
+    return world
 
 
-def cycle_stale_replay(N: int, first_target: int, *,
-                       follow_up: int | None = None) -> AttackResult:
+def cycle_stale_replay(N: int, first_target: int) -> AttackResult:
     """Corrupted holder pays, then replays the spent chain everywhere.
 
     The follow up round also carries an honest background handoff, which
@@ -707,15 +703,11 @@ def cycle_stale_replay(N: int, first_target: int, *,
     """
     coalition = frozenset({0})
     oracle = SignatureOracle(coalition)
-    shadow = CoalitionOracle(oracle)
-    shadow.sign(0, record_content((), TAG_BASE))
-    world = _honest_world(N, coalition, shadow, 0)
-    world.prime_payment(0, 0, first_target, 0)
+    world = _honest_world(N, coalition, oracle, first_target)
     steps = cycle_round_steps(N)
     adversary = ReplayAdversary(coalition, [world], steps)
     system = MarkerSystem(CCProcess, N, 0, coalition, adversary, 0, oracle)
-    if follow_up is None:
-        follow_up = first_target + 1 if first_target + 1 < N else first_target
+    follow_up = first_target + 1 if first_target + 1 < N else first_target
     violations = _audited_rounds(system, [{}, {first_target: follow_up}])
     stray = [m for m in system.procs[first_target].markings
              if m.round == 1 and m.predecessor != first_target]
@@ -738,10 +730,7 @@ def cycle_equal_weight(N: int) -> AttackResult:
         raise ConfigFault("the equal weight forgery needs at least four processes")
     coalition = frozenset({0, 1})
     oracle = SignatureOracle(coalition)
-    shadow = CoalitionOracle(oracle)
-    shadow.sign(0, record_content((), TAG_BASE))
-    world = _honest_world(N, coalition, shadow, 0)
-    world.prime_payment(0, 0, 2, 0)
+    world = _honest_world(N, coalition, oracle, 2)
     steps = cycle_round_steps(N)
     forged: list[tuple[Record, ...]] = []
 
@@ -822,10 +811,8 @@ def cycle_gallery(N: int = 8) -> list[AttackResult]:
     results = []
     report = split_double_spend("cycle", N, 1, 0, 2, 4,
                                 coalition=frozenset({0}))
-    extra = () if not report.double_spend else ("double spend landed",)
-    results.append(AttackResult("cycle-split-chains", "cycle", N, 1,
-                                report.violations + extra,
-                                details=f"accepted={report.accepted}"))
+    results.append(report.result("cycle-split-chains",
+                                 details=f"accepted={report.accepted}"))
     results.append(cycle_stale_replay(N, 2))
     results.append(cycle_equal_weight(N))
     results.append(cycle_silent_responder(N, 2, 3))
@@ -847,10 +834,8 @@ def exhaustive_cycle_cases(N: int = 4) -> list[AttackResult]:
                 continue
             report = split_double_spend("cycle", N, f, 0, n1, n2,
                                         coalition=coalition)
-            extra_v = () if not report.double_spend else ("double spend landed",)
-            results.append(AttackResult(
-                "cycle-split-exhaustive", "cycle", N, f,
-                report.violations + extra_v,
+            results.append(report.result(
+                "cycle-split-exhaustive",
                 details=f"Z={sorted(coalition)} targets=({n1},{n2})"))
     for target in range(1, N):
         results.append(cycle_stale_replay(N, target))
@@ -871,9 +856,7 @@ def random_cycle_attack(seed: int, N: int = 8) -> AttackResult:
             coalition = frozenset({0, others[int(rng.integers(len(others)))]})
         report = split_double_spend("cycle", N, len(coalition), 0, n1, n2,
                                     coalition=coalition)
-        extra = () if not report.double_spend else ("double spend landed",)
-        return AttackResult("cycle-split-random", "cycle", N, len(coalition),
-                            report.violations + extra, details=f"seed={seed}")
+        return report.result("cycle-split-random", details=f"seed={seed}")
     if u < 0.55:
         target = 1 + int(rng.integers(N - 1))
         return cycle_stale_replay(N, target)
@@ -1015,20 +998,14 @@ def bank_gallery(family: str, N: int, f: int, V: int, K: int,
                                 tuple(problems)))
 
     corrupted = frozenset({0})
-    bank = Bank(N, f, initial, corrupted=corrupted, family=family)
-    results.append(AttackResult(
-        "bank-silent-holder", family, N, f,
-        tuple(background(bank, K, 2))))
-
-    bank = Bank(N, f, initial, corrupted=corrupted,
-                adversary=BankJunkAdversary(corrupted, N, seed), family=family)
-    results.append(AttackResult(
-        "bank-junk", family, N, f, tuple(background(bank, K, 3))))
-
-    bank = Bank(N, f, initial, corrupted=corrupted,
-                adversary=BankReplayAdversary(corrupted, N), family=family)
-    results.append(AttackResult(
-        "bank-replay", family, N, f, tuple(background(bank, K, 4))))
+    for salt, (name, adversary) in enumerate((
+            ("bank-silent-holder", None),
+            ("bank-junk", BankJunkAdversary(corrupted, N, seed)),
+            ("bank-replay", BankReplayAdversary(corrupted, N))), start=2):
+        bank = Bank(N, f, initial, corrupted=corrupted, adversary=adversary,
+                    family=family)
+        results.append(AttackResult(name, family, N, f,
+                                    tuple(background(bank, K, salt))))
 
     if family == "quorum" and initial[0] > 0 and N >= 3:
         adversary = BankIntentSplitAdversary(corrupted, 0, nonce_for(0),
@@ -1048,20 +1025,24 @@ def bank_gallery(family: str, N: int, f: int, V: int, K: int,
 # trusted intermediary gallery
 
 
-def _longest_route(cycleset) -> tuple[int, int]:
-    """The endpoint pair whose shortest route uses the most hops."""
+def _route_legs(cycleset) -> Iterator[tuple[int, int, int]]:
+    """(legs, payer, payee) of the shortest route of every ordered pair
+    that has one, in scan order, on the unspent network."""
     graph = HopNetwork(cycleset).graph()
-    best, best_len = None, -1
     for a in range(cycleset.N):
         for b in range(cycleset.N):
-            if a == b:
-                continue
-            path = shortest_hop_path(graph, a, b)
-            if path is not None and len(path.legs) > best_len:
-                best, best_len = (a, b), len(path.legs)
+            path = shortest_hop_path(graph, a, b) if a != b else None
+            if path is not None:
+                yield len(path.legs), a, b
+
+
+def _longest_route(cycleset) -> tuple[int, int]:
+    """The first endpoint pair whose shortest route uses the most hops."""
+    best = max(_route_legs(cycleset), key=lambda route: route[0],
+               default=None)
     if best is None:
         raise ConfigFault("the hop graph is disconnected")
-    return best
+    return best[1:]
 
 
 def _cheat_sweep(cycleset, payer: int, payee: int, K: int,
@@ -1125,19 +1106,12 @@ def dispute_coverage(N: int = 32, max_legs: int = 5) -> list[AttackResult]:
     scan order is the specimen.
     """
     cycleset = gen_binary_search_pair(N)
-    graph = HopNetwork(cycleset).graph()
-    wanted = set(range(1, max_legs + 1))
     specimens: dict[int, tuple[int, int]] = {}
-    for a in range(N):
-        if not wanted:
+    for legs, a, b in _route_legs(cycleset):
+        if legs <= max_legs:
+            specimens.setdefault(legs, (a, b))
+        if len(specimens) == max_legs:
             break
-        for b in range(N):
-            if a == b or not wanted:
-                continue
-            path = shortest_hop_path(graph, a, b)
-            if path is not None and len(path.legs) in wanted:
-                specimens[len(path.legs)] = (a, b)
-                wanted.discard(len(path.legs))
     results = []
     for count in sorted(specimens):
         payer, payee = specimens[count]

@@ -128,6 +128,17 @@ def _jsonl(records: list[dict]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _net_outputs(net, numbers: dict, violations: list,
+                 extra: dict | None = None):
+    """Output files of a run on ``net``; its message and signature counts
+    close ``numbers``."""
+    numbers["messages"] = net.metrics.messages()
+    numbers["signatures"] = net.metrics.signatures()
+    files = {"transcript.jsonl": net.transcript.to_jsonl(),
+             "metrics.csv": net.metrics.to_csv(), **(extra or {})}
+    return files, numbers, violations
+
+
 def _run_broadcast(cfg: dict):
     value = int(seeded_rng(cfg["seed"], 1).integers(2))
     run = run_dolev_strong(cfg["n"], cfg["f"], value)
@@ -135,14 +146,8 @@ def _run_broadcast(cfg: dict):
     numbers = {
         "leader_value": value,
         "decisions": {str(n): v for n, v in sorted(run.decisions.items())},
-        "messages": run.net.metrics.messages(),
-        "signatures": run.net.metrics.signatures(),
     }
-    files = {
-        "transcript.jsonl": run.net.transcript.to_jsonl(),
-        "metrics.csv": run.net.metrics.to_csv(),
-    }
-    return files, numbers, violations
+    return _net_outputs(run.net, numbers, violations)
 
 
 def _run_marker(cfg: dict):
@@ -158,16 +163,7 @@ def _run_marker(cfg: dict):
         violations.extend(check_marker_round(r, honest, markings,
                                              holder, True, target))
         holder = target
-    numbers = {
-        "final_holder": holder,
-        "messages": system.net.metrics.messages(),
-        "signatures": system.net.metrics.signatures(),
-    }
-    files = {
-        "transcript.jsonl": system.net.transcript.to_jsonl(),
-        "metrics.csv": system.net.metrics.to_csv(),
-    }
-    return files, numbers, violations
+    return _net_outputs(system.net, {"final_holder": holder}, violations)
 
 
 def _run_bank(cfg: dict):
@@ -188,15 +184,9 @@ def _run_bank(cfg: dict):
     numbers = {
         "supply": bank.supply,
         "balances": {str(n): v for n, v in sorted(bank.balances().items())},
-        "messages": bank.net.metrics.messages(),
-        "signatures": bank.net.metrics.signatures(),
     }
-    files = {
-        "transcript.jsonl": bank.net.transcript.to_jsonl(),
-        "metrics.csv": bank.net.metrics.to_csv(),
-        "ledger.csv": bank.to_csv(),
-    }
-    return files, numbers, violations
+    return _net_outputs(bank.net, numbers, violations,
+                        {"ledger.csv": bank.to_csv()})
 
 
 RUN_PROTOCOLS = {
@@ -303,61 +293,83 @@ def _affine_log(x, a, b):
     return a * np.log2(x) + b
 
 
-def execute_sweep(cfg: dict):
-    protocol = cfg["protocol"]
-    workers = cfg["workers"]
-    numbers: dict = {}
-    if protocol == "broadcast":
-        cells = [(N, f) for N in range(4, cfg["n"] + 1)
-                 for f in range(1, 4) if f <= N - 2]
-        rows = _map_cells(_broadcast_cell, cells, workers)
-        header = ["N", "f", "messages", "expected", "bound",
-                  "signatures", "floor"]
-    elif protocol == "quorum":
-        cells = [(N, f) for N in range(4, cfg["n"] + 1)
-                 for f in range(1, 4) if 3 * f + 1 <= N]
-        rows = _map_cells(_quorum_cell, cells, workers)
-        header = ["N", "f", "total", "expected"]
-    elif protocol == "cycle":
-        cells = list(range(6, cfg["n"] + 1, 2))
-        rows = _map_cells(_cycle_cell, cells, workers)
-        header = ["N", "total"]
+def _sweep_broadcast(cfg: dict):
+    cells = [(N, f) for N in range(4, cfg["n"] + 1)
+             for f in range(1, 4) if f <= N - 2]
+    header = ["N", "f", "messages", "expected", "bound", "signatures", "floor"]
+    return _map_cells(_broadcast_cell, cells, cfg["workers"]), header, {}
+
+
+def _sweep_quorum(cfg: dict):
+    cells = [(N, f) for N in range(4, cfg["n"] + 1)
+             for f in range(1, 4) if 3 * f + 1 <= N]
+    header = ["N", "f", "total", "expected"]
+    return _map_cells(_quorum_cell, cells, cfg["workers"]), header, {}
+
+
+def _sweep_cycle(cfg: dict):
+    cells = list(range(6, cfg["n"] + 1, 2))
+    rows = _map_cells(_cycle_cell, cells, cfg["workers"])
+    xs = np.array([r["N"] for r in rows], dtype=float)
+    ys = np.array([r["total"] for r in rows], dtype=float)
+    (a, b), _ = curve_fit(_power_law, xs, ys, p0=(1.0, 2.0))
+    numbers = {"fit_scale": round(float(a), 6),
+               "fit_exponent": round(float(b), 6)}
+    return rows, ["N", "total"], numbers
+
+
+def _sweep_hopnet(cfg: dict):
+    sizes = []
+    N = 8
+    while N <= cfg["n"]:
+        sizes.append(N)
+        N *= 2
+    cells = [(N, cfg["cycles"], cfg["seed"], cfg["pairs"]) for N in sizes]
+    rows = _map_cells(_hopnet_cell, cells, cfg["workers"])
+    header = ["N", "K", "pairs", "max_D", "max_messages", "mean_messages"]
+    numbers = {}
+    if len(rows) >= 3:
         xs = np.array([r["N"] for r in rows], dtype=float)
-        ys = np.array([r["total"] for r in rows], dtype=float)
-        (a, b), _ = curve_fit(_power_law, xs, ys, p0=(1.0, 2.0))
-        numbers = {"fit_scale": round(float(a), 6),
-                   "fit_exponent": round(float(b), 6)}
-    elif protocol == "hopnet":
-        sizes = []
-        N = 8
-        while N <= cfg["n"]:
-            sizes.append(N)
-            N *= 2
-        cells = [(N, cfg["cycles"], cfg["seed"], cfg["pairs"]) for N in sizes]
-        rows = _map_cells(_hopnet_cell, cells, workers)
-        header = ["N", "K", "pairs", "max_D", "max_messages", "mean_messages"]
-        if len(rows) >= 3:
-            xs = np.array([r["N"] for r in rows], dtype=float)
-            ys = np.array([r["max_messages"] for r in rows], dtype=float)
-            (a, b), _ = curve_fit(_affine_log, xs, ys)
-            fitted = _affine_log(xs, a, b)
-            residual = float(np.max(np.abs(fitted - ys) / ys))
-            numbers = {"fit_slope": round(float(a), 6),
-                       "fit_intercept": round(float(b), 6),
-                       "max_relative_residual": round(residual, 6)}
-    elif protocol == "cancel":
-        limit = min(cfg["n"], 12)
-        cells = [(N, q) for N in range(4, limit + 1)
-                 for q in range(2, min(N, 6, BRUTEFORCE_LIMIT) + 1)]
-        rows = _map_cells(_cancel_cell, cells, workers)
-        header = ["N", "q", "instances", "mismatches",
-                  "greedy_total", "optimal_total"]
-        numbers = {"instances": sum(r["instances"] for r in rows),
-                   "mismatches": sum(r["mismatches"] for r in rows)}
-    else:
+        ys = np.array([r["max_messages"] for r in rows], dtype=float)
+        (a, b), _ = curve_fit(_affine_log, xs, ys)
+        fitted = _affine_log(xs, a, b)
+        residual = float(np.max(np.abs(fitted - ys) / ys))
+        numbers = {"fit_slope": round(float(a), 6),
+                   "fit_intercept": round(float(b), 6),
+                   "max_relative_residual": round(residual, 6)}
+    return rows, header, numbers
+
+
+def _sweep_cancel(cfg: dict):
+    limit = min(cfg["n"], 12)
+    cells = [(N, q) for N in range(4, limit + 1)
+             for q in range(2, min(N, 6, BRUTEFORCE_LIMIT) + 1)]
+    rows = _map_cells(_cancel_cell, cells, cfg["workers"])
+    header = ["N", "q", "instances", "mismatches",
+              "greedy_total", "optimal_total"]
+    numbers = {"instances": sum(r["instances"] for r in rows),
+               "mismatches": sum(r["mismatches"] for r in rows)}
+    return rows, header, numbers
+
+
+# each sweep maps the config to its rows, CSV header and fitted numbers;
+# the cell workers above stay module level so that Pool.map can pickle them
+SWEEPS = {
+    "broadcast": _sweep_broadcast,
+    "quorum": _sweep_quorum,
+    "cycle": _sweep_cycle,
+    "hopnet": _sweep_hopnet,
+    "cancel": _sweep_cancel,
+}
+
+
+def execute_sweep(cfg: dict):
+    try:
+        sweep = SWEEPS[cfg["protocol"]]
+    except KeyError:
         raise ConfigFault(
-            "sweep knows ['broadcast', 'cancel', 'cycle', 'hopnet', "
-            f"'quorum'], not {protocol!r}")
+            f"sweep knows {sorted(SWEEPS)}, not {cfg['protocol']!r}")
+    rows, header, numbers = sweep(cfg)
     violations = [p for r in rows for p in r["problems"]]
     out = io.StringIO()
     out.write(",".join(header) + "\n")
@@ -402,37 +414,36 @@ def execute_gen_topology(cfg: dict):
 # attack
 
 
+def _seeded(case, seed: int, samples: int) -> list[AttackResult]:
+    base = seed * 1_000_003
+    return [case(base + i) for i in range(samples)]
+
+
+# gallery name -> (seed, samples) -> results; "all" runs them in this order
+ATTACKS = {
+    "broadcast": lambda seed, samples: _seeded(random_ds_case, seed, samples),
+    "quorum": lambda seed, samples: quorum_gallery(),
+    "cycle": lambda seed, samples: (
+        cycle_gallery() + exhaustive_cycle_cases()
+        + _seeded(random_cycle_attack, seed, samples)),
+    "bank": lambda seed, samples: (bank_gallery("quorum", 6, 1, 3, 5, seed)
+                                   + bank_gallery("cycle", 6, 2, 3, 5, seed)),
+    "hopnet": lambda seed, samples: cheating_intermediary_cases(8, 2, seed),
+    "strawman": lambda seed, samples: [
+        split_double_spend("strawman", 6, 3, 0, 2, 4).result(
+            "strawman-split", expect_violation=True,
+            details="the no-protection handoff must fall to the split")],
+}
+
+
 def _attack_results(cfg: dict) -> list[AttackResult]:
     protocol = cfg["protocol"]
-    seed, samples = cfg["seed"], cfg["samples"]
-    known = ("all", "broadcast", "quorum", "cycle", "bank", "hopnet",
-             "strawman")
-    if protocol not in known:
-        raise ConfigFault(f"attack knows {sorted(known)}, not {protocol!r}")
-    results: list[AttackResult] = []
-    if protocol in ("broadcast", "all"):
-        base = seed * 1_000_003
-        results.extend(random_ds_case(base + i) for i in range(samples))
-    if protocol in ("quorum", "all"):
-        results.extend(quorum_gallery())
-    if protocol in ("cycle", "all"):
-        results.extend(cycle_gallery())
-        results.extend(exhaustive_cycle_cases())
-        base = seed * 1_000_003
-        results.extend(random_cycle_attack(base + i) for i in range(samples))
-    if protocol in ("bank", "all"):
-        results.extend(bank_gallery("quorum", 6, 1, 3, 5, seed))
-        results.extend(bank_gallery("cycle", 6, 2, 3, 5, seed))
-    if protocol in ("hopnet", "all"):
-        results.extend(cheating_intermediary_cases(8, 2, seed))
-    if protocol in ("strawman", "all"):
-        report = split_double_spend("strawman", 6, 3, 0, 2, 4)
-        extra = ("double spend landed",) if report.double_spend else ()
-        results.append(AttackResult(
-            "strawman-split", "strawman", 6, 3, report.violations + extra,
-            expect_violation=True,
-            details="the no-protection handoff must fall to the split"))
-    return results
+    if protocol != "all" and protocol not in ATTACKS:
+        raise ConfigFault(
+            f"attack knows {sorted(['all', *ATTACKS])}, not {protocol!r}")
+    names = list(ATTACKS) if protocol == "all" else [protocol]
+    return [result for name in names
+            for result in ATTACKS[name](cfg["seed"], cfg["samples"])]
 
 
 def execute_attack(cfg: dict):

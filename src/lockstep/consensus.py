@@ -152,6 +152,20 @@ class DSProcess(Process):
             return 0, False
 
 
+def _run_processes(N: int, last_step: int, make, corrupted: frozenset[int],
+                   adversary, oracle: SignatureOracle | None
+                   ) -> tuple[dict, Network]:
+    """Build process ``make(n, oracle)`` for every id and run the network
+    to the end of ``last_step``.  Returns what each honest process
+    decides, by id, and the network."""
+    if oracle is None:
+        oracle = SignatureOracle(corrupted)
+    procs = [make(n, oracle) for n in range(N)]
+    net = Network(procs, corrupted, adversary, oracle)
+    net.run_until(last_step)
+    return {n: procs[n].decide() for n in range(N) if n not in corrupted}, net
+
+
 @dataclass
 class BroadcastRun:
     decisions: dict[int, int]
@@ -167,21 +181,17 @@ def run_dolev_strong(N: int, f: int, leader_value: int | None, *, leader: int = 
         raise ConfigFault(f"need f+1 relays among N-1 non leaders, got N={N} f={f}")
     if leader not in corrupted and leader_value is None:
         raise ConfigFault("honest leader needs an input value")
-    if oracle is None:
-        oracle = SignatureOracle(corrupted)
     relays = default_relays(N, f, leader)
     wire_value = None if leader_value is None else enc_int(leader_value)
-    procs = [DSProcess(n, N, f, leader, wire_value if n == leader else None,
-                       oracle, relays) for n in range(N)]
-    net = Network(procs, corrupted, adversary, oracle)
-    net.run_until(f + 2)
-    honest = [n for n in range(N) if n not in corrupted]
-    decisions, fault, extracted = {}, {}, {}
-    for n in honest:
-        value, flag = procs[n].decide()
-        decisions[n] = value
-        fault[n] = flag
-        extracted[n] = tuple(procs[n].extracted)
+    outcomes, net = _run_processes(
+        N, f + 2,
+        lambda n, oracle: DSProcess(n, N, f, leader,
+                                    wire_value if n == leader else None,
+                                    oracle, relays),
+        corrupted, adversary, oracle)
+    decisions = {n: value for n, (value, _) in outcomes.items()}
+    fault = {n: flag for n, (_, flag) in outcomes.items()}
+    extracted = {n: tuple(net.processes[n].extracted) for n in outcomes}
     return BroadcastRun(decisions, fault, extracted, net)
 
 
@@ -270,15 +280,11 @@ def run_majority_ba(N: int, f: int, bits: dict[int, int], *,
                     oracle: SignatureOracle | None = None) -> AgreementRun:
     if not 2 * f < N:
         raise ConfigFault(f"majority agreement needs 2f < N, got N={N} f={f}")
-    if oracle is None:
-        oracle = SignatureOracle(corrupted)
-    procs = [MajorityBAHost(n, N, f, oracle,
-                            bits[n] if n not in corrupted else None)
-             for n in range(N)]
-    net = Network(procs, corrupted, adversary, oracle)
-    net.run_until(f + 2)
-    decisions = {n: procs[n].decide() for n in range(N) if n not in corrupted}
-    return AgreementRun(decisions, net)
+    return AgreementRun(*_run_processes(
+        N, majority_ba_steps(f) - 1,
+        lambda n, oracle: MajorityBAHost(
+            n, N, f, oracle, bits[n] if n not in corrupted else None),
+        corrupted, adversary, oracle))
 
 
 def majority_ba_steps(f: int) -> int:
@@ -367,16 +373,12 @@ def run_turpin_coan(N: int, f: int, values: dict[int, int], *,
                     oracle: SignatureOracle | None = None) -> AgreementRun:
     if not 3 * f < N:
         raise ConfigFault(f"value agreement needs 3f < N, got N={N} f={f}")
-    if oracle is None:
-        oracle = SignatureOracle(corrupted)
-    procs = [TurpinCoanProcess(n, N, f,
-                               values[n] if n not in corrupted else None,
-                               MajorityBAHost(n, N, f, oracle))
-             for n in range(N)]
-    net = Network(procs, corrupted, adversary, oracle)
-    net.run_until(turpin_coan_steps(f) - 1)
-    decisions = {n: procs[n].decide() for n in range(N) if n not in corrupted}
-    return AgreementRun(decisions, net)
+    return AgreementRun(*_run_processes(
+        N, turpin_coan_steps(f) - 1,
+        lambda n, oracle: TurpinCoanProcess(
+            n, N, f, values[n] if n not in corrupted else None,
+            MajorityBAHost(n, N, f, oracle)),
+        corrupted, adversary, oracle))
 
 
 def turpin_coan_steps(f: int) -> int:
@@ -400,7 +402,7 @@ class BBFromBAProcess(Process):
     """
 
     def __init__(self, n: int, N: int, f: int, leader: int, value: int | None,
-                 sub, oracle, sub_wakes: frozenset[int] = frozenset({0, 1, 2})):
+                 sub, oracle):
         super().__init__(n)
         self.N = N
         self.f = f
@@ -408,14 +410,13 @@ class BBFromBAProcess(Process):
         self.value = value
         self.sub = sub
         self.oracle = oracle
-        self.sub_wakes = sub_wakes
 
     def register_wakes(self) -> None:
         if self.n == self.leader:
             self.net.wake(self.n, 0)
-        self.net.wake(self.n, 1)
-        for s in self.sub_wakes:
-            self.net.wake(self.n, s + 1)
+        # adopt at step 1, then the wrapped poll's wakes at its steps 0 to 2
+        for s in (1, 2, 3):
+            self.net.wake(self.n, s)
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
         if t == 0:
@@ -450,17 +451,13 @@ def run_bb_from_ba(N: int, f: int, leader_value: int | None, *, leader: int = 0,
         raise ConfigFault(f"the wrapped agreement needs 3f < N, got N={N} f={f}")
     if leader not in corrupted and leader_value is None:
         raise ConfigFault("honest leader needs an input value")
-    if oracle is None:
-        oracle = SignatureOracle(corrupted)
-    procs = [BBFromBAProcess(n, N, f, leader,
-                             leader_value if n == leader else None,
-                             TurpinCoanProcess(n, N, f, None,
-                                               MajorityBAHost(n, N, f, oracle)),
-                             oracle)
-             for n in range(N)]
-    net = Network(procs, corrupted, adversary, oracle)
-    net.run_until(bb_from_ba_steps(f) - 1)
-    decisions = {n: procs[n].decide() for n in range(N) if n not in corrupted}
+    decisions, net = _run_processes(
+        N, bb_from_ba_steps(f) - 1,
+        lambda n, oracle: BBFromBAProcess(
+            n, N, f, leader, leader_value if n == leader else None,
+            TurpinCoanProcess(n, N, f, None, MajorityBAHost(n, N, f, oracle)),
+            oracle),
+        corrupted, adversary, oracle)
     fault = {n: False for n in decisions}
     extracted = {n: (decisions[n],) for n in decisions}
     return BroadcastRun(decisions, fault, extracted, net)

@@ -692,7 +692,9 @@ class PoRProcess(CCProcess):
         self.period_steps = por_period_steps(f)
         self.paced = True
         self.subs: dict[bytes, tuple[DSProcess, int]] = {}
-        self.accused: dict[tuple[int, int], tuple[int, tuple[Record, ...]]] = {}
+        # (round, period) -> (accused, complaint request, its weight)
+        self.accused: dict[tuple[int, int],
+                           tuple[int, tuple[Record, ...], int]] = {}
         self.pending_response: dict[tuple[int, int], bytes] = {}
         self.query_mark = None
         self.deletions: list[tuple[int, int, int]] = []
@@ -776,7 +778,7 @@ class PoRProcess(CCProcess):
         else:
             return
         accused = shape.groups[-1].end
-        self.accused[(r, k)] = (accused, request)
+        self.accused[(r, k)] = (accused, request, shape.weight)
         if accused != self.n:
             return
         refusal = self._vouch(r, shape.weight, request)
@@ -843,7 +845,7 @@ class PoRProcess(CCProcess):
         info = self.accused.get((r, k))
         if info is None:
             return
-        accused, request = info
+        accused, request, w = info
         entry = self.subs.get(RESPONSE_PREFIX + nonce_for(r, k))
         value, fault = entry[0].decide_bytes() if entry else (b"", True)
         payer = (self.outstanding is not None
@@ -855,10 +857,6 @@ class PoRProcess(CCProcess):
                 self._absorb_countersign(accused, r)
             return
         evidence = parse_refusal(value) if not fault else None
-        shape = inspect_request(request, self.N, self.oracle,
-                                genesis=self.genesis_holder,
-                                deleted=frozenset(self.deleted))
-        w = shape.weight if shape is not None else 0
         if evidence is not None and self._refusal_justified(accused, evidence, w):
             if payer:
                 self.evidence.append(evidence)

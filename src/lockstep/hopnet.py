@@ -32,9 +32,8 @@ and an honest participant never is.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .cyclecoin import verify_payment_claim
@@ -271,9 +270,9 @@ def shortest_hop_path(graph: HopGraph, a: int, b: int,
     return HopPath(vertices, legs, hops)
 
 
-def undirected_distance(cycles: tuple[tuple[int, ...], ...],
-                        a: int, b: int) -> int:
-    """Shortest path between processes over the undirected cycle union."""
+def undirected_adjacency(cycles: tuple[tuple[int, ...], ...]
+                         ) -> list[set[int]]:
+    """Neighbours of each process in the undirected cycle union."""
     N = len(cycles[0])
     adj: list[set[int]] = [set() for _ in range(N)]
     for cycle in cycles:
@@ -281,36 +280,27 @@ def undirected_distance(cycles: tuple[tuple[int, ...], ...],
             y = cycle[(j + 1) % N]
             adj[x].add(y)
             adj[y].add(x)
-    dist = [-1] * N
-    dist[a] = 0
-    queue = deque([a])
+    return adj
+
+
+def bfs_distances(adjacency: Sequence[Iterable[int]], s: int) -> list[int]:
+    """Edge count from ``s`` to every vertex, -1 where unreachable."""
+    dist = [-1] * len(adjacency)
+    dist[s] = 0
+    queue = deque([s])
     while queue:
         u = queue.popleft()
-        if u == b:
-            return dist[u]
-        for v in adj[u]:
+        for v in adjacency[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    return -1
+    return dist
 
 
 def graph_diameter(graph: HopGraph) -> int:
     """Largest finite eccentricity over all vertices, by repeated BFS."""
-    best = 0
-    V = graph.K * graph.N
-    for s in range(V):
-        dist = [-1] * V
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in graph.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        best = max(best, max(d for d in dist if d >= 0))
-    return best
+    return max(max(bfs_distances(graph.adjacency, s))
+               for s in range(graph.K * graph.N))
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +362,7 @@ class HopNetwork:
 
     def __init__(self, cycleset: CycleSet,
                  trusted: frozenset[int] | None = None,
-                 corrupted: frozenset[int] = frozenset(),
-                 balance: int = 1,
-                 balances: tuple[tuple[int, ...], ...] | None = None,
-                 micro_rounds: int | None = None):
+                 corrupted: frozenset[int] = frozenset()):
         self.N = cycleset.N
         self.cycles = cycleset.cycles
         self.trusted = (frozenset(trusted) if trusted is not None
@@ -383,20 +370,15 @@ class HopNetwork:
         self.corrupted = frozenset(corrupted)
         self.positions = tuple({n: j for j, n in enumerate(cycle)}
                                for cycle in self.cycles)
-        if balances is None:
-            balances = tuple((balance,) * self.N for _ in self.cycles)
         self.banks = []
-        for k, cycle in enumerate(self.cycles):
+        for k in range(len(self.cycles)):
             pos_corrupted = frozenset(self.positions[k][n]
                                       for n in self.corrupted)
-            initial = [balances[k][n] for n in cycle]
-            self.banks.append(Bank(self.N, len(self.corrupted), initial,
+            self.banks.append(Bank(self.N, len(self.corrupted), [1] * self.N,
                                    corrupted=pos_corrupted, family="cycle"))
         self.oracle = SignatureOracle(frozenset())
         self.macro_index = 0
-        if micro_rounds is None:
-            micro_rounds = 2 * max(1, graph_diameter(self.graph()))
-        self.micro_rounds = micro_rounds
+        self.micro_rounds = 2 * max(1, graph_diameter(self.graph()))
         self.outcomes: list[MacroOutcome] = []
 
     # -- views ---------------------------------------------------------------
@@ -586,15 +568,14 @@ class HopSample:
     undirected: int
 
 
-def hop_experiment(N: int, K: int, seed: int, pairs: int = 500,
-                   trusted: frozenset[int] | None = None) -> list[HopSample]:
+def hop_experiment(N: int, K: int, seed: int,
+                   pairs: int = 500) -> list[HopSample]:
     """Route statistics for random payer and payee pairs on a balanced
     random 2K-cycle system, no banks involved."""
     cycleset = gen_random_cycles(N, K, seed)
     balances = tuple((1,) * N for _ in cycleset.cycles)
-    graph = build_hop_graph(
-        cycleset.cycles, balances,
-        frozenset(range(N)) if trusted is None else trusted)
+    graph = build_hop_graph(cycleset.cycles, balances, frozenset(range(N)))
+    undirected = undirected_adjacency(cycleset.cycles)
     rng = seeded_rng(seed, N, K, pairs)
     samples = []
     for _ in range(pairs):
@@ -603,17 +584,8 @@ def hop_experiment(N: int, K: int, seed: int, pairs: int = 500,
         if b >= a:
             b += 1
         path = shortest_hop_path(graph, a, b)
-        u = undirected_distance(cycleset.cycles, a, b)
+        u = bfs_distances(undirected, a)[b]
         samples.append(HopSample(N, K, seed, a, b, path.length, path.hops,
                                  path.messages, u))
     return samples
 
-
-def samples_to_csv(samples: list[HopSample]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["N", "K", "seed", "pair", "D", "messages"])
-    for s in samples:
-        writer.writerow([s.N, s.K, s.seed, f"{s.payer}->{s.payee}",
-                         s.distance, s.messages])
-    return out.getvalue()

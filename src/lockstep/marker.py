@@ -177,15 +177,23 @@ class MarkerSystem:
         return [m for proc in honest for m in proc.markings if m.round == r]
 
 
+def handoff(family: type[MarkerProcess], N: int, f: int, payer: int,
+            target: int) -> tuple[int, frozenset[int]]:
+    """Honest message count and contact set of one round in which
+    ``payer``, the genesis holder of a fresh all honest system, pays
+    ``target``.  Senders and recipients both count as contacts."""
+    system = MarkerSystem(family, N, f, genesis_holder=payer)
+    system.run_round({payer: target})
+    events = system.net.transcript.events
+    contacts = frozenset(e.sender for e in events) | \
+        frozenset(e.recipient for e in events)
+    return system.net.metrics.messages(), contacts
+
+
 def measure_z(family: type[MarkerProcess], N: int, f: int = 0) -> list[int]:
     """Honest message cost of one handoff from process 0, the genesis
     holder, to each possible target, measured on fresh systems."""
-    costs = []
-    for target in range(N):
-        system = MarkerSystem(family, N, f)
-        system.run_round({0: target})
-        costs.append(system.net.metrics.messages())
-    return costs
+    return [handoff(family, N, f, 0, target)[0] for target in range(N)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +293,21 @@ class QMProcess(MarkerProcess):
 
     # -- broadcaster side ---------------------------------------------------
 
+    def _receipt(self, wire: bytes) -> tuple[int, int, int, int] | None:
+        """(round, payer, target, signer) of a receipt signed by one
+        broadcaster alone, or None."""
+        try:
+            sm = SignedMessage.from_bytes(wire)
+        except CodecError:
+            return None
+        fields = parse_typed(sm.payload, RECEIPT, 3)
+        if fields is None or len(sm.stack) != 1:
+            return None
+        signer = sm.signers[0]
+        if signer not in self.broadcasters or not sm.verify_stack(self.oracle):
+            return None
+        return (*fields, signer)
+
     def _proof_round(self, payer: int, proof: bytes) -> int | None:
         """Round at which the proof says the payer was marked, or None."""
         try:
@@ -296,21 +319,10 @@ class QMProcess(MarkerProcess):
         seen: dict[int, int] = {}
         rounds: set[int] = set()
         for wire in receipts:
-            try:
-                sm = SignedMessage.from_bytes(wire)
-            except CodecError:
+            receipt = self._receipt(wire)
+            if receipt is None or receipt[2] != payer:
                 return None
-            fields = parse_typed(sm.payload, RECEIPT, 3)
-            if fields is None:
-                return None
-            j, _, receipt_target = fields
-            if receipt_target != payer:
-                return None
-            if len(sm.stack) != 1 or not sm.verify_stack(self.oracle):
-                return None
-            signer = sm.signers[0]
-            if signer not in self.broadcasters:
-                return None
+            j, _, _, signer = receipt
             rounds.add(j)
             seen[signer] = j
         if len(rounds) != 1:
@@ -352,20 +364,11 @@ class QMProcess(MarkerProcess):
     def _accept(self, r: int, inbox: list[Delivery]) -> None:
         by_payer: dict[int, dict[int, bytes]] = {}
         for d in inbox:
-            try:
-                sm = SignedMessage.from_bytes(d.payload)
-            except CodecError:
+            receipt = self._receipt(d.payload)
+            if receipt is None:
                 continue
-            fields = parse_typed(sm.payload, RECEIPT, 3)
-            if fields is None:
-                continue
-            j, payer, target = fields
+            j, payer, target, signer = receipt
             if j != r or target != self.n:
-                continue
-            if len(sm.stack) != 1 or not sm.verify_stack(self.oracle):
-                continue
-            signer = sm.signers[0]
-            if signer not in self.broadcasters:
                 continue
             by_payer.setdefault(payer, {})[signer] = d.payload
         for payer in sorted(by_payer):

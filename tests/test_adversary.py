@@ -19,6 +19,7 @@ from lockstep.adversary import (
     x_set,
     AttackResult,
 )
+from lockstep import marker
 from lockstep.simnet import ConfigFault, ForgeryViolation, SignatureOracle
 
 
@@ -115,3 +116,16 @@ def test_contact_sets_and_the_message_floor():
         assert 0 in contacts and 5 in contacts
         assert message_floor_report(family, 8, 2) == []
     assert x_set("strawman", 6, 3, 0, 2) == frozenset({0, 2})
+
+
+def test_the_message_floor_runs_one_handoff_per_target(monkeypatch):
+    built = []
+
+    class CountingNetwork(marker.Network):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(marker, "Network", CountingNetwork)
+    assert message_floor_report("cycle", 8, 2) == []
+    assert len(built) == 7

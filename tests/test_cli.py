@@ -113,3 +113,18 @@ def test_usage_errors_exit_two(tmp_path):
     bad.write_text("mystery = 4\n")
     assert _run(["run", "--config", bad, "--out", tmp_path / "y"]) == 2
     assert _run(["verify", "--out", tmp_path / "nowhere"]) == 2
+
+
+@pytest.mark.parametrize("command, known", [
+    ("run", "['bank-cycle', 'bank-quorum', 'broadcast', 'cycle', 'quorum']"),
+    ("sweep", "['broadcast', 'cancel', 'cycle', 'hopnet', 'quorum']"),
+    ("gen-topology", "['binary', 'random']"),
+    ("attack", "['all', 'bank', 'broadcast', 'cycle', 'hopnet', 'quorum', "
+               "'strawman']"),
+])
+def test_unknown_names_are_refused_with_the_known_list(tmp_path, capsys,
+                                                         command, known):
+    assert _run([command, "--protocol", "nosuch",
+                 "--out", tmp_path / command]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {command} knows {known}, not 'nosuch'\n"

@@ -57,6 +57,31 @@ def test_silent_corrupted_leader_yields_sender_fault():
 def test_leader_value_required_for_honest_leader():
     with pytest.raises(ConfigFault):
         run_dolev_strong(4, 1, None)
+    with pytest.raises(ConfigFault):
+        run_bb_from_ba(4, 1, None)
+
+
+# runner on (N, f), and the smallest N its rule admits for a given f
+RUNNER_RULES = {
+    "dolev-strong": (lambda N, f: run_dolev_strong(N, f, 1),
+                     lambda f: f + 2),
+    "majority-ba": (lambda N, f: run_majority_ba(N, f, dict.fromkeys(range(N), 1)),
+                    lambda f: 2 * f + 1),
+    "turpin-coan": (lambda N, f: run_turpin_coan(N, f, dict.fromkeys(range(N), 1)),
+                    lambda f: 3 * f + 1),
+    "bb-from-ba": (lambda N, f: run_bb_from_ba(N, f, 1),
+                   lambda f: 3 * f + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNER_RULES))
+def test_runners_reject_the_first_size_outside_their_rule(name):
+    runner, smallest = RUNNER_RULES[name]
+    for f in (1, 2):
+        N = smallest(f)
+        assert set(runner(N, f).decisions.values()) == {1}
+        with pytest.raises(ConfigFault):
+            runner(N - 1, f)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,8 +1,10 @@
 """Byte identity across commits: pinned digests of every CLI output file.
 
-The configurations are those of criterion 12 plus ``attack --protocol
-cycle`` and ``attack --protocol strawman``, the only command line paths
-to ``PoRProcess``, ``StrawmanProcess`` and the chain marker under attack.
+The configurations are those of criterion 12, every other sweep grid,
+topology layout and attack gallery, and ``attack --protocol all``, which
+runs the galleries in their fixed order.  ``attack --protocol cycle`` and
+``attack --protocol strawman`` are the only command line paths to
+``PoRProcess``, ``StrawmanProcess`` and the chain marker under attack.
 Criterion 12 checks that two runs of one commit agree; these digests
 check that a refactor leaves every output byte where it was.  The
 ``build`` field of ``summary.json`` names the source tree, so it is
@@ -12,6 +14,8 @@ updates the digests and says why in ``CHANGES.md``.
 The CLI outputs carry no signed content, so two registry digests pin it:
 the sha256 of the sorted (signer, content) pairs the oracle issued in a
 chain-marker bank and in a response enforcement run with a silent process.
+The agreement runners that no command reaches are pinned by the digest of
+their transcript and decisions, each with one silent corrupted process.
 """
 
 import hashlib
@@ -21,6 +25,7 @@ import random
 import pytest
 
 from lockstep.cli import DEFAULTS, execute
+from lockstep.consensus import run_bb_from_ba, run_majority_ba, run_turpin_coan
 from lockstep.cyclecoin import PoRProcess
 from lockstep.marker import MarkerSystem
 from lockstep.payments import Bank
@@ -32,11 +37,22 @@ CONFIGS = {
        for protocol in ("broadcast", "quorum", "cycle", "bank-quorum",
                         "bank-cycle")},
     "sweep-broadcast": dict(command="sweep", protocol="broadcast", n=8),
+    "sweep-quorum": dict(command="sweep", protocol="quorum", n=8),
+    "sweep-cycle": dict(command="sweep", protocol="cycle", n=12),
+    "sweep-hopnet": dict(command="sweep", protocol="hopnet", n=32, pairs=50),
+    "sweep-cancel": dict(command="sweep", protocol="cancel", n=6),
     "gen-topology-random": dict(command="gen-topology", protocol="random",
                                 n=10, seed=5),
+    "gen-topology-binary": dict(command="gen-topology", protocol="binary",
+                                n=10),
+    "attack-broadcast": dict(command="attack", protocol="broadcast", seed=3,
+                             samples=20),
     "attack-quorum": dict(command="attack", protocol="quorum", seed=3),
     "attack-cycle": dict(command="attack", protocol="cycle", seed=3),
+    "attack-bank": dict(command="attack", protocol="bank", seed=3),
+    "attack-hopnet": dict(command="attack", protocol="hopnet", seed=3),
     "attack-strawman": dict(command="attack", protocol="strawman", seed=3),
+    "attack-all": dict(command="attack", protocol="all", seed=3, samples=10),
 }
 
 GOLDEN = {
@@ -71,6 +87,52 @@ GOLDEN = {
         "metrics.csv": "7d1ab4d4a69be83d398b85bb9d82c74ec4f7e90ea7e9518a39d7172f23d46f4e",
         "summary.json": "3b0787a1cbb8eaf850e83adb685f0ac065015fa7d079217fd4ff318f1be228ba",
         "transcript.jsonl": "e703af119eab76459f60c046f4c14d799b029c17a1437983bda98d78451a8557",
+    },
+    "sweep-quorum": {
+        "metrics.csv": "e14feed556f4ab255ec545d1cb4108682e0d927c7b5033ec763b31aeb8ce5240",
+        "summary.json": "73269f8be0d64f42222d98db0f2c56bb1c817fe15ce44698205f2da2d16ee328",
+        "transcript.jsonl": "ae6c76c4b6d50cddbd5f377473b8794bc992a0b366a33f621ce5c9ff64456dc4",
+    },
+    "sweep-cycle": {
+        "metrics.csv": "0822fcad58202338e6b4758e5f0c76c7b7cb89f531688c81e572f763ea9e033c",
+        "summary.json": "b0b157b6af328da32e3da2069b066554b68bdfa6040e227bf6c8524701e8ab6b",
+        "transcript.jsonl": "8baef218dbfc41284b9cfb6654ee53a66fc200ee281c429d7dba3175d510edfc",
+    },
+    "sweep-hopnet": {
+        "metrics.csv": "f43b4ac7cc1acce956052a360707bc16ede7f4aca2aa411cd09474af0f6ad4a4",
+        "summary.json": "117a24fecf6bbc58e91d0cae0be74c715ba23cea11bc61c03193f0a95b491024",
+        "transcript.jsonl": "61f59d43108b6e7ed243df4cfca856c77affa3229b38369d15b7044f4d3a6100",
+    },
+    "sweep-cancel": {
+        "metrics.csv": "1a460e2617e80fbf37f9ca6bdb4e6aefad14d12480a3c9ee895b3ab276cf0384",
+        "summary.json": "2b04b756a5dbccf18e3ccff1f1f7186fd3d8761e91ece275a27ed2f7a908e2fc",
+        "transcript.jsonl": "522c1bfd5b3117902ea3e8519698edbf26728193983645ebf75e105d589e3da1",
+    },
+    "gen-topology-binary": {
+        "cycles.txt": "69e22100b64793ebc926809df368be878d91cc8300f0e6a8d9bfb1f4428a2ff0",
+        "metrics.csv": "7baeb743559fb0dbe8910be304f56174357acc657c050fd81252113ca136135f",
+        "summary.json": "74aa424aa8a0e4c215c2cabef6bd7a4a94e0702baeaaf8893341c2d81347f00c",
+        "transcript.jsonl": "ec2f55b979349d644c1241d2ea1dfad8a38f54e3c162e7e32f1043409443767b",
+    },
+    "attack-broadcast": {
+        "metrics.csv": "2e7f95c34031e4827382f6fe8b3915a4891f5125a130180db4fe1bdfeced300a",
+        "summary.json": "7d02a83cf2f4ba8ea32234959df0dfc797bbed2d1687c9a57770a1f424de23f1",
+        "transcript.jsonl": "5b2e06cbff756fe15acb7828dcf143cb6adefe80726c8f638695d411ee2d7fc9",
+    },
+    "attack-bank": {
+        "metrics.csv": "a96ae9b025a3a588ddfa851697f810e42a55864bd92d005e773b90216f131084",
+        "summary.json": "ff053dbb5d5229de335a29222ccd2fe0a1463ebd7d2c336101ca9ea47e5408cc",
+        "transcript.jsonl": "5b5575b8195eca01cffaa1e2465f9f40bda2e53fe5d76f68cc412d2b6a90237e",
+    },
+    "attack-hopnet": {
+        "metrics.csv": "42eb0cd5b9a346ec2706554f3ec27aad9a295b96ffae22e459dd0e4604df91cf",
+        "summary.json": "3f1920fc0a323836e32c65924f0604c938cbdd79524ac078f65341b1038de68d",
+        "transcript.jsonl": "aa92ea8441a039d141ea915585e9ffc778f51c2b8039800c6713fb519d41468d",
+    },
+    "attack-all": {
+        "metrics.csv": "3b209b52da1a77a976dc9aed835e03f596a382169256c927c18bf8c9bed46a44",
+        "summary.json": "66177b07fee28f15d1d2a1a00d26186ebadd5d099710ab9329e3fe788945eded",
+        "transcript.jsonl": "6b78cca3aebe3ead52a027f46aaa64add2376d8133c3403d05a1d2fec994e91c",
     },
     "gen-topology-random": {
         "cycles.txt": "067f44ecd252508f53b85d381a9e7c70d4fc20e4c7deb2815b6f205a4bbf2079",
@@ -136,3 +198,24 @@ def test_response_enforcement_signs_the_pinned_contents():
     assert [sorted(p.deleted) for p in system.procs] == [[2]] * 2 + [[]] + [[2]] * 3
     assert _registry_digest(system.net.oracle) == \
         "c289e0f96cd937d60224fed50b1d229b74248aa19b94b6d87760eb8bcd1585e5"
+
+
+AGREEMENT_RUNS = {
+    "majority-ba": (lambda: run_majority_ba(
+        5, 1, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0}, corrupted=frozenset({3})),
+        "d1b4bc7854ea81fae2ab72c9394bdd25cb76a429dcfd01f49221cf8844ec0308"),
+    "turpin-coan": (lambda: run_turpin_coan(
+        4, 1, {0: 5, 1: 5, 2: 7, 3: 5}, corrupted=frozenset({2})),
+        "956b3e2bd0d6d7259099a9b38cf2f9ff4b03a6d51004436a348c3ef5eb84267e"),
+    "bb-from-ba": (lambda: run_bb_from_ba(4, 1, 9, corrupted=frozenset({2})),
+                   "85342f1740ec0a1a64d06b848b6238de6bd3c284b6de99ac7262176cf1566c45"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_RUNS))
+def test_agreement_runs_match_the_pinned_digests(name):
+    runner, golden = AGREEMENT_RUNS[name]
+    run = runner()
+    h = hashlib.sha256(run.net.transcript.to_jsonl().encode())
+    h.update(json.dumps(sorted(run.decisions.items())).encode())
+    assert h.hexdigest() == golden
