@@ -386,15 +386,24 @@ def execute_sweep(cfg: dict):
 # topology generation
 
 
+# layout name -> config -> cycle set; "binary-search" is accepted as an
+# alias of "binary" but not listed in the error message
+TOPOLOGIES = {
+    "binary": lambda cfg: gen_binary_search_pair(cfg["n"]),
+    "random": lambda cfg: gen_random_cycles(cfg["n"], cfg["cycles"],
+                                            cfg["seed"]),
+}
+
+
 def execute_gen_topology(cfg: dict):
     N = cfg["n"]
-    if cfg["protocol"] in ("binary", "binary-search"):
-        cycleset = gen_binary_search_pair(N)
-    elif cfg["protocol"] == "random":
-        cycleset = gen_random_cycles(N, cfg["cycles"], cfg["seed"])
-    else:
-        raise ConfigFault(
-            f"gen-topology knows ['binary', 'random'], not {cfg['protocol']!r}")
+    name = "binary" if cfg["protocol"] == "binary-search" else cfg["protocol"]
+    try:
+        layout = TOPOLOGIES[name]
+    except KeyError:
+        raise ConfigFault(f"gen-topology knows {sorted(TOPOLOGIES)}, "
+                          f"not {cfg['protocol']!r}")
+    cycleset = layout(cfg)
     diameter = graph_diameter(HopNetwork(cycleset).graph())
     lines = [" ".join(str(n) for n in cycle) + "\n"
              for cycle in cycleset.cycles]

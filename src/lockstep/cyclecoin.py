@@ -798,21 +798,20 @@ class PoRProcess(CCProcess):
         """A refusal stands if the evidence is an artifact the rules accept:
         a partial the accused countersigned at no lesser weight, or a chain
         ending at the accused, which covers both the received chain rule and
-        a holder showing its marking."""
-        chain = inspect_chain(evidence, self.N, self.oracle,
-                              genesis=self.genesis_holder,
-                              deleted=frozenset(self.deleted))
-        if chain is not None and chain.end == accused:
-            return True
-        partial = inspect_request(evidence, self.N, self.oracle,
-                                  genesis=self.genesis_holder,
-                                  deleted=frozenset(self.deleted))
-        if (partial is not None and partial.end == accused
-                and partial.weight >= w
-                and self.oracle.verify(accused,
-                                       record_content(evidence, TAG_PATH))):
-            return True
-        return False
+        a holder showing its marking.  The evidence is parsed once and its
+        signatures are checked last."""
+        shape = assemble(evidence, self.N, genesis=self.genesis_holder,
+                         deleted=frozenset(self.deleted))
+        if shape is None or shape.end != accused:
+            return False
+        if shape.groups and shape.groups[-1].terminal != TAG_Y:
+            # a partial in flight: the open group needs a path, and the
+            # accused's countersignature must be on it
+            if (not shape.groups[-1].path or shape.weight < w
+                    or not self.oracle.verify(
+                        accused, record_content(evidence, TAG_PATH))):
+                return False
+        return chain_signatures_ok(evidence, self.oracle)
 
     def _reroute(self, r: int) -> None:
         """Point the in flight partial past a deletion.  The records do not

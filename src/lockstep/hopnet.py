@@ -358,24 +358,16 @@ class MacroOutcome:
 
 
 class HopNetwork:
-    """Stacked per-cycle economies plus the hop and dispute machinery."""
+    """Stacked per-cycle economies plus the hop and dispute machinery;
+    every process is a willing intermediary."""
 
-    def __init__(self, cycleset: CycleSet,
-                 trusted: frozenset[int] | None = None,
-                 corrupted: frozenset[int] = frozenset()):
+    def __init__(self, cycleset: CycleSet):
         self.N = cycleset.N
         self.cycles = cycleset.cycles
-        self.trusted = (frozenset(trusted) if trusted is not None
-                        else frozenset(range(self.N)))
-        self.corrupted = frozenset(corrupted)
         self.positions = tuple({n: j for j, n in enumerate(cycle)}
                                for cycle in self.cycles)
-        self.banks = []
-        for k in range(len(self.cycles)):
-            pos_corrupted = frozenset(self.positions[k][n]
-                                      for n in self.corrupted)
-            self.banks.append(Bank(self.N, len(self.corrupted), [1] * self.N,
-                                   corrupted=pos_corrupted, family="cycle"))
+        self.banks = [Bank(self.N, 0, [1] * self.N, family="cycle")
+                      for _ in self.cycles]
         self.oracle = SignatureOracle(frozenset())
         self.macro_index = 0
         self.micro_rounds = 2 * max(1, graph_diameter(self.graph()))
@@ -384,14 +376,17 @@ class HopNetwork:
     # -- views ---------------------------------------------------------------
 
     def value(self, k: int, n: int) -> int:
-        if n in self.corrupted:
-            return 0
         return self.banks[k].balances()[self.positions[k][n]]
 
     def graph(self) -> HopGraph:
-        balances = tuple(tuple(self.value(k, n) for n in range(self.N))
-                         for k in range(len(self.cycles)))
-        return build_hop_graph(self.cycles, balances, self.trusted)
+        """The route graph of the current balances, reading each bank's
+        balances once."""
+        balances = []
+        for bank, position in zip(self.banks, self.positions):
+            held = bank.balances()
+            balances.append(tuple(held[position[n]] for n in range(self.N)))
+        return build_hop_graph(self.cycles, tuple(balances),
+                               frozenset(range(self.N)))
 
     # -- execution -----------------------------------------------------------
 
@@ -403,7 +398,7 @@ class HopNetwork:
         legs ride the first len(legs) of them.  A cheat plan suppresses
         the planted leg, or only poisons the later dispute.
         """
-        if a == b or a in self.corrupted:
+        if a == b:
             raise ConfigFault(f"cannot run payment {a}->{b}")
         if path is None:
             path = shortest_hop_path(self.graph(), a, b)

@@ -26,27 +26,31 @@ class MuxHost(Process):
 
     ``wakes`` maps a nonce to the steps at which its sub process must run
     even without deliveries (for example a broadcaster sending its first
-    message).  The host registers the union with the network and consults
-    the map when deciding which instances to service.
+    message).  They join the mid run wakes of :meth:`wake_instance` in one
+    map from step to nonces, and the host registers every step in it with
+    the network.  A step services only the instances with a delivery or a
+    wake due, so its cost follows the traffic, not the instance count.
     """
 
     def __init__(self, n: int, instances: dict[bytes, Process],
                  wakes: dict[bytes, frozenset[int]] | None = None):
         super().__init__(n)
         self.instances = dict(instances)
-        self.wakes = {nonce: frozenset(steps) for nonce, steps in (wakes or {}).items()}
         self._later: dict[int, set[bytes]] = {}
+        for nonce, steps in (wakes or {}).items():
+            for s in steps:
+                self._later.setdefault(s, set()).add(nonce)
 
     def register_wakes(self) -> None:
-        for steps in self.wakes.values():
-            for s in steps:
-                self.net.wake(self.n, s)
+        for s in self._later:
+            self.net.wake(self.n, s)
 
     def wake_instance(self, nonce: bytes, step: int) -> None:
         """Schedule one extra servicing of ``nonce`` at ``step``.
 
         Unlike the static wake map this works mid run, so a driver can
-        decide round by round which instance needs a spontaneous step.
+        decide round by round which instance needs a spontaneous step.  A
+        nonce the host does not know is never serviced.
         """
         self._later.setdefault(step, set()).add(nonce)
         self.net.wake(self.n, step)
@@ -60,14 +64,12 @@ class MuxHost(Process):
                 continue
             if nonce in self.instances:
                 groups.setdefault(nonce, []).append(Delivery(d.sender, content))
-        due = self._later.pop(t, set())
+        for nonce in self._later.pop(t, ()):
+            if nonce in self.instances:
+                groups.setdefault(nonce, [])
         out: list[Send] = []
-        for nonce in sorted(self.instances):
-            if (nonce not in groups and nonce not in due
-                    and t not in self.wakes.get(nonce, frozenset())):
-                continue
-            sub_sends = self.instances[nonce].step(t, groups.get(nonce, []))
-            for send in sub_sends:
+        for nonce in sorted(groups):
+            for send in self.instances[nonce].step(t, groups[nonce]):
                 out.append(Send(send.recipient, tag_payload(send.payload, nonce),
                                 send.signatures, nonce))
         return out

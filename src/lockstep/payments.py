@@ -110,14 +110,44 @@ class Bank:
 
     # -- book keeping --------------------------------------------------------
 
+    def _units(self, n: int):
+        """The unit processes of host ``n`` in unit order, the order in
+        which its instance map was built."""
+        return self.hosts[n].instances.values()
+
     def _marked(self, n: int, v: int) -> bool:
         return bool(self.hosts[n].instances[self.nonces[v]].marked)
 
     def balances(self) -> dict[int, int]:
         """Current balance of every honest process, counted off the
         instance states."""
-        return {n: sum(1 for v in range(self.supply) if self._marked(n, v))
+        return {n: sum(1 for proc in self._units(n) if proc.marked)
                 for n in sorted(self.honest)}
+
+    def _round_markings(self, r: int):
+        """The markings honest processes accepted in round ``r``, per
+        instance, and the senders each honest process was credited with.
+
+        Markings are appended in round order, so a round's markings are
+        the tail of each list; a process whose last marking is older has
+        none in the round.
+        """
+        per_instance: list[list[Marking]] = [[] for _ in range(self.supply)]
+        credited: dict[int, list[int]] = {n: [] for n in sorted(self.honest)}
+        for n in credited:
+            for v, proc in enumerate(self._units(n)):
+                ms = proc.markings
+                if not ms or ms[-1].round != r:
+                    continue
+                i = len(ms) - 1
+                while i and ms[i - 1].round == r:
+                    i -= 1
+                for m in ms[i:]:
+                    per_instance[v].append(m)
+                    if m.target in credited:
+                        credited[m.target].append(m.predecessor)
+        return ({v: tuple(ms) for v, ms in enumerate(per_instance)},
+                {n: tuple(sorted(senders)) for n, senders in credited.items()})
 
     # -- round driver --------------------------------------------------------
 
@@ -142,25 +172,16 @@ class Bank:
             if before[payer] == 0:
                 continue
             target = given.get(payer, payer)
-            v = min(u for u in range(self.supply) if self._marked(payer, u))
-            self.hosts[payer].instances[self.nonces[v]].pay(r, target)
+            v, proc = next((v, proc)
+                           for v, proc in enumerate(self._units(payer))
+                           if proc.marked)
+            proc.pay(r, target)
             self.hosts[payer].wake_instance(self.nonces[v], base)
             effective[payer] = target
             spent[payer] = v
         self.net.run_until(base + self.steps_per_round - 1)
         after = self.balances()
-        instance_markings = {
-            v: tuple(m for n in sorted(self.honest)
-                     for m in self.hosts[n].instances[self.nonces[v]].markings
-                     if m.round == r)
-            for v in range(self.supply)
-        }
-        credits = {
-            n: tuple(sorted(m.predecessor
-                            for ms in instance_markings.values()
-                            for m in ms if m.target == n))
-            for n in sorted(self.honest)
-        }
+        instance_markings, credits = self._round_markings(r)
         row = BankRound(r, effective, spent, before, after, credits,
                         instance_markings)
         self.history.append(row)

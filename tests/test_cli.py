@@ -128,3 +128,12 @@ def test_unknown_names_are_refused_with_the_known_list(tmp_path, capsys,
                  "--out", tmp_path / command]) == 2
     assert capsys.readouterr().err == \
         f"error: {command} knows {known}, not 'nosuch'\n"
+
+
+def test_binary_search_is_an_alias_of_binary():
+    alias, _ = execute(_cfg("gen-topology", protocol="binary-search", n=10))
+    plain, _ = execute(_cfg("gen-topology", protocol="binary", n=10))
+    assert json.loads(alias.pop("summary.json"))["config"]["protocol"] == \
+        "binary-search"
+    plain.pop("summary.json")
+    assert alias == plain

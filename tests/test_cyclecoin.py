@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lockstep import cyclecoin
 from lockstep.cyclecoin import (
     KIND_QUERY,
     MAIN_NONCE,
@@ -190,3 +191,87 @@ def test_accused_holder_refuses_through_the_complaint():
     assert system.procs[1].refusals == [(1, 1, "marked")]
     assert adversary.payer.evidence == [system.procs[1].chain]
     assert all(not p.deleted for p in system.procs[1:])
+
+
+def test_accused_signer_refuses_with_the_partial_it_signed():
+    system, adversary = _withheld_query_system()
+    adversary.payer.pay(0, 3)
+    system.run_round({})
+    signed = system.procs[1].signed_log[1]
+    # the payer spends the genesis again and queries 1 first, which
+    # already vouched for a partial of the same weight
+    adversary.restart()
+    adversary.payer.pay(1, 2)
+    assert system.run_round({}) == []
+    assert system.procs[1].refusals == [(1, 1, "signed")]
+    assert adversary.payer.evidence == [signed]
+    assert all(not p.deleted for p in system.procs[1:])
+
+
+class BogusRefusal(Adversary):
+    """Runs the honest code of corrupted process 1, except that it drops
+    every direct answer and refuses every complaint with the bare genesis,
+    which proves nothing."""
+
+    def __init__(self, N: int, f: int, oracle):
+        self.corrupted = frozenset({1})
+        self.proc = PoRProcess(1, N, f, oracle)
+        genesis = (Record(TAG_BASE, 0),)
+
+        def vouch(r, w, records):
+            self.proc.refusals.append((r, w, "bogus"))
+            return "bogus", genesis
+
+        self.proc._vouch = vouch
+
+    def act(self, t, net):
+        inbox = [Delivery(o.sender, o.payload) for o in net.observed
+                 if o.step == t]
+        out = []
+        for send in self.proc.step(t, inbox):
+            _, nonce = split_payload(send.payload)
+            if nonce != MAIN_NONCE:
+                out.append((1, send))
+        return out
+
+
+def test_unjustified_refusal_deletes_the_accused():
+    N, f = 5, 1
+    oracle = SignatureOracle(frozenset({1}))
+    adversary = BogusRefusal(N, f, oracle)
+    system = MarkerSystem(PoRProcess, N, f, frozenset({1}), adversary,
+                          oracle=oracle)
+    markings = system.run_round({0: 3})
+    # once to the dropped query, once to the complaint
+    assert adversary.proc.refusals == [(0, 1, "bogus")] * 2
+    assert [(m.target, m.predecessor) for m in markings] == [(3, 0)]
+    for n in (0, 2, 3, 4):
+        assert system.procs[n].deletions == [(0, 0, 1)]
+
+
+@pytest.mark.parametrize("case", ["complete", "partial", "unjustified"])
+def test_a_refusal_is_assembled_once(monkeypatch, case):
+    """Each check of refusal evidence parses it once and checks its
+    signatures at most once."""
+    system, adversary = _withheld_query_system()
+    adversary.payer.pay(0, 1 if case == "complete" else 3)
+    system.run_round({})
+    judge = system.procs[2]
+    if case == "complete":
+        evidence, justified = system.procs[1].chain, True
+    elif case == "partial":
+        evidence, justified = system.procs[1].signed_log[1], True
+    else:
+        evidence, justified = system.procs[3].chain, False
+    counts = {"assemble": 0, "chain_signatures_ok": 0}
+    for name in counts:
+        original = getattr(cyclecoin, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cyclecoin, name, counted)
+    assert judge._refusal_justified(1, evidence, 1) is justified
+    assert counts["assemble"] == 1
+    assert counts["chain_signatures_ok"] <= 1

@@ -16,6 +16,8 @@ the sha256 of the sorted (signer, content) pairs the oracle issued in a
 chain-marker bank and in a response enforcement run with a silent process.
 The agreement runners that no command reaches are pinned by the digest of
 their transcript and decisions, each with one silent corrupted process.
+A direct hop network run is pinned the same way: its books, its traffic
+counts, its outcomes and its walk-back traces.
 """
 
 import hashlib
@@ -27,6 +29,8 @@ import pytest
 from lockstep.cli import DEFAULTS, execute
 from lockstep.consensus import run_bb_from_ba, run_majority_ba, run_turpin_coan
 from lockstep.cyclecoin import PoRProcess
+from lockstep.hopnet import (CHEAT_DENY, CHEAT_FORGE, CHEAT_KEEP, CheatPlan,
+                             HopNetwork, gen_random_cycles)
 from lockstep.marker import MarkerSystem
 from lockstep.payments import Bank
 from lockstep.simnet import enc_bytes, enc_int
@@ -219,3 +223,26 @@ def test_agreement_runs_match_the_pinned_digests(name):
     h = hashlib.sha256(run.net.transcript.to_jsonl().encode())
     h.update(json.dumps(sorted(run.decisions.items())).encode())
     assert h.hexdigest() == golden
+
+
+def test_hop_run_matches_the_pinned_digest():
+    """Four honest macro payments, then one with each cheat mode, each
+    followed by its walk-back."""
+    net = HopNetwork(gen_random_cycles(32, 2, 0))
+    for a, b in ((0, 17), (5, 30), (12, 3), (21, 8)):
+        net.macro_payment(a, b)
+    traces = []
+    for (a, b), cheat in (((0, 4), CheatPlan(1, CHEAT_KEEP)),
+                          ((0, 7), CheatPlan(2, CHEAT_FORGE)),
+                          ((0, 9), CheatPlan(3, CHEAT_DENY))):
+        traces.append(net.dispute_walkback(net.macro_payment(a, b,
+                                                             cheat=cheat)))
+    h = hashlib.sha256()
+    for bank in net.banks:
+        h.update(bank.to_csv().encode())
+        h.update(bank.net.metrics.to_csv().encode())
+    h.update(repr(net.outcomes).encode())
+    h.update(repr(traces).encode())
+    assert [accused for accused, _ in traces] == [20, 30, 9]
+    assert h.hexdigest() == \
+        "37dee3f1ebaca8d211adeaa98e9559a40b4c862129cd4fb02c88c5a5bb3f038c"

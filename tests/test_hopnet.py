@@ -19,6 +19,7 @@ from lockstep.hopnet import (
     save_cycles,
     shortest_hop_path,
 )
+from lockstep.payments import Bank
 from lockstep.simnet import ConfigFault
 
 
@@ -131,3 +132,21 @@ def test_walkback_exposes_a_lying_payee():
     accused, trace = net.dispute_walkback(outcome)
     assert accused == b
     assert trace[0][3] == TRACE_PAID
+
+
+def test_the_graph_reads_each_bank_once(monkeypatch):
+    net = HopNetwork(gen_random_cycles(12, 2, seed=7))
+    calls = []
+    balances = Bank.balances
+
+    def counted(bank):
+        calls.append(bank)
+        return balances(bank)
+
+    monkeypatch.setattr(Bank, "balances", counted)
+    graph = net.graph()
+    assert [net.banks.index(bank) for bank in calls] == \
+        list(range(len(net.banks)))
+    assert graph.balances == tuple(
+        tuple(net.value(k, n) for n in range(net.N))
+        for k in range(len(net.cycles)))

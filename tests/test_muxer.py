@@ -88,3 +88,47 @@ def test_mid_run_instance_wake():
     host.wake_instance(nonce, 2)
     net.run_until(4)
     assert host.instances[nonce].steps == [2]
+
+
+class _Logged(Process):
+    """Appends (step, name) to a shared log whenever it is stepped."""
+
+    def __init__(self, n, name, log):
+        super().__init__(n)
+        self.name, self.log = name, log
+
+    def step(self, t, inbox):
+        self.log.append((t, self.name))
+        return []
+
+
+def test_only_instances_with_work_are_stepped_in_nonce_order():
+    log = []
+    names = (7, 2, 5, 0, 9, 4)
+    nonces = {v: nonce_for(v) for v in names}
+
+    class _Sender(Process):
+        def register_wakes(self):
+            self.net.wake(self.n, 1)
+
+        def step(self, t, inbox):
+            # deliveries land at step 2 for instances 9 and 0
+            return [Send(1, tag_payload(b"x", nonces[v])) for v in (9, 0)]
+
+    host = MuxHost(1, {nonces[v]: _Logged(1, v, log) for v in names},
+                   {nonces[5]: frozenset({2, 4}), nonces[7]: frozenset({4})})
+    net = Network([_Sender(0), host], frozenset())
+    host.wake_instance(nonces[4], 2)
+    host.wake_instance(nonces[2], 3)
+    host.wake_instance(nonces[5], 4)
+    net.run_until(6)
+    assert log == [(2, 0), (2, 4), (2, 5), (2, 9), (3, 2), (4, 5), (4, 7)]
+
+
+def test_wake_for_an_unknown_nonce_steps_nothing():
+    log = []
+    host = MuxHost(0, {nonce_for(1): _Logged(0, 1, log)})
+    net = Network([host], frozenset())
+    host.wake_instance(nonce_for(99), 2)
+    net.run_until(4)
+    assert log == []

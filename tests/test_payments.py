@@ -2,8 +2,12 @@
 
 import pytest
 
+from lockstep.adversary import bank_gallery
+from lockstep.cyclecoin import KIND_CHAIN, parse_wire
+from lockstep.hopnet import (TRACE_LATE, HopNetwork, gen_random_cycles,
+                             shortest_hop_path)
 from lockstep.payments import Bank
-from lockstep.simnet import ConfigFault, seeded_rng
+from lockstep.simnet import ConfigFault, seeded_rng, split_payload
 
 
 def _spread(N, V):
@@ -91,3 +95,126 @@ def test_silent_corrupted_holder_cannot_break_conservation():
     assert bank.audit() == []
     for row in bank.history:
         assert sum(row.balances_after.values()) <= bank.supply
+
+
+# -- the book against its defining scans ---------------------------------
+#
+# These reference functions are the plain definitions of the book: every
+# count and every marking read straight off the instance states.  The
+# bank keeps its book with cheaper passes, and every field of every
+# BankRound must equal what these scans give, round by round.
+
+
+def _ref_marked(bank, n, v):
+    return bool(bank.hosts[n].instances[bank.nonces[v]].marked)
+
+
+def _ref_balances(bank):
+    return {n: sum(1 for v in range(bank.supply) if _ref_marked(bank, n, v))
+            for n in sorted(bank.honest)}
+
+
+def _ref_lowest_unit(bank, n):
+    return min(v for v in range(bank.supply) if _ref_marked(bank, n, v))
+
+
+def _ref_instance_markings(bank, r):
+    return {v: tuple(m for n in sorted(bank.honest)
+                     for m in bank.hosts[n].instances[bank.nonces[v]].markings
+                     if m.round == r)
+            for v in range(bank.supply)}
+
+
+def _ref_credits(bank, instance_markings):
+    return {n: tuple(sorted(m.predecessor
+                            for ms in instance_markings.values()
+                            for m in ms if m.target == n))
+            for n in sorted(bank.honest)}
+
+
+@pytest.fixture
+def checked_rounds(monkeypatch):
+    """Check every ``Bank.run_round`` against the reference scans; the
+    fixture is the list of the rows checked so far."""
+    rows = []
+    original = Bank.run_round
+
+    def run_round(bank, inputs=None):
+        given = dict(inputs or {})
+        r = bank.round_index
+        before = _ref_balances(bank)
+        funded = [n for n in sorted(bank.honest) if before[n] > 0]
+        lowest = {n: _ref_lowest_unit(bank, n) for n in funded}
+        row = original(bank, inputs)
+        markings = _ref_instance_markings(bank, r)
+        assert row.round == r
+        assert row.inputs == {n: given.get(n, n) for n in funded}
+        assert row.spent_instance == lowest
+        assert row.balances_before == before
+        assert row.balances_after == _ref_balances(bank)
+        assert row.instance_markings == markings
+        assert row.credits == _ref_credits(bank, markings)
+        rows.append(row)
+        return row
+
+    monkeypatch.setattr(Bank, "run_round", run_round)
+    return rows
+
+
+@pytest.mark.parametrize("family, N, f, V, rounds", [
+    ("quorum", 7, 2, 9, 12), ("cycle", 6, 1, 8, 12), ("cycle", 5, 0, 3, 20)])
+def test_book_matches_the_reference_scans(checked_rounds, family, N, f, V,
+                                          rounds):
+    bank = Bank(N, f, _spread(N, V), family=family)
+    _drive(bank, rounds, seed=N + V)
+    assert len(checked_rounds) == rounds
+    assert bank.audit() == []
+
+
+@pytest.mark.parametrize("family, f", [("quorum", 1), ("cycle", 2)])
+def test_gallery_books_match_the_reference_scans(checked_rounds, family, f):
+    # the honest baseline, a silent corrupted holder, junk and replays
+    results = bank_gallery(family, 6, f, 3, 5, seed=4)
+    assert all(result.ok for result in results)
+    assert len(checked_rounds) == 5 * len(results)
+
+
+def _withhold_chains(host, payee):
+    """Make ``host`` keep back every final chain it sends to ``payee``;
+    returns the function that restores it."""
+    step = host.step
+
+    def withholding(t, inbox):
+        out = []
+        for send in step(t, inbox):
+            content, _ = split_payload(send.payload)
+            if (send.recipient != payee
+                    or parse_wire(content)[0] != KIND_CHAIN):
+                out.append(send)
+        return out
+
+    host.step = withholding
+    return lambda: vars(host).pop("step")
+
+
+def test_late_acceptance_keeps_the_book_exact(checked_rounds):
+    net = HopNetwork(gen_random_cycles(12, 2, seed=7))
+    a, b = 0, 8
+    path = shortest_hop_path(net.graph(), a, b)
+    k, payer, payee, _ = path.legs[-1]
+    pos_payer, pos_payee = net.positions[k][payer], net.positions[k][payee]
+    restore = _withhold_chains(net.banks[k].hosts[pos_payer], pos_payee)
+    outcome = net.macro_payment(a, b, path=path)
+    restore()
+    assert outcome.delivered_legs == len(path.legs) - 1 and not outcome.paid
+    # the payee's instance takes the withheld chain during the dispute,
+    # outside any round, and the rounds after it must still book exactly
+    accused, trace = net.dispute_walkback(outcome)
+    assert (accused, trace[0][3]) == (payer, TRACE_LATE)
+    row = net.banks[k].history[outcome.base_round + len(path.legs) - 1]
+    v = row.spent_instance[pos_payer]
+    late = net.banks[k].hosts[pos_payee].instances[net.banks[k].nonces[v]]
+    assert late.markings[-1].round == row.round
+    rounds = len(checked_rounds)
+    net.macro_payment(3, 10)
+    assert len(checked_rounds) == rounds + net.micro_rounds * len(net.banks)
