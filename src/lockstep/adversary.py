@@ -141,8 +141,13 @@ class CoalitionOracle:
 
 def _ds_audit(run, leader_value: int | None, corrupted: frozenset[int],
               leader: int) -> list[str]:
-    """Consistency, validity and termination of one broadcast run."""
+    """Consistency, validity and termination of one broadcast run;
+    termination means every honest process, and no other, decided."""
     violations = []
+    honest = set(range(run.net.N)) - corrupted
+    if set(run.decisions) != honest:
+        violations.append(f"decisions from {sorted(run.decisions)}, "
+                          f"not from the honest {sorted(honest)}")
     outcomes = {n: (run.decisions[n], run.sender_fault[n])
                 for n in run.decisions}
     if len(set(outcomes.values())) > 1:
@@ -153,9 +158,6 @@ def _ds_audit(run, leader_value: int | None, corrupted: frozenset[int],
                 violations.append(
                     f"process {n} decided {value} fault={fault} "
                     f"against honest leader value {leader_value}")
-    for n, (value, fault) in outcomes.items():
-        if value is None:
-            violations.append(f"process {n} failed to decide")
     return violations
 
 
@@ -1013,7 +1015,7 @@ def bank_gallery(family: str, N: int, f: int, V: int, K: int,
         bank = Bank(N, f, initial, corrupted=corrupted, adversary=adversary,
                     family=family)
         problems = background(bank, K, 5)
-        minted = [n for n in (1, 2) if bank._marked(n, 0)]
+        minted = [n for n in (1, 2) if bank.unit(n, 0).marked]
         if len(minted) > 1:
             problems.append("intent split minted two markers")
         results.append(AttackResult("bank-intent-split", family, N, f,

@@ -23,6 +23,7 @@ zero messages when every queried process answers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from lockstep.consensus import DSProcess, default_relays
@@ -409,7 +410,9 @@ class CCProcess(MarkerProcess):
             raise ConfigFault(f"the cycle needs 0 <= f <= N-2, got N={N} f={f}")
 
     @staticmethod
+    @functools.cache
     def steps(N: int, f: int) -> int:
+        # cached: a bank builds N·V processes, each asking at one (N, f)
         return cycle_round_steps(N)
 
     def pay(self, r: int, target: int) -> None:
@@ -542,6 +545,14 @@ class CCProcess(MarkerProcess):
         self.predecessor = shape.groups[-1].extender
         self.markings.append(Marking(r, self.n, self.predecessor))
 
+    def accept_late(self, shape: ChainShape, r: int) -> None:
+        """Take a chain that :func:`verify_payment_claim` found withheld
+        past round ``r``: the marker lands now unless this process has
+        held it since, and the chain is logged either way."""
+        if self.marked_round is None or self.marked_round < r:
+            self._accept(shape, r)
+        self.received_log.setdefault(shape.weight, shape.records)
+
     def _on_chain(self, sender: int, records: tuple[Record, ...],
                   r: int) -> None:
         shape = inspect_chain(records, self.N, self.oracle,
@@ -560,24 +571,26 @@ class CCProcess(MarkerProcess):
 
     def _handle(self, t: int, inbox: list[Delivery]) -> list[Send]:
         r = t // self.round_steps
-        buckets: dict[str, list[tuple[int, tuple[Record, ...]]]] = {
-            kind: [] for kind in _KINDS}
-        for d in inbox:
-            parsed = parse_wire(d.payload)
-            if parsed is not None:
-                buckets[parsed[0]].append((d.sender, parsed[1]))
         sends: list[Send] = []
-        for kind in _KINDS:
-            for sender, records in sorted(
-                    buckets[kind], key=lambda e: (e[0], encode_records(e[1]))):
-                if kind == KIND_CHAIN:
-                    self._on_chain(sender, records, r)
-                elif kind == KIND_QUERY:
-                    sends.extend(self._on_query(sender, records, r))
-                elif kind == KIND_RESPONSE:
-                    sends.extend(self._on_response(sender, records, r))
-                else:
-                    self._on_refuse(sender, records)
+        if inbox:
+            buckets: dict[str, list[tuple[int, tuple[Record, ...]]]] = {
+                kind: [] for kind in _KINDS}
+            for d in inbox:
+                parsed = parse_wire(d.payload)
+                if parsed is not None:
+                    buckets[parsed[0]].append((d.sender, parsed[1]))
+            for kind in _KINDS:
+                for sender, records in sorted(
+                        buckets[kind],
+                        key=lambda e: (e[0], encode_records(e[1]))):
+                    if kind == KIND_CHAIN:
+                        self._on_chain(sender, records, r)
+                    elif kind == KIND_QUERY:
+                        sends.extend(self._on_query(sender, records, r))
+                    elif kind == KIND_RESPONSE:
+                        sends.extend(self._on_response(sender, records, r))
+                    else:
+                        self._on_refuse(sender, records)
         if t % self.round_steps == 0 and self.marked and r in self.pending:
             sends.extend(self._begin_payment(r))
         return sends
@@ -599,12 +612,14 @@ def verify_payment_claim(target: CCProcess, records: tuple[Record, ...],
                          round_index: int):
     """Audit the claim that ``records`` paid ``target`` in ``round_index``.
 
-    Returns ("paid", None), ("refuted", artifact) or ("invalid", None).
-    The audit works like the real thing: the chain is offered to the
-    target, which either has accepted it, accepts it now, or produces the
-    equal weight artifact that shows why it never will.  An honest payer's
-    chain is never refuted, because no equal weight rival can exist without
-    the payer's own signature.
+    Returns ("paid", None), ("late", shape), ("refuted", artifact) or
+    ("invalid", None), and never changes ``target``.  "paid" means the
+    target took the chain in that round.  "late" means the chain is
+    valid and no equal weight rival refutes it, but the target never got
+    it: the payer withheld it past the round.  The target may still take
+    it with :meth:`CCProcess.accept_late` and the returned shape.  An
+    honest payer's chain is never refuted, because no equal weight rival
+    can exist without the payer's own signature.
     """
     shape = inspect_chain(records, target.N, target.oracle,
                           genesis=target.genesis_holder,
@@ -615,19 +630,12 @@ def verify_payment_claim(target: CCProcess, records: tuple[Record, ...],
     w = shape.weight
     accepted = any(m.round == round_index and m.target == target.n
                    for m in target.markings)
-    if accepted:
-        if target.received_log.get(w) == records:
-            return "paid", None
-        conflict = _equal_weight_conflict(target, w, records)
-        return ("refuted", conflict) if conflict is not None else ("invalid", None)
+    if accepted and target.received_log.get(w) == records:
+        return "paid", None
     conflict = _equal_weight_conflict(target, w, records)
     if conflict is not None:
         return "refuted", conflict
-    if target.marked_round is None or target.marked_round < round_index:
-        # late delivery: the target can still take the marker on the spot
-        target._accept(shape, round_index)
-    target.received_log.setdefault(w, records)
-    return "paid", None
+    return ("invalid", None) if accepted else ("late", shape)
 
 
 def _equal_weight_conflict(target: CCProcess, w: int,

@@ -459,8 +459,7 @@ class HopNetwork:
         v = row.spent_instance.get(pos)
         if v is None:
             return None
-        proc = bank.hosts[pos].instances[bank.nonces[v]]
-        records = proc.proofs.get(m)
+        records = bank.unit(pos, v).proofs.get(m)
         if records is None:
             return None
         return k, v, m, records
@@ -483,7 +482,8 @@ class HopNetwork:
 
         Distinguishes a chain the payee accepted during the leg's round
         from one that only lands now: the latter means the payer withheld
-        it past the round it promised.
+        it past the round it promised.  The payee takes such a chain on
+        the spot, and its bank is told which unit changed.
         """
         if exhibit is None:
             return TRACE_BAD
@@ -495,13 +495,15 @@ class HopNetwork:
         if not 0 <= v < bank.supply:
             return TRACE_BAD
         pos = self.positions[k][payee]
-        proc = bank.hosts[pos].instances[bank.nonces[v]]
-        accepted = any(mk.round == m and mk.target == pos
-                       for mk in proc.markings)
-        verdict, _ = verify_payment_claim(proc, tuple(records), m)
-        if verdict != "paid":
+        proc = bank.unit(pos, v)
+        verdict, shape = verify_payment_claim(proc, tuple(records), m)
+        if verdict == "paid":
+            return TRACE_PAID
+        if verdict != "late":
             return TRACE_BAD
-        return TRACE_PAID if accepted else TRACE_LATE
+        proc.accept_late(shape, m)
+        bank.touch(pos, v)
+        return TRACE_LATE
 
     def dispute_walkback(self, outcome: MacroOutcome
                          ) -> tuple[int, list[tuple[int, int, int, str]]]:

@@ -30,6 +30,11 @@ class MuxHost(Process):
     map from step to nonces, and the host registers every step in it with
     the network.  A step services only the instances with a delivery or a
     wake due, so its cost follows the traffic, not the instance count.
+
+    ``stepped`` collects the nonces of the instances serviced since a
+    reader last cleared it, so a driver can re-read just the instances
+    whose state may have moved; a driver that changes an instance itself
+    adds its nonce there too.
     """
 
     def __init__(self, n: int, instances: dict[bytes, Process],
@@ -37,6 +42,7 @@ class MuxHost(Process):
         super().__init__(n)
         self.instances = dict(instances)
         self._later: dict[int, set[bytes]] = {}
+        self.stepped: set[bytes] = set()
         for nonce, steps in (wakes or {}).items():
             for s in steps:
                 self._later.setdefault(s, set()).add(nonce)
@@ -67,6 +73,7 @@ class MuxHost(Process):
         for nonce in self._later.pop(t, ()):
             if nonce in self.instances:
                 groups.setdefault(nonce, [])
+        self.stepped.update(groups)
         out: list[Send] = []
         for nonce in sorted(groups):
             for send in self.instances[nonce].step(t, groups[nonce]):

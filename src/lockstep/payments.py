@@ -30,6 +30,16 @@ over honest processes only:
 On top of those the per instance marking rules are replayed for every
 instance and round, with the bank supplying which honest payer, if any,
 fed that instance.
+
+A round costs what it touches.  Each host's mux records the instances it
+stepped, and the bank keeps, per host, the set of units it holds; after a
+round it re-reads ``marked`` and the new markings of the stepped
+instances only.  So a round costs the instances it touches plus O(N +
+supply) to write its book row, not a scan of all N·V unit states.  The
+sets are refreshed from the instances, never derived from the book, so
+the recurrence audit still checks instance states against the book.  The
+price is a rule: any change to a unit made outside ``MuxHost.step`` must
+be reported with :meth:`Bank.touch`, or the book misses it.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ import io
 from dataclasses import dataclass
 
 from .cyclecoin import CCProcess
-from .marker import Marking, QMProcess, check_marker_round
+from .marker import Marking, MarkerProcess, QMProcess, check_marker_round
 from .muxer import MuxHost, nonce_for
 from .simnet import (ConfigFault, Network, ScopedOracle, SignatureOracle)
 
@@ -107,46 +117,78 @@ class Bank:
         self.net = Network(self.hosts, self.corrupted, adversary, oracle)
         self.round_index = 0
         self.history: list[BankRound] = []
+        # the units each host's instances hold, refreshed from the
+        # instances a host stepped; at set-up unit v sits at holders0[v]
+        self._order = tuple(sorted(self.honest))
+        self._unit_of = {nonce: v for v, nonce in enumerate(self.nonces)}
+        self._held: list[set[int]] = [set() for _ in range(N)]
+        for v, n in enumerate(self.holders0):
+            self._held[n].add(v)
 
     # -- book keeping --------------------------------------------------------
 
-    def _units(self, n: int):
-        """The unit processes of host ``n`` in unit order, the order in
-        which its instance map was built."""
-        return self.hosts[n].instances.values()
+    def unit(self, n: int, v: int):
+        """The process of unit ``v`` at host ``n``."""
+        return self.hosts[n].instances[self.nonces[v]]
 
-    def _marked(self, n: int, v: int) -> bool:
-        return bool(self.hosts[n].instances[self.nonces[v]].marked)
+    def touch(self, n: int, v: int) -> None:
+        """Report that unit ``v`` of host ``n`` changed outside a network
+        step; the next read of the book re-reads it.  The book re-reads
+        only stepped or touched instances, so every other change would
+        go unseen."""
+        self.hosts[n].stepped.add(self.nonces[v])
+
+    def _refresh(self) -> list[tuple[int, MarkerProcess]]:
+        """Re-read ``marked`` of every honest instance stepped or touched
+        since the last refresh, and return those (unit, process) pairs
+        in ascending (host, unit) order; nonces sort as their units do."""
+        touched = []
+        for n in self._order:
+            host = self.hosts[n]
+            if not host.stepped:
+                continue
+            held = self._held[n]
+            for nonce in sorted(host.stepped):
+                v = self._unit_of[nonce]
+                proc = host.instances[nonce]
+                if proc.marked:
+                    held.add(v)
+                else:
+                    held.discard(v)
+                touched.append((v, proc))
+            host.stepped.clear()
+        return touched
 
     def balances(self) -> dict[int, int]:
         """Current balance of every honest process, counted off the
         instance states."""
-        return {n: sum(1 for proc in self._units(n) if proc.marked)
-                for n in sorted(self.honest)}
+        self._refresh()
+        return {n: len(self._held[n]) for n in self._order}
 
-    def _round_markings(self, r: int):
+    def _round_markings(self, r: int,
+                        touched: list[tuple[int, MarkerProcess]]):
         """The markings honest processes accepted in round ``r``, per
         instance, and the senders each honest process was credited with.
 
-        Markings are appended in round order, so a round's markings are
-        the tail of each list; a process whose last marking is older has
-        none in the round.
+        Only the ``touched`` instances, the ones stepped in the round, can
+        hold a marking of it.  Markings are appended in round order, so a
+        round's markings are the tail of each list.
         """
-        per_instance: list[list[Marking]] = [[] for _ in range(self.supply)]
-        credited: dict[int, list[int]] = {n: [] for n in sorted(self.honest)}
-        for n in credited:
-            for v, proc in enumerate(self._units(n)):
-                ms = proc.markings
-                if not ms or ms[-1].round != r:
-                    continue
-                i = len(ms) - 1
-                while i and ms[i - 1].round == r:
-                    i -= 1
-                for m in ms[i:]:
-                    per_instance[v].append(m)
-                    if m.target in credited:
-                        credited[m.target].append(m.predecessor)
-        return ({v: tuple(ms) for v, ms in enumerate(per_instance)},
+        per_instance: dict[int, tuple[Marking, ...]] = dict.fromkeys(
+            range(self.supply), ())
+        credited: dict[int, list[int]] = {n: [] for n in self._order}
+        for v, proc in touched:
+            ms = proc.markings
+            if not ms or ms[-1].round != r:
+                continue
+            i = len(ms) - 1
+            while i and ms[i - 1].round == r:
+                i -= 1
+            per_instance[v] += tuple(ms[i:])
+            for m in ms[i:]:
+                if m.target in credited:
+                    credited[m.target].append(m.predecessor)
+        return (per_instance,
                 {n: tuple(sorted(senders)) for n, senders in credited.items()})
 
     # -- round driver --------------------------------------------------------
@@ -168,20 +210,19 @@ class Bank:
                     f"round {r}: process {payer} has no balance to spend")
         effective: dict[int, int] = {}
         spent: dict[int, int] = {}
-        for payer in sorted(self.honest):
+        for payer in self._order:
             if before[payer] == 0:
                 continue
             target = given.get(payer, payer)
-            v, proc = next((v, proc)
-                           for v, proc in enumerate(self._units(payer))
-                           if proc.marked)
-            proc.pay(r, target)
-            self.hosts[payer].wake_instance(self.nonces[v], base)
+            v = min(self._held[payer])
+            host, nonce = self.hosts[payer], self.nonces[v]
+            host.instances[nonce].pay(r, target)
+            host.wake_instance(nonce, base)
             effective[payer] = target
             spent[payer] = v
         self.net.run_until(base + self.steps_per_round - 1)
+        instance_markings, credits = self._round_markings(r, self._refresh())
         after = self.balances()
-        instance_markings, credits = self._round_markings(r)
         row = BankRound(r, effective, spent, before, after, credits,
                         instance_markings)
         self.history.append(row)

@@ -1,9 +1,12 @@
 """Attack gallery: everything must fail exactly where it should."""
 
+import dataclasses
+
 import pytest
 
 from lockstep.adversary import (
     CoalitionOracle,
+    _ds_audit,
     bank_gallery,
     cheating_intermediary_cases,
     cycle_gallery,
@@ -20,6 +23,7 @@ from lockstep.adversary import (
     AttackResult,
 )
 from lockstep import marker
+from lockstep.consensus import run_dolev_strong
 from lockstep.simnet import ConfigFault, ForgeryViolation, SignatureOracle
 
 
@@ -54,6 +58,16 @@ def test_scripted_broadcast_enumeration_shape():
     assert len(cases) == 24_057
     sample = [run_ds_case(c) for c in cases[:40]]
     assert all(r.violations == () for r in sample)
+
+
+def test_a_run_missing_an_honest_decision_is_flagged():
+    corrupted = frozenset({3})
+    run = run_dolev_strong(5, 1, 1, corrupted=corrupted)
+    assert _ds_audit(run, 1, corrupted, 0) == []
+    dropped = dataclasses.replace(
+        run, decisions={n: v for n, v in run.decisions.items() if n != 2})
+    assert _ds_audit(dropped, 1, corrupted, 0) == [
+        "decisions from [0, 1, 4], not from the honest [0, 1, 2, 4]"]
 
 
 def test_random_broadcast_attacks_stay_clean():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from lockstep import cyclecoin
 from lockstep.cyclecoin import (
+    KIND_CHAIN,
     KIND_QUERY,
     MAIN_NONCE,
     CCProcess,
@@ -119,6 +120,30 @@ def test_payment_claim_verdicts():
     assert conflict is None
     verdict, _ = verify_payment_claim(target, (), 0)
     assert verdict == "invalid"
+
+
+def test_auditing_a_withheld_chain_changes_nothing():
+    system = MarkerSystem(CCProcess, 6)
+    payer, target = system.procs[0], system.procs[3]
+    step = payer.step
+
+    def withholding(t, inbox):
+        return [s for s in step(t, inbox)
+                if s.recipient != 3 or parse_wire(s.payload)[0] != KIND_CHAIN]
+
+    payer.step = withholding
+    system.run_round({0: 3})
+    records = payer.proofs[0]
+    state = (target.marked, list(target.markings), target.chain,
+             dict(target.received_log))
+    for _ in range(2):
+        verdict, shape = verify_payment_claim(target, records, 0)
+        assert verdict == "late"
+        assert (target.marked, list(target.markings), target.chain,
+                dict(target.received_log)) == state
+    target.accept_late(shape, 0)
+    assert target.marked and target.chain == records
+    assert verify_payment_claim(target, records, 0) == ("paid", None)
 
 
 def test_response_enforcement_is_free_when_honest():

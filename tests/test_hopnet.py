@@ -88,13 +88,6 @@ def test_honest_macro_payment_pays_and_conserves():
         assert after[n] == expected
 
 
-def test_promises_cover_every_intermediary():
-    net = HopNetwork(gen_random_cycles(12, 2, seed=7))
-    outcome = net.macro_payment(1, 6)
-    promised = {p.signer for p in outcome.promises}
-    assert promised == set(outcome.path.intermediaries)
-
-
 def _cheat_route(seed=5):
     net = HopNetwork(gen_random_cycles(8, 2, seed=seed))
     graph = net.graph()
@@ -102,6 +95,14 @@ def _cheat_route(seed=5):
                key=lambda ab: len(shortest_hop_path(graph, *ab).legs))
     path = shortest_hop_path(graph, *best)
     return net, best, path
+
+
+def test_promises_cover_every_intermediary():
+    net, (a, b), path = _cheat_route()
+    outcome = net.macro_payment(a, b, path=path)
+    promised = {p.promiser for p in outcome.promises}
+    assert promised
+    assert promised == set(path.intermediaries)
 
 
 def test_walkback_accuses_the_keeper():

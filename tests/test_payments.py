@@ -3,7 +3,7 @@
 import pytest
 
 from lockstep.adversary import bank_gallery
-from lockstep.cyclecoin import KIND_CHAIN, parse_wire
+from lockstep.cyclecoin import KIND_CHAIN, CCProcess, parse_wire
 from lockstep.hopnet import (TRACE_LATE, HopNetwork, gen_random_cycles,
                              shortest_hop_path)
 from lockstep.payments import Bank
@@ -218,3 +218,35 @@ def test_late_acceptance_keeps_the_book_exact(checked_rounds):
     rounds = len(checked_rounds)
     net.macro_payment(3, 10)
     assert len(checked_rounds) == rounds + net.micro_rounds * len(net.banks)
+
+
+def test_a_round_reads_only_the_instances_it_stepped():
+    net = HopNetwork(gen_random_cycles(32, 2, 0))
+    bank = net.banks[0]
+    read, stepped = set(), set()
+
+    class Watched(CCProcess):
+        """Records every read of ``marked`` and every step."""
+
+        @property
+        def marked(self):
+            read.add(id(self))
+            return self.__dict__["marked"]
+
+        @marked.setter
+        def marked(self, value):
+            self.__dict__["marked"] = value
+
+        def step(self, t, inbox):
+            stepped.add(id(self))
+            return super().step(t, inbox)
+
+    for host in bank.hosts:
+        for proc in host.instances.values():
+            proc.__class__ = Watched
+    row = bank.run_round({0: 5})
+    assert row.credits[5] == (0, 5)
+    # every funded process steps the unit it spends, and the payment
+    # also steps its unit at the four countersigners and the payee
+    assert len(stepped) == len(row.inputs) + 5 < bank.N * bank.supply
+    assert read == stepped
