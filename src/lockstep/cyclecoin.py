@@ -420,6 +420,15 @@ class CCProcess(MarkerProcess):
             raise ConfigFault(f"target {target} was deleted from the cycle")
         super().pay(r, target)
 
+    def keep(self, r: int) -> Marking:
+        # keeping the marker moves no records and costs nothing
+        if not self.marked:
+            raise ConfigFault(f"process {self.n} is not marked in round {r}")
+        marking = Marking(r, self.n, self.n)
+        self.markings.append(marking)
+        self.marked_round = r
+        return marking
+
     # -- payer side ---------------------------------------------------------
 
     def _finish(self, records: tuple[Record, ...], r: int) -> Send:
@@ -437,9 +446,7 @@ class CCProcess(MarkerProcess):
     def _begin_payment(self, r: int) -> list[Send]:
         target = self.pending.pop(r)
         if target == self.n:
-            # keeping the marker moves no records and costs nothing
-            self.markings.append(Marking(r, self.n, self.n))
-            self.marked_round = r
+            self.keep(r)
             return []
         records = self.chain
         if records and records[-1].tag == TAG_Y:

@@ -130,6 +130,12 @@ class MarkerProcess(Process):
             raise ConfigFault(f"process {self.n} is not marked in round {r}")
         self.pending[r] = target
 
+    def keep(self, r: int) -> Marking | None:
+        """Book "pay myself in round ``r``" without a network step and
+        return its marking, or None when the construction needs the
+        network to keep its marker; the caller then pays itself."""
+        return None
+
     def round_wakes(self, base: int) -> None:
         """Schedule the spontaneous steps of the round starting at ``base``."""
 

@@ -12,7 +12,10 @@ much entering each round, which instance each payer spent, and which
 credits each recipient collected.  A funded process spends every round;
 when the caller names no target the bank books a transfer to the process
 itself, which nets out because the spent unit comes straight back as a
-self credit.
+self credit.  Where that keep is free, as in the chain marker, the bank
+books it with :meth:`MarkerProcess.keep` and the unit takes no network
+step; the quorum marker renews its receipt proof and keeps through the
+network.
 
 Audits over the book check four account level guarantees, quantified
 over honest processes only:
@@ -34,12 +37,15 @@ fed that instance.
 A round costs what it touches.  Each host's mux records the instances it
 stepped, and the bank keeps, per host, the set of units it holds; after a
 round it re-reads ``marked`` and the new markings of the stepped
-instances only.  So a round costs the instances it touches plus O(N +
-supply) to write its book row, not a scan of all N·V unit states.  The
-sets are refreshed from the instances, never derived from the book, so
-the recurrence audit still checks instance states against the book.  The
-price is a rule: any change to a unit made outside ``MuxHost.step`` must
-be reported with :meth:`Bank.touch`, or the book misses it.
+instances only, and books each free keep's marking as it makes it.  So a
+round steps only the instances that carry traffic, and costs those plus
+O(N) ``keep`` calls and O(N + supply) to write its book row, not a scan
+of all N·V unit states.  The sets are refreshed from the instances, never
+derived from the book, so the recurrence audit still checks instance
+states against the book.  The price is a rule: any change to a unit made
+outside ``MuxHost.step`` must be reported with :meth:`Bank.touch`, or the
+book misses it.  A keep needs no touch: it leaves ``marked`` as it was,
+and the bank books its marking itself.
 """
 
 from __future__ import annotations
@@ -138,10 +144,11 @@ class Bank:
         go unseen."""
         self.hosts[n].stepped.add(self.nonces[v])
 
-    def _refresh(self) -> list[tuple[int, MarkerProcess]]:
+    def _refresh(self) -> list[tuple[int, int, MarkerProcess]]:
         """Re-read ``marked`` of every honest instance stepped or touched
-        since the last refresh, and return those (unit, process) pairs
-        in ascending (host, unit) order; nonces sort as their units do."""
+        since the last refresh, and return those (host, unit, process)
+        triples in ascending (host, unit) order; nonces sort as their
+        units do."""
         touched = []
         for n in self._order:
             host = self.hosts[n]
@@ -155,7 +162,7 @@ class Bank:
                     held.add(v)
                 else:
                     held.discard(v)
-                touched.append((v, proc))
+                touched.append((n, v, proc))
             host.stepped.clear()
         return touched
 
@@ -166,26 +173,38 @@ class Bank:
         return {n: len(self._held[n]) for n in self._order}
 
     def _round_markings(self, r: int,
-                        touched: list[tuple[int, MarkerProcess]]):
+                        touched: list[tuple[int, int, MarkerProcess]],
+                        kept: list[tuple[int, int, Marking]]):
         """The markings honest processes accepted in round ``r``, per
         instance, and the senders each honest process was credited with.
 
-        Only the ``touched`` instances, the ones stepped in the round, can
-        hold a marking of it.  Markings are appended in round order, so a
-        round's markings are the tail of each list.
+        Only the ``touched`` instances, the ones stepped in the round, and
+        the ``kept`` ones, (host, unit, marking) of each keep booked
+        without a step, can hold a marking of it.  Markings are appended
+        in round order, so a round's markings are the tail of each list;
+        a kept instance that was stepped too is read once, off its tail,
+        which already holds the keep.
         """
         per_instance: dict[int, tuple[Marking, ...]] = dict.fromkeys(
             range(self.supply), ())
         credited: dict[int, list[int]] = {n: [] for n in self._order}
-        for v, proc in touched:
+        tails = []
+        for n, v, proc in touched:
             ms = proc.markings
             if not ms or ms[-1].round != r:
                 continue
             i = len(ms) - 1
             while i and ms[i - 1].round == r:
                 i -= 1
-            per_instance[v] += tuple(ms[i:])
-            for m in ms[i:]:
+            tails.append((n, v, ms[i:]))
+        if kept:
+            seen = {(n, v) for n, v, _ in touched}
+            tails += [(n, v, [m]) for n, v, m in kept if (n, v) not in seen]
+            # two ascending runs: the sort merges them in linear time
+            tails.sort(key=lambda e: (e[0], e[1]))
+        for n, v, ms in tails:
+            per_instance[v] += tuple(ms)
+            for m in ms:
                 if m.target in credited:
                     credited[m.target].append(m.predecessor)
         return (per_instance,
@@ -210,18 +229,30 @@ class Bank:
                     f"round {r}: process {payer} has no balance to spend")
         effective: dict[int, int] = {}
         spent: dict[int, int] = {}
+        kept: list[tuple[int, int, Marking]] = []
+        # a delivery at ``base`` is processed before a keep, so the keep
+        # goes through the network then; every such delivery is already
+        # queued, because the previous round ran to base - 1
+        busy = self.net.queued(base)
         for payer in self._order:
             if before[payer] == 0:
                 continue
             target = given.get(payer, payer)
             v = min(self._held[payer])
             host, nonce = self.hosts[payer], self.nonces[v]
-            host.instances[nonce].pay(r, target)
-            host.wake_instance(nonce, base)
+            proc = host.instances[nonce]
+            marking = (proc.keep(r) if target == payer and payer not in busy
+                       else None)
+            if marking is None:
+                proc.pay(r, target)
+                host.wake_instance(nonce, base)
+            else:
+                kept.append((payer, v, marking))
             effective[payer] = target
             spent[payer] = v
         self.net.run_until(base + self.steps_per_round - 1)
-        instance_markings, credits = self._round_markings(r, self._refresh())
+        instance_markings, credits = self._round_markings(
+            r, self._refresh(), kept)
         after = self.balances()
         row = BankRound(r, effective, spent, before, after, credits,
                         instance_markings)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -397,6 +398,10 @@ class Network:
             raise ConfigFault(f"wake in the past: step {step}, now {self.now}")
         self._wakes.setdefault(step, set()).add(pid)
         heapq.heappush(self._agenda, step)
+
+    def queued(self, step: int) -> KeysView[int]:
+        """The ids with a delivery queued for ``step``."""
+        return self._pending.get(step, {}).keys()
 
     def _queue(self, step: int, recipient: int, delivery: Delivery) -> None:
         if not 0 <= recipient < self.N:

@@ -3,11 +3,15 @@
 import pytest
 
 from lockstep.adversary import bank_gallery
-from lockstep.cyclecoin import KIND_CHAIN, CCProcess, parse_wire
+from lockstep.cyclecoin import (KIND_CHAIN, CCProcess, cycle_round_steps,
+                                parse_wire)
 from lockstep.hopnet import (TRACE_LATE, HopNetwork, gen_random_cycles,
                              shortest_hop_path)
+from lockstep.marker import Marking
+from lockstep.muxer import MuxHost, nonce_for
 from lockstep.payments import Bank
-from lockstep.simnet import ConfigFault, seeded_rng, split_payload
+from lockstep.simnet import (Adversary, ConfigFault, Network, Send,
+                             seeded_rng, split_payload, tag_payload)
 
 
 def _spread(N, V):
@@ -50,6 +54,25 @@ def test_funded_processes_spend_every_round():
     for n, before in row.balances_before.items():
         if before > 0:
             assert row.inputs.get(n) == n
+    assert bank.audit() == []
+
+
+def test_cycle_keeps_are_booked_without_a_network_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(MuxHost, "step",
+                        lambda host, t, inbox: steps.append(host.n) or [])
+    bank = Bank(6, 1, _spread(6, 8), family="cycle")
+    row = bank.run_round({})
+    funded = [n for n, before in row.balances_before.items() if before > 0]
+    assert funded == list(range(6))
+    for n in funded:
+        assert row.inputs[n] == n
+        assert row.credits[n] == (n,)
+        assert row.instance_markings[row.spent_instance[n]] == (
+            Marking(0, n, n),)
+    assert row.balances_after == row.balances_before
+    assert bank.net.transcript.events == []
+    assert steps == []
     assert bank.audit() == []
 
 
@@ -179,6 +202,144 @@ def test_gallery_books_match_the_reference_scans(checked_rounds, family, f):
     assert len(checked_rounds) == 5 * len(results)
 
 
+class _NonceJunk(Adversary):
+    """Sends every honest host a junk payload under every unit nonce at
+    step ``phase`` of every round, so it arrives one step later."""
+
+    def __init__(self, corrupted, N, supply, phase):
+        self.corrupted = frozenset(corrupted)
+        self.honest = sorted(set(range(N)) - self.corrupted)
+        self.nonces = [nonce_for(v) for v in range(supply)]
+        self.round_steps = cycle_round_steps(N)
+        self.phase = phase
+
+    def act(self, t, net):
+        if t % self.round_steps != self.phase:
+            return []
+        sender = min(self.corrupted)
+        return [(sender, Send(n, tag_payload(b"junk", nonce)))
+                for n in self.honest for nonce in self.nonces]
+
+
+def _count_wakes(monkeypatch):
+    """Count ``MuxHost.wake_instance`` calls into the last entry of the
+    returned list; appending a 0 starts a new count."""
+    counts = [0]
+    original = MuxHost.wake_instance
+
+    def counting(host, nonce, step):
+        counts[-1] += 1
+        original(host, nonce, step)
+
+    monkeypatch.setattr(MuxHost, "wake_instance", counting)
+    return counts
+
+
+def _junk_run(phase, monkeypatch):
+    """Six rounds of a cycle bank whose silent corrupted process 0 sends
+    junk under every nonce at step ``phase`` of each round; returns the
+    bank and, per round, how many units were woken to pay."""
+    wakes = _count_wakes(monkeypatch)
+    bank = Bank(6, 1, _spread(6, 8), corrupted=frozenset({0}),
+                adversary=_NonceJunk({0}, 6, 8, phase), family="cycle")
+    rng = seeded_rng(6, 29)
+    for _ in range(6):
+        plan = {}
+        for payer, balance in bank.balances().items():
+            if balance > 0 and rng.random() < 0.5:
+                # along the arc up to N-1, which never crosses process 0
+                plan[payer] = int(rng.integers(payer, bank.N))
+        wakes.append(0)
+        bank.run_round(plan)
+    assert bank.audit() == []
+    return bank, wakes[1:]
+
+
+def test_a_kept_unit_stepped_later_in_its_round_is_booked_once(
+        checked_rounds, monkeypatch):
+    # the junk lands one step into each round, at every unit of every
+    # honest host, so each kept unit is stepped after its keep was booked
+    bank, wakes = _junk_run(0, monkeypatch)
+    assert len(checked_rounds) == 6
+    for row, woken in zip(bank.history, wakes):
+        paying = sum(1 for n, target in row.inputs.items() if target != n)
+        assert woken == paying < len(row.inputs)
+        for n, target in row.inputs.items():
+            if target == n:
+                assert row.instance_markings[row.spent_instance[n]] == (
+                    Marking(row.round, n, n),)
+
+
+def test_a_delivery_at_the_first_step_keeps_through_the_network(
+        checked_rounds, monkeypatch):
+    # the junk lands at each round's first step, so from round 1 on every
+    # funded process takes the network path, keeps included
+    bank, wakes = _junk_run(cycle_round_steps(6) - 1, monkeypatch)
+    assert len(checked_rounds) == 6
+    assert wakes[0] < len(bank.history[0].inputs)
+    for row, woken in zip(bank.history[1:], wakes[1:]):
+        assert woken == len(row.inputs)
+
+
+def _snapshot(banks):
+    """Everything a bank produces: the book, the traffic, the registry and
+    every instance's markings."""
+    return [(bank.to_csv(), bank.net.metrics.to_csv(),
+             bank.net.transcript.to_jsonl(), sorted(bank.oracle._issued),
+             [[(proc.markings, proc.marked_round)
+               for _, proc in sorted(host.instances.items())]
+              for host in bank.hosts])
+            for bank in banks]
+
+
+def _keep_workloads():
+    """Seeded honest cycle banks, the cycle bank gallery, and one hop
+    payment whose last leg is withheld, its walk-back and one more
+    payment; returns what they produced."""
+    banks = []
+    for N, f, V, rounds in ((6, 1, 8, 12), (5, 0, 3, 20)):
+        bank = Bank(N, f, _spread(N, V), family="cycle")
+        _drive(bank, rounds, seed=N + V)
+        banks.append(bank)
+    original = Bank.__init__
+
+    def registering(bank, *args, **kwargs):
+        original(bank, *args, **kwargs)
+        banks.append(bank)
+
+    Bank.__init__ = registering
+    try:
+        gallery = bank_gallery("cycle", 6, 2, 3, 5, seed=4)
+    finally:
+        Bank.__init__ = original
+    net = HopNetwork(gen_random_cycles(12, 2, seed=7))
+    path = shortest_hop_path(net.graph(), 0, 8)
+    k, payer, payee, _ = path.legs[-1]
+    restore = _withhold_chains(net.banks[k].hosts[net.positions[k][payer]],
+                               net.positions[k][payee])
+    outcome = net.macro_payment(0, 8, path=path)
+    restore()
+    walkback = net.dispute_walkback(outcome)
+    net.macro_payment(3, 10)
+    banks += net.banks
+    return (gallery, walkback, net.outcomes, sorted(net.oracle._issued),
+            _snapshot(banks))
+
+
+def test_keeps_produce_what_the_network_path_produces(monkeypatch):
+    wakes = _count_wakes(monkeypatch)
+    kept = _keep_workloads()
+    wakes.append(0)
+    with monkeypatch.context() as m:
+        # a queued delivery at every first step sends every keep through
+        # pay, a wake and a network step, as before keeps were booked
+        m.setattr(Network, "queued", lambda net, step: range(net.N))
+        stepped = _keep_workloads()
+    assert kept[0] == stepped[0] and all(result.ok for result in kept[0])
+    assert kept[1:] == stepped[1:]
+    assert wakes[0] < wakes[1]
+
+
 def _withhold_chains(host, payee):
     """Make ``host`` keep back every final chain it sends to ``payee``;
     returns the function that restores it."""
@@ -246,7 +407,11 @@ def test_a_round_reads_only_the_instances_it_stepped():
             proc.__class__ = Watched
     row = bank.run_round({0: 5})
     assert row.credits[5] == (0, 5)
-    # every funded process steps the unit it spends, and the payment
-    # also steps its unit at the four countersigners and the payee
-    assert len(stepped) == len(row.inputs) + 5 < bank.N * bank.supply
-    assert read == stepped
+    # the payment steps the payer's unit, its four countersigners and the
+    # payee; every other funded process keeps its unit without a step,
+    # and a keep reads ``marked`` once
+    kept = {id(bank.unit(n, row.spent_instance[n]))
+            for n, target in row.inputs.items() if target == n}
+    assert len(kept) == len(row.inputs) - 1
+    assert len(stepped) == 1 + 5
+    assert read == stepped | kept
