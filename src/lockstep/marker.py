@@ -22,6 +22,7 @@ stale or split proofs unusable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from lockstep.consensus import DSProcess, default_relays
 from lockstep.muxer import nonce_for
@@ -209,6 +210,11 @@ def measure_z(family: type[MarkerProcess], N: int, f: int = 0) -> list[int]:
 INTENT = "intent"
 RECEIPT = "receipt"
 
+# Entries of the shared parse_typed and decode_proof tables.  A proof holds
+# 2f+1 receipts, a few KB at f=5, so its table is the small one.
+TYPED_RECORDS_MAX = 256
+PROOFS_MAX = 64
+
 
 def default_broadcasters(N: int, f: int) -> frozenset[int]:
     """The 3f+1 lowest process ids."""
@@ -221,6 +227,7 @@ def encode_proof(receipts: tuple[bytes, ...]) -> bytes:
     return b"".join(parts)
 
 
+@lru_cache(maxsize=PROOFS_MAX)
 def decode_proof(data: bytes) -> tuple[bytes, ...]:
     reader = ByteReader(data)
     count = reader.read_int()
@@ -241,6 +248,7 @@ def receipt_content(round_index: int, payer: int, target: int) -> bytes:
     return enc_str(RECEIPT) + enc_int(round_index) + enc_int(payer) + enc_int(target)
 
 
+@lru_cache(maxsize=TYPED_RECORDS_MAX)
 def parse_typed(payload: bytes, expected: str, fields: int) -> tuple[int, ...] | None:
     """Read a tag checked record of ``fields`` integers, plus one trailing
     byte chunk when parsing an intent."""

@@ -12,6 +12,14 @@ Signatures are modelled as an oracle that remembers every (signer, content)
 pair it has issued.  Verification succeeds exactly on remembered pairs, so a
 signature of an honest process can never be fabricated; attempting to do so
 raises :class:`ForgeryViolation`.
+
+Decoding.  Pure decodes are shared; oracle verdicts never are.
+:meth:`SignedMessage.from_bytes`, :func:`lockstep.marker.parse_typed` and
+:func:`lockstep.marker.decode_proof` keep bounded tables of their immutable
+results (caps 512, 256 and 64), so each distinct byte string is parsed once;
+malformed input is not kept and raises on every call.
+:meth:`SignedMessage.verify_stack` asks the oracle about every entry on
+every call, because a later ``sign`` can turn a refusal into an acceptance.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import heapq
 import json
 from collections.abc import KeysView
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -109,9 +118,8 @@ def tag_payload(content: bytes, nonce: bytes) -> bytes:
 
 def split_payload(data: bytes) -> tuple[bytes, bytes]:
     """Inverse of :func:`tag_payload`.  Raises CodecError on malformed input."""
-    reader = ByteReader(data)
-    content = reader.read_bytes()
-    rest = data[len(enc_bytes(content)):]
+    content = ByteReader(data).read_bytes()
+    rest = data[4 + len(content):]
     if not rest.startswith(SEPARATOR):
         raise CodecError("missing nonce separator")
     return content, rest[len(SEPARATOR):]
@@ -119,6 +127,9 @@ def split_payload(data: bytes) -> tuple[bytes, bytes]:
 
 # ---------------------------------------------------------------------------
 # signatures
+
+# Entries of the shared SignedMessage.from_bytes table.
+SIGNED_MESSAGES_MAX = 512
 
 
 class SignatureOracle:
@@ -180,7 +191,8 @@ class SignedMessage:
     a well formed message entry k signed the serialization of the message
     truncated to its first k entries, but adversarial senders may put
     anything there; :meth:`verify_stack` recomputes the expected bytes and
-    rejects mismatches.
+    rejects mismatches.  That check is a pure property of the message and
+    is computed once per object; the oracle is asked on every call.
     """
 
     payload: bytes
@@ -194,6 +206,7 @@ class SignedMessage:
         return b"".join(parts)
 
     @classmethod
+    @lru_cache(maxsize=SIGNED_MESSAGES_MAX)
     def from_bytes(cls, data: bytes) -> "SignedMessage":
         reader = ByteReader(data)
         payload = reader.read_bytes()
@@ -216,13 +229,25 @@ class SignedMessage:
             oracle.sign(signer, content)
         return SignedMessage(self.payload, self.stack + ((signer, content),))
 
+    @cached_property
+    def _formed(self) -> int:
+        """How many leading entries signed exactly the encoding of the
+        entries before them."""
+        stack = self.stack
+        if not stack or stack[0][1] != enc_bytes(self.payload):
+            return 0
+        for k, ((signer, content), (_, following)) in enumerate(
+                zip(stack, stack[1:]), start=1):
+            if following != content + enc_int(signer) + enc_bytes(content):
+                return k
+        return len(stack)
+
     def verify_stack(self, oracle) -> bool:
-        expected = enc_bytes(self.payload)
-        for signer, content in self.stack:
-            if content != expected or not oracle.verify(signer, content):
+        formed = self._formed
+        for signer, content in self.stack[:formed]:
+            if not oracle.verify(signer, content):
                 return False
-            expected = expected + enc_int(signer) + enc_bytes(content)
-        return True
+        return formed == len(self.stack)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +388,7 @@ class Network:
     deliveries or registered wakes execute, and only the touched processes
     are stepped, so cost scales with traffic rather than with N times steps.
     With an adversary attached every step in the window runs, because the
-    adversary may act spontaneously.
+    adversary may act spontaneously, so no agenda of due steps is kept.
     """
 
     def __init__(self, processes: list[Process],
@@ -397,7 +422,8 @@ class Network:
         if step < self.now:
             raise ConfigFault(f"wake in the past: step {step}, now {self.now}")
         self._wakes.setdefault(step, set()).add(pid)
-        heapq.heappush(self._agenda, step)
+        if self.adversary is None:
+            heapq.heappush(self._agenda, step)
 
     def queued(self, step: int) -> KeysView[int]:
         """The ids with a delivery queued for ``step``."""
@@ -407,7 +433,8 @@ class Network:
         if not 0 <= recipient < self.N:
             raise ConfigFault(f"recipient {recipient} out of range")
         self._pending.setdefault(step, {}).setdefault(recipient, []).append(delivery)
-        heapq.heappush(self._agenda, step)
+        if self.adversary is None:
+            heapq.heappush(self._agenda, step)
 
     def _record(self, t: int, sender: int, send: Send, honest: bool) -> None:
         self.transcript.append(TranscriptEvent(

@@ -7,6 +7,10 @@ from lockstep.adversary import StrawmanProcess
 from lockstep.consensus import ds_all_honest_messages
 from lockstep.cyclecoin import CCProcess, PoRProcess
 from lockstep.marker import (
+    INTENT,
+    PROOFS_MAX,
+    RECEIPT,
+    TYPED_RECORDS_MAX,
     BBMProcess,
     MarkerSystem,
     Marking,
@@ -15,10 +19,13 @@ from lockstep.marker import (
     decode_proof,
     default_broadcasters,
     encode_proof,
+    intent_content,
     measure_z,
+    parse_typed,
+    receipt_content,
 )
 from lockstep.payments import Bank
-from lockstep.simnet import ConfigFault
+from lockstep.simnet import CodecError, ConfigFault, SignedMessage, enc_int
 
 HONEST = frozenset(range(6))
 
@@ -59,6 +66,56 @@ def test_audit_allows_corrupted_predecessors():
 @given(st.lists(st.binary(min_size=1, max_size=24), max_size=5))
 def test_receipt_proof_codec_round_trip(receipts):
     assert decode_proof(encode_proof(tuple(receipts))) == tuple(receipts)
+
+
+@given(st.lists(st.binary(max_size=24), max_size=5),
+       st.integers(min_value=0, max_value=63), st.integers(-9, 99))
+def test_cached_decodes_equal_fresh_parses(receipts, payer, target):
+    proof = encode_proof(tuple(receipts))
+    assert decode_proof(proof) == decode_proof.__wrapped__(proof)
+    for payload, tag, fields in (
+            (intent_content(3, payer, target, proof), INTENT, 3),
+            (receipt_content(3, payer, target), RECEIPT, 3),
+            (receipt_content(3, payer, target), INTENT, 3),
+            (proof, RECEIPT, 3)):
+        assert parse_typed(payload, tag, fields) == \
+            parse_typed.__wrapped__(payload, tag, fields)
+
+
+def test_a_malformed_proof_raises_on_every_call():
+    decode_proof.cache_clear()
+    for bad in (enc_int(-1), enc_int(2) + enc_int(0), encode_proof(()) + b"x"):
+        for _ in range(2):
+            with pytest.raises(CodecError):
+                decode_proof(bad)
+    assert decode_proof.cache_info().currsize == 0
+    assert decode_proof.cache_info().misses == 6
+
+
+@pytest.mark.parametrize("decode, cap, make", [
+    (decode_proof, PROOFS_MAX, lambda k: (encode_proof((enc_int(k),)),)),
+    (parse_typed, TYPED_RECORDS_MAX,
+     lambda k: (receipt_content(k, 0, 1), RECEIPT, 3)),
+], ids=["decode_proof", "parse_typed"])
+def test_the_decode_tables_stay_within_their_caps(decode, cap, make):
+    decode.cache_clear()
+    for k in range(cap + 40):
+        decode(*make(k))
+        assert decode.cache_info().currsize <= cap
+    assert decode.cache_info().currsize == cap
+
+
+def test_a_quorum_round_with_receipt_proofs_parses_each_message_once():
+    # Round 1 is the first whose proofs carry 2f+1 receipts, which each of
+    # the 3f+1 broadcasters checks; the shared table parses every distinct
+    # wire once.
+    bank = Bank(16, 5, [1] * 16, family="quorum")
+    bank.run_round({0: 1})
+    SignedMessage.from_bytes.cache_clear()
+    bank.run_round({1: 2})
+    info = SignedMessage.from_bytes.cache_info()
+    assert info.hits + info.misses >= 5 * info.misses
+    assert bank.audit() == []
 
 
 def test_broadcaster_committee_size():

@@ -1,11 +1,15 @@
 """Network fabric: codecs, signatures, delivery timing, bookkeeping."""
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lockstep.adversary import BankJunkAdversary
+from lockstep.payments import Bank
 from lockstep.simnet import (
+    SIGNED_MESSAGES_MAX,
     Adversary,
     ByteReader,
     CodecError,
@@ -78,6 +82,97 @@ def test_signed_message_rejects_spliced_stack():
     b = SignedMessage(b"two").signed_by(oracle, 1)
     spliced = SignedMessage(b"one", a.stack + b.stack)
     assert not spliced.verify_stack(oracle)
+
+
+stacks = st.lists(st.tuples(st.integers(min_value=0, max_value=9),
+                            st.binary(max_size=12)), max_size=4)
+
+
+@given(st.binary(max_size=24), stacks)
+def test_a_cached_decode_equals_a_fresh_parse(payload, stack):
+    wire = SignedMessage(payload, tuple(stack)).to_bytes()
+    fresh = SignedMessage.from_bytes.__wrapped__(SignedMessage, wire)
+    assert SignedMessage.from_bytes(wire) == fresh
+    assert SignedMessage.from_bytes(wire[:1] + wire[1:]) == fresh
+
+
+def test_malformed_bytes_raise_on_every_call():
+    SignedMessage.from_bytes.cache_clear()
+    for calls in (1, 2):
+        with pytest.raises(CodecError):
+            SignedMessage.from_bytes(b"\x00\x00")
+        assert SignedMessage.from_bytes.cache_info().misses == calls
+    assert SignedMessage.from_bytes.cache_info().currsize == 0
+
+
+def test_the_decode_table_stays_within_its_cap():
+    SignedMessage.from_bytes.cache_clear()
+    for k in range(SIGNED_MESSAGES_MAX + 40):
+        SignedMessage.from_bytes(SignedMessage(enc_int(k)).to_bytes())
+        assert SignedMessage.from_bytes.cache_info().currsize <= SIGNED_MESSAGES_MAX
+    assert SignedMessage.from_bytes.cache_info().currsize == SIGNED_MESSAGES_MAX
+
+
+def test_no_oracle_verdict_is_shared():
+    oracle = SignatureOracle()
+    content = enc_bytes(b"payload")
+    wire = SignedMessage(b"payload", ((3, content),)).to_bytes()
+    shared = SignedMessage.from_bytes(wire)
+    assert not shared.verify_stack(oracle)
+    oracle.sign(3, content)
+    assert SignedMessage.from_bytes(wire) is shared
+    assert shared.verify_stack(oracle)
+    assert not shared.verify_stack(SignatureOracle())
+
+
+def test_a_spliced_stack_stays_rejected_after_its_content_is_signed():
+    oracle = SignatureOracle()
+    a = SignedMessage(b"one").signed_by(oracle, 0)
+    foreign = (1, enc_bytes(b"two"))
+    wire = SignedMessage(b"one", a.stack + (foreign,)).to_bytes()
+    assert not SignedMessage.from_bytes(wire).verify_stack(oracle)
+    oracle.sign(*foreign)
+    assert not SignedMessage.from_bytes(wire).verify_stack(oracle)
+
+
+class _Recorder:
+    """Oracle that answers from a fixed set and logs every question."""
+
+    def __init__(self, known):
+        self.known = known
+        self.asked = []
+
+    def verify(self, signer, content):
+        self.asked.append((signer, content))
+        return (signer, content) in self.known
+
+
+@given(st.binary(max_size=8), st.lists(st.integers(min_value=0, max_value=3),
+                                      max_size=4),
+       st.sets(st.integers(min_value=0, max_value=4), max_size=5),
+       st.integers(min_value=0, max_value=5))
+def test_verify_stack_asks_the_oracle_what_the_entry_by_entry_check_asks(
+        payload, signers, unsigned, broken):
+    msg = SignedMessage(payload)
+    for signer in signers:
+        msg = SignedMessage(msg.payload,
+                            msg.stack + ((signer, msg.to_bytes()),))
+    stack = list(msg.stack)
+    if broken < len(stack):
+        stack[broken] = (stack[broken][0], stack[broken][1] + b"!")
+    msg = SignedMessage.from_bytes(SignedMessage(payload, tuple(stack)).to_bytes())
+    known = {entry for k, entry in enumerate(stack) if k not in unsigned}
+
+    reference, expected, verdict = _Recorder(known), enc_bytes(payload), True
+    for signer, content in stack:
+        if content != expected or not reference.verify(signer, content):
+            verdict = False
+            break
+        expected = expected + enc_int(signer) + enc_bytes(content)
+    for _ in range(2):
+        oracle = _Recorder(known)
+        assert msg.verify_stack(oracle) is verdict
+        assert oracle.asked == reference.asked
 
 
 def test_scoped_oracle_separates_instances():
@@ -166,3 +261,27 @@ def test_seeded_rng_reproducible_and_keyed():
     c = seeded_rng(7, 2, 1).integers(0, 1 << 30, 8)
     assert list(a) == list(b)
     assert list(a) != list(c)
+
+
+# Digest of the book, transcript and metrics of the adversarial quorum bank
+# run below, as the scheduler produced them before it stopped keeping an
+# agenda under an adversary.
+JUNK_BANK_DIGEST = "b5539137bce696b3228369a878c0433601d6b97abdbbf362f56fda24268f7409"
+
+
+def test_an_adversarial_run_keeps_its_schedule_bounded():
+    corrupted = frozenset({6})
+    bank = Bank(7, 2, [1] * 7, corrupted=corrupted,
+                adversary=BankJunkAdversary(corrupted, 7, 5), family="quorum")
+    net = bank.net
+    for r in range(40):
+        payer, target = r % 6, (r + 1) % 6
+        bank.run_round({payer: target} if bank.balances()[payer] else {})
+        assert len(net._agenda) <= len(net._pending) + len(net._wakes)
+        assert all(step >= net.now for step in [*net._pending, *net._wakes])
+    assert bank.audit() == []
+    digest = hashlib.sha256()
+    digest.update(bank.to_csv().encode())
+    digest.update(net.transcript.to_jsonl().encode())
+    digest.update(net.metrics.to_csv().encode())
+    assert digest.hexdigest() == JUNK_BANK_DIGEST
