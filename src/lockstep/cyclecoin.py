@@ -19,11 +19,20 @@ and a response broadcast, so a process that goes silent on the payment path
 is either exposed and deleted from the cycle by all honest processes, or
 shown to have refused for a provable reason.  All of that machinery costs
 zero messages when every queried process answers.
+
+A chain only grows, and every countersigner and payee checks the whole
+chain it is handed.  So each process keeps a :class:`VerifiedPrefix` of the
+last chain its own handlers accepted, and checks a chain that extends it
+only from its first new record: in the codec, in the chain shape and in the
+signature check.  The verdicts are those of a check from genesis, because
+the prefix was verified by the same process against its own oracle, whose
+registry never drops an entry, and because no negative verdict is kept.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 from lockstep.consensus import DSProcess, default_relays
@@ -75,6 +84,9 @@ def encode_records(records: tuple[Record, ...]) -> bytes:
     return enc_int(len(records)) + b"".join([rec.enc for rec in records])
 
 
+_record_bytes = operator.attrgetter("enc")
+
+
 # the most records the shared table of decode_records ever holds
 SHARED_RECORDS_MAX = 1 << 14
 
@@ -95,8 +107,14 @@ def _parse_record(piece: bytes) -> Record:
     return rec
 
 
-def decode_records(data: bytes) -> tuple[Record, ...]:
+def decode_records(data: bytes, known: VerifiedPrefix | None = None
+                   ) -> tuple[Record, ...]:
     """Inverse of :func:`encode_records`; raises CodecError on bad bytes.
+
+    When ``data`` counts at least the records of ``known`` and its records
+    start with ``known.body``, only the records after them are parsed.  A
+    full parse would find exactly ``known.records`` there, because those
+    bytes are their encodings, so the result and the errors are the same.
 
     Records are looked up by their wire bytes in a table shared by every
     caller in the process, so a record decoded before costs one slice and
@@ -114,7 +132,11 @@ def decode_records(data: bytes) -> tuple[Record, ...]:
         raise CodecError("negative record count")
     pos, size = 12, len(data)
     records = []
-    for _ in range(count):
+    if (known is not None and count >= len(known.records)
+            and data.startswith(known.body, 12)):
+        records = list(known.records)
+        pos += len(known.body)
+    for _ in range(count - len(records)):
         # a record is a tag chunk (4 + tag length bytes) and an 8 byte
         # integer chunk (12 bytes); a short piece fails in _parse_record
         stop = pos + 16 + int.from_bytes(data[pos:pos + 4], "big")
@@ -127,10 +149,24 @@ def decode_records(data: bytes) -> tuple[Record, ...]:
     return tuple(records)
 
 
+_TAG_ENCS = {tag: enc_str(tag) for tag in _TAGS}
+_COUNT_PREFIX = (8).to_bytes(4, "big")
+
+
+def _signed_content(k: int, body: bytes | bytearray, tag: str) -> bytes:
+    """:func:`record_content` after ``k`` records whose joined bytes are
+    ``body``: ``enc_bytes(encode_records(prefix)) + enc_str(tag)``."""
+    return b"".join((
+        (len(body) + 12).to_bytes(4, "big"), _COUNT_PREFIX,
+        k.to_bytes(8, "big", signed=True), body,
+        _TAG_ENCS.get(tag) or enc_str(tag)))
+
+
 def record_content(prefix: tuple[Record, ...], tag: str) -> bytes:
     """The byte string actually signed when a ``tag`` record follows
     ``prefix``."""
-    return enc_bytes(encode_records(prefix)) + enc_str(tag)
+    return _signed_content(len(prefix), b"".join(map(_record_bytes, prefix)),
+                           tag)
 
 
 def append_record(oracle, signer: int, records: tuple[Record, ...], tag: str,
@@ -144,17 +180,21 @@ def append_record(oracle, signer: int, records: tuple[Record, ...], tag: str,
     return records + (Record(tag, signer),)
 
 
-def chain_signatures_ok(records: tuple[Record, ...], oracle) -> bool:
-    """True when every record verifies as signed over the records before
-    it, that is against ``record_content(records[:k], rec.tag)``.
+def chain_signatures_ok(records: tuple[Record, ...], oracle,
+                        start: int = 0) -> bool:
+    """True when every record from ``start`` on verifies as signed over
+    the records before it, that is against
+    ``record_content(records[:k], rec.tag)``.
 
-    One pass: the encoded prefix grows by one record's bytes per step
-    instead of being encoded again for every k.
+    The oracle is asked nothing about the first ``start`` records: pass a
+    nonzero ``start`` only for a prefix verified against this oracle
+    before.  One pass: the encoded prefix grows by one record's bytes per
+    step instead of being encoded again for every k.
     """
-    body = bytearray()
-    for k, rec in enumerate(records):
-        content = enc_bytes(enc_int(k) + body) + enc_str(rec.tag)
-        if not oracle.verify(rec.signer, content):
+    body = bytearray().join(map(_record_bytes, records[:start]))
+    for k in range(start, len(records)):
+        rec = records[k]
+        if not oracle.verify(rec.signer, _signed_content(k, body, rec.tag)):
             return False
         body += rec.enc
     return True
@@ -216,7 +256,9 @@ class ChainShape:
 
 
 def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
-             deleted: frozenset[int] = frozenset()) -> ChainShape | None:
+             deleted: frozenset[int] = frozenset(),
+             resume: tuple[int, int, int, tuple[Group, ...]] | None = None
+             ) -> ChainShape | None:
     """Parse records into extension groups, or None if malformed.
 
     Groups alternate path countersignatures with the extender's own x marks
@@ -226,13 +268,15 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
     geometric meaning.  The parse is unambiguous: a run of pairs belongs to
     one group exactly as long as the extender signature matches, because
     the next group would have to be closed by the new chain end instead.
+
+    ``resume`` is the state of an earlier parse, under the same ``N``,
+    ``genesis`` and ``deleted``, of a chain that ``records`` extends (see
+    :attr:`VerifiedPrefix.state`); the parse goes on from it.
     """
     if not records or records[0] != Record(TAG_BASE, genesis):
         return None
-    i = 1
-    end = genesis
-    groups: list[Group] = []
-    total = 0
+    i, end, total, done = resume or (1, genesis, 0, ())
+    groups: list[Group] = list(done)
     n_records = len(records)
     while i < n_records:
         rec = records[i]
@@ -294,39 +338,103 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
     return ChainShape(tuple(records), tuple(groups), end, total)
 
 
+@dataclass(frozen=True, eq=False)
+class VerifiedPrefix:
+    """What a process keeps of the last chain it accepted as well formed
+    and fully signed: the chain minus its last record, because a finished
+    chain's closing y comes back as an x on the next payment.
+
+    ``body`` is the record bytes of ``records``.  ``state`` is where
+    :func:`assemble` stood, under ``N``, ``genesis`` and ``deleted``, at
+    the start of the latest group that the parse reached from these
+    records alone, two records of lookahead included: (record index,
+    chain end, weight so far, the groups before it).  A process keeps one,
+    of O(L) size for a chain of L records.  It is only sound with the
+    oracle that verified the chain, so it is never shared.
+    """
+
+    records: tuple[Record, ...]
+    body: bytes
+    N: int
+    genesis: int
+    deleted: frozenset[int]
+    state: tuple[int, int, int, tuple[Group, ...]]
+
+    @classmethod
+    def of(cls, shape: ChainShape, N: int, genesis: int,
+           deleted: frozenset[int]) -> VerifiedPrefix:
+        """The prefix of a chain whose shape and signatures passed."""
+        records, groups = shape.records, shape.groups
+        keep = len(records) - 1
+        g, start, weight = len(groups), len(records), shape.weight
+        # a group's end was decided by the two records after it, so walk
+        # back, one or two groups, to one that starts two records early
+        while g and start + 2 > keep:
+            g -= 1
+            start -= 2 * len(groups[g].path) or 1
+            weight -= groups[g].hop
+        end = groups[g - 1].end if g else genesis
+        return cls(records[:keep],
+                   b"".join(map(_record_bytes, records[:keep])), N, genesis,
+                   deleted, (start, end, weight, groups[:g]))
+
+    def skip(self, records: tuple[Record, ...], N: int, genesis: int,
+             deleted: frozenset[int]
+             ) -> tuple[int, tuple[int, int, int, tuple[Group, ...]] | None]:
+        """How much of a check of ``records`` this prefix saves: the
+        number of leading records whose signatures are verified, and the
+        :func:`assemble` state to resume from, or None."""
+        if records[:len(self.records)] != self.records:
+            return 0, None
+        if (N, genesis, deleted) != (self.N, self.genesis, self.deleted):
+            return len(self.records), None
+        return len(self.records), self.state
+
+
 def inspect_chain(records: tuple[Record, ...], N: int, oracle, *,
                   genesis: int = 0,
-                  deleted: frozenset[int] = frozenset()) -> ChainShape | None:
+                  deleted: frozenset[int] = frozenset(),
+                  known: VerifiedPrefix | None = None) -> ChainShape | None:
     """Shape of a complete chain with verified signatures, or None.
 
     Complete means every group closed with x except a final y; the bare
-    genesis record is the complete chain of length zero.
+    genesis record is the complete chain of length zero.  ``known`` is a
+    prefix verified against ``oracle`` before; a chain that extends it is
+    checked from its first new record, with the same verdict.
     """
-    shape = assemble(records, N, genesis=genesis, deleted=deleted)
+    start, state = (known.skip(records, N, genesis, deleted)
+                    if known is not None else (0, None))
+    shape = assemble(records, N, genesis=genesis, deleted=deleted,
+                     resume=state)
     if shape is None:
         return None
     if shape.groups and shape.groups[-1].terminal != TAG_Y:
         return None
-    if not chain_signatures_ok(records, oracle):
+    if not chain_signatures_ok(records, oracle, start):
         return None
     return shape
 
 
 def inspect_request(records: tuple[Record, ...], N: int, oracle, *,
                     genesis: int = 0,
-                    deleted: frozenset[int] = frozenset()) -> ChainShape | None:
+                    deleted: frozenset[int] = frozenset(),
+                    known: VerifiedPrefix | None = None) -> ChainShape | None:
     """Shape of a partial chain in flight, or None.
 
     The final group must be open (closed with x, nonempty path); its end is
     the position whose countersignature the extender wants next.
+    ``known`` works as in :func:`inspect_chain`.
     """
-    shape = assemble(records, N, genesis=genesis, deleted=deleted)
+    start, state = (known.skip(records, N, genesis, deleted)
+                    if known is not None else (0, None))
+    shape = assemble(records, N, genesis=genesis, deleted=deleted,
+                     resume=state)
     if shape is None or not shape.groups:
         return None
     last = shape.groups[-1]
     if last.terminal != TAG_X or not last.path:
         return None
-    if not chain_signatures_ok(records, oracle):
+    if not chain_signatures_ok(records, oracle, start):
         return None
     return shape
 
@@ -347,16 +455,22 @@ def wire(kind: str, records: tuple[Record, ...]) -> bytes:
     return enc_str(kind) + enc_bytes(encode_records(records))
 
 
-def parse_wire(payload: bytes) -> tuple[str, tuple[Record, ...]] | None:
+def parse_wire(payload: bytes, known: VerifiedPrefix | None = None
+               ) -> tuple[str, tuple[Record, ...], bytes] | None:
+    """(kind, records, record bytes) of a wire message, or None; ``known``
+    works as in :func:`decode_records`."""
     try:
         reader = ByteReader(payload)
         kind = reader.read_str()
         body = reader.read_bytes()
         if kind not in _KINDS or not reader.at_end():
             return None
-        return kind, decode_records(body)
+        return kind, decode_records(body, known), body
     except CodecError:
         return None
+
+
+_by_sender_and_bytes = operator.itemgetter(0, 1)
 
 
 def cycle_round_steps(N: int) -> int:
@@ -379,7 +493,15 @@ class CCProcess(MarkerProcess):
     all, and a delivered chain is accepted only when its weight appears in
     neither log.  Refusals answer with the conflicting artifact, which is
     what makes every refusal provable to a third party.
+
+    ``verified`` is the :class:`VerifiedPrefix` of the last chain that
+    :meth:`_on_query` or :meth:`_on_chain` accepted as well formed and
+    fully signed, or None; a later chain that extends it is decoded,
+    shaped and verified from its first new record.  Audits such as
+    :func:`verify_payment_claim` neither read nor write it.
     """
+
+    verified: VerifiedPrefix | None = None
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
         super().__init__(n, N, f, oracle, genesis_holder)
@@ -523,11 +645,22 @@ class CCProcess(MarkerProcess):
             self.refusals.append((r, w, refusal[0]))
         return refusal
 
+    def _verify(self, inspect, records: tuple[Record, ...]
+                ) -> ChainShape | None:
+        """``inspect`` the records from where ``verified`` leaves off, and
+        keep the prefix of a chain that passes."""
+        deleted = frozenset(self.deleted)
+        shape = inspect(records, self.N, self.oracle,
+                        genesis=self.genesis_holder, deleted=deleted,
+                        known=self.verified)
+        if shape is not None:
+            self.verified = VerifiedPrefix.of(shape, self.N,
+                                              self.genesis_holder, deleted)
+        return shape
+
     def _on_query(self, sender: int, records: tuple[Record, ...],
                   r: int) -> list[Send]:
-        shape = inspect_request(records, self.N, self.oracle,
-                                genesis=self.genesis_holder,
-                                deleted=frozenset(self.deleted))
+        shape = self._verify(inspect_request, records)
         if shape is None:
             return []
         open_group = shape.groups[-1]
@@ -562,9 +695,7 @@ class CCProcess(MarkerProcess):
 
     def _on_chain(self, sender: int, records: tuple[Record, ...],
                   r: int) -> None:
-        shape = inspect_chain(records, self.N, self.oracle,
-                              genesis=self.genesis_holder,
-                              deleted=frozenset(self.deleted))
+        shape = self._verify(inspect_chain, records)
         if shape is None or not shape.groups or shape.end != self.n:
             return
         w = shape.weight
@@ -580,16 +711,18 @@ class CCProcess(MarkerProcess):
         r = t // self.round_steps
         sends: list[Send] = []
         if inbox:
-            buckets: dict[str, list[tuple[int, tuple[Record, ...]]]] = {
+            buckets: dict[str, list[tuple[int, bytes, tuple[Record, ...]]]] = {
                 kind: [] for kind in _KINDS}
             for d in inbox:
-                parsed = parse_wire(d.payload)
+                parsed = parse_wire(d.payload, self.verified)
                 if parsed is not None:
-                    buckets[parsed[0]].append((d.sender, parsed[1]))
+                    kind, records, body = parsed
+                    buckets[kind].append((d.sender, body, records))
             for kind in _KINDS:
-                for sender, records in sorted(
-                        buckets[kind],
-                        key=lambda e: (e[0], encode_records(e[1]))):
+                # the record encoding is canonical: sorting by the bytes
+                # sorts by what encode_records(records) would give
+                for sender, _, records in sorted(buckets[kind],
+                                                 key=_by_sender_and_bytes):
                     if kind == KIND_CHAIN:
                         self._on_chain(sender, records, r)
                     elif kind == KIND_QUERY:

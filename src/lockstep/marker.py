@@ -317,7 +317,7 @@ class QMProcess(MarkerProcess):
         fields = parse_typed(sm.payload, RECEIPT, 3)
         if fields is None or len(sm.stack) != 1:
             return None
-        signer = sm.signers[0]
+        signer = sm.stack[0][0]
         if signer not in self.broadcasters or not sm.verify_stack(self.oracle):
             return None
         return (*fields, signer)
@@ -358,7 +358,8 @@ class QMProcess(MarkerProcess):
             intent_round, payer, target, proof = fields
             if intent_round != r or not 0 <= target < self.N:
                 continue
-            if sm.signers != (payer,) or not sm.verify_stack(self.oracle):
+            if (len(sm.stack) != 1 or sm.stack[0][0] != payer
+                    or not sm.verify_stack(self.oracle)):
                 continue
             claimed = self._proof_round(payer, proof)
             if claimed is None or claimed >= r:

@@ -20,6 +20,10 @@ results (caps 512, 256 and 64), so each distinct byte string is parsed once;
 malformed input is not kept and raises on every call.
 :meth:`SignedMessage.verify_stack` asks the oracle about every entry on
 every call, because a later ``sign`` can turn a refusal into an acceptance.
+The one verdict kept is per process, positive only, and rests on the
+registry being append-only: a chain-marker process keeps the prefix of the
+last chain it accepted (:class:`lockstep.cyclecoin.VerifiedPrefix`) and
+asks the oracle only about the records of a later chain past it.
 """
 
 from __future__ import annotations
@@ -180,7 +184,10 @@ class ScopedOracle:
         self._base.adversary_sign(signer, tag_payload(content, self._nonce))
 
     def verify(self, signer: int, content: bytes) -> bool:
-        return self._base.verify(signer, tag_payload(content, self._nonce))
+        # tag_payload(content, nonce) in one expression: the hot path
+        return self._base.verify(signer, b"".join((
+            len(content).to_bytes(4, "big"), content, SEPARATOR,
+            self._nonce)))
 
 
 @dataclass(frozen=True)

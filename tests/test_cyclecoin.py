@@ -7,6 +7,8 @@ from lockstep import cyclecoin
 from lockstep.cyclecoin import (
     KIND_CHAIN,
     KIND_QUERY,
+    KIND_REFUSE,
+    KIND_RESPONSE,
     MAIN_NONCE,
     CCProcess,
     PoRProcess,
@@ -25,6 +27,7 @@ from lockstep.cyclecoin import (
     parse_wire,
     record_content,
     verify_payment_claim,
+    wire,
 )
 from lockstep.marker import MarkerSystem, measure_z
 from lockstep.simnet import (
@@ -300,3 +303,31 @@ def test_a_refusal_is_assembled_once(monkeypatch, case):
     assert judge._refusal_justified(1, evidence, 1) is justified
     assert counts["assemble"] == 1
     assert counts["chain_signatures_ok"] <= 1
+
+
+@given(st.permutations(range(32)))
+def test_an_inbox_is_handled_by_kind_then_sender_then_encoding(order):
+    """Each kind's messages are handled in the order of (sender, record
+    encoding), whatever order they arrived in."""
+    chains = [(Record(TAG_BASE, 0), Record(TAG_PATH, 1), Record(TAG_Y, 0)),
+              (Record(TAG_BASE, 0), Record(TAG_X, 0)),
+              (Record(TAG_BASE, 0),),
+              (Record(TAG_BASE, 0), Record(TAG_PATH, 256))]
+    # by encoding, (p, 256) comes before (x, 0), and two records before three
+    sent = [(kind, sender, chain)
+            for kind in (KIND_QUERY, KIND_CHAIN, KIND_REFUSE, KIND_RESPONSE)
+            for sender in (3, 1) for chain in chains]
+    proc = CCProcess(2, 6, 0, SignatureOracle())
+    handled = []
+    for kind, name in ((KIND_CHAIN, "_on_chain"), (KIND_QUERY, "_on_query"),
+                       (KIND_RESPONSE, "_on_response"),
+                       (KIND_REFUSE, "_on_refuse")):
+        setattr(proc, name, lambda sender, records, *_, kind=kind:
+                handled.append((kind, sender, records)) or [])
+    inbox = [Delivery(sent[k][1], wire(sent[k][0], sent[k][2])) for k in order]
+    proc.step(1, inbox + [Delivery(0, b"junk")])
+    expected = [entry for kind in cyclecoin._KINDS
+                for entry in sorted(
+                    (e for e in sent if e[0] == kind),
+                    key=lambda e: (e[1], encode_records(e[2])))]
+    assert handled == expected

@@ -25,7 +25,14 @@ from lockstep.marker import (
     receipt_content,
 )
 from lockstep.payments import Bank
-from lockstep.simnet import CodecError, ConfigFault, SignedMessage, enc_int
+from lockstep.simnet import (
+    CodecError,
+    ConfigFault,
+    Delivery,
+    SignatureOracle,
+    SignedMessage,
+    enc_int,
+)
 
 HONEST = frozenset(range(6))
 
@@ -116,6 +123,38 @@ def test_a_quorum_round_with_receipt_proofs_parses_each_message_once():
     info = SignedMessage.from_bytes.cache_info()
     assert info.hits + info.misses >= 5 * info.misses
     assert bank.audit() == []
+
+
+def _signed(payload, signers, oracle):
+    message = SignedMessage(payload)
+    for signer in signers:
+        message = message.signed_by(oracle, signer)
+    return message.to_bytes()
+
+
+@pytest.mark.parametrize("signers, granted", [
+    ((0,), True), ((), False), ((0, 3), False), ((3,), False), ((3, 0), False),
+], ids=["payer", "unsigned", "payer-then-other", "foreign",
+        "other-then-payer"])
+def test_only_an_intent_signed_by_its_payer_alone_is_countersigned(
+        signers, granted):
+    oracle = SignatureOracle()
+    broadcaster = QMProcess(1, 7, 2, oracle)
+    intent = intent_content(0, 0, 4, encode_proof(()))
+    sends = broadcaster._countersigns(
+        0, [Delivery(0, _signed(intent, signers, oracle))])
+    assert len(sends) == (1 if granted else 0)
+    assert broadcaster.history == ([(0, 0, 4)] if granted else [])
+
+
+@pytest.mark.parametrize("signers, read", [
+    ((2,), True), ((), False), ((2, 3), False), ((9,), False),
+], ids=["broadcaster", "unsigned", "two-signers", "not-a-broadcaster"])
+def test_only_a_receipt_signed_by_one_broadcaster_is_read(signers, read):
+    oracle = SignatureOracle()
+    proc = QMProcess(0, 10, 2, oracle)  # broadcasters 0..6
+    wire = _signed(receipt_content(0, 0, 4), signers, oracle)
+    assert proc._receipt(wire) == ((0, 0, 4, 2) if read else None)
 
 
 def test_broadcaster_committee_size():

@@ -9,7 +9,11 @@ nonce-tagged payloads of cycle and quorum bank rounds delivered to a
 :class:`MuxHost`, which must also step only instances it hosts, and for the
 chains of one relay broadcast delivered to a :class:`DSProcess`.  Those
 cases deliver each mutated payload twice, to fresh receivers, so the second
-pass runs on the shared decode tables.
+pass runs on the shared decode tables.  Payloads of a cycle bank's second
+round also go to a copy of the bank after its first round, whose chain
+processes keep verified prefixes, with edits that keep a receiver's prefix
+and change only the records after it; each receiver must end in the state
+of a twin that keeps no prefix.
 """
 
 import copy
@@ -20,10 +24,30 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lockstep.adversary import StrawmanProcess
 from lockstep.consensus import DSProcess, default_relays, run_dolev_strong
-from lockstep.cyclecoin import CCProcess, PoRProcess
+from lockstep.cyclecoin import (
+    KIND_CHAIN,
+    KIND_QUERY,
+    TAG_BASE,
+    TAG_PATH,
+    TAG_X,
+    TAG_Y,
+    CCProcess,
+    PoRProcess,
+    Record,
+    parse_wire,
+    record_content,
+    wire,
+)
 from lockstep.marker import BBMProcess, MarkerSystem, QMProcess
 from lockstep.payments import Bank
-from lockstep.simnet import Delivery, ProtocolFault, Send
+from lockstep.simnet import (
+    Delivery,
+    ProtocolFault,
+    ScopedOracle,
+    Send,
+    split_payload,
+    tag_payload,
+)
 
 # construction -> (N, f, corrupted, target of the handoff from process 0).
 # The silent process on the response enforcement payment path puts the
@@ -140,6 +164,154 @@ def test_mutated_bank_payloads_are_dropped_or_faulted(pick, flips, cut,
 def test_mutated_quorum_bank_payloads_are_dropped_or_faulted(pick, flips, cut,
                                                              recipient):
     _fuzz_bank("quorum", pick, flips, cut, recipient)
+
+
+# Bank arguments and the {payer: target} of two rounds.  In the second,
+# unit 0 goes on from 4 round the cycle to 3 and unit 3 from 5 to 4, past
+# processes that checked their chains in the first.
+PREFIX_BANK = ((6, 0, (2, 1, 0, 1, 0, 0)), ({0: 4, 3: 5}, {4: 3, 5: 4}))
+
+
+@functools.lru_cache(maxsize=None)
+def _prefix_bank():
+    """A cycle bank after its first round, with the registry after its
+    second, and the sends of the second."""
+    args, (first, second) = PREFIX_BANK
+    bank = Bank(*args, family="cycle")
+    bank.run_round(first)
+    before = copy.deepcopy(bank)
+    start = len(bank.net.transcript.events)
+    bank.run_round(second)
+    before.oracle._issued |= bank.oracle._issued
+    return before, bank.net.transcript.events[start:]
+
+
+def _edit_tail(bank, n, payload, edits) -> bytes:
+    """``payload`` with the records after the receiver's verified prefix
+    cut, swapped, replaced, re-signed over the records before them, or
+    left in place with their signature taken out of the bank's registry."""
+    body, nonce = split_payload(payload)
+    parsed = parse_wire(body)
+    if parsed is None or nonce not in bank.hosts[n].instances:
+        return payload
+    kind, records, _ = parsed
+    known = bank.hosts[n].instances[nonce].verified
+    lo = len(known.records) if known is not None else 0
+    records = list(records)
+    for edit, i, j, tag, signer in edits:
+        if len(records) <= lo:
+            break
+        i, j = lo + i % (len(records) - lo), lo + j % (len(records) - lo)
+        if edit == "cut":
+            del records[i:]
+        elif edit == "swap":
+            records[i], records[j] = records[j], records[i]
+        elif edit == "replace":
+            records[i] = Record(tag, signer)
+        elif edit == "unsign":
+            rec = records[i]
+            bank.oracle._issued.discard((rec.signer, tag_payload(
+                record_content(tuple(records[:i]), rec.tag), nonce)))
+        else:
+            ScopedOracle(bank.oracle, nonce).sign(
+                signer, record_content(tuple(records[:j]), tag))
+            records[i] = Record(tag, signer)
+    return tag_payload(wire(kind, tuple(records)), nonce)
+
+
+def _outcome(host, t, sender, payload):
+    try:
+        return host.step(t, [Delivery(sender, payload)])
+    except ProtocolFault:
+        return ProtocolFault
+
+
+def _state(proc) -> dict:
+    return {key: value for key, value in vars(proc).items()
+            if key not in ("net", "oracle", "verified")}
+
+
+tail_edits = st.lists(st.tuples(
+    st.sampled_from(("cut", "swap", "replace", "re-sign", "unsign")),
+    st.integers(min_value=0), st.integers(min_value=0),
+    st.sampled_from((TAG_BASE, TAG_PATH, TAG_X, TAG_Y)),
+    st.integers(min_value=0, max_value=5)), max_size=2)
+
+
+def _matches_a_twin_without_prefixes(bank, n, sender, payload) -> None:
+    """Deliver ``payload`` to host ``n`` at every step of the bank's next
+    round, and to a copy whose processes keep no prefix: the outcomes,
+    the states and the registries must agree."""
+    twin = copy.deepcopy(bank)
+    start = bank.round_index * bank.steps_per_round
+    for t in range(start, start + bank.steps_per_round):
+        for proc in twin.hosts[n].instances.values():
+            proc.verified = None
+        sends = _outcome(bank.hosts[n], t, sender, payload)
+        assert sends == _outcome(twin.hosts[n], t, sender, payload)
+        assert sends is ProtocolFault or all(isinstance(s, Send)
+                                             for s in sends)
+    assert bank.oracle._issued == twin.oracle._issued
+    for nonce, proc in bank.hosts[n].instances.items():
+        assert _state(proc) == _state(twin.hosts[n].instances[nonce])
+
+
+@settings(max_examples=120, deadline=None)
+@given(edits=tail_edits, **mutations)
+def test_mutated_cycle_payloads_meet_verified_prefixes(edits, pick, flips, cut,
+                                                       recipient):
+    before, events = _prefix_bank()
+    event = events[pick % len(events)]
+    n = event.recipient if recipient is None else recipient % before.N
+    bank = copy.deepcopy(before)
+    payload = _mutate(_edit_tail(bank, n, event.payload, edits), flips, cut)
+    assume(payload != event.payload
+           or bank.oracle._issued != before.oracle._issued)
+    _matches_a_twin_without_prefixes(bank, n, event.sender, payload)
+
+
+def test_a_missing_signature_past_the_prefix_is_never_taken():
+    """Every record after a receiver's prefix, in turn, loses its
+    signature; the receiver must refuse the chain as a twin without
+    prefixes does."""
+    before, events = _prefix_bank()
+    for event in events:
+        n = event.recipient
+        body, nonce = split_payload(event.payload)
+        known = before.hosts[n].instances[nonce].verified
+        kind, records, _ = parse_wire(body)
+        if kind not in (KIND_QUERY, KIND_CHAIN) or known is None:
+            continue
+        for k in range(len(known.records), len(records)):
+            bank = copy.deepcopy(before)
+            _edit_tail(bank, n, event.payload,
+                       [("unsign", k - len(known.records), 0, TAG_X, 0)])
+            _matches_a_twin_without_prefixes(bank, n, event.sender,
+                                             event.payload)
+            proc = bank.hosts[n].instances[nonce]
+            assert records not in proc.received_log.values()
+            assert records not in proc.signed_log.values()
+
+
+def test_the_second_prefix_bank_round_meets_verified_prefixes():
+    """Four of the second round's queries and chains extend the prefix
+    their receiver verified in the first, and each is taken."""
+    before, events = _prefix_bank()
+    met = 0
+    for event in events:
+        body, nonce = split_payload(event.payload)
+        known = before.hosts[event.recipient].instances[nonce].verified
+        kind, records, _ = parse_wire(body)
+        if (kind in (KIND_QUERY, KIND_CHAIN) and known is not None
+                and records[:len(known.records)] == known.records):
+            met += 1
+            bank = copy.deepcopy(before)
+            host = bank.hosts[event.recipient]
+            host.step(event.step + 1, [Delivery(event.sender, event.payload)])
+            proc = host.instances[nonce]
+            assert records in (*proc.signed_log.values(),
+                               *proc.received_log.values())
+    assert met == 4
 
 
 DS_CASE = (5, 1, 7)  # N, f, leader value; process 0 leads

@@ -185,6 +185,16 @@ def test_scoped_oracle_separates_instances():
     assert not base.verify(3, b"content")
 
 
+@given(st.binary(max_size=80), st.binary(max_size=12),
+       st.integers(min_value=0, max_value=7), st.booleans())
+def test_a_scoped_verify_asks_the_base_about_the_tagged_content(
+        content, nonce, signer, signed):
+    known = {(signer, tag_payload(content, nonce))} if signed else set()
+    base = _Recorder(known)
+    assert ScopedOracle(base, nonce).verify(signer, content) is signed
+    assert base.asked == [(signer, tag_payload(content, nonce))]
+
+
 class _Pinger(Process):
     """Sends one message to its peer at step 0 and records arrivals."""
 

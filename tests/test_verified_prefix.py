@@ -1,0 +1,303 @@
+"""Checking a chain from a verified prefix gives the verdicts of a check
+from genesis.
+
+A process keeps a :class:`VerifiedPrefix` of the last chain it accepted and
+checks a later chain that extends it from its first new record.  Here honest
+chains are built the way :class:`CCProcess` builds them, then cut, swapped,
+replaced and re-signed, in the tail only or anywhere, and checked with and
+without an earlier prefix, under the prefix's own deleted set or another.
+"""
+
+import random
+
+from hypothesis import assume, given, settings, strategies as st
+
+from lockstep.cyclecoin import (
+    CCProcess,
+    Record,
+    TAG_BASE,
+    TAG_PATH,
+    TAG_X,
+    TAG_Y,
+    VerifiedPrefix,
+    append_record,
+    cycle_path,
+    decode_records,
+    encode_records,
+    inspect_chain,
+    inspect_request,
+    record_content,
+    verify_payment_claim,
+)
+from lockstep.payments import Bank
+from lockstep.simnet import CodecError, SignatureOracle, enc_int
+
+TAGS = (TAG_BASE, TAG_PATH, TAG_X, TAG_Y)
+
+
+def _history(oracle, N, deleted, payments):
+    """The chains in flight (requests) and the finished chains of honest
+    payments from genesis 0, in order, each extending the prefix of the
+    one before, as (check, records).  ``payments`` are (idle rounds,
+    target) pairs."""
+    chain = append_record(oracle, 0, (), TAG_BASE)
+    snapshots = [(inspect_chain, chain)]
+    holder = 0
+    for idle, target in payments:
+        records = chain
+        if records[-1].tag == TAG_Y:
+            records = records[:-1] + (Record(TAG_X, records[-1].signer),)
+        for _ in range(idle):
+            records = append_record(oracle, holder, records, TAG_X)
+        if target == holder:
+            chain = records
+            continue
+        records = append_record(oracle, holder, records, TAG_PATH)
+        for nxt in cycle_path(holder, target, N, deleted)[1:]:
+            records = append_record(oracle, holder, records, TAG_X)
+            snapshots.append((inspect_request, records))
+            records = append_record(oracle, nxt, records, TAG_PATH)
+        oracle.sign(holder, record_content(records, TAG_X))
+        chain = append_record(oracle, holder, records, TAG_Y)
+        snapshots.append((inspect_chain, chain))
+        holder = target
+    return snapshots
+
+
+@st.composite
+def histories(draw):
+    """(N, deleted, oracle, snapshots) of a random run of honest payments
+    on a cycle with some positions deleted."""
+    N = draw(st.integers(min_value=3, max_value=7))
+    deleted = frozenset(draw(st.sets(st.integers(min_value=1, max_value=N - 1),
+                                     max_size=N - 3)))
+    alive = [n for n in range(N) if n not in deleted]
+    payments = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                                       st.sampled_from(alive)),
+                             min_size=1, max_size=4))
+    oracle = SignatureOracle()
+    return N, deleted, oracle, _history(oracle, N, deleted, payments)
+
+
+def _tamper(draw, chain, oracle, lo):
+    """The chain with up to two records from index ``lo`` on cut, swapped,
+    replaced, or re-signed over the prefix as it stands."""
+    chain = list(chain)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if len(chain) <= lo:
+            break
+        i = draw(st.integers(min_value=lo, max_value=len(chain) - 1))
+        j = draw(st.integers(min_value=lo, max_value=len(chain) - 1))
+        kind = draw(st.sampled_from(("cut", "swap", "replace", "re-sign")))
+        if kind == "cut":
+            del chain[i:i + draw(st.integers(min_value=1, max_value=3))]
+        elif kind == "swap":
+            chain[i], chain[j] = chain[j], chain[i]
+        elif kind == "replace":
+            chain[i] = Record(draw(st.sampled_from(TAGS)),
+                              draw(st.integers(min_value=0, max_value=7)))
+        else:
+            rec = Record(draw(st.sampled_from(TAGS)),
+                         draw(st.integers(min_value=0, max_value=7)))
+            oracle.sign(rec.signer, record_content(tuple(chain[:j]), rec.tag))
+            chain[i] = rec
+    return tuple(chain)
+
+
+def _decoded(data, known=None):
+    try:
+        return decode_records(data, known)
+    except CodecError:
+        return CodecError
+
+
+def _flip(draw, data):
+    data = bytearray(data)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        pos = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        data[pos] ^= draw(st.integers(min_value=1, max_value=255))
+    if draw(st.booleans()):
+        del data[draw(st.integers(min_value=0, max_value=len(data))):]
+    return bytes(data)
+
+
+@settings(max_examples=300)
+@given(histories(), st.data())
+def test_a_check_from_a_verified_prefix_matches_a_check_from_genesis(
+        history, data):
+    N, deleted, oracle, snapshots = history
+    i = data.draw(st.integers(min_value=0, max_value=len(snapshots) - 1))
+    inspect, earlier = snapshots[i]
+    elsewhere = frozenset(data.draw(st.sets(
+        st.integers(min_value=1, max_value=N - 1), max_size=N - 2)))
+    memo_deleted, check_deleted = data.draw(st.sampled_from(
+        ((deleted, deleted), (deleted, elsewhere), (elsewhere, elsewhere))))
+    shape = inspect(earlier, N, oracle, deleted=memo_deleted)
+    assume(shape is not None)
+    known = VerifiedPrefix.of(shape, N, 0, memo_deleted)
+    assert known.records == earlier[:-1]
+    assert known.body == encode_records(earlier[:-1])[12:]
+
+    j = data.draw(st.integers(min_value=i, max_value=len(snapshots) - 1))
+    lo = data.draw(st.sampled_from((0, len(known.records))))
+    later = _tamper(data.draw, snapshots[j][1], oracle, lo)
+    for check in (inspect_chain, inspect_request):
+        assert (check(later, N, oracle, deleted=check_deleted, known=known)
+                == check(later, N, oracle, deleted=check_deleted))
+    wire = encode_records(later)
+    recount = enc_int(data.draw(st.integers(min_value=-1,
+                                            max_value=len(later) + 1)))
+    for body in (wire, _flip(data.draw, wire), recount + wire[12:]):
+        assert _decoded(body, known) == _decoded(body)
+
+
+@given(histories(), st.data())
+def test_a_refused_chain_passes_once_its_missing_content_is_signed(
+        history, data):
+    """No negative verdict is kept: a chain refused for a missing signature
+    passes, with the same prefix kept, as soon as that content is signed."""
+    N, deleted, full, snapshots = history
+    assume(len(snapshots) > 1)
+    i = data.draw(st.integers(min_value=0, max_value=len(snapshots) - 2))
+    j = data.draw(st.integers(min_value=i + 1, max_value=len(snapshots) - 1))
+    (inspect, earlier), (check, later) = snapshots[i], snapshots[j]
+    oracle = SignatureOracle()
+    for k, rec in enumerate(earlier):
+        oracle.sign(rec.signer, record_content(earlier[:k], rec.tag))
+    known = VerifiedPrefix.of(inspect(earlier, N, oracle, deleted=deleted),
+                              N, 0, deleted)
+    missing = [(rec.signer, record_content(later[:k], rec.tag))
+               for k, rec in enumerate(later)]
+    missing = [entry for entry in missing if not oracle.verify(*entry)]
+    assert missing
+    for entry in data.draw(st.permutations(missing)):
+        assert check(later, N, oracle, deleted=deleted, known=known) is None
+        oracle.sign(*entry)
+    shape = check(later, N, oracle, deleted=deleted, known=known)
+    assert shape is not None
+    assert shape == check(later, N, full, deleted=deleted)
+
+
+def _known(oracle, N, snapshot, deleted=frozenset()):
+    check, records = snapshot
+    return VerifiedPrefix.of(check(records, N, oracle, deleted=deleted), N, 0,
+                             deleted)
+
+
+def test_a_group_end_decided_past_the_prefix_is_parsed_again():
+    """0 pays 1, then 1 asks 2 for the next hop.  Kept from that request is
+    [base, p0, x0, p1]: whether p1 opens 1's own payment or extends 0's
+    was decided by the record after it, so a chain in which 0 closes p1
+    with its y parses from genesis as 0's payment to 2."""
+    oracle = SignatureOracle()
+    snapshots = _history(oracle, 5, frozenset(), [(0, 1), (0, 3)])
+    request = snapshots[2][1]
+    assert [(r.tag, r.signer) for r in request] == [
+        (TAG_BASE, 0), (TAG_PATH, 0), (TAG_X, 0), (TAG_PATH, 1), (TAG_X, 1)]
+    known = _known(oracle, 5, snapshots[2])
+    chain = append_record(oracle, 0, request[:-1], TAG_Y)
+    shape = inspect_chain(chain, 5, oracle)
+    assert shape is not None and (shape.end, shape.weight) == (2, 2)
+    assert inspect_chain(chain, 5, oracle, known=known) == shape
+
+
+def test_a_prefix_kept_under_other_deletions_is_parsed_again():
+    """Deleting 1, which extended the chain inside the kept prefix, makes
+    the chain malformed, although the groups after that prefix are not."""
+    oracle = SignatureOracle()
+    snapshots = _history(oracle, 6, frozenset(), [(0, 1), (0, 3), (1, 5)])
+    check, request = snapshots[4]
+    assert check is inspect_request and request[7] == Record(TAG_X, 3)
+    known = _known(oracle, 6, snapshots[4])
+    assert known.state[0] == 7
+    assert check(request, 6, oracle, deleted=frozenset({1})) is None
+    assert check(request, 6, oracle, deleted=frozenset({1}),
+                 known=known) is None
+    assert check(request, 6, oracle, known=known) is not None
+
+
+def test_a_chain_off_the_prefix_is_checked_from_genesis():
+    """A chain that does not extend the kept prefix gets no records for
+    free, even where its records from the prefix length on are signed
+    over the records before them."""
+    oracle, scratch = SignatureOracle(), SignatureOracle()
+    kept = _history(oracle, 6, frozenset(), [(0, 2), (0, 5)])
+    known = _known(oracle, 6, kept[-2])
+    # the same payments after one idle round, signed elsewhere, and the
+    # kept chain's successor with a bogus record inside the prefix
+    rivals = [entry for entry in _history(scratch, 6, frozenset(),
+                                          [(1, 2), (0, 5)])
+              if len(entry[1]) > len(known.records)]
+    check, later = kept[-1]
+    rivals.append((check, later[:2] + (Record(TAG_PATH, 4),) + later[3:]))
+    for check, records in rivals:
+        for k in range(len(known.records), len(records)):
+            oracle.sign(records[k].signer,
+                        record_content(records[:k], records[k].tag))
+        assert check(records, 6, oracle) is None
+        assert check(records, 6, oracle, known=known) is None
+
+
+def test_a_process_keeps_the_prefix_of_the_chain_it_accepted():
+    bank = Bank(6, 0, [1] * 6, family="cycle")
+    bank.run_round({0: 3})
+    proc = bank.unit(3, 0)
+    assert proc.marked
+    assert proc.verified.records == proc.chain[:-1]
+    for n in (1, 2):
+        (query,) = bank.unit(n, 0).signed_log.values()
+        assert bank.unit(n, 0).verified.records == query[:-1]
+    assert bank.unit(4, 0).verified is None
+    assert CCProcess.verified is None
+
+
+def test_an_audit_neither_reads_nor_writes_the_prefix():
+    bank = Bank(6, 0, [1] * 6, family="cycle")
+    bank.run_round({0: 3})
+    target = bank.unit(3, 0)
+    chain = target.chain
+    kept = target.verified
+
+    class Unreadable:
+        def __getattr__(self, name):
+            raise AssertionError(f"an audit read {name}")
+
+    target.verified = Unreadable()
+    assert verify_payment_claim(target, chain, 0) == ("paid", None)
+    assert isinstance(target.verified, Unreadable)
+    target.verified = kept
+    assert verify_payment_claim(target, chain, 0) == ("paid", None)
+    assert target.verified is kept
+
+
+def _verifications(rounds: int) -> tuple[int, int]:
+    """Oracle verifications and registry size after ``rounds`` seeded rounds
+    of an eight unit cycle bank, paying as ``lockstep run`` does."""
+    bank = Bank(8, 2, [1] * 8, family="cycle")
+    oracle = bank.oracle
+    asked = [0]
+    verify = oracle.verify
+
+    def counted(signer, content):
+        asked[0] += 1
+        return verify(signer, content)
+
+    oracle.verify = counted
+    rng = random.Random(1)
+    for _ in range(rounds):
+        plan = {}
+        for payer, balance in bank.balances().items():
+            if balance > 0 and rng.random() < 0.6:
+                plan[payer] = rng.randrange(8)
+        bank.run_round(plan)
+    assert bank.audit() == []
+    return asked[0], len(oracle._issued)
+
+
+def test_doubling_the_rounds_at_most_two_and_a_half_times_the_checks():
+    """From genesis every check re-verifies the whole chain, and 80 rounds
+    took 4.27 times the verifications of 40; from the verified prefix a
+    check covers what is new, and the signed contents stay the same."""
+    (at_40, issued_40), (at_80, issued_80) = _verifications(40), _verifications(80)
+    assert (issued_40, issued_80) == (1152, 2374)
+    assert at_80 / at_40 <= 2.5
