@@ -298,9 +298,27 @@ def bfs_distances(adjacency: Sequence[Iterable[int]], s: int) -> list[int]:
 
 
 def graph_diameter(graph: HopGraph) -> int:
-    """Largest finite eccentricity over all vertices, by repeated BFS."""
-    return max(max(bfs_distances(graph.adjacency, s))
-               for s in range(graph.K * graph.N))
+    """Largest finite eccentricity over all vertices.
+
+    Bit-parallel reachability: ``reach[v]`` holds, as the bits of one int,
+    the vertices within d edges of v.  One round ORs every vertex's set
+    with its successors' sets of the round before, so d grows by one, and
+    the diameter is the number of rounds that changed some set.
+    """
+    adjacency = graph.adjacency
+    reach = [1 << v for v in range(len(adjacency))]
+    rounds = 0
+    while True:
+        grown = []
+        for v, successors in enumerate(adjacency):
+            bits = reach[v]
+            for u in successors:
+                bits |= reach[u]
+            grown.append(bits)
+        if grown == reach:
+            return rounds
+        reach = grown
+        rounds += 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,15 @@ doubles as the proof of ownership for the next handoff.  Receipt freshness
 is enforced by each broadcaster against its own countersign history, and
 any two receipt quorums share an honest broadcaster, which is what makes
 stale or split proofs unusable.
+
+Checking a proof splits into pure facts and oracle verdicts.  The pure
+facts of a proof (its decoded receipts, their one round and one target,
+the number of distinct signers) depend on its bytes alone, so
+:func:`summarize_proof` keeps them in a bounded table shared by every
+process (cap ``PROOFS_MAX``), and every broadcaster that sees the same
+proof reads them once.  Whether a signer is a broadcaster and whether the
+oracle issued its signature are asked by each process, about every
+receipt, on every check; no oracle verdict is kept or shared.
 """
 
 from __future__ import annotations
@@ -210,8 +219,9 @@ def measure_z(family: type[MarkerProcess], N: int, f: int = 0) -> list[int]:
 INTENT = "intent"
 RECEIPT = "receipt"
 
-# Entries of the shared parse_typed and decode_proof tables.  A proof holds
-# 2f+1 receipts, a few KB at f=5, so its table is the small one.
+# Entries of the shared parse_typed table, and of each of the decode_proof
+# and summarize_proof tables.  A proof holds 2f+1 or more receipts, a few KB
+# at f=5, so its tables are the small ones.
 TYPED_RECORDS_MAX = 256
 PROOFS_MAX = 64
 
@@ -266,6 +276,48 @@ def parse_typed(payload: bytes, expected: str, fields: int) -> tuple[int, ...] |
         return None
 
 
+def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
+    """(round, payer, target, signer, signed content) of a well formed
+    receipt signed by one signer alone, or None.  Pure: whether the signer
+    is a broadcaster and whether the oracle issued the signature are left
+    to the reader."""
+    try:
+        sm = SignedMessage.from_bytes(wire)
+    except CodecError:
+        return None
+    fields = parse_typed(sm.payload, RECEIPT, 3)
+    if fields is None or len(sm.stack) != 1:
+        return None
+    signer, content = sm.stack[0]
+    if content != enc_bytes(sm.payload):
+        return None
+    return (*fields, signer, content)
+
+
+@lru_cache(maxsize=PROOFS_MAX)
+def summarize_proof(proof: bytes) -> tuple | None:
+    """The pure facts of a receipt proof as (round, holder, signers,
+    receipts): in ``round`` the receipts handed the marker to ``holder``,
+    the payer who shows the proof, and they carry ``signers`` distinct
+    signers.  ``receipts`` are the decoded receipts.  None when a receipt
+    is malformed or the receipts disagree on round or target; the empty
+    proof, which only the genesis holder may show, has no holder."""
+    try:
+        wires = decode_proof(proof)
+    except CodecError:
+        return None
+    receipts = tuple(map(read_receipt, wires))
+    if not receipts:
+        return GENESIS_ROUND, None, 0, ()
+    if None in receipts:
+        return None
+    if len({(j, target) for j, _, target, _, _ in receipts}) != 1:
+        return None
+    j, _, holder, _, _ = receipts[0]
+    signers = len({signer for _, _, _, signer, _ in receipts})
+    return j, holder, signers, receipts
+
+
 class QMProcess(MarkerProcess):
     """One participant of the quorum marker, possibly also a broadcaster.
 
@@ -310,40 +362,40 @@ class QMProcess(MarkerProcess):
     def _receipt(self, wire: bytes) -> tuple[int, int, int, int] | None:
         """(round, payer, target, signer) of a receipt signed by one
         broadcaster alone, or None."""
-        try:
-            sm = SignedMessage.from_bytes(wire)
-        except CodecError:
+        receipt = read_receipt(wire)
+        if receipt is None:
             return None
-        fields = parse_typed(sm.payload, RECEIPT, 3)
-        if fields is None or len(sm.stack) != 1:
-            return None
-        signer = sm.stack[0][0]
-        if signer not in self.broadcasters or not sm.verify_stack(self.oracle):
-            return None
-        return (*fields, signer)
+        j, payer, target, signer, content = receipt
+        if signer in self.broadcasters and self.oracle.verify(signer, content):
+            return j, payer, target, signer
+        return None
 
     def _proof_round(self, payer: int, proof: bytes) -> int | None:
         """Round at which the proof says the payer was marked, or None."""
-        try:
-            receipts = decode_proof(proof)
-        except CodecError:
+        summary = summarize_proof(proof)
+        if summary is None:
             return None
+        j, holder, signers, receipts = summary
         if not receipts:
             return GENESIS_ROUND if payer == self.genesis_holder else None
-        seen: dict[int, int] = {}
-        rounds: set[int] = set()
-        for wire in receipts:
-            receipt = self._receipt(wire)
-            if receipt is None or receipt[2] != payer:
+        if holder != payer or signers < 2 * self.f + 1:
+            return None
+        broadcasters, verify = self.broadcasters, self.oracle.verify
+        for _, _, _, signer, content in receipts:
+            if signer not in broadcasters or not verify(signer, content):
                 return None
-            j, _, _, signer = receipt
-            rounds.add(j)
-            seen[signer] = j
-        if len(rounds) != 1:
-            return None
-        if len(seen) < 2 * self.f + 1:
-            return None
-        return rounds.pop()
+        return j
+
+    def _fresh(self, claimed: int, payer: int) -> bool:
+        """Whether the history holds nothing after round ``claimed`` and, at
+        it, only handoffs to ``payer``.  The history is appended in round
+        order, so only its tail from the claimed round on is read."""
+        for j, _, target in reversed(self.history):
+            if j < claimed:
+                return True
+            if j > claimed or target != payer:
+                return False
+        return True
 
     def _countersigns(self, r: int, inbox: list[Delivery]) -> list[Send]:
         sends = []
@@ -364,9 +416,7 @@ class QMProcess(MarkerProcess):
             claimed = self._proof_round(payer, proof)
             if claimed is None or claimed >= r:
                 continue
-            fresh = all(j < claimed or (j == claimed and tgt == payer)
-                        for j, _, tgt in self.history)
-            if not fresh:
+            if not self._fresh(claimed, payer):
                 continue
             receipt = SignedMessage(receipt_content(r, payer, target))
             receipt = receipt.signed_by(self.oracle, self.n)

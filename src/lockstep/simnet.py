@@ -18,6 +18,10 @@ Decoding.  Pure decodes are shared; oracle verdicts never are.
 :func:`lockstep.marker.decode_proof` keep bounded tables of their immutable
 results (caps 512, 256 and 64), so each distinct byte string is parsed once;
 malformed input is not kept and raises on every call.
+:func:`lockstep.marker.summarize_proof` (cap 64) keeps the pure facts of a
+receipt proof, None for a malformed one, so a quorum marker's broadcasters
+decode and shape each proof once and only ask their own oracles, per
+receipt, on every check.
 :meth:`SignedMessage.verify_stack` asks the oracle about every entry on
 every call, because a later ``sign`` can turn a refusal into an acceptance.
 The one verdict kept is per process, positive only, and rests on the

@@ -17,7 +17,9 @@ chain-marker bank and in a response enforcement run with a silent process.
 The agreement runners that no command reaches are pinned by the digest of
 their transcript and decisions, each with one silent corrupted process.
 A direct hop network run is pinned the same way: its books, its traffic
-counts, its outcomes and its walk-back traces.
+counts, its outcomes and its walk-back traces.  The CLI's quorum runs use
+f=2, so a 16-process quorum bank at f=5, whose proofs hold up to 16
+receipts, is pinned by its book, its metrics and its transcript.
 """
 
 import hashlib
@@ -202,6 +204,26 @@ def test_response_enforcement_signs_the_pinned_contents():
     assert [sorted(p.deleted) for p in system.procs] == [[2]] * 2 + [[]] + [[2]] * 3
     assert _registry_digest(system.net.oracle) == \
         "c289e0f96cd937d60224fed50b1d229b74248aa19b94b6d87760eb8bcd1585e5"
+
+
+def test_sixteen_process_quorum_bank_matches_the_pinned_digests():
+    """At f=5 every proof holds up to 16 receipts, each checked by all 16
+    broadcasters: the book, the metrics and the transcript of four seeded
+    rounds."""
+    bank = Bank(16, 5, [1] * 16, family="quorum")
+    rng = random.Random(11)
+    for _ in range(4):
+        bank.run_round({payer: rng.randrange(16)
+                        for payer, balance in bank.balances().items()
+                        if balance > 0 and rng.random() < 0.6})
+    assert bank.audit() == []
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in (
+        bank.to_csv(), bank.net.metrics.to_csv(),
+        bank.net.transcript.to_jsonl())] == [
+        "ecb7c2cee4f5f27cb68b40de1d8ffa488bbfc250b2668ea192f0ec8d42c71713",
+        "9d32f83ddcd0b71b599d387687f732de8d0ba776fb4ad6d0b515b48b58bea3d9",
+        "f82df11ece4477ab6547aed0dc73716c873acc9a771d761924337a70fb168651",
+    ]
 
 
 AGREEMENT_RUNS = {

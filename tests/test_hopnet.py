@@ -1,5 +1,7 @@
 """Cycle hopping: routing graph, macro payments, dispute walkback."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,8 @@ from lockstep.hopnet import (
     CycleSet,
     HopNetwork,
     TRACE_PAID,
+    bfs_distances,
+    build_hop_graph,
     gen_binary_search_pair,
     gen_random_cycles,
     graph_diameter,
@@ -71,6 +75,29 @@ def test_binary_search_pair_reaches_every_leg_count():
 def test_binary_search_pair_diameters():
     assert graph_diameter(HopNetwork(gen_binary_search_pair(16)).graph()) == 9
     assert graph_diameter(HopNetwork(gen_binary_search_pair(64)).graph()) == 21
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=20), st.sampled_from((1, 2)),
+       st.integers(min_value=0, max_value=999), st.data())
+def test_diameter_equals_the_largest_bfs_eccentricity(N, K, seed, data):
+    """On route graphs with unfunded or untrusted processes, then with some
+    vertices' out-edges cut (sinks) and others' in-edges cut (unreachable
+    from the rest), and with every edge cut."""
+    cycles = gen_random_cycles(N, K, seed).cycles
+    bits = st.lists(st.integers(0, 1), min_size=N, max_size=N)
+    balances = tuple(tuple(data.draw(bits)) for _ in cycles)
+    trusted = frozenset(data.draw(st.sets(st.integers(0, N - 1))))
+    graph = build_hop_graph(cycles, balances, trusted)
+    vertices = st.sets(st.integers(0, len(graph.adjacency) - 1))
+    sinks, unreachable = data.draw(vertices), data.draw(vertices)
+    cut = dataclasses.replace(graph, adjacency=tuple(
+        () if v in sinks else tuple(u for u in row if u not in unreachable)
+        for v, row in enumerate(graph.adjacency)))
+    bare = dataclasses.replace(graph, adjacency=((),) * len(graph.adjacency))
+    for g in (graph, cut, bare):
+        assert graph_diameter(g) == max(
+            max(bfs_distances(g.adjacency, s)) for s in range(len(g.adjacency)))
 
 
 def test_honest_macro_payment_pays_and_conserves():

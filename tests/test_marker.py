@@ -1,12 +1,13 @@
 """Marker ownership: audit rules, quorum solution counts, broadcast solution."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lockstep.adversary import StrawmanProcess
 from lockstep.consensus import ds_all_honest_messages
 from lockstep.cyclecoin import CCProcess, PoRProcess
 from lockstep.marker import (
+    GENESIS_ROUND,
     INTENT,
     PROOFS_MAX,
     RECEIPT,
@@ -23,14 +24,18 @@ from lockstep.marker import (
     measure_z,
     parse_typed,
     receipt_content,
+    summarize_proof,
 )
+from lockstep.muxer import nonce_for
 from lockstep.payments import Bank
 from lockstep.simnet import (
     CodecError,
     ConfigFault,
     Delivery,
+    ScopedOracle,
     SignatureOracle,
     SignedMessage,
+    enc_bytes,
     enc_int,
 )
 
@@ -103,7 +108,8 @@ def test_a_malformed_proof_raises_on_every_call():
     (decode_proof, PROOFS_MAX, lambda k: (encode_proof((enc_int(k),)),)),
     (parse_typed, TYPED_RECORDS_MAX,
      lambda k: (receipt_content(k, 0, 1), RECEIPT, 3)),
-], ids=["decode_proof", "parse_typed"])
+    (summarize_proof, PROOFS_MAX, lambda k: (encode_proof((enc_int(k),)),)),
+], ids=["decode_proof", "parse_typed", "summarize_proof"])
 def test_the_decode_tables_stay_within_their_caps(decode, cap, make):
     decode.cache_clear()
     for k in range(cap + 40):
@@ -112,17 +118,162 @@ def test_the_decode_tables_stay_within_their_caps(decode, cap, make):
     assert decode.cache_info().currsize == cap
 
 
-def test_a_quorum_round_with_receipt_proofs_parses_each_message_once():
+def test_a_quorum_round_with_receipt_proofs_parses_each_message_once(
+        monkeypatch):
     # Round 1 is the first whose proofs carry 2f+1 receipts, which each of
-    # the 3f+1 broadcasters checks; the shared table parses every distinct
-    # wire once.
+    # the 3f+1 broadcasters checks.  No wire is parsed twice, and each proof
+    # is summarised once and read from the shared table by the other 3f.
     bank = Bank(16, 5, [1] * 16, family="quorum")
     bank.run_round({0: 1})
-    SignedMessage.from_bytes.cache_clear()
+    parse = SignedMessage.from_bytes
+    wires = []
+
+    def recording(cls, data):
+        wires.append(data)
+        return parse(data)
+
+    monkeypatch.setattr(SignedMessage, "from_bytes", classmethod(recording))
+    parse.cache_clear()
+    summarize_proof.cache_clear()
     bank.run_round({1: 2})
-    info = SignedMessage.from_bytes.cache_info()
-    assert info.hits + info.misses >= 5 * info.misses
+    assert len(set(wires)) == parse.cache_info().misses > 0
+    proofs = summarize_proof.cache_info()
+    assert proofs.hits >= 3 * bank.f * proofs.misses > 0
     assert bank.audit() == []
+
+
+def _reference_receipt(proc, wire):
+    """The per-receipt check as it was before proofs were summarised."""
+    try:
+        sm = SignedMessage.from_bytes(wire)
+    except CodecError:
+        return None
+    fields = parse_typed(sm.payload, RECEIPT, 3)
+    if fields is None or len(sm.stack) != 1:
+        return None
+    signer = sm.stack[0][0]
+    if signer not in proc.broadcasters or not sm.verify_stack(proc.oracle):
+        return None
+    return (*fields, signer)
+
+
+def _reference_proof_round(proc, payer, proof):
+    """The proof check as it was before proofs were summarised: every
+    receipt decoded and checked in turn by every process."""
+    try:
+        receipts = decode_proof(proof)
+    except CodecError:
+        return None
+    if not receipts:
+        return GENESIS_ROUND if payer == proc.genesis_holder else None
+    seen = {}
+    rounds = set()
+    for wire in receipts:
+        receipt = _reference_receipt(proc, wire)
+        if receipt is None or receipt[2] != payer:
+            return None
+        j, _, _, signer = receipt
+        rounds.add(j)
+        seen[signer] = j
+    if len(rounds) != 1 or len(seen) < 2 * proc.f + 1:
+        return None
+    return rounds.pop()
+
+
+# Edits of a proof of round 1 that hands the marker from 2 to 4 (the
+# checking processes run at N=10, f=2, broadcasters 0..6).  A borrowed
+# signature is one the oracle issued for another receipt.
+PROOF_EDITS = ("wrong-payer", "mixed-rounds", "duplicate-signer",
+               "outsider", "unsigned", "other-nonce", "borrowed-signature",
+               "malformed-receipt", "malformed-proof")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 6), unique=True, max_size=7),
+       st.lists(st.tuples(st.sampled_from(PROOF_EDITS), st.integers(0, 99)),
+                max_size=3),
+       st.sampled_from((4, 0)))
+def test_the_proof_check_equals_the_per_receipt_reference(signers, edits,
+                                                          payer):
+    base = SignatureOracle()
+    nonce, other = nonce_for(0), nonce_for(1)
+    specs = [[1, 2, 4, signer, nonce] for signer in signers]
+    cut = False
+    for edit, k in edits:
+        spec = specs[k % len(specs)] if specs else None
+        if edit == "malformed-proof":
+            cut = True
+        elif spec is None:
+            continue
+        elif edit == "wrong-payer":
+            spec[2] = 3
+        elif edit == "mixed-rounds":
+            spec[0] = 0
+        elif edit == "duplicate-signer":
+            specs.append(list(spec))
+        elif edit == "outsider":
+            spec[3] = 7 + k % 3
+        elif edit == "unsigned":
+            spec[4] = None
+        elif edit == "other-nonce":
+            spec[4] = other
+        else:
+            spec[4] = edit
+    wires = []
+    for j, from_, to, signer, scope in specs:
+        payload = receipt_content(j, from_, to)
+        signed = payload
+        if scope == "borrowed-signature":
+            signed = receipt_content(j, from_, 5)
+            scope = nonce
+        if scope in (nonce, other):
+            ScopedOracle(base, scope).sign(signer, enc_bytes(signed))
+        wire = SignedMessage(payload, ((signer, enc_bytes(signed)),)
+                             ).to_bytes()
+        if scope == "malformed-receipt":
+            wire = wire[:-3]
+        wires.append(wire)
+    proof = encode_proof(tuple(wires))
+    if cut:
+        proof = proof[:-1]
+    for n in (0, 5):
+        proc = QMProcess(n, 10, 2, ScopedOracle(base, nonce))
+        for _ in range(2):
+            got = proc._proof_round(payer, proof)
+            assert got == _reference_proof_round(proc, payer, proof)
+    if not edits and payer == 4 and len(signers) >= 5:
+        assert got == 1
+
+
+def test_a_summarised_proof_still_needs_the_checkers_own_oracle():
+    """A proof one bank's processes accepted, and so the shared table
+    holds, is refused in a sibling instance and in another bank, whose
+    oracles never issued its receipts."""
+    bank, other = (Bank(7, 2, [1] * 7, family="quorum") for _ in range(2))
+    bank.run_round({0: 4})
+    other.run_round({0: 5})
+    nonce = bank.nonces[0]
+    proof = encode_proof(bank.hosts[4].instances[nonce].proof)
+    summarize_proof.cache_clear()
+    assert bank.hosts[1].instances[nonce]._proof_round(4, proof) == 0
+    sibling = bank.hosts[1].instances[bank.nonces[1]]
+    assert sibling._proof_round(4, proof) is None
+    assert other.hosts[1].instances[nonce]._proof_round(4, proof) is None
+    assert summarize_proof.cache_info().hits == 2
+    assert summarize_proof.cache_info().misses == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3),
+                          st.integers(0, 3)), max_size=12),
+       st.integers(-1, 7), st.integers(0, 3))
+def test_freshness_read_from_the_tail_equals_the_whole_history(
+        history, claimed, payer):
+    proc = QMProcess(0, 7, 2, SignatureOracle())
+    proc.history = sorted(history, key=lambda entry: entry[0])
+    assert proc._fresh(claimed, payer) == all(
+        j < claimed or (j == claimed and tgt == payer)
+        for j, _, tgt in proc.history)
 
 
 def _signed(payload, signers, oracle):

@@ -13,7 +13,10 @@ pass runs on the shared decode tables.  Payloads of a cycle bank's second
 round also go to a copy of the bank after its first round, whose chain
 processes keep verified prefixes, with edits that keep a receiver's prefix
 and change only the records after it; each receiver must end in the state
-of a twin that keeps no prefix.
+of a twin that keeps no prefix.  Intents of the quorum bank's second round
+are also rebuilt around an edited proof and signed again by their payer,
+so the edit gets past the payer's signature to the proof check; the two
+passes, the first on emptied tables, must end alike.
 """
 
 import copy
@@ -38,13 +41,24 @@ from lockstep.cyclecoin import (
     record_content,
     wire,
 )
-from lockstep.marker import BBMProcess, MarkerSystem, QMProcess
+from lockstep.marker import (
+    INTENT,
+    BBMProcess,
+    MarkerSystem,
+    QMProcess,
+    decode_proof,
+    encode_proof,
+    intent_content,
+    parse_typed,
+    summarize_proof,
+)
 from lockstep.payments import Bank
 from lockstep.simnet import (
     Delivery,
     ProtocolFault,
     ScopedOracle,
     Send,
+    SignedMessage,
     split_payload,
     tag_payload,
 )
@@ -164,6 +178,70 @@ def test_mutated_bank_payloads_are_dropped_or_faulted(pick, flips, cut,
 def test_mutated_quorum_bank_payloads_are_dropped_or_faulted(pick, flips, cut,
                                                              recipient):
     _fuzz_bank("quorum", pick, flips, cut, recipient)
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded_intents():
+    """The intents of the recorded quorum bank whose proofs hold receipts,
+    each as (recipient, nonce, round, payer, target, receipts), and the
+    wire of every receipt the bank sent."""
+    intents, receipts = [], []
+    for event in _recorded_bank("quorum").net.transcript.events:
+        body, nonce = split_payload(event.payload)
+        fields = parse_typed(SignedMessage.from_bytes(body).payload, INTENT, 3)
+        if fields is None:
+            receipts.append(body)
+        elif decode_proof(fields[3]):
+            intents.append((event.recipient, nonce, *fields[:3],
+                            decode_proof(fields[3])))
+    return intents, receipts
+
+
+proof_edits = st.lists(st.tuples(
+    st.sampled_from(("drop", "duplicate", "foreign")),
+    st.integers(min_value=0), st.integers(min_value=0)), max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=proof_edits, **mutations)
+def test_mutated_proofs_in_re_signed_intents_reach_the_proof_check(
+        edits, pick, flips, cut, recipient):
+    """Receipts of a recorded intent's proof are dropped, duplicated or
+    replaced by receipts sent elsewhere, then its bytes flipped and cut;
+    the payer signs the rebuilt intent through the instance's oracle."""
+    intents, foreign = _recorded_intents()
+    n, nonce, r, payer, target, receipts = intents[pick % len(intents)]
+    wires = list(receipts)
+    for edit, i, j in edits:
+        if not wires:
+            break
+        i %= len(wires)
+        if edit == "drop":
+            del wires[i]
+        elif edit == "duplicate":
+            wires.insert(j % (len(wires) + 1), wires[i])
+        else:
+            wires[i] = foreign[j % len(foreign)]
+    proof = _mutate(encode_proof(tuple(wires)), flips, cut)
+    assume(proof != encode_proof(receipts))
+    recorded = _recorded_bank("quorum")
+    n = n if recipient is None else recipient % recorded.N
+    passes = []
+    summarize_proof.cache_clear()
+    for _ in range(2):
+        bank = Bank(recorded.N, recorded.f, recorded.initial, family="quorum",
+                    oracle=copy.deepcopy(recorded.oracle))
+        intent = SignedMessage(intent_content(r, payer, target, proof))
+        intent = intent.signed_by(ScopedOracle(bank.oracle, nonce), payer)
+        payload = tag_payload(intent.to_bytes(), nonce)
+        host = bank.hosts[n]
+        passes.append([_outcome(host, t, payer, payload)
+                       for t in range(recorded.net.now)])
+        assert host.stepped <= set(bank.nonces)
+    assert passes[0] == passes[1]
+    assert all(sends is ProtocolFault
+               or all(isinstance(s, Send) for s in sends)
+               for sends in passes[0])
 
 
 # Bank arguments and the {payer: target} of two rounds.  In the second,
