@@ -19,6 +19,7 @@ reference runs and then replays them against the coalition.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterator
@@ -41,7 +42,7 @@ from lockstep.cyclecoin import (
     verify_payment_claim,
     wire,
 )
-from lockstep.consensus import inspect_proper, run_dolev_strong
+from lockstep.consensus import run_dolev_strong
 from lockstep.hopnet import (
     CheatPlan,
     HopNetwork,
@@ -176,20 +177,37 @@ class ScriptedDSAdversary(Adversary):
                  script: dict[tuple[int, int], int]):
         self.corrupted = frozenset(corrupted)
         self.leader = leader
-        self.script = script
+        self._actions: dict[int, list[tuple[int, int]]] = {}
+        for (step, recipient), action in sorted(script.items()):
+            if action:
+                self._actions.setdefault(step, []).append((recipient, action))
+        # value -> (-length, arrival, message) of observed chains, best first
+        self._seen, self._candidates = 0, {}
+
+    def _best_observed(self, value: bytes, net: Network) -> SignedMessage | None:
+        """The longest observed proper chain for ``value``, the earliest
+        among equals.  Each observation is parsed and shaped once; the
+        oracle is asked on every call: a refused chain can pass once signed."""
+        observed = net.observed
+        for arrival in range(self._seen, len(observed)):
+            try:
+                sm = SignedMessage.from_bytes(observed[arrival].payload)
+            except CodecError:
+                continue
+            signers = sm.signers
+            if signers[:1] == (self.leader,) and len(set(signers)) == len(signers):
+                insort(self._candidates.setdefault(sm.payload, []),
+                       (-len(signers), arrival, sm))
+        self._seen = len(observed)
+        return next((sm for _, _, sm in self._candidates.get(value, ())
+                     if sm.verify_stack(net.oracle)), None)
 
     def _chain(self, value: bytes, want_len: int, net: Network) -> SignedMessage | None:
         if self.leader in self.corrupted:
             sm = SignedMessage(value).signed_by(net.oracle, self.leader,
                                                 adversarial=True)
         else:
-            sm = None
-            for obs in net.observed:
-                cand = inspect_proper(obs.payload, self.leader, net.oracle)
-                if cand is None or cand.payload != value:
-                    continue
-                if sm is None or len(cand.stack) > len(sm.stack):
-                    sm = cand
+            sm = self._best_observed(value, net)
         if sm is None:
             return None
         for z in sorted(self.corrupted):
@@ -201,9 +219,7 @@ class ScriptedDSAdversary(Adversary):
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
         out = []
-        for (step, recipient), action in sorted(self.script.items()):
-            if step != t or action == 0:
-                continue
+        for recipient, action in self._actions.get(t, ()):
             sm = self._chain(enc_int(action - 1), t + 1, net)
             if sm is None:
                 continue
@@ -784,6 +800,9 @@ def cycle_silent_responder(N: int, f: int, target: int,
                         tuple(violations), details=f"silent={silent}")
 
 
+_EMPTY_QUERY = wire(KIND_QUERY, ())
+
+
 def cycle_junk(N: int, seed: int) -> AttackResult:
     """A corrupted bystander floods garbage while honest handoffs run."""
     coalition = frozenset({N - 1})
@@ -795,12 +814,13 @@ def cycle_junk(N: int, seed: int) -> AttackResult:
             self.rng = seeded_rng(seed, 13)
 
         def act(self, t: int, net: Network):
-            out = []
-            for recipient in range(N - 1):
-                blob = bytes(self.rng.integers(0, 256, size=12, dtype=np.uint8))
-                out.append((N - 1, Send(recipient, blob)))
-                out.append((N - 1, Send(recipient, wire(KIND_QUERY, ()))))
-            return out
+            # 12 bytes are 3 whole 32 bit words: as one 12 byte draw each
+            blobs = self.rng.integers(0, 256, size=12 * (N - 1),
+                                      dtype=np.uint8).tobytes()
+            return [(N - 1, Send(recipient, payload))
+                    for recipient in range(N - 1)
+                    for payload in (blobs[12 * recipient:12 * recipient + 12],
+                                    _EMPTY_QUERY)]
 
     system = MarkerSystem(CCProcess, N, 0, coalition, Junk())
     violations = _audited_rounds(system, [{0: 1}, {1: 2}])

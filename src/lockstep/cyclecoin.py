@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from lockstep.consensus import DSProcess, default_relays
@@ -455,19 +456,32 @@ def wire(kind: str, records: tuple[Record, ...]) -> bytes:
     return enc_str(kind) + enc_bytes(encode_records(records))
 
 
+WIRES_MAX = 256
+_shared_wires: OrderedDict[bytes, tuple] = OrderedDict()
+
+
 def parse_wire(payload: bytes, known: VerifiedPrefix | None = None
                ) -> tuple[str, tuple[Record, ...], bytes] | None:
     """(kind, records, record bytes) of a wire message, or None; ``known``
-    works as in :func:`decode_records`."""
+    works as in :func:`decode_records` and only shortens a miss of the
+    shared table of the ``WIRES_MAX`` latest good parses, oldest out first.
+    """
+    parsed = _shared_wires.get(payload)
+    if parsed is not None:
+        return parsed
     try:
         reader = ByteReader(payload)
         kind = reader.read_str()
         body = reader.read_bytes()
         if kind not in _KINDS or not reader.at_end():
             return None
-        return kind, decode_records(body, known), body
+        parsed = kind, decode_records(body, known), body
     except CodecError:
         return None
+    _shared_wires[payload] = parsed
+    if len(_shared_wires) > WIRES_MAX:
+        _shared_wires.popitem(last=False)
+    return parsed
 
 
 _by_sender_and_bytes = operator.itemgetter(0, 1)
@@ -905,9 +919,9 @@ class PoRProcess(CCProcess):
     def _read_complaints(self, r: int, k: int) -> None:
         """End of the complaint broadcast: everyone settles on at most one
         valid complaint for the period, lowest complainer first."""
+        prefix = COMPLAINT_PREFIX + nonce_for(r, k)
         for a in range(self.N):
-            nonce = COMPLAINT_PREFIX + nonce_for(r, k, a)
-            entry = self.subs.get(nonce)
+            entry = self.subs.get(prefix + a.to_bytes(4, "big"))
             if entry is None:
                 continue
             value, fault = entry[0].decide_bytes()

@@ -219,9 +219,9 @@ def measure_z(family: type[MarkerProcess], N: int, f: int = 0) -> list[int]:
 INTENT = "intent"
 RECEIPT = "receipt"
 
-# Entries of the shared parse_typed table, and of each of the decode_proof
-# and summarize_proof tables.  A proof holds 2f+1 or more receipts, a few KB
-# at f=5, so its tables are the small ones.
+# Entries of the shared parse_typed and summarize_proof tables.  A proof
+# holds 2f+1 or more receipts, a few KB at f=5, so its table is the small
+# one.
 TYPED_RECORDS_MAX = 256
 PROOFS_MAX = 64
 
@@ -237,7 +237,6 @@ def encode_proof(receipts: tuple[bytes, ...]) -> bytes:
     return b"".join(parts)
 
 
-@lru_cache(maxsize=PROOFS_MAX)
 def decode_proof(data: bytes) -> tuple[bytes, ...]:
     reader = ByteReader(data)
     count = reader.read_int()
@@ -322,11 +321,12 @@ class QMProcess(MarkerProcess):
     """One participant of the quorum marker, possibly also a broadcaster.
 
     Rounds occupy three steps: intent, countersign, accept.  A broadcaster
-    keeps every (round, payer, target) triple it ever countersigned and
-    treats a proof claiming a marking at round j as fresh only when its
-    whole history sits strictly before j, apart from the claimed marking
-    itself.  That single local rule, combined with quorum intersection,
-    rules out stale proofs, replayed proofs and split handoffs.
+    treats a proof claiming a marking at round j as fresh only when every
+    (round, payer, target) triple it ever countersigned sits strictly
+    before j, apart from the claimed marking itself.  That single local
+    rule, combined with quorum intersection, rules out stale proofs,
+    replayed proofs and split handoffs.  Read newest first, the triples
+    of the latest round settle the rule, so ``history`` keeps only those.
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
@@ -397,6 +397,11 @@ class QMProcess(MarkerProcess):
                 return False
         return True
 
+    def _remember(self, r: int, payer: int, target: int) -> None:
+        if self.history and self.history[-1][0] != r:
+            self.history.clear()
+        self.history.append((r, payer, target))
+
     def _countersigns(self, r: int, inbox: list[Delivery]) -> list[Send]:
         sends = []
         for d in inbox:
@@ -420,7 +425,7 @@ class QMProcess(MarkerProcess):
                 continue
             receipt = SignedMessage(receipt_content(r, payer, target))
             receipt = receipt.signed_by(self.oracle, self.n)
-            self.history.append((r, payer, target))
+            self._remember(r, payer, target)
             sends.append(Send(target, receipt.to_bytes(), 1))
         return sends
 

@@ -13,15 +13,17 @@ pair it has issued.  Verification succeeds exactly on remembered pairs, so a
 signature of an honest process can never be fabricated; attempting to do so
 raises :class:`ForgeryViolation`.
 
-Decoding.  Pure decodes are shared; oracle verdicts never are.
-:meth:`SignedMessage.from_bytes`, :func:`lockstep.marker.parse_typed` and
-:func:`lockstep.marker.decode_proof` keep bounded tables of their immutable
-results (caps 512, 256 and 64), so each distinct byte string is parsed once;
-malformed input is not kept and raises on every call.
-:func:`lockstep.marker.summarize_proof` (cap 64) keeps the pure facts of a
-receipt proof, None for a malformed one, so a quorum marker's broadcasters
-decode and shape each proof once and only ask their own oracles, per
-receipt, on every check.
+Decoding.  Pure decodes are shared; oracle verdicts never are.  Five tables
+keep immutable results keyed by the bytes they came from, so each distinct
+byte string is parsed once; malformed input is never kept.  Each is bounded
+in entries.  Wire bytes have no size limit, so a table's worst case is its
+cap times its largest entry, which for a key of B bytes is (CPython 3.11):
+:meth:`SignedMessage.from_bytes`, 512 × (2B + 0.7 KB);
+:func:`lockstep.marker.parse_typed`, 256 × (2B + 0.2 KB);
+:func:`lockstep.marker.summarize_proof`, the pure facts of a receipt proof,
+64 × (2.5B + 0.3 KB); :func:`lockstep.cyclecoin.parse_wire`, the latest
+chain wires, 256 × (2.5B + 0.3 KB); and the records of
+:func:`lockstep.cyclecoin.decode_records`, 16,384 × 0.26 KB = 4.3 MB.
 :meth:`SignedMessage.verify_stack` asks the oracle about every entry on
 every call, because a later ``sign`` can turn a refusal into an acceptance.
 The one verdict kept is per process, positive only, and rests on the
@@ -35,8 +37,9 @@ from __future__ import annotations
 import heapq
 import json
 from collections.abc import KeysView
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,19 +205,20 @@ class SignedMessage:
     a well formed message entry k signed the serialization of the message
     truncated to its first k entries, but adversarial senders may put
     anything there; :meth:`verify_stack` recomputes the expected bytes and
-    rejects mismatches.  That check is a pure property of the message and
-    is computed once per object; the oracle is asked on every call.
+    rejects mismatches.  That check, the bytes and the signers are computed
+    once per object; the oracle is asked on every call.
     """
 
     payload: bytes
     stack: tuple[tuple[int, bytes], ...] = ()
 
     def to_bytes(self) -> bytes:
-        parts = [enc_bytes(self.payload)]
-        for signer, content in self.stack:
-            parts.append(enc_int(signer))
-            parts.append(enc_bytes(content))
-        return b"".join(parts)
+        return self._wire
+
+    @cached_property
+    def _wire(self) -> bytes:
+        return enc_bytes(self.payload) + b"".join(
+            enc_int(signer) + enc_bytes(content) for signer, content in self.stack)
 
     @classmethod
     @lru_cache(maxsize=SIGNED_MESSAGES_MAX)
@@ -223,12 +227,14 @@ class SignedMessage:
         payload = reader.read_bytes()
         stack = []
         while not reader.at_end():
-            signer = reader.read_int()
-            content = reader.read_bytes()
-            stack.append((signer, content))
-        return cls(payload, tuple(stack))
+            stack.append((reader.read_int(), reader.read_bytes()))
+        msg = cls(payload, tuple(stack))
+        # the parse is exact, so the message encodes to ``data``
+        msg.__dict__["_wire"] = data
+        msg.__dict__["signers"] = tuple(signer for signer, _ in stack)
+        return msg
 
-    @property
+    @cached_property
     def signers(self) -> tuple[int, ...]:
         return tuple(signer for signer, _ in self.stack)
 
@@ -238,7 +244,10 @@ class SignedMessage:
             oracle.adversary_sign(signer, content)
         else:
             oracle.sign(signer, content)
-        return SignedMessage(self.payload, self.stack + ((signer, content),))
+        child = SignedMessage(self.payload, self.stack + ((signer, content),))
+        child.__dict__["_wire"] = content + enc_int(signer) + enc_bytes(content)
+        child.__dict__["signers"] = self.signers + (signer,)
+        return child
 
     @cached_property
     def _formed(self) -> int:
@@ -265,8 +274,8 @@ class SignedMessage:
 # network fabric
 
 
-@dataclass(frozen=True)
-class Send:
+# named tuples, several times cheaper to build than frozen dataclasses
+class Send(NamedTuple):
     """One outgoing message.  ``signatures`` is the signature stack depth of
     the payload and feeds the per round signature metric."""
 
@@ -276,8 +285,7 @@ class Send:
     nonce: bytes = b""
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     sender: int
     payload: bytes
 
@@ -316,8 +324,7 @@ class Adversary:
         return []
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
+class TranscriptEvent(NamedTuple):
     step: int
     round: int
     sender: int
@@ -332,21 +339,15 @@ class Transcript:
     def __init__(self):
         self.events: list[TranscriptEvent] = []
 
-    def append(self, event: TranscriptEvent) -> None:
-        self.events.append(event)
-
     def to_jsonl(self) -> str:
-        lines = []
-        for e in self.events:
-            lines.append(json.dumps({
-                "step": e.step,
-                "round": e.round,
-                "sender": e.sender,
-                "recipient": e.recipient,
-                "payload_hex": e.payload.hex(),
-                "n_signatures": e.signatures,
-            }, separators=(",", ":")))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps({
+            "step": e.step,
+            "round": e.round,
+            "sender": e.sender,
+            "recipient": e.recipient,
+            "payload_hex": e.payload.hex(),
+            "n_signatures": e.signatures,
+        }, separators=(",", ":")) + "\n" for e in self.events)
 
 
 class MetricsLedger:
@@ -382,8 +383,7 @@ class MetricsLedger:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One message as seen by the adversary (delivered to a corrupted id)."""
 
     step: int
@@ -448,18 +448,19 @@ class Network:
             heapq.heappush(self._agenda, step)
 
     def _record(self, t: int, sender: int, send: Send, honest: bool) -> None:
-        self.transcript.append(TranscriptEvent(
-            t, self.round, sender, send.recipient, send.payload, send.signatures))
+        recipient, payload, signatures, nonce = send
+        self.transcript.events.append(TranscriptEvent(
+            t, self.round, sender, recipient, payload, signatures))
         if honest:
-            self.metrics.add(self.round, send.nonce, send.signatures)
-        self._queue(t + 1, send.recipient, Delivery(sender, send.payload))
+            self.metrics.add(self.round, nonce, signatures)
+        self._queue(t + 1, recipient, Delivery(sender, payload))
 
     def _execute(self, t: int) -> None:
         inboxes = self._pending.pop(t, {})
         for recipient in sorted(inboxes):
             if recipient in self.corrupted:
-                for d in inboxes[recipient]:
-                    self.observed.append(Observation(t, recipient, d.sender, d.payload))
+                for sender, payload in inboxes[recipient]:
+                    self.observed.append(Observation(t, recipient, sender, payload))
         wakers = self._wakes.pop(t, set())
         active = sorted((set(inboxes) | wakers) - self.corrupted)
         for n in active:

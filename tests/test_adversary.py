@@ -2,14 +2,18 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from lockstep import simnet
 from lockstep.adversary import (
     CoalitionOracle,
+    ScriptedDSAdversary,
     _ds_audit,
     bank_gallery,
     cheating_intermediary_cases,
     cycle_gallery,
+    cycle_junk,
     enumerate_ds_cases,
     exhaustive_cycle_cases,
     gallery_to_csv,
@@ -23,8 +27,10 @@ from lockstep.adversary import (
     AttackResult,
 )
 from lockstep import marker
-from lockstep.consensus import run_dolev_strong
-from lockstep.simnet import ConfigFault, ForgeryViolation, SignatureOracle
+from lockstep.consensus import inspect_proper, run_dolev_strong
+from lockstep.cyclecoin import KIND_QUERY, wire
+from lockstep.simnet import (ConfigFault, ForgeryViolation, SignatureOracle,
+                             seeded_rng)
 
 
 def test_result_expectation_logic():
@@ -74,6 +80,95 @@ def test_random_broadcast_attacks_stay_clean():
     for seed in range(150):
         result = random_ds_case(seed)
         assert result.violations == (), result.name
+
+
+def _full_scan(adversary, value, net):
+    """The longest proper observed chain for ``value``, the earliest among
+    equals, from a scan of everything observed."""
+    best = None
+    for obs in net.observed:
+        cand = inspect_proper(obs.payload, adversary.leader, net.oracle)
+        if cand is None or cand.payload != value:
+            continue
+        if best is None or len(cand.stack) > len(best.stack):
+            best = cand
+    return best
+
+
+def test_the_observation_cursor_picks_what_a_full_scan_picks(monkeypatch):
+    cursor = ScriptedDSAdversary._best_observed
+    found = []
+
+    def checked(adversary, value, net):
+        best = cursor(adversary, value, net)
+        assert best == _full_scan(adversary, value, net)
+        found.append(best is not None)
+        return best
+
+    monkeypatch.setattr(ScriptedDSAdversary, "_best_observed", checked)
+    for case in list(enumerate_ds_cases(4, 1))[::97]:
+        run_ds_case(case)
+    for seed in range(300):
+        random_ds_case(seed)
+    assert any(found) and not all(found)
+
+
+class _Watched:
+    """What ``ScriptedDSAdversary`` reads of a network."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.observed = []
+
+    def deliver(self, message):
+        self.observed.append(simnet.Observation(1, 3, 0, message.to_bytes()))
+
+
+def test_the_cursor_skips_chains_that_are_not_proper_and_keeps_no_verdict():
+    oracle, elsewhere = SignatureOracle(), SignatureOracle()
+    net = _Watched(oracle)
+    value = simnet.enc_int(0)
+    adversary = ScriptedDSAdversary(frozenset({3}), 0, {})
+    root = simnet.SignedMessage(value).signed_by(oracle, 0)
+    short = root.signed_by(oracle, 1)
+    unsigned = short.signed_by(oracle, 2).signed_by(elsewhere, 4)
+    repeated = short.signed_by(oracle, 2).signed_by(oracle, 1)
+    net.observed.append(simnet.Observation(1, 3, 0, b"junk"))
+    for message in (short, repeated, unsigned, root.signed_by(oracle, 2)):
+        net.deliver(message)
+    assert adversary._best_observed(value, net) == short
+    assert adversary._best_observed(simnet.enc_int(1), net) is None
+    # once its last entry is signed, the longer chain is the best
+    oracle.sign(*unsigned.stack[-1])
+    assert adversary._best_observed(value, net) == unsigned
+
+
+def _built_networks(monkeypatch):
+    built = []
+    init = simnet.Network.__init__
+
+    def register(net, *args, **kwargs):
+        init(net, *args, **kwargs)
+        built.append(net)
+
+    monkeypatch.setattr(simnet.Network, "__init__", register)
+    return built
+
+
+@pytest.mark.parametrize("N", range(5, 10))
+def test_the_junk_flood_sends_what_per_recipient_draws_give(N, monkeypatch):
+    built = _built_networks(monkeypatch)
+    for seed in range(3):
+        built.clear()
+        assert cycle_junk(N, seed).violations == ()
+        (net,) = built
+        sent = [e.payload for e in net.transcript.events if e.sender == N - 1]
+        blobs, queries = sent[0::2], sent[1::2]
+        assert len(blobs) > N - 1 and len(blobs) % (N - 1) == 0
+        rng = seeded_rng(seed, 13)
+        assert blobs == [bytes(rng.integers(0, 256, size=12, dtype=np.uint8))
+                         for _ in blobs]
+        assert set(queries) == {wire(KIND_QUERY, ())}
 
 
 def test_quorum_gallery_is_clean():

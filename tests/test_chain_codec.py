@@ -4,7 +4,8 @@
 their own bytes: they encode every record from its fields, parse every
 record in full and re-encode every prefix to check a chain.  The codec in
 ``lockstep.cyclecoin`` must agree with them byte for byte, and must reject
-exactly the bytes they reject.
+exactly the bytes they reject.  ``parse_wire`` answers from a shared table
+and must agree with a fresh parse on a hit and on a miss alike.
 """
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import given, strategies as st
 
 from lockstep import cyclecoin
 from lockstep.cyclecoin import (
+    KIND_CHAIN,
+    KIND_QUERY,
     Record,
     TAG_BASE,
     TAG_PATH,
@@ -21,7 +24,9 @@ from lockstep.cyclecoin import (
     chain_signatures_ok,
     decode_records,
     encode_records,
+    parse_wire,
     record_content,
+    wire,
 )
 from lockstep.simnet import (
     ByteReader,
@@ -184,6 +189,60 @@ def test_the_shared_table_stays_bounded():
         with pytest.raises(CodecError):
             decode_records(encode_records((Record("z", 1),)))
         assert len(table) == cyclecoin.SHARED_RECORDS_MAX
+    finally:
+        table.clear()
+        table.update(saved)
+
+
+def ref_parse_wire(payload):
+    try:
+        reader = ByteReader(payload)
+        kind = reader.read_str()
+        body = reader.read_bytes()
+        if kind not in cyclecoin._KINDS or not reader.at_end():
+            return None
+        return kind, ref_decode_records(body), body
+    except CodecError:
+        return None
+
+
+@st.composite
+def wires(draw):
+    kind = draw(st.one_of(st.sampled_from(cyclecoin._KINDS),
+                          st.text(max_size=6)))
+    body = draw(st.one_of(mangled(), st.builds(ref_encode_records,
+                                               known_records)))
+    data = enc_str(kind) + enc_bytes(body)
+    if draw(st.booleans()):
+        data = draw(st.sampled_from((data[:-1], data + b"\x00", data[1:])))
+    return data
+
+
+@given(st.one_of(wires(), st.binary(max_size=64)))
+def test_a_wire_parses_as_a_fresh_parse_and_only_a_good_one_is_kept(data):
+    expected = ref_parse_wire(data)
+    cyclecoin._shared_wires.pop(data, None)
+    assert parse_wire(data) == expected
+    # the second call is answered from the table when the first was kept
+    assert parse_wire(data) == expected
+    assert (data in cyclecoin._shared_wires) == (expected is not None)
+
+
+def test_the_wire_table_stays_within_its_cap():
+    table = cyclecoin._shared_wires
+    saved = dict(table)
+    try:
+        table.clear()
+        flood = [wire(KIND_QUERY, (Record(TAG_BASE, 0),) + (Record(TAG_X, 0),)
+                      * k) for k in range(cyclecoin.WIRES_MAX + 10)]
+        for data in flood:
+            assert parse_wire(data) == ref_parse_wire(data)
+            assert len(table) <= cyclecoin.WIRES_MAX
+        # the oldest parses went first
+        assert list(table) == flood[10:]
+        bad = wire(KIND_CHAIN, ())[:-1]
+        assert parse_wire(bad) is None
+        assert bad not in table and len(table) == cyclecoin.WIRES_MAX
     finally:
         table.clear()
         table.update(saved)

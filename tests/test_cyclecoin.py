@@ -158,6 +158,15 @@ def test_response_enforcement_is_free_when_honest():
     assert [p.deleted for p in backed.procs] == [frozenset()] * 7
 
 
+def test_a_complaint_from_a_holder_other_than_zero_is_read():
+    # the complaint instances are keyed by the complainer, here process 1
+    system = MarkerSystem(PoRProcess, 6, 1, frozenset({2}), genesis_holder=1)
+    markings = system.run_round({1: 4})
+    assert [(m.target, m.predecessor) for m in markings] == [(4, 1)]
+    assert [sorted(p.deleted) for p in system.procs] == \
+        [[2], [2], [], [2], [2], [2]]
+
+
 class WithheldQuery(Adversary):
     """Runs the honest payer code of corrupted genesis holder 0 but never
     sends its first query, so the payer complains about a responder that

@@ -19,7 +19,9 @@ their transcript and decisions, each with one silent corrupted process.
 A direct hop network run is pinned the same way: its books, its traffic
 counts, its outcomes and its walk-back traces.  The CLI's quorum runs use
 f=2, so a 16-process quorum bank at f=5, whose proofs hold up to 16
-receipts, is pinned by its book, its metrics and its transcript.
+receipts, is pinned by its book, its metrics and its transcript.  The
+seeded attacks are pinned by their gallery rows and by the transcript and
+metrics of every network they build, adversarial traffic included.
 """
 
 import hashlib
@@ -28,6 +30,9 @@ import random
 
 import pytest
 
+from lockstep import simnet
+from lockstep.adversary import (gallery_to_csv, random_cycle_attack,
+                                random_ds_case)
 from lockstep.cli import DEFAULTS, execute
 from lockstep.consensus import run_bb_from_ba, run_majority_ba, run_turpin_coan
 from lockstep.cyclecoin import PoRProcess
@@ -268,3 +273,27 @@ def test_hop_run_matches_the_pinned_digest():
     assert [accused for accused, _ in traces] == [20, 30, 9]
     assert h.hexdigest() == \
         "37dee3f1ebaca8d211adeaa98e9559a40b4c862129cd4fb02c88c5a5bb3f038c"
+
+
+def test_seeded_attack_runs_match_the_pinned_digest(monkeypatch):
+    """Seeds 0..199 of the random broadcast attack at N=6, f=2 and of the
+    cycle attack mixture at N=8."""
+    built: list[simnet.Network] = []
+    init = simnet.Network.__init__
+
+    def register(net, *args, **kwargs):
+        init(net, *args, **kwargs)
+        built.append(net)
+
+    monkeypatch.setattr(simnet.Network, "__init__", register)
+    results = []
+    for seed in range(200):
+        results.append(random_ds_case(seed, N=6, f=2))
+        results.append(random_cycle_attack(seed, N=8))
+    h = hashlib.sha256(gallery_to_csv(results).encode())
+    for net in built:
+        h.update(net.transcript.to_jsonl().encode())
+        h.update(net.metrics.to_csv().encode())
+    assert len(built) == 552
+    assert h.hexdigest() == \
+        "8c01b4d5d62fc86c33fe28f6c6c3ec24b8cf60255fa01f993ad7bbb60e9ba702"

@@ -96,6 +96,34 @@ def test_a_cached_decode_equals_a_fresh_parse(payload, stack):
     assert SignedMessage.from_bytes(wire[:1] + wire[1:]) == fresh
 
 
+def _encoding(payload, stack):
+    """A signed message's wire bytes, built from its fields."""
+    return enc_bytes(payload) + b"".join(
+        enc_int(signer) + enc_bytes(content) for signer, content in stack)
+
+
+int64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
+
+
+@given(st.binary(max_size=24), st.lists(int64, max_size=5),
+       st.lists(st.tuples(int64, st.binary(max_size=12)), max_size=4))
+def test_kept_wire_bytes_equal_an_encoding_from_scratch(payload, signers,
+                                                        stack):
+    oracle = SignatureOracle()
+    msg = SignedMessage(payload)
+    for signer in signers:
+        msg = msg.signed_by(oracle, signer)
+        assert msg.to_bytes() == _encoding(msg.payload, msg.stack)
+        assert msg.signers == tuple(s for s, _ in msg.stack)
+    # a well formed chain and an arbitrary, mostly malformed, stack
+    for made in (msg, SignedMessage(payload, tuple(stack))):
+        wire = _encoding(made.payload, made.stack)
+        assert made.to_bytes() == wire
+        parsed = SignedMessage.from_bytes(wire)
+        assert parsed == made and parsed.signers == made.signers
+        assert parsed.to_bytes() == _encoding(parsed.payload, parsed.stack)
+
+
 def test_malformed_bytes_raise_on_every_call():
     SignedMessage.from_bytes.cache_clear()
     for calls in (1, 2):

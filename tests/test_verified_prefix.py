@@ -12,7 +12,10 @@ import random
 
 from hypothesis import assume, given, settings, strategies as st
 
+from lockstep import cyclecoin
 from lockstep.cyclecoin import (
+    KIND_CHAIN,
+    KIND_QUERY,
     CCProcess,
     Record,
     TAG_BASE,
@@ -26,11 +29,14 @@ from lockstep.cyclecoin import (
     encode_records,
     inspect_chain,
     inspect_request,
+    parse_wire,
     record_content,
     verify_payment_claim,
+    wire,
 )
 from lockstep.payments import Bank
-from lockstep.simnet import CodecError, SignatureOracle, enc_int
+from lockstep.simnet import (CodecError, SignatureOracle, enc_bytes, enc_int,
+                             enc_str)
 
 TAGS = (TAG_BASE, TAG_PATH, TAG_X, TAG_Y)
 
@@ -149,6 +155,30 @@ def test_a_check_from_a_verified_prefix_matches_a_check_from_genesis(
                                             max_value=len(later) + 1)))
     for body in (wire, _flip(data.draw, wire), recount + wire[12:]):
         assert _decoded(body, known) == _decoded(body)
+
+
+@settings(max_examples=100)
+@given(histories(), st.data())
+def test_a_wire_parsed_with_a_prefix_or_from_the_table_matches_a_fresh_parse(
+        history, data):
+    """``known`` only shortens a miss of the shared wire table; a hit
+    returns what a fresh parse without it gives."""
+    N, deleted, oracle, snapshots = history
+    i = data.draw(st.integers(min_value=0, max_value=len(snapshots) - 1))
+    inspect, earlier = snapshots[i]
+    shape = inspect(earlier, N, oracle, deleted=deleted)
+    assume(shape is not None)
+    known = VerifiedPrefix.of(shape, N, 0, deleted)
+    j = data.draw(st.integers(min_value=i, max_value=len(snapshots) - 1))
+    later = _tamper(data.draw, snapshots[j][1], oracle, len(known.records))
+    body = encode_records(later)
+    for payload in (wire(KIND_CHAIN, later),
+                    enc_str(KIND_QUERY) + enc_bytes(_flip(data.draw, body))):
+        cyclecoin._shared_wires.pop(payload, None)
+        miss = parse_wire(payload, known)
+        hit_with, hit_without = parse_wire(payload, known), parse_wire(payload)
+        cyclecoin._shared_wires.pop(payload, None)
+        assert miss == hit_with == hit_without == parse_wire(payload)
 
 
 @given(histories(), st.data())
