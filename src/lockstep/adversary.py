@@ -183,6 +183,8 @@ class ScriptedDSAdversary(Adversary):
                 self._actions.setdefault(step, []).append((recipient, action))
         # value -> (-length, arrival, message) of observed chains, best first
         self._seen, self._candidates = 0, {}
+        # (value, wanted length) -> the chain a corrupted leader anchors
+        self._forged: dict[tuple[bytes, int], SignedMessage] = {}
 
     def _best_observed(self, value: bytes, net: Network) -> SignedMessage | None:
         """The longest observed proper chain for ``value``, the earliest
@@ -203,7 +205,14 @@ class ScriptedDSAdversary(Adversary):
                      if sm.verify_stack(net.oracle)), None)
 
     def _chain(self, value: bytes, want_len: int, net: Network) -> SignedMessage | None:
-        if self.leader in self.corrupted:
+        """The coalition's best chain for ``value``.  One anchored at a
+        corrupted leader depends on ``value`` and ``want_len`` alone, so it
+        is built and signed once: the registry only grows, so signing the
+        same contents again would change nothing."""
+        forged = self.leader in self.corrupted
+        if forged and (value, want_len) in self._forged:
+            return self._forged[value, want_len]
+        if forged:
             sm = SignedMessage(value).signed_by(net.oracle, self.leader,
                                                 adversarial=True)
         else:
@@ -215,6 +224,8 @@ class ScriptedDSAdversary(Adversary):
                 break
             if z not in sm.signers:
                 sm = sm.signed_by(net.oracle, z, adversarial=True)
+        if forged:
+            self._forged[value, want_len] = sm
         return sm
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:

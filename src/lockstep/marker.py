@@ -219,11 +219,13 @@ def measure_z(family: type[MarkerProcess], N: int, f: int = 0) -> list[int]:
 INTENT = "intent"
 RECEIPT = "receipt"
 
-# Entries of the shared parse_typed and summarize_proof tables.  A proof
-# holds 2f+1 or more receipts, a few KB at f=5, so its table is the small
-# one.
+# Entries of the shared parse_typed, summarize_proof and receipt_content
+# tables.  A proof holds 2f+1 or more receipts, a few KB at f=5, so its
+# table is the small one.  Every broadcaster of a handoff signs the same
+# receipt content in the same step, so its table needs one step's handoffs.
 TYPED_RECORDS_MAX = 256
 PROOFS_MAX = 64
+RECEIPTS_MAX = 64
 
 
 def default_broadcasters(N: int, f: int) -> frozenset[int]:
@@ -253,6 +255,7 @@ def intent_content(round_index: int, payer: int, target: int, proof: bytes) -> b
             + enc_int(target) + enc_bytes(proof))
 
 
+@lru_cache(maxsize=RECEIPTS_MAX)
 def receipt_content(round_index: int, payer: int, target: int) -> bytes:
     return enc_str(RECEIPT) + enc_int(round_index) + enc_int(payer) + enc_int(target)
 

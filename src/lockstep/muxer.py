@@ -8,7 +8,10 @@ unknown, or which do not parse as tagged payloads at all, are dropped.
 
 Instances are serviced in ascending nonce order within a step, which keeps
 transcripts reproducible, and the metrics ledger sees each send under its
-instance nonce, so per instance counts are exactly additive.
+instance nonce, so per instance counts are exactly additive.  Tags and
+splits come from the shared tables of :mod:`lockstep.simnet`: a payload an
+instance sends to k recipients is one tagged object, and every receiving
+host gets the same content object back from it.
 """
 
 from __future__ import annotations

@@ -13,19 +13,29 @@ pair it has issued.  Verification succeeds exactly on remembered pairs, so a
 signature of an honest process can never be fabricated; attempting to do so
 raises :class:`ForgeryViolation`.
 
-Decoding.  Pure decodes are shared; oracle verdicts never are.  Five tables
-keep immutable results keyed by the bytes they came from, so each distinct
-byte string is parsed once; malformed input is never kept.  Each is bounded
-in entries.  Wire bytes have no size limit, so a table's worst case is its
-cap times its largest entry, which for a key of B bytes is (CPython 3.11):
+Decoding.  Pure encodings and decodes are shared; oracle verdicts never
+are.  Eight tables keep immutable results keyed by what they came from, so
+each distinct input is tagged, split or parsed once; malformed input is
+never kept.  Each is bounded in entries.  Wire bytes have no size limit, so
+a table's worst case is its cap times its largest entry, which for a key of
+B bytes is (CPython 3.11):
+:func:`tag_payload`, 256 × (2B + 0.2 KB);
+:func:`split_payload`, 256 × (2B + 0.2 KB);
 :meth:`SignedMessage.from_bytes`, 512 × (2B + 0.7 KB);
+:func:`lockstep.marker.receipt_content`, keyed by (round, payer, target),
+64 × 0.2 KB;
 :func:`lockstep.marker.parse_typed`, 256 × (2B + 0.2 KB);
 :func:`lockstep.marker.summarize_proof`, the pure facts of a receipt proof,
 64 × (2.5B + 0.3 KB); :func:`lockstep.cyclecoin.parse_wire`, the latest
 chain wires, 256 × (2.5B + 0.3 KB); and the records of
 :func:`lockstep.cyclecoin.decode_records`, 16,384 × 0.26 KB = 4.3 MB.
-:meth:`SignedMessage.verify_stack` asks the oracle about every entry on
-every call, because a later ``sign`` can turn a refusal into an acceptance.
+Equal inputs get the same result object back: a payload sent to k
+recipients is one tagged bytes object, every receiver splits it into one
+content object, and each keeps its hash, so the lookups after it do not
+hash the bytes again.  :meth:`ScopedOracle.verify` takes its tagged content
+from the tag table and asks the oracle on every call, as
+:meth:`SignedMessage.verify_stack` does about every entry, because a later
+``sign`` can turn a refusal into an acceptance.
 The one verdict kept is per process, positive only, and rests on the
 registry being append-only: a chain-marker process keeps the prefix of the
 last chain it accepted (:class:`lockstep.cyclecoin.VerifiedPrefix`) and
@@ -38,7 +48,7 @@ import heapq
 import json
 from collections.abc import KeysView
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -118,22 +128,37 @@ class ByteReader:
 SEPARATOR = b"\x00"
 
 
+# Entries of the shared tag_payload and split_payload tables.  Their hits
+# come within a step: one payload sent to many recipients, one receipt
+# checked by every broadcaster, one tagged intent split by each receiver.
+TAGGED_MAX = 256
+SPLITS_MAX = 256
+
+
+@lru_cache(maxsize=TAGGED_MAX)
 def tag_payload(content: bytes, nonce: bytes) -> bytes:
     """Suffix ``content`` with an instance nonce.
 
     The content is length prefixed and followed by a reserved separator byte,
-    so the (content, nonce) split is unambiguous for any nonce bytes.
+    so the (content, nonce) split is unambiguous for any nonce bytes.  Equal
+    arguments get the same bytes object back, whose hash is then kept.
     """
-    return enc_bytes(content) + SEPARATOR + nonce
+    return b"".join((len(content).to_bytes(4, "big"), content, SEPARATOR, nonce))
 
 
+@lru_cache(maxsize=SPLITS_MAX)
 def split_payload(data: bytes) -> tuple[bytes, bytes]:
-    """Inverse of :func:`tag_payload`.  Raises CodecError on malformed input."""
-    content = ByteReader(data).read_bytes()
-    rest = data[4 + len(content):]
-    if not rest.startswith(SEPARATOR):
+    """Inverse of :func:`tag_payload`.  Raises CodecError on malformed input,
+    on every call: only good splits are kept.  Reads the length prefix as
+    :meth:`ByteReader.read_bytes` does, without building a reader."""
+    if len(data) < 4:
+        raise CodecError("truncated length prefix")
+    end = 4 + int.from_bytes(data[:4], "big")
+    if end > len(data):
+        raise CodecError("truncated chunk")
+    if data[end:end + 1] != SEPARATOR:
         raise CodecError("missing nonce separator")
-    return content, rest[len(SEPARATOR):]
+    return data[4:end], data[end + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +216,24 @@ class ScopedOracle:
         self._base.adversary_sign(signer, tag_payload(content, self._nonce))
 
     def verify(self, signer: int, content: bytes) -> bool:
-        # tag_payload(content, nonce) in one expression: the hot path
-        return self._base.verify(signer, b"".join((
-            len(content).to_bytes(4, "big"), content, SEPARATOR,
-            self._nonce)))
+        return self._base.verify(signer, tag_payload(content, self._nonce))
+
+
+class once:
+    """An attribute computed at its first read and stored on the instance,
+    like :class:`functools.cached_property` without the lock CPython 3.11
+    takes for it.  For pure functions of immutable objects only."""
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -215,7 +254,7 @@ class SignedMessage:
     def to_bytes(self) -> bytes:
         return self._wire
 
-    @cached_property
+    @once
     def _wire(self) -> bytes:
         return enc_bytes(self.payload) + b"".join(
             enc_int(signer) + enc_bytes(content) for signer, content in self.stack)
@@ -234,7 +273,7 @@ class SignedMessage:
         msg.__dict__["signers"] = tuple(signer for signer, _ in stack)
         return msg
 
-    @cached_property
+    @once
     def signers(self) -> tuple[int, ...]:
         return tuple(signer for signer, _ in self.stack)
 
@@ -249,7 +288,7 @@ class SignedMessage:
         child.__dict__["signers"] = self.signers + (signer,)
         return child
 
-    @cached_property
+    @once
     def _formed(self) -> int:
         """How many leading entries signed exactly the encoding of the
         entries before them."""
@@ -396,8 +435,9 @@ class Network:
     """Lockstep scheduler.
 
     All-honest runs are stepped sparsely: only steps that have pending
-    deliveries or registered wakes execute, and only the touched processes
-    are stepped, so cost scales with traffic rather than with N times steps.
+    deliveries or registered wakes execute, each from one agenda entry, and
+    only the touched processes are stepped, so cost scales with traffic
+    rather than with N times steps.
     With an adversary attached every step in the window runs, because the
     adversary may act spontaneously, so no agenda of due steps is kept.
     """
@@ -429,12 +469,19 @@ class Network:
 
     # -- scheduling ---------------------------------------------------------
 
+    def _due(self, step: int) -> None:
+        """Put ``step`` on the agenda at its first delivery or wake.  Its
+        deliveries and wakes are dropped together when it runs, so a step
+        sits on the agenda at most once."""
+        if (self.adversary is None and step not in self._pending
+                and step not in self._wakes):
+            heapq.heappush(self._agenda, step)
+
     def wake(self, pid: int, step: int) -> None:
         if step < self.now:
             raise ConfigFault(f"wake in the past: step {step}, now {self.now}")
+        self._due(step)
         self._wakes.setdefault(step, set()).add(pid)
-        if self.adversary is None:
-            heapq.heappush(self._agenda, step)
 
     def queued(self, step: int) -> KeysView[int]:
         """The ids with a delivery queued for ``step``."""
@@ -443,9 +490,11 @@ class Network:
     def _queue(self, step: int, recipient: int, delivery: Delivery) -> None:
         if not 0 <= recipient < self.N:
             raise ConfigFault(f"recipient {recipient} out of range")
-        self._pending.setdefault(step, {}).setdefault(recipient, []).append(delivery)
-        if self.adversary is None:
-            heapq.heappush(self._agenda, step)
+        inboxes = self._pending.get(step)
+        if inboxes is None:
+            self._due(step)
+            inboxes = self._pending[step] = {}
+        inboxes.setdefault(recipient, []).append(delivery)
 
     def _record(self, t: int, sender: int, send: Send, honest: bool) -> None:
         recipient, payload, signatures, nonce = send
@@ -482,8 +531,6 @@ class Network:
             return
         while self._agenda and self._agenda[0] <= last_step:
             t = heapq.heappop(self._agenda)
-            while self._agenda and self._agenda[0] == t:
-                heapq.heappop(self._agenda)
             if t < self.now:
                 continue
             self._execute(t)

@@ -155,6 +155,42 @@ def _built_networks(monkeypatch):
     return built
 
 
+def _runs(cases, seeds, networks):
+    """Outcomes, transcripts and registries of broadcast attack runs."""
+    results = [run_ds_case(case) for case in cases]
+    results += [random_ds_case(seed) for seed in seeds]
+    return (repr(results), [net.transcript.to_jsonl() for net in networks],
+            [sorted(net.oracle._issued) for net in networks])
+
+
+def test_a_forged_chain_built_once_sends_and_signs_what_rebuilding_does(
+        monkeypatch):
+    """A corrupted leader's chain for a (value, length) pair is built once
+    per adversary; rebuilding it for every recipient sends the same bytes
+    and leaves the same registry."""
+    cases = [case for case in list(enumerate_ds_cases(4, 2))[::41]
+             if 0 in case.corrupted]
+    seeds = range(0, 300, 3)
+    built = _built_networks(monkeypatch)
+    signed_by, chain = simnet.SignedMessage.signed_by, ScriptedDSAdversary._chain
+    signs = []
+
+    def counted(message, *args, **kwargs):
+        signs.append(1)
+        return signed_by(message, *args, **kwargs)
+
+    def rebuilt(adversary, value, want_len, net):
+        adversary._forged.clear()
+        return chain(adversary, value, want_len, net)
+
+    monkeypatch.setattr(simnet.SignedMessage, "signed_by", counted)
+    memoized, memoized_signs = _runs(cases, seeds, built), len(signs)
+    built.clear()
+    monkeypatch.setattr(ScriptedDSAdversary, "_chain", rebuilt)
+    assert _runs(cases, seeds, built) == memoized
+    assert len(cases) > 20 and memoized_signs < len(signs) - memoized_signs
+
+
 @pytest.mark.parametrize("N", range(5, 10))
 def test_the_junk_flood_sends_what_per_recipient_draws_give(N, monkeypatch):
     built = _built_networks(monkeypatch)

@@ -13,6 +13,7 @@ from lockstep.marker import (
     INTENT,
     PROOFS_MAX,
     RECEIPT,
+    RECEIPTS_MAX,
     TYPED_RECORDS_MAX,
     BBMProcess,
     MarkerSystem,
@@ -106,13 +107,40 @@ def test_a_malformed_proof_raises_on_every_call():
     (parse_typed, TYPED_RECORDS_MAX,
      lambda k: (receipt_content(k, 0, 1), RECEIPT, 3)),
     (summarize_proof, PROOFS_MAX, lambda k: (encode_proof((enc_int(k),)),)),
-], ids=["parse_typed", "summarize_proof"])
+    (receipt_content, RECEIPTS_MAX, lambda k: (k, 0, 1)),
+], ids=["parse_typed", "summarize_proof", "receipt_content"])
 def test_the_decode_tables_stay_within_their_caps(decode, cap, make):
     decode.cache_clear()
     for k in range(cap + 40):
         decode(*make(k))
         assert decode.cache_info().currsize <= cap
     assert decode.cache_info().currsize == cap
+
+
+# Base oracle checks of the twenty rounds below.  The shared tables save
+# encoding, parsing and hashing, never a question to the oracle, so no
+# table may move this count.
+QUORUM_BANK_VERIFIES = 53792
+
+
+def test_twenty_quorum_bank_rounds_ask_the_oracle_as_often_as_before(
+        monkeypatch):
+    asked = []
+    verify = SignatureOracle.verify
+
+    def counted(oracle, signer, content):
+        asked.append(signer)
+        return verify(oracle, signer, content)
+
+    monkeypatch.setattr(SignatureOracle, "verify", counted)
+    bank = Bank(16, 5, [1] * 16, family="quorum")
+    rng = random.Random(11)
+    for _ in range(20):
+        bank.run_round({payer: rng.randrange(16)
+                        for payer, balance in bank.balances().items()
+                        if balance > 0 and rng.random() < 0.6})
+    assert bank.audit() == []
+    assert len(asked) == QUORUM_BANK_VERIFIES
 
 
 def test_a_quorum_round_with_receipt_proofs_parses_each_message_once(

@@ -3,7 +3,8 @@
 from hypothesis import given, strategies as st
 
 from lockstep.muxer import MuxHost, nonce_for
-from lockstep.simnet import Network, Process, Send, enc_int, tag_payload
+from lockstep.simnet import (Network, Process, Send, Transcript,
+                             TranscriptEvent, enc_int, tag_payload)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -50,6 +51,40 @@ def test_instances_stay_separated():
     heard = hosts[1].instances[a].heard
     # only the matching instance hears host 0, with the nonce stripped
     assert heard == [(1, 0, enc_int(0))]
+
+
+class _Fanout(Process):
+    """Sends one payload to each peer at step 0."""
+
+    def __init__(self, n, peers, payload):
+        super().__init__(n)
+        self.peers = peers
+        self.payload = payload
+
+    def step(self, t, inbox):
+        return [Send(p, self.payload, 1) for p in self.peers] if t == 0 else []
+
+
+def test_a_payload_sent_to_k_recipients_is_one_tagged_object():
+    nonce, k = nonce_for(3), 5
+    payload = enc_int(42) * 60
+    hosts = [MuxHost(0, {nonce: _Fanout(0, range(1, k + 1), payload)},
+                     {nonce: frozenset({0})})]
+    hosts += [MuxHost(n, {nonce: _Echo(n, 0)}) for n in range(1, k + 1)]
+    net = Network(hosts, frozenset())
+    net.run_until(2)
+    sent = [e.payload for e in net.transcript.events]
+    assert len(sent) == k and all(p is sent[0] for p in sent)
+    # every receiver gets the same content object back
+    heard = [host.instances[nonce].heard for host in hosts[1:]]
+    assert [h[0][:2] for h in heard] == [(1, 0)] * k
+    assert heard[0][0][2] == payload
+    assert all(h[0][2] is heard[0][0][2] for h in heard)
+    # the transcript reads as k separately tagged copies would
+    fresh = Transcript()
+    fresh.events = [TranscriptEvent(0, 0, 0, n, tag_payload.__wrapped__(
+        payload, nonce), 1) for n in range(1, k + 1)]
+    assert net.transcript.to_jsonl() == fresh.to_jsonl()
 
 
 def test_unknown_nonce_is_dropped():

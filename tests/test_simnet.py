@@ -10,6 +10,8 @@ from lockstep.adversary import BankJunkAdversary
 from lockstep.payments import Bank
 from lockstep.simnet import (
     SIGNED_MESSAGES_MAX,
+    SPLITS_MAX,
+    TAGGED_MAX,
     Adversary,
     ByteReader,
     CodecError,
@@ -55,6 +57,41 @@ def test_reader_rejects_truncation():
 @given(st.binary(max_size=48), st.binary(max_size=16))
 def test_nonce_tagging_round_trip(content, nonce):
     assert split_payload(tag_payload(content, nonce)) == (content, nonce)
+
+
+@given(st.binary(max_size=48), st.binary(max_size=16))
+def test_tags_and_splits_from_the_tables_equal_fresh_ones(content, nonce):
+    tagged = tag_payload(content, nonce)
+    assert tagged == tag_payload.__wrapped__(content, nonce)
+    # equal arguments, other objects: the same result object
+    assert tag_payload(bytes(bytearray(content)), bytes(bytearray(nonce))) is tagged
+    split = split_payload(tagged)
+    assert split == split_payload.__wrapped__(tagged) == (content, nonce)
+    assert split_payload(bytes(bytearray(tagged))) is split
+
+
+@pytest.mark.parametrize("table, cap, make", [
+    (tag_payload, TAGGED_MAX, lambda k: (enc_int(k), b"unit")),
+    (split_payload, SPLITS_MAX,
+     lambda k: (tag_payload.__wrapped__(enc_int(k), b"unit"),)),
+], ids=["tag_payload", "split_payload"])
+def test_the_tag_and_split_tables_stay_within_their_caps(table, cap, make):
+    table.cache_clear()
+    for k in range(cap + 40):
+        table(*make(k))
+        assert table.cache_info().currsize <= cap
+    assert table.cache_info().currsize == cap
+
+
+@pytest.mark.parametrize("bad", [
+    b"", b"\x00\x00", enc_bytes(b"abc")[:-1], enc_bytes(b"abc"),
+    enc_bytes(b"abc") + b"\x01unit"])
+def test_a_malformed_split_raises_on_every_call_and_is_never_kept(bad):
+    split_payload.cache_clear()
+    for _ in range(3):
+        with pytest.raises(CodecError):
+            split_payload(bad)
+    assert split_payload.cache_info().currsize == 0
 
 
 def test_oracle_refuses_honest_forgery():
@@ -223,6 +260,17 @@ def test_a_scoped_verify_asks_the_base_about_the_tagged_content(
     assert base.asked == [(signer, tag_payload(content, nonce))]
 
 
+def test_a_scoped_check_keeps_no_verdict():
+    base = SignatureOracle()
+    scoped = ScopedOracle(base, b"unit")
+    content = enc_str("receipt") + enc_int(7)
+    for _ in range(2):
+        assert scoped.verify(2, content) is False
+    scoped.sign(2, content)
+    assert scoped.verify(2, content) is True
+    assert ScopedOracle(base, b"other").verify(2, content) is False
+
+
 class _Pinger(Process):
     """Sends one message to its peer at step 0 and records arrivals."""
 
@@ -323,3 +371,24 @@ def test_an_adversarial_run_keeps_its_schedule_bounded():
     digest.update(net.transcript.to_jsonl().encode())
     digest.update(net.metrics.to_csv().encode())
     assert digest.hexdigest() == JUNK_BANK_DIGEST
+
+
+def test_an_honest_round_puts_each_due_step_on_the_agenda_once(monkeypatch):
+    """Whenever a step runs, the agenda holds every other step with a
+    delivery or a wake due, each once."""
+    bank = Bank(16, 5, [1] * 16, family="quorum")
+    execute = Network._execute
+    ran = []
+
+    def checked(net, t):
+        due = (set(net._pending) | set(net._wakes)) - {t}
+        assert sorted(net._agenda) == sorted(due)
+        ran.append(t)
+        execute(net, t)
+
+    monkeypatch.setattr(Network, "_execute", checked)
+    for r in range(6):
+        payers = [n for n, balance in bank.balances().items() if balance]
+        bank.run_round({payer: (payer + r + 1) % 16 for payer in payers[::2]})
+    assert len(ran) == len(set(ran)) == 6 * bank.steps_per_round
+    assert bank.audit() == []
