@@ -23,10 +23,16 @@ zero messages when every queried process answers.
 A chain only grows, and every countersigner and payee checks the whole
 chain it is handed.  So each process keeps a :class:`VerifiedPrefix` of the
 last chain its own handlers accepted, and checks a chain that extends it
-only from its first new record: in the codec, in the chain shape and in the
-signature check.  The verdicts are those of a check from genesis, because
-the prefix was verified by the same process against its own oracle, whose
-registry never drops an entry, and because no negative verdict is kept.
+only from its first new record: in the chain shape and in the signature
+check, whose signed contents start from the prefix's bytes.  The verdicts
+are those of a check from genesis, because the prefix was verified by the
+same process against its own oracle, whose registry never drops an entry,
+and because no negative verdict is kept.
+
+Decoding costs a lookup.  The encoder keeps what it encoded for the
+decoder, so the receiver of an honest chain decodes it without parsing,
+and the records of honest chains are shared objects, one per distinct
+record.
 """
 
 from __future__ import annotations
@@ -81,11 +87,31 @@ class Record:
         object.__setattr__(self, "enc", enc_str(self.tag) + enc_int(self.signer))
 
 
-def encode_records(records: tuple[Record, ...]) -> bytes:
-    return enc_int(len(records)) + b"".join([rec.enc for rec in records])
+# the most encodings the table of encode_records keeps, oldest out first
+ENCODINGS_MAX = 256
 
+_encodings: OrderedDict[bytes, tuple[Record, ...]] = OrderedDict()
 
 _record_bytes = operator.attrgetter("enc")
+_record_tag = operator.attrgetter("tag")
+
+
+def encode_records(records: tuple[Record, ...]) -> bytes:
+    """The wire bytes of ``records``: their count, then each record's bytes.
+
+    When every tag is known, the bytes decode to records equal to these,
+    so the encoding is kept for :func:`decode_records`, and the receiver
+    of an honest chain decodes it by one lookup.  An encoding with an
+    unknown tag would not decode and is never kept.  The table holds the
+    latest ``ENCODINGS_MAX`` (256) encodings; a hit comes within a step or
+    two of its send, so older entries go first.
+    """
+    data = enc_int(len(records)) + b"".join(map(_record_bytes, records))
+    if _TAGS.issuperset(map(_record_tag, records)):
+        _encodings[data] = tuple(records)
+        if len(_encodings) > ENCODINGS_MAX:
+            _encodings.popitem(last=False)
+    return data
 
 
 # the most records the shared table of decode_records ever holds
@@ -108,36 +134,30 @@ def _parse_record(piece: bytes) -> Record:
     return rec
 
 
-def decode_records(data: bytes, known: VerifiedPrefix | None = None
-                   ) -> tuple[Record, ...]:
+def decode_records(data: bytes) -> tuple[Record, ...]:
     """Inverse of :func:`encode_records`; raises CodecError on bad bytes.
 
-    When ``data`` counts at least the records of ``known`` and its records
-    start with ``known.body``, only the records after them are parsed.  A
-    full parse would find exactly ``known.records`` there, because those
-    bytes are their encodings, so the result and the errors are the same.
-
-    Records are looked up by their wire bytes in a table shared by every
-    caller in the process, so a record decoded before costs one slice and
-    one dictionary lookup, and every copy of it is the same object.  Only
-    a piece not in the table is parsed in full.  Records are immutable and
-    compare by value, so sharing them changes no result.  The table holds
-    at most ``SHARED_RECORDS_MAX`` (16,384) records, four tags for each of
-    4,096 signers; once it is full, new pieces are parsed into fresh
-    records that are not kept, so wire input naming any number of signer
-    ids cannot grow it further.
+    Bytes that :func:`encode_records` made and kept are answered from its
+    table.  Otherwise records are looked up by their wire bytes in a table
+    shared by every caller in the process, so a record decoded before
+    costs one slice and one dictionary lookup, and every copy of it is
+    the same object.  Only a piece not in the table is parsed in full.
+    Records are immutable and compare by value, so sharing them changes
+    no result.  The table holds at most ``SHARED_RECORDS_MAX`` (16,384)
+    records, four tags for each of 4,096 signers; once it is full, new
+    pieces are parsed into fresh records that are not kept, so wire input
+    naming any number of signer ids cannot grow it further.
     """
+    encoded = _encodings.get(data)
+    if encoded is not None:
+        return encoded
     reader = ByteReader(data)
     count = reader.read_int()
     if count < 0:
         raise CodecError("negative record count")
     pos, size = 12, len(data)
     records = []
-    if (known is not None and count >= len(known.records)
-            and data.startswith(known.body, 12)):
-        records = list(known.records)
-        pos += len(known.body)
-    for _ in range(count - len(records)):
+    for _ in range(count):
         # a record is a tag chunk (4 + tag length bytes) and an 8 byte
         # integer chunk (12 bytes); a short piece fails in _parse_record
         stop = pos + 16 + int.from_bytes(data[pos:pos + 4], "big")
@@ -170,6 +190,18 @@ def record_content(prefix: tuple[Record, ...], tag: str) -> bytes:
                            tag)
 
 
+def _record(tag: str, signer: int) -> Record:
+    """``Record(tag, signer)``, the shared object of the table of
+    :func:`decode_records` for a known tag, so that the records of honest
+    chains are made once each."""
+    prefix = _TAG_ENCS.get(tag)
+    if prefix is None:
+        return Record(tag, signer)
+    piece = prefix + _COUNT_PREFIX + int(signer).to_bytes(8, "big", signed=True)
+    rec = _shared_records.get(piece)
+    return rec if rec is not None else _parse_record(piece)
+
+
 def append_record(oracle, signer: int, records: tuple[Record, ...], tag: str,
                   *, adversarial: bool = False) -> tuple[Record, ...]:
     """Sign and append one record."""
@@ -178,21 +210,23 @@ def append_record(oracle, signer: int, records: tuple[Record, ...], tag: str,
         oracle.adversary_sign(signer, content)
     else:
         oracle.sign(signer, content)
-    return records + (Record(tag, signer),)
+    return records + (_record(tag, signer),)
 
 
 def chain_signatures_ok(records: tuple[Record, ...], oracle,
-                        start: int = 0) -> bool:
-    """True when every record from ``start`` on verifies as signed over
-    the records before it, that is against
-    ``record_content(records[:k], rec.tag)``.
+                        known: VerifiedPrefix | None = None) -> bool:
+    """True when every record verifies as signed over the records before
+    it, that is against ``record_content(records[:k], rec.tag)``.
 
-    The oracle is asked nothing about the first ``start`` records: pass a
-    nonzero ``start`` only for a prefix verified against this oracle
-    before.  One pass: the encoded prefix grows by one record's bytes per
-    step instead of being encoded again for every k.
+    ``known`` is a prefix of ``records`` verified against this oracle
+    before: the oracle is asked nothing about its records, and the signed
+    contents start from its bytes.  One pass: the encoded prefix grows by
+    one record's bytes per step instead of being encoded again for every k.
     """
-    body = bytearray().join(map(_record_bytes, records[:start]))
+    if known is None:
+        start, body = 0, bytearray()
+    else:
+        start, body = len(known.records), bytearray(known.body)
     for k in range(start, len(records)):
         rec = records[k]
         if not oracle.verify(rec.signer, _signed_content(k, body, rec.tag)):
@@ -274,7 +308,8 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
     ``genesis`` and ``deleted``, of a chain that ``records`` extends (see
     :attr:`VerifiedPrefix.state`); the parse goes on from it.
     """
-    if not records or records[0] != Record(TAG_BASE, genesis):
+    if (not records or records[0].tag != TAG_BASE
+            or records[0].signer != genesis):
         return None
     i, end, total, done = resume or (1, genesis, 0, ())
     groups: list[Group] = list(done)
@@ -362,9 +397,11 @@ class VerifiedPrefix:
     state: tuple[int, int, int, tuple[Group, ...]]
 
     @classmethod
-    def of(cls, shape: ChainShape, N: int, genesis: int,
+    def of(cls, shape: ChainShape, encoded: bytes, N: int, genesis: int,
            deleted: frozenset[int]) -> VerifiedPrefix:
-        """The prefix of a chain whose shape and signatures passed."""
+        """The prefix of a chain whose shape and signatures passed;
+        ``encoded`` is the chain's :func:`encode_records` bytes, from which
+        the prefix's bytes are cut."""
         records, groups = shape.records, shape.groups
         keep = len(records) - 1
         g, start, weight = len(groups), len(records), shape.weight
@@ -375,9 +412,8 @@ class VerifiedPrefix:
             start -= 2 * len(groups[g].path) or 1
             weight -= groups[g].hop
         end = groups[g - 1].end if g else genesis
-        return cls(records[:keep],
-                   b"".join(map(_record_bytes, records[:keep])), N, genesis,
-                   deleted, (start, end, weight, groups[:g]))
+        return cls(records[:keep], encoded[12:-len(records[-1].enc)], N,
+                   genesis, deleted, (start, end, weight, groups[:g]))
 
     def skip(self, records: tuple[Record, ...], N: int, genesis: int,
              deleted: frozenset[int]
@@ -411,7 +447,7 @@ def inspect_chain(records: tuple[Record, ...], N: int, oracle, *,
         return None
     if shape.groups and shape.groups[-1].terminal != TAG_Y:
         return None
-    if not chain_signatures_ok(records, oracle, start):
+    if not chain_signatures_ok(records, oracle, known if start else None):
         return None
     return shape
 
@@ -435,7 +471,7 @@ def inspect_request(records: tuple[Record, ...], N: int, oracle, *,
     last = shape.groups[-1]
     if last.terminal != TAG_X or not last.path:
         return None
-    if not chain_signatures_ok(records, oracle, start):
+    if not chain_signatures_ok(records, oracle, known if start else None):
         return None
     return shape
 
@@ -456,26 +492,32 @@ def wire(kind: str, records: tuple[Record, ...]) -> bytes:
     return enc_str(kind) + enc_bytes(encode_records(records))
 
 
+_KIND_OF = {kind.encode(): kind for kind in _KINDS}
+
 WIRES_MAX = 256
 _shared_wires: OrderedDict[bytes, tuple] = OrderedDict()
 
 
-def parse_wire(payload: bytes, known: VerifiedPrefix | None = None
+def parse_wire(payload: bytes
                ) -> tuple[str, tuple[Record, ...], bytes] | None:
-    """(kind, records, record bytes) of a wire message, or None; ``known``
-    works as in :func:`decode_records` and only shortens a miss of the
-    shared table of the ``WIRES_MAX`` latest good parses, oldest out first.
+    """(kind, records, record bytes) of a wire message, or None.
+
+    The two chunks are read by slicing, as :class:`ByteReader` would read
+    them.  The latest ``WIRES_MAX`` good parses are kept in a shared
+    table, oldest out first.
     """
     parsed = _shared_wires.get(payload)
     if parsed is not None:
         return parsed
+    size = len(payload)
+    mid = 4 + int.from_bytes(payload[:4], "big")
+    kind = _KIND_OF.get(payload[4:mid])
+    if (kind is None or mid + 4 > size
+            or mid + 4 + int.from_bytes(payload[mid:mid + 4], "big") != size):
+        return None
+    body = payload[mid + 4:]
     try:
-        reader = ByteReader(payload)
-        kind = reader.read_str()
-        body = reader.read_bytes()
-        if kind not in _KINDS or not reader.at_end():
-            return None
-        parsed = kind, decode_records(body, known), body
+        parsed = kind, decode_records(body), body
     except CodecError:
         return None
     _shared_wires[payload] = parsed
@@ -510,8 +552,8 @@ class CCProcess(MarkerProcess):
 
     ``verified`` is the :class:`VerifiedPrefix` of the last chain that
     :meth:`_on_query` or :meth:`_on_chain` accepted as well formed and
-    fully signed, or None; a later chain that extends it is decoded,
-    shaped and verified from its first new record.  Audits such as
+    fully signed, or None; a later chain that extends it is shaped and
+    verified from its first new record.  Audits such as
     :func:`verify_payment_claim` neither read nor write it.
     """
 
@@ -522,7 +564,7 @@ class CCProcess(MarkerProcess):
         self.deleted: set[int] = set()
         self.marked = n == genesis_holder
         self.marked_round: int | None = GENESIS_ROUND if self.marked else None
-        self.chain: tuple[Record, ...] = ((Record(TAG_BASE, genesis_holder),)
+        self.chain: tuple[Record, ...] = ((_record(TAG_BASE, genesis_holder),)
                                           if self.marked else ())
         if self.marked and n not in oracle.corrupted:
             oracle.sign(n, record_content((), TAG_BASE))
@@ -586,7 +628,7 @@ class CCProcess(MarkerProcess):
             return []
         records = self.chain
         if records and records[-1].tag == TAG_Y:
-            records = records[:-1] + (Record(TAG_X, records[-1].signer),)
+            records = records[:-1] + (_record(TAG_X, records[-1].signer),)
         while self.chain_groups + (len(records) - len(self.chain)) < r:
             # one idle self hop per round spent holding without paying
             records = append_record(self.oracle, self.n, records, TAG_X)
@@ -603,7 +645,7 @@ class CCProcess(MarkerProcess):
     def _absorb_countersign(self, responder: int, r: int) -> list[Send]:
         """Fold a granted countersignature into the partial and move on."""
         _, records = self.outstanding
-        records = records + (Record(TAG_PATH, responder),)
+        records = records + (_record(TAG_PATH, responder),)
         self.route.pop(0)
         if not self.route:
             send = self._finish(records, r)
@@ -659,22 +701,23 @@ class CCProcess(MarkerProcess):
             self.refusals.append((r, w, refusal[0]))
         return refusal
 
-    def _verify(self, inspect, records: tuple[Record, ...]
+    def _verify(self, inspect, records: tuple[Record, ...], encoded: bytes
                 ) -> ChainShape | None:
         """``inspect`` the records from where ``verified`` leaves off, and
-        keep the prefix of a chain that passes."""
+        keep the prefix of a chain that passes; ``encoded`` is their
+        :func:`encode_records` bytes."""
         deleted = frozenset(self.deleted)
         shape = inspect(records, self.N, self.oracle,
                         genesis=self.genesis_holder, deleted=deleted,
                         known=self.verified)
         if shape is not None:
-            self.verified = VerifiedPrefix.of(shape, self.N,
+            self.verified = VerifiedPrefix.of(shape, encoded, self.N,
                                               self.genesis_holder, deleted)
         return shape
 
     def _on_query(self, sender: int, records: tuple[Record, ...],
-                  r: int) -> list[Send]:
-        shape = self._verify(inspect_request, records)
+                  r: int, encoded: bytes) -> list[Send]:
+        shape = self._verify(inspect_request, records, encoded)
         if shape is None:
             return []
         open_group = shape.groups[-1]
@@ -708,8 +751,8 @@ class CCProcess(MarkerProcess):
         self.received_log.setdefault(shape.weight, shape.records)
 
     def _on_chain(self, sender: int, records: tuple[Record, ...],
-                  r: int) -> None:
-        shape = self._verify(inspect_chain, records)
+                  r: int, encoded: bytes) -> None:
+        shape = self._verify(inspect_chain, records, encoded)
         if shape is None or not shape.groups or shape.end != self.n:
             return
         w = shape.weight
@@ -728,19 +771,19 @@ class CCProcess(MarkerProcess):
             buckets: dict[str, list[tuple[int, bytes, tuple[Record, ...]]]] = {
                 kind: [] for kind in _KINDS}
             for d in inbox:
-                parsed = parse_wire(d.payload, self.verified)
+                parsed = parse_wire(d.payload)
                 if parsed is not None:
                     kind, records, body = parsed
                     buckets[kind].append((d.sender, body, records))
             for kind in _KINDS:
                 # the record encoding is canonical: sorting by the bytes
                 # sorts by what encode_records(records) would give
-                for sender, _, records in sorted(buckets[kind],
-                                                 key=_by_sender_and_bytes):
+                for sender, body, records in sorted(buckets[kind],
+                                                    key=_by_sender_and_bytes):
                     if kind == KIND_CHAIN:
-                        self._on_chain(sender, records, r)
+                        self._on_chain(sender, records, r, body)
                     elif kind == KIND_QUERY:
-                        sends.extend(self._on_query(sender, records, r))
+                        sends.extend(self._on_query(sender, records, r, body))
                     elif kind == KIND_RESPONSE:
                         sends.extend(self._on_response(sender, records, r))
                     else:
@@ -988,7 +1031,7 @@ class PoRProcess(CCProcess):
             return
         nxt = shape.groups[-1].end
         if nxt == self.target:
-            final = records[:-1] + (Record(TAG_Y, self.n),)
+            final = records[:-1] + (_record(TAG_Y, self.n),)
             self.oracle.sign(self.n, record_content(records[:-1], TAG_Y))
             self.proofs[r] = final
             self.marked = False

@@ -4,8 +4,9 @@
 their own bytes: they encode every record from its fields, parse every
 record in full and re-encode every prefix to check a chain.  The codec in
 ``lockstep.cyclecoin`` must agree with them byte for byte, and must reject
-exactly the bytes they reject.  ``parse_wire`` answers from a shared table
-and must agree with a fresh parse on a hit and on a miss alike.
+exactly the bytes they reject.  ``encode_records`` keeps what it encodes
+for ``decode_records``, and ``parse_wire`` answers from a shared table;
+both must agree with a fresh parse on a hit and on a miss alike.
 """
 
 import pytest
@@ -184,11 +185,42 @@ def test_the_shared_table_stays_bounded():
         table.clear()
         flood = tuple(Record(TAG_PATH, 10**6 + s)
                       for s in range(cyclecoin.SHARED_RECORDS_MAX + 10))
-        assert decode_records(encode_records(flood)) == flood
+        assert decode_records(ref_encode_records(flood)) == flood
         assert len(table) == cyclecoin.SHARED_RECORDS_MAX
         with pytest.raises(CodecError):
-            decode_records(encode_records((Record("z", 1),)))
+            decode_records(ref_encode_records((Record("z", 1),)))
         assert len(table) == cyclecoin.SHARED_RECORDS_MAX
+    finally:
+        table.clear()
+        table.update(saved)
+
+
+@given(records)
+def test_an_encoding_decodes_as_a_fresh_parse_and_only_a_good_one_is_kept(
+        recs):
+    data = encode_records(recs)
+    assert _decoded(decode_records, data) == _decoded(ref_decode_records, data)
+    known = all(rec.tag in KNOWN_TAGS for rec in recs)
+    assert (data in cyclecoin._encodings) == known
+
+
+def test_the_encoding_table_stays_within_its_cap():
+    table = cyclecoin._encodings
+    saved = dict(table)
+    try:
+        table.clear()
+        chains = [(Record(TAG_BASE, 0),) + (Record(TAG_X, 0),) * k
+                  for k in range(cyclecoin.ENCODINGS_MAX + 10)]
+        flood = [encode_records(chain) for chain in chains]
+        assert len(table) == cyclecoin.ENCODINGS_MAX
+        # the oldest encodings went first
+        assert list(table) == flood[10:]
+        assert all(decode_records(data) is chain
+                   for data, chain in zip(flood[10:], chains[10:]))
+        bad = encode_records((Record(TAG_BASE, 0), Record("z", 1)))
+        assert bad not in table and len(table) == cyclecoin.ENCODINGS_MAX
+        with pytest.raises(CodecError):
+            decode_records(bad)
     finally:
         table.clear()
         table.update(saved)

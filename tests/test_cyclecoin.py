@@ -1,5 +1,8 @@
 """Chain marker: locality of payment cost, chain codec, payment claims."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +33,7 @@ from lockstep.cyclecoin import (
     wire,
 )
 from lockstep.marker import MarkerSystem, measure_z
+from lockstep.payments import Bank
 from lockstep.simnet import (
     Adversary,
     CodecError,
@@ -340,3 +344,50 @@ def test_an_inbox_is_handled_by_kind_then_sender_then_encoding(order):
                     (e for e in sent if e[0] == kind),
                     key=lambda e: (e[1], encode_records(e[2])))]
     assert handled == expected
+
+
+# Base oracle calls of the twenty cycle bank rounds below.  The codec
+# tables save parsing and joining, never a question to the oracle or a
+# signature, so no table may move these counts.
+CYCLE_BANK_VERIFIES = 1283
+CYCLE_BANK_SIGNS = 255
+
+
+def _twenty_cycle_bank_rounds():
+    bank = Bank(6, 2, [1] * 6, family="cycle")
+    rng = random.Random(11)
+    for _ in range(20):
+        bank.run_round({payer: rng.randrange(6)
+                        for payer, balance in bank.balances().items()
+                        if balance > 0 and rng.random() < 0.6})
+    assert bank.audit() == []
+
+
+def test_twenty_cycle_bank_rounds_ask_the_oracle_as_often_as_before(
+        monkeypatch):
+    calls = {"verify": 0, "sign": 0}
+    for name in calls:
+        original = getattr(SignatureOracle, name)
+
+        def counted(oracle, signer, content, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(oracle, signer, content)
+
+        monkeypatch.setattr(SignatureOracle, name, counted)
+    _twenty_cycle_bank_rounds()
+    assert calls == {"verify": CYCLE_BANK_VERIFIES, "sign": CYCLE_BANK_SIGNS}
+
+
+def test_twenty_cycle_bank_rounds_decode_every_chain_by_lookup(monkeypatch):
+    # an empty wire table, so that no wire is answered before its decode
+    monkeypatch.setattr(cyclecoin, "_shared_wires", OrderedDict())
+    hits = []
+    decode = cyclecoin.decode_records
+
+    def recording(data):
+        hits.append(data in cyclecoin._encodings)
+        return decode(data)
+
+    monkeypatch.setattr(cyclecoin, "decode_records", recording)
+    _twenty_cycle_bank_rounds()
+    assert hits and all(hits)

@@ -25,7 +25,6 @@ from lockstep.cyclecoin import (
     VerifiedPrefix,
     append_record,
     cycle_path,
-    decode_records,
     encode_records,
     inspect_chain,
     inspect_request,
@@ -35,8 +34,7 @@ from lockstep.cyclecoin import (
     wire,
 )
 from lockstep.payments import Bank
-from lockstep.simnet import (CodecError, SignatureOracle, enc_bytes, enc_int,
-                             enc_str)
+from lockstep.simnet import SignatureOracle
 
 TAGS = (TAG_BASE, TAG_PATH, TAG_X, TAG_Y)
 
@@ -110,23 +108,6 @@ def _tamper(draw, chain, oracle, lo):
     return tuple(chain)
 
 
-def _decoded(data, known=None):
-    try:
-        return decode_records(data, known)
-    except CodecError:
-        return CodecError
-
-
-def _flip(draw, data):
-    data = bytearray(data)
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        pos = draw(st.integers(min_value=0, max_value=len(data) - 1))
-        data[pos] ^= draw(st.integers(min_value=1, max_value=255))
-    if draw(st.booleans()):
-        del data[draw(st.integers(min_value=0, max_value=len(data))):]
-    return bytes(data)
-
-
 @settings(max_examples=300)
 @given(histories(), st.data())
 def test_a_check_from_a_verified_prefix_matches_a_check_from_genesis(
@@ -140,7 +121,8 @@ def test_a_check_from_a_verified_prefix_matches_a_check_from_genesis(
         ((deleted, deleted), (deleted, elsewhere), (elsewhere, elsewhere))))
     shape = inspect(earlier, N, oracle, deleted=memo_deleted)
     assume(shape is not None)
-    known = VerifiedPrefix.of(shape, N, 0, memo_deleted)
+    known = VerifiedPrefix.of(shape, encode_records(earlier), N, 0,
+                              memo_deleted)
     assert known.records == earlier[:-1]
     assert known.body == encode_records(earlier[:-1])[12:]
 
@@ -150,35 +132,31 @@ def test_a_check_from_a_verified_prefix_matches_a_check_from_genesis(
     for check in (inspect_chain, inspect_request):
         assert (check(later, N, oracle, deleted=check_deleted, known=known)
                 == check(later, N, oracle, deleted=check_deleted))
-    wire = encode_records(later)
-    recount = enc_int(data.draw(st.integers(min_value=-1,
-                                            max_value=len(later) + 1)))
-    for body in (wire, _flip(data.draw, wire), recount + wire[12:]):
-        assert _decoded(body, known) == _decoded(body)
 
 
 @settings(max_examples=100)
 @given(histories(), st.data())
-def test_a_wire_parsed_with_a_prefix_or_from_the_table_matches_a_fresh_parse(
+def test_a_prefix_cut_from_a_parsed_wire_holds_its_records_bytes(
         history, data):
-    """``known`` only shortens a miss of the shared wire table; a hit
-    returns what a fresh parse without it gives."""
+    """A process keeps the bytes of a prefix cut from the record bytes
+    ``parse_wire`` returns, whether the wire came from the wire table,
+    from the encoder's table or from a parse of its records."""
     N, deleted, oracle, snapshots = history
-    i = data.draw(st.integers(min_value=0, max_value=len(snapshots) - 1))
-    inspect, earlier = snapshots[i]
-    shape = inspect(earlier, N, oracle, deleted=deleted)
-    assume(shape is not None)
-    known = VerifiedPrefix.of(shape, N, 0, deleted)
-    j = data.draw(st.integers(min_value=i, max_value=len(snapshots) - 1))
-    later = _tamper(data.draw, snapshots[j][1], oracle, len(known.records))
-    body = encode_records(later)
-    for payload in (wire(KIND_CHAIN, later),
-                    enc_str(KIND_QUERY) + enc_bytes(_flip(data.draw, body))):
-        cyclecoin._shared_wires.pop(payload, None)
-        miss = parse_wire(payload, known)
-        hit_with, hit_without = parse_wire(payload, known), parse_wire(payload)
-        cyclecoin._shared_wires.pop(payload, None)
-        assert miss == hit_with == hit_without == parse_wire(payload)
+    inspect, records = data.draw(st.sampled_from(snapshots))
+    payload = wire(KIND_CHAIN if inspect is inspect_chain else KIND_QUERY,
+                   records)
+    body = encode_records(records)
+    wires, encodings = cyclecoin._shared_wires, cyclecoin._encodings
+    for forget in ((), ((wires, payload),),
+                   ((wires, payload), (encodings, body))):
+        for table, key in forget:
+            table.pop(key, None)
+        _, parsed, encoded = parse_wire(payload)
+        assert parsed == records and encoded == body
+        shape = inspect(parsed, N, oracle, deleted=deleted)
+        known = VerifiedPrefix.of(shape, encoded, N, 0, deleted)
+        assert known.records == records[:-1]
+        assert known.body == b"".join(rec.enc for rec in records[:-1])
 
 
 @given(histories(), st.data())
@@ -195,7 +173,7 @@ def test_a_refused_chain_passes_once_its_missing_content_is_signed(
     for k, rec in enumerate(earlier):
         oracle.sign(rec.signer, record_content(earlier[:k], rec.tag))
     known = VerifiedPrefix.of(inspect(earlier, N, oracle, deleted=deleted),
-                              N, 0, deleted)
+                              encode_records(earlier), N, 0, deleted)
     missing = [(rec.signer, record_content(later[:k], rec.tag))
                for k, rec in enumerate(later)]
     missing = [entry for entry in missing if not oracle.verify(*entry)]
@@ -210,8 +188,8 @@ def test_a_refused_chain_passes_once_its_missing_content_is_signed(
 
 def _known(oracle, N, snapshot, deleted=frozenset()):
     check, records = snapshot
-    return VerifiedPrefix.of(check(records, N, oracle, deleted=deleted), N, 0,
-                             deleted)
+    return VerifiedPrefix.of(check(records, N, oracle, deleted=deleted),
+                             encode_records(records), N, 0, deleted)
 
 
 def test_a_group_end_decided_past_the_prefix_is_parsed_again():
