@@ -39,7 +39,7 @@ from lockstep.adversary import (
     split_double_spend,
     AttackResult,
 )
-from lockstep.cancel import BRUTEFORCE_LIMIT, sweep_cell
+from lockstep.cancel import sweep_cell
 from lockstep.consensus import (
     ds_all_honest_messages,
     ds_message_bound,
@@ -343,7 +343,7 @@ def _sweep_hopnet(cfg: dict):
 def _sweep_cancel(cfg: dict):
     limit = min(cfg["n"], 12)
     cells = [(N, q) for N in range(4, limit + 1)
-             for q in range(2, min(N, 6, BRUTEFORCE_LIMIT) + 1)]
+             for q in range(2, min(N, 6) + 1)]
     rows = _map_cells(_cancel_cell, cells, cfg["workers"])
     header = ["N", "q", "instances", "mismatches",
               "greedy_total", "optimal_total"]

@@ -1031,14 +1031,7 @@ class PoRProcess(CCProcess):
             return
         nxt = shape.groups[-1].end
         if nxt == self.target:
-            final = records[:-1] + (_record(TAG_Y, self.n),)
-            self.oracle.sign(self.n, record_content(records[:-1], TAG_Y))
-            self.proofs[r] = final
-            self.marked = False
-            self.outstanding = None
-            self.route = []
-            target, self.target = self.target, None
-            self.ready = [Send(target, wire(KIND_CHAIN, final), len(final))]
+            self.ready = [self._finish(records[:-1], r)]
             return
         self.route = cycle_path(nxt, self.target, self.N,
                                 frozenset(self.deleted))

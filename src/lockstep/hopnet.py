@@ -147,9 +147,6 @@ class HopGraph:
     def K(self) -> int:
         return len(self.cycles)
 
-    def vertex(self, k: int, n: int) -> int:
-        return k * self.N + n
-
     def split(self, v: int) -> tuple[int, int]:
         return divmod(v, self.N)
 
@@ -219,18 +216,14 @@ def _decompose(vertices: tuple[tuple[int, int], ...]) -> tuple[tuple, int]:
     return tuple(legs), hops
 
 
-def shortest_hop_path(graph: HopGraph, a: int, b: int,
-                      start_cycles: frozenset[int] | None = None
-                      ) -> HopPath | None:
+def shortest_hop_path(graph: HopGraph, a: int, b: int) -> HopPath | None:
     """Breadth first route from a's funded cycles to b on any cycle.
 
     Sources and neighbours are visited in ascending (cycle, process)
     order, so the returned route is canonical.  Returns None when b is
     unreachable.
     """
-    if start_cycles is None:
-        start_cycles = frozenset(k for k in range(graph.K)
-                                 if graph.balances[k][a] > 0)
+    start_cycles = [k for k in range(graph.K) if graph.balances[k][a] > 0]
     if not start_cycles:
         raise ConfigFault(f"process {a} holds no value on any cycle")
     N = graph.N
@@ -238,7 +231,7 @@ def shortest_hop_path(graph: HopGraph, a: int, b: int,
     parent = [-1] * (graph.K * N)
     dist = [-1] * (graph.K * N)
     queue: deque[int] = deque()
-    for k in sorted(start_cycles):
+    for k in start_cycles:
         v = k * N + a
         dist[v] = 0
         parent[v] = v
