@@ -135,6 +135,9 @@ class CoalitionOracle:
     def verify(self, signer: int, content: bytes) -> bool:
         return self._base.verify(signer, content)
 
+    def verify_all(self, pairs: frozenset[tuple[int, bytes]]) -> bool:
+        return self._base.verify_all(pairs)
+
 
 # ---------------------------------------------------------------------------
 # broadcast attacks

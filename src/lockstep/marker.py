@@ -19,13 +19,16 @@ any two receipt quorums share an honest broadcaster, which is what makes
 stale or split proofs unusable.
 
 Checking a proof splits into pure facts and oracle verdicts.  The pure
-facts of a proof (its decoded receipts, their one round and one target,
-the number of distinct signers) depend on its bytes alone, so
-:func:`summarize_proof` keeps them in a bounded table shared by every
-process (cap ``PROOFS_MAX``), and every broadcaster that sees the same
-proof reads them once.  Whether a signer is a broadcaster and whether the
-oracle issued its signature are asked by each process, about every
-receipt, on every check; no oracle verdict is kept or shared.
+facts of a proof (the one round and one target of its receipts, the set of
+their distinct signers and the set of their (signer, content) signatures)
+depend on its bytes alone, so :func:`summarize_proof` keeps them in a
+bounded table shared by every process (cap ``PROOFS_MAX``), and every
+broadcaster that sees the same proof reads them once.  Whether the signers
+are broadcasters is one subset test, and whether the oracle issued the
+signatures is one batched question,
+:meth:`~lockstep.simnet.SignatureOracle.verify_all`; each process asks both
+about every receipt, on every check, and no oracle verdict is kept or
+shared.
 """
 
 from __future__ import annotations
@@ -62,6 +65,15 @@ class Marking:
     round: int
     target: int
     predecessor: int
+
+
+def round_tail(markings: list[Marking], r: int) -> list[Marking]:
+    """The markings of round ``r`` in a list appended in round order and
+    holding none after ``r``: its tail, read from the end."""
+    i = len(markings)
+    while i and markings[i - 1].round == r:
+        i -= 1
+    return markings[i:]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +202,7 @@ class MarkerSystem:
         for proc in honest:
             proc.end_round(r)
         self.round_index += 1
-        return [m for proc in honest for m in proc.markings if m.round == r]
+        return [m for proc in honest for m in round_tail(proc.markings, r)]
 
 
 def handoff(family: type[MarkerProcess], N: int, f: int, payer: int,
@@ -299,9 +311,10 @@ def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
 @lru_cache(maxsize=PROOFS_MAX)
 def summarize_proof(proof: bytes) -> tuple | None:
     """The pure facts of a receipt proof as (round, holder, signers,
-    receipts): in ``round`` the receipts handed the marker to ``holder``,
-    the payer who shows the proof, and they carry ``signers`` distinct
-    signers.  ``receipts`` are the decoded receipts.  None when a receipt
+    pairs): in ``round`` the receipts handed the marker to ``holder``, the
+    payer who shows the proof; ``signers`` is the set of their distinct
+    signers and ``pairs`` the set of their (signer, signed content) pairs,
+    the signatures a checker asks its oracle about.  None when a receipt
     is malformed or the receipts disagree on round or target; the empty
     proof, which only the genesis holder may show, has no holder."""
     try:
@@ -310,14 +323,14 @@ def summarize_proof(proof: bytes) -> tuple | None:
         return None
     receipts = tuple(map(read_receipt, wires))
     if not receipts:
-        return GENESIS_ROUND, None, 0, ()
+        return GENESIS_ROUND, None, frozenset(), frozenset()
     if None in receipts:
         return None
     if len({(j, target) for j, _, target, _, _ in receipts}) != 1:
         return None
     j, _, holder, _, _ = receipts[0]
-    signers = len({signer for _, _, _, signer, _ in receipts})
-    return j, holder, signers, receipts
+    pairs = frozenset((signer, content) for _, _, _, signer, content in receipts)
+    return j, holder, frozenset(signer for signer, _ in pairs), pairs
 
 
 class QMProcess(MarkerProcess):
@@ -378,16 +391,13 @@ class QMProcess(MarkerProcess):
         summary = summarize_proof(proof)
         if summary is None:
             return None
-        j, holder, signers, receipts = summary
-        if not receipts:
+        j, holder, signers, pairs = summary
+        if not pairs:
             return GENESIS_ROUND if payer == self.genesis_holder else None
-        if holder != payer or signers < 2 * self.f + 1:
+        if (holder != payer or len(signers) < 2 * self.f + 1
+                or not self.broadcasters.issuperset(signers)):
             return None
-        broadcasters, verify = self.broadcasters, self.oracle.verify
-        for _, _, _, signer, content in receipts:
-            if signer not in broadcasters or not verify(signer, content):
-                return None
-        return j
+        return j if self.oracle.verify_all(pairs) else None
 
     def _fresh(self, claimed: int, payer: int) -> bool:
         """Whether the history holds nothing after round ``claimed`` and, at

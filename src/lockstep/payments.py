@@ -55,7 +55,8 @@ import io
 from dataclasses import dataclass
 
 from .cyclecoin import CCProcess
-from .marker import Marking, MarkerProcess, QMProcess, check_marker_round
+from .marker import (Marking, MarkerProcess, QMProcess, check_marker_round,
+                     round_tail)
 from .muxer import MuxHost, nonce_for
 from .simnet import (ConfigFault, Network, ScopedOracle, SignatureOracle)
 
@@ -190,13 +191,9 @@ class Bank:
         credited: dict[int, list[int]] = {n: [] for n in self._order}
         tails = []
         for n, v, proc in touched:
-            ms = proc.markings
-            if not ms or ms[-1].round != r:
-                continue
-            i = len(ms) - 1
-            while i and ms[i - 1].round == r:
-                i -= 1
-            tails.append((n, v, ms[i:]))
+            tail = round_tail(proc.markings, r)
+            if tail:
+                tails.append((n, v, tail))
         if kept:
             seen = {(n, v) for n, v, _ in touched}
             tails += [(n, v, [m]) for n, v, m in kept if (n, v) not in seen]

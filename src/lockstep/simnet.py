@@ -14,35 +14,51 @@ signature of an honest process can never be fabricated; attempting to do so
 raises :class:`ForgeryViolation`.
 
 Decoding.  Pure encodings and decodes are shared; oracle verdicts never
-are.  Nine tables keep immutable results keyed by what they came from, so
-each distinct input is tagged, split or parsed once; malformed input is
+are.  Eleven tables keep immutable results keyed by what they came from,
+so each distinct input is tagged, split or parsed once; malformed input is
 never kept.  Each is bounded in entries.  Wire bytes have no size limit, so
 a table's worst case is its cap times its largest entry, which for a key of
-B bytes is (CPython 3.11):
+B bytes is (CPython 3.11, measured with ``tracemalloc``):
 :func:`tag_payload`, 256 × (2B + 0.2 KB);
 :func:`split_payload`, 256 × (2B + 0.2 KB);
 :meth:`SignedMessage.from_bytes`, 512 × (2B + 0.7 KB);
+the messages :meth:`SignedMessage.signed_by` made lately, by wire, which
+seed :meth:`~SignedMessage.from_bytes` on a miss, so a message is decoded
+by lookup when its signer made it in this process, 512 × (2B + 0.6 KB),
+oldest out first;
+:func:`tag_pairs`, a batch of (signer, content) pairs with the contents
+nonce tagged, for B bytes of contents in k pairs, 64 × (2B + 0.35 KB × k);
 :func:`lockstep.marker.receipt_content`, keyed by (round, payer, target),
 64 × 0.2 KB;
 :func:`lockstep.marker.parse_typed`, 256 × (2B + 0.2 KB);
-:func:`lockstep.marker.summarize_proof`, the pure facts of a receipt proof,
-64 × (2.5B + 0.3 KB); :func:`lockstep.cyclecoin.parse_wire`, the latest
-chain wires, 256 × (2.5B + 0.3 KB); and the records of
+:func:`lockstep.marker.summarize_proof`, the pure facts of a receipt proof
+of k receipts, 64 × (2.5B + 0.3 KB + 0.1 KB × k);
+:func:`lockstep.cyclecoin.parse_wire`, the latest chain wires,
+256 × (2.5B + 0.3 KB); and the records of
 :func:`lockstep.cyclecoin.decode_records`, 16,384 × 0.26 KB = 4.3 MB.
 :func:`lockstep.cyclecoin.encode_records` seeds that decoder with the
 latest 256 encodings and their records, so an honest chain decodes by one
 lookup: 256 × (1.5B + 0.2 KB) when the records come from the record
-table, 256 × (12B + 0.1 KB) at worst, when only this table holds them
-(both measured with ``tracemalloc``).  Honest processes take the records
-they sign from the record table too, so equal records are one object
-(hash-consing) and there is no second table of records.
+table, 256 × (12B + 0.1 KB) at worst, when only this table holds them.
+Honest processes take the records they sign from the record table too, so
+equal records are one object (hash-consing) and there is no second table
+of records.
+Two more caches are unbounded in entries but bounded by the configurations
+a process runs: :meth:`lockstep.cyclecoin.CCProcess.steps`, one small int
+per distinct (N, f), about 0.15 KB each; and
+``lockstep.cancel._PERM_TABLES``, the permutation tables of one pair count
+q each, q <= ``BRUTEFORCE_LIMIT`` = 9, 2 × q! × q × 8 bytes, so 52 MB at
+q = 9 and 58 MB with every q.
 Equal inputs get the same result object back: a payload sent to k
 recipients is one tagged bytes object, every receiver splits it into one
 content object, and each keeps its hash, so the lookups after it do not
 hash the bytes again.  :meth:`ScopedOracle.verify` takes its tagged content
 from the tag table and asks the oracle on every call, as
 :meth:`SignedMessage.verify_stack` does about every entry, because a later
-``sign`` can turn a refusal into an acceptance.
+``sign`` can turn a refusal into an acceptance.  A batch of signatures is
+one question, :meth:`SignatureOracle.verify_all`, asked about every pair
+on every call: :meth:`ScopedOracle.verify_all` takes its tagged pairs from
+:func:`tag_pairs`, and only the pure tagging is kept.
 The one verdict kept is per process, positive only, and rests on the
 registry being append-only: a chain-marker process keeps the prefix of the
 last chain it accepted (:class:`lockstep.cyclecoin.VerifiedPrefix`) and
@@ -53,6 +69,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import OrderedDict
 from collections.abc import KeysView
 from dataclasses import dataclass
 from functools import lru_cache
@@ -142,15 +159,18 @@ TAGGED_MAX = 256
 SPLITS_MAX = 256
 
 
-@lru_cache(maxsize=TAGGED_MAX)
-def tag_payload(content: bytes, nonce: bytes) -> bytes:
+def _tag(content: bytes, nonce: bytes) -> bytes:
     """Suffix ``content`` with an instance nonce.
 
     The content is length prefixed and followed by a reserved separator byte,
-    so the (content, nonce) split is unambiguous for any nonce bytes.  Equal
-    arguments get the same bytes object back, whose hash is then kept.
+    so the (content, nonce) split is unambiguous for any nonce bytes.
+    :func:`tag_payload` is this function behind a table: equal arguments get
+    the same bytes object back, whose hash is then kept.
     """
     return b"".join((len(content).to_bytes(4, "big"), content, SEPARATOR, nonce))
+
+
+tag_payload = lru_cache(maxsize=TAGGED_MAX)(_tag)
 
 
 @lru_cache(maxsize=SPLITS_MAX)
@@ -171,8 +191,24 @@ def split_payload(data: bytes) -> tuple[bytes, bytes]:
 # ---------------------------------------------------------------------------
 # signatures
 
-# Entries of the shared SignedMessage.from_bytes table.
+# Entries of the shared SignedMessage.from_bytes table, of the table of
+# messages signed_by made lately, by wire, that seeds it, and of the shared
+# tag_pairs table.  A proof is checked by every broadcaster in one step.
 SIGNED_MESSAGES_MAX = 512
+SIGNED_SEEDS_MAX = 512
+TAGGED_PAIRS_MAX = 64
+
+# The messages signed_by made lately, keyed by their own wire, oldest first.
+_signed_seeds: OrderedDict[bytes, "SignedMessage"] = OrderedDict()
+
+
+@lru_cache(maxsize=TAGGED_PAIRS_MAX)
+def tag_pairs(pairs: frozenset[tuple[int, bytes]],
+              nonce: bytes) -> frozenset[tuple[int, bytes]]:
+    """The (signer, content) ``pairs`` with every content suffixed by
+    ``nonce`` as :func:`tag_payload` does, built without filling its
+    table."""
+    return frozenset((signer, _tag(content, nonce)) for signer, content in pairs)
 
 
 class SignatureOracle:
@@ -199,6 +235,12 @@ class SignatureOracle:
     def verify(self, signer: int, content: bytes) -> bool:
         return (signer, content) in self._issued
 
+    def verify_all(self, pairs: frozenset[tuple[int, bytes]]) -> bool:
+        """Whether every (signer, content) pair was issued: one question
+        for a batch, answered now, like :meth:`verify`.  ``pairs`` may be
+        any collection; a scoped view needs it hashable."""
+        return self._issued.issuperset(pairs)
+
 
 class ScopedOracle:
     """View of an oracle whose contents are all suffixed with a fixed nonce.
@@ -224,6 +266,9 @@ class ScopedOracle:
 
     def verify(self, signer: int, content: bytes) -> bool:
         return self._base.verify(signer, tag_payload(content, self._nonce))
+
+    def verify_all(self, pairs: frozenset[tuple[int, bytes]]) -> bool:
+        return self._base.verify_all(tag_pairs(pairs, self._nonce))
 
 
 class once:
@@ -269,6 +314,10 @@ class SignedMessage:
     @classmethod
     @lru_cache(maxsize=SIGNED_MESSAGES_MAX)
     def from_bytes(cls, data: bytes) -> "SignedMessage":
+        # on a miss, a message signed_by made lately is its own decode
+        seeded = _signed_seeds.get(data)
+        if seeded is not None:
+            return seeded
         reader = ByteReader(data)
         payload = reader.read_bytes()
         stack = []
@@ -285,14 +334,25 @@ class SignedMessage:
         return tuple(signer for signer, _ in self.stack)
 
     def signed_by(self, oracle, signer: int, *, adversarial: bool = False) -> "SignedMessage":
-        content = self.to_bytes()
+        """This message countersigned by ``signer``.  The child is built
+        field by field, without the dataclass ``__init__``, and seeds
+        :meth:`from_bytes` with its wire."""
+        content = self._wire
         if adversarial:
             oracle.adversary_sign(signer, content)
         else:
             oracle.sign(signer, content)
-        child = SignedMessage(self.payload, self.stack + ((signer, content),))
-        child.__dict__["_wire"] = content + enc_int(signer) + enc_bytes(content)
-        child.__dict__["signers"] = self.signers + (signer,)
+        # content + enc_int(signer) + enc_bytes(content), in one join
+        wire = b"".join((content, b"\x00\x00\x00\x08",
+                         int(signer).to_bytes(8, "big", signed=True),
+                         len(content).to_bytes(4, "big"), content))
+        child = object.__new__(SignedMessage)
+        child.__dict__.update(payload=self.payload,
+                              stack=self.stack + ((signer, content),),
+                              _wire=wire, signers=self.signers + (signer,))
+        _signed_seeds[wire] = child
+        if len(_signed_seeds) > SIGNED_SEEDS_MAX:
+            _signed_seeds.popitem(last=False)
         return child
 
     @once

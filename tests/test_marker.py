@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lockstep import simnet
 from lockstep.adversary import StrawmanProcess
 from lockstep.consensus import ds_all_honest_messages
 from lockstep.cyclecoin import CCProcess, PoRProcess
@@ -117,22 +118,27 @@ def test_the_decode_tables_stay_within_their_caps(decode, cap, make):
     assert decode.cache_info().currsize == cap
 
 
-# Base oracle checks of the twenty rounds below.  The shared tables save
-# encoding, parsing and hashing, never a question to the oracle, so no
-# table may move this count.
+# Base oracle checks of the twenty rounds below, one per pair asked alone
+# or in a batch.  The shared tables save encoding, parsing and hashing,
+# never a question to the oracle, so no table may move this count.
 QUORUM_BANK_VERIFIES = 53792
 
 
 def test_twenty_quorum_bank_rounds_ask_the_oracle_as_often_as_before(
         monkeypatch):
     asked = []
-    verify = SignatureOracle.verify
+    verify, verify_all = SignatureOracle.verify, SignatureOracle.verify_all
 
     def counted(oracle, signer, content):
         asked.append(signer)
         return verify(oracle, signer, content)
 
+    def counted_all(oracle, pairs):
+        asked.extend(signer for signer, _ in pairs)
+        return verify_all(oracle, pairs)
+
     monkeypatch.setattr(SignatureOracle, "verify", counted)
+    monkeypatch.setattr(SignatureOracle, "verify_all", counted_all)
     bank = Bank(16, 5, [1] * 16, family="quorum")
     rng = random.Random(11)
     for _ in range(20):
@@ -165,6 +171,40 @@ def test_a_quorum_round_with_receipt_proofs_parses_each_message_once(
     proofs = summarize_proof.cache_info()
     assert proofs.hits >= 3 * bank.f * proofs.misses > 0
     assert bank.audit() == []
+
+
+def test_a_quorum_round_decodes_the_messages_it_signed_by_lookup(
+        monkeypatch):
+    # Every intent and receipt of a round was built by signed_by a step
+    # before it is read, so round 1 parses no signed-message wire: intents
+    # and fresh receipts come from the seed table, the receipts of proofs
+    # from the decode table.
+    bank = Bank(16, 5, [1] * 16, family="quorum")
+    bank.run_round({n: (n + 1) % 16 for n in range(16)})
+    parsed = []
+
+    class Counting(simnet.ByteReader):
+        def __init__(self, data):
+            parsed.append(data)
+            super().__init__(data)
+
+    monkeypatch.setattr(simnet, "ByteReader", Counting)
+    bank.run_round({n: (n + 5) % 16 for n in range(16)})
+    assert bank.audit() == []
+    assert parsed == []
+
+
+def test_a_marker_round_reads_its_markings_off_each_tail():
+    system = MarkerSystem(QMProcess, 7, 2)
+    rng = random.Random(5)
+    holder = 0
+    for r in range(200):
+        target = rng.randrange(7)
+        got = system.run_round({holder: target})
+        assert got == [m for p in system.procs for m in p.markings
+                       if m.round == r]
+        assert [(m.predecessor, m.target) for m in got] == [(holder, target)]
+        holder = target
 
 
 def _reference_receipt(proc, wire):

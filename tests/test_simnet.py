@@ -6,12 +6,15 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from lockstep.adversary import BankJunkAdversary
+from lockstep import simnet
+from lockstep.adversary import BankJunkAdversary, CoalitionOracle
 from lockstep.payments import Bank
 from lockstep.simnet import (
     SIGNED_MESSAGES_MAX,
+    SIGNED_SEEDS_MAX,
     SPLITS_MAX,
     TAGGED_MAX,
+    TAGGED_PAIRS_MAX,
     Adversary,
     ByteReader,
     CodecError,
@@ -29,6 +32,7 @@ from lockstep.simnet import (
     enc_str,
     seeded_rng,
     split_payload,
+    tag_pairs,
     tag_payload,
 )
 
@@ -198,6 +202,82 @@ def test_a_spliced_stack_stays_rejected_after_its_content_is_signed():
     assert not SignedMessage.from_bytes(wire).verify_stack(oracle)
     oracle.sign(*foreign)
     assert not SignedMessage.from_bytes(wire).verify_stack(oracle)
+
+
+# Pairs over few signers and contents, so that batches repeat and overlap.
+pair_lists = st.lists(st.tuples(st.integers(0, 3),
+                                st.sampled_from((b"", b"a", b"b", b"ab"))),
+                      max_size=6)
+
+
+@given(pair_lists, pair_lists)
+def test_a_batch_verdict_equals_the_verdicts_of_its_pairs(issued, asked):
+    """Over the plain, scoped and coalition oracles, for empty, duplicate
+    and unsigned pairs; no verdict is kept, so a refused batch passes once
+    its missing pairs are signed."""
+    for view in (lambda base: base, lambda base: ScopedOracle(base, b"n"),
+                 CoalitionOracle):
+        oracle = view(SignatureOracle(frozenset(range(4))))
+        for signer, content in issued:
+            oracle.sign(signer, content)
+        for pairs in (tuple(asked), frozenset(asked)):
+            assert oracle.verify_all(pairs) == all(
+                oracle.verify(signer, content) for signer, content in pairs)
+        missing = [pair for pair in asked if not oracle.verify(*pair)]
+        assert oracle.verify_all(frozenset(asked)) == (not missing)
+        for signer, content in missing:
+            oracle.sign(signer, content)
+        assert oracle.verify_all(frozenset(asked))
+        assert oracle.verify_all(())
+
+
+def test_the_tagged_pairs_table_stays_within_its_cap():
+    tag_pairs.cache_clear()
+    for k in range(TAGGED_PAIRS_MAX + 40):
+        pairs = frozenset({(0, enc_int(k)), (1, enc_int(k))})
+        assert tag_pairs(pairs, b"n") == frozenset(
+            (signer, tag_payload(content, b"n")) for signer, content in pairs)
+        assert tag_pairs.cache_info().currsize <= TAGGED_PAIRS_MAX
+    assert tag_pairs.cache_info().currsize == TAGGED_PAIRS_MAX
+
+
+@given(st.binary(max_size=24), st.lists(int64, max_size=5))
+def test_a_seeded_decode_equals_a_fresh_parse(payload, signers):
+    oracle = SignatureOracle()
+    made = [SignedMessage(payload)]
+    for signer in signers:
+        made.append(made[-1].signed_by(oracle, signer))
+    SignedMessage.from_bytes.cache_clear()
+    decoded = [SignedMessage.from_bytes(msg.to_bytes()) for msg in made]
+    simnet._signed_seeds.clear()
+    for msg, got in zip(made, decoded):
+        fresh = SignedMessage.from_bytes.__wrapped__(SignedMessage, msg.to_bytes())
+        assert got == fresh == msg
+        assert got.signers == fresh.signers
+        assert got.to_bytes() == fresh.to_bytes()
+
+
+def test_the_seed_table_stays_within_its_cap():
+    oracle = SignatureOracle()
+    simnet._signed_seeds.clear()
+    made = []
+    for k in range(SIGNED_SEEDS_MAX + 40):
+        made.append(SignedMessage(enc_int(k)).signed_by(oracle, 0))
+        assert len(simnet._signed_seeds) <= SIGNED_SEEDS_MAX
+    # oldest out first
+    assert list(simnet._signed_seeds.values()) == made[-SIGNED_SEEDS_MAX:]
+
+
+def test_a_malformed_wire_is_never_seeded_or_kept():
+    oracle = SignatureOracle()
+    wire = SignedMessage(b"one").signed_by(oracle, 0).to_bytes()
+    SignedMessage.from_bytes.cache_clear()
+    for bad in (wire[:-1], wire + b"\x00", b"\x00\x00"):
+        for _ in range(2):
+            with pytest.raises(CodecError):
+                SignedMessage.from_bytes(bad)
+        assert bad not in simnet._signed_seeds
+    assert SignedMessage.from_bytes.cache_info().currsize == 0
 
 
 class _Recorder:
