@@ -99,7 +99,11 @@ def load_config(path: str | None) -> dict:
     for key, raw in parser["cli"].items():
         if key not in DEFAULTS:
             raise ConfigFault(f"unknown config key {key!r}")
-        out[key] = int(raw) if key in _INT_KEYS else raw
+        try:
+            out[key] = int(raw) if key in _INT_KEYS else raw
+        except ValueError as exc:
+            raise ConfigFault(f"config key {key!r} needs an integer, "
+                              f"got {raw!r}") from exc
     return out
 
 
@@ -534,15 +538,16 @@ def verify_command(cfg: dict) -> int:
     out = Path(cfg["out"])
     try:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    except OSError as exc:
+        build = summary["build"]
+        replay = dict(DEFAULTS)
+        replay.update(summary["config"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigFault(f"cannot load {out}/summary.json: {exc}") from exc
-    replay = dict(DEFAULTS)
-    replay.update(summary["config"])
     replay["out"] = cfg["out"]
     files, _ = execute(replay)
     failures = []
-    if summary["build"] != build_id():
-        failures.append(f"build {summary['build']} != current {build_id()}")
+    if build != build_id():
+        failures.append(f"build {build} != current {build_id()}")
     for name, text in sorted(files.items()):
         try:
             on_disk = (out / name).read_bytes()

@@ -37,10 +37,9 @@ record.
 
 from __future__ import annotations
 
-import functools
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from lockstep.consensus import DSProcess, default_relays
 from lockstep.marker import GENESIS_ROUND, Marking, MarkerProcess
@@ -51,6 +50,7 @@ from lockstep.simnet import (
     ConfigFault,
     Delivery,
     ScopedOracle,
+    Seeds,
     Send,
     enc_bytes,
     enc_int,
@@ -87,10 +87,11 @@ class Record:
         object.__setattr__(self, "enc", enc_str(self.tag) + enc_int(self.signer))
 
 
-# the most encodings the table of encode_records keeps, oldest out first
-ENCODINGS_MAX = 256
-
-_encodings: OrderedDict[bytes, tuple[Record, ...]] = OrderedDict()
+# encode_records' seeds for decode_records: a hit comes within a step or
+# two of its send.  At worst 256 × (1.5B + 0.2 KB) when the records come
+# from the table of _parse_record, 256 × (12B + 0.1 KB) when only this
+# table holds them.
+_encodings = Seeds(256)
 
 _record_bytes = operator.attrgetter("enc")
 _record_tag = operator.attrgetter("tag")
@@ -102,25 +103,19 @@ def encode_records(records: tuple[Record, ...]) -> bytes:
     When every tag is known, the bytes decode to records equal to these,
     so the encoding is kept for :func:`decode_records`, and the receiver
     of an honest chain decodes it by one lookup.  An encoding with an
-    unknown tag would not decode and is never kept.  The table holds the
-    latest ``ENCODINGS_MAX`` (256) encodings; a hit comes within a step or
-    two of its send, so older entries go first.
+    unknown tag would not decode and is never kept.
     """
     data = enc_int(len(records)) + b"".join(map(_record_bytes, records))
     if _TAGS.issuperset(map(_record_tag, records)):
-        _encodings[data] = tuple(records)
-        if len(_encodings) > ENCODINGS_MAX:
-            _encodings.popitem(last=False)
+        _encodings.put(data, tuple(records))
     return data
 
 
-# the most records the shared table of decode_records ever holds
-SHARED_RECORDS_MAX = 1 << 14
-
-_shared_records: dict[bytes, Record] = {}
-
-
+# Four tags for each of 4,096 signers, so wire input naming any number of
+# signer ids cannot grow it further.  16,384 × 0.26 KB = 4.3 MB.
+@lru_cache(maxsize=1 << 14)
 def _parse_record(piece: bytes) -> Record:
+    """The record whose wire bytes are ``piece``; raises CodecError."""
     reader = ByteReader(piece)
     tag = reader.read_str()
     signer = reader.read_int()
@@ -128,25 +123,18 @@ def _parse_record(piece: bytes) -> Record:
     # from the same tag length prefix, and the integer chunk is 8 bytes
     if tag not in _TAGS:
         raise CodecError(f"unknown record tag {tag!r}")
-    rec = Record(tag, signer)
-    if len(_shared_records) < SHARED_RECORDS_MAX:
-        _shared_records[piece] = rec
-    return rec
+    return Record(tag, signer)
 
 
 def decode_records(data: bytes) -> tuple[Record, ...]:
     """Inverse of :func:`encode_records`; raises CodecError on bad bytes.
 
     Bytes that :func:`encode_records` made and kept are answered from its
-    table.  Otherwise records are looked up by their wire bytes in a table
-    shared by every caller in the process, so a record decoded before
-    costs one slice and one dictionary lookup, and every copy of it is
-    the same object.  Only a piece not in the table is parsed in full.
-    Records are immutable and compare by value, so sharing them changes
-    no result.  The table holds at most ``SHARED_RECORDS_MAX`` (16,384)
-    records, four tags for each of 4,096 signers; once it is full, new
-    pieces are parsed into fresh records that are not kept, so wire input
-    naming any number of signer ids cannot grow it further.
+    table.  Otherwise each record is looked up by its wire bytes in the
+    table of :func:`_parse_record`, shared by every caller in the process,
+    so a record decoded before costs one slice and one lookup, and every
+    copy of it is the same object.  Records are immutable and compare by
+    value, so sharing them changes no result.
     """
     encoded = _encodings.get(data)
     if encoded is not None:
@@ -161,9 +149,7 @@ def decode_records(data: bytes) -> tuple[Record, ...]:
         # a record is a tag chunk (4 + tag length bytes) and an 8 byte
         # integer chunk (12 bytes); a short piece fails in _parse_record
         stop = pos + 16 + int.from_bytes(data[pos:pos + 4], "big")
-        piece = data[pos:stop]
-        rec = _shared_records.get(piece)
-        records.append(rec if rec is not None else _parse_record(piece))
+        records.append(_parse_record(data[pos:stop]))
         pos = stop
     if pos != size:
         raise CodecError("trailing bytes after records")
@@ -192,14 +178,13 @@ def record_content(prefix: tuple[Record, ...], tag: str) -> bytes:
 
 def _record(tag: str, signer: int) -> Record:
     """``Record(tag, signer)``, the shared object of the table of
-    :func:`decode_records` for a known tag, so that the records of honest
+    :func:`_parse_record` for a known tag, so that the records of honest
     chains are made once each."""
     prefix = _TAG_ENCS.get(tag)
     if prefix is None:
         return Record(tag, signer)
-    piece = prefix + _COUNT_PREFIX + int(signer).to_bytes(8, "big", signed=True)
-    rec = _shared_records.get(piece)
-    return rec if rec is not None else _parse_record(piece)
+    return _parse_record(prefix + _COUNT_PREFIX
+                         + int(signer).to_bytes(8, "big", signed=True))
 
 
 def append_record(oracle, signer: int, records: tuple[Record, ...], tag: str,
@@ -494,36 +479,25 @@ def wire(kind: str, records: tuple[Record, ...]) -> bytes:
 
 _KIND_OF = {kind.encode(): kind for kind in _KINDS}
 
-WIRES_MAX = 256
-_shared_wires: OrderedDict[bytes, tuple] = OrderedDict()
 
-
-def parse_wire(payload: bytes
-               ) -> tuple[str, tuple[Record, ...], bytes] | None:
-    """(kind, records, record bytes) of a wire message, or None.
+# The latest chain wires: an attack sends one wire to many processes.
+# At worst 256 × (2.5B + 0.3 KB).
+@lru_cache(maxsize=256)
+def parse_wire(payload: bytes) -> tuple[str, tuple[Record, ...], bytes]:
+    """(kind, records, record bytes) of a wire message; raises CodecError
+    on bad bytes, so a bad wire is never kept.
 
     The two chunks are read by slicing, as :class:`ByteReader` would read
-    them.  The latest ``WIRES_MAX`` good parses are kept in a shared
-    table, oldest out first.
+    them.
     """
-    parsed = _shared_wires.get(payload)
-    if parsed is not None:
-        return parsed
     size = len(payload)
     mid = 4 + int.from_bytes(payload[:4], "big")
     kind = _KIND_OF.get(payload[4:mid])
     if (kind is None or mid + 4 > size
             or mid + 4 + int.from_bytes(payload[mid:mid + 4], "big") != size):
-        return None
+        raise CodecError("malformed chain wire")
     body = payload[mid + 4:]
-    try:
-        parsed = kind, decode_records(body), body
-    except CodecError:
-        return None
-    _shared_wires[payload] = parsed
-    if len(_shared_wires) > WIRES_MAX:
-        _shared_wires.popitem(last=False)
-    return parsed
+    return kind, decode_records(body), body
 
 
 _by_sender_and_bytes = operator.itemgetter(0, 1)
@@ -588,9 +562,7 @@ class CCProcess(MarkerProcess):
             raise ConfigFault(f"the cycle needs 0 <= f <= N-2, got N={N} f={f}")
 
     @staticmethod
-    @functools.cache
     def steps(N: int, f: int) -> int:
-        # cached: a bank builds N·V processes, each asking at one (N, f)
         return cycle_round_steps(N)
 
     def pay(self, r: int, target: int) -> None:
@@ -771,10 +743,11 @@ class CCProcess(MarkerProcess):
             buckets: dict[str, list[tuple[int, bytes, tuple[Record, ...]]]] = {
                 kind: [] for kind in _KINDS}
             for d in inbox:
-                parsed = parse_wire(d.payload)
-                if parsed is not None:
-                    kind, records, body = parsed
-                    buckets[kind].append((d.sender, body, records))
+                try:
+                    kind, records, body = parse_wire(d.payload)
+                except CodecError:
+                    continue
+                buckets[kind].append((d.sender, body, records))
             for kind in _KINDS:
                 # the record encoding is canonical: sorting by the bytes
                 # sorts by what encode_records(records) would give
@@ -1103,7 +1076,7 @@ class PoRProcess(CCProcess):
         elif off == 2 * self.f + 7:
             self._settle_period(r, k)
         wrapped = [Send(s.recipient, tag_payload(s.payload, MAIN_NONCE),
-                        s.signatures, MAIN_NONCE) for s in plain]
+                        s.signatures) for s in plain]
         wrapped.extend(Send(s.recipient, tag_payload(s.payload, s.nonce),
-                            s.signatures, s.nonce) for s in sub_sends)
+                            s.signatures) for s in sub_sends)
         return wrapped

@@ -118,12 +118,17 @@ def save_cycles(path: str, cycleset: CycleSet) -> None:
 
 
 def load_cycles(path: str) -> CycleSet:
+    """Read cycles written by ``save_cycles``; a malformed file raises
+    :class:`ConfigFault`."""
     cycles = []
     with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                cycles.append(tuple(int(tok) for tok in line.split()))
+        try:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    cycles.append(tuple(int(tok) for tok in line.split()))
+        except ValueError as exc:
+            raise ConfigFault(f"malformed cycle file {path}: {exc!r}") from exc
     if not cycles:
         raise ConfigFault(f"no cycles in {path}")
     return CycleSet(len(cycles[0]), tuple(cycles))

@@ -22,8 +22,8 @@ Checking a proof splits into pure facts and oracle verdicts.  The pure
 facts of a proof (the one round and one target of its receipts, the set of
 their distinct signers and the set of their (signer, content) signatures)
 depend on its bytes alone, so :func:`summarize_proof` keeps them in a
-bounded table shared by every process (cap ``PROOFS_MAX``), and every
-broadcaster that sees the same proof reads them once.  Whether the signers
+bounded table shared by every process, and every broadcaster that sees
+the same proof reads them once.  Whether the signers
 are broadcasters is one subset test, and whether the oracle issued the
 signatures is one batched question,
 :meth:`~lockstep.simnet.SignatureOracle.verify_all`; each process asks both
@@ -52,6 +52,7 @@ from lockstep.simnet import (
     enc_bytes,
     enc_int,
     enc_str,
+    once,
 )
 
 GENESIS_ROUND = -1
@@ -135,7 +136,6 @@ class MarkerProcess(Process):
         self.genesis_holder = genesis_holder
         self.pending: dict[int, int] = {}
         self.markings: list[Marking] = []
-        self.round_steps = self.steps(N, f)
 
     @staticmethod
     def check(N: int, f: int) -> None:
@@ -145,6 +145,12 @@ class MarkerProcess(Process):
     def steps(N: int, f: int) -> int:
         """Steps one round occupies."""
         raise NotImplementedError
+
+    @once
+    def round_steps(self) -> int:
+        """:meth:`steps` at this process's (N, f), read at its first step,
+        so that the many processes a bank builds cost nothing until then."""
+        return self.steps(self.N, self.f)
 
     def pay(self, r: int, target: int) -> None:
         """Hand the marker to ``target`` in round ``r``."""
@@ -231,14 +237,6 @@ def measure_z(family: type[MarkerProcess], N: int, f: int = 0) -> list[int]:
 INTENT = "intent"
 RECEIPT = "receipt"
 
-# Entries of the shared parse_typed, summarize_proof and receipt_content
-# tables.  A proof holds 2f+1 or more receipts, a few KB at f=5, so its
-# table is the small one.  Every broadcaster of a handoff signs the same
-# receipt content in the same step, so its table needs one step's handoffs.
-TYPED_RECORDS_MAX = 256
-PROOFS_MAX = 64
-RECEIPTS_MAX = 64
-
 
 def default_broadcasters(N: int, f: int) -> frozenset[int]:
     """The 3f+1 lowest process ids."""
@@ -267,12 +265,16 @@ def intent_content(round_index: int, payer: int, target: int, proof: bytes) -> b
             + enc_int(target) + enc_bytes(proof))
 
 
-@lru_cache(maxsize=RECEIPTS_MAX)
+# Every broadcaster of a handoff signs the same receipt content in the
+# same step, so one step's handoffs suffice.  At worst 64 × 0.2 KB.
+@lru_cache(maxsize=64)
 def receipt_content(round_index: int, payer: int, target: int) -> bytes:
     return enc_str(RECEIPT) + enc_int(round_index) + enc_int(payer) + enc_int(target)
 
 
-@lru_cache(maxsize=TYPED_RECORDS_MAX)
+# Every broadcaster reads each intent and receipt of a step.  At worst
+# 256 × (2B + 0.2 KB).
+@lru_cache(maxsize=256)
 def parse_typed(payload: bytes, expected: str, fields: int) -> tuple[int, ...] | None:
     """Read a tag checked record of ``fields`` integers, plus one trailing
     byte chunk when parsing an intent."""
@@ -308,7 +310,10 @@ def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
     return (*fields, signer, content)
 
 
-@lru_cache(maxsize=PROOFS_MAX)
+# A proof holds 2f+1 or more receipts, a few KB at f=5, and every
+# broadcaster checks it in one step, so this table is the small one.  At
+# worst 64 × (2.5B + 0.3 KB + 0.1 KB × k) for a proof of k receipts.
+@lru_cache(maxsize=64)
 def summarize_proof(proof: bytes) -> tuple | None:
     """The pure facts of a receipt proof as (round, holder, signers,
     pairs): in ``round`` the receipts handed the marker to ``holder``, the
@@ -524,9 +529,7 @@ class BBMProcess(MarkerProcess):
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
         r, phase = divmod(t, self.round_steps)
         self._rotate(r)
-        nonce = nonce_for(r)
-        return [Send(s.recipient, s.payload, s.signatures, nonce)
-                for s in self.ds.step(phase, inbox)]
+        return self.ds.step(phase, inbox)
 
     def end_round(self, r: int) -> None:
         """Apply the round's broadcast decision to the replicated holder.

@@ -7,8 +7,8 @@ nothing signed in one instance verifies in another.  Messages whose nonce is
 unknown, or which do not parse as tagged payloads at all, are dropped.
 
 Instances are serviced in ascending nonce order within a step, which keeps
-transcripts reproducible, and the metrics ledger sees each send under its
-instance nonce, so per instance counts are exactly additive.  Tags and
+transcripts reproducible.  The metrics ledger counts the sends of every
+instance together, by round, as it counts any honest send.  Tags and
 splits come from the shared tables of :mod:`lockstep.simnet`: a payload an
 instance sends to k recipients is one tagged object, and every receiving
 host gets the same content object back from it.
@@ -81,5 +81,5 @@ class MuxHost(Process):
         for nonce in sorted(groups):
             for send in self.instances[nonce].step(t, groups[nonce]):
                 out.append(Send(send.recipient, tag_payload(send.payload, nonce),
-                                send.signatures, nonce))
+                                send.signatures))
         return out

@@ -13,56 +13,23 @@ pair it has issued.  Verification succeeds exactly on remembered pairs, so a
 signature of an honest process can never be fabricated; attempting to do so
 raises :class:`ForgeryViolation`.
 
-Decoding.  Pure encodings and decodes are shared; oracle verdicts never
-are.  Eleven tables keep immutable results keyed by what they came from,
-so each distinct input is tagged, split or parsed once; malformed input is
-never kept.  Each is bounded in entries.  Wire bytes have no size limit, so
-a table's worst case is its cap times its largest entry, which for a key of
-B bytes is (CPython 3.11, measured with ``tracemalloc``):
-:func:`tag_payload`, 256 × (2B + 0.2 KB);
-:func:`split_payload`, 256 × (2B + 0.2 KB);
-:meth:`SignedMessage.from_bytes`, 512 × (2B + 0.7 KB);
-the messages :meth:`SignedMessage.signed_by` made lately, by wire, which
-seed :meth:`~SignedMessage.from_bytes` on a miss, so a message is decoded
-by lookup when its signer made it in this process, 512 × (2B + 0.6 KB),
-oldest out first;
-:func:`tag_pairs`, a batch of (signer, content) pairs with the contents
-nonce tagged, for B bytes of contents in k pairs, 64 × (2B + 0.35 KB × k);
-:func:`lockstep.marker.receipt_content`, keyed by (round, payer, target),
-64 × 0.2 KB;
-:func:`lockstep.marker.parse_typed`, 256 × (2B + 0.2 KB);
-:func:`lockstep.marker.summarize_proof`, the pure facts of a receipt proof
-of k receipts, 64 × (2.5B + 0.3 KB + 0.1 KB × k);
-:func:`lockstep.cyclecoin.parse_wire`, the latest chain wires,
-256 × (2.5B + 0.3 KB); and the records of
-:func:`lockstep.cyclecoin.decode_records`, 16,384 × 0.26 KB = 4.3 MB.
-:func:`lockstep.cyclecoin.encode_records` seeds that decoder with the
-latest 256 encodings and their records, so an honest chain decodes by one
-lookup: 256 × (1.5B + 0.2 KB) when the records come from the record
-table, 256 × (12B + 0.1 KB) at worst, when only this table holds them.
-Honest processes take the records they sign from the record table too, so
-equal records are one object (hash-consing) and there is no second table
-of records.
-Two more caches are unbounded in entries but bounded by the configurations
-a process runs: :meth:`lockstep.cyclecoin.CCProcess.steps`, one small int
-per distinct (N, f), about 0.15 KB each; and
-``lockstep.cancel._PERM_TABLES``, the permutation tables of one pair count
-q each, q <= ``BRUTEFORCE_LIMIT`` = 9, 2 × q! × q × 8 bytes, so 52 MB at
-q = 9 and 58 MB with every q.
-Equal inputs get the same result object back: a payload sent to k
-recipients is one tagged bytes object, every receiver splits it into one
-content object, and each keeps its hash, so the lookups after it do not
-hash the bytes again.  :meth:`ScopedOracle.verify` takes its tagged content
-from the tag table and asks the oracle on every call, as
-:meth:`SignedMessage.verify_stack` does about every entry, because a later
-``sign`` can turn a refusal into an acceptance.  A batch of signatures is
-one question, :meth:`SignatureOracle.verify_all`, asked about every pair
-on every call: :meth:`ScopedOracle.verify_all` takes its tagged pairs from
-:func:`tag_pairs`, and only the pure tagging is kept.
-The one verdict kept is per process, positive only, and rests on the
-registry being append-only: a chain-marker process keeps the prefix of the
-last chain it accepted (:class:`lockstep.cyclecoin.VerifiedPrefix`) and
-asks the oracle only about the records of a later chain past it.
+Shared tables.  Pure results are shared and oracle verdicts never are.
+A table computed from its input is a capped ``functools.lru_cache``, and
+a table a producer fills for a later decoder is one :class:`Seeds`; each
+states, where it is defined, the reason for its cap and its worst case
+measured with ``tracemalloc`` (CPython 3.11, for a key of B bytes; wire
+bytes have no size limit).  A function that raises keeps nothing, while a
+``None`` result is kept and bounded like any other.  Equal inputs get the
+same result object back, whose hash is then kept, so the lookups after it
+do not hash the bytes again.  :meth:`ScopedOracle.verify` and
+:meth:`SignedMessage.verify_stack` ask the oracle on every call, and a
+batch is one question, :meth:`SignatureOracle.verify_all`, asked about
+every pair on every call, because a later ``sign`` can turn a refusal into
+an acceptance.  The one verdict kept is per process, positive only, and
+rests on the registry being append-only: a chain-marker process keeps the
+prefix of the last chain it accepted
+(:class:`lockstep.cyclecoin.VerifiedPrefix`) and asks the oracle only
+about the records of a later chain past it.
 """
 
 from __future__ import annotations
@@ -152,11 +119,19 @@ class ByteReader:
 SEPARATOR = b"\x00"
 
 
-# Entries of the shared tag_payload and split_payload tables.  Their hits
-# come within a step: one payload sent to many recipients, one receipt
-# checked by every broadcaster, one tagged intent split by each receiver.
-TAGGED_MAX = 256
-SPLITS_MAX = 256
+class Seeds(OrderedDict):
+    """A table a producer fills for a later decoder, keyed by the bytes
+    the decoder will be handed: at most ``cap`` entries, oldest out
+    first."""
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def put(self, key, value) -> None:
+        self[key] = value
+        if len(self) > self.cap:
+            self.popitem(last=False)
 
 
 def _tag(content: bytes, nonce: bytes) -> bytes:
@@ -170,10 +145,13 @@ def _tag(content: bytes, nonce: bytes) -> bytes:
     return b"".join((len(content).to_bytes(4, "big"), content, SEPARATOR, nonce))
 
 
-tag_payload = lru_cache(maxsize=TAGGED_MAX)(_tag)
+# The tag and split tables hit within a step: one payload sent to many
+# recipients, one receipt checked by every broadcaster, one tagged intent
+# split by each receiver.  Each at worst 256 × (2B + 0.2 KB).
+tag_payload = lru_cache(maxsize=256)(_tag)
 
 
-@lru_cache(maxsize=SPLITS_MAX)
+@lru_cache(maxsize=256)
 def split_payload(data: bytes) -> tuple[bytes, bytes]:
     """Inverse of :func:`tag_payload`.  Raises CodecError on malformed input,
     on every call: only good splits are kept.  Reads the length prefix as
@@ -191,18 +169,16 @@ def split_payload(data: bytes) -> tuple[bytes, bytes]:
 # ---------------------------------------------------------------------------
 # signatures
 
-# Entries of the shared SignedMessage.from_bytes table, of the table of
-# messages signed_by made lately, by wire, that seeds it, and of the shared
-# tag_pairs table.  A proof is checked by every broadcaster in one step.
-SIGNED_MESSAGES_MAX = 512
-SIGNED_SEEDS_MAX = 512
-TAGGED_PAIRS_MAX = 64
-
-# The messages signed_by made lately, keyed by their own wire, oldest first.
-_signed_seeds: OrderedDict[bytes, "SignedMessage"] = OrderedDict()
+# The messages signed_by made lately, by their own wire, which seed
+# SignedMessage.from_bytes on a miss: an intent or receipt is read a step
+# after it is signed, so a step or two of messages suffice.  At worst
+# 512 × (2B + 0.6 KB).
+_signed_seeds = Seeds(512)
 
 
-@lru_cache(maxsize=TAGGED_PAIRS_MAX)
+# A batch of k pairs with B bytes of contents; every broadcaster checks
+# the same proof in one step.  At worst 64 × (2B + 0.35 KB × k).
+@lru_cache(maxsize=64)
 def tag_pairs(pairs: frozenset[tuple[int, bytes]],
               nonce: bytes) -> frozenset[tuple[int, bytes]]:
     """The (signer, content) ``pairs`` with every content suffixed by
@@ -284,7 +260,10 @@ class once:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self._name] = self._fn(obj)
+        value = self._fn(obj)
+        # a plain store: writing through ``obj.__dict__`` would make
+        # CPython build the instance dict and slow every later read
+        object.__setattr__(obj, self._name, value)
         return value
 
 
@@ -311,8 +290,10 @@ class SignedMessage:
         return enc_bytes(self.payload) + b"".join(
             enc_int(signer) + enc_bytes(content) for signer, content in self.stack)
 
+    # a proof is checked by every broadcaster in one step; at worst
+    # 512 × (2B + 0.7 KB)
     @classmethod
-    @lru_cache(maxsize=SIGNED_MESSAGES_MAX)
+    @lru_cache(maxsize=512)
     def from_bytes(cls, data: bytes) -> "SignedMessage":
         # on a miss, a message signed_by made lately is its own decode
         seeded = _signed_seeds.get(data)
@@ -350,9 +331,7 @@ class SignedMessage:
         child.__dict__.update(payload=self.payload,
                               stack=self.stack + ((signer, content),),
                               _wire=wire, signers=self.signers + (signer,))
-        _signed_seeds[wire] = child
-        if len(_signed_seeds) > SIGNED_SEEDS_MAX:
-            _signed_seeds.popitem(last=False)
+        _signed_seeds.put(wire, child)
         return child
 
     @once
@@ -457,34 +436,27 @@ class Transcript:
 
 
 class MetricsLedger:
-    """Message and signature counters for honest sends, keyed by round and
-    instance nonce.  Adversarial traffic is never counted here."""
+    """Message and signature counters for honest sends, keyed by round.
+    Adversarial traffic is never counted here."""
 
     def __init__(self):
-        self._rows: dict[tuple[int, bytes], list[int]] = {}
+        self._rows: dict[int, list[int]] = {}
 
-    def add(self, round_index: int, nonce: bytes, signatures: int) -> None:
-        row = self._rows.setdefault((round_index, nonce), [0, 0])
+    def add(self, round_index: int, signatures: int) -> None:
+        row = self._rows.setdefault(round_index, [0, 0])
         row[0] += 1
         row[1] += signatures
 
-    def messages(self, nonce: bytes | None = None) -> int:
-        return sum(row[0] for key, row in self._rows.items()
-                   if nonce is None or key[1] == nonce)
+    def messages(self) -> int:
+        return sum(row[0] for row in self._rows.values())
 
-    def signatures(self, nonce: bytes | None = None) -> int:
-        return sum(row[1] for key, row in self._rows.items()
-                   if nonce is None or key[1] == nonce)
+    def signatures(self) -> int:
+        return sum(row[1] for row in self._rows.values())
 
     def to_csv(self) -> str:
-        per_round: dict[int, list[int]] = {}
-        for (round_index, _), row in self._rows.items():
-            agg = per_round.setdefault(round_index, [0, 0])
-            agg[0] += row[0]
-            agg[1] += row[1]
         lines = ["round,messages,signatures"]
-        for round_index in sorted(per_round):
-            msgs, sigs = per_round[round_index]
+        for round_index in sorted(self._rows):
+            msgs, sigs = self._rows[round_index]
             lines.append(f"{round_index},{msgs},{sigs}")
         return "\n".join(lines) + "\n"
 
@@ -564,11 +536,11 @@ class Network:
         inboxes.setdefault(recipient, []).append(delivery)
 
     def _record(self, t: int, sender: int, send: Send, honest: bool) -> None:
-        recipient, payload, signatures, nonce = send
+        recipient, payload, signatures, _ = send
         self.transcript.events.append(TranscriptEvent(
             t, self.round, sender, recipient, payload, signatures))
         if honest:
-            self.metrics.add(self.round, nonce, signatures)
+            self.metrics.add(self.round, signatures)
         self._queue(t + 1, recipient, Delivery(sender, payload))
 
     def _execute(self, t: int) -> None:

@@ -103,6 +103,22 @@ def test_instance_file_round_trip(tmp_path):
     assert load_instance(str(path)) == inst
 
 
+@pytest.mark.parametrize("content", [
+    "0 1 2\nsource,sink\n0,1\n",
+    "# cycle: 0 x 2\nsource,sink\n0,1\n",
+    "# cycle: 0 1 2\nsource,sink\n0,one\n",
+    "# cycle: 0 1 2\nsource,sink\n0\n",
+    "# cycle: 0 1 2\npayer,sink\n0,1\n",
+    "# cycle: 0 1 2\nsource,sink\n0,5\n",
+], ids=["no-header", "non-integer-cycle", "non-integer-field", "short-row",
+        "no-source-column", "id-outside-cycle"])
+def test_a_malformed_instance_file_raises_config_fault(tmp_path, content):
+    path = tmp_path / "instance.csv"
+    path.write_text(content)
+    with pytest.raises(ConfigFault):
+        load_instance(str(path))
+
+
 def test_random_instance_is_seed_deterministic():
     a = random_instance(10, 5, Random(77))
     b = random_instance(10, 5, Random(77))

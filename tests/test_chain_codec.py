@@ -6,7 +6,9 @@ record in full and re-encode every prefix to check a chain.  The codec in
 ``lockstep.cyclecoin`` must agree with them byte for byte, and must reject
 exactly the bytes they reject.  ``encode_records`` keeps what it encodes
 for ``decode_records``, and ``parse_wire`` answers from a shared table;
-both must agree with a fresh parse on a hit and on a miss alike.
+both must agree with a fresh parse on a hit and on a miss alike.  The
+caps of those tables are tested with every other table's, in
+``tests/test_simnet.py``.
 """
 
 import pytest
@@ -14,8 +16,6 @@ from hypothesis import given, strategies as st
 
 from lockstep import cyclecoin
 from lockstep.cyclecoin import (
-    KIND_CHAIN,
-    KIND_QUERY,
     Record,
     TAG_BASE,
     TAG_PATH,
@@ -27,7 +27,6 @@ from lockstep.cyclecoin import (
     encode_records,
     parse_wire,
     record_content,
-    wire,
 )
 from lockstep.simnet import (
     ByteReader,
@@ -178,23 +177,6 @@ def test_decoded_records_are_shared():
     assert all(a is b for a, b in zip(first, second))
 
 
-def test_the_shared_table_stays_bounded():
-    table = cyclecoin._shared_records
-    saved = dict(table)
-    try:
-        table.clear()
-        flood = tuple(Record(TAG_PATH, 10**6 + s)
-                      for s in range(cyclecoin.SHARED_RECORDS_MAX + 10))
-        assert decode_records(ref_encode_records(flood)) == flood
-        assert len(table) == cyclecoin.SHARED_RECORDS_MAX
-        with pytest.raises(CodecError):
-            decode_records(ref_encode_records((Record("z", 1),)))
-        assert len(table) == cyclecoin.SHARED_RECORDS_MAX
-    finally:
-        table.clear()
-        table.update(saved)
-
-
 @given(records)
 def test_an_encoding_decodes_as_a_fresh_parse_and_only_a_good_one_is_kept(
         recs):
@@ -202,28 +184,6 @@ def test_an_encoding_decodes_as_a_fresh_parse_and_only_a_good_one_is_kept(
     assert _decoded(decode_records, data) == _decoded(ref_decode_records, data)
     known = all(rec.tag in KNOWN_TAGS for rec in recs)
     assert (data in cyclecoin._encodings) == known
-
-
-def test_the_encoding_table_stays_within_its_cap():
-    table = cyclecoin._encodings
-    saved = dict(table)
-    try:
-        table.clear()
-        chains = [(Record(TAG_BASE, 0),) + (Record(TAG_X, 0),) * k
-                  for k in range(cyclecoin.ENCODINGS_MAX + 10)]
-        flood = [encode_records(chain) for chain in chains]
-        assert len(table) == cyclecoin.ENCODINGS_MAX
-        # the oldest encodings went first
-        assert list(table) == flood[10:]
-        assert all(decode_records(data) is chain
-                   for data, chain in zip(flood[10:], chains[10:]))
-        bad = encode_records((Record(TAG_BASE, 0), Record("z", 1)))
-        assert bad not in table and len(table) == cyclecoin.ENCODINGS_MAX
-        with pytest.raises(CodecError):
-            decode_records(bad)
-    finally:
-        table.clear()
-        table.update(saved)
 
 
 def ref_parse_wire(payload):
@@ -252,29 +212,14 @@ def wires(draw):
 
 @given(st.one_of(wires(), st.binary(max_size=64)))
 def test_a_wire_parses_as_a_fresh_parse_and_only_a_good_one_is_kept(data):
+    """``parse_wire`` raises where the reference returns None."""
     expected = ref_parse_wire(data)
-    cyclecoin._shared_wires.pop(data, None)
-    assert parse_wire(data) == expected
+    parse_wire.cache_clear()
     # the second call is answered from the table when the first was kept
-    assert parse_wire(data) == expected
-    assert (data in cyclecoin._shared_wires) == (expected is not None)
-
-
-def test_the_wire_table_stays_within_its_cap():
-    table = cyclecoin._shared_wires
-    saved = dict(table)
-    try:
-        table.clear()
-        flood = [wire(KIND_QUERY, (Record(TAG_BASE, 0),) + (Record(TAG_X, 0),)
-                      * k) for k in range(cyclecoin.WIRES_MAX + 10)]
-        for data in flood:
-            assert parse_wire(data) == ref_parse_wire(data)
-            assert len(table) <= cyclecoin.WIRES_MAX
-        # the oldest parses went first
-        assert list(table) == flood[10:]
-        bad = wire(KIND_CHAIN, ())[:-1]
-        assert parse_wire(bad) is None
-        assert bad not in table and len(table) == cyclecoin.WIRES_MAX
-    finally:
-        table.clear()
-        table.update(saved)
+    for _ in range(2):
+        if expected is None:
+            with pytest.raises(CodecError):
+                parse_wire(data)
+        else:
+            assert parse_wire(data) == expected
+    assert parse_wire.cache_info().currsize == (expected is not None)

@@ -107,12 +107,20 @@ def test_attack_gallery_default_covers_everything(tmp_path):
     assert {"broadcast", "quorum", "cycle", "hopnet", "strawman"} <= protocols
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert _run(["run", "--protocol", "nosuch", "--out", tmp_path / "x"]) == 2
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("mystery = 4\n")
-    assert _run(["run", "--config", bad, "--out", tmp_path / "y"]) == 2
+    for n, text in enumerate(["mystery = 4\n", "n = abc\n"]):
+        bad = tmp_path / f"bad{n}.cfg"
+        bad.write_text(text)
+        assert _run(["run", "--config", bad, "--out", tmp_path / "y"]) == 2
     assert _run(["verify", "--out", tmp_path / "nowhere"]) == 2
+    for n, text in enumerate(["not json", '{"build": "x"}', "[]"]):
+        out = tmp_path / f"summary{n}"
+        out.mkdir()
+        (out / "summary.json").write_text(text)
+        assert _run(["verify", "--out", out]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 7 and all(e.startswith("error: ") for e in errors)
 
 
 @pytest.mark.parametrize("command, known", [

@@ -1,7 +1,6 @@
 """Chain marker: locality of payment cost, chain codec, payment claims."""
 
 import random
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -379,8 +378,8 @@ def test_twenty_cycle_bank_rounds_ask_the_oracle_as_often_as_before(
 
 
 def test_twenty_cycle_bank_rounds_decode_every_chain_by_lookup(monkeypatch):
-    # an empty wire table, so that no wire is answered before its decode
-    monkeypatch.setattr(cyclecoin, "_shared_wires", OrderedDict())
+    # no wire table, so that no wire is answered before its decode
+    monkeypatch.setattr(cyclecoin, "parse_wire", cyclecoin.parse_wire.__wrapped__)
     hits = []
     decode = cyclecoin.decode_records
 

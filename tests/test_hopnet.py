@@ -41,6 +41,16 @@ def test_cycle_file_round_trip(tmp_path):
     assert load_cycles(str(path)).cycles == cycleset.cycles
 
 
+@pytest.mark.parametrize("content", [
+    b"", b"0 1 2\n0 x 2\n", b"0 1 2\n0 \xc3\xa9 2\n", b"0 1 2\n0 1\n"],
+    ids=["empty", "non-integer", "non-ascii", "short-cycle"])
+def test_a_malformed_cycle_file_raises_config_fault(tmp_path, content):
+    path = tmp_path / "cycles.txt"
+    path.write_bytes(content)
+    with pytest.raises(ConfigFault):
+        load_cycles(str(path))
+
+
 def test_degenerate_cycle_is_refused():
     with pytest.raises(ConfigFault):
         CycleSet(4, ((0, 1, 2, 2),))

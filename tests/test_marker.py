@@ -12,10 +12,7 @@ from lockstep.cyclecoin import CCProcess, PoRProcess
 from lockstep.marker import (
     GENESIS_ROUND,
     INTENT,
-    PROOFS_MAX,
     RECEIPT,
-    RECEIPTS_MAX,
-    TYPED_RECORDS_MAX,
     BBMProcess,
     MarkerSystem,
     Marking,
@@ -102,20 +99,6 @@ def test_a_malformed_proof_raises_on_every_call():
         for _ in range(2):
             with pytest.raises(CodecError):
                 decode_proof(bad)
-
-
-@pytest.mark.parametrize("decode, cap, make", [
-    (parse_typed, TYPED_RECORDS_MAX,
-     lambda k: (receipt_content(k, 0, 1), RECEIPT, 3)),
-    (summarize_proof, PROOFS_MAX, lambda k: (encode_proof((enc_int(k),)),)),
-    (receipt_content, RECEIPTS_MAX, lambda k: (k, 0, 1)),
-], ids=["parse_typed", "summarize_proof", "receipt_content"])
-def test_the_decode_tables_stay_within_their_caps(decode, cap, make):
-    decode.cache_clear()
-    for k in range(cap + 40):
-        decode(*make(k))
-        assert decode.cache_info().currsize <= cap
-    assert decode.cache_info().currsize == cap
 
 
 # Base oracle checks of the twenty rounds below, one per pair asked alone

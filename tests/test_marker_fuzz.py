@@ -54,6 +54,7 @@ from lockstep.marker import (
 )
 from lockstep.payments import Bank
 from lockstep.simnet import (
+    CodecError,
     Delivery,
     ProtocolFault,
     ScopedOracle,
@@ -269,10 +270,12 @@ def _edit_tail(bank, n, payload, edits) -> bytes:
     cut, swapped, replaced, re-signed over the records before them, or
     left in place with their signature taken out of the bank's registry."""
     body, nonce = split_payload(payload)
-    parsed = parse_wire(body)
-    if parsed is None or nonce not in bank.hosts[n].instances:
+    try:
+        kind, records, _ = parse_wire(body)
+    except CodecError:
         return payload
-    kind, records, _ = parsed
+    if nonce not in bank.hosts[n].instances:
+        return payload
     known = bank.hosts[n].instances[nonce].verified
     lo = len(known.records) if known is not None else 0
     records = list(records)

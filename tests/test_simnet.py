@@ -4,17 +4,25 @@ import hashlib
 import json
 
 import pytest
+from conftest import shared_tables
 from hypothesis import given, strategies as st
 
 from lockstep import simnet
 from lockstep.adversary import BankJunkAdversary, CoalitionOracle
+from lockstep.cancel import BRUTEFORCE_LIMIT
+from lockstep.cyclecoin import (
+    KIND_CHAIN,
+    KIND_QUERY,
+    Record,
+    TAG_BASE,
+    TAG_PATH,
+    decode_records,
+    encode_records,
+    wire,
+)
+from lockstep.marker import RECEIPT, encode_proof, receipt_content
 from lockstep.payments import Bank
 from lockstep.simnet import (
-    SIGNED_MESSAGES_MAX,
-    SIGNED_SEEDS_MAX,
-    SPLITS_MAX,
-    TAGGED_MAX,
-    TAGGED_PAIRS_MAX,
     Adversary,
     ByteReader,
     CodecError,
@@ -72,26 +80,101 @@ def test_tags_and_splits_from_the_tables_equal_fresh_ones(content, nonce):
     split = split_payload(tagged)
     assert split == split_payload.__wrapped__(tagged) == (content, nonce)
     assert split_payload(bytes(bytearray(tagged))) is split
+    # a batch of pairs is tagged as tag_payload tags each content
+    assert tag_pairs(frozenset({(0, content)}), nonce) == frozenset({(0, tagged)})
 
 
-@pytest.mark.parametrize("table, cap, make", [
-    (tag_payload, TAGGED_MAX, lambda k: (enc_int(k), b"unit")),
-    (split_payload, SPLITS_MAX,
-     lambda k: (tag_payload.__wrapped__(enc_int(k), b"unit"),)),
-], ids=["tag_payload", "split_payload"])
-def test_the_tag_and_split_tables_stay_within_their_caps(table, cap, make):
-    table.cache_clear()
+def _signed(k):
+    msg = SignedMessage(enc_int(k)).signed_by(SignatureOracle(), 0)
+    return msg.to_bytes(), msg
+
+
+def _encoded(k):
+    chain = (Record(TAG_BASE, k),)
+    return encode_records(chain), chain
+
+
+# Each table's flood: the arguments of its k-th distinct call, and the
+# arguments of a call that raises and so must keep nothing, or None.  A
+# Seeds flood names its producer, which returns the (key, value) it
+# seeded, and the decoder that reads it.
+LRU_FLOODS = {
+    "simnet.tag_payload": (lambda k: (enc_int(k), b"unit"), None),
+    "simnet.split_payload": (
+        lambda k: (tag_payload.__wrapped__(enc_int(k), b"unit"),),
+        (enc_bytes(b"abc"),)),
+    "simnet.tag_pairs": (
+        lambda k: (frozenset({(0, enc_int(k)), (1, enc_int(k))}), b"n"), None),
+    "simnet.SignedMessage.from_bytes": (
+        lambda k: (SignedMessage, SignedMessage(enc_int(k)).to_bytes()),
+        (SignedMessage, b"\x00\x00")),
+    "marker.receipt_content": (lambda k: (k, 0, 1), None),
+    "marker.parse_typed": (lambda k: (receipt_content(k, 0, 1), RECEIPT, 3),
+                           None),
+    "marker.summarize_proof": (lambda k: (encode_proof((enc_int(k),)),), None),
+    "cyclecoin.parse_wire": (
+        lambda k: (wire(KIND_QUERY, (Record(TAG_BASE, k),)),),
+        (wire(KIND_CHAIN, ())[:-1],)),
+    "cyclecoin._parse_record": (lambda k: (Record(TAG_PATH, 10**6 + k).enc,),
+                                (Record("z", 1).enc,)),
+}
+SEEDS_FLOODS = {
+    "simnet._signed_seeds": (
+        _signed, lambda: b"\x00\x00", SignedMessage.from_bytes),
+    "cyclecoin._encodings": (
+        _encoded,
+        lambda: encode_records((Record(TAG_BASE, 0), Record("z", 1))),
+        decode_records),
+}
+# built once for every q that pair_bruteforce accepts, never flooded
+PERM_TABLES = "cancel._perm_tables"
+TABLES = shared_tables()
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_every_shared_table_stays_within_its_cap(name):
+    """A flood of distinct inputs fills a table exactly to its cap, a
+    Seeds table drops its oldest entry first, and malformed input is
+    never kept or seeded.  A table without a flood fails."""
+    assert set(TABLES) == {*LRU_FLOODS, *SEEDS_FLOODS, PERM_TABLES}
+    table = TABLES[name]
+    if isinstance(table, simnet.Seeds):
+        produce, bad, read = SEEDS_FLOODS[name]
+        made = []
+        for k in range(table.cap + 40):
+            made.append(produce(k))
+            assert len(table) <= table.cap
+        assert list(table) == [key for key, _ in made[-table.cap:]]
+        for key, value in made[-table.cap:]:
+            assert table[key] is value and read(key) is value
+        data = bad()
+        with pytest.raises(CodecError):
+            read(data)
+        assert data not in table and len(table) == table.cap
+        return
+    cap = table.cache_parameters()["maxsize"]
+    assert cap is not None
+    if name == PERM_TABLES:
+        # one entry for each q = 0 .. BRUTEFORCE_LIMIT
+        assert cap == BRUTEFORCE_LIMIT + 1
+        return
+    make, bad = LRU_FLOODS[name]
     for k in range(cap + 40):
-        table(*make(k))
+        args = make(k)
+        assert table(*args) == table.__wrapped__(*args)
         assert table.cache_info().currsize <= cap
     assert table.cache_info().currsize == cap
+    if bad is not None:
+        for _ in range(2):
+            with pytest.raises(CodecError):
+                table(*bad)
+        assert table.cache_info().currsize == cap
 
 
 @pytest.mark.parametrize("bad", [
     b"", b"\x00\x00", enc_bytes(b"abc")[:-1], enc_bytes(b"abc"),
     enc_bytes(b"abc") + b"\x01unit"])
 def test_a_malformed_split_raises_on_every_call_and_is_never_kept(bad):
-    split_payload.cache_clear()
     for _ in range(3):
         with pytest.raises(CodecError):
             split_payload(bad)
@@ -166,20 +249,11 @@ def test_kept_wire_bytes_equal_an_encoding_from_scratch(payload, signers,
 
 
 def test_malformed_bytes_raise_on_every_call():
-    SignedMessage.from_bytes.cache_clear()
     for calls in (1, 2):
         with pytest.raises(CodecError):
             SignedMessage.from_bytes(b"\x00\x00")
         assert SignedMessage.from_bytes.cache_info().misses == calls
     assert SignedMessage.from_bytes.cache_info().currsize == 0
-
-
-def test_the_decode_table_stays_within_its_cap():
-    SignedMessage.from_bytes.cache_clear()
-    for k in range(SIGNED_MESSAGES_MAX + 40):
-        SignedMessage.from_bytes(SignedMessage(enc_int(k)).to_bytes())
-        assert SignedMessage.from_bytes.cache_info().currsize <= SIGNED_MESSAGES_MAX
-    assert SignedMessage.from_bytes.cache_info().currsize == SIGNED_MESSAGES_MAX
 
 
 def test_no_oracle_verdict_is_shared():
@@ -231,16 +305,6 @@ def test_a_batch_verdict_equals_the_verdicts_of_its_pairs(issued, asked):
         assert oracle.verify_all(())
 
 
-def test_the_tagged_pairs_table_stays_within_its_cap():
-    tag_pairs.cache_clear()
-    for k in range(TAGGED_PAIRS_MAX + 40):
-        pairs = frozenset({(0, enc_int(k)), (1, enc_int(k))})
-        assert tag_pairs(pairs, b"n") == frozenset(
-            (signer, tag_payload(content, b"n")) for signer, content in pairs)
-        assert tag_pairs.cache_info().currsize <= TAGGED_PAIRS_MAX
-    assert tag_pairs.cache_info().currsize == TAGGED_PAIRS_MAX
-
-
 @given(st.binary(max_size=24), st.lists(int64, max_size=5))
 def test_a_seeded_decode_equals_a_fresh_parse(payload, signers):
     oracle = SignatureOracle()
@@ -257,21 +321,9 @@ def test_a_seeded_decode_equals_a_fresh_parse(payload, signers):
         assert got.to_bytes() == fresh.to_bytes()
 
 
-def test_the_seed_table_stays_within_its_cap():
-    oracle = SignatureOracle()
-    simnet._signed_seeds.clear()
-    made = []
-    for k in range(SIGNED_SEEDS_MAX + 40):
-        made.append(SignedMessage(enc_int(k)).signed_by(oracle, 0))
-        assert len(simnet._signed_seeds) <= SIGNED_SEEDS_MAX
-    # oldest out first
-    assert list(simnet._signed_seeds.values()) == made[-SIGNED_SEEDS_MAX:]
-
-
 def test_a_malformed_wire_is_never_seeded_or_kept():
     oracle = SignatureOracle()
     wire = SignedMessage(b"one").signed_by(oracle, 0).to_bytes()
-    SignedMessage.from_bytes.cache_clear()
     for bad in (wire[:-1], wire + b"\x00", b"\x00\x00"):
         for _ in range(2):
             with pytest.raises(CodecError):

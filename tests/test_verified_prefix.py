@@ -146,12 +146,12 @@ def test_a_prefix_cut_from_a_parsed_wire_holds_its_records_bytes(
     payload = wire(KIND_CHAIN if inspect is inspect_chain else KIND_QUERY,
                    records)
     body = encode_records(records)
-    wires, encodings = cyclecoin._shared_wires, cyclecoin._encodings
-    for forget in ((), ((wires, payload),),
-                   ((wires, payload), (encodings, body))):
-        for table, key in forget:
-            table.pop(key, None)
-        _, parsed, encoded = parse_wire(payload)
+    for parse, forget in ((parse_wire, False),
+                          (parse_wire.__wrapped__, False),
+                          (parse_wire.__wrapped__, True)):
+        if forget:
+            cyclecoin._encodings.pop(body, None)
+        _, parsed, encoded = parse(payload)
         assert parsed == records and encoded == body
         shape = inspect(parsed, N, oracle, deleted=deleted)
         known = VerifiedPrefix.of(shape, encoded, N, 0, deleted)
