@@ -15,6 +15,12 @@ which reference execution the sender belongs to.  Whether that attack
 can work is decided entirely by how the honest contact sets of the two
 payments overlap, so the gallery first measures those sets on honest
 reference runs and then replays them against the coalition.
+
+A gallery entry scripts its coalition as data: a :class:`ScriptAdversary`
+maps a step to a move, a function of the network that returns what the
+coalition sends at that step, and a :class:`SplitAdversary` plays such a
+script after its simulation worlds' traffic.  Only adversaries that pick
+their sends from what they observe are classes of their own.
 """
 
 from __future__ import annotations
@@ -382,7 +388,23 @@ class SimWorld:
         self.wakes[payer].add(base_step)
 
 
-class SplitAdversary(Adversary):
+class ScriptAdversary(Adversary):
+    """A coalition that sends the (sender, Send) pairs ``script[t](net)``
+    returns at each step ``t`` of its script, and nothing at other steps.
+    A move runs when its step does, so it signs and reads the network as
+    it is at that step."""
+
+    def __init__(self, corrupted: frozenset[int],
+                 script: dict[int, Callable[[Network], list[tuple[int, Send]]]]):
+        self.corrupted = frozenset(corrupted)
+        self.script = script
+
+    def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
+        move = self.script.get(t)
+        return [] if move is None else move(net)
+
+
+class SplitAdversary(ScriptAdversary):
     """Runs any number of simulation worlds behind the corrupted ids.
 
     Each real delivery to a corrupted id is routed to the worlds whose
@@ -390,18 +412,17 @@ class SplitAdversary(Adversary):
     which is the best effort left once the disjointness hypothesis has
     failed.  With a single world whose feed is everything this is simply
     a coalition that behaves honestly, which several gallery entries use
-    as a building block.
+    as a building block.  Within a step the worlds' traffic goes out
+    first and the script's sends after it; ``sent`` keeps the worlds'
+    traffic to honest ids as (sender, Send) pairs.
     """
 
-    def __init__(self, corrupted: frozenset[int], worlds: list[SimWorld]):
-        self.corrupted = frozenset(corrupted)
+    def __init__(self, corrupted: frozenset[int], worlds: list[SimWorld],
+                 script: dict | None = None):
+        super().__init__(corrupted, {} if script is None else script)
         self.worlds = worlds
-        self.sent: list[tuple[int, int, Send]] = []
+        self.sent: list[tuple[int, Send]] = []
         self._cursor = 0
-
-    def extra_sends(self, t: int, net: Network) -> list[tuple[int, Send]]:
-        """Hook for subclasses that add scripted traffic on top."""
-        return []
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
         observed = net.observed
@@ -426,8 +447,8 @@ class SplitAdversary(Adversary):
                             Delivery(n, send.payload))
                     else:
                         out.append((n, send))
-                        self.sent.append((t, n, send))
-        out.extend(self.extra_sends(t, net))
+                        self.sent.append((n, send))
+        out.extend(super().act(t, net))
         return out
 
 
@@ -592,20 +613,31 @@ def split_double_spend(family: str, N: int, f: int, payer: int,
 # quorum marker gallery
 
 
-class QuorumScriptAdversary(Adversary):
-    """Sends prepared intents and receipts at scripted steps."""
-
-    def __init__(self, corrupted: frozenset[int], sends: dict[int, list]):
-        self.corrupted = frozenset(corrupted)
-        self.sends = sends
-
-    def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
+def _signed(sends: list[tuple[int, int, bytes]], nonce: bytes | None = None):
+    """A move that signs each (sender, recipient, content) of ``sends``
+    as its sender and sends it with one signature; under a unit ``nonce``
+    it signs in that unit's scope and tags the payload with the nonce."""
+    def move(net: Network) -> list[tuple[int, Send]]:
+        oracle = net.oracle if nonce is None else ScopedOracle(net.oracle, nonce)
         out = []
-        for sender, recipient, content in self.sends.get(t, []):
-            sm = SignedMessage(content).signed_by(net.oracle, sender,
-                                                  adversarial=True)
-            out.append((sender, Send(recipient, sm.to_bytes(), 1)))
+        for sender, recipient, content in sends:
+            wire = SignedMessage(content).signed_by(oracle, sender,
+                                                    adversarial=True).to_bytes()
+            out.append((sender, Send(recipient, wire if nonce is None
+                                     else tag_payload(wire, nonce), 1)))
         return out
+    return move
+
+
+def _split_intents(payer: int, N: int, f: int,
+                   targets: tuple[int, int]) -> list[tuple[int, int, bytes]]:
+    """Conflicting first round intents of a payer that owns its genesis,
+    so the empty proof is valid: one paying ``targets[0]`` to the lower
+    half of the broadcaster set, one paying ``targets[1]`` to the rest."""
+    casters = sorted(default_broadcasters(N, f))
+    return [(payer, b, intent_content(0, payer, targets[k >= len(casters) // 2],
+                                      encode_proof(())))
+            for k, b in enumerate(casters)]
 
 
 def _audited_rounds(system, plans: list[dict[int, int] | None]) -> list[str]:
@@ -627,23 +659,21 @@ def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
     """Named attack-must-fail entries against the quorum marker."""
     results = []
     casters = sorted(default_broadcasters(N, f))
-    half = len(casters) // 2
+    proof = encode_proof(())
 
     # conflicting intents to two halves of the broadcaster set
-    proof = encode_proof(())
-    sends = {0: [(0, b, intent_content(0, 0, 1, proof)) for b in casters[:half]]
-             + [(0, b, intent_content(0, 0, 2, proof)) for b in casters[half:]]}
+    script = {0: _signed(_split_intents(0, N, f, (1, 2)))}
     system = MarkerSystem(QMProcess, N, f, frozenset({0}),
-                          QuorumScriptAdversary(frozenset({0}), sends))
+                          ScriptAdversary(frozenset({0}), script))
     violations = _audited_rounds(system, [{}])
     results.append(AttackResult("quorum-split-intents", "quorum", N, f,
                                 tuple(violations)))
 
     # pay honestly, then replay the spent proof with a new round number
-    sends = {0: [(0, b, intent_content(0, 0, 1, proof)) for b in casters],
-             3: [(0, b, intent_content(1, 0, 2, proof)) for b in casters]}
+    script = {0: _signed([(0, b, intent_content(0, 0, 1, proof)) for b in casters]),
+              3: _signed([(0, b, intent_content(1, 0, 2, proof)) for b in casters])}
     system = MarkerSystem(QMProcess, N, f, frozenset({0}),
-                          QuorumScriptAdversary(frozenset({0}), sends))
+                          ScriptAdversary(frozenset({0}), script))
     violations = _audited_rounds(system, [{}, {1: 3}])
     marked = [n for n in (2, 3) if system.procs[n].marked]
     if marked != [3]:
@@ -655,7 +685,7 @@ def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
     crooked = frozenset(casters[-f:])
     fake = [(b, 1, receipt_content(0, 0, 1)) for b in sorted(crooked)]
     system = MarkerSystem(QMProcess, N, f, crooked,
-                          QuorumScriptAdversary(crooked, {1: fake}))
+                          ScriptAdversary(crooked, {1: _signed(fake)}))
     violations = _audited_rounds(system, [{0: 2}])
     results.append(AttackResult("quorum-fake-receipts", "quorum", N, f,
                                 tuple(violations)))
@@ -670,47 +700,6 @@ def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
 
 # ---------------------------------------------------------------------------
 # cycle coin gallery
-
-
-class ReplayAdversary(SplitAdversary):
-    """Honest coalition behavior plus verbatim replays one round later.
-
-    Everything the coalition sent in its first round is re-sent at the
-    start of the next round, both to the original recipient and rotated
-    one position on, so stale chains arrive where they are expected and
-    where they are not.
-    """
-
-    def __init__(self, corrupted, worlds, round_steps: int):
-        super().__init__(corrupted, worlds)
-        self.round_steps = round_steps
-
-    def extra_sends(self, t: int, net: Network) -> list[tuple[int, Send]]:
-        if t != self.round_steps:
-            return []
-        out = []
-        for _, sender, send in list(self.sent):
-            out.append((sender, send))
-            out.append((sender, Send((send.recipient + 1) % net.N,
-                                     send.payload, send.signatures)))
-        return out
-
-
-class ForgedChainAdversary(Adversary):
-    """Delivers one prepared chain payload at one scripted step."""
-
-    def __init__(self, corrupted: frozenset[int], step: int, recipient: int,
-                 payload_factory: Callable[[Network], bytes]):
-        self.corrupted = frozenset(corrupted)
-        self.step = step
-        self.recipient = recipient
-        self.payload_factory = payload_factory
-
-    def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
-        if t != self.step:
-            return []
-        payload = self.payload_factory(net)
-        return [(min(self.corrupted), Send(self.recipient, payload))]
 
 
 def _honest_world(N: int, coalition: frozenset[int], oracle,
@@ -728,16 +717,24 @@ def _honest_world(N: int, coalition: frozenset[int], oracle,
 def cycle_stale_replay(N: int, first_target: int) -> AttackResult:
     """Corrupted holder pays, then replays the spent chain everywhere.
 
-    The follow up round also carries an honest background handoff, which
-    must land untouched by the stale traffic.  The follow up target is
-    kept on the payer's forward arc so its route avoids the corrupted
-    position; past the end of the arc it degrades to a self transfer.
+    The coalition behaves honestly, and at the start of the next round
+    re-sends everything it sent so far, both to the original recipient
+    and rotated one position on, so stale chains arrive where they are
+    expected and where they are not.  The follow up round also carries
+    an honest background handoff, which must land untouched by the stale
+    traffic.  The follow up target is kept on the payer's forward arc so
+    its route avoids the corrupted position; past the end of the arc it
+    degrades to a self transfer.
     """
     coalition = frozenset({0})
     oracle = SignatureOracle(coalition)
     world = _honest_world(N, coalition, oracle, first_target)
-    steps = cycle_round_steps(N)
-    adversary = ReplayAdversary(coalition, [world], steps)
+
+    def replay(net: Network) -> list[tuple[int, Send]]:
+        return [(sender, s) for sender, send in adversary.sent for s in
+                (send, send._replace(recipient=(send.recipient + 1) % net.N))]
+
+    adversary = SplitAdversary(coalition, [world], {cycle_round_steps(N): replay})
     system = MarkerSystem(CCProcess, N, 0, coalition, adversary, 0, oracle)
     follow_up = first_target + 1 if first_target + 1 < N else first_target
     violations = _audited_rounds(system, [{}, {first_target: follow_up}])
@@ -763,10 +760,9 @@ def cycle_equal_weight(N: int) -> AttackResult:
     coalition = frozenset({0, 1})
     oracle = SignatureOracle(coalition)
     world = _honest_world(N, coalition, oracle, 2)
-    steps = cycle_round_steps(N)
     forged: list[tuple[Record, ...]] = []
 
-    def rival(net: Network) -> bytes:
+    def rival(net: Network) -> list[tuple[int, Send]]:
         records = (Record(TAG_BASE, 0),)
         records = append_record(net.oracle, 0, records, TAG_PATH,
                                 adversarial=True)
@@ -777,15 +773,10 @@ def cycle_equal_weight(N: int) -> AttackResult:
         records = append_record(net.oracle, 1, records, TAG_Y,
                                 adversarial=True)
         forged.append(records)
-        return wire(KIND_CHAIN, records)
+        return [(0, Send(2, wire(KIND_CHAIN, records)))]
 
-    forger = ForgedChainAdversary(coalition, steps, 2, rival)
-
-    class Both(SplitAdversary):
-        def extra_sends(self, t: int, net: Network):
-            return forger.act(t, net)
-
-    adversary = Both(coalition, [world])
+    adversary = SplitAdversary(coalition, [world],
+                               {cycle_round_steps(N): rival})
     system = MarkerSystem(CCProcess, N, 0, coalition, adversary, 0, oracle)
     violations = _audited_rounds(system, [{}, {2: 3}])
     target = system.procs[2]
@@ -950,40 +941,6 @@ class BankReplayAdversary(Adversary):
         return out
 
 
-class BankIntentSplitAdversary(Adversary):
-    """Conflicting first round intents inside one quorum instance.
-
-    The corrupted payer owns the genesis of its instance, so an empty
-    proof is valid; it mails intents for two different targets to the
-    two halves of the broadcaster set under the instance nonce.
-    """
-
-    def __init__(self, corrupted: frozenset[int], payer: int, nonce: bytes,
-                 N: int, f: int, targets: tuple[int, int]):
-        self.corrupted = frozenset(corrupted)
-        self.payer = payer
-        self.nonce = nonce
-        self.N = N
-        self.f = f
-        self.targets = targets
-
-    def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
-        if t != 0:
-            return []
-        scoped = ScopedOracle(net.oracle, self.nonce)
-        casters = sorted(default_broadcasters(self.N, self.f))
-        half = len(casters) // 2
-        out = []
-        for target, chunk in ((self.targets[0], casters[:half]),
-                              (self.targets[1], casters[half:])):
-            content = intent_content(0, self.payer, target, encode_proof(()))
-            sm = SignedMessage(content).signed_by(scoped, self.payer,
-                                                  adversarial=True)
-            payload = tag_payload(sm.to_bytes(), self.nonce)
-            out.extend((self.payer, Send(b, payload, 1)) for b in chunk)
-        return out
-
-
 def bank_gallery(family: str, N: int, f: int, V: int, K: int,
                  seed: int) -> list[AttackResult]:
     """Attack-must-fail entries against the V unit payment system.
@@ -1044,8 +1001,8 @@ def bank_gallery(family: str, N: int, f: int, V: int, K: int,
                                     tuple(background(bank, K, salt))))
 
     if family == "quorum" and initial[0] > 0 and N >= 3:
-        adversary = BankIntentSplitAdversary(corrupted, 0, nonce_for(0),
-                                             N, f, (1, 2))
+        adversary = ScriptAdversary(corrupted, {0: _signed(
+            _split_intents(0, N, f, (1, 2)), nonce_for(0))})
         bank = Bank(N, f, initial, corrupted=corrupted, adversary=adversary,
                     family=family)
         problems = background(bank, K, 5)

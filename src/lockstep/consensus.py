@@ -85,7 +85,7 @@ class DSProcess(Process):
     """
 
     def __init__(self, n: int, N: int, f: int, leader: int, value: bytes | None,
-                 oracle, relays: frozenset[int], nonce: bytes = b""):
+                 oracle, relays: frozenset[int]):
         super().__init__(n)
         self.N = N
         self.f = f
@@ -93,7 +93,6 @@ class DSProcess(Process):
         self.value = value
         self.oracle = oracle
         self.relays = relays
-        self.nonce = nonce
         self.extracted: list[bytes] = []
 
     def register_wakes(self) -> None:
@@ -108,7 +107,7 @@ class DSProcess(Process):
             if self.n == self.leader and self.value is not None:
                 sm = SignedMessage(self.value).signed_by(self.oracle, self.n)
                 wire = sm.to_bytes()
-                return [Send(m, wire, 1, self.nonce) for m in range(self.N)]
+                return [Send(m, wire, 1) for m in range(self.N)]
             return []
         if t > self.f + 2:
             return []
@@ -132,7 +131,7 @@ class DSProcess(Process):
                 targets = [m for m in range(self.N) if m != self.n]
             else:
                 targets = sorted(self.relays)
-            sends.extend(Send(m, wire, len(signed.stack), self.nonce) for m in targets)
+            sends.extend(Send(m, wire, len(signed.stack)) for m in targets)
         return sends
 
     def decide_bytes(self) -> tuple[bytes, bool]:
@@ -153,13 +152,11 @@ class DSProcess(Process):
 
 
 def _run_processes(N: int, last_step: int, make, corrupted: frozenset[int],
-                   adversary, oracle: SignatureOracle | None
-                   ) -> tuple[dict, Network]:
-    """Build process ``make(n, oracle)`` for every id and run the network
-    to the end of ``last_step``.  Returns what each honest process
-    decides, by id, and the network."""
-    if oracle is None:
-        oracle = SignatureOracle(corrupted)
+                   adversary=None) -> tuple[dict, Network]:
+    """Build process ``make(n, oracle)`` for every id, on a fresh oracle,
+    and run the network to the end of ``last_step``.  Returns what each
+    honest process decides, by id, and the network."""
+    oracle = SignatureOracle(corrupted)
     procs = [make(n, oracle) for n in range(N)]
     net = Network(procs, corrupted, adversary, oracle)
     net.run_until(last_step)
@@ -175,8 +172,8 @@ class BroadcastRun:
 
 
 def run_dolev_strong(N: int, f: int, leader_value: int | None, *, leader: int = 0,
-                     corrupted: frozenset[int] = frozenset(), adversary=None,
-                     oracle: SignatureOracle | None = None) -> BroadcastRun:
+                     corrupted: frozenset[int] = frozenset(),
+                     adversary=None) -> BroadcastRun:
     if not 0 <= f <= N - 2:
         raise ConfigFault(f"need f+1 relays among N-1 non leaders, got N={N} f={f}")
     if leader not in corrupted and leader_value is None:
@@ -188,7 +185,7 @@ def run_dolev_strong(N: int, f: int, leader_value: int | None, *, leader: int = 
         lambda n, oracle: DSProcess(n, N, f, leader,
                                     wire_value if n == leader else None,
                                     oracle, relays),
-        corrupted, adversary, oracle)
+        corrupted, adversary)
     decisions = {n: value for n, (value, _) in outcomes.items()}
     fault = {n: flag for n, (_, flag) in outcomes.items()}
     extracted = {n: tuple(net.processes[n].extracted) for n in outcomes}
@@ -276,15 +273,14 @@ class AgreementRun:
 
 
 def run_majority_ba(N: int, f: int, bits: dict[int, int], *,
-                    corrupted: frozenset[int] = frozenset(), adversary=None,
-                    oracle: SignatureOracle | None = None) -> AgreementRun:
+                    corrupted: frozenset[int] = frozenset()) -> AgreementRun:
     if not 2 * f < N:
         raise ConfigFault(f"majority agreement needs 2f < N, got N={N} f={f}")
     return AgreementRun(*_run_processes(
         N, majority_ba_steps(f) - 1,
         lambda n, oracle: MajorityBAHost(
             n, N, f, oracle, bits[n] if n not in corrupted else None),
-        corrupted, adversary, oracle))
+        corrupted))
 
 
 def majority_ba_steps(f: int) -> int:
@@ -296,9 +292,6 @@ def majority_ba_steps(f: int) -> int:
 
 
 CLAIM = enc_str("perplexed")
-
-NONCE_TC_VALUE = b"tcv"
-NONCE_TC_CLAIM = b"tcp"
 
 
 class TurpinCoanProcess(Process):
@@ -332,8 +325,7 @@ class TurpinCoanProcess(Process):
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
         if t == 0:
-            return [Send(m, enc_int(self.value), 0, NONCE_TC_VALUE)
-                    for m in range(self.N)]
+            return [Send(m, enc_int(self.value)) for m in range(self.N)]
         if t == 1:
             for d in inbox:
                 try:
@@ -344,7 +336,7 @@ class TurpinCoanProcess(Process):
             diffs = sum(1 for m in range(self.N)
                         if self.values.get(m, 0) != self.value)
             if 2 * diffs >= self.N - self.f:
-                return [Send(m, CLAIM, 0, NONCE_TC_CLAIM) for m in range(self.N)]
+                return [Send(m, CLAIM) for m in range(self.N)]
             return []
         if t == 2:
             passthrough = []
@@ -369,8 +361,7 @@ class TurpinCoanProcess(Process):
 
 
 def run_turpin_coan(N: int, f: int, values: dict[int, int], *,
-                    corrupted: frozenset[int] = frozenset(), adversary=None,
-                    oracle: SignatureOracle | None = None) -> AgreementRun:
+                    corrupted: frozenset[int] = frozenset()) -> AgreementRun:
     if not 3 * f < N:
         raise ConfigFault(f"value agreement needs 3f < N, got N={N} f={f}")
     return AgreementRun(*_run_processes(
@@ -378,7 +369,7 @@ def run_turpin_coan(N: int, f: int, values: dict[int, int], *,
         lambda n, oracle: TurpinCoanProcess(
             n, N, f, values[n] if n not in corrupted else None,
             MajorityBAHost(n, N, f, oracle)),
-        corrupted, adversary, oracle))
+        corrupted))
 
 
 def turpin_coan_steps(f: int) -> int:
@@ -387,9 +378,6 @@ def turpin_coan_steps(f: int) -> int:
 
 # ---------------------------------------------------------------------------
 # broadcast from agreement
-
-
-NONCE_BB_LEADER = b"bbl"
 
 
 class BBFromBAProcess(Process):
@@ -423,7 +411,7 @@ class BBFromBAProcess(Process):
             if self.n == self.leader and self.value is not None:
                 sm = SignedMessage(enc_int(self.value)).signed_by(self.oracle, self.n)
                 wire = sm.to_bytes()
-                return [Send(m, wire, 1, NONCE_BB_LEADER) for m in range(self.N)]
+                return [Send(m, wire, 1) for m in range(self.N)]
             return []
         if t == 1:
             seen: set[int] = set()
@@ -445,8 +433,7 @@ class BBFromBAProcess(Process):
 
 
 def run_bb_from_ba(N: int, f: int, leader_value: int | None, *, leader: int = 0,
-                   corrupted: frozenset[int] = frozenset(), adversary=None,
-                   oracle: SignatureOracle | None = None) -> BroadcastRun:
+                   corrupted: frozenset[int] = frozenset()) -> BroadcastRun:
     if not 3 * f < N:
         raise ConfigFault(f"the wrapped agreement needs 3f < N, got N={N} f={f}")
     if leader not in corrupted and leader_value is None:
@@ -457,7 +444,7 @@ def run_bb_from_ba(N: int, f: int, leader_value: int | None, *, leader: int = 0,
             n, N, f, leader, leader_value if n == leader else None,
             TurpinCoanProcess(n, N, f, None, MajorityBAHost(n, N, f, oracle)),
             oracle),
-        corrupted, adversary, oracle)
+        corrupted)
     fault = {n: False for n in decisions}
     extracted = {n: (decisions[n],) for n in decisions}
     return BroadcastRun(decisions, fault, extracted, net)

@@ -553,8 +553,6 @@ class CCProcess(MarkerProcess):
         self.outstanding: tuple[int, tuple[Record, ...]] | None = None
         self.route: list[int] = []
         self.target: int | None = None
-        self.paced = False
-        self.ready: list[Send] | None = None
 
     @staticmethod
     def check(N: int, f: int) -> None:
@@ -620,15 +618,10 @@ class CCProcess(MarkerProcess):
         records = records + (_record(TAG_PATH, responder),)
         self.route.pop(0)
         if not self.route:
-            send = self._finish(records, r)
-        else:
-            records = append_record(self.oracle, self.n, records, TAG_X)
-            self.outstanding = (self.route[0], records)
-            send = Send(self.route[0], wire(KIND_QUERY, records), len(records))
-        if self.paced:
-            self.ready = [send]
-            return []
-        return [send]
+            return [self._finish(records, r)]
+        records = append_record(self.oracle, self.n, records, TAG_X)
+        self.outstanding = (self.route[0], records)
+        return [Send(self.route[0], wire(KIND_QUERY, records), len(records))]
 
     def _on_response(self, sender: int, records: tuple[Record, ...],
                      r: int) -> list[Send]:
@@ -736,7 +729,7 @@ class CCProcess(MarkerProcess):
 
     # -- dispatch -----------------------------------------------------------
 
-    def _handle(self, t: int, inbox: list[Delivery]) -> list[Send]:
+    def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
         r = t // self.round_steps
         sends: list[Send] = []
         if inbox:
@@ -764,9 +757,6 @@ class CCProcess(MarkerProcess):
         if t % self.round_steps == 0 and self.marked and r in self.pending:
             sends.extend(self._begin_payment(r))
         return sends
-
-    def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
-        return self._handle(t, inbox)
 
 
 def cycle_payment_messages(distance: int) -> int:
@@ -868,8 +858,9 @@ class PoRProcess(CCProcess):
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
         super().__init__(n, N, f, oracle, genesis_holder)
         self.period_steps = por_period_steps(f)
-        self.paced = True
-        self.subs: dict[bytes, tuple[DSProcess, int]] = {}
+        # the next query of the payment, held for the first step of a period
+        self.ready: list[Send] | None = None
+        self.subs: dict[bytes, DSProcess] = {}
         # (round, period) -> (accused, complaint request, its weight)
         self.accused: dict[tuple[int, int],
                            tuple[int, tuple[Record, ...], int]] = {}
@@ -887,16 +878,24 @@ class PoRProcess(CCProcess):
             for off in offsets:
                 self.net.wake(self.n, base + k * self.period_steps + off)
 
+    def _absorb_countersign(self, responder: int, r: int) -> list[Send]:
+        self.ready = super()._absorb_countersign(responder, r)
+        return []
+
     # -- broadcast plumbing -------------------------------------------------
 
-    def _sub(self, nonce: bytes, leader: int, base: int,
-             value: bytes | None = None) -> DSProcess:
-        if nonce not in self.subs:
-            scoped = ScopedOracle(self.oracle, nonce)
-            proc = DSProcess(self.n, self.N, self.f, leader, value, scoped,
-                             default_relays(self.N, self.f, leader), nonce)
-            self.subs[nonce] = (proc, base)
-        return self.subs[nonce][0]
+    def _sub_step(self, nonce: bytes, leader: int, local: int,
+                  inbox: list[Delivery], value: bytes | None = None) -> list[Send]:
+        """Step the sub-broadcast ``nonce`` led by ``leader`` at its
+        ``local`` step, building it at first use, and tag its sends."""
+        sub = self.subs.get(nonce)
+        if sub is None:
+            sub = self.subs[nonce] = DSProcess(
+                self.n, self.N, self.f, leader, value,
+                ScopedOracle(self.oracle, nonce),
+                default_relays(self.N, self.f, leader))
+        return [Send(s.recipient, tag_payload(s.payload, nonce), s.signatures)
+                for s in sub.step(local, inbox)]
 
     def _route_sub(self, nonce: bytes, t: int,
                    inbox: list[Delivery]) -> list[Send]:
@@ -921,26 +920,24 @@ class PoRProcess(CCProcess):
         local = t - base
         if not 1 <= local <= self.f + 2:
             return []
-        sub = self._sub(nonce, a, base)
-        return sub.step(local, inbox)
+        return self._sub_step(nonce, a, local, inbox)
 
     # -- schedule hooks -----------------------------------------------------
 
-    def _complain(self, t: int, r: int, k: int) -> list[Send]:
+    def _complain(self, r: int, k: int) -> list[Send]:
         nonce = COMPLAINT_PREFIX + nonce_for(r, k, self.n)
-        sub = self._sub(nonce, self.n, t,
-                        encode_records(self.outstanding[1]))
-        return sub.step(0, [])
+        return self._sub_step(nonce, self.n, 0, [],
+                              encode_records(self.outstanding[1]))
 
     def _read_complaints(self, r: int, k: int) -> None:
         """End of the complaint broadcast: everyone settles on at most one
         valid complaint for the period, lowest complainer first."""
         prefix = COMPLAINT_PREFIX + nonce_for(r, k)
         for a in range(self.N):
-            entry = self.subs.get(prefix + a.to_bytes(4, "big"))
-            if entry is None:
+            sub = self.subs.get(prefix + a.to_bytes(4, "big"))
+            if sub is None:
                 continue
-            value, fault = entry[0].decide_bytes()
+            value, fault = sub.decide_bytes()
             if fault:
                 continue
             try:
@@ -963,13 +960,12 @@ class PoRProcess(CCProcess):
         self.pending_response[(r, k)] = (COMPLY if refusal is None
                                          else refusal_wire(refusal[1]))
 
-    def _answer_complaint(self, t: int, r: int, k: int) -> list[Send]:
+    def _answer_complaint(self, r: int, k: int) -> list[Send]:
         value = self.pending_response.pop((r, k), None)
         if value is None:
             return []
-        nonce = RESPONSE_PREFIX + nonce_for(r, k)
-        sub = self._sub(nonce, self.n, t, value)
-        return sub.step(0, [])
+        return self._sub_step(RESPONSE_PREFIX + nonce_for(r, k), self.n, 0,
+                              [], value)
 
     def _refusal_justified(self, accused: int, evidence: tuple[Record, ...],
                            w: int) -> bool:
@@ -1016,8 +1012,8 @@ class PoRProcess(CCProcess):
         if info is None:
             return
         accused, request, w = info
-        entry = self.subs.get(RESPONSE_PREFIX + nonce_for(r, k))
-        value, fault = entry[0].decide_bytes() if entry else (b"", True)
+        sub = self.subs.get(RESPONSE_PREFIX + nonce_for(r, k))
+        value, fault = sub.decide_bytes() if sub else (b"", True)
         payer = (self.outstanding is not None
                  and self.outstanding[0] == accused
                  and self.outstanding[1] == request)
@@ -1055,7 +1051,7 @@ class PoRProcess(CCProcess):
                 main.append(Delivery(d.sender, body))
             elif nonce:
                 by_sub.setdefault(nonce, []).append(Delivery(d.sender, body))
-        plain = self._handle(t, main)
+        plain = super().step(t, main)
         sub_sends: list[Send] = []
         for nonce in sorted(by_sub):
             sub_sends.extend(self._route_sub(nonce, t, by_sub[nonce]))
@@ -1068,15 +1064,14 @@ class PoRProcess(CCProcess):
             self.query_mark = ((r, k), self.outstanding) if self.outstanding else None
         elif off == 2 and self.outstanding is not None \
                 and self.query_mark == ((r, k), self.outstanding):
-            sub_sends.extend(self._complain(t, r, k))
+            sub_sends.extend(self._complain(r, k))
         elif off == self.f + 4:
             self._read_complaints(r, k)
         elif off == self.f + 5:
-            sub_sends.extend(self._answer_complaint(t, r, k))
+            sub_sends.extend(self._answer_complaint(r, k))
         elif off == 2 * self.f + 7:
             self._settle_period(r, k)
         wrapped = [Send(s.recipient, tag_payload(s.payload, MAIN_NONCE),
                         s.signatures) for s in plain]
-        wrapped.extend(Send(s.recipient, tag_payload(s.payload, s.nonce),
-                            s.signatures) for s in sub_sends)
+        wrapped.extend(sub_sends)
         return wrapped

@@ -33,6 +33,9 @@ class MuxHost(Process):
     map from step to nonces, and the host registers every step in it with
     the network.  A step services only the instances with a delivery or a
     wake due, so its cost follows the traffic, not the instance count.
+    The static map serves hosts nested in another process, such as the
+    one in :class:`~lockstep.consensus.TurpinCoanProcess`: no network
+    attaches them, so only the map wakes their instances.
 
     ``stepped`` collects the nonces of the instances serviced since a
     reader last cleared it, so a driver can re-read just the instances

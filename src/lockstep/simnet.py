@@ -306,8 +306,8 @@ class SignedMessage:
             stack.append((reader.read_int(), reader.read_bytes()))
         msg = cls(payload, tuple(stack))
         # the parse is exact, so the message encodes to ``data``
-        msg.__dict__["_wire"] = data
-        msg.__dict__["signers"] = tuple(signer for signer, _ in stack)
+        object.__setattr__(msg, "_wire", data)
+        object.__setattr__(msg, "signers", tuple(signer for signer, _ in stack))
         return msg
 
     @once
@@ -315,8 +315,8 @@ class SignedMessage:
         return tuple(signer for signer, _ in self.stack)
 
     def signed_by(self, oracle, signer: int, *, adversarial: bool = False) -> "SignedMessage":
-        """This message countersigned by ``signer``.  The child is built
-        field by field, without the dataclass ``__init__``, and seeds
+        """This message countersigned by ``signer``.  The child gets its
+        wire and signers by plain stores, as in :class:`once`, and seeds
         :meth:`from_bytes` with its wire."""
         content = self._wire
         if adversarial:
@@ -327,10 +327,9 @@ class SignedMessage:
         wire = b"".join((content, b"\x00\x00\x00\x08",
                          int(signer).to_bytes(8, "big", signed=True),
                          len(content).to_bytes(4, "big"), content))
-        child = object.__new__(SignedMessage)
-        child.__dict__.update(payload=self.payload,
-                              stack=self.stack + ((signer, content),),
-                              _wire=wire, signers=self.signers + (signer,))
+        child = SignedMessage(self.payload, self.stack + ((signer, content),))
+        object.__setattr__(child, "_wire", wire)
+        object.__setattr__(child, "signers", self.signers + (signer,))
         _signed_seeds.put(wire, child)
         return child
 
@@ -367,7 +366,6 @@ class Send(NamedTuple):
     recipient: int
     payload: bytes
     signatures: int = 0
-    nonce: bytes = b""
 
 
 class Delivery(NamedTuple):
@@ -536,7 +534,7 @@ class Network:
         inboxes.setdefault(recipient, []).append(delivery)
 
     def _record(self, t: int, sender: int, send: Send, honest: bool) -> None:
-        recipient, payload, signatures, _ = send
+        recipient, payload, signatures = send
         self.transcript.events.append(TranscriptEvent(
             t, self.round, sender, recipient, payload, signatures))
         if honest:

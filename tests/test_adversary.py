@@ -8,7 +8,10 @@ import pytest
 from lockstep import simnet
 from lockstep.adversary import (
     CoalitionOracle,
+    ScriptAdversary,
     ScriptedDSAdversary,
+    SimWorld,
+    SplitAdversary,
     _ds_audit,
     bank_gallery,
     cheating_intermediary_cases,
@@ -29,8 +32,8 @@ from lockstep.adversary import (
 from lockstep import marker
 from lockstep.consensus import inspect_proper, run_dolev_strong
 from lockstep.cyclecoin import KIND_QUERY, wire
-from lockstep.simnet import (ConfigFault, ForgeryViolation, SignatureOracle,
-                             seeded_rng)
+from lockstep.simnet import (ConfigFault, ForgeryViolation, Network, Process,
+                             Send, SignatureOracle, seeded_rng)
 
 
 def test_result_expectation_logic():
@@ -205,6 +208,60 @@ def test_the_junk_flood_sends_what_per_recipient_draws_give(N, monkeypatch):
         assert blobs == [bytes(rng.integers(0, 256, size=12, dtype=np.uint8))
                          for _ in blobs]
         assert set(queries) == {wire(KIND_QUERY, ())}
+
+
+def test_a_script_adversary_sends_what_its_script_returns_at_its_steps_only():
+    moves = {1: [(2, Send(0, b"one", 1))],
+             3: [(2, Send(1, b"three")), (2, Send(0, b"again", 2))],
+             4: []}
+    played, nets = [], []
+
+    def move(t):
+        def play(net):
+            played.append(t)
+            nets.append(net)
+            return list(moves[t])
+        return play
+
+    adversary = ScriptAdversary(frozenset({2}), {t: move(t) for t in moves})
+    net = Network([Process(n) for n in range(3)], frozenset({2}), adversary)
+    net.run_until(6)
+    assert [(e.step, e.sender, e.recipient, e.payload, e.signatures)
+            for e in net.transcript.events] == [
+        (1, 2, 0, b"one", 1), (3, 2, 1, b"three", 0), (3, 2, 0, b"again", 2)]
+    assert played == [1, 3, 4] and all(n is net for n in nets)
+    assert all(adversary.act(t, net) == [] for t in (0, 2, 5, 6, 7))
+    assert net.metrics.messages() == 0
+
+
+class _Talker(Process):
+    """A simulated coalition member that sends to process 1 when stepped."""
+
+    def step(self, t, inbox):
+        return [Send(1, b"world", 1)]
+
+
+def test_a_split_adversary_sends_its_worlds_traffic_before_its_script():
+    """Within one step the worlds' sends go out, and are kept in ``sent``,
+    before the script plays: the stale replay re-sends what the worlds
+    sent in the very step it runs."""
+    world = SimWorld("only", {0: _Talker(0)}, frozenset({1}))
+    world.wakes[0].update({2, 4})
+    kept = []
+
+    def script_move(net):
+        kept.append(list(adversary.sent))
+        return [(0, Send(1, b"script"))]
+
+    adversary = SplitAdversary(frozenset({0}), [world],
+                               {2: script_move,
+                                3: lambda net: [(0, Send(1, b"alone"))]})
+    net = Network([Process(0), Process(1)], frozenset({0}), adversary)
+    net.run_until(5)
+    assert [(e.step, e.payload) for e in net.transcript.events] == [
+        (2, b"world"), (2, b"script"), (3, b"alone"), (4, b"world")]
+    assert kept == [[(0, Send(1, b"world", 1))]]
+    assert adversary.sent == [(0, Send(1, b"world", 1))] * 2
 
 
 def test_quorum_gallery_is_clean():

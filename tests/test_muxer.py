@@ -167,3 +167,24 @@ def test_wake_for_an_unknown_nonce_steps_nothing():
     host.wake_instance(nonce_for(99), 2)
     net.run_until(4)
     assert log == []
+
+
+def test_a_host_no_network_attaches_wakes_its_instances_from_the_static_map():
+    """A host nested in another process, as the agreement host is in the
+    Turpin-Coan poll, never gets ``register_wakes``; its static wake map
+    still services the instance at the host's local step 0."""
+    log = []
+    nonce = nonce_for(1)
+    nested = MuxHost(0, {nonce: _Logged(0, 1, log)}, {nonce: frozenset({0})})
+
+    class _Parent(Process):
+        def register_wakes(self):
+            self.net.wake(self.n, 2)
+
+        def step(self, t, inbox):
+            return nested.step(t - 2, inbox)
+
+    net = Network([_Parent(0)], frozenset())
+    net.run_until(4)
+    assert nested.net is None
+    assert log == [(0, 1)]
