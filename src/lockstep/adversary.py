@@ -19,8 +19,11 @@ reference runs and then replays them against the coalition.
 A gallery entry scripts its coalition as data: a :class:`ScriptAdversary`
 maps a step to a move, a function of the network that returns what the
 coalition sends at that step, and a :class:`SplitAdversary` plays such a
-script after its simulation worlds' traffic.  Only adversaries that pick
-their sends from what they observe are classes of their own.
+script after its simulation worlds' traffic; a move that re-sends what
+the coalition sent reads it from the transcript of the steps before.
+Besides these, only adversaries that pick their sends from what they
+observe are classes of their own, and one :class:`JunkAdversary` makes
+every flood of random bytes, which observes nothing.
 """
 
 from __future__ import annotations
@@ -116,33 +119,22 @@ def gallery_to_csv(results: list[AttackResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class CoalitionOracle:
+class CoalitionOracle(SignatureOracle):
     """Oracle view that forces every signature through the adversary path.
 
-    Honest protocol code simulated on behalf of corrupted ids calls
-    ``sign`` like it always does; routing that call through
-    ``adversary_sign`` keeps the forgery rule mechanical even inside a
-    simulation, because signing for an honest id still raises.
+    It shares the registry of ``base``, so what it signs ``base`` verifies
+    and the other way round.  Honest protocol code simulated on behalf of
+    corrupted ids calls ``sign`` like it always does; routing that call
+    through ``adversary_sign`` keeps the forgery rule mechanical even
+    inside a simulation, because signing for an honest id still raises.
     """
 
     def __init__(self, base: SignatureOracle):
-        self._base = base
-
-    @property
-    def corrupted(self) -> frozenset[int]:
-        return self._base.corrupted
+        super().__init__(base.corrupted)
+        self._issued = base._issued
 
     def sign(self, signer: int, content: bytes) -> None:
-        self._base.adversary_sign(signer, content)
-
-    def adversary_sign(self, signer: int, content: bytes) -> None:
-        self._base.adversary_sign(signer, content)
-
-    def verify(self, signer: int, content: bytes) -> bool:
-        return self._base.verify(signer, content)
-
-    def verify_all(self, pairs: frozenset[tuple[int, bytes]]) -> bool:
-        return self._base.verify_all(pairs)
+        self.adversary_sign(signer, content)
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +283,19 @@ def run_ds_case(case: DSCase, *, leader: int = 0) -> AttackResult:
                         details=f"corrupted={sorted(case.corrupted)}")
 
 
-class RandomDSAdversary(Adversary):
+class RandomDSAdversary(ScriptedDSAdversary):
     """Seeded mixture of silence, equivocation, junk and replays.
 
     Per step and honest recipient: 40% nothing, 20% best chain for value
     0, 20% for value 1, 10% both, 5% unparseable junk, 5% a verbatim
     replay of something observed (stale length on arrival, so honest
-    processes must reject it).
+    processes must reject it).  Its chains are the scripted adversary's,
+    built the same way; it draws its actions instead of reading a table.
     """
 
     def __init__(self, corrupted: frozenset[int], leader: int, seed: int):
-        self.corrupted = frozenset(corrupted)
-        self.leader = leader
+        super().__init__(corrupted, leader, {})
         self.rng = seeded_rng(seed, 11)
-        self._scripted = ScriptedDSAdversary(corrupted, leader, {})
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
         out = []
@@ -319,7 +310,7 @@ class RandomDSAdversary(Adversary):
             if u < 0.90:
                 picks = ([0] if u < 0.60 else [1] if u < 0.80 else [0, 1])
                 for k in picks:
-                    sm = self._scripted._chain(enc_int(k), t + 1, net)
+                    sm = self._chain(enc_int(k), t + 1, net)
                     if sm is not None:
                         out.append((sender,
                                     Send(recipient, sm.to_bytes(), len(sm.stack))))
@@ -352,16 +343,6 @@ def random_ds_case(seed: int, *, N: int = 6, f: int = 2,
 # coalition simulations
 
 
-class _WorldNet:
-    """Wake registry standing in for the network inside a simulation."""
-
-    def __init__(self, world: "SimWorld"):
-        self._world = world
-
-    def wake(self, pid: int, step: int) -> None:
-        self._world.wakes.setdefault(pid, set()).add(step)
-
-
 class SimWorld:
     """One imagined execution the coalition runs internally.
 
@@ -369,18 +350,16 @@ class SimWorld:
     ``feed`` is the set of honest senders whose real messages belong to
     this execution.  Messages between coalition members stay inside the
     world; only traffic toward honest processes reaches the real wire.
+    ``wakes`` holds the steps at which each simulated process runs without
+    a delivery; the simulated families never ask the network for a wake,
+    so the sims stay detached from any network.
     """
 
-    def __init__(self, name: str, sims: dict[int, Process],
-                 feed: frozenset[int]):
-        self.name = name
+    def __init__(self, sims: dict[int, Process], feed: frozenset[int]):
         self.sims = sims
         self.feed = frozenset(feed)
         self.wakes: dict[int, set[int]] = {n: set() for n in sims}
         self.queues: dict[int, dict[int, list[Delivery]]] = {n: {} for n in sims}
-        shim = _WorldNet(self)
-        for proc in sims.values():
-            proc.net = shim
 
     def prime_payment(self, payer: int, round_index: int, target: int,
                       base_step: int) -> None:
@@ -413,15 +392,15 @@ class SplitAdversary(ScriptAdversary):
     failed.  With a single world whose feed is everything this is simply
     a coalition that behaves honestly, which several gallery entries use
     as a building block.  Within a step the worlds' traffic goes out
-    first and the script's sends after it; ``sent`` keeps the worlds'
-    traffic to honest ids as (sender, Send) pairs.
+    first and the script's sends after it.  A move that needs what the
+    coalition sent earlier reads it from ``net.transcript``, which holds
+    every send of the steps before the current one.
     """
 
     def __init__(self, corrupted: frozenset[int], worlds: list[SimWorld],
                  script: dict | None = None):
         super().__init__(corrupted, {} if script is None else script)
         self.worlds = worlds
-        self.sent: list[tuple[int, Send]] = []
         self._cursor = 0
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
@@ -447,9 +426,39 @@ class SplitAdversary(ScriptAdversary):
                             Delivery(n, send.payload))
                     else:
                         out.append((n, send))
-                        self.sent.append((n, send))
         out.extend(super().act(t, net))
         return out
+
+
+class JunkAdversary(Adversary):
+    """Floods every honest process with random bytes at every step.
+
+    Each honest recipient gets a ``size`` byte blob and then the ``extra``
+    payloads, all from the lowest corrupted id.  The flood observes
+    nothing.  A step's blobs come from one draw that holds ``size``
+    rounded up to whole 32 bit words per recipient: ``Generator.integers``
+    draws ``uint8`` a whole word at a time per call, so the blobs and the
+    generator state after the step are those of one draw per recipient.
+    """
+
+    def __init__(self, corrupted: frozenset[int], N: int,
+                 rng: np.random.Generator, size: int,
+                 extra: tuple[bytes, ...] = ()):
+        self.corrupted = frozenset(corrupted)
+        self.honest = [n for n in range(N) if n not in self.corrupted]
+        self.rng = rng
+        self.size = size
+        self.stride = -(-size // 4) * 4
+        self.extra = extra
+
+    def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
+        sender, size, stride = min(self.corrupted), self.size, self.stride
+        blobs = self.rng.integers(0, 256, size=stride * len(self.honest),
+                                  dtype=np.uint8).tobytes()
+        return [(sender, Send(recipient, payload))
+                for k, recipient in enumerate(self.honest)
+                for payload in (blobs[stride * k:stride * k + size],
+                                *self.extra)]
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +548,6 @@ class SplitReport:
     family: str
     N: int
     f: int
-    payer: int
-    targets: tuple[int, int]
-    x_sets: tuple[frozenset[int], frozenset[int]]
-    coalition: frozenset[int]
     skipped: bool
     accepted: tuple[bool, bool]
     violations: tuple[str, ...]
@@ -581,8 +586,7 @@ def split_double_spend(family: str, N: int, f: int, payer: int,
     if len(chosen) > f or (coalition is None and not chosen.isdisjoint((n1, n2))):
         # over budget, or the contact sets only meet through a target:
         # either way the two world construction does not apply
-        return SplitReport(family, N, f, payer, (n1, n2), (x1, x2), chosen,
-                           True, (False, False), ())
+        return SplitReport(family, N, f, True, (False, False), ())
     if payer not in chosen or n1 in chosen or n2 in chosen:
         raise ConfigFault("the coalition must contain the payer, never a target")
     oracle = SignatureOracle(chosen)
@@ -590,11 +594,10 @@ def split_double_spend(family: str, N: int, f: int, payer: int,
     if family == "cycle":
         shadow.sign(payer, record_content((), TAG_BASE))
     worlds = []
-    for name, target, feed in (("first", n1, x1 - chosen),
-                               ("second", n2, x2 - chosen)):
+    for target, feed in ((n1, x1 - chosen), (n2, x2 - chosen)):
         sims = {z: FAMILIES[family](z, N, f, shadow, payer)
                 for z in sorted(chosen)}
-        world = SimWorld(name, sims, feed)
+        world = SimWorld(sims, feed)
         world.prime_payment(payer, 0, target, 0)
         worlds.append(world)
     adversary = SplitAdversary(chosen, worlds)
@@ -605,8 +608,7 @@ def split_double_spend(family: str, N: int, f: int, payer: int,
     violations = check_marker_round(0, honest, markings, None, False, None)
     accepted = (any(m.target == n1 for m in markings),
                 any(m.target == n2 for m in markings))
-    return SplitReport(family, N, f, payer, (n1, n2), (x1, x2), chosen,
-                       False, accepted, tuple(violations))
+    return SplitReport(family, N, f, False, accepted, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +711,7 @@ def _honest_world(N: int, coalition: frozenset[int], oracle,
     shadow = CoalitionOracle(oracle)
     shadow.sign(0, record_content((), TAG_BASE))
     sims = {z: CCProcess(z, N, 0, shadow, 0) for z in sorted(coalition)}
-    world = SimWorld("single", sims, frozenset(range(N)) - coalition)
+    world = SimWorld(sims, frozenset(range(N)) - coalition)
     world.prime_payment(0, 0, target, 0)
     return world
 
@@ -720,19 +722,21 @@ def cycle_stale_replay(N: int, first_target: int) -> AttackResult:
     The coalition behaves honestly, and at the start of the next round
     re-sends everything it sent so far, both to the original recipient
     and rotated one position on, so stale chains arrive where they are
-    expected and where they are not.  The follow up round also carries
-    an honest background handoff, which must land untouched by the stale
-    traffic.  The follow up target is kept on the payer's forward arc so
-    its route avoids the corrupted position; past the end of the arc it
-    degrades to a self transfer.
+    expected and where they are not.  Its world sends nothing at that
+    step, so the transcript of the steps before holds all it sent.  The
+    follow up round also carries an honest background handoff, which
+    must land untouched by the stale traffic.  The follow up target is
+    kept on the payer's forward arc so its route avoids the corrupted
+    position; past the end of the arc it degrades to a self transfer.
     """
     coalition = frozenset({0})
     oracle = SignatureOracle(coalition)
     world = _honest_world(N, coalition, oracle, first_target)
 
     def replay(net: Network) -> list[tuple[int, Send]]:
-        return [(sender, s) for sender, send in adversary.sent for s in
-                (send, send._replace(recipient=(send.recipient + 1) % net.N))]
+        return [(e.sender, Send(recipient, e.payload, e.signatures))
+                for e in net.transcript.events if e.sender in coalition
+                for recipient in (e.recipient, (e.recipient + 1) % net.N)]
 
     adversary = SplitAdversary(coalition, [world], {cycle_round_steps(N): replay})
     system = MarkerSystem(CCProcess, N, 0, coalition, adversary, 0, oracle)
@@ -811,23 +815,9 @@ _EMPTY_QUERY = wire(KIND_QUERY, ())
 def cycle_junk(N: int, seed: int) -> AttackResult:
     """A corrupted bystander floods garbage while honest handoffs run."""
     coalition = frozenset({N - 1})
-
-    class Junk(Adversary):
-        corrupted = coalition
-
-        def __init__(self):
-            self.rng = seeded_rng(seed, 13)
-
-        def act(self, t: int, net: Network):
-            # 12 bytes are 3 whole 32 bit words: as one 12 byte draw each
-            blobs = self.rng.integers(0, 256, size=12 * (N - 1),
-                                      dtype=np.uint8).tobytes()
-            return [(N - 1, Send(recipient, payload))
-                    for recipient in range(N - 1)
-                    for payload in (blobs[12 * recipient:12 * recipient + 12],
-                                    _EMPTY_QUERY)]
-
-    system = MarkerSystem(CCProcess, N, 0, coalition, Junk())
+    flood = JunkAdversary(coalition, N, seeded_rng(seed, 13), 12,
+                          extra=(_EMPTY_QUERY,))
+    system = MarkerSystem(CCProcess, N, 0, coalition, flood)
     violations = _audited_rounds(system, [{0: 1}, {1: 2}])
     return AttackResult("cycle-junk", "cycle", N, 1, tuple(violations),
                         details=f"seed={seed}")
@@ -898,25 +888,6 @@ def random_cycle_attack(seed: int, N: int = 8) -> AttackResult:
 
 # ---------------------------------------------------------------------------
 # payment system gallery
-
-
-class BankJunkAdversary(Adversary):
-    """Floods honest banks with garbage at every step."""
-
-    def __init__(self, corrupted: frozenset[int], N: int, seed: int):
-        self.corrupted = frozenset(corrupted)
-        self.N = N
-        self.rng = seeded_rng(seed, 17)
-
-    def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
-        sender = min(self.corrupted)
-        out = []
-        for recipient in range(self.N):
-            if recipient in self.corrupted:
-                continue
-            blob = bytes(self.rng.integers(0, 256, size=10, dtype=np.uint8))
-            out.append((sender, Send(recipient, blob)))
-        return out
 
 
 class BankReplayAdversary(Adversary):
@@ -993,7 +964,8 @@ def bank_gallery(family: str, N: int, f: int, V: int, K: int,
     corrupted = frozenset({0})
     for salt, (name, adversary) in enumerate((
             ("bank-silent-holder", None),
-            ("bank-junk", BankJunkAdversary(corrupted, N, seed)),
+            ("bank-junk", JunkAdversary(corrupted, N, seeded_rng(seed, 17),
+                                        10)),
             ("bank-replay", BankReplayAdversary(corrupted, N))), start=2):
         bank = Bank(N, f, initial, corrupted=corrupted, adversary=adversary,
                     family=family)

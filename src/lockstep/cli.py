@@ -47,6 +47,7 @@ from lockstep.consensus import (
     run_dolev_strong,
 )
 from lockstep.hopnet import (
+    format_cycles,
     gen_binary_search_pair,
     gen_random_cycles,
     graph_diameter,
@@ -71,8 +72,8 @@ DEFAULTS = {
     "samples": 100,
 }
 
-_INT_KEYS = ("n", "f", "rounds", "seed", "workers", "units", "pairs",
-             "cycles", "samples")
+_INT_KEYS = frozenset(key for key, value in DEFAULTS.items()
+                      if isinstance(value, int))
 
 
 def build_id() -> str:
@@ -115,9 +116,8 @@ def effective_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     cfg["protocol"] = _PROTOCOL_DEFAULTS.get(args.command, cfg["protocol"])
     cfg.update(load_config(args.config))
-    for key in ("protocol", "n", "f", "rounds", "seed", "workers", "out"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in DEFAULTS and value is not None:
             cfg[key] = value
     cfg["command"] = args.command
     return cfg
@@ -409,8 +409,6 @@ def execute_gen_topology(cfg: dict):
                           f"not {cfg['protocol']!r}")
     cycleset = layout(cfg)
     diameter = graph_diameter(HopNetwork(cycleset).graph())
-    lines = [" ".join(str(n) for n in cycle) + "\n"
-             for cycle in cycleset.cycles]
     records = [{"cycle": k, "order": list(cycle)}
                for k, cycle in enumerate(cycleset.cycles)]
     numbers = {"N": N, "cycles": len(cycleset.cycles), "diameter": diameter}
@@ -418,7 +416,7 @@ def execute_gen_topology(cfg: dict):
         "transcript.jsonl": _jsonl(records),
         "metrics.csv": "N,cycles,diameter\n"
                        f"{N},{len(cycleset.cycles)},{diameter}\n",
-        "cycles.txt": "".join(lines),
+        "cycles.txt": format_cycles(cycleset),
     }
     return files, numbers, []
 
@@ -496,8 +494,10 @@ EXECUTORS = {
     "attack": execute_attack,
 }
 
-_SUMMARY_KEYS = ("command", "protocol", "n", "f", "rounds", "seed",
-                 "units", "pairs", "cycles", "samples")
+# what a run's bytes depend on: every setting but where it writes and how
+# many workers it uses
+_SUMMARY_KEYS = ("command", *(key for key in DEFAULTS
+                              if key not in ("workers", "out")))
 
 
 def execute(cfg: dict):

@@ -248,13 +248,12 @@ def cycle_path(a: int, b: int, N: int,
 
 @dataclass(frozen=True)
 class Group:
-    """One extension: ``extender`` moved the chain end from ``start`` to
-    ``end``, crossing ``hop`` cycle positions."""
+    """One extension: ``extender`` moved the chain end from its own
+    position to ``end``, crossing ``hop`` cycle positions."""
 
     extender: int
     path: tuple[int, ...]
     terminal: str
-    start: int
     end: int
     hop: int
 
@@ -306,7 +305,7 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
         if rec.tag in (TAG_X, TAG_Y):
             if rec.signer != end or end in deleted:
                 return None
-            groups.append(Group(end, (), rec.tag, end, end, 0))
+            groups.append(Group(end, (), rec.tag, end, 0))
             if rec.tag == TAG_Y and i + 1 != n_records:
                 return None
             i += 1
@@ -352,8 +351,7 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
         hop = cycle_distance(extender, new_end, N)
         if hop == 0:
             return None
-        groups.append(Group(extender, tuple(path), terminal, extender,
-                            new_end, hop))
+        groups.append(Group(extender, tuple(path), terminal, new_end, hop))
         total += hop
         end = new_end
     return ChainShape(tuple(records), tuple(groups), end, total)
@@ -1025,10 +1023,7 @@ class PoRProcess(CCProcess):
         evidence = parse_refusal(value) if not fault else None
         if evidence is not None and self._refusal_justified(accused, evidence, w):
             if payer:
-                self.evidence.append(evidence)
-                self.outstanding = None
-                self.route = []
-                self.target = None
+                self._on_refuse(accused, evidence)
             return
         self.deleted.add(accused)
         self.deletions.append((r, k, accused))

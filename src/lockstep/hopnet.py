@@ -111,10 +111,15 @@ def gen_binary_search_pair(N: int) -> CycleSet:
     return CycleSet(N, (descending, gen_binary_search_cycle(N)))
 
 
+def format_cycles(cycleset: CycleSet) -> str:
+    """The cycle file: one line per cycle, its ids in cycle order."""
+    return "".join(" ".join(str(n) for n in cycle) + "\n"
+                   for cycle in cycleset.cycles)
+
+
 def save_cycles(path: str, cycleset: CycleSet) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for cycle in cycleset.cycles:
-            fh.write(" ".join(str(n) for n in cycle) + "\n")
+        fh.write(format_cycles(cycleset))
 
 
 def load_cycles(path: str) -> CycleSet:
@@ -144,7 +149,6 @@ class HopGraph:
 
     N: int
     cycles: tuple[tuple[int, ...], ...]
-    trusted: frozenset[int]
     balances: tuple[tuple[int, ...], ...]
     adjacency: tuple[tuple[int, ...], ...]
 
@@ -175,8 +179,7 @@ def build_hop_graph(cycles: tuple[tuple[int, ...], ...],
             for k2 in funded:
                 if k2 != k:
                     adj[k * N + n].append(k2 * N + n)
-    return HopGraph(N, tuple(cycles), frozenset(trusted),
-                    tuple(tuple(row) for row in balances),
+    return HopGraph(N, tuple(cycles), tuple(tuple(row) for row in balances),
                     tuple(tuple(sorted(row)) for row in adj))
 
 

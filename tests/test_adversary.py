@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lockstep import simnet
+from lockstep import adversary as gallery, simnet
 from lockstep.adversary import (
     CoalitionOracle,
+    JunkAdversary,
     ScriptAdversary,
     ScriptedDSAdversary,
     SimWorld,
@@ -17,6 +18,7 @@ from lockstep.adversary import (
     cheating_intermediary_cases,
     cycle_gallery,
     cycle_junk,
+    cycle_stale_replay,
     enumerate_ds_cases,
     exhaustive_cycle_cases,
     gallery_to_csv,
@@ -31,9 +33,9 @@ from lockstep.adversary import (
 )
 from lockstep import marker
 from lockstep.consensus import inspect_proper, run_dolev_strong
-from lockstep.cyclecoin import KIND_QUERY, wire
-from lockstep.simnet import (ConfigFault, ForgeryViolation, Network, Process,
-                             Send, SignatureOracle, seeded_rng)
+from lockstep.cyclecoin import KIND_QUERY, cycle_round_steps, wire
+from lockstep.simnet import (Adversary, ConfigFault, ForgeryViolation, Network,
+                             Process, Send, SignatureOracle, seeded_rng)
 
 
 def test_result_expectation_logic():
@@ -194,6 +196,22 @@ def test_a_forged_chain_built_once_sends_and_signs_what_rebuilding_does(
     assert len(cases) > 20 and memoized_signs < len(signs) - memoized_signs
 
 
+def _per_recipient_draws(net, rng, size: int, extra: int = 0) -> list[bytes]:
+    """The flood's blobs in ``net``, after checking that they and the
+    generator state after the run are those of one ``size`` byte draw
+    from ``rng`` per recipient and step; ``extra`` payloads follow each."""
+    flood = net.adversary
+    honest = net.N - len(flood.corrupted)
+    sent = [e.payload for e in net.transcript.events
+            if e.sender == min(flood.corrupted)]
+    blobs = sent[0::1 + extra]
+    assert len(blobs) > honest and len(blobs) % honest == 0
+    assert blobs == [bytes(rng.integers(0, 256, size=size, dtype=np.uint8))
+                     for _ in blobs]
+    assert flood.rng.bit_generator.state == rng.bit_generator.state
+    return sent
+
+
 @pytest.mark.parametrize("N", range(5, 10))
 def test_the_junk_flood_sends_what_per_recipient_draws_give(N, monkeypatch):
     built = _built_networks(monkeypatch)
@@ -201,13 +219,27 @@ def test_the_junk_flood_sends_what_per_recipient_draws_give(N, monkeypatch):
         built.clear()
         assert cycle_junk(N, seed).violations == ()
         (net,) = built
-        sent = [e.payload for e in net.transcript.events if e.sender == N - 1]
-        blobs, queries = sent[0::2], sent[1::2]
-        assert len(blobs) > N - 1 and len(blobs) % (N - 1) == 0
-        rng = seeded_rng(seed, 13)
-        assert blobs == [bytes(rng.integers(0, 256, size=12, dtype=np.uint8))
-                         for _ in blobs]
-        assert set(queries) == {wire(KIND_QUERY, ())}
+        sent = _per_recipient_draws(net, seeded_rng(seed, 13), 12, extra=1)
+        assert set(sent[1::2]) == {wire(KIND_QUERY, ())}
+        built.clear()
+        for result in bank_gallery("quorum", N, 1, 3, 2, seed):
+            assert result.ok, (result.name, result.violations)
+        (net,) = [net for net in built if isinstance(net.adversary, JunkAdversary)]
+        _per_recipient_draws(net, seeded_rng(seed, 17), 10)
+
+
+def test_every_gallery_adversary_acts_from_the_gallery_module():
+    """``perfbench/tracer.py`` wraps an adversary's ``act`` only when it
+    comes from ``lockstep.adversary``; an ``act`` from anywhere else would
+    drop that coalition out of traced gallery runs."""
+    classes = {name: cls for name, cls in vars(gallery).items()
+               if isinstance(cls, type) and issubclass(cls, Adversary)
+               and cls.__module__ == gallery.__name__}
+    assert sorted(classes) == [
+        "BankReplayAdversary", "JunkAdversary", "RandomDSAdversary",
+        "ScriptAdversary", "ScriptedDSAdversary", "SplitAdversary"]
+    for cls in classes.values():
+        assert cls.act.__module__ == gallery.__name__, cls
 
 
 def test_a_script_adversary_sends_what_its_script_returns_at_its_steps_only():
@@ -242,15 +274,15 @@ class _Talker(Process):
 
 
 def test_a_split_adversary_sends_its_worlds_traffic_before_its_script():
-    """Within one step the worlds' sends go out, and are kept in ``sent``,
-    before the script plays: the stale replay re-sends what the worlds
-    sent in the very step it runs."""
-    world = SimWorld("only", {0: _Talker(0)}, frozenset({1}))
-    world.wakes[0].update({2, 4})
+    """Within one step the worlds' sends go out before the script plays,
+    and a move reads in the transcript what was sent in the steps before
+    its own."""
+    world = SimWorld({0: _Talker(0)}, frozenset({1}))
+    world.wakes[0].update({1, 2, 4})
     kept = []
 
     def script_move(net):
-        kept.append(list(adversary.sent))
+        kept.append([(e.step, e.payload) for e in net.transcript.events])
         return [(0, Send(1, b"script"))]
 
     adversary = SplitAdversary(frozenset({0}), [world],
@@ -258,10 +290,31 @@ def test_a_split_adversary_sends_its_worlds_traffic_before_its_script():
                                 3: lambda net: [(0, Send(1, b"alone"))]})
     net = Network([Process(0), Process(1)], frozenset({0}), adversary)
     net.run_until(5)
-    assert [(e.step, e.payload) for e in net.transcript.events] == [
-        (2, b"world"), (2, b"script"), (3, b"alone"), (4, b"world")]
-    assert kept == [[(0, Send(1, b"world", 1))]]
-    assert adversary.sent == [(0, Send(1, b"world", 1))] * 2
+    assert [(e.step, e.payload, e.signatures)
+            for e in net.transcript.events] == [
+        (1, b"world", 1), (2, b"world", 1), (2, b"script", 0),
+        (3, b"alone", 0), (4, b"world", 1)]
+    assert kept == [[(1, b"world")]]
+
+
+@pytest.mark.parametrize("N", range(4, 10))
+def test_the_stale_replay_resends_the_coalitions_earlier_sends(N, monkeypatch):
+    """At its replay step the coalition sends exactly its earlier
+    transcript events, each to its recipient and then rotated one on, in
+    transcript order: its world sends nothing at that step."""
+    built = _built_networks(monkeypatch)
+    replay_step = cycle_round_steps(N)
+    for target in range(1, N):
+        built.clear()
+        assert cycle_stale_replay(N, target).ok
+        (net,) = built
+        ours = [e for e in net.transcript.events if e.sender == 0]
+        earlier = [e for e in ours if e.step < replay_step]
+        replayed = [e for e in ours if e.step == replay_step]
+        assert earlier
+        assert [(e.recipient, e.payload, e.signatures) for e in replayed] == [
+            (recipient, e.payload, e.signatures) for e in earlier
+            for recipient in (e.recipient, (e.recipient + 1) % N)]
 
 
 def test_quorum_gallery_is_clean():

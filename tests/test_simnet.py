@@ -8,7 +8,7 @@ from conftest import shared_tables
 from hypothesis import given, strategies as st
 
 from lockstep import simnet
-from lockstep.adversary import BankJunkAdversary, CoalitionOracle
+from lockstep.adversary import CoalitionOracle, JunkAdversary
 from lockstep.cancel import BRUTEFORCE_LIMIT
 from lockstep.cyclecoin import (
     KIND_CHAIN,
@@ -490,7 +490,8 @@ JUNK_BANK_DIGEST = "b5539137bce696b3228369a878c0433601d6b97abdbbf362f56fda24268f
 def test_an_adversarial_run_keeps_its_schedule_bounded():
     corrupted = frozenset({6})
     bank = Bank(7, 2, [1] * 7, corrupted=corrupted,
-                adversary=BankJunkAdversary(corrupted, 7, 5), family="quorum")
+                adversary=JunkAdversary(corrupted, 7, seeded_rng(5, 17), 10),
+                family="quorum")
     net = bank.net
     for r in range(40):
         payer, target = r % 6, (r + 1) % 6
