@@ -183,7 +183,7 @@ class ScriptedDSAdversary(Adversary):
             if action:
                 self._actions.setdefault(step, []).append((recipient, action))
         # value -> (-length, arrival, message) of observed chains, best first
-        self._seen, self._candidates = 0, {}
+        self._arrivals, self._candidates = 0, {}
         # (value, wanted length) -> the chain a corrupted leader anchors
         self._forged: dict[tuple[bytes, int], SignedMessage] = {}
 
@@ -191,17 +191,16 @@ class ScriptedDSAdversary(Adversary):
         """The longest observed proper chain for ``value``, the earliest
         among equals.  Each observation is parsed and shaped once; the
         oracle is asked on every call: a refused chain can pass once signed."""
-        observed = net.observed
-        for arrival in range(self._seen, len(observed)):
+        for obs in self.heard(net):
+            self._arrivals += 1
             try:
-                sm = SignedMessage.from_bytes(observed[arrival].payload)
+                sm = SignedMessage.from_bytes(obs.payload)
             except CodecError:
                 continue
             signers = sm.signers
             if signers[:1] == (self.leader,) and len(set(signers)) == len(signers):
                 insort(self._candidates.setdefault(sm.payload, []),
-                       (-len(signers), arrival, sm))
-        self._seen = len(observed)
+                       (-len(signers), self._arrivals, sm))
         return next((sm for _, _, sm in self._candidates.get(value, ())
                      if sm.verify_stack(net.oracle)), None)
 
@@ -252,8 +251,8 @@ class DSCase:
     script: dict[tuple[int, int], int]
 
 
-def enumerate_ds_cases(N: int, f: int, *, leader: int = 0) -> Iterator[DSCase]:
-    """Every scripted coalition at this size.
+def enumerate_ds_cases(N: int, f: int) -> Iterator[DSCase]:
+    """Every scripted coalition at this size, against leader 0.
 
     Single corrupted sets are enumerated for f=1 and pairs for f=2.  The
     action table covers each useful (send step, honest recipient) slot
@@ -263,21 +262,21 @@ def enumerate_ds_cases(N: int, f: int, *, leader: int = 0) -> Iterator[DSCase]:
     """
     for members in combinations(range(N), f):
         corrupted = frozenset(members)
-        first = 0 if leader in corrupted else 1
+        first = 0 if 0 in corrupted else 1
         slots = [(t, r) for t in range(first, f + 2)
                  for r in sorted(set(range(N)) - corrupted)]
-        inputs = (None,) if leader in corrupted else (0, 1)
+        inputs = (None,) if 0 in corrupted else (0, 1)
         for leader_value in inputs:
             for actions in product(range(3), repeat=len(slots)):
                 script = {slot: a for slot, a in zip(slots, actions) if a}
                 yield DSCase(N, f, corrupted, leader_value, script)
 
 
-def run_ds_case(case: DSCase, *, leader: int = 0) -> AttackResult:
-    adversary = ScriptedDSAdversary(case.corrupted, leader, case.script)
-    run = run_dolev_strong(case.N, case.f, case.leader_value, leader=leader,
+def run_ds_case(case: DSCase) -> AttackResult:
+    adversary = ScriptedDSAdversary(case.corrupted, 0, case.script)
+    run = run_dolev_strong(case.N, case.f, case.leader_value,
                            corrupted=case.corrupted, adversary=adversary)
-    violations = _ds_audit(run, case.leader_value, case.corrupted, leader)
+    violations = _ds_audit(run, case.leader_value, case.corrupted, 0)
     return AttackResult("broadcast-scripted", "broadcast", case.N, case.f,
                         tuple(violations),
                         details=f"corrupted={sorted(case.corrupted)}")
@@ -323,18 +322,17 @@ class RandomDSAdversary(ScriptedDSAdversary):
         return out
 
 
-def random_ds_case(seed: int, *, N: int = 6, f: int = 2,
-                   leader: int = 0) -> AttackResult:
-    """One seeded random broadcast attack; corrupted set and leader input
-    are drawn from the seed as well."""
+def random_ds_case(seed: int, *, N: int = 6, f: int = 2) -> AttackResult:
+    """One seeded random broadcast attack against leader 0; corrupted set
+    and leader input are drawn from the seed as well."""
     rng = seeded_rng(seed, 7)
     members = rng.choice(N, size=f, replace=False)
     corrupted = frozenset(int(m) for m in members)
-    leader_value = None if leader in corrupted else int(rng.integers(2))
-    adversary = RandomDSAdversary(corrupted, leader, seed)
-    run = run_dolev_strong(N, f, leader_value, leader=leader,
-                           corrupted=corrupted, adversary=adversary)
-    violations = _ds_audit(run, leader_value, corrupted, leader)
+    leader_value = None if 0 in corrupted else int(rng.integers(2))
+    adversary = RandomDSAdversary(corrupted, 0, seed)
+    run = run_dolev_strong(N, f, leader_value, corrupted=corrupted,
+                           adversary=adversary)
+    violations = _ds_audit(run, leader_value, corrupted, 0)
     return AttackResult("broadcast-random", "broadcast", N, f,
                         tuple(violations), details=f"seed={seed}")
 
@@ -361,10 +359,10 @@ class SimWorld:
         self.wakes: dict[int, set[int]] = {n: set() for n in sims}
         self.queues: dict[int, dict[int, list[Delivery]]] = {n: {} for n in sims}
 
-    def prime_payment(self, payer: int, round_index: int, target: int,
-                      base_step: int) -> None:
-        self.sims[payer].pending[round_index] = target
-        self.wakes[payer].add(base_step)
+    def prime_payment(self, payer: int, target: int) -> None:
+        """Have ``payer`` pay ``target`` in round 0, waking it at step 0."""
+        self.sims[payer].pending[0] = target
+        self.wakes[payer].add(0)
 
 
 class ScriptAdversary(Adversary):
@@ -401,15 +399,9 @@ class SplitAdversary(ScriptAdversary):
                  script: dict | None = None):
         super().__init__(corrupted, {} if script is None else script)
         self.worlds = worlds
-        self._cursor = 0
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
-        observed = net.observed
-        while self._cursor < len(observed):
-            obs = observed[self._cursor]
-            self._cursor += 1
-            if obs.sender in self.corrupted:
-                continue
+        for obs in self.heard(net):
             hit = [w for w in self.worlds if obs.sender in w.feed]
             for world in hit or self.worlds:
                 world.queues[obs.recipient].setdefault(obs.step, []).append(
@@ -598,7 +590,7 @@ def split_double_spend(family: str, N: int, f: int, payer: int,
         sims = {z: FAMILIES[family](z, N, f, shadow, payer)
                 for z in sorted(chosen)}
         world = SimWorld(sims, feed)
-        world.prime_payment(payer, 0, target, 0)
+        world.prime_payment(payer, target)
         worlds.append(world)
     adversary = SplitAdversary(chosen, worlds)
     system = MarkerSystem(FAMILIES[family], N, f, chosen, adversary, payer,
@@ -712,7 +704,7 @@ def _honest_world(N: int, coalition: frozenset[int], oracle,
     shadow.sign(0, record_content((), TAG_BASE))
     sims = {z: CCProcess(z, N, 0, shadow, 0) for z in sorted(coalition)}
     world = SimWorld(sims, frozenset(range(N)) - coalition)
-    world.prime_payment(0, 0, target, 0)
+    world.prime_payment(0, target)
     return world
 
 
@@ -896,17 +888,11 @@ class BankReplayAdversary(Adversary):
     def __init__(self, corrupted: frozenset[int], N: int):
         self.corrupted = frozenset(corrupted)
         self.N = N
-        self._cursor = 0
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
         out = []
         sender = min(self.corrupted)
-        observed = net.observed
-        while self._cursor < len(observed):
-            obs = observed[self._cursor]
-            self._cursor += 1
-            if obs.sender in self.corrupted:
-                continue
+        for obs in self.heard(net):
             out.append((sender, Send(obs.sender, obs.payload)))
             out.append((sender, Send((obs.sender + 1) % self.N, obs.payload)))
         return out

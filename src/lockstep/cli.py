@@ -27,6 +27,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from lockstep.adversary import (
+    _audited_rounds,
     _ds_audit,
     bank_gallery,
     cheating_intermediary_cases,
@@ -54,7 +55,7 @@ from lockstep.hopnet import (
     hop_experiment,
     HopNetwork,
 )
-from lockstep.marker import MarkerSystem, check_marker_round, measure_z
+from lockstep.marker import MarkerSystem, measure_z
 from lockstep.payments import FAMILIES, Bank
 from lockstep.simnet import ConfigFault, seeded_rng
 
@@ -158,16 +159,11 @@ def _run_marker(cfg: dict):
     N, f, seed = cfg["n"], cfg["f"], cfg["seed"]
     system = MarkerSystem(FAMILIES[cfg["protocol"]], N, f)
     rng = seeded_rng(seed, 2)
-    honest = frozenset(range(N))
-    holder = 0
-    violations = []
-    for r in range(cfg["rounds"]):
-        target = int(rng.integers(N))
-        markings = system.run_round({holder: target})
-        violations.extend(check_marker_round(r, honest, markings,
-                                             holder, True, target))
-        holder = target
-    return _net_outputs(system.net, {"final_holder": holder}, violations)
+    # the draws do not depend on outcomes, so every round's plan comes first
+    holders = [0] + [int(rng.integers(N)) for _ in range(cfg["rounds"])]
+    violations = _audited_rounds(system, [{holder: target} for holder, target
+                                          in zip(holders, holders[1:])])
+    return _net_outputs(system.net, {"final_holder": holders[-1]}, violations)
 
 
 def _run_bank(cfg: dict):

@@ -171,9 +171,11 @@ class BroadcastRun:
     net: Network
 
 
-def run_dolev_strong(N: int, f: int, leader_value: int | None, *, leader: int = 0,
+def run_dolev_strong(N: int, f: int, leader_value: int | None, *,
                      corrupted: frozenset[int] = frozenset(),
                      adversary=None) -> BroadcastRun:
+    """One broadcast led by process 0."""
+    leader = 0
     if not 0 <= f <= N - 2:
         raise ConfigFault(f"need f+1 relays among N-1 non leaders, got N={N} f={f}")
     if leader not in corrupted and leader_value is None:
@@ -432,8 +434,10 @@ class BBFromBAProcess(Process):
         return self.sub.decide()
 
 
-def run_bb_from_ba(N: int, f: int, leader_value: int | None, *, leader: int = 0,
+def run_bb_from_ba(N: int, f: int, leader_value: int | None, *,
                    corrupted: frozenset[int] = frozenset()) -> BroadcastRun:
+    """One broadcast from agreement, led by process 0."""
+    leader = 0
     if not 3 * f < N:
         raise ConfigFault(f"the wrapped agreement needs 3f < N, got N={N} f={f}")
     if leader not in corrupted and leader_value is None:

@@ -273,6 +273,20 @@ class ChainShape:
     end: int
     weight: int
 
+    @property
+    def complete(self) -> bool:
+        """A finished chain: every group closed with x except a final y;
+        the bare genesis record is the complete chain of length zero."""
+        return not self.groups or self.groups[-1].terminal == TAG_Y
+
+    @property
+    def request(self) -> bool:
+        """A partial in flight: the final group is open, closed with x on
+        a nonempty path, and its end is the position whose
+        countersignature the extender wants next."""
+        return (bool(self.groups) and self.groups[-1].terminal == TAG_X
+                and bool(self.groups[-1].path))
+
 
 def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
              deleted: frozenset[int] = frozenset(),
@@ -411,52 +425,45 @@ class VerifiedPrefix:
         return len(self.records), self.state
 
 
-def inspect_chain(records: tuple[Record, ...], N: int, oracle, *,
-                  genesis: int = 0,
-                  deleted: frozenset[int] = frozenset(),
-                  known: VerifiedPrefix | None = None) -> ChainShape | None:
-    """Shape of a complete chain with verified signatures, or None.
-
-    Complete means every group closed with x except a final y; the bare
-    genesis record is the complete chain of length zero.  ``known`` is a
-    prefix verified against ``oracle`` before; a chain that extends it is
-    checked from its first new record, with the same verdict.
-    """
+def _inspect(rule: str, records: tuple[Record, ...], N: int, oracle,
+             genesis: int, deleted: frozenset[int],
+             known: VerifiedPrefix | None) -> ChainShape | None:
+    """The shape of ``records`` if it obeys the :class:`ChainShape`
+    property ``rule`` and its signatures verify, or None.  The rule is
+    applied before the oracle is asked anything."""
     start, state = (known.skip(records, N, genesis, deleted)
                     if known is not None else (0, None))
     shape = assemble(records, N, genesis=genesis, deleted=deleted,
                      resume=state)
-    if shape is None:
-        return None
-    if shape.groups and shape.groups[-1].terminal != TAG_Y:
+    if shape is None or not getattr(shape, rule):
         return None
     if not chain_signatures_ok(records, oracle, known if start else None):
         return None
     return shape
+
+
+def inspect_chain(records: tuple[Record, ...], N: int, oracle, *,
+                  genesis: int = 0,
+                  deleted: frozenset[int] = frozenset(),
+                  known: VerifiedPrefix | None = None) -> ChainShape | None:
+    """Shape of a :attr:`~ChainShape.complete` chain with verified
+    signatures, or None.
+
+    ``known`` is a prefix verified against ``oracle`` before; a chain that
+    extends it is checked from its first new record, with the same verdict.
+    """
+    return _inspect("complete", records, N, oracle, genesis, deleted, known)
 
 
 def inspect_request(records: tuple[Record, ...], N: int, oracle, *,
                     genesis: int = 0,
                     deleted: frozenset[int] = frozenset(),
                     known: VerifiedPrefix | None = None) -> ChainShape | None:
-    """Shape of a partial chain in flight, or None.
-
-    The final group must be open (closed with x, nonempty path); its end is
-    the position whose countersignature the extender wants next.
-    ``known`` works as in :func:`inspect_chain`.
+    """Shape of a partial chain in flight, a :attr:`~ChainShape.request`
+    with verified signatures, or None.  ``known`` works as in
+    :func:`inspect_chain`.
     """
-    start, state = (known.skip(records, N, genesis, deleted)
-                    if known is not None else (0, None))
-    shape = assemble(records, N, genesis=genesis, deleted=deleted,
-                     resume=state)
-    if shape is None or not shape.groups:
-        return None
-    last = shape.groups[-1]
-    if last.terminal != TAG_X or not last.path:
-        return None
-    if not chain_signatures_ok(records, oracle, known if start else None):
-        return None
-    return shape
+    return _inspect("request", records, N, oracle, genesis, deleted, known)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +540,7 @@ class CCProcess(MarkerProcess):
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
         super().__init__(n, N, f, oracle, genesis_holder)
-        self.deleted: set[int] = set()
+        self.deleted: frozenset[int] = frozenset()
         self.marked = n == genesis_holder
         self.marked_round: int | None = GENESIS_ROUND if self.marked else None
         self.chain: tuple[Record, ...] = ((_record(TAG_BASE, genesis_holder),)
@@ -602,30 +609,31 @@ class CCProcess(MarkerProcess):
             records = append_record(self.oracle, self.n, records, TAG_X)
         records = append_record(self.oracle, self.n, records, TAG_PATH)
         self.target = target
-        self.route = cycle_path(self.n, target, self.N,
-                                frozenset(self.deleted))[1:]
+        self.route = cycle_path(self.n, target, self.N, self.deleted)[1:]
+        return self._advance(records, r)
+
+    def _advance(self, records: tuple[Record, ...], r: int) -> list[Send]:
+        """The payer's move once ``records`` ends on a path record: close
+        the extension when the route is done, otherwise add an x mark and
+        query the next process on the route."""
         if not self.route:
             return [self._finish(records, r)]
-        records = append_record(self.oracle, self.n, records, TAG_X)
+        return self._query(append_record(self.oracle, self.n, records, TAG_X))
+
+    def _query(self, records: tuple[Record, ...]) -> list[Send]:
+        """Ask the next process on the route to countersign ``records``."""
         self.outstanding = (self.route[0], records)
         return [Send(self.route[0], wire(KIND_QUERY, records), len(records))]
 
     def _absorb_countersign(self, responder: int, r: int) -> list[Send]:
         """Fold a granted countersignature into the partial and move on."""
         _, records = self.outstanding
-        records = records + (_record(TAG_PATH, responder),)
         self.route.pop(0)
-        if not self.route:
-            return [self._finish(records, r)]
-        records = append_record(self.oracle, self.n, records, TAG_X)
-        self.outstanding = (self.route[0], records)
-        return [Send(self.route[0], wire(KIND_QUERY, records), len(records))]
+        return self._advance(records + (_record(TAG_PATH, responder),), r)
 
     def _on_response(self, sender: int, records: tuple[Record, ...],
                      r: int) -> list[Send]:
-        if self.outstanding is None or sender != self.outstanding[0]:
-            return []
-        if records != self.outstanding[1]:
+        if self.outstanding != (sender, records):
             return []
         if not self.oracle.verify(sender, record_content(records, TAG_PATH)):
             return []
@@ -669,13 +677,12 @@ class CCProcess(MarkerProcess):
         """``inspect`` the records from where ``verified`` leaves off, and
         keep the prefix of a chain that passes; ``encoded`` is their
         :func:`encode_records` bytes."""
-        deleted = frozenset(self.deleted)
         shape = inspect(records, self.N, self.oracle,
-                        genesis=self.genesis_holder, deleted=deleted,
+                        genesis=self.genesis_holder, deleted=self.deleted,
                         known=self.verified)
         if shape is not None:
             self.verified = VerifiedPrefix.of(shape, encoded, self.N,
-                                              self.genesis_holder, deleted)
+                                              self.genesis_holder, self.deleted)
         return shape
 
     def _on_query(self, sender: int, records: tuple[Record, ...],
@@ -780,8 +787,7 @@ def verify_payment_claim(target: CCProcess, records: tuple[Record, ...],
     can exist without the payer's own signature.
     """
     shape = inspect_chain(records, target.N, target.oracle,
-                          genesis=target.genesis_holder,
-                          deleted=frozenset(target.deleted))
+                          genesis=target.genesis_holder, deleted=target.deleted)
     if (shape is None or not shape.groups or shape.end != target.n
             or len(shape.groups) != round_index + 1):
         return "invalid", None
@@ -790,19 +796,11 @@ def verify_payment_claim(target: CCProcess, records: tuple[Record, ...],
                    for m in target.markings)
     if accepted and target.received_log.get(w) == records:
         return "paid", None
-    conflict = _equal_weight_conflict(target, w, records)
-    if conflict is not None:
-        return "refuted", conflict
-    return ("invalid", None) if accepted else ("late", shape)
-
-
-def _equal_weight_conflict(target: CCProcess, w: int,
-                           records: tuple[Record, ...]):
     for log in (target.signed_log, target.received_log):
         artifact = log.get(w)
         if artifact is not None and artifact != records:
-            return artifact
-    return None
+            return "refuted", artifact
+    return ("invalid", None) if accepted else ("late", shape)
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +942,7 @@ class PoRProcess(CCProcess):
                 continue
             shape = inspect_request(request, self.N, self.oracle,
                                     genesis=self.genesis_holder,
-                                    deleted=frozenset(self.deleted))
+                                    deleted=self.deleted)
             if (shape is not None and len(shape.groups) - 1 == r
                     and shape.groups[-1].extender == a):
                 break
@@ -973,16 +971,16 @@ class PoRProcess(CCProcess):
         a holder showing its marking.  The evidence is parsed once and its
         signatures are checked last."""
         shape = assemble(evidence, self.N, genesis=self.genesis_holder,
-                         deleted=frozenset(self.deleted))
+                         deleted=self.deleted)
         if shape is None or shape.end != accused:
             return False
-        if shape.groups and shape.groups[-1].terminal != TAG_Y:
-            # a partial in flight: the open group needs a path, and the
-            # accused's countersignature must be on it
-            if (not shape.groups[-1].path or shape.weight < w
-                    or not self.oracle.verify(
-                        accused, record_content(evidence, TAG_PATH))):
-                return False
+        if not shape.complete and (
+                not shape.request or shape.weight < w
+                or not self.oracle.verify(accused,
+                                          record_content(evidence, TAG_PATH))):
+            # evidence short of a complete chain must be a request of no
+            # lesser weight that carries the accused's countersignature
+            return False
         return chain_signatures_ok(evidence, self.oracle)
 
     def _reroute(self, r: int) -> None:
@@ -991,7 +989,7 @@ class PoRProcess(CCProcess):
         positions further on, and the weight moves with the endpoint."""
         responder, records = self.outstanding
         shape = assemble(records, self.N, genesis=self.genesis_holder,
-                         deleted=frozenset(self.deleted))
+                         deleted=self.deleted)
         if shape is None:
             self.outstanding = None
             self.route = []
@@ -1000,10 +998,8 @@ class PoRProcess(CCProcess):
         if nxt == self.target:
             self.ready = [self._finish(records[:-1], r)]
             return
-        self.route = cycle_path(nxt, self.target, self.N,
-                                frozenset(self.deleted))
-        self.outstanding = (nxt, records)
-        self.ready = [Send(nxt, wire(KIND_QUERY, records), len(records))]
+        self.route = cycle_path(nxt, self.target, self.N, self.deleted)
+        self.ready = self._query(records)
 
     def _settle_period(self, r: int, k: int) -> None:
         info = self.accused.get((r, k))
@@ -1012,9 +1008,7 @@ class PoRProcess(CCProcess):
         accused, request, w = info
         sub = self.subs.get(RESPONSE_PREFIX + nonce_for(r, k))
         value, fault = sub.decide_bytes() if sub else (b"", True)
-        payer = (self.outstanding is not None
-                 and self.outstanding[0] == accused
-                 and self.outstanding[1] == request)
+        payer = self.outstanding == (accused, request)
         if not fault and value == COMPLY and self.oracle.verify(
                 accused, record_content(request, TAG_PATH)):
             if payer:
@@ -1025,7 +1019,7 @@ class PoRProcess(CCProcess):
             if payer:
                 self._on_refuse(accused, evidence)
             return
-        self.deleted.add(accused)
+        self.deleted |= {accused}
         self.deletions.append((r, k, accused))
         if payer:
             self._reroute(r)

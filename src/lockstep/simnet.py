@@ -398,13 +398,24 @@ class Adversary:
 
     ``act`` runs once per executed step and returns (sender, Send) pairs on
     behalf of corrupted processes.  It may inspect ``net.observed``, the
-    archive of everything delivered to corrupted processes so far.
+    archive of everything delivered to corrupted processes so far, or read
+    it through :meth:`heard`.
     """
 
     corrupted: frozenset[int] = frozenset()
+    # how far heard has read net.observed
+    _cursor = 0
 
     def act(self, t: int, net: "Network") -> list[tuple[int, Send]]:
         return []
+
+    def heard(self, net: "Network") -> list[Observation]:
+        """The observations of senders outside the coalition that arrived
+        since the last call, oldest first."""
+        observed, start = net.observed, self._cursor
+        self._cursor = len(observed)
+        return [obs for obs in map(observed.__getitem__, range(start, self._cursor))
+                if obs.sender not in self.corrupted]
 
 
 class TranscriptEvent(NamedTuple):

@@ -1,0 +1,37 @@
+"""tools/linecount.py: every line of a module falls in exactly one column."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("linecount",
+                                               ROOT / "tools" / "linecount.py")
+linecount = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(linecount)
+
+MODULES = sorted((ROOT / "src" / "lockstep").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_the_columns_add_up_to_each_modules_line_count(path):
+    source = path.read_text()
+    row = linecount.count(source)
+    assert row["total"] == len(source.splitlines())
+    assert sum(row[column] for column in linecount.COLUMNS[1:]) == row["total"]
+
+
+def test_each_kind_of_line_is_counted_where_it_belongs():
+    source = '''"""Module
+docstring."""
+
+# a comment
+def f():
+    """Doc."""
+    text = """not a
+docstring"""  # trailing comment
+    return text
+'''
+    assert linecount.count(source) == {"total": 9, "code": 4, "docstring": 3,
+                                       "comment": 1, "blank": 1}

@@ -456,6 +456,46 @@ def test_corrupted_inbox_is_observed():
     assert (1, 0, enc_int(0)) in seen
 
 
+class _Chatter(Process):
+    """Sends its id to each of ``peers`` at every step up to 3."""
+
+    def __init__(self, n, peers):
+        super().__init__(n)
+        self.peers = peers
+
+    def register_wakes(self):
+        for t in range(4):
+            self.net.wake(self.n, t)
+
+    def step(self, t, inbox):
+        return [Send(peer, enc_int(self.n)) for peer in self.peers]
+
+
+def test_an_adversary_hears_each_honest_observation_once():
+    """Across steps, ``heard`` hands over every observation whose sender
+    is outside the coalition exactly once, in arrival order, and none
+    that the coalition sent itself."""
+    class _Listener(Adversary):
+        corrupted = frozenset({2, 3})
+
+        def __init__(self):
+            self.log = []
+
+        def act(self, t, net):
+            self.log.append(self.heard(net))
+            return [(3, Send(2, b"own")), (2, Send(3, b"own"))]
+
+    adversary = _Listener()
+    net = Network([_Chatter(0, (2, 3)), _Chatter(1, (3,)), Process(2),
+                   Process(3)], frozenset({2, 3}), adversary)
+    net.run_until(5)
+    honest = [o for o in net.observed if o.sender not in adversary.corrupted]
+    assert len(honest) == 12 and len(net.observed) == 22
+    assert [o for heard in adversary.log for o in heard] == honest
+    assert [len(heard) for heard in adversary.log] == [0, 3, 3, 3, 3, 0]
+    assert adversary.heard(net) == []
+
+
 def test_transcript_jsonl_shape():
     procs = [_Pinger(0, 1), _Pinger(1, 0)]
     net = Network(procs, frozenset())

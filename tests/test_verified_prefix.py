@@ -192,6 +192,33 @@ def _known(oracle, N, snapshot, deleted=frozenset()):
                              encode_records(records), N, 0, deleted)
 
 
+class _CountingOracle(SignatureOracle):
+    def __init__(self):
+        super().__init__()
+        self.asked = 0
+
+    def verify(self, signer, content):
+        self.asked += 1
+        return super().verify(signer, content)
+
+
+def test_the_terminal_rule_is_applied_before_the_oracle_is_asked():
+    """``inspect_chain`` refuses a request and ``inspect_request`` a
+    complete chain without one signature check, from genesis and from
+    the prefix of the chain before."""
+    oracle = _CountingOracle()
+    snapshots = _history(oracle, 6, frozenset(), [(0, 2), (1, 5), (0, 1)])
+    other = {inspect_chain: inspect_request, inspect_request: inspect_chain}
+    assert {check for check, _ in snapshots} == set(other)
+    for k, (check, records) in enumerate(snapshots):
+        assert check(records, 6, oracle) is not None
+        known = _known(oracle, 6, snapshots[k - 1]) if k else None
+        oracle.asked = 0
+        assert other[check](records, 6, oracle) is None
+        assert other[check](records, 6, oracle, known=known) is None
+        assert oracle.asked == 0
+
+
 def test_a_group_end_decided_past_the_prefix_is_parsed_again():
     """0 pays 1, then 1 asks 2 for the next hop.  Kept from that request is
     [base, p0, x0, p1]: whether p1 opens 1's own payment or extends 0's

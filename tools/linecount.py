@@ -1,0 +1,71 @@
+"""Count the lines of each ``src/lockstep`` module by kind.
+
+Every line is exactly one of: docstring (a line of a module, class or
+function docstring), blank, comment (a comment and nothing else) or code
+(any other line that a token of the program touches, a line of a
+multi-line string that is not a docstring included).  "Code lines" in
+ROADMAP.md mean the code column of this script.
+
+    python tools/linecount.py [DIR]
+
+prints one row per module of DIR (default: the package next to this
+script) and a total row.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+COLUMNS = ("total", "code", "docstring", "comment", "blank")
+
+_NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING)
+
+
+def docstring_lines(tree: ast.AST) -> set[int]:
+    """The line numbers of every module, class and function docstring."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def count(source: str) -> dict[str, int]:
+    """The count of each kind in ``COLUMNS`` for one module's source."""
+    docs = docstring_lines(ast.parse(source))
+    code, comments = set(), set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            comments.add(tok.start[0])
+        elif tok.type not in _NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    lines = source.splitlines()
+    blank = {k for k, line in enumerate(lines, 1) if not line.strip()}
+    code -= docs
+    return {"total": len(lines), "code": len(code), "docstring": len(docs),
+            "comment": len(comments - code - docs),
+            "blank": len(blank - code - docs)}
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0]) if argv else Path(__file__).parent.parent / "src" / "lockstep"
+    rows = {path.name: count(path.read_text()) for path in sorted(root.glob("*.py"))}
+    rows["total"] = {column: sum(row[column] for row in rows.values())
+                     for column in COLUMNS}
+    print(f"{'module':<16}" + "".join(f"{column:>10}" for column in COLUMNS))
+    for name, row in rows.items():
+        print(f"{name:<16}" + "".join(f"{row[column]:>10}" for column in COLUMNS))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
