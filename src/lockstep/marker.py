@@ -23,9 +23,12 @@ facts of a proof (the one round and one target of its receipts, the set of
 their distinct signers and the set of their (signer, content) signatures)
 depend on its bytes alone, so :func:`summarize_proof` keeps them in a
 bounded table shared by every process, and every broadcaster that sees
-the same proof reads them once.  Whether the signers
-are broadcasters is one subset test, and whether the oracle issued the
-signatures is one batched question,
+the same proof reads them once.  The target that accepts a proof has just
+read those facts, so it keeps them, and its intent seeds the table with
+them under the proof's bytes: an honest proof is never decoded.  The 3f+1
+countersigners of a handoff sign one shared :func:`receipt_message`.
+Whether the signers are broadcasters is one subset test, and whether the
+oracle issued the signatures is one batched question,
 :meth:`~lockstep.simnet.SignatureOracle.verify_all`; each process asks both
 about every receipt, on every check, and no oracle verdict is kept or
 shared.
@@ -46,6 +49,7 @@ from lockstep.simnet import (
     Network,
     Process,
     ScopedOracle,
+    Seeds,
     Send,
     SignatureOracle,
     SignedMessage,
@@ -265,11 +269,17 @@ def intent_content(round_index: int, payer: int, target: int, proof: bytes) -> b
             + enc_int(target) + enc_bytes(proof))
 
 
-# Every broadcaster of a handoff signs the same receipt content in the
-# same step, so one step's handoffs suffice.  At worst 64 × 0.2 KB.
-@lru_cache(maxsize=64)
 def receipt_content(round_index: int, payer: int, target: int) -> bytes:
     return enc_str(RECEIPT) + enc_int(round_index) + enc_int(payer) + enc_int(target)
+
+
+# Every broadcaster of a handoff countersigns the same receipt message in
+# the same step, so one step's handoffs suffice.  At worst 64 × 0.5 KB.
+@lru_cache(maxsize=64)
+def receipt_message(round_index: int, payer: int, target: int) -> SignedMessage:
+    """The unsigned receipt of a handoff, whose wire and signers are then
+    built once for all of its countersigners."""
+    return SignedMessage(receipt_content(round_index, payer, target))
 
 
 # Every broadcaster reads each intent and receipt of a step.  At worst
@@ -310,6 +320,13 @@ def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
     return (*fields, signer, content)
 
 
+# The summaries of the proofs that payers showed lately, by the encoded
+# proof, which seed summarize_proof on a miss: a proof is checked a step
+# after it is shown, so one step's intents suffice.  At worst
+# 64 × (B + 0.5 KB + 0.16 KB × k) for a proof of k receipts.
+_proof_seeds = Seeds(64)
+
+
 # A proof holds 2f+1 or more receipts, a few KB at f=5, and every
 # broadcaster checks it in one step, so this table is the small one.  At
 # worst 64 × (2.5B + 0.3 KB + 0.1 KB × k) for a proof of k receipts.
@@ -322,6 +339,10 @@ def summarize_proof(proof: bytes) -> tuple | None:
     the signatures a checker asks its oracle about.  None when a receipt
     is malformed or the receipts disagree on round or target; the empty
     proof, which only the genesis holder may show, has no holder."""
+    # on a miss, a proof shown lately has the summary its holder kept
+    seeded = _proof_seeds.get(proof)
+    if seeded is not None:
+        return seeded
     try:
         wires = decode_proof(proof)
     except CodecError:
@@ -348,7 +369,11 @@ class QMProcess(MarkerProcess):
     rule, combined with quorum intersection, rules out stale proofs,
     replayed proofs and split handoffs.  Read newest first, the triples
     of the latest round settle the rule, so ``history`` keeps only those.
+    ``summary`` is the :func:`summarize_proof` result of ``proof``, kept
+    when the proof is accepted.
     """
+
+    summary: tuple | None = None
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
         super().__init__(n, N, f, oracle, genesis_holder)
@@ -372,7 +397,10 @@ class QMProcess(MarkerProcess):
 
     def _intent_sends(self, r: int) -> list[Send]:
         target = self.pending.pop(r)
-        content = intent_content(r, self.n, target, encode_proof(self.proof))
+        proof = encode_proof(self.proof)
+        if self.summary is not None:
+            _proof_seeds.put(proof, self.summary)
+        content = intent_content(r, self.n, target, proof)
         sm = SignedMessage(content).signed_by(self.oracle, self.n)
         wire = sm.to_bytes()
         self.marked = False
@@ -441,8 +469,7 @@ class QMProcess(MarkerProcess):
                 continue
             if not self._fresh(claimed, payer):
                 continue
-            receipt = SignedMessage(receipt_content(r, payer, target))
-            receipt = receipt.signed_by(self.oracle, self.n)
+            receipt = receipt_message(r, payer, target).signed_by(self.oracle, self.n)
             self._remember(r, payer, target)
             sends.append(Send(target, receipt.to_bytes(), 1))
         return sends
@@ -466,6 +493,10 @@ class QMProcess(MarkerProcess):
                 self.marked_round = r
                 self.predecessor = payer
                 self.proof = tuple(receipts[s] for s in sorted(receipts))
+                # each receipt read signed the wire of this one message
+                content = receipt_message(r, payer, self.n).to_bytes()
+                self.summary = (r, self.n, frozenset(receipts),
+                                frozenset((s, content) for s in receipts))
                 self.markings.append(Marking(r, self.n, payer))
                 break
 

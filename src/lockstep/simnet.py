@@ -40,6 +40,7 @@ from collections import OrderedDict
 from collections.abc import KeysView
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -451,10 +452,13 @@ class MetricsLedger:
     def __init__(self):
         self._rows: dict[int, list[int]] = {}
 
-    def add(self, round_index: int, signatures: int) -> None:
-        row = self._rows.setdefault(round_index, [0, 0])
-        row[0] += 1
-        row[1] += signatures
+    def row(self, round_index: int) -> list[int]:
+        """The [messages, signatures] counters of a round, which the
+        caller adds to."""
+        row = self._rows.get(round_index)
+        if row is None:
+            row = self._rows[round_index] = [0, 0]
+        return row
 
     def messages(self) -> int:
         return sum(row[0] for row in self._rows.values())
@@ -488,6 +492,9 @@ class Network:
     rather than with N times steps.
     With an adversary attached every step in the window runs, because the
     adversary may act spontaneously, so no agenda of due steps is kept.
+    The sends one sender makes in a step are posted in one pass: the next
+    step's inboxes and the round's counters are looked up once, and each
+    message costs its transcript event, its counts and its delivery.
     """
 
     def __init__(self, processes: list[Process],
@@ -535,22 +542,28 @@ class Network:
         """The ids with a delivery queued for ``step``."""
         return self._pending.get(step, {}).keys()
 
-    def _queue(self, step: int, recipient: int, delivery: Delivery) -> None:
-        if not 0 <= recipient < self.N:
-            raise ConfigFault(f"recipient {recipient} out of range")
-        inboxes = self._pending.get(step)
+    def _post(self, t: int, sender: int, sends: list[Send], honest: bool) -> None:
+        """Record ``sender``'s sends of step ``t`` in the transcript, count
+        the honest ones, and queue each for step t+1, in order."""
+        if not sends:
+            return
+        r, events = self.round, self.transcript.events
+        inboxes = self._pending.get(t + 1)
         if inboxes is None:
-            self._due(step)
-            inboxes = self._pending[step] = {}
-        inboxes.setdefault(recipient, []).append(delivery)
-
-    def _record(self, t: int, sender: int, send: Send, honest: bool) -> None:
-        recipient, payload, signatures = send
-        self.transcript.events.append(TranscriptEvent(
-            t, self.round, sender, recipient, payload, signatures))
-        if honest:
-            self.metrics.add(self.round, signatures)
-        self._queue(t + 1, recipient, Delivery(sender, payload))
+            self._due(t + 1)
+            inboxes = self._pending[t + 1] = {}
+        row = self.metrics.row(r) if honest else None
+        for recipient, payload, signatures in sends:
+            events.append(TranscriptEvent(t, r, sender, recipient, payload, signatures))
+            if row is not None:
+                row[0] += 1
+                row[1] += signatures
+            if not 0 <= recipient < self.N:
+                raise ConfigFault(f"recipient {recipient} out of range")
+            inbox = inboxes.get(recipient)
+            if inbox is None:
+                inbox = inboxes[recipient] = []
+            inbox.append(Delivery(sender, payload))
 
     def _execute(self, t: int) -> None:
         inboxes = self._pending.pop(t, {})
@@ -561,14 +574,13 @@ class Network:
         wakers = self._wakes.pop(t, set())
         active = sorted((set(inboxes) | wakers) - self.corrupted)
         for n in active:
-            sends = self.processes[n].step(t, inboxes.get(n, []))
-            for send in sends:
-                self._record(t, n, send, honest=True)
+            self._post(t, n, self.processes[n].step(t, inboxes.get(n, [])), True)
         if self.adversary is not None:
-            for sender, send in self.adversary.act(t, self):
+            moves = self.adversary.act(t, self)
+            for sender, pairs in groupby(moves, lambda move: move[0]):
                 if sender not in self.corrupted:
                     raise ConfigFault(f"adversary sent as honest process {sender}")
-                self._record(t, sender, send, honest=False)
+                self._post(t, sender, [send for _, send in pairs], False)
 
     def run_until(self, last_step: int) -> None:
         """Execute steps from ``now`` through ``last_step`` inclusive."""

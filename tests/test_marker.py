@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lockstep import simnet
+from lockstep import marker, simnet
 from lockstep.adversary import StrawmanProcess
 from lockstep.consensus import ds_all_honest_messages
 from lockstep.cyclecoin import CCProcess, PoRProcess
@@ -311,6 +311,43 @@ def test_a_summarised_proof_still_needs_the_checkers_own_oracle():
     assert summarize_proof.cache_info().misses == 1
 
 
+def test_every_seeded_proof_summary_equals_one_read_from_its_bytes(
+        monkeypatch):
+    seeded = []
+    put = simnet.Seeds.put
+
+    def recording(table, key, value):
+        if table is marker._proof_seeds:
+            seeded.append((key, value))
+        put(table, key, value)
+
+    monkeypatch.setattr(simnet.Seeds, "put", recording)
+    decoded = []
+    monkeypatch.setattr(marker, "decode_proof",
+                        lambda data: decoded.append(data) or decode_proof(data))
+    bank = Bank(16, 5, [1] * 16, family="quorum")
+    rng = random.Random(11)
+    for _ in range(20):
+        bank.run_round({payer: rng.randrange(16)
+                        for payer, balance in bank.balances().items()
+                        if balance > 0 and rng.random() < 0.6})
+    assert bank.audit() == []
+    assert len(seeded) > 20
+    # of the proofs shown, only the genesis holders' empty one is decoded
+    assert set(decoded) == {encode_proof(())}
+    marker._proof_seeds.clear()
+    for proof, summary in seeded:
+        assert len(summary[3]) >= 2 * bank.f + 1
+        assert summary == summarize_proof.__wrapped__(proof)
+    # a proof never seeded is summarised from its bytes
+    summarize_proof.cache_clear()
+    proof, summary = seeded[-1]
+    decoded.clear()
+    fresh = summarize_proof(proof)
+    assert fresh == summary and fresh is not summary
+    assert decoded == [proof]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3),
                           st.integers(0, 3)), max_size=12),
@@ -363,29 +400,54 @@ def _signed(payload, signers, oracle):
     return message.to_bytes()
 
 
-@pytest.mark.parametrize("signers, granted", [
-    ((0,), True), ((), False), ((0, 3), False), ((3,), False), ((3, 0), False),
+# A forged signature is one another oracle issued, so this one never did.
+@pytest.mark.parametrize("signers, forged, granted", [
+    ((0,), False, True), ((), False, False), ((0, 3), False, False),
+    ((3,), False, False), ((3, 0), False, False), ((0,), True, False),
 ], ids=["payer", "unsigned", "payer-then-other", "foreign",
-        "other-then-payer"])
+        "other-then-payer", "forged"])
 def test_only_an_intent_signed_by_its_payer_alone_is_countersigned(
-        signers, granted):
+        signers, forged, granted):
     oracle = SignatureOracle()
     broadcaster = QMProcess(1, 7, 2, oracle)
     intent = intent_content(0, 0, 4, encode_proof(()))
+    signing = SignatureOracle() if forged else oracle
     sends = broadcaster._countersigns(
-        0, [Delivery(0, _signed(intent, signers, oracle))])
+        0, [Delivery(0, _signed(intent, signers, signing))])
     assert len(sends) == (1 if granted else 0)
     assert broadcaster.history == ([(0, 0, 4)] if granted else [])
 
 
-@pytest.mark.parametrize("signers, read", [
-    ((2,), True), ((), False), ((2, 3), False), ((9,), False),
-], ids=["broadcaster", "unsigned", "two-signers", "not-a-broadcaster"])
-def test_only_a_receipt_signed_by_one_broadcaster_is_read(signers, read):
+@pytest.mark.parametrize("signers, forged, read", [
+    ((2,), False, True), ((), False, False), ((2, 3), False, False),
+    ((9,), False, False), ((2,), True, False),
+], ids=["broadcaster", "unsigned", "two-signers", "not-a-broadcaster",
+        "forged"])
+def test_only_a_receipt_signed_by_one_broadcaster_is_read(signers, forged,
+                                                          read):
     oracle = SignatureOracle()
     proc = QMProcess(0, 10, 2, oracle)  # broadcasters 0..6
-    wire = _signed(receipt_content(0, 0, 4), signers, oracle)
+    signing = SignatureOracle() if forged else oracle
+    wire = _signed(receipt_content(0, 0, 4), signers, signing)
     assert proc._receipt(wire) == ((0, 0, 4, 2) if read else None)
+
+
+@pytest.mark.parametrize("signers, forged, granted", [
+    (range(5), False, True), (range(5), True, False), (range(4), False, False),
+], ids=["quorum", "forged-quorum", "2f-signers"])
+def test_only_an_intent_showing_a_quorum_of_receipts_is_countersigned(
+        signers, forged, granted):
+    # at N=7, f=2 (broadcasters 0..6) process 3 was marked by 0 in round
+    # 0 and pays 5 in round 1 with the receipts of ``signers``
+    oracle = SignatureOracle()
+    broadcaster = QMProcess(1, 7, 2, oracle)
+    signing = SignatureOracle() if forged else oracle
+    proof = encode_proof(tuple(_signed(receipt_content(0, 0, 3), (b,), signing)
+                               for b in signers))
+    intent = _signed(intent_content(1, 3, 5, proof), (3,), oracle)
+    sends = broadcaster._countersigns(1, [Delivery(3, intent)])
+    assert len(sends) == (1 if granted else 0)
+    assert broadcaster.history == ([(1, 3, 5)] if granted else [])
 
 
 def test_broadcaster_committee_size():

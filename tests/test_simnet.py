@@ -20,12 +20,19 @@ from lockstep.cyclecoin import (
     encode_records,
     wire,
 )
-from lockstep.marker import RECEIPT, encode_proof, receipt_content
+from lockstep.marker import (
+    RECEIPT,
+    QMProcess,
+    encode_proof,
+    receipt_content,
+    summarize_proof,
+)
 from lockstep.payments import Bank
 from lockstep.simnet import (
     Adversary,
     ByteReader,
     CodecError,
+    ConfigFault,
     Delivery,
     ForgeryViolation,
     MetricsLedger,
@@ -35,6 +42,7 @@ from lockstep.simnet import (
     Send,
     SignatureOracle,
     SignedMessage,
+    TranscriptEvent,
     enc_bytes,
     enc_int,
     enc_str,
@@ -94,10 +102,21 @@ def _encoded(k):
     return encode_records(chain), chain
 
 
+def _shown(k):
+    """A holder of a k-receipt proof shows it in an intent."""
+    proc = QMProcess(0, 4, 1, SignatureOracle())
+    proc.proof = tuple(enc_int(j) for j in range(k))
+    proc.summary = (k, 0, frozenset({0}), frozenset({(0, enc_int(k))}))
+    proc.pending[k] = 1
+    proc._intent_sends(k)
+    return encode_proof(proc.proof), proc.summary
+
+
 # Each table's flood: the arguments of its k-th distinct call, and the
 # arguments of a call that raises and so must keep nothing, or None.  A
 # Seeds flood names its producer, which returns the (key, value) it
-# seeded, and the decoder that reads it.
+# seeded, the malformed bytes its decoder raises on, or None when the
+# decoder answers them without raising, and the decoder that reads it.
 LRU_FLOODS = {
     "simnet.tag_payload": (lambda k: (enc_int(k), b"unit"), None),
     "simnet.split_payload": (
@@ -108,7 +127,7 @@ LRU_FLOODS = {
     "simnet.SignedMessage.from_bytes": (
         lambda k: (SignedMessage, SignedMessage(enc_int(k)).to_bytes()),
         (SignedMessage, b"\x00\x00")),
-    "marker.receipt_content": (lambda k: (k, 0, 1), None),
+    "marker.receipt_message": (lambda k: (k, 0, 1), None),
     "marker.parse_typed": (lambda k: (receipt_content(k, 0, 1), RECEIPT, 3),
                            None),
     "marker.summarize_proof": (lambda k: (encode_proof((enc_int(k),)),), None),
@@ -125,6 +144,7 @@ SEEDS_FLOODS = {
         _encoded,
         lambda: encode_records((Record(TAG_BASE, 0), Record("z", 1))),
         decode_records),
+    "marker._proof_seeds": (_shown, None, summarize_proof),
 }
 # built once for every q that pair_bruteforce accepts, never flooded
 PERM_TABLES = "cancel._perm_tables"
@@ -147,10 +167,11 @@ def test_every_shared_table_stays_within_its_cap(name):
         assert list(table) == [key for key, _ in made[-table.cap:]]
         for key, value in made[-table.cap:]:
             assert table[key] is value and read(key) is value
-        data = bad()
-        with pytest.raises(CodecError):
-            read(data)
-        assert data not in table and len(table) == table.cap
+        if bad is not None:
+            data = bad()
+            with pytest.raises(CodecError):
+                read(data)
+            assert data not in table and len(table) == table.cap
         return
     cap = table.cache_parameters()["maxsize"]
     assert cap is not None
@@ -565,3 +586,113 @@ def test_an_honest_round_puts_each_due_step_on_the_agenda_once(monkeypatch):
         bank.run_round({payer: (payer + r + 1) % 16 for payer in payers[::2]})
     assert len(ran) == len(set(ran)) == 6 * bank.steps_per_round
     assert bank.audit() == []
+
+
+class _Moves(Adversary):
+    """Plays a fixed map from step to (sender, Send) pairs."""
+
+    def __init__(self, corrupted, moves):
+        self.corrupted = frozenset(corrupted)
+        self.moves = moves
+
+    def act(self, t, net):
+        return [(sender, Send(recipient, payload))
+                for sender, recipient, payload in self.moves.get(t, ())]
+
+
+@pytest.mark.parametrize("recipient", [2, -1])
+def test_an_honest_send_outside_the_network_is_refused(recipient):
+    net = Network([_Pinger(0, recipient), Process(1)])
+    with pytest.raises(ConfigFault, match="out of range"):
+        net.run_until(0)
+
+
+def test_an_adversary_sending_as_an_honest_process_is_refused():
+    net = Network([_Pinger(0, 1), Process(1)], frozenset({1}),
+                  _Moves({1}, {0: [(0, 1, b"x")]}))
+    with pytest.raises(ConfigFault, match="as honest process 0"):
+        net.run_until(0)
+
+
+def test_an_adversary_controlling_honest_ids_is_refused():
+    with pytest.raises(ConfigFault, match="outside the corrupted set"):
+        Network([Process(0), Process(1)], frozenset({1}), _Moves({0, 1}, {}))
+
+
+def test_a_wake_in_the_past_is_refused():
+    net = Network([_Pinger(0, 1), Process(1)])
+    net.run_until(3)
+    net.wake(1, 4)
+    with pytest.raises(ConfigFault, match="wake in the past"):
+        net.wake(1, 2)
+
+
+class _Scripted(Process):
+    """Plays a fixed map from step to sends and records its inboxes."""
+
+    def __init__(self, n, script):
+        super().__init__(n)
+        self.script = script
+        self.inboxes = []
+
+    def register_wakes(self):
+        for t in self.script:
+            self.net.wake(self.n, t)
+
+    def step(self, t, inbox):
+        self.inboxes.append((t, list(inbox)))
+        return [Send(*send) for send in self.script.get(t, ())]
+
+
+class _PerMessage(Network):
+    """The scheduler with every message recorded, counted and queued on
+    its own, as it was before a sender's sends were posted in one pass."""
+
+    def _post(self, t, sender, sends, honest):
+        for recipient, payload, signatures in sends:
+            self.transcript.events.append(TranscriptEvent(
+                t, self.round, sender, recipient, payload, signatures))
+            if honest:
+                row = self.metrics._rows.setdefault(self.round, [0, 0])
+                row[0] += 1
+                row[1] += signatures
+            inboxes = self._pending.get(t + 1)
+            if inboxes is None:
+                self._due(t + 1)
+                inboxes = self._pending[t + 1] = {}
+            inboxes.setdefault(recipient, []).append(Delivery(sender, payload))
+
+
+_SCRIPT = st.dictionaries(
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(0, 3), st.binary(max_size=3),
+                       st.integers(0, 3)), max_size=4),
+    max_size=3)
+_MOVES = st.dictionaries(
+    st.integers(0, 4),
+    st.lists(st.tuples(st.sampled_from((2, 3)), st.integers(0, 3),
+                       st.binary(max_size=3)), max_size=4),
+    max_size=3)
+
+
+@given(st.lists(_SCRIPT, min_size=4, max_size=4), st.none() | _MOVES)
+def test_posting_a_senders_sends_at_once_equals_posting_each_alone(scripts,
+                                                                   moves):
+    def run(network):
+        corrupted = frozenset() if moves is None else frozenset({2, 3})
+        adversary = None if moves is None else _Moves(corrupted, moves)
+        procs = [_Scripted(n, script) for n, script in enumerate(scripts)]
+        net = network(procs, corrupted, adversary)
+        for t in range(5):
+            net.round = t // 2
+            net.run_until(t)
+        return (net.transcript.to_jsonl(), net.metrics.to_csv(),
+                [p.inboxes for p in procs], net.observed, net.transcript.events)
+
+    *got, events = run(Network)
+    *expected, _ = run(_PerMessage)
+    assert got == expected
+    # the adversary's sends are recorded in the order it made them
+    for t, pairs in (moves or {}).items():
+        assert [(e.sender, e.recipient, e.payload) for e in events
+                if e.step == t and e.sender in {2, 3}] == pairs

@@ -1,0 +1,122 @@
+"""Mutation analysis: which tests fail when a named protocol rule is weakened.
+
+A mutant is data: a module of ``src/lockstep``, an exact old text that
+occurs in it once, the new text that replaces it, and the rule it
+weakens.  Each mutant is applied to its own fresh ``git archive`` copy of
+a revision, never to a working tree, and the chosen tests run there.  A
+mutant is killed when a test fails.  The unmutated copy runs first as the
+control; a failing control makes the matrix meaningless, so the run stops.
+
+    python tools/mutants.py [--rev REV] [--workdir DIR] [PYTEST_ARG ...]
+
+runs every mutant under pytest with the given arguments (default: the
+whole suite) and prints the kill matrix: one row per mutant with the
+tests that failed.  ``--rev`` defaults to HEAD; pass
+``$(git stash create)`` to include uncommitted edits of tracked files.
+Each copy lives under ``--workdir`` (default: a temporary directory),
+which is removed afterwards.  The exit code is 1 when a mutant survives.
+The tier-1 suite checks only that every old text still occurs once; it
+never runs the mutants, since each run takes as long as its tests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    rule: str
+    old: str
+    new: str
+
+
+MUTANTS = (
+    Mutant("Q1", "marker.py", "_countersigns: freshness dropped",
+           "            if not self._fresh(claimed, payer):\n"
+           "                continue\n", ""),
+    Mutant("Q2", "marker.py", "_proof_round: 2f+1 signers -> 1",
+           "len(signers) < 2 * self.f + 1", "len(signers) < 1"),
+    Mutant("Q3", "marker.py", "_accept: 2f+1 receipts -> f+1",
+           "if len(receipts) >= 2 * self.f + 1:",
+           "if len(receipts) >= self.f + 1:"),
+    Mutant("Q4", "marker.py", "_receipt: signature check dropped",
+           "if signer in self.broadcasters and self.oracle.verify(signer, content):",
+           "if signer in self.broadcasters:"),
+    Mutant("Q5", "marker.py", "_proof_round: verify_all dropped",
+           "return j if self.oracle.verify_all(pairs) else None", "return j"),
+    Mutant("Q6", "marker.py", "_countersigns: intent signature dropped",
+           "\n                    or not sm.verify_stack(self.oracle))", ")"),
+)
+
+
+def mutate(source: str, mutant: Mutant) -> str:
+    if source.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: old text is not in {mutant.module} once")
+    return source.replace(mutant.old, mutant.new)
+
+
+def checkout(rev: str, dest: Path) -> None:
+    """A fresh copy of ``rev`` in ``dest``."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def failures(tree: Path, pytest_args: list[str]) -> list[str]:
+    """The ids of the tests that fail or error in ``tree``."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE",
+         *pytest_args],
+        cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    if result.returncode not in (0, 1):
+        return [f"pytest exited {result.returncode}"]
+    return [line.split()[1] for line in result.stdout.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))]
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
+    parser.add_argument("--rev", default="HEAD")
+    parser.add_argument("--workdir", type=Path)
+    args, pytest_args = parser.parse_known_args(argv)
+    work = Path(tempfile.mkdtemp(prefix="mutants-", dir=args.workdir))
+    survivors = 0
+    try:
+        control = work / "control"
+        checkout(args.rev, control)
+        failed = failures(control, pytest_args)
+        if failed:
+            print(f"control fails, no matrix: {', '.join(failed)}")
+            return 2
+        for mutant in MUTANTS:
+            tree = work / mutant.name
+            checkout(args.rev, tree)
+            path = tree / "src" / "lockstep" / mutant.module
+            path.write_text(mutate(path.read_text(), mutant))
+            failed = failures(tree, pytest_args)
+            survivors += not failed
+            verdict = f"killed by {len(failed)}" if failed else "SURVIVES"
+            print(f"{mutant.name}  {mutant.rule:<44} {verdict}", flush=True)
+            for test in failed:
+                print(f"      {test}")
+    finally:
+        shutil.rmtree(work)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
