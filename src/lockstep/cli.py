@@ -88,25 +88,35 @@ def build_id() -> str:
     return digest.hexdigest()[:12]
 
 
+def checked(settings: dict, source: str) -> dict:
+    """``settings``, if each key is a key of ``DEFAULTS`` and each integer
+    setting is a non-negative integer.  Flags, config files and a
+    summary's ``config`` all pass through here."""
+    for key, value in settings.items():
+        if key not in DEFAULTS:
+            raise ConfigFault(f"{source}: unknown key {key!r}")
+        if key in _INT_KEYS and (type(value) is not int or value < 0):
+            raise ConfigFault(f"{source}: {key!r} needs a non-negative "
+                              f"integer, got {value!r}")
+    return settings
+
+
 def load_config(path: str | None) -> dict:
-    """Read a flat key value file; unknown keys are rejected early."""
+    """Read a flat key = value file: no section headers, no unknown keys."""
     if path is None:
         return {}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string("[cli]\n" + Path(path).read_text(encoding="utf-8"))
-    except (OSError, configparser.Error) as exc:
+        text = Path(path).read_text(encoding="utf-8")
+        if any(line.lstrip().startswith("[") for line in text.splitlines()):
+            raise ConfigFault(f"config {path}: section headers are not allowed")
+        parser.read_string("[cli]\n" + text)
+        # a value that is not all digits stays text, for checked() to refuse
+        settings = {key: int(raw) if key in _INT_KEYS and raw.isdecimal()
+                    else raw for key, raw in parser["cli"].items()}
+    except (OSError, ValueError, configparser.Error) as exc:
         raise ConfigFault(f"cannot read config {path}: {exc}") from exc
-    out = {}
-    for key, raw in parser["cli"].items():
-        if key not in DEFAULTS:
-            raise ConfigFault(f"unknown config key {key!r}")
-        try:
-            out[key] = int(raw) if key in _INT_KEYS else raw
-        except ValueError as exc:
-            raise ConfigFault(f"config key {key!r} needs an integer, "
-                              f"got {raw!r}") from exc
-    return out
+    return checked(settings, f"config {path}")
 
 
 _PROTOCOL_DEFAULTS = {"attack": "all", "gen-topology": "random"}
@@ -117,15 +127,24 @@ def effective_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     cfg["protocol"] = _PROTOCOL_DEFAULTS.get(args.command, cfg["protocol"])
     cfg.update(load_config(args.config))
-    for key, value in vars(args).items():
-        if key in DEFAULTS and value is not None:
-            cfg[key] = value
+    cfg.update(checked({key: value for key, value in vars(args).items()
+                        if key in DEFAULTS and value is not None}, "flags"))
     cfg["command"] = args.command
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # run
+
+
+def _lookup(command: str, table: dict, name):
+    """``table[name]``, or a usage error that lists the names ``command``
+    knows."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        raise ConfigFault(
+            f"{command} knows {sorted(table)}, not {name!r}") from None
 
 
 def _jsonl(records: list[dict]) -> str:
@@ -169,6 +188,7 @@ def _run_marker(cfg: dict):
 def _run_bank(cfg: dict):
     N, f, seed = cfg["n"], cfg["f"], cfg["seed"]
     family = cfg["protocol"].split("-", 1)[1]
+    FAMILIES[family].check(N, f)  # before dealing the units over N
     initial = [0] * N
     for v in range(cfg["units"]):
         initial[v % N] += 1
@@ -199,12 +219,7 @@ RUN_PROTOCOLS = {
 
 
 def execute_run(cfg: dict):
-    try:
-        runner = RUN_PROTOCOLS[cfg["protocol"]]
-    except KeyError:
-        raise ConfigFault(
-            f"run knows {sorted(RUN_PROTOCOLS)}, not {cfg['protocol']!r}")
-    return runner(cfg)
+    return _lookup("run", RUN_PROTOCOLS, cfg["protocol"])(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +324,9 @@ def _sweep_quorum(cfg: dict):
 
 def _sweep_cycle(cfg: dict):
     cells = list(range(6, cfg["n"] + 1, 2))
+    if len(cells) < 2:
+        raise ConfigFault(f"sweep cycle fits two parameters, so it needs "
+                          f"n >= 8, got {cfg['n']}")
     rows = _map_cells(_cycle_cell, cells, cfg["workers"])
     xs = np.array([r["N"] for r in rows], dtype=float)
     ys = np.array([r["total"] for r in rows], dtype=float)
@@ -364,12 +382,7 @@ SWEEPS = {
 
 
 def execute_sweep(cfg: dict):
-    try:
-        sweep = SWEEPS[cfg["protocol"]]
-    except KeyError:
-        raise ConfigFault(
-            f"sweep knows {sorted(SWEEPS)}, not {cfg['protocol']!r}")
-    rows, header, numbers = sweep(cfg)
+    rows, header, numbers = _lookup("sweep", SWEEPS, cfg["protocol"])(cfg)
     violations = [p for r in rows for p in r["problems"]]
     out = io.StringIO()
     out.write(",".join(header) + "\n")
@@ -398,12 +411,7 @@ TOPOLOGIES = {
 def execute_gen_topology(cfg: dict):
     N = cfg["n"]
     name = "binary" if cfg["protocol"] == "binary-search" else cfg["protocol"]
-    try:
-        layout = TOPOLOGIES[name]
-    except KeyError:
-        raise ConfigFault(f"gen-topology knows {sorted(TOPOLOGIES)}, "
-                          f"not {cfg['protocol']!r}")
-    cycleset = layout(cfg)
+    cycleset = _lookup("gen-topology", TOPOLOGIES, name)(cfg)
     diameter = graph_diameter(HopNetwork(cycleset).graph())
     records = [{"cycle": k, "order": list(cycle)}
                for k, cycle in enumerate(cycleset.cycles)]
@@ -426,7 +434,8 @@ def _seeded(case, seed: int, samples: int) -> list[AttackResult]:
     return [case(base + i) for i in range(samples)]
 
 
-# gallery name -> (seed, samples) -> results; "all" runs them in this order
+# gallery name -> (seed, samples) -> results; "all" runs the others in
+# this order
 ATTACKS = {
     "broadcast": lambda seed, samples: _seeded(random_ds_case, seed, samples),
     "quorum": lambda seed, samples: quorum_gallery(),
@@ -440,21 +449,15 @@ ATTACKS = {
         split_double_spend("strawman", 6, 3, 0, 2, 4).result(
             "strawman-split", expect_violation=True,
             details="the no-protection handoff must fall to the split")],
+    "all": lambda seed, samples: [
+        result for name, gallery in ATTACKS.items() if name != "all"
+        for result in gallery(seed, samples)],
 }
 
 
-def _attack_results(cfg: dict) -> list[AttackResult]:
-    protocol = cfg["protocol"]
-    if protocol != "all" and protocol not in ATTACKS:
-        raise ConfigFault(
-            f"attack knows {sorted(['all', *ATTACKS])}, not {protocol!r}")
-    names = list(ATTACKS) if protocol == "all" else [protocol]
-    return [result for name in names
-            for result in ATTACKS[name](cfg["seed"], cfg["samples"])]
-
-
 def execute_attack(cfg: dict):
-    results = _attack_results(cfg)
+    results = _lookup("attack", ATTACKS, cfg["protocol"])(cfg["seed"],
+                                                           cfg["samples"])
     unexpected = [r for r in results if not r.ok]
     violations = [
         f"{r.name}: "
@@ -498,7 +501,8 @@ _SUMMARY_KEYS = ("command", *(key for key in DEFAULTS
 
 def execute(cfg: dict):
     """Produce the output files for one command, no disk involved."""
-    files, numbers, violations = EXECUTORS[cfg["command"]](cfg)
+    files, numbers, violations = _lookup("lockstep", EXECUTORS,
+                                         cfg["command"])(cfg)
     summary = {
         "build": build_id(),
         "config": {k: cfg[k] for k in _SUMMARY_KEYS},
@@ -535,11 +539,12 @@ def verify_command(cfg: dict) -> int:
     try:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         build = summary["build"]
-        replay = dict(DEFAULTS)
-        replay.update(summary["config"])
+        settings = dict(summary["config"])
+        command = settings.pop("command")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigFault(f"cannot load {out}/summary.json: {exc}") from exc
-    replay["out"] = cfg["out"]
+    replay = {**DEFAULTS, **checked(settings, f"{out}/summary.json"),
+              "command": command, "out": cfg["out"]}
     files, _ = execute(replay)
     failures = []
     if build != build_id():

@@ -588,6 +588,8 @@ def hop_experiment(N: int, K: int, seed: int,
                    pairs: int = 500) -> list[HopSample]:
     """Route statistics for random payer and payee pairs on a balanced
     random 2K-cycle system, no banks involved."""
+    if pairs < 1:
+        raise ConfigFault(f"hop experiment needs pairs >= 1, got {pairs}")
     cycleset = gen_random_cycles(N, K, seed)
     balances = tuple((1,) * N for _ in cycleset.cycles)
     graph = build_hop_graph(cycleset.cycles, balances, frozenset(range(N)))

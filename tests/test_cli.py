@@ -83,6 +83,13 @@ def test_config_file_sets_and_flags_override(tmp_path):
     assert config["n"] == 6  # the flag wins
 
 
+def test_a_percent_sign_in_a_config_value_is_plain_text(tmp_path):
+    cfg_file = tmp_path / "lab.cfg"
+    cfg_file.write_text(f"out = {tmp_path / '50%'}\n")
+    assert _run(["run", "--config", cfg_file]) == 0
+    assert (tmp_path / "50%" / "summary.json").exists()
+
+
 def test_topology_files_load_back(tmp_path):
     out = tmp_path / "topo"
     assert _run(["gen-topology", "--n", 12, "--seed", 3, "--out", out]) == 0
@@ -109,18 +116,31 @@ def test_attack_gallery_default_covers_everything(tmp_path):
 
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert _run(["run", "--protocol", "nosuch", "--out", tmp_path / "x"]) == 2
-    for n, text in enumerate(["mystery = 4\n", "n = abc\n"]):
+    for n, data in enumerate([b"mystery = 4\n", b"n = abc\n",
+                              b"[lab]\nmystery = 4\n", b"[DEFAULT]\nn = 5\n",
+                              b"\xff\xfe"]):
         bad = tmp_path / f"bad{n}.cfg"
-        bad.write_text(text)
+        bad.write_bytes(data)
         assert _run(["run", "--config", bad, "--out", tmp_path / "y"]) == 2
     assert _run(["verify", "--out", tmp_path / "nowhere"]) == 2
-    for n, text in enumerate(["not json", '{"build": "x"}', "[]"]):
+    for n, text in enumerate([
+            "not json", '{"build": "x"}', "[]",
+            '{"build": "x", "config": {"command": "run", "n": "seven"}}',
+            '{"build": "x", "config": {"command": "nosuch"}}']):
         out = tmp_path / f"summary{n}"
         out.mkdir()
         (out / "summary.json").write_text(text)
         assert _run(["verify", "--out", out]) == 2
+    pairs = tmp_path / "pairs.cfg"
+    pairs.write_text("pairs = 0\n")
+    for argv in (["run", "--seed", -1],
+                 ["sweep", "--protocol", "cycle", "--n", 7],
+                 ["sweep", "--protocol", "hopnet", "--n", 16,
+                  "--config", pairs],
+                 ["run", "--protocol", "bank-quorum", "--n", 0]):
+        assert _run([*argv, "--out", tmp_path / "z"]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 7 and all(e.startswith("error: ") for e in errors)
+    assert len(errors) == 16 and all(e.startswith("error: ") for e in errors)
 
 
 @pytest.mark.parametrize("command, known", [

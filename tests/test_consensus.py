@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lockstep.consensus import (
+    DSProcess,
     audit_extractions,
     bb_from_ba_steps,
+    default_relays,
     ds_all_honest_messages,
     ds_message_bound,
     ds_signature_floor,
@@ -16,7 +18,13 @@ from lockstep.consensus import (
     run_turpin_coan,
     turpin_coan_steps,
 )
-from lockstep.simnet import ConfigFault
+from lockstep.simnet import (
+    ConfigFault,
+    Delivery,
+    SignatureOracle,
+    SignedMessage,
+    enc_int,
+)
 
 
 def test_all_honest_broadcast_decides_leader_value():
@@ -59,6 +67,27 @@ def test_leader_value_required_for_honest_leader():
         run_dolev_strong(4, 1, None)
     with pytest.raises(ConfigFault):
         run_bb_from_ba(4, 1, None)
+
+
+# Process 2 of N=4, f=1 with leader 0 receives one chain, signed in order
+# by ``signers``, at the step that matches its length.  Each case but the
+# first breaks one rule of inspect_proper; a forged signature is one that
+# another oracle issued, so this one never did.
+@pytest.mark.parametrize("signers, forged, taken", [
+    ((0,), False, True),
+    ((0,), True, False),
+    ((3,), False, False),
+    ((0, 0), False, False),
+], ids=["proper", "forged", "foreign-anchor", "repeated-signer"])
+def test_only_a_proper_chain_is_extracted(signers, forged, taken):
+    oracle = SignatureOracle()
+    signing = SignatureOracle() if forged else oracle
+    chain = SignedMessage(enc_int(1))
+    for signer in signers:
+        chain = chain.signed_by(signing, signer)
+    proc = DSProcess(2, 4, 1, 0, None, oracle, default_relays(4, 1, 0))
+    proc.step(len(signers), [Delivery(signers[-1], chain.to_bytes())])
+    assert proc.extracted == ([enc_int(1)] if taken else [])
 
 
 # runner on (N, f), and the smallest N its rule admits for a given f

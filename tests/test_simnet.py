@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import shared_tables
@@ -696,3 +699,12 @@ def test_posting_a_senders_sends_at_once_equals_posting_each_alone(scripts,
     for t, pairs in (moves or {}).items():
         assert [(e.sender, e.recipient, e.payload) for e in events
                 if e.step == t and e.sender in {2, 3}] == pairs
+
+
+def test_importing_simnet_loads_no_other_lockstep_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lockstep.simnet; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'lockstep'))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "['lockstep', 'lockstep.simnet']\n"
