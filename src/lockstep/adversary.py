@@ -61,6 +61,7 @@ from lockstep.hopnet import (
     gen_binary_search_pair,
     gen_random_cycles,
     shortest_hop_path,
+    unspent_graph,
 )
 from lockstep.marker import (
     Marking,
@@ -75,9 +76,10 @@ from lockstep.marker import (
     receipt_content,
 )
 from lockstep.muxer import nonce_for
-from lockstep.payments import FAMILIES as BANK_FAMILIES, Bank
+from lockstep.payments import FAMILIES as BANK_FAMILIES, Bank, deal
 from lockstep.simnet import (
     Adversary,
+    CoalitionOracle,
     CodecError,
     ConfigFault,
     Delivery,
@@ -117,24 +119,6 @@ def gallery_to_csv(results: list[AttackResult]) -> str:
         lines.append(f"{r.name},{r.protocol},{r.N},{r.f},{len(r.violations)},"
                      f"{int(r.expect_violation)},{int(r.ok)}")
     return "\n".join(lines) + "\n"
-
-
-class CoalitionOracle(SignatureOracle):
-    """Oracle view that forces every signature through the adversary path.
-
-    It shares the registry of ``base``, so what it signs ``base`` verifies
-    and the other way round.  Honest protocol code simulated on behalf of
-    corrupted ids calls ``sign`` like it always does; routing that call
-    through ``adversary_sign`` keeps the forgery rule mechanical even
-    inside a simulation, because signing for an honest id still raises.
-    """
-
-    def __init__(self, base: SignatureOracle):
-        super().__init__(base.corrupted)
-        self._issued = base._issued
-
-    def sign(self, signer: int, content: bytes) -> None:
-        self.adversary_sign(signer, content)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +196,9 @@ class ScriptedDSAdversary(Adversary):
         forged = self.leader in self.corrupted
         if forged and (value, want_len) in self._forged:
             return self._forged[value, want_len]
+        shadow = CoalitionOracle(net.oracle)
         if forged:
-            sm = SignedMessage(value).signed_by(net.oracle, self.leader,
-                                                adversarial=True)
+            sm = SignedMessage(value).signed_by(shadow, self.leader)
         else:
             sm = self._best_observed(value, net)
         if sm is None:
@@ -223,7 +207,7 @@ class ScriptedDSAdversary(Adversary):
             if len(sm.stack) >= want_len:
                 break
             if z not in sm.signers:
-                sm = sm.signed_by(net.oracle, z, adversarial=True)
+                sm = sm.signed_by(shadow, z)
         if forged:
             self._forged[value, want_len] = sm
         return sm
@@ -358,11 +342,6 @@ class SimWorld:
         self.feed = frozenset(feed)
         self.wakes: dict[int, set[int]] = {n: set() for n in sims}
         self.queues: dict[int, dict[int, list[Delivery]]] = {n: {} for n in sims}
-
-    def prime_payment(self, payer: int, target: int) -> None:
-        """Have ``payer`` pay ``target`` in round 0, waking it at step 0."""
-        self.sims[payer].pending[0] = target
-        self.wakes[payer].add(0)
 
 
 class ScriptAdversary(Adversary):
@@ -557,6 +536,22 @@ class SplitReport:
                             self.violations + extra, expect_violation, details)
 
 
+def _coalition_world(family: str, N: int, f: int, oracle: SignatureOracle,
+                     payer: int, target: int, feed: frozenset[int]) -> SimWorld:
+    """The corrupted processes of ``oracle`` running the honest code of
+    ``family`` on a :class:`CoalitionOracle` over it, their genesis holder
+    ``payer`` paying ``target`` in round 0, woken at step 0.  A chain
+    world first signs the genesis record its chains start from."""
+    shadow = CoalitionOracle(oracle)
+    if family == "cycle":
+        shadow.sign(payer, record_content((), TAG_BASE))
+    world = SimWorld({z: FAMILIES[family](z, N, f, shadow, payer)
+                      for z in sorted(oracle.corrupted)}, feed)
+    world.sims[payer].pending[0] = target
+    world.wakes[payer].add(0)
+    return world
+
+
 def split_double_spend(family: str, N: int, f: int, payer: int,
                        n1: int, n2: int,
                        *, coalition: frozenset[int] | None = None) -> SplitReport:
@@ -582,16 +577,8 @@ def split_double_spend(family: str, N: int, f: int, payer: int,
     if payer not in chosen or n1 in chosen or n2 in chosen:
         raise ConfigFault("the coalition must contain the payer, never a target")
     oracle = SignatureOracle(chosen)
-    shadow = CoalitionOracle(oracle)
-    if family == "cycle":
-        shadow.sign(payer, record_content((), TAG_BASE))
-    worlds = []
-    for target, feed in ((n1, x1 - chosen), (n2, x2 - chosen)):
-        sims = {z: FAMILIES[family](z, N, f, shadow, payer)
-                for z in sorted(chosen)}
-        world = SimWorld(sims, feed)
-        world.prime_payment(payer, target)
-        worlds.append(world)
+    worlds = [_coalition_world(family, N, f, oracle, payer, target, feed)
+              for target, feed in ((n1, x1 - chosen), (n2, x2 - chosen))]
     adversary = SplitAdversary(chosen, worlds)
     system = MarkerSystem(FAMILIES[family], N, f, chosen, adversary, payer,
                           oracle)
@@ -612,11 +599,12 @@ def _signed(sends: list[tuple[int, int, bytes]], nonce: bytes | None = None):
     as its sender and sends it with one signature; under a unit ``nonce``
     it signs in that unit's scope and tags the payload with the nonce."""
     def move(net: Network) -> list[tuple[int, Send]]:
-        oracle = net.oracle if nonce is None else ScopedOracle(net.oracle, nonce)
+        oracle = CoalitionOracle(net.oracle)
+        if nonce is not None:
+            oracle = ScopedOracle(oracle, nonce)
         out = []
         for sender, recipient, content in sends:
-            wire = SignedMessage(content).signed_by(oracle, sender,
-                                                    adversarial=True).to_bytes()
+            wire = SignedMessage(content).signed_by(oracle, sender).to_bytes()
             out.append((sender, Send(recipient, wire if nonce is None
                                      else tag_payload(wire, nonce), 1)))
         return out
@@ -696,18 +684,6 @@ def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
 # cycle coin gallery
 
 
-def _honest_world(N: int, coalition: frozenset[int], oracle,
-                  target: int) -> SimWorld:
-    """The coalition running the honest chain code on a shadow of
-    ``oracle``, its genesis holder 0 paying ``target`` in round 0."""
-    shadow = CoalitionOracle(oracle)
-    shadow.sign(0, record_content((), TAG_BASE))
-    sims = {z: CCProcess(z, N, 0, shadow, 0) for z in sorted(coalition)}
-    world = SimWorld(sims, frozenset(range(N)) - coalition)
-    world.prime_payment(0, target)
-    return world
-
-
 def cycle_stale_replay(N: int, first_target: int) -> AttackResult:
     """Corrupted holder pays, then replays the spent chain everywhere.
 
@@ -723,7 +699,8 @@ def cycle_stale_replay(N: int, first_target: int) -> AttackResult:
     """
     coalition = frozenset({0})
     oracle = SignatureOracle(coalition)
-    world = _honest_world(N, coalition, oracle, first_target)
+    world = _coalition_world("cycle", N, 0, oracle, 0, first_target,
+                             frozenset(range(N)) - coalition)
 
     def replay(net: Network) -> list[tuple[int, Send]]:
         return [(e.sender, Send(recipient, e.payload, e.signatures))
@@ -755,19 +732,16 @@ def cycle_equal_weight(N: int) -> AttackResult:
         raise ConfigFault("the equal weight forgery needs at least four processes")
     coalition = frozenset({0, 1})
     oracle = SignatureOracle(coalition)
-    world = _honest_world(N, coalition, oracle, 2)
+    world = _coalition_world("cycle", N, 0, oracle, 0, 2,
+                             frozenset(range(N)) - coalition)
     forged: list[tuple[Record, ...]] = []
 
     def rival(net: Network) -> list[tuple[int, Send]]:
+        shadow = CoalitionOracle(net.oracle)
         records = (Record(TAG_BASE, 0),)
-        records = append_record(net.oracle, 0, records, TAG_PATH,
-                                adversarial=True)
-        records = append_record(net.oracle, 0, records, TAG_X,
-                                adversarial=True)
-        records = append_record(net.oracle, 1, records, TAG_PATH,
-                                adversarial=True)
-        records = append_record(net.oracle, 1, records, TAG_Y,
-                                adversarial=True)
+        for signer, tag in ((0, TAG_PATH), (0, TAG_X),
+                            (1, TAG_PATH), (1, TAG_Y)):
+            records = append_record(shadow, signer, records, tag)
         forged.append(records)
         return [(0, Send(2, wire(KIND_CHAIN, records)))]
 
@@ -910,9 +884,7 @@ def bank_gallery(family: str, N: int, f: int, V: int, K: int,
     layer, so sending a payment into one would only report the known
     gap, not a safety failure.
     """
-    initial = [0] * N
-    for v in range(V):
-        initial[v % N] += 1
+    initial = deal(N, V)
 
     def targets_for(payer: int, corrupted: frozenset[int]) -> list[int]:
         if family == "quorum":
@@ -979,7 +951,7 @@ def bank_gallery(family: str, N: int, f: int, V: int, K: int,
 def _route_legs(cycleset) -> Iterator[tuple[int, int, int]]:
     """(legs, payer, payee) of the shortest route of every ordered pair
     that has one, in scan order, on the unspent network."""
-    graph = HopNetwork(cycleset).graph()
+    graph = unspent_graph(cycleset)
     for a in range(cycleset.N):
         for b in range(cycleset.N):
             path = shortest_hop_path(graph, a, b) if a != b else None

@@ -53,10 +53,10 @@ from lockstep.hopnet import (
     gen_random_cycles,
     graph_diameter,
     hop_experiment,
-    HopNetwork,
+    unspent_graph,
 )
 from lockstep.marker import MarkerSystem, measure_z
-from lockstep.payments import FAMILIES, Bank
+from lockstep.payments import FAMILIES, Bank, deal
 from lockstep.simnet import ConfigFault, seeded_rng
 
 DEFAULTS = {
@@ -189,10 +189,7 @@ def _run_bank(cfg: dict):
     N, f, seed = cfg["n"], cfg["f"], cfg["seed"]
     family = cfg["protocol"].split("-", 1)[1]
     FAMILIES[family].check(N, f)  # before dealing the units over N
-    initial = [0] * N
-    for v in range(cfg["units"]):
-        initial[v % N] += 1
-    bank = Bank(N, f, initial, family=family)
+    bank = Bank(N, f, deal(N, cfg["units"]), family=family)
     rng = seeded_rng(seed, 3)
     for _ in range(cfg["rounds"]):
         plan = {}
@@ -383,6 +380,9 @@ SWEEPS = {
 
 def execute_sweep(cfg: dict):
     rows, header, numbers = _lookup("sweep", SWEEPS, cfg["protocol"])(cfg)
+    if not rows:
+        raise ConfigFault(f"sweep {cfg['protocol']} has no cell at "
+                          f"n = {cfg['n']}")
     violations = [p for r in rows for p in r["problems"]]
     out = io.StringIO()
     out.write(",".join(header) + "\n")
@@ -412,7 +412,7 @@ def execute_gen_topology(cfg: dict):
     N = cfg["n"]
     name = "binary" if cfg["protocol"] == "binary-search" else cfg["protocol"]
     cycleset = _lookup("gen-topology", TOPOLOGIES, name)(cfg)
-    diameter = graph_diameter(HopNetwork(cycleset).graph())
+    diameter = graph_diameter(unspent_graph(cycleset))
     records = [{"cycle": k, "order": list(cycle)}
                for k, cycle in enumerate(cycleset.cycles)]
     numbers = {"N": N, "cycles": len(cycleset.cycles), "diameter": diameter}

@@ -67,7 +67,7 @@ def inspect_proper(payload: bytes, leader: int, oracle) -> SignedMessage | None:
     return sm
 
 
-def default_relays(N: int, f: int, leader: int = 0) -> frozenset[int]:
+def default_relays(N: int, f: int, leader: int) -> frozenset[int]:
     """The f+1 lowest process ids excluding the leader."""
     others = [m for m in range(N) if m != leader]
     return frozenset(others[:f + 1])
@@ -81,18 +81,18 @@ class DSProcess(Process):
     ``extracted`` is the ordered list of values admitted so far; it never
     grows past two entries.  The process forwards a countersigned copy of
     each fresh chain unless its own signature is already on it, which only
-    happens to the leader receiving its own initial message.
+    happens to the leader receiving its own initial message.  The relays
+    are :func:`default_relays` of (N, f, leader).
     """
 
     def __init__(self, n: int, N: int, f: int, leader: int, value: bytes | None,
-                 oracle, relays: frozenset[int]):
+                 oracle):
         super().__init__(n)
         self.N = N
         self.f = f
         self.leader = leader
         self.value = value
         self.oracle = oracle
-        self.relays = relays
         self.extracted: list[bytes] = []
 
     def register_wakes(self) -> None:
@@ -127,10 +127,11 @@ class DSProcess(Process):
                 continue
             signed = sm.signed_by(self.oracle, self.n)
             wire = signed.to_bytes()
-            if self.n in self.relays:
+            relays = default_relays(self.N, self.f, self.leader)
+            if self.n in relays:
                 targets = [m for m in range(self.N) if m != self.n]
             else:
-                targets = sorted(self.relays)
+                targets = sorted(relays)
             sends.extend(Send(m, wire, len(signed.stack)) for m in targets)
         return sends
 
@@ -180,13 +181,12 @@ def run_dolev_strong(N: int, f: int, leader_value: int | None, *,
         raise ConfigFault(f"need f+1 relays among N-1 non leaders, got N={N} f={f}")
     if leader not in corrupted and leader_value is None:
         raise ConfigFault("honest leader needs an input value")
-    relays = default_relays(N, f, leader)
     wire_value = None if leader_value is None else enc_int(leader_value)
     outcomes, net = _run_processes(
         N, f + 2,
         lambda n, oracle: DSProcess(n, N, f, leader,
                                     wire_value if n == leader else None,
-                                    oracle, relays),
+                                    oracle),
         corrupted, adversary)
     decisions = {n: value for n, (value, _) in outcomes.items()}
     fault = {n: flag for n, (_, flag) in outcomes.items()}
@@ -248,9 +248,9 @@ class MajorityBAHost(MuxHost):
         for j in range(N):
             nonce = nonce_for(j)
             scoped = ScopedOracle(oracle, nonce)
-            instances[nonce] = DSProcess(n, N, f, j, None, scoped,
-                                         default_relays(N, f, j))
-        super().__init__(n, instances, wakes={nonce_for(n): frozenset({0})})
+            instances[nonce] = DSProcess(n, N, f, j, None, scoped)
+        super().__init__(n, instances)
+        self.wake_instance(nonce_for(n), 0)
         self.N = N
         self.f = f
         if bit is not None:

@@ -41,7 +41,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from lockstep.consensus import DSProcess, default_relays
+from lockstep.consensus import DSProcess
 from lockstep.marker import GENESIS_ROUND, Marking, MarkerProcess
 from lockstep.muxer import nonce_for
 from lockstep.simnet import (
@@ -187,14 +187,10 @@ def _record(tag: str, signer: int) -> Record:
                          + int(signer).to_bytes(8, "big", signed=True))
 
 
-def append_record(oracle, signer: int, records: tuple[Record, ...], tag: str,
-                  *, adversarial: bool = False) -> tuple[Record, ...]:
-    """Sign and append one record."""
-    content = record_content(records, tag)
-    if adversarial:
-        oracle.adversary_sign(signer, content)
-    else:
-        oracle.sign(signer, content)
+def append_record(oracle, signer: int, records: tuple[Record, ...],
+                  tag: str) -> tuple[Record, ...]:
+    """Sign one record through ``oracle`` and append it."""
+    oracle.sign(signer, record_content(records, tag))
     return records + (_record(tag, signer),)
 
 
@@ -888,8 +884,7 @@ class PoRProcess(CCProcess):
         if sub is None:
             sub = self.subs[nonce] = DSProcess(
                 self.n, self.N, self.f, leader, value,
-                ScopedOracle(self.oracle, nonce),
-                default_relays(self.N, self.f, leader))
+                ScopedOracle(self.oracle, nonce))
         return [Send(s.recipient, tag_payload(s.payload, nonce), s.signatures)
                 for s in sub.step(local, inbox)]
 

@@ -59,6 +59,8 @@ class CycleSet:
     cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.N < 2:
+            raise ConfigFault(f"a cycle economy needs N >= 2, got {self.N}")
         for cycle in self.cycles:
             if sorted(cycle) != list(range(self.N)):
                 raise ConfigFault("each cycle must order all N processes")
@@ -181,6 +183,15 @@ def build_hop_graph(cycles: tuple[tuple[int, ...], ...],
                     adj[k * N + n].append(k2 * N + n)
     return HopGraph(N, tuple(cycles), tuple(tuple(row) for row in balances),
                     tuple(tuple(sorted(row)) for row in adj))
+
+
+def unspent_graph(cycleset: CycleSet) -> HopGraph:
+    """The route graph before any payment: every process holds one unit
+    on every cycle and is a willing intermediary."""
+    N = cycleset.N
+    return build_hop_graph(cycleset.cycles,
+                           tuple((1,) * N for _ in cycleset.cycles),
+                           frozenset(range(N)))
 
 
 @dataclass(frozen=True)
@@ -378,7 +389,10 @@ class MacroOutcome:
 
 class HopNetwork:
     """Stacked per-cycle economies plus the hop and dispute machinery;
-    every process is a willing intermediary."""
+    every process is a willing intermediary and starts with one unit on
+    every cycle.  A macro round has twice as many micro rounds as the
+    diameter of the :func:`unspent_graph`, and each payment is routed on
+    the graph of the balances it finds."""
 
     def __init__(self, cycleset: CycleSet):
         self.N = cycleset.N
@@ -389,7 +403,7 @@ class HopNetwork:
                       for _ in self.cycles]
         self.oracle = SignatureOracle(frozenset())
         self.macro_index = 0
-        self.micro_rounds = 2 * max(1, graph_diameter(self.graph()))
+        self.micro_rounds = 2 * max(1, graph_diameter(unspent_graph(cycleset)))
         self.outcomes: list[MacroOutcome] = []
 
     # -- views ---------------------------------------------------------------
@@ -409,9 +423,10 @@ class HopNetwork:
 
     # -- execution -----------------------------------------------------------
 
-    def macro_payment(self, a: int, b: int, path: HopPath | None = None,
+    def macro_payment(self, a: int, b: int,
                       cheat: CheatPlan | None = None) -> MacroOutcome:
-        """Run one macro round carrying a payment from a to b.
+        """Run one macro round carrying a payment from a to b along the
+        shortest route of the current balances.
 
         Every bank advances by exactly ``micro_rounds`` rounds; the route
         legs ride the first len(legs) of them.  A cheat plan suppresses
@@ -419,8 +434,7 @@ class HopNetwork:
         """
         if a == b:
             raise ConfigFault(f"cannot run payment {a}->{b}")
-        if path is None:
-            path = shortest_hop_path(self.graph(), a, b)
+        path = shortest_hop_path(self.graph(), a, b)
         if path is None:
             raise ConfigFault(f"no route from {a} to {b}")
         legs = path.legs
@@ -466,8 +480,9 @@ class HopNetwork:
     # -- dispute -------------------------------------------------------------
 
     def _leg_proof(self, leg_index: int, outcome: MacroOutcome):
-        """The chain the leg's payer archived, if it really paid the
-        leg's payee that round; a self transfer does not count."""
+        """The exhibit of a leg: the unit its payer spent and the chain it
+        archived, if it really paid the leg's payee that round; a self
+        transfer does not count."""
         k, payer, payee, _ = outcome.path.legs[leg_index]
         bank = self.banks[k]
         m = outcome.base_round + leg_index
@@ -481,38 +496,23 @@ class HopNetwork:
         records = bank.unit(pos, v).proofs.get(m)
         if records is None:
             return None
-        return k, v, m, records
-
-    def _stale_exhibit(self, leg_index: int, outcome: MacroOutcome):
-        """What a forger can actually show: the chain it was paid with."""
-        if leg_index == 0:
-            return None
-        prior = self._leg_proof(leg_index - 1, outcome)
-        if prior is None:
-            return None
-        k_prev, v, _, records = prior
-        k, _, _, _ = outcome.path.legs[leg_index]
-        m = outcome.base_round + leg_index
-        return k, v, m, records
+        return v, records
 
     def _verify_exhibit(self, leg_index: int, exhibit,
                         outcome: MacroOutcome) -> str:
-        """Check an exhibited chain against the payee's instance state.
+        """Check an exhibited (unit, chain) against the payee's instance
+        state on the leg's cycle and in the leg's round.
 
         Distinguishes a chain the payee accepted during the leg's round
         from one that only lands now: the latter means the payer withheld
         it past the round it promised.  The payee takes such a chain on
-        the spot, and its bank is told which unit changed.
+        the spot, and its bank is told which unit changed.  Every bank
+        holds N units, so any leg's unit names one on every cycle.
         """
-        if exhibit is None:
-            return TRACE_BAD
-        k_claim, v, m, records = exhibit
+        v, records = exhibit
         k, _, payee, _ = outcome.path.legs[leg_index]
-        if k_claim != k or m != outcome.base_round + leg_index:
-            return TRACE_BAD
+        m = outcome.base_round + leg_index
         bank = self.banks[k]
-        if not 0 <= v < bank.supply:
-            return TRACE_BAD
         pos = self.positions[k][payee]
         proc = bank.unit(pos, v)
         verdict, shape = verify_payment_claim(proc, tuple(records), m)
@@ -551,7 +551,9 @@ class HopNetwork:
                 break  # downstream side is satisfied, nothing to dispute
             up_cheats = cheat is not None and cheat.position == j - 1
             if up_cheats and cheat.mode == CHEAT_FORGE:
-                exhibit = self._stale_exhibit(leg_index, outcome)
+                # what a forger can show: the chain it was paid with, if any
+                exhibit = (self._leg_proof(leg_index - 1, outcome)
+                           if leg_index else None)
             elif up_cheats and cheat.mode == CHEAT_KEEP:
                 exhibit = None  # pretends it was never paid itself
             else:
@@ -591,8 +593,7 @@ def hop_experiment(N: int, K: int, seed: int,
     if pairs < 1:
         raise ConfigFault(f"hop experiment needs pairs >= 1, got {pairs}")
     cycleset = gen_random_cycles(N, K, seed)
-    balances = tuple((1,) * N for _ in cycleset.cycles)
-    graph = build_hop_graph(cycleset.cycles, balances, frozenset(range(N)))
+    graph = unspent_graph(cycleset)
     undirected = undirected_adjacency(cycleset.cycles)
     rng = seeded_rng(seed, N, K, pairs)
     samples = []

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from lockstep.consensus import DSProcess, default_relays
+from lockstep.consensus import DSProcess
 from lockstep.muxer import nonce_for
 from lockstep.simnet import (
     ByteReader,
@@ -553,8 +553,7 @@ class BBMProcess(MarkerProcess):
         if self.n == self.holder and r in self.pending:
             value = enc_int(self.pending.pop(r) + 1)
         scoped = ScopedOracle(self.oracle, nonce_for(r))
-        self.ds = DSProcess(self.n, self.N, self.f, self.holder, value, scoped,
-                            default_relays(self.N, self.f, self.holder))
+        self.ds = DSProcess(self.n, self.N, self.f, self.holder, value, scoped)
         self.ds_round = r
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:

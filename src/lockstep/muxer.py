@@ -27,15 +27,16 @@ def nonce_for(*ids: int) -> bytes:
 class MuxHost(Process):
     """Hosts one sub process per nonce and routes traffic between them.
 
-    ``wakes`` maps a nonce to the steps at which its sub process must run
-    even without deliveries (for example a broadcaster sending its first
-    message).  They join the mid run wakes of :meth:`wake_instance` in one
-    map from step to nonces, and the host registers every step in it with
-    the network.  A step services only the instances with a delivery or a
-    wake due, so its cost follows the traffic, not the instance count.
-    The static map serves hosts nested in another process, such as the
-    one in :class:`~lockstep.consensus.TurpinCoanProcess`: no network
-    attaches them, so only the map wakes their instances.
+    :meth:`wake_instance` is the one way to make an instance run at a step
+    without deliveries (for example a broadcaster sending its first
+    message).  The host keeps its wakes in one map from step to nonces and
+    tells the network of each step once a network is attached; a wake
+    recorded before that is registered with the network when it attaches.
+    A host nested in another process, such as the one in
+    :class:`~lockstep.consensus.TurpinCoanProcess`, never attaches, so only
+    the map wakes its instances.  A step services only the instances with
+    a delivery or a wake due, so its cost follows the traffic, not the
+    instance count.
 
     ``stepped`` collects the nonces of the instances serviced since a
     reader last cleared it, so a driver can re-read just the instances
@@ -43,29 +44,25 @@ class MuxHost(Process):
     adds its nonce there too.
     """
 
-    def __init__(self, n: int, instances: dict[bytes, Process],
-                 wakes: dict[bytes, frozenset[int]] | None = None):
+    def __init__(self, n: int, instances: dict[bytes, Process]):
         super().__init__(n)
         self.instances = dict(instances)
         self._later: dict[int, set[bytes]] = {}
         self.stepped: set[bytes] = set()
-        for nonce, steps in (wakes or {}).items():
-            for s in steps:
-                self._later.setdefault(s, set()).add(nonce)
 
     def register_wakes(self) -> None:
         for s in self._later:
             self.net.wake(self.n, s)
 
     def wake_instance(self, nonce: bytes, step: int) -> None:
-        """Schedule one extra servicing of ``nonce`` at ``step``.
-
-        Unlike the static wake map this works mid run, so a driver can
-        decide round by round which instance needs a spontaneous step.  A
-        nonce the host does not know is never serviced.
+        """Schedule one extra servicing of ``nonce`` at ``step``, before
+        or during a run, so a driver can decide round by round which
+        instance needs a spontaneous step.  A nonce the host does not know
+        is never serviced.
         """
         self._later.setdefault(step, set()).add(nonce)
-        self.net.wake(self.n, step)
+        if self.net is not None:
+            self.net.wake(self.n, step)
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
         groups: dict[bytes, list[Delivery]] = {}

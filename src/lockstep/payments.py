@@ -64,6 +64,12 @@ from .simnet import (ConfigFault, Network, ScopedOracle, SignatureOracle)
 FAMILIES = {"quorum": QMProcess, "cycle": CCProcess}
 
 
+def deal(N: int, V: int) -> list[int]:
+    """Opening balances of ``V`` units dealt round robin over ``N``
+    processes: unit v goes to process v mod N."""
+    return [V // N + (n < V % N) for n in range(N)]
+
+
 @dataclass(frozen=True)
 class BankRound:
     """Book entry for one round.

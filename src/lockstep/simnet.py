@@ -9,9 +9,13 @@ it emits messages at step t it has seen only traffic delivered up to step t,
 never the honest messages currently in flight.
 
 Signatures are modelled as an oracle that remembers every (signer, content)
-pair it has issued.  Verification succeeds exactly on remembered pairs, so a
-signature of an honest process can never be fabricated; attempting to do so
-raises :class:`ForgeryViolation`.
+pair it has issued.  Verification succeeds exactly on remembered pairs.
+Honest code signs for itself through a plain :class:`SignatureOracle`;
+adversarial code signs through one view, :class:`CoalitionOracle`, whose
+``sign`` is the one place that refuses a signature for an honest process,
+by raising :class:`ForgeryViolation`.  So a signature of an honest process
+can never be fabricated, and a :class:`ScopedOracle` over that view keeps
+the rule inside a muxed instance.
 
 Shared tables.  Pure results are shared and oracle verdicts never are.
 A table computed from its input is a capped ``functools.lru_cache``, and
@@ -192,8 +196,8 @@ class SignatureOracle:
     """Registry of issued signatures.
 
     A signature is the fact that (signer, content) was registered.  Honest
-    code registers through :meth:`sign`; adversarial code must go through
-    :meth:`adversary_sign`, which refuses to sign for honest processes.
+    code registers through :meth:`sign`, which signs for anyone; adversarial
+    code must sign through a :class:`CoalitionOracle` over this registry.
     """
 
     def __init__(self, corrupted: frozenset[int] = frozenset()):
@@ -201,12 +205,6 @@ class SignatureOracle:
         self._issued: set[tuple[int, bytes]] = set()
 
     def sign(self, signer: int, content: bytes) -> None:
-        self._issued.add((signer, content))
-
-    def adversary_sign(self, signer: int, content: bytes) -> None:
-        if signer not in self.corrupted:
-            raise ForgeryViolation(
-                f"adversary attempted to sign for honest process {signer}")
         self._issued.add((signer, content))
 
     def verify(self, signer: int, content: bytes) -> bool:
@@ -217,6 +215,26 @@ class SignatureOracle:
         for a batch, answered now, like :meth:`verify`.  ``pairs`` may be
         any collection; a scoped view needs it hashable."""
         return self._issued.issuperset(pairs)
+
+
+class CoalitionOracle(SignatureOracle):
+    """The view of ``base`` through which the corrupted processes sign.
+
+    It shares the registry of ``base``, so what it signs ``base`` verifies
+    and the other way round.  Its :meth:`sign` refuses to sign for an
+    honest process, so honest protocol code simulated on behalf of the
+    coalition, which calls ``sign`` as it always does, still cannot forge.
+    """
+
+    def __init__(self, base: SignatureOracle):
+        self.corrupted = base.corrupted
+        self._issued = base._issued
+
+    def sign(self, signer: int, content: bytes) -> None:
+        if signer not in self.corrupted:
+            raise ForgeryViolation(
+                f"adversary attempted to sign for honest process {signer}")
+        self._issued.add((signer, content))
 
 
 class ScopedOracle:
@@ -237,9 +255,6 @@ class ScopedOracle:
 
     def sign(self, signer: int, content: bytes) -> None:
         self._base.sign(signer, tag_payload(content, self._nonce))
-
-    def adversary_sign(self, signer: int, content: bytes) -> None:
-        self._base.adversary_sign(signer, tag_payload(content, self._nonce))
 
     def verify(self, signer: int, content: bytes) -> bool:
         return self._base.verify(signer, tag_payload(content, self._nonce))
@@ -315,15 +330,12 @@ class SignedMessage:
     def signers(self) -> tuple[int, ...]:
         return tuple(signer for signer, _ in self.stack)
 
-    def signed_by(self, oracle, signer: int, *, adversarial: bool = False) -> "SignedMessage":
-        """This message countersigned by ``signer``.  The child gets its
-        wire and signers by plain stores, as in :class:`once`, and seeds
-        :meth:`from_bytes` with its wire."""
+    def signed_by(self, oracle, signer: int) -> "SignedMessage":
+        """This message countersigned by ``signer`` through ``oracle``.
+        The child gets its wire and signers by plain stores, as in
+        :class:`once`, and seeds :meth:`from_bytes` with its wire."""
         content = self._wire
-        if adversarial:
-            oracle.adversary_sign(signer, content)
-        else:
-            oracle.sign(signer, content)
+        oracle.sign(signer, content)
         # content + enc_int(signer) + enc_bytes(content), in one join
         wire = b"".join((content, b"\x00\x00\x00\x08",
                          int(signer).to_bytes(8, "big", signed=True),

@@ -7,7 +7,6 @@ import pytest
 
 from lockstep import adversary as gallery, simnet
 from lockstep.adversary import (
-    CoalitionOracle,
     JunkAdversary,
     ScriptAdversary,
     ScriptedDSAdversary,
@@ -34,8 +33,11 @@ from lockstep.adversary import (
 from lockstep import marker
 from lockstep.consensus import inspect_proper, run_dolev_strong
 from lockstep.cyclecoin import KIND_QUERY, cycle_round_steps, wire
-from lockstep.simnet import (Adversary, ConfigFault, ForgeryViolation, Network,
-                             Process, Send, SignatureOracle, seeded_rng)
+from lockstep.hopnet import HopNetwork, gen_binary_search_pair, shortest_hop_path
+from lockstep.payments import Bank
+from lockstep.simnet import (Adversary, CoalitionOracle, ConfigFault,
+                             ForgeryViolation, Network, Process, ScopedOracle,
+                             Send, SignatureOracle, seeded_rng)
 
 
 def test_result_expectation_logic():
@@ -55,11 +57,18 @@ def test_gallery_csv_contract():
 
 
 def test_coalition_oracle_still_refuses_honest_keys():
-    base = SignatureOracle(frozenset({1}))
-    shadow = CoalitionOracle(base)
-    shadow.sign(1, b"fine")
-    with pytest.raises(ForgeryViolation):
-        shadow.sign(0, b"forged")
+    """On the coalition view and on the scoped view over it that a unit's
+    signed move uses: a corrupted signer signs, an honest one is refused
+    and its forgery never verifies."""
+    for view in (CoalitionOracle,
+                 lambda base: ScopedOracle(CoalitionOracle(base), b"unit")):
+        shadow = view(SignatureOracle(frozenset({1, 2})))
+        shadow.sign(1, b"fine")
+        shadow.sign(2, b"also fine")
+        assert shadow.verify(1, b"fine") and shadow.verify(2, b"also fine")
+        with pytest.raises(ForgeryViolation):
+            shadow.sign(0, b"forged")
+        assert not shadow.verify(0, b"forged")
 
 
 def test_scripted_broadcast_enumeration_shape():
@@ -337,6 +346,20 @@ def test_bank_galleries_are_clean():
 def test_cheating_intermediaries_always_caught():
     for result in cheating_intermediary_cases(8, 2, seed=5):
         assert result.ok, (result.name, result.violations)
+
+
+def test_route_legs_read_the_unspent_routes_without_a_bank(monkeypatch):
+    cycleset = gen_binary_search_pair(16)
+    graph = HopNetwork(cycleset).graph()
+    routes = [(a, b, shortest_hop_path(graph, a, b))
+              for a in range(16) for b in range(16) if a != b]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the route scan built a Bank")
+
+    monkeypatch.setattr(Bank, "__init__", refuse)
+    assert list(gallery._route_legs(cycleset)) == [
+        (len(path.legs), a, b) for a, b, path in routes if path is not None]
 
 
 def test_unprotected_handoffs_fall_to_the_split():

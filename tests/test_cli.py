@@ -6,6 +6,7 @@ import pytest
 
 from lockstep.cli import DEFAULTS, build_id, execute, main
 from lockstep.hopnet import load_cycles
+from lockstep.payments import Bank
 
 
 def _cfg(command, **overrides):
@@ -98,6 +99,15 @@ def test_topology_files_load_back(tmp_path):
     assert _run(["verify", "--out", out]) == 0
 
 
+def test_gen_topology_builds_no_bank(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen-topology built a Bank")
+
+    monkeypatch.setattr(Bank, "__init__", refuse)
+    assert _run(["gen-topology", "--n", 12, "--seed", 3,
+                 "--out", tmp_path / "topo"]) == 0
+
+
 def test_attack_csv_contract(tmp_path):
     out = tmp_path / "attacks"
     assert _run(["attack", "--protocol", "quorum", "--out", out]) == 0
@@ -137,10 +147,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                  ["sweep", "--protocol", "cycle", "--n", 7],
                  ["sweep", "--protocol", "hopnet", "--n", 16,
                   "--config", pairs],
-                 ["run", "--protocol", "bank-quorum", "--n", 0]):
+                 ["run", "--protocol", "bank-quorum", "--n", 0],
+                 # a grid with no cell at this n
+                 ["sweep", "--protocol", "hopnet", "--n", 7],
+                 ["sweep", "--protocol", "broadcast", "--n", 3],
+                 ["sweep", "--protocol", "quorum", "--n", 3],
+                 ["sweep", "--protocol", "cancel", "--n", 3]):
         assert _run([*argv, "--out", tmp_path / "z"]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 16 and all(e.startswith("error: ") for e in errors)
+    assert len(errors) == 20 and all(e.startswith("error: ") for e in errors)
 
 
 @pytest.mark.parametrize("command, known", [

@@ -7,7 +7,6 @@ from lockstep.consensus import (
     DSProcess,
     audit_extractions,
     bb_from_ba_steps,
-    default_relays,
     ds_all_honest_messages,
     ds_message_bound,
     ds_signature_floor,
@@ -85,7 +84,7 @@ def test_only_a_proper_chain_is_extracted(signers, forged, taken):
     chain = SignedMessage(enc_int(1))
     for signer in signers:
         chain = chain.signed_by(signing, signer)
-    proc = DSProcess(2, 4, 1, 0, None, oracle, default_relays(4, 1, 0))
+    proc = DSProcess(2, 4, 1, 0, None, oracle)
     proc.step(len(signers), [Delivery(signers[-1], chain.to_bytes())])
     assert proc.extracted == ([enc_int(1)] if taken else [])
 

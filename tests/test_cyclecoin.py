@@ -35,6 +35,7 @@ from lockstep.marker import MarkerSystem, measure_z
 from lockstep.payments import Bank
 from lockstep.simnet import (
     Adversary,
+    CoalitionOracle,
     CodecError,
     Delivery,
     SignatureOracle,
@@ -177,7 +178,7 @@ class WithheldQuery(Adversary):
 
     def __init__(self, N: int, f: int, oracle):
         self.corrupted = frozenset({0})
-        oracle.adversary_sign(0, record_content((), TAG_BASE))
+        CoalitionOracle(oracle).sign(0, record_content((), TAG_BASE))
         self.N, self.f, self.oracle = N, f, oracle
         self.restart()
 

@@ -22,6 +22,7 @@ from lockstep.hopnet import (
     load_cycles,
     save_cycles,
     shortest_hop_path,
+    unspent_graph,
 )
 from lockstep.payments import Bank
 from lockstep.simnet import ConfigFault
@@ -82,6 +83,15 @@ def test_binary_search_pair_reaches_every_leg_count():
         assert len(shortest_hop_path(graph, a, b).legs) == legs
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=999), st.booleans())
+def test_a_fresh_network_routes_on_the_unspent_graph(N, K, seed, binary):
+    cycleset = (gen_binary_search_pair(N + 1) if binary
+                else gen_random_cycles(N, K, seed))
+    assert HopNetwork(cycleset).graph() == unspent_graph(cycleset)
+
+
 def test_binary_search_pair_diameters():
     assert graph_diameter(HopNetwork(gen_binary_search_pair(16)).graph()) == 9
     assert graph_diameter(HopNetwork(gen_binary_search_pair(64)).graph()) == 21
@@ -136,7 +146,7 @@ def _cheat_route(seed=5):
 
 def test_promises_cover_every_intermediary():
     net, (a, b), path = _cheat_route()
-    outcome = net.macro_payment(a, b, path=path)
+    outcome = net.macro_payment(a, b)
     promised = {p.promiser for p in outcome.promises}
     assert promised
     assert promised == set(path.intermediaries)
@@ -145,8 +155,7 @@ def test_promises_cover_every_intermediary():
 def test_walkback_accuses_the_keeper():
     net, (a, b), path = _cheat_route()
     assert len(path.legs) >= 2
-    outcome = net.macro_payment(a, b, path=path,
-                                cheat=CheatPlan(1, CHEAT_KEEP))
+    outcome = net.macro_payment(a, b, cheat=CheatPlan(1, CHEAT_KEEP))
     assert not outcome.paid
     accused, trace = net.dispute_walkback(outcome)
     assert accused == path.intermediaries[0]
@@ -154,8 +163,7 @@ def test_walkback_accuses_the_keeper():
 
 def test_walkback_accuses_the_forger():
     net, (a, b), path = _cheat_route()
-    outcome = net.macro_payment(a, b, path=path,
-                                cheat=CheatPlan(1, CHEAT_FORGE))
+    outcome = net.macro_payment(a, b, cheat=CheatPlan(1, CHEAT_FORGE))
     assert not outcome.paid
     accused, trace = net.dispute_walkback(outcome)
     assert accused == path.intermediaries[0]
@@ -164,7 +172,7 @@ def test_walkback_accuses_the_forger():
 def test_walkback_exposes_a_lying_payee():
     net, (a, b), path = _cheat_route()
     payee_position = len(path.legs)
-    outcome = net.macro_payment(a, b, path=path,
+    outcome = net.macro_payment(a, b,
                                 cheat=CheatPlan(payee_position, CHEAT_DENY))
     assert outcome.paid and not outcome.payee_claims_paid
     accused, trace = net.dispute_walkback(outcome)

@@ -35,3 +35,24 @@ docstring"""  # trailing comment
 '''
     assert linecount.count(source) == {"total": 9, "code": 4, "docstring": 3,
                                        "comment": 1, "blank": 1}
+
+
+def test_options_count_the_defaults_of_public_functions_and_methods():
+    source = '''
+def f(a, b=1, *, c=2, d):
+    def inner(e=3):
+        pass
+def _private(g=4):
+    pass
+class Public:
+    def __init__(self, h=5):
+        pass
+    def method(self, i=6, j=7):
+        pass
+    def _helper(self, k=8):
+        pass
+class _Private:
+    def method(self, m=9):
+        pass
+'''
+    assert linecount.options(source) == 5

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lockstep.adversary import StrawmanProcess
-from lockstep.consensus import DSProcess, default_relays, run_dolev_strong
+from lockstep.consensus import DSProcess, run_dolev_strong
 from lockstep.cyclecoin import (
     KIND_CHAIN,
     KIND_QUERY,
@@ -412,7 +412,6 @@ def test_mutated_broadcast_chains_are_dropped_or_faulted(pick, flips, cut,
     sender, payload, n = _mutated_event(net, pick, flips, cut, recipient)
     N, f, _ = DS_CASE
     for _ in range(2):
-        proc = DSProcess(n, N, f, 0, None, copy.deepcopy(net.oracle),
-                         default_relays(N, f))
+        proc = DSProcess(n, N, f, 0, None, copy.deepcopy(net.oracle))
         for t in range(f + 3):
             _step_or_fault(proc, t, sender, payload)

@@ -41,11 +41,10 @@ class _Echo(Process):
 
 def test_instances_stay_separated():
     a, b = nonce_for(1), nonce_for(2)
-    hosts = [
-        MuxHost(0, {a: _Echo(0, 1), b: _Echo(0, 1)},
-                {a: frozenset({0}), b: frozenset({0})}),
-        MuxHost(1, {a: _Echo(1, 0)}),
-    ]
+    hosts = [MuxHost(0, {a: _Echo(0, 1), b: _Echo(0, 1)}),
+             MuxHost(1, {a: _Echo(1, 0)})]
+    hosts[0].wake_instance(a, 0)
+    hosts[0].wake_instance(b, 0)
     net = Network(hosts, frozenset())
     net.run_until(2)
     heard = hosts[1].instances[a].heard
@@ -68,8 +67,8 @@ class _Fanout(Process):
 def test_a_payload_sent_to_k_recipients_is_one_tagged_object():
     nonce, k = nonce_for(3), 5
     payload = enc_int(42) * 60
-    hosts = [MuxHost(0, {nonce: _Fanout(0, range(1, k + 1), payload)},
-                     {nonce: frozenset({0})})]
+    hosts = [MuxHost(0, {nonce: _Fanout(0, range(1, k + 1), payload)})]
+    hosts[0].wake_instance(nonce, 0)
     hosts += [MuxHost(n, {nonce: _Echo(n, 0)}) for n in range(1, k + 1)]
     net = Network(hosts, frozenset())
     net.run_until(2)
@@ -150,8 +149,9 @@ def test_only_instances_with_work_are_stepped_in_nonce_order():
             # deliveries land at step 2 for instances 9 and 0
             return [Send(1, tag_payload(b"x", nonces[v])) for v in (9, 0)]
 
-    host = MuxHost(1, {nonces[v]: _Logged(1, v, log) for v in names},
-                   {nonces[5]: frozenset({2, 4}), nonces[7]: frozenset({4})})
+    host = MuxHost(1, {nonces[v]: _Logged(1, v, log) for v in names})
+    for v, step in ((5, 2), (5, 4), (7, 4)):
+        host.wake_instance(nonces[v], step)  # before the network attaches
     net = Network([_Sender(0), host], frozenset())
     host.wake_instance(nonces[4], 2)
     host.wake_instance(nonces[2], 3)
@@ -171,11 +171,13 @@ def test_wake_for_an_unknown_nonce_steps_nothing():
 
 def test_a_host_no_network_attaches_wakes_its_instances_from_the_static_map():
     """A host nested in another process, as the agreement host is in the
-    Turpin-Coan poll, never gets ``register_wakes``; its static wake map
-    still services the instance at the host's local step 0."""
+    Turpin-Coan poll, never gets ``register_wakes``; a wake recorded with
+    no network attached still services the instance at the host's local
+    step 0."""
     log = []
     nonce = nonce_for(1)
-    nested = MuxHost(0, {nonce: _Logged(0, 1, log)}, {nonce: frozenset({0})})
+    nested = MuxHost(0, {nonce: _Logged(0, 1, log)})
+    nested.wake_instance(nonce, 0)
 
     class _Parent(Process):
         def register_wakes(self):

@@ -9,16 +9,9 @@ from lockstep.hopnet import (TRACE_LATE, HopNetwork, gen_random_cycles,
                              shortest_hop_path)
 from lockstep.marker import Marking
 from lockstep.muxer import MuxHost, nonce_for
-from lockstep.payments import Bank
+from lockstep.payments import Bank, deal
 from lockstep.simnet import (Adversary, ConfigFault, Network, Send,
                              seeded_rng, split_payload, tag_payload)
-
-
-def _spread(N, V):
-    initial = [0] * N
-    for v in range(V):
-        initial[v % N] += 1
-    return initial
 
 
 def _drive(bank, rounds, seed):
@@ -34,21 +27,21 @@ def _drive(bank, rounds, seed):
 @pytest.mark.parametrize("family", ["quorum", "cycle"])
 def test_honest_runs_pass_every_audit(family):
     N, f, V = 6, 1, 3
-    bank = Bank(N, f, _spread(N, V), family=family)
+    bank = Bank(N, f, deal(N, V), family=family)
     _drive(bank, 5, seed=3)
     assert bank.audit() == []
 
 
 @pytest.mark.parametrize("family", ["quorum", "cycle"])
 def test_supply_is_exact_without_corruption(family):
-    bank = Bank(5, 1, _spread(5, 3), family=family)
+    bank = Bank(5, 1, deal(5, 3), family=family)
     _drive(bank, 4, seed=9)
     for row in bank.history:
         assert sum(row.balances_after.values()) == bank.supply
 
 
 def test_funded_processes_spend_every_round():
-    bank = Bank(6, 1, _spread(6, 2), family="quorum")
+    bank = Bank(6, 1, deal(6, 2), family="quorum")
     bank.run_round({})  # nobody asked to pay: funded holders self transfer
     row = bank.history[0]
     for n, before in row.balances_before.items():
@@ -61,7 +54,7 @@ def test_cycle_keeps_are_booked_without_a_network_step(monkeypatch):
     steps = []
     monkeypatch.setattr(MuxHost, "step",
                         lambda host, t, inbox: steps.append(host.n) or [])
-    bank = Bank(6, 1, _spread(6, 8), family="cycle")
+    bank = Bank(6, 1, deal(6, 8), family="cycle")
     row = bank.run_round({})
     funded = [n for n, before in row.balances_before.items() if before > 0]
     assert funded == list(range(6))
@@ -77,7 +70,7 @@ def test_cycle_keeps_are_booked_without_a_network_step(monkeypatch):
 
 
 def test_payment_credits_the_target_next_round_state():
-    bank = Bank(6, 1, _spread(6, 1), family="quorum")
+    bank = Bank(6, 1, deal(6, 1), family="quorum")
     assert bank.balances()[0] == 1
     bank.run_round({0: 4})
     assert bank.balances()[4] == 1
@@ -86,7 +79,7 @@ def test_payment_credits_the_target_next_round_state():
 
 
 def test_units_move_independently():
-    bank = Bank(6, 1, _spread(6, 2), family="quorum")
+    bank = Bank(6, 1, deal(6, 2), family="quorum")
     # unit 0 sits at process 0, unit 1 at process 1; opposite directions
     bank.run_round({0: 5, 1: 2})
     assert bank.balances() == {0: 0, 1: 0, 2: 1, 3: 0, 4: 0, 5: 1}
@@ -94,7 +87,7 @@ def test_units_move_independently():
 
 
 def test_book_export_header():
-    bank = Bank(4, 1, _spread(4, 1), family="quorum")
+    bank = Bank(4, 1, deal(4, 1), family="quorum")
     bank.run_round({})
     header = bank.to_csv().splitlines()[0]
     assert header == ("round,process,balance_before,paid_to,"
@@ -112,7 +105,7 @@ def test_bad_initial_allocation_is_refused():
 
 def test_silent_corrupted_holder_cannot_break_conservation():
     # process 2 holds a unit and never spends; books must stay consistent
-    bank = Bank(6, 1, _spread(6, 3), corrupted=frozenset({2}),
+    bank = Bank(6, 1, deal(6, 3), corrupted=frozenset({2}),
                 family="quorum")
     _drive(bank, 4, seed=5)
     assert bank.audit() == []
@@ -188,7 +181,7 @@ def checked_rounds(monkeypatch):
     ("quorum", 7, 2, 9, 12), ("cycle", 6, 1, 8, 12), ("cycle", 5, 0, 3, 20)])
 def test_book_matches_the_reference_scans(checked_rounds, family, N, f, V,
                                           rounds):
-    bank = Bank(N, f, _spread(N, V), family=family)
+    bank = Bank(N, f, deal(N, V), family=family)
     _drive(bank, rounds, seed=N + V)
     assert len(checked_rounds) == rounds
     assert bank.audit() == []
@@ -240,7 +233,7 @@ def _junk_run(phase, monkeypatch):
     junk under every nonce at step ``phase`` of each round; returns the
     bank and, per round, how many units were woken to pay."""
     wakes = _count_wakes(monkeypatch)
-    bank = Bank(6, 1, _spread(6, 8), corrupted=frozenset({0}),
+    bank = Bank(6, 1, deal(6, 8), corrupted=frozenset({0}),
                 adversary=_NonceJunk({0}, 6, 8, phase), family="cycle")
     rng = seeded_rng(6, 29)
     for _ in range(6):
@@ -298,7 +291,7 @@ def _keep_workloads():
     payment; returns what they produced."""
     banks = []
     for N, f, V, rounds in ((6, 1, 8, 12), (5, 0, 3, 20)):
-        bank = Bank(N, f, _spread(N, V), family="cycle")
+        bank = Bank(N, f, deal(N, V), family="cycle")
         _drive(bank, rounds, seed=N + V)
         banks.append(bank)
     original = Bank.__init__
@@ -317,7 +310,7 @@ def _keep_workloads():
     k, payer, payee, _ = path.legs[-1]
     restore = _withhold_chains(net.banks[k].hosts[net.positions[k][payer]],
                                net.positions[k][payee])
-    outcome = net.macro_payment(0, 8, path=path)
+    outcome = net.macro_payment(0, 8)
     restore()
     walkback = net.dispute_walkback(outcome)
     net.macro_payment(3, 10)
@@ -365,7 +358,7 @@ def test_late_acceptance_keeps_the_book_exact(checked_rounds):
     k, payer, payee, _ = path.legs[-1]
     pos_payer, pos_payee = net.positions[k][payer], net.positions[k][payee]
     restore = _withhold_chains(net.banks[k].hosts[pos_payer], pos_payee)
-    outcome = net.macro_payment(a, b, path=path)
+    outcome = net.macro_payment(a, b)
     restore()
     assert outcome.delivered_legs == len(path.legs) - 1 and not outcome.paid
     # the payee's instance takes the withheld chain during the dispute,

@@ -4,7 +4,10 @@ Every line is exactly one of: docstring (a line of a module, class or
 function docstring), blank, comment (a comment and nothing else) or code
 (any other line that a token of the program touches, a line of a
 multi-line string that is not a docstring included).  "Code lines" in
-ROADMAP.md mean the code column of this script.
+ROADMAP.md mean the code column of this script.  A last column, outside
+the line kinds, counts ``options``: the parameters with a default value of
+the public top-level functions, and of the public methods, ``__init__``
+included, of public top-level classes.
 
     python tools/linecount.py [DIR]
 
@@ -56,14 +59,34 @@ def count(source: str) -> dict[str, int]:
             "blank": len(blank - code - docs)}
 
 
+def options(source: str) -> int:
+    """The defaulted parameters of one module's public top-level functions
+    and of the public methods and ``__init__`` of its public classes."""
+    defs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            defs += [m for m in node.body
+                     if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and (m.name == "__init__" or not m.name.startswith("_"))]
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")):
+            defs.append(node)
+    return sum(len(d.args.defaults) + sum(v is not None for v in d.args.kw_defaults)
+               for d in defs)
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).parent.parent / "src" / "lockstep"
-    rows = {path.name: count(path.read_text()) for path in sorted(root.glob("*.py"))}
+    rows = {}
+    for path in sorted(root.glob("*.py")):
+        source = path.read_text()
+        rows[path.name] = {**count(source), "options": options(source)}
+    columns = (*COLUMNS, "options")
     rows["total"] = {column: sum(row[column] for row in rows.values())
-                     for column in COLUMNS}
-    print(f"{'module':<16}" + "".join(f"{column:>10}" for column in COLUMNS))
+                     for column in columns}
+    print(f"{'module':<16}" + "".join(f"{column:>10}" for column in columns))
     for name, row in rows.items():
-        print(f"{name:<16}" + "".join(f"{row[column]:>10}" for column in COLUMNS))
+        print(f"{name:<16}" + "".join(f"{row[column]:>10}" for column in columns))
     return 0
 
 

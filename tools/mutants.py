@@ -65,6 +65,22 @@ MUTANTS = (
            "return j if self.oracle.verify_all(pairs) else None", "return j"),
     Mutant("Q6", "marker.py", "_countersigns: intent signature dropped",
            "\n                    or not sm.verify_stack(self.oracle))", ")"),
+    Mutant("C2", "cyclecoin.py", "_vouch: >= w -> > w",
+           "over = [v for v in log if v >= w]", "over = [v for v in log if v > w]"),
+    Mutant("C3", "cyclecoin.py", "_vouch: the holder vouches",
+           "        if self.marked:\n            # the holder vouches for nothing",
+           "        if False:\n            # the holder vouches for nothing"),
+    Mutant("C4", "cyclecoin.py", "_on_chain: freshness dropped",
+           "fresh = w not in self.signed_log and w not in self.received_log",
+           "fresh = True"),
+    Mutant("C5", "cyclecoin.py", "assemble: deleted processes may sign x/y",
+           "if rec.signer != end or end in deleted:", "if rec.signer != end:"),
+    Mutant("C6", "cyclecoin.py", "_on_query: round check dropped",
+           "        if len(shape.groups) - 1 != r:\n            return []\n", ""),
+    Mutant("F1", "simnet.py", "CoalitionOracle.sign: forgery refusal dropped",
+           "        if signer not in self.corrupted:\n"
+           "            raise ForgeryViolation(\n", "        if False:\n"
+           "            raise ForgeryViolation(\n"),
 )
 
 
