@@ -16,8 +16,11 @@ can work is decided entirely by how the honest contact sets of the two
 payments overlap, so the gallery first measures those sets on honest
 reference runs and then replays them against the coalition.
 
-A gallery entry scripts its coalition as data: a :class:`ScriptAdversary`
-maps a step to a move, a function of the network that returns what the
+A gallery entry names its coalition once, in the
+:class:`~lockstep.simnet.SignatureOracle` of its run; the network hands
+that set to the adversary when it attaches, so no adversary is built with
+one.  It scripts the coalition as data: a :class:`ScriptAdversary` maps a
+step to a move, a function of the network that returns what the
 coalition sends at that step, and a :class:`SplitAdversary` plays such a
 script after its simulation worlds' traffic; a move that re-sends what
 the coalition sent reads it from the transcript of the steps before.
@@ -51,7 +54,7 @@ from lockstep.cyclecoin import (
     verify_payment_claim,
     wire,
 )
-from lockstep.consensus import run_dolev_strong
+from lockstep.consensus import LEADER, run_dolev_strong
 from lockstep.hopnet import (
     CheatPlan,
     HopNetwork,
@@ -125,11 +128,11 @@ def gallery_to_csv(results: list[AttackResult]) -> str:
 # broadcast attacks
 
 
-def _ds_audit(run, leader_value: int | None, corrupted: frozenset[int],
-              leader: int) -> list[str]:
+def _ds_audit(run, leader_value: int | None) -> list[str]:
     """Consistency, validity and termination of one broadcast run;
     termination means every honest process, and no other, decided."""
     violations = []
+    corrupted = run.net.corrupted
     honest = set(range(run.net.N)) - corrupted
     if set(run.decisions) != honest:
         violations.append(f"decisions from {sorted(run.decisions)}, "
@@ -138,7 +141,7 @@ def _ds_audit(run, leader_value: int | None, corrupted: frozenset[int],
                 for n in run.decisions}
     if len(set(outcomes.values())) > 1:
         violations.append(f"inconsistent decisions {outcomes}")
-    if leader not in corrupted:
+    if LEADER not in corrupted:
         for n, (value, fault) in outcomes.items():
             if fault or value != leader_value:
                 violations.append(
@@ -151,17 +154,14 @@ class ScriptedDSAdversary(Adversary):
     """Plays a fixed table of per step, per recipient actions.
 
     Action 0 sends nothing.  Action k sends the coalition's best chain
-    for value k-1: anchored at the coalition leader's own signature when
-    the leader is corrupted, otherwise grown from an observed leader
-    chain, and extended by coalition signers toward the length that will
-    be proper on delivery.  Chains that cannot reach proper length are
-    sent anyway; rejecting them is part of what the run exercises.
+    for value k-1: anchored at the leader's own signature when the
+    leader is corrupted, otherwise grown from an observed leader chain,
+    and extended by coalition signers toward the length that will be
+    proper on delivery.  Chains that cannot reach proper length are sent
+    anyway; rejecting them is part of what the run exercises.
     """
 
-    def __init__(self, corrupted: frozenset[int], leader: int,
-                 script: dict[tuple[int, int], int]):
-        self.corrupted = frozenset(corrupted)
-        self.leader = leader
+    def __init__(self, script: dict[tuple[int, int], int]):
         self._actions: dict[int, list[tuple[int, int]]] = {}
         for (step, recipient), action in sorted(script.items()):
             if action:
@@ -182,7 +182,7 @@ class ScriptedDSAdversary(Adversary):
             except CodecError:
                 continue
             signers = sm.signers
-            if signers[:1] == (self.leader,) and len(set(signers)) == len(signers):
+            if signers[:1] == (LEADER,) and len(set(signers)) == len(signers):
                 insort(self._candidates.setdefault(sm.payload, []),
                        (-len(signers), self._arrivals, sm))
         return next((sm for _, _, sm in self._candidates.get(value, ())
@@ -193,12 +193,12 @@ class ScriptedDSAdversary(Adversary):
         corrupted leader depends on ``value`` and ``want_len`` alone, so it
         is built and signed once: the registry only grows, so signing the
         same contents again would change nothing."""
-        forged = self.leader in self.corrupted
+        forged = LEADER in self.corrupted
         if forged and (value, want_len) in self._forged:
             return self._forged[value, want_len]
         shadow = CoalitionOracle(net.oracle)
         if forged:
-            sm = SignedMessage(value).signed_by(shadow, self.leader)
+            sm = SignedMessage(value).signed_by(shadow, LEADER)
         else:
             sm = self._best_observed(value, net)
         if sm is None:
@@ -236,7 +236,7 @@ class DSCase:
 
 
 def enumerate_ds_cases(N: int, f: int) -> Iterator[DSCase]:
-    """Every scripted coalition at this size, against leader 0.
+    """Every scripted coalition at this size, against :data:`LEADER`.
 
     Single corrupted sets are enumerated for f=1 and pairs for f=2.  The
     action table covers each useful (send step, honest recipient) slot
@@ -246,24 +246,30 @@ def enumerate_ds_cases(N: int, f: int) -> Iterator[DSCase]:
     """
     for members in combinations(range(N), f):
         corrupted = frozenset(members)
-        first = 0 if 0 in corrupted else 1
+        first = 0 if LEADER in corrupted else 1
         slots = [(t, r) for t in range(first, f + 2)
                  for r in sorted(set(range(N)) - corrupted)]
-        inputs = (None,) if 0 in corrupted else (0, 1)
+        inputs = (None,) if LEADER in corrupted else (0, 1)
         for leader_value in inputs:
             for actions in product(range(3), repeat=len(slots)):
                 script = {slot: a for slot, a in zip(slots, actions) if a}
                 yield DSCase(N, f, corrupted, leader_value, script)
 
 
+def _ds_attack(name: str, N: int, f: int, corrupted: frozenset[int],
+               leader_value: int | None, adversary: Adversary,
+               details: str) -> AttackResult:
+    """Run one broadcast against ``adversary`` and audit it."""
+    run = run_dolev_strong(N, f, leader_value, corrupted=corrupted,
+                           adversary=adversary)
+    return AttackResult(name, "broadcast", N, f,
+                        tuple(_ds_audit(run, leader_value)), details=details)
+
+
 def run_ds_case(case: DSCase) -> AttackResult:
-    adversary = ScriptedDSAdversary(case.corrupted, 0, case.script)
-    run = run_dolev_strong(case.N, case.f, case.leader_value,
-                           corrupted=case.corrupted, adversary=adversary)
-    violations = _ds_audit(run, case.leader_value, case.corrupted, 0)
-    return AttackResult("broadcast-scripted", "broadcast", case.N, case.f,
-                        tuple(violations),
-                        details=f"corrupted={sorted(case.corrupted)}")
+    return _ds_attack("broadcast-scripted", case.N, case.f, case.corrupted,
+                      case.leader_value, ScriptedDSAdversary(case.script),
+                      f"corrupted={sorted(case.corrupted)}")
 
 
 class RandomDSAdversary(ScriptedDSAdversary):
@@ -276,8 +282,8 @@ class RandomDSAdversary(ScriptedDSAdversary):
     built the same way; it draws its actions instead of reading a table.
     """
 
-    def __init__(self, corrupted: frozenset[int], leader: int, seed: int):
-        super().__init__(corrupted, leader, {})
+    def __init__(self, seed: int):
+        super().__init__({})
         self.rng = seeded_rng(seed, 11)
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
@@ -307,18 +313,14 @@ class RandomDSAdversary(ScriptedDSAdversary):
 
 
 def random_ds_case(seed: int, *, N: int = 6, f: int = 2) -> AttackResult:
-    """One seeded random broadcast attack against leader 0; corrupted set
-    and leader input are drawn from the seed as well."""
+    """One seeded random broadcast attack against :data:`LEADER`;
+    corrupted set and leader input are drawn from the seed as well."""
     rng = seeded_rng(seed, 7)
     members = rng.choice(N, size=f, replace=False)
     corrupted = frozenset(int(m) for m in members)
-    leader_value = None if 0 in corrupted else int(rng.integers(2))
-    adversary = RandomDSAdversary(corrupted, 0, seed)
-    run = run_dolev_strong(N, f, leader_value, corrupted=corrupted,
-                           adversary=adversary)
-    violations = _ds_audit(run, leader_value, corrupted, 0)
-    return AttackResult("broadcast-random", "broadcast", N, f,
-                        tuple(violations), details=f"seed={seed}")
+    leader_value = None if LEADER in corrupted else int(rng.integers(2))
+    return _ds_attack("broadcast-random", N, f, corrupted, leader_value,
+                      RandomDSAdversary(seed), f"seed={seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +352,8 @@ class ScriptAdversary(Adversary):
     A move runs when its step does, so it signs and reads the network as
     it is at that step."""
 
-    def __init__(self, corrupted: frozenset[int],
+    def __init__(self,
                  script: dict[int, Callable[[Network], list[tuple[int, Send]]]]):
-        self.corrupted = frozenset(corrupted)
         self.script = script
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
@@ -374,9 +375,8 @@ class SplitAdversary(ScriptAdversary):
     every send of the steps before the current one.
     """
 
-    def __init__(self, corrupted: frozenset[int], worlds: list[SimWorld],
-                 script: dict | None = None):
-        super().__init__(corrupted, {} if script is None else script)
+    def __init__(self, worlds: list[SimWorld], script: dict | None = None):
+        super().__init__({} if script is None else script)
         self.worlds = worlds
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
@@ -412,11 +412,8 @@ class JunkAdversary(Adversary):
     generator state after the step are those of one draw per recipient.
     """
 
-    def __init__(self, corrupted: frozenset[int], N: int,
-                 rng: np.random.Generator, size: int,
+    def __init__(self, rng: np.random.Generator, size: int,
                  extra: tuple[bytes, ...] = ()):
-        self.corrupted = frozenset(corrupted)
-        self.honest = [n for n in range(N) if n not in self.corrupted]
         self.rng = rng
         self.size = size
         self.stride = -(-size // 4) * 4
@@ -424,10 +421,11 @@ class JunkAdversary(Adversary):
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
         sender, size, stride = min(self.corrupted), self.size, self.stride
-        blobs = self.rng.integers(0, 256, size=stride * len(self.honest),
+        honest = [n for n in range(net.N) if n not in self.corrupted]
+        blobs = self.rng.integers(0, 256, size=stride * len(honest),
                                   dtype=np.uint8).tobytes()
         return [(sender, Send(recipient, payload))
-                for k, recipient in enumerate(self.honest)
+                for k, recipient in enumerate(honest)
                 for payload in (blobs[stride * k:stride * k + size],
                                 *self.extra)]
 
@@ -568,8 +566,7 @@ def split_double_spend(family: str, N: int, f: int, payer: int,
         raise ConfigFault("need a payer and two distinct targets")
     x1 = x_set(family, N, f, payer, n1)
     x2 = x_set(family, N, f, payer, n2)
-    chosen = frozenset((x1 & x2) | {payer}) if coalition is None \
-        else frozenset(coalition)
+    chosen = (x1 & x2) | {payer} if coalition is None else coalition
     if len(chosen) > f or (coalition is None and not chosen.isdisjoint((n1, n2))):
         # over budget, or the contact sets only meet through a target:
         # either way the two world construction does not apply
@@ -579,9 +576,8 @@ def split_double_spend(family: str, N: int, f: int, payer: int,
     oracle = SignatureOracle(chosen)
     worlds = [_coalition_world(family, N, f, oracle, payer, target, feed)
               for target, feed in ((n1, x1 - chosen), (n2, x2 - chosen))]
-    adversary = SplitAdversary(chosen, worlds)
-    system = MarkerSystem(FAMILIES[family], N, f, chosen, adversary, payer,
-                          oracle)
+    system = MarkerSystem(FAMILIES[family], N, f, oracle,
+                          SplitAdversary(worlds), payer)
     markings = system.run_round({})
     honest = frozenset(range(N)) - chosen
     violations = check_marker_round(0, honest, markings, None, False, None)
@@ -645,8 +641,8 @@ def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
 
     # conflicting intents to two halves of the broadcaster set
     script = {0: _signed(_split_intents(0, N, f, (1, 2)))}
-    system = MarkerSystem(QMProcess, N, f, frozenset({0}),
-                          ScriptAdversary(frozenset({0}), script))
+    system = MarkerSystem(QMProcess, N, f, SignatureOracle(frozenset({0})),
+                          ScriptAdversary(script))
     violations = _audited_rounds(system, [{}])
     results.append(AttackResult("quorum-split-intents", "quorum", N, f,
                                 tuple(violations)))
@@ -654,8 +650,8 @@ def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
     # pay honestly, then replay the spent proof with a new round number
     script = {0: _signed([(0, b, intent_content(0, 0, 1, proof)) for b in casters]),
               3: _signed([(0, b, intent_content(1, 0, 2, proof)) for b in casters])}
-    system = MarkerSystem(QMProcess, N, f, frozenset({0}),
-                          ScriptAdversary(frozenset({0}), script))
+    system = MarkerSystem(QMProcess, N, f, SignatureOracle(frozenset({0})),
+                          ScriptAdversary(script))
     violations = _audited_rounds(system, [{}, {1: 3}])
     marked = [n for n in (2, 3) if system.procs[n].marked]
     if marked != [3]:
@@ -666,14 +662,14 @@ def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
     # corrupted broadcasters countersign a handoff that never happened
     crooked = frozenset(casters[-f:])
     fake = [(b, 1, receipt_content(0, 0, 1)) for b in sorted(crooked)]
-    system = MarkerSystem(QMProcess, N, f, crooked,
-                          ScriptAdversary(crooked, {1: _signed(fake)}))
+    system = MarkerSystem(QMProcess, N, f, SignatureOracle(crooked),
+                          ScriptAdversary({1: _signed(fake)}))
     violations = _audited_rounds(system, [{0: 2}])
     results.append(AttackResult("quorum-fake-receipts", "quorum", N, f,
                                 tuple(violations)))
 
     # corrupted holder that never spends: nothing may move
-    system = MarkerSystem(QMProcess, N, f, frozenset({0}))
+    system = MarkerSystem(QMProcess, N, f, SignatureOracle(frozenset({0})))
     violations = _audited_rounds(system, [{}, {}])
     results.append(AttackResult("quorum-silent-holder", "quorum", N, f,
                                 tuple(violations)))
@@ -697,18 +693,17 @@ def cycle_stale_replay(N: int, first_target: int) -> AttackResult:
     kept on the payer's forward arc so its route avoids the corrupted
     position; past the end of the arc it degrades to a self transfer.
     """
-    coalition = frozenset({0})
-    oracle = SignatureOracle(coalition)
+    oracle = SignatureOracle(frozenset({0}))
     world = _coalition_world("cycle", N, 0, oracle, 0, first_target,
-                             frozenset(range(N)) - coalition)
+                             frozenset(range(N)) - oracle.corrupted)
 
     def replay(net: Network) -> list[tuple[int, Send]]:
         return [(e.sender, Send(recipient, e.payload, e.signatures))
-                for e in net.transcript.events if e.sender in coalition
+                for e in net.transcript.events if e.sender in net.corrupted
                 for recipient in (e.recipient, (e.recipient + 1) % net.N)]
 
-    adversary = SplitAdversary(coalition, [world], {cycle_round_steps(N): replay})
-    system = MarkerSystem(CCProcess, N, 0, coalition, adversary, 0, oracle)
+    adversary = SplitAdversary([world], {cycle_round_steps(N): replay})
+    system = MarkerSystem(CCProcess, N, 0, oracle, adversary)
     follow_up = first_target + 1 if first_target + 1 < N else first_target
     violations = _audited_rounds(system, [{}, {first_target: follow_up}])
     stray = [m for m in system.procs[first_target].markings
@@ -730,10 +725,9 @@ def cycle_equal_weight(N: int) -> AttackResult:
     """
     if N < 4:
         raise ConfigFault("the equal weight forgery needs at least four processes")
-    coalition = frozenset({0, 1})
-    oracle = SignatureOracle(coalition)
+    oracle = SignatureOracle(frozenset({0, 1}))
     world = _coalition_world("cycle", N, 0, oracle, 0, 2,
-                             frozenset(range(N)) - coalition)
+                             frozenset(range(N)) - oracle.corrupted)
     forged: list[tuple[Record, ...]] = []
 
     def rival(net: Network) -> list[tuple[int, Send]]:
@@ -745,9 +739,8 @@ def cycle_equal_weight(N: int) -> AttackResult:
         forged.append(records)
         return [(0, Send(2, wire(KIND_CHAIN, records)))]
 
-    adversary = SplitAdversary(coalition, [world],
-                               {cycle_round_steps(N): rival})
-    system = MarkerSystem(CCProcess, N, 0, coalition, adversary, 0, oracle)
+    adversary = SplitAdversary([world], {cycle_round_steps(N): rival})
+    system = MarkerSystem(CCProcess, N, 0, oracle, adversary)
     violations = _audited_rounds(system, [{}, {2: 3}])
     target = system.procs[2]
     if [m for m in target.markings if m.round == 1]:
@@ -765,7 +758,7 @@ def cycle_silent_responder(N: int, f: int, target: int,
     The payment must complete anyway and every honest process must agree
     the silent process is gone from the cycle.
     """
-    system = MarkerSystem(PoRProcess, N, f, frozenset({silent}))
+    system = MarkerSystem(PoRProcess, N, f, SignatureOracle(frozenset({silent})))
     violations = _audited_rounds(system, [{0: target}])
     honest = [n for n in range(N) if n != silent]
     for n in honest:
@@ -780,10 +773,9 @@ _EMPTY_QUERY = wire(KIND_QUERY, ())
 
 def cycle_junk(N: int, seed: int) -> AttackResult:
     """A corrupted bystander floods garbage while honest handoffs run."""
-    coalition = frozenset({N - 1})
-    flood = JunkAdversary(coalition, N, seeded_rng(seed, 13), 12,
-                          extra=(_EMPTY_QUERY,))
-    system = MarkerSystem(CCProcess, N, 0, coalition, flood)
+    flood = JunkAdversary(seeded_rng(seed, 13), 12, extra=(_EMPTY_QUERY,))
+    system = MarkerSystem(CCProcess, N, 0, SignatureOracle(frozenset({N - 1})),
+                          flood)
     violations = _audited_rounds(system, [{0: 1}, {1: 2}])
     return AttackResult("cycle-junk", "cycle", N, 1, tuple(violations),
                         details=f"seed={seed}")
@@ -859,16 +851,12 @@ def random_cycle_attack(seed: int, N: int = 8) -> AttackResult:
 class BankReplayAdversary(Adversary):
     """Echoes everything delivered to the coalition back into the bank."""
 
-    def __init__(self, corrupted: frozenset[int], N: int):
-        self.corrupted = frozenset(corrupted)
-        self.N = N
-
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
         out = []
         sender = min(self.corrupted)
         for obs in self.heard(net):
             out.append((sender, Send(obs.sender, obs.payload)))
-            out.append((sender, Send((obs.sender + 1) % self.N, obs.payload)))
+            out.append((sender, Send((obs.sender + 1) % net.N, obs.payload)))
         return out
 
 
@@ -922,19 +910,18 @@ def bank_gallery(family: str, N: int, f: int, V: int, K: int,
     corrupted = frozenset({0})
     for salt, (name, adversary) in enumerate((
             ("bank-silent-holder", None),
-            ("bank-junk", JunkAdversary(corrupted, N, seeded_rng(seed, 17),
-                                        10)),
-            ("bank-replay", BankReplayAdversary(corrupted, N))), start=2):
-        bank = Bank(N, f, initial, corrupted=corrupted, adversary=adversary,
-                    family=family)
+            ("bank-junk", JunkAdversary(seeded_rng(seed, 17), 10)),
+            ("bank-replay", BankReplayAdversary())), start=2):
+        bank = Bank(N, f, initial, SignatureOracle(corrupted), adversary,
+                    family)
         results.append(AttackResult(name, family, N, f,
                                     tuple(background(bank, K, salt))))
 
     if family == "quorum" and initial[0] > 0 and N >= 3:
-        adversary = ScriptAdversary(corrupted, {0: _signed(
+        adversary = ScriptAdversary({0: _signed(
             _split_intents(0, N, f, (1, 2)), nonce_for(0))})
-        bank = Bank(N, f, initial, corrupted=corrupted, adversary=adversary,
-                    family=family)
+        bank = Bank(N, f, initial, SignatureOracle(corrupted), adversary,
+                    family)
         problems = background(bank, K, 5)
         minted = [n for n in (1, 2) if bank.unit(n, 0).marked]
         if len(minted) > 1:

@@ -24,7 +24,6 @@ from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from lockstep.adversary import (
     _audited_rounds,
@@ -166,7 +165,7 @@ def _net_outputs(net, numbers: dict, violations: list,
 def _run_broadcast(cfg: dict):
     value = int(seeded_rng(cfg["seed"], 1).integers(2))
     run = run_dolev_strong(cfg["n"], cfg["f"], value)
-    violations = _ds_audit(run, value, frozenset(), 0)
+    violations = _ds_audit(run, value)
     numbers = {
         "leader_value": value,
         "decisions": {str(n): v for n, v in sorted(run.decisions.items())},
@@ -320,6 +319,8 @@ def _sweep_quorum(cfg: dict):
 
 
 def _sweep_cycle(cfg: dict):
+    # scipy.optimize is a slow import that only the two fitting sweeps need
+    from scipy.optimize import curve_fit
     cells = list(range(6, cfg["n"] + 1, 2))
     if len(cells) < 2:
         raise ConfigFault(f"sweep cycle fits two parameters, so it needs "
@@ -334,6 +335,7 @@ def _sweep_cycle(cfg: dict):
 
 
 def _sweep_hopnet(cfg: dict):
+    from scipy.optimize import curve_fit
     sizes = []
     N = 8
     while N <= cfg["n"]:

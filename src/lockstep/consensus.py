@@ -39,6 +39,10 @@ from lockstep.simnet import (
 # relay broadcast
 
 
+# the leader of every single broadcast run
+LEADER = 0
+
+
 def parse_int_payload(payload: bytes) -> int:
     reader = ByteReader(payload)
     value = reader.read_int()
@@ -159,7 +163,7 @@ def _run_processes(N: int, last_step: int, make, corrupted: frozenset[int],
     honest process decides, by id, and the network."""
     oracle = SignatureOracle(corrupted)
     procs = [make(n, oracle) for n in range(N)]
-    net = Network(procs, corrupted, adversary, oracle)
+    net = Network(procs, oracle, adversary)
     net.run_until(last_step)
     return {n: procs[n].decide() for n in range(N) if n not in corrupted}, net
 
@@ -175,17 +179,16 @@ class BroadcastRun:
 def run_dolev_strong(N: int, f: int, leader_value: int | None, *,
                      corrupted: frozenset[int] = frozenset(),
                      adversary=None) -> BroadcastRun:
-    """One broadcast led by process 0."""
-    leader = 0
+    """One broadcast led by :data:`LEADER`."""
     if not 0 <= f <= N - 2:
         raise ConfigFault(f"need f+1 relays among N-1 non leaders, got N={N} f={f}")
-    if leader not in corrupted and leader_value is None:
+    if LEADER not in corrupted and leader_value is None:
         raise ConfigFault("honest leader needs an input value")
     wire_value = None if leader_value is None else enc_int(leader_value)
     outcomes, net = _run_processes(
         N, f + 2,
-        lambda n, oracle: DSProcess(n, N, f, leader,
-                                    wire_value if n == leader else None,
+        lambda n, oracle: DSProcess(n, N, f, LEADER,
+                                    wire_value if n == LEADER else None,
                                     oracle),
         corrupted, adversary)
     decisions = {n: value for n, (value, _) in outcomes.items()}
@@ -436,16 +439,15 @@ class BBFromBAProcess(Process):
 
 def run_bb_from_ba(N: int, f: int, leader_value: int | None, *,
                    corrupted: frozenset[int] = frozenset()) -> BroadcastRun:
-    """One broadcast from agreement, led by process 0."""
-    leader = 0
+    """One broadcast from agreement, led by :data:`LEADER`."""
     if not 3 * f < N:
         raise ConfigFault(f"the wrapped agreement needs 3f < N, got N={N} f={f}")
-    if leader not in corrupted and leader_value is None:
+    if LEADER not in corrupted and leader_value is None:
         raise ConfigFault("honest leader needs an input value")
     decisions, net = _run_processes(
         N, bb_from_ba_steps(f) - 1,
         lambda n, oracle: BBFromBAProcess(
-            n, N, f, leader, leader_value if n == leader else None,
+            n, N, f, LEADER, leader_value if n == LEADER else None,
             TurpinCoanProcess(n, N, f, None, MajorityBAHost(n, N, f, oracle)),
             oracle),
         corrupted)

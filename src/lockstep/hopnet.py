@@ -366,7 +366,8 @@ CHEAT_DENY = "deny"
 @dataclass(frozen=True)
 class CheatPlan:
     """One planted misbehaviour: ``position`` indexes the route's
-    participants with 1..Z the intermediaries and Z+1 the payee."""
+    participants with 1..Z the intermediaries and Z+1 the payee.  Only
+    an intermediary keeps or forges, and only the payee denies."""
 
     position: int
     mode: str
@@ -401,7 +402,7 @@ class HopNetwork:
                                for cycle in self.cycles)
         self.banks = [Bank(self.N, 0, [1] * self.N, family="cycle")
                       for _ in self.cycles]
-        self.oracle = SignatureOracle(frozenset())
+        self.oracle = SignatureOracle()
         self.macro_index = 0
         self.micro_rounds = 2 * max(1, graph_diameter(unspent_graph(cycleset)))
         self.outcomes: list[MacroOutcome] = []
@@ -440,6 +441,12 @@ class HopNetwork:
         legs = path.legs
         if len(legs) > self.micro_rounds:
             raise ConfigFault("route needs more micro rounds than budgeted")
+        if cheat is not None and not (
+                (cheat.mode in (CHEAT_KEEP, CHEAT_FORGE)
+                 and 1 <= cheat.position < len(legs))
+                or (cheat.mode == CHEAT_DENY and cheat.position == len(legs))):
+            raise ConfigFault(f"cheat plan {cheat} does not fit a route of "
+                              f"{len(legs)} legs")
         chain = [a] + list(path.intermediaries) + [b]
         promises = []
         for j in range(1, len(legs)):

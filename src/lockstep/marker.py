@@ -177,20 +177,21 @@ class MarkerProcess(Process):
 
 class MarkerSystem:
     """Driver for one persistent marker instance; ``family`` is the
-    process class of the construction."""
+    process class of the construction.  The corrupted processes are those
+    of ``oracle`` (by default a fresh oracle with none), and ``adversary``
+    speaks for them."""
 
     def __init__(self, family: type[MarkerProcess], N: int, f: int = 0,
-                 corrupted: frozenset[int] = frozenset(), adversary=None,
-                 genesis_holder: int = 0,
-                 oracle: SignatureOracle | None = None):
+                 oracle: SignatureOracle | None = None, adversary=None,
+                 genesis_holder: int = 0):
         family.check(N, f)
         self.N = N
         self.f = f
-        self.corrupted = frozenset(corrupted)
         if oracle is None:
-            oracle = SignatureOracle(self.corrupted)
+            oracle = SignatureOracle()
         self.procs = [family(n, N, f, oracle, genesis_holder) for n in range(N)]
-        self.net = Network(self.procs, self.corrupted, adversary, oracle)
+        self.net = Network(self.procs, oracle, adversary)
+        self.corrupted = self.net.corrupted
         self.round_steps = family.steps(N, f)
         self.round_index = 0
 

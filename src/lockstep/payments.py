@@ -96,12 +96,13 @@ class Bank:
     ``initial`` gives the opening balance of each process; unit v starts
     with the v-th holder in ascending process order.  ``family`` picks
     the marking machinery, quorum countersigning or signature chains.
+    The corrupted processes are those of ``oracle`` (by default a fresh
+    oracle with none), and ``adversary`` speaks for them.
     """
 
     def __init__(self, N: int, f: int, initial: list[int] | tuple[int, ...],
-                 corrupted: frozenset[int] = frozenset(), adversary=None,
-                 family: str = "quorum",
-                 oracle: SignatureOracle | None = None):
+                 oracle: SignatureOracle | None = None, adversary=None,
+                 family: str = "quorum"):
         if family not in FAMILIES:
             raise ConfigFault(f"unknown marking family {family!r}")
         if len(initial) != N or any(v < 0 for v in initial):
@@ -111,15 +112,15 @@ class Bank:
         self.N = N
         self.f = f
         self.family = family
-        self.corrupted = frozenset(corrupted)
+        if oracle is None:
+            oracle = SignatureOracle()
+        self.oracle = oracle
+        self.corrupted = oracle.corrupted
         self.honest = frozenset(range(N)) - self.corrupted
         self.initial = tuple(initial)
         self.supply = sum(initial)
         self.holders0 = tuple(n for n in range(N) for _ in range(initial[n]))
         self.nonces = tuple(nonce_for(v) for v in range(self.supply))
-        if oracle is None:
-            oracle = SignatureOracle(self.corrupted)
-        self.oracle = oracle
         self.steps_per_round = process.steps(N, f)
         self.hosts = [
             MuxHost(n, {nonce: process(n, N, f, ScopedOracle(oracle, nonce),
@@ -127,7 +128,7 @@ class Bank:
                         for v, nonce in enumerate(self.nonces)})
             for n in range(N)
         ]
-        self.net = Network(self.hosts, self.corrupted, adversary, oracle)
+        self.net = Network(self.hosts, oracle, adversary)
         self.round_index = 0
         self.history: list[BankRound] = []
         # the units each host's instances hold, refreshed from the

@@ -10,6 +10,10 @@ never the honest messages currently in flight.
 
 Signatures are modelled as an oracle that remembers every (signer, content)
 pair it has issued.  Verification succeeds exactly on remembered pairs.
+The oracle also names the run's coalition: ``SignatureOracle(corrupted)``
+is the one place a run states which processes are corrupted.  A
+:class:`Network` reads the set from its oracle and hands it to its
+adversary when the adversary attaches, so neither restates it.
 Honest code signs for itself through a plain :class:`SignatureOracle`;
 adversarial code signs through one view, :class:`CoalitionOracle`, whose
 ``sign`` is the one place that refuses a signature for an honest process,
@@ -193,11 +197,12 @@ def tag_pairs(pairs: frozenset[tuple[int, bytes]],
 
 
 class SignatureOracle:
-    """Registry of issued signatures.
+    """Registry of issued signatures, and the name of the run's coalition.
 
     A signature is the fact that (signer, content) was registered.  Honest
     code registers through :meth:`sign`, which signs for anyone; adversarial
-    code must sign through a :class:`CoalitionOracle` over this registry.
+    code must sign through a :class:`CoalitionOracle` over this registry,
+    which signs only for the processes in ``corrupted``.
     """
 
     def __init__(self, corrupted: frozenset[int] = frozenset()):
@@ -412,7 +417,9 @@ class Adversary:
     ``act`` runs once per executed step and returns (sender, Send) pairs on
     behalf of corrupted processes.  It may inspect ``net.observed``, the
     archive of everything delivered to corrupted processes so far, or read
-    it through :meth:`heard`.
+    it through :meth:`heard`.  ``corrupted`` is the coalition it speaks
+    for, which the network sets from its oracle when the adversary
+    attaches.
     """
 
     corrupted: frozenset[int] = frozenset()
@@ -507,17 +514,20 @@ class Network:
     The sends one sender makes in a step are posted in one pass: the next
     step's inboxes and the round's counters are looked up once, and each
     message costs its transcript event, its counts and its delivery.
+    The corrupted processes are those of ``oracle`` (by default a fresh
+    oracle with none), and ``adversary`` speaks for exactly them.
     """
 
     def __init__(self, processes: list[Process],
-                 corrupted: frozenset[int] = frozenset(),
-                 adversary: Adversary | None = None,
-                 oracle: SignatureOracle | None = None):
+                 oracle: SignatureOracle | None = None,
+                 adversary: Adversary | None = None):
         self.processes = processes
         self.N = len(processes)
-        self.corrupted = frozenset(corrupted)
+        self.oracle = oracle if oracle is not None else SignatureOracle()
+        self.corrupted = self.oracle.corrupted
         self.adversary = adversary
-        self.oracle = oracle if oracle is not None else SignatureOracle(self.corrupted)
+        if adversary is not None:
+            adversary.corrupted = self.corrupted
         self.round = 0
         self.now = 0
         self.transcript = Transcript()
@@ -531,8 +541,6 @@ class Network:
         for p in processes:
             if p.n not in self.corrupted:
                 p.register_wakes()
-        if adversary is not None and not adversary.corrupted <= self.corrupted:
-            raise ConfigFault("adversary controls ids outside the corrupted set")
 
     # -- scheduling ---------------------------------------------------------
 

@@ -31,7 +31,7 @@ from lockstep.adversary import (
     AttackResult,
 )
 from lockstep import marker
-from lockstep.consensus import inspect_proper, run_dolev_strong
+from lockstep.consensus import LEADER, inspect_proper, run_dolev_strong
 from lockstep.cyclecoin import KIND_QUERY, cycle_round_steps, wire
 from lockstep.hopnet import HopNetwork, gen_binary_search_pair, shortest_hop_path
 from lockstep.payments import Bank
@@ -81,12 +81,11 @@ def test_scripted_broadcast_enumeration_shape():
 
 
 def test_a_run_missing_an_honest_decision_is_flagged():
-    corrupted = frozenset({3})
-    run = run_dolev_strong(5, 1, 1, corrupted=corrupted)
-    assert _ds_audit(run, 1, corrupted, 0) == []
+    run = run_dolev_strong(5, 1, 1, corrupted=frozenset({3}))
+    assert _ds_audit(run, 1) == []
     dropped = dataclasses.replace(
         run, decisions={n: v for n, v in run.decisions.items() if n != 2})
-    assert _ds_audit(dropped, 1, corrupted, 0) == [
+    assert _ds_audit(dropped, 1) == [
         "decisions from [0, 1, 4], not from the honest [0, 1, 2, 4]"]
 
 
@@ -101,7 +100,7 @@ def _full_scan(adversary, value, net):
     equals, from a scan of everything observed."""
     best = None
     for obs in net.observed:
-        cand = inspect_proper(obs.payload, adversary.leader, net.oracle)
+        cand = inspect_proper(obs.payload, LEADER, net.oracle)
         if cand is None or cand.payload != value:
             continue
         if best is None or len(cand.stack) > len(best.stack):
@@ -142,7 +141,9 @@ def test_the_cursor_skips_chains_that_are_not_proper_and_keeps_no_verdict():
     oracle, elsewhere = SignatureOracle(), SignatureOracle()
     net = _Watched(oracle)
     value = simnet.enc_int(0)
-    adversary = ScriptedDSAdversary(frozenset({3}), 0, {})
+    adversary = ScriptedDSAdversary({})
+    # no network attaches it, so it is handed its coalition here
+    adversary.corrupted = frozenset({3})
     root = simnet.SignedMessage(value).signed_by(oracle, 0)
     short = root.signed_by(oracle, 1)
     unsigned = short.signed_by(oracle, 2).signed_by(elsewhere, 4)
@@ -183,7 +184,7 @@ def test_a_forged_chain_built_once_sends_and_signs_what_rebuilding_does(
     per adversary; rebuilding it for every recipient sends the same bytes
     and leaves the same registry."""
     cases = [case for case in list(enumerate_ds_cases(4, 2))[::41]
-             if 0 in case.corrupted]
+             if LEADER in case.corrupted]
     seeds = range(0, 300, 3)
     built = _built_networks(monkeypatch)
     signed_by, chain = simnet.SignedMessage.signed_by, ScriptedDSAdversary._chain
@@ -264,8 +265,9 @@ def test_a_script_adversary_sends_what_its_script_returns_at_its_steps_only():
             return list(moves[t])
         return play
 
-    adversary = ScriptAdversary(frozenset({2}), {t: move(t) for t in moves})
-    net = Network([Process(n) for n in range(3)], frozenset({2}), adversary)
+    adversary = ScriptAdversary({t: move(t) for t in moves})
+    net = Network([Process(n) for n in range(3)], SignatureOracle(frozenset({2})),
+                  adversary)
     net.run_until(6)
     assert [(e.step, e.sender, e.recipient, e.payload, e.signatures)
             for e in net.transcript.events] == [
@@ -294,10 +296,11 @@ def test_a_split_adversary_sends_its_worlds_traffic_before_its_script():
         kept.append([(e.step, e.payload) for e in net.transcript.events])
         return [(0, Send(1, b"script"))]
 
-    adversary = SplitAdversary(frozenset({0}), [world],
+    adversary = SplitAdversary([world],
                                {2: script_move,
                                 3: lambda net: [(0, Send(1, b"alone"))]})
-    net = Network([Process(0), Process(1)], frozenset({0}), adversary)
+    net = Network([Process(0), Process(1)], SignatureOracle(frozenset({0})),
+                  adversary)
     net.run_until(5)
     assert [(e.step, e.payload, e.signatures)
             for e in net.transcript.events] == [

@@ -1,6 +1,9 @@
 """Command line wrapper: outputs, reproducibility, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +109,17 @@ def test_gen_topology_builds_no_bank(tmp_path, monkeypatch):
     monkeypatch.setattr(Bank, "__init__", refuse)
     assert _run(["gen-topology", "--n", 12, "--seed", 3,
                  "--out", tmp_path / "topo"]) == 0
+
+
+def test_importing_the_cli_loads_no_curve_fitting():
+    """Only the fitting sweeps need ``scipy.optimize``, a slow import, so
+    every other command starts without it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lockstep.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_attack_csv_contract(tmp_path):

@@ -164,7 +164,8 @@ def test_response_enforcement_is_free_when_honest():
 
 def test_a_complaint_from_a_holder_other_than_zero_is_read():
     # the complaint instances are keyed by the complainer, here process 1
-    system = MarkerSystem(PoRProcess, 6, 1, frozenset({2}), genesis_holder=1)
+    system = MarkerSystem(PoRProcess, 6, 1, SignatureOracle(frozenset({2})),
+                          genesis_holder=1)
     markings = system.run_round({1: 4})
     assert [(m.target, m.predecessor) for m in markings] == [(4, 1)]
     assert [sorted(p.deleted) for p in system.procs] == \
@@ -177,7 +178,6 @@ class WithheldQuery(Adversary):
     heard nothing."""
 
     def __init__(self, N: int, f: int, oracle):
-        self.corrupted = frozenset({0})
         CoalitionOracle(oracle).sign(0, record_content((), TAG_BASE))
         self.N, self.f, self.oracle = N, f, oracle
         self.restart()
@@ -204,8 +204,7 @@ class WithheldQuery(Adversary):
 def _withheld_query_system(N: int = 5, f: int = 1):
     oracle = SignatureOracle(frozenset({0}))
     adversary = WithheldQuery(N, f, oracle)
-    system = MarkerSystem(PoRProcess, N, f, frozenset({0}), adversary,
-                          oracle=oracle)
+    system = MarkerSystem(PoRProcess, N, f, oracle, adversary)
     return system, adversary
 
 
@@ -255,7 +254,6 @@ class BogusRefusal(Adversary):
     which proves nothing."""
 
     def __init__(self, N: int, f: int, oracle):
-        self.corrupted = frozenset({1})
         self.proc = PoRProcess(1, N, f, oracle)
         genesis = (Record(TAG_BASE, 0),)
 
@@ -280,8 +278,7 @@ def test_unjustified_refusal_deletes_the_accused():
     N, f = 5, 1
     oracle = SignatureOracle(frozenset({1}))
     adversary = BogusRefusal(N, f, oracle)
-    system = MarkerSystem(PoRProcess, N, f, frozenset({1}), adversary,
-                          oracle=oracle)
+    system = MarkerSystem(PoRProcess, N, f, oracle, adversary)
     markings = system.run_round({0: 3})
     # once to the dropped query, once to the complaint
     assert adversary.proc.refusals == [(0, 1, "bogus")] * 2

@@ -40,7 +40,7 @@ from lockstep.hopnet import (CHEAT_DENY, CHEAT_FORGE, CHEAT_KEEP, CheatPlan,
                              HopNetwork, gen_random_cycles)
 from lockstep.marker import MarkerSystem
 from lockstep.payments import Bank
-from lockstep.simnet import enc_bytes, enc_int
+from lockstep.simnet import SignatureOracle, enc_bytes, enc_int
 
 CONFIGS = {
     **{f"run-{protocol}": dict(command="run", protocol=protocol, n=7, f=2,
@@ -203,7 +203,7 @@ def test_cycle_bank_signs_the_pinned_contents():
 
 
 def test_response_enforcement_signs_the_pinned_contents():
-    system = MarkerSystem(PoRProcess, 6, 1, frozenset({2}))
+    system = MarkerSystem(PoRProcess, 6, 1, SignatureOracle(frozenset({2})))
     system.run_round({0: 4})
     system.run_round({4: 3})
     assert [sorted(p.deleted) for p in system.procs] == [[2]] * 2 + [[]] + [[2]] * 3

@@ -180,6 +180,22 @@ def test_walkback_exposes_a_lying_payee():
     assert trace[0][3] == TRACE_PAID
 
 
+@pytest.mark.parametrize("plan", [
+    CheatPlan(0, CHEAT_KEEP), CheatPlan(2, CHEAT_KEEP), CheatPlan(9, CHEAT_KEEP),
+    CheatPlan(2, CHEAT_FORGE), CheatPlan(1, CHEAT_DENY), CheatPlan(3, CHEAT_DENY),
+    CheatPlan(1, "steal")],
+    ids=["keep-at-payer", "keep-at-payee", "keep-off-route", "forge-at-payee",
+         "deny-at-intermediary", "deny-off-route", "unknown-mode"])
+def test_a_cheat_plan_that_does_not_fit_the_route_is_refused(plan):
+    """Only an intermediary (1..Z) keeps or forges and only the payee
+    (Z+1) denies; any other plan is refused before the round runs."""
+    net, (a, b), path = _cheat_route()
+    assert len(path.legs) == 2
+    with pytest.raises(ConfigFault, match="does not fit"):
+        net.macro_payment(a, b, cheat=plan)
+    assert net.outcomes == [] and net.macro_index == 0
+
+
 def test_the_graph_reads_each_bank_once(monkeypatch):
     net = HopNetwork(gen_random_cycles(12, 2, seed=7))
     calls = []

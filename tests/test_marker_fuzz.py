@@ -59,6 +59,7 @@ from lockstep.simnet import (
     ProtocolFault,
     ScopedOracle,
     Send,
+    SignatureOracle,
     SignedMessage,
     split_payload,
     tag_payload,
@@ -79,7 +80,7 @@ CASES = {
 @functools.lru_cache(maxsize=None)
 def _recorded_round(family):
     N, f, corrupted, target = CASES[family]
-    system = MarkerSystem(family, N, f, corrupted)
+    system = MarkerSystem(family, N, f, SignatureOracle(corrupted))
     system.run_round({0: target})
     return system
 

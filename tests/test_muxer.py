@@ -45,7 +45,7 @@ def test_instances_stay_separated():
              MuxHost(1, {a: _Echo(1, 0)})]
     hosts[0].wake_instance(a, 0)
     hosts[0].wake_instance(b, 0)
-    net = Network(hosts, frozenset())
+    net = Network(hosts)
     net.run_until(2)
     heard = hosts[1].instances[a].heard
     # only the matching instance hears host 0, with the nonce stripped
@@ -70,7 +70,7 @@ def test_a_payload_sent_to_k_recipients_is_one_tagged_object():
     hosts = [MuxHost(0, {nonce: _Fanout(0, range(1, k + 1), payload)})]
     hosts[0].wake_instance(nonce, 0)
     hosts += [MuxHost(n, {nonce: _Echo(n, 0)}) for n in range(1, k + 1)]
-    net = Network(hosts, frozenset())
+    net = Network(hosts)
     net.run_until(2)
     sent = [e.payload for e in net.transcript.events]
     assert len(sent) == k and all(p is sent[0] for p in sent)
@@ -100,7 +100,7 @@ def test_unknown_nonce_is_dropped():
             return []
 
     listener = MuxHost(1, {known: _Echo(1, 0)})
-    net = Network([_Blaster(0), listener], frozenset())
+    net = Network([_Blaster(0), listener])
     net.run_until(2)
     assert listener.instances[known].heard == []
 
@@ -118,7 +118,7 @@ def test_mid_run_instance_wake():
             return []
 
     host = MuxHost(0, {nonce: _Counter(0)})
-    net = Network([host], frozenset())
+    net = Network([host])
     host.wake_instance(nonce, 2)
     net.run_until(4)
     assert host.instances[nonce].steps == [2]
@@ -152,7 +152,7 @@ def test_only_instances_with_work_are_stepped_in_nonce_order():
     host = MuxHost(1, {nonces[v]: _Logged(1, v, log) for v in names})
     for v, step in ((5, 2), (5, 4), (7, 4)):
         host.wake_instance(nonces[v], step)  # before the network attaches
-    net = Network([_Sender(0), host], frozenset())
+    net = Network([_Sender(0), host])
     host.wake_instance(nonces[4], 2)
     host.wake_instance(nonces[2], 3)
     host.wake_instance(nonces[5], 4)
@@ -163,7 +163,7 @@ def test_only_instances_with_work_are_stepped_in_nonce_order():
 def test_wake_for_an_unknown_nonce_steps_nothing():
     log = []
     host = MuxHost(0, {nonce_for(1): _Logged(0, 1, log)})
-    net = Network([host], frozenset())
+    net = Network([host])
     host.wake_instance(nonce_for(99), 2)
     net.run_until(4)
     assert log == []
@@ -186,7 +186,7 @@ def test_a_host_no_network_attaches_wakes_its_instances_from_the_static_map():
         def step(self, t, inbox):
             return nested.step(t - 2, inbox)
 
-    net = Network([_Parent(0)], frozenset())
+    net = Network([_Parent(0)])
     net.run_until(4)
     assert nested.net is None
     assert log == [(0, 1)]

@@ -11,7 +11,8 @@ from lockstep.marker import Marking
 from lockstep.muxer import MuxHost, nonce_for
 from lockstep.payments import Bank, deal
 from lockstep.simnet import (Adversary, ConfigFault, Network, Send,
-                             seeded_rng, split_payload, tag_payload)
+                             SignatureOracle, seeded_rng, split_payload,
+                             tag_payload)
 
 
 def _drive(bank, rounds, seed):
@@ -105,7 +106,7 @@ def test_bad_initial_allocation_is_refused():
 
 def test_silent_corrupted_holder_cannot_break_conservation():
     # process 2 holds a unit and never spends; books must stay consistent
-    bank = Bank(6, 1, deal(6, 3), corrupted=frozenset({2}),
+    bank = Bank(6, 1, deal(6, 3), SignatureOracle(frozenset({2})),
                 family="quorum")
     _drive(bank, 4, seed=5)
     assert bank.audit() == []
@@ -199,9 +200,7 @@ class _NonceJunk(Adversary):
     """Sends every honest host a junk payload under every unit nonce at
     step ``phase`` of every round, so it arrives one step later."""
 
-    def __init__(self, corrupted, N, supply, phase):
-        self.corrupted = frozenset(corrupted)
-        self.honest = sorted(set(range(N)) - self.corrupted)
+    def __init__(self, N, supply, phase):
         self.nonces = [nonce_for(v) for v in range(supply)]
         self.round_steps = cycle_round_steps(N)
         self.phase = phase
@@ -211,7 +210,8 @@ class _NonceJunk(Adversary):
             return []
         sender = min(self.corrupted)
         return [(sender, Send(n, tag_payload(b"junk", nonce)))
-                for n in self.honest for nonce in self.nonces]
+                for n in range(net.N) if n not in self.corrupted
+                for nonce in self.nonces]
 
 
 def _count_wakes(monkeypatch):
@@ -233,8 +233,8 @@ def _junk_run(phase, monkeypatch):
     junk under every nonce at step ``phase`` of each round; returns the
     bank and, per round, how many units were woken to pay."""
     wakes = _count_wakes(monkeypatch)
-    bank = Bank(6, 1, deal(6, 8), corrupted=frozenset({0}),
-                adversary=_NonceJunk({0}, 6, 8, phase), family="cycle")
+    bank = Bank(6, 1, deal(6, 8), SignatureOracle(frozenset({0})),
+                _NonceJunk(6, 8, phase), family="cycle")
     rng = seeded_rng(6, 29)
     for _ in range(6):
         plan = {}

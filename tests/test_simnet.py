@@ -446,7 +446,7 @@ class _Pinger(Process):
 
 def test_send_delivered_exactly_one_step_later():
     procs = [_Pinger(0, 1), _Pinger(1, 0)]
-    net = Network(procs, frozenset())
+    net = Network(procs)
     net.run_until(2)
     assert procs[0].arrivals == [(1, 1, enc_int(1))]
     assert procs[1].arrivals == [(1, 0, enc_int(0))]
@@ -454,15 +454,13 @@ def test_send_delivered_exactly_one_step_later():
 
 def test_metrics_count_honest_sends_only():
     class _Noise(Adversary):
-        corrupted = frozenset({1})
-
         def act(self, t, net):
             if t == 0:
                 return [(1, Send(0, b"junk", 5))]
             return []
 
     procs = [_Pinger(0, 1), _Pinger(1, 0)]
-    net = Network(procs, frozenset({1}), _Noise())
+    net = Network(procs, SignatureOracle(frozenset({1})), _Noise())
     net.run_until(2)
     assert net.metrics.messages() == 1
     assert net.metrics.signatures() == 1
@@ -472,7 +470,7 @@ def test_metrics_count_honest_sends_only():
 
 def test_corrupted_inbox_is_observed():
     procs = [_Pinger(0, 1), _Pinger(1, 0)]
-    net = Network(procs, frozenset({1}), Adversary())
+    net = Network(procs, SignatureOracle(frozenset({1})), Adversary())
     net.run_until(2)
     seen = [(o.recipient, o.sender, o.payload) for o in net.observed]
     assert (1, 0, enc_int(0)) in seen
@@ -498,8 +496,6 @@ def test_an_adversary_hears_each_honest_observation_once():
     is outside the coalition exactly once, in arrival order, and none
     that the coalition sent itself."""
     class _Listener(Adversary):
-        corrupted = frozenset({2, 3})
-
         def __init__(self):
             self.log = []
 
@@ -509,7 +505,7 @@ def test_an_adversary_hears_each_honest_observation_once():
 
     adversary = _Listener()
     net = Network([_Chatter(0, (2, 3)), _Chatter(1, (3,)), Process(2),
-                   Process(3)], frozenset({2, 3}), adversary)
+                   Process(3)], SignatureOracle(frozenset({2, 3})), adversary)
     net.run_until(5)
     honest = [o for o in net.observed if o.sender not in adversary.corrupted]
     assert len(honest) == 12 and len(net.observed) == 22
@@ -520,7 +516,7 @@ def test_an_adversary_hears_each_honest_observation_once():
 
 def test_transcript_jsonl_shape():
     procs = [_Pinger(0, 1), _Pinger(1, 0)]
-    net = Network(procs, frozenset())
+    net = Network(procs)
     net.run_until(2)
     lines = net.transcript.to_jsonl().strip().splitlines()
     assert len(lines) == 2
@@ -550,10 +546,8 @@ JUNK_BANK_DIGEST = "b5539137bce696b3228369a878c0433601d6b97abdbbf362f56fda24268f
 
 
 def test_an_adversarial_run_keeps_its_schedule_bounded():
-    corrupted = frozenset({6})
-    bank = Bank(7, 2, [1] * 7, corrupted=corrupted,
-                adversary=JunkAdversary(corrupted, 7, seeded_rng(5, 17), 10),
-                family="quorum")
+    bank = Bank(7, 2, [1] * 7, SignatureOracle(frozenset({6})),
+                JunkAdversary(seeded_rng(5, 17), 10), family="quorum")
     net = bank.net
     for r in range(40):
         payer, target = r % 6, (r + 1) % 6
@@ -592,8 +586,7 @@ def test_an_honest_round_puts_each_due_step_on_the_agenda_once(monkeypatch):
 class _Moves(Adversary):
     """Plays a fixed map from step to (sender, Send) pairs."""
 
-    def __init__(self, corrupted, moves):
-        self.corrupted = frozenset(corrupted)
+    def __init__(self, moves):
         self.moves = moves
 
     def act(self, t, net):
@@ -609,15 +602,37 @@ def test_an_honest_send_outside_the_network_is_refused(recipient):
 
 
 def test_an_adversary_sending_as_an_honest_process_is_refused():
-    net = Network([_Pinger(0, 1), Process(1)], frozenset({1}),
-                  _Moves({1}, {0: [(0, 1, b"x")]}))
+    net = Network([_Pinger(0, 1), Process(1)], SignatureOracle(frozenset({1})),
+                  _Moves({0: [(0, 1, b"x")]}))
     with pytest.raises(ConfigFault, match="as honest process 0"):
         net.run_until(0)
 
 
-def test_an_adversary_controlling_honest_ids_is_refused():
-    with pytest.raises(ConfigFault, match="outside the corrupted set"):
-        Network([Process(0), Process(1)], frozenset({1}), _Moves({0, 1}, {}))
+def test_an_adversary_speaks_for_the_coalition_its_network_names():
+    """An adversary is built without a coalition: attaching it to a
+    network hands it the oracle's set, which ``heard`` filters by, and a
+    send in the name of any other process is still refused."""
+    class _Echo(Adversary):
+        def __init__(self):
+            self.log = []
+
+        def act(self, t, net):
+            heard = self.heard(net)
+            self.log.extend((o.sender, o.recipient) for o in heard)
+            return [(2, Send(1, b"echo"))] if t == 1 else []
+
+    oracle = SignatureOracle(frozenset({1, 2}))
+    echo = _Echo()
+    net = Network([_Chatter(0, (1, 2)), Process(1), Process(2)], oracle, echo)
+    assert echo.corrupted is oracle.corrupted is net.corrupted
+    net.run_until(3)
+    # the coalition's own send to 1 arrives, and heard leaves it out
+    assert (2, 1) in {(o.sender, o.recipient) for o in net.observed}
+    assert echo.log == [(0, 1), (0, 2)] * 3
+    rogue = Network([_Pinger(0, 1), Process(1), Process(2)],
+                    SignatureOracle(frozenset({2})), _Moves({0: [(1, 0, b"x")]}))
+    with pytest.raises(ConfigFault, match="as honest process 1"):
+        rogue.run_until(0)
 
 
 def test_a_wake_in_the_past_is_refused():
@@ -681,9 +696,9 @@ def test_posting_a_senders_sends_at_once_equals_posting_each_alone(scripts,
                                                                    moves):
     def run(network):
         corrupted = frozenset() if moves is None else frozenset({2, 3})
-        adversary = None if moves is None else _Moves(corrupted, moves)
+        adversary = None if moves is None else _Moves(moves)
         procs = [_Scripted(n, script) for n, script in enumerate(scripts)]
-        net = network(procs, corrupted, adversary)
+        net = network(procs, SignatureOracle(corrupted), adversary)
         for t in range(5):
             net.round = t // 2
             net.run_until(t)

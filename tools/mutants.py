@@ -2,7 +2,8 @@
 
 A mutant is data: a module of ``src/lockstep``, an exact old text that
 occurs in it once, the new text that replaces it, and the rule it
-weakens.  Each mutant is applied to its own fresh ``git archive`` copy of
+weakens.  A mutant that no attack can exploit carries the argument why
+in ``equivalent``; it may survive without failing the run.  Each mutant is applied to its own fresh ``git archive`` copy of
 a revision, never to a working tree, and the chosen tests run there.  A
 mutant is killed when a test fails, other than the smoke test of
 ``tests/test_mutants.py``.  The unmutated copy runs first as the
@@ -16,7 +17,8 @@ whole suite) and prints the kill matrix: one row per mutant with the
 tests that failed.  ``--rev`` defaults to HEAD; pass
 ``$(git stash create)`` to include uncommitted edits of tracked files.
 Each copy lives under ``--workdir`` (default: a temporary directory),
-which is removed afterwards.  The exit code is 1 when a mutant survives.
+which is removed afterwards.  The exit code is 1 when a mutant that is
+not documented as equivalent survives.
 The tier-1 suite checks only that every old text still occurs once; it
 never runs the mutants, since each run takes as long as its tests.
 """
@@ -41,6 +43,7 @@ class Mutant(NamedTuple):
     rule: str
     old: str
     new: str
+    equivalent: str = ""
 
 
 MUTANTS = (
@@ -74,7 +77,28 @@ MUTANTS = (
            "fresh = w not in self.signed_log and w not in self.received_log",
            "fresh = True"),
     Mutant("C5", "cyclecoin.py", "assemble: deleted processes may sign x/y",
-           "if rec.signer != end or end in deleted:", "if rec.signer != end:"),
+           "if rec.signer != end or end in deleted:", "if rec.signer != end:",
+           equivalent=(
+               "At a lone x or y, `end` is the genesis or the end of a path "
+               "group, and a path group's end skips every deleted position; "
+               "a resumed parse stood at such an end under the same deleted "
+               "set.  So `end in deleted` holds there only while `end` is a "
+               "deleted genesis and no path group has been parsed, and a path "
+               "group after it is refused anyway (`extender in deleted`).  The "
+               "chains C5 lets through are therefore the genesis record "
+               "followed by the genesis's own lone marks.  Such a chain is "
+               "never a request (its last group has no path), and it is "
+               "complete only if it ends in a lone y, which an honest process "
+               "never signs: `_finish` puts a y right after a path record.  So "
+               "it carries a corrupted genesis's signatures, and it ends at "
+               "the genesis: only the genesis itself takes it (`_on_chain`), "
+               "an audit of it is about the genesis (`verify_payment_claim`), "
+               "and refusal evidence must end at the accused, who is not "
+               "deleted while its complaint is settled.  The argument does "
+               "not lean on 'a deleted process is corrupted', which is false "
+               "today: an honest holder whose chain runs through a process "
+               "deleted later can itself be deleted (ROADMAP item 7, "
+               "cycle banks under silence).")),
     Mutant("C6", "cyclecoin.py", "_on_query: round check dropped",
            "        if len(shape.groups) - 1 != r:\n            return []\n", ""),
     Mutant("F1", "simnet.py", "CoalitionOracle.sign: forgery refusal dropped",
@@ -135,8 +159,13 @@ def main(argv: list[str]) -> int:
             # so its failure kills nothing
             failed = [test for test in failures(tree, pytest_args)
                       if not test.startswith("tests/test_mutants.py::")]
-            survivors += not failed
-            verdict = f"killed by {len(failed)}" if failed else "SURVIVES"
+            if failed:
+                verdict = f"killed by {len(failed)}"
+            elif mutant.equivalent:
+                verdict = "survives, documented as equivalent"
+            else:
+                verdict = "SURVIVES"
+                survivors += 1
             print(f"{mutant.name}  {mutant.rule:<44} {verdict}", flush=True)
             for test in failed:
                 print(f"      {test}")
