@@ -19,14 +19,18 @@ reference runs and then replays them against the coalition.
 A gallery entry names its coalition once, in the
 :class:`~lockstep.simnet.SignatureOracle` of its run; the network hands
 that set to the adversary when it attaches, so no adversary is built with
-one.  It scripts the coalition as data: a :class:`ScriptAdversary` maps a
-step to a move, a function of the network that returns what the
-coalition sends at that step, and a :class:`SplitAdversary` plays such a
-script after its simulation worlds' traffic; a move that re-sends what
-the coalition sent reads it from the transcript of the steps before.
-Besides these, only adversaries that pick their sends from what they
-observe are classes of their own, and one :class:`JunkAdversary` makes
-every flood of random bytes, which observes nothing.
+one.  It scripts the coalition as data.  A :class:`ScriptAdversary` runs
+simulation worlds, each a :class:`SimWorld` of coalition members running
+the honest code, and plays a script that maps a step to a move, a
+function of the network that returns what the coalition sends at that
+step; a move that re-sends what the coalition sent reads it from the
+transcript of the steps before.  A world starts its rounds from its own
+plan, as a driver starts them for honest processes, and its range of
+rounds and its feed make the deviations: it forks when it starts late
+from fresh sims, crashes when its range ends, and omits what it does not
+hear.  Besides these, only adversaries that pick their sends from what
+they observe are classes of their own, and one :class:`JunkAdversary`
+makes every flood of random bytes, which observes nothing.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ from lockstep.simnet import (
     ConfigFault,
     Delivery,
     Network,
+    Observation,
     Process,
     ScopedOracle,
     Send,
@@ -330,75 +335,135 @@ def random_ds_case(seed: int, *, N: int = 6, f: int = 2) -> AttackResult:
 class SimWorld:
     """One imagined execution the coalition runs internally.
 
-    ``sims`` are honest protocol instances for the corrupted ids,
-    ``feed`` is the set of honest senders whose real messages belong to
-    this execution.  Messages between coalition members stay inside the
-    world; only traffic toward honest processes reaches the real wire.
-    ``wakes`` holds the steps at which each simulated process runs without
-    a delivery; the simulated families never ask the network for a wake,
-    so the sims stay detached from any network.
+    ``sims`` are honest protocol instances for some of the corrupted ids.
+    Each sim's ``net`` is the world, so a sim asks for its wakes through
+    :meth:`wake` exactly as it does on a real network.  ``plan`` maps a
+    round to the payments {id: target} the sims make in it.  The world
+    hears and steps only in the rounds of the range ``rounds``: before it
+    the sims are fresh, so a world that starts late forks an earlier
+    state, and after it they are silent, which is a crash.  It hears the
+    real messages of the senders in ``feed`` to the sims it runs, and no
+    others, which is an omission.  Messages between its sims stay inside
+    the world; all other traffic reaches the real wire.
     """
 
-    def __init__(self, sims: dict[int, Process], feed: frozenset[int]):
+    def __init__(self, sims: dict[int, Process], feed: frozenset[int],
+                 plan: dict[int, dict[int, int]], rounds: range):
         self.sims = sims
-        self.feed = frozenset(feed)
-        self.wakes: dict[int, set[int]] = {n: set() for n in sims}
+        self.feed = feed
+        self.plan = plan
+        self.rounds = rounds
+        self.round: int | None = None
+        # step -> the sims that run at it without a delivery
+        self.wakes: dict[int, set[int]] = {}
         self.queues: dict[int, dict[int, list[Delivery]]] = {n: {} for n in sims}
+        for sim in sims.values():
+            sim.net = self
+
+    def wake(self, pid: int, step: int) -> None:
+        self.wakes.setdefault(step, set()).add(pid)
+
+    def act(self, t: int, r: int, heard: list[Observation]
+            ) -> list[tuple[int, Send]]:
+        """Run the world at step ``t`` of round ``r`` on the observations
+        ``heard`` since the last step, and return the sends its sims make
+        to the real wire.  At the world's first step in a round of its
+        range it starts the round as a driver does: each payer of the
+        round's plan pays and wakes, and every sim schedules its round."""
+        if r not in self.rounds:
+            return []
+        if r != self.round:
+            self.round = r
+            for payer, target in self.plan.get(r, {}).items():
+                self.sims[payer].pay(r, target)
+                self.wake(payer, t)
+            for sim in self.sims.values():
+                sim.round_wakes(t)
+        for obs in heard:
+            if obs.sender in self.feed and obs.recipient in self.sims:
+                self.queues[obs.recipient].setdefault(obs.step, []).append(
+                    Delivery(obs.sender, obs.payload))
+        wakers = self.wakes.pop(t, ())
+        out = []
+        for n in sorted(self.sims):
+            inbox = self.queues[n].pop(t, [])
+            if not inbox and n not in wakers:
+                continue
+            for send in self.sims[n].step(t, inbox):
+                if send.recipient in self.sims:
+                    self.queues[send.recipient].setdefault(t + 1, []).append(
+                        Delivery(n, send.payload))
+                else:
+                    out.append((n, send))
+        return out
 
 
 class ScriptAdversary(Adversary):
-    """A coalition that sends the (sender, Send) pairs ``script[t](net)``
-    returns at each step ``t`` of its script, and nothing at other steps.
-    A move runs when its step does, so it signs and reads the network as
-    it is at that step."""
+    """A coalition that runs its simulation ``worlds`` and plays its
+    ``script``, which maps a step to a move: a function of the network
+    that returns the (sender, Send) pairs the coalition sends then.
 
-    def __init__(self,
-                 script: dict[int, Callable[[Network], list[tuple[int, Send]]]]):
-        self.script = script
-
-    def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
-        move = self.script.get(t)
-        return [] if move is None else move(net)
-
-
-class SplitAdversary(ScriptAdversary):
-    """Runs any number of simulation worlds behind the corrupted ids.
-
-    Each real delivery to a corrupted id is routed to the worlds whose
-    feed contains the sender; a sender in no feed goes to every world,
-    which is the best effort left once the disjointness hypothesis has
-    failed.  With a single world whose feed is everything this is simply
-    a coalition that behaves honestly, which several gallery entries use
-    as a building block.  Within a step the worlds' traffic goes out
-    first and the script's sends after it.  A move that needs what the
-    coalition sent earlier reads it from ``net.transcript``, which holds
-    every send of the steps before the current one.
+    Each world starts its rounds at the first step it runs with a new
+    ``net.round``, which is the round's first step: both drivers set
+    ``net.round`` before it, and a network with an adversary runs every
+    step.  Within a step the worlds' traffic goes out first and the
+    script's after it.  A move runs when its step does, so it signs and
+    reads the network as it is then; what the coalition sent earlier it
+    reads from ``net.transcript``, which holds every send of the steps
+    before.
     """
 
-    def __init__(self, worlds: list[SimWorld], script: dict | None = None):
-        super().__init__({} if script is None else script)
+    def __init__(self,
+                 script: dict[int, Callable[[Network], list[tuple[int, Send]]]],
+                 worlds: list[SimWorld]):
+        self.script = script
         self.worlds = worlds
 
     def act(self, t: int, net: Network) -> list[tuple[int, Send]]:
-        for obs in self.heard(net):
-            hit = [w for w in self.worlds if obs.sender in w.feed]
-            for world in hit or self.worlds:
-                world.queues[obs.recipient].setdefault(obs.step, []).append(
-                    Delivery(obs.sender, obs.payload))
-        out = []
-        for world in self.worlds:
-            for n in sorted(world.sims):
-                inbox = world.queues[n].pop(t, [])
-                if not inbox and t not in world.wakes.get(n, ()):
-                    continue
-                for send in world.sims[n].step(t, inbox):
-                    if send.recipient in world.sims:
-                        world.queues[send.recipient].setdefault(t + 1, []).append(
-                            Delivery(n, send.payload))
-                    else:
-                        out.append((n, send))
-        out.extend(super().act(t, net))
-        return out
+        heard = self.heard(net)
+        out = [send for world in self.worlds
+               for send in world.act(t, net.round, heard)]
+        move = self.script.get(t)
+        return out if move is None else out + move(net)
+
+
+def _marker_attack(family: type[MarkerProcess], N: int, f: int,
+                   coalition: frozenset[int], plans: list[dict[int, int]],
+                   worlds: list[tuple], script: dict, genesis: int
+                   ) -> tuple[list[str], MarkerSystem]:
+    """Run one round of ``family`` per honest plan of ``plans`` against
+    ``coalition``, which plays ``script`` and runs a :class:`SimWorld` for
+    each (members, feed, plan, rounds) of ``worlds``, whose sims are the
+    members running the honest code; return the audit of the rounds and
+    the system.  The sims of every world sign
+    through one :class:`CoalitionOracle`, over which a corrupted genesis
+    holder first signs the genesis record that chains start from."""
+    oracle = SignatureOracle(coalition)
+    shadow = CoalitionOracle(oracle)
+    if genesis in coalition:
+        shadow.sign(genesis, record_content((), TAG_BASE))
+    sims = [SimWorld({z: family(z, N, f, shadow, genesis) for z in sorted(members)},
+                     feed, plan, rounds)
+            for members, feed, plan, rounds in worlds]
+    # a coalition with no world and no script is silent, and a network
+    # without an adversary runs only the steps that have work
+    adversary = ScriptAdversary(script, sims) if script or sims else None
+    system = MarkerSystem(family, N, f, oracle, adversary, genesis)
+    return _audited_rounds(system, plans), system
+
+
+def _audited_rounds(system, plans: list[dict[int, int]]) -> list[str]:
+    """Run scripted rounds and collect checker output for each."""
+    violations = []
+    honest = frozenset(range(system.N)) - system.corrupted
+    for plan in plans:
+        payer = next(iter(plan), None)
+        marked = payer is not None and system.procs[payer].marked
+        r = system.round_index
+        markings = system.run_round(plan)
+        violations.extend(check_marker_round(
+            r, honest, markings, payer, marked, plan.get(payer)))
+    return violations
 
 
 class JunkAdversary(Adversary):
@@ -534,22 +599,6 @@ class SplitReport:
                             self.violations + extra, expect_violation, details)
 
 
-def _coalition_world(family: str, N: int, f: int, oracle: SignatureOracle,
-                     payer: int, target: int, feed: frozenset[int]) -> SimWorld:
-    """The corrupted processes of ``oracle`` running the honest code of
-    ``family`` on a :class:`CoalitionOracle` over it, their genesis holder
-    ``payer`` paying ``target`` in round 0, woken at step 0.  A chain
-    world first signs the genesis record its chains start from."""
-    shadow = CoalitionOracle(oracle)
-    if family == "cycle":
-        shadow.sign(payer, record_content((), TAG_BASE))
-    world = SimWorld({z: FAMILIES[family](z, N, f, shadow, payer)
-                      for z in sorted(oracle.corrupted)}, feed)
-    world.sims[payer].pending[0] = target
-    world.wakes[payer].add(0)
-    return world
-
-
 def split_double_spend(family: str, N: int, f: int, payer: int,
                        n1: int, n2: int,
                        *, coalition: frozenset[int] | None = None) -> SplitReport:
@@ -573,16 +622,11 @@ def split_double_spend(family: str, N: int, f: int, payer: int,
         return SplitReport(family, N, f, True, (False, False), ())
     if payer not in chosen or n1 in chosen or n2 in chosen:
         raise ConfigFault("the coalition must contain the payer, never a target")
-    oracle = SignatureOracle(chosen)
-    worlds = [_coalition_world(family, N, f, oracle, payer, target, feed)
-              for target, feed in ((n1, x1 - chosen), (n2, x2 - chosen))]
-    system = MarkerSystem(FAMILIES[family], N, f, oracle,
-                          SplitAdversary(worlds), payer)
-    markings = system.run_round({})
-    honest = frozenset(range(N)) - chosen
-    violations = check_marker_round(0, honest, markings, None, False, None)
-    accepted = (any(m.target == n1 for m in markings),
-                any(m.target == n2 for m in markings))
+    worlds = [(chosen, feed, {0: {payer: target}}, range(1))
+              for target, feed in ((n1, x1), (n2, x2))]
+    violations, system = _marker_attack(FAMILIES[family], N, f, chosen, [{}],
+                                        worlds, {}, payer)
+    accepted = (bool(system.procs[n1].markings), bool(system.procs[n2].markings))
     return SplitReport(family, N, f, False, accepted, tuple(violations))
 
 
@@ -618,62 +662,29 @@ def _split_intents(payer: int, N: int, f: int,
             for k, b in enumerate(casters)]
 
 
-def _audited_rounds(system, plans: list[dict[int, int] | None]) -> list[str]:
-    """Run scripted rounds and collect checker output for each."""
-    violations = []
-    honest = frozenset(range(system.N)) - system.corrupted
-    for plan in plans:
-        plan = plan or {}
-        payer = next(iter(plan), None)
-        marked = payer is not None and system.procs[payer].marked
-        r = system.round_index
-        markings = system.run_round(plan)
-        violations.extend(check_marker_round(
-            r, honest, markings, payer, marked, plan.get(payer)))
-    return violations
-
-
 def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
-    """Named attack-must-fail entries against the quorum marker."""
-    results = []
+    """Named attack-must-fail entries against the quorum marker, each a
+    coalition, its honest plans and its script."""
     casters = sorted(default_broadcasters(N, f))
     proof = encode_proof(())
-
-    # conflicting intents to two halves of the broadcaster set
-    script = {0: _signed(_split_intents(0, N, f, (1, 2)))}
-    system = MarkerSystem(QMProcess, N, f, SignatureOracle(frozenset({0})),
-                          ScriptAdversary(script))
-    violations = _audited_rounds(system, [{}])
-    results.append(AttackResult("quorum-split-intents", "quorum", N, f,
-                                tuple(violations)))
-
-    # pay honestly, then replay the spent proof with a new round number
-    script = {0: _signed([(0, b, intent_content(0, 0, 1, proof)) for b in casters]),
-              3: _signed([(0, b, intent_content(1, 0, 2, proof)) for b in casters])}
-    system = MarkerSystem(QMProcess, N, f, SignatureOracle(frozenset({0})),
-                          ScriptAdversary(script))
-    violations = _audited_rounds(system, [{}, {1: 3}])
-    marked = [n for n in (2, 3) if system.procs[n].marked]
-    if marked != [3]:
-        violations.append(f"stale proof replay minted a marker: {marked}")
-    results.append(AttackResult("quorum-stale-proof-replay", "quorum", N, f,
-                                tuple(violations)))
-
-    # corrupted broadcasters countersign a handoff that never happened
     crooked = frozenset(casters[-f:])
-    fake = [(b, 1, receipt_content(0, 0, 1)) for b in sorted(crooked)]
-    system = MarkerSystem(QMProcess, N, f, SignatureOracle(crooked),
-                          ScriptAdversary({1: _signed(fake)}))
-    violations = _audited_rounds(system, [{0: 2}])
-    results.append(AttackResult("quorum-fake-receipts", "quorum", N, f,
-                                tuple(violations)))
-
-    # corrupted holder that never spends: nothing may move
-    system = MarkerSystem(QMProcess, N, f, SignatureOracle(frozenset({0})))
-    violations = _audited_rounds(system, [{}, {}])
-    results.append(AttackResult("quorum-silent-holder", "quorum", N, f,
-                                tuple(violations)))
-    return results
+    entries = {
+        # conflicting intents to two halves of the broadcaster set
+        "quorum-split-intents": (frozenset({0}), [{}], {
+            0: _signed(_split_intents(0, N, f, (1, 2)))}),
+        # pay honestly, then replay the spent proof with a new round number
+        "quorum-stale-proof-replay": (frozenset({0}), [{}, {1: 3}], {
+            0: _signed([(0, b, intent_content(0, 0, 1, proof)) for b in casters]),
+            3: _signed([(0, b, intent_content(1, 0, 2, proof)) for b in casters])}),
+        # corrupted broadcasters countersign a handoff that never happened
+        "quorum-fake-receipts": (crooked, [{0: 2}], {1: _signed(
+            [(b, 1, receipt_content(0, 0, 1)) for b in sorted(crooked)])}),
+        # corrupted holder that never spends: nothing may move
+        "quorum-silent-holder": (frozenset({0}), [{}, {}], {}),
+    }
+    return [AttackResult(name, "quorum", N, f, tuple(_marker_attack(
+                QMProcess, N, f, coalition, plans, [], script, 0)[0]))
+            for name, (coalition, plans, script) in entries.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -693,19 +704,16 @@ def cycle_stale_replay(N: int, first_target: int) -> AttackResult:
     kept on the payer's forward arc so its route avoids the corrupted
     position; past the end of the arc it degrades to a self transfer.
     """
-    oracle = SignatureOracle(frozenset({0}))
-    world = _coalition_world("cycle", N, 0, oracle, 0, first_target,
-                             frozenset(range(N)) - oracle.corrupted)
-
     def replay(net: Network) -> list[tuple[int, Send]]:
         return [(e.sender, Send(recipient, e.payload, e.signatures))
                 for e in net.transcript.events if e.sender in net.corrupted
                 for recipient in (e.recipient, (e.recipient + 1) % net.N)]
 
-    adversary = SplitAdversary([world], {cycle_round_steps(N): replay})
-    system = MarkerSystem(CCProcess, N, 0, oracle, adversary)
     follow_up = first_target + 1 if first_target + 1 < N else first_target
-    violations = _audited_rounds(system, [{}, {first_target: follow_up}])
+    world = (frozenset({0}), frozenset(range(N)), {0: {0: first_target}}, range(2))
+    violations, system = _marker_attack(
+        CCProcess, N, 0, frozenset({0}), [{}, {first_target: follow_up}],
+        [world], {cycle_round_steps(N): replay}, 0)
     stray = [m for m in system.procs[first_target].markings
              if m.round == 1 and m.predecessor != first_target]
     if stray:
@@ -725,9 +733,6 @@ def cycle_equal_weight(N: int) -> AttackResult:
     """
     if N < 4:
         raise ConfigFault("the equal weight forgery needs at least four processes")
-    oracle = SignatureOracle(frozenset({0, 1}))
-    world = _coalition_world("cycle", N, 0, oracle, 0, 2,
-                             frozenset(range(N)) - oracle.corrupted)
     forged: list[tuple[Record, ...]] = []
 
     def rival(net: Network) -> list[tuple[int, Send]]:
@@ -739,9 +744,11 @@ def cycle_equal_weight(N: int) -> AttackResult:
         forged.append(records)
         return [(0, Send(2, wire(KIND_CHAIN, records)))]
 
-    adversary = SplitAdversary([world], {cycle_round_steps(N): rival})
-    system = MarkerSystem(CCProcess, N, 0, oracle, adversary)
-    violations = _audited_rounds(system, [{}, {2: 3}])
+    coalition = frozenset({0, 1})
+    world = (coalition, frozenset(range(N)), {0: {0: 2}}, range(2))
+    violations, system = _marker_attack(CCProcess, N, 0, coalition,
+                                        [{}, {2: 3}], [world],
+                                        {cycle_round_steps(N): rival}, 0)
     target = system.procs[2]
     if [m for m in target.markings if m.round == 1]:
         violations.append("rival chain re-marked the spent position")
@@ -758,8 +765,8 @@ def cycle_silent_responder(N: int, f: int, target: int,
     The payment must complete anyway and every honest process must agree
     the silent process is gone from the cycle.
     """
-    system = MarkerSystem(PoRProcess, N, f, SignatureOracle(frozenset({silent})))
-    violations = _audited_rounds(system, [{0: target}])
+    violations, system = _marker_attack(PoRProcess, N, f, frozenset({silent}),
+                                        [{0: target}], [], {}, 0)
     honest = [n for n in range(N) if n != silent]
     for n in honest:
         if silent not in system.procs[n].deleted:
@@ -919,7 +926,7 @@ def bank_gallery(family: str, N: int, f: int, V: int, K: int,
 
     if family == "quorum" and initial[0] > 0 and N >= 3:
         adversary = ScriptAdversary({0: _signed(
-            _split_intents(0, N, f, (1, 2)), nonce_for(0))})
+            _split_intents(0, N, f, (1, 2)), nonce_for(0))}, [])
         bank = Bank(N, f, initial, SignatureOracle(corrupted), adversary,
                     family)
         problems = background(bank, K, 5)

@@ -11,7 +11,6 @@ from lockstep.adversary import (
     ScriptAdversary,
     ScriptedDSAdversary,
     SimWorld,
-    SplitAdversary,
     _ds_audit,
     bank_gallery,
     cheating_intermediary_cases,
@@ -247,7 +246,7 @@ def test_every_gallery_adversary_acts_from_the_gallery_module():
                and cls.__module__ == gallery.__name__}
     assert sorted(classes) == [
         "BankReplayAdversary", "JunkAdversary", "RandomDSAdversary",
-        "ScriptAdversary", "ScriptedDSAdversary", "SplitAdversary"]
+        "ScriptAdversary", "ScriptedDSAdversary"]
     for cls in classes.values():
         assert cls.act.__module__ == gallery.__name__, cls
 
@@ -265,7 +264,7 @@ def test_a_script_adversary_sends_what_its_script_returns_at_its_steps_only():
             return list(moves[t])
         return play
 
-    adversary = ScriptAdversary({t: move(t) for t in moves})
+    adversary = ScriptAdversary({t: move(t) for t in moves}, [])
     net = Network([Process(n) for n in range(3)], SignatureOracle(frozenset({2})),
                   adversary)
     net.run_until(6)
@@ -278,7 +277,12 @@ def test_a_script_adversary_sends_what_its_script_returns_at_its_steps_only():
 
 
 class _Talker(Process):
-    """A simulated coalition member that sends to process 1 when stepped."""
+    """A simulated coalition member that asks its network for wakes at
+    steps 1, 2 and 4 of a round and sends to process 1 when stepped."""
+
+    def round_wakes(self, base):
+        for step in (1, 2, 4):
+            self.net.wake(self.n, base + step)
 
     def step(self, t, inbox):
         return [Send(1, b"world", 1)]
@@ -288,17 +292,16 @@ def test_a_split_adversary_sends_its_worlds_traffic_before_its_script():
     """Within one step the worlds' sends go out before the script plays,
     and a move reads in the transcript what was sent in the steps before
     its own."""
-    world = SimWorld({0: _Talker(0)}, frozenset({1}))
-    world.wakes[0].update({1, 2, 4})
+    world = SimWorld({0: _Talker(0)}, frozenset({1}), {}, range(1))
     kept = []
 
     def script_move(net):
         kept.append([(e.step, e.payload) for e in net.transcript.events])
         return [(0, Send(1, b"script"))]
 
-    adversary = SplitAdversary([world],
-                               {2: script_move,
-                                3: lambda net: [(0, Send(1, b"alone"))]})
+    adversary = ScriptAdversary({2: script_move,
+                                 3: lambda net: [(0, Send(1, b"alone"))]},
+                                [world])
     net = Network([Process(0), Process(1)], SignatureOracle(frozenset({0})),
                   adversary)
     net.run_until(5)
@@ -307,6 +310,60 @@ def test_a_split_adversary_sends_its_worlds_traffic_before_its_script():
         (1, b"world", 1), (2, b"world", 1), (2, b"script", 0),
         (3, b"alone", 0), (4, b"world", 1)]
     assert kept == [[(1, b"world")]]
+
+
+class _Pinger(Process):
+    """An honest process that sends its id to processes 0 and 3 at every
+    step of a run of three rounds of two steps."""
+
+    def register_wakes(self):
+        for step in range(6):
+            self.net.wake(self.n, step)
+
+    def step(self, t, inbox):
+        return [Send(0, bytes([self.n])), Send(3, bytes([self.n]))]
+
+
+class _Recorder(Process):
+    """A simulated coalition member that wakes at the start of each round
+    and, at each step it runs, logs the senders it hears and sends to 1."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.log = []
+
+    def round_wakes(self, base):
+        self.net.wake(self.n, base)
+
+    def step(self, t, inbox):
+        self.log.append((t, sorted(d.sender for d in inbox)))
+        return [Send(1, b"sim")]
+
+
+@pytest.mark.parametrize("rounds, feed, log", [
+    # after its range a world neither hears nor sends: a crash
+    (range(1), {1, 2}, [(0, []), (1, [1, 2])]),
+    # a world first stepped in round 2 starts from a fresh sim: a fork
+    (range(2, 3), {1, 2}, [(4, [1, 2]), (5, [1, 2])]),
+    # a sender outside the feed is never delivered: an omission
+    (range(3), {1}, [(0, []), (1, [1]), (2, [1]), (3, [1]), (4, [1]),
+                     (5, [1])]),
+], ids=["crash", "fork", "omission"])
+def test_a_world_hears_and_sends_only_in_its_rounds_and_from_its_feed(
+        rounds, feed, log):
+    """The world runs member 0 of the coalition {0, 3} and skips what is
+    delivered to 3; the driver sets the round before its first step."""
+    sim = _Recorder(0)
+    world = SimWorld({0: sim}, frozenset(feed), {}, rounds)
+    net = Network([Process(0), _Pinger(1), _Pinger(2), Process(3)],
+                  SignatureOracle(frozenset({0, 3})),
+                  ScriptAdversary({}, [world]))
+    for r in range(3):
+        net.round = r
+        net.run_until(2 * r + 1)
+    assert sim.log == log
+    assert [e.step for e in net.transcript.events if e.sender == 0] == [
+        t for t, _ in log]
 
 
 @pytest.mark.parametrize("N", range(4, 10))
