@@ -453,7 +453,10 @@ def _marker_attack(family: type[MarkerProcess], N: int, f: int,
 
 
 def _audited_rounds(system, plans: list[dict[int, int]]) -> list[str]:
-    """Run scripted rounds and collect checker output for each."""
+    """Run scripted rounds and collect checker output for each.  After
+    each round at most one honest process holds the marker, and one does
+    if the round marked an honest process; two holders that the round's
+    own markings already show are reported once, by the round checker."""
     violations = []
     honest = frozenset(range(system.N)) - system.corrupted
     for plan in plans:
@@ -463,6 +466,9 @@ def _audited_rounds(system, plans: list[dict[int, int]]) -> list[str]:
         markings = system.run_round(plan)
         violations.extend(check_marker_round(
             r, honest, markings, payer, marked, plan.get(payer)))
+        holders = [n for n in sorted(honest) if system.procs[n].marked]
+        if (len(holders) > 1 and len(markings) < 2) or (markings and not holders):
+            violations.append(f"round {r}: honest holders {holders}")
     return violations
 
 
@@ -775,6 +781,43 @@ def cycle_silent_responder(N: int, f: int, target: int,
                         tuple(violations), details=f"silent={silent}")
 
 
+def cycle_por_coalitions(N: int) -> list[AttackResult]:
+    """Coalitions that run the honest response enforcement code and then
+    crash, omit or fork, each its f, coalition, genesis holder, worlds
+    and honest plans.  Every round passes the marker audits, every honest
+    process holds the same deletions, and none is deleted."""
+    everyone = frozenset(range(N))
+    entries = {
+        # 0 pays 1 and 1 pays 2; in round 2 a fresh 0 spends the genesis
+        # again toward 3, and 1 is silent and 2's refusal goes unheard
+        "cycle-por-fork-double-spend": (2, {0, 1}, 0, [
+            ({0, 1}, everyone, {0: {0: 1}, 1: {1: 2}}, range(2)),
+            ({0}, everyone - {2}, {2: {0: 3}}, range(2, 3))], [{}, {}, {}]),
+        # the same fork in round 1, in which a deaf 1 pays 2 and is deleted
+        "cycle-por-same-round-fork": (2, {0, 1}, 0, [
+            ({0, 1}, frozenset(), {0: {0: 1}, 1: {1: 2}}, range(2)),
+            ({0}, everyone - {2}, {1: {0: 3}}, range(1, 2))], [{}, {}]),
+        # 2 is paid, pays 4 and falls silent before 4 pays across it
+        "cycle-por-pay-then-silent": (1, {2}, 0, [
+            ({2}, everyone, {1: {2: 4}}, range(2))], [{0: 2}, {}, {4: 3}]),
+        # the genesis holder 2 pays 1 and falls silent
+        "cycle-por-genesis-pay-then-silent": (1, {2}, 2, [
+            ({2}, everyone, {0: {2: 1}}, range(1))], [{}, {1: 3}]),
+    }
+    results = []
+    for name, (f, coalition, genesis, worlds, plans) in entries.items():
+        violations, system = _marker_attack(PoRProcess, N, f, frozenset(coalition),
+                                            plans, worlds, {}, genesis)
+        honest = [p for p in system.procs if p.n not in coalition]
+        if len({tuple(p.deletions) for p in honest}) > 1:
+            violations.append("honest processes disagree on the deletions")
+        gone = sorted({p.n for p in honest if any(p.n in q.deleted for q in honest)})
+        if gone:
+            violations.append(f"honest {gone} deleted")
+        results.append(AttackResult(name, "cycle", N, f, tuple(violations)))
+    return results
+
+
 _EMPTY_QUERY = wire(KIND_QUERY, ())
 
 
@@ -799,7 +842,7 @@ def cycle_gallery(N: int = 8) -> list[AttackResult]:
     results.append(cycle_equal_weight(N))
     results.append(cycle_silent_responder(N, 2, 3))
     results.append(cycle_junk(N, 1))
-    return results
+    return results + cycle_por_coalitions(N)
 
 
 def exhaustive_cycle_cases(N: int = 4) -> list[AttackResult]:

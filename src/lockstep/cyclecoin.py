@@ -294,9 +294,15 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
     and close on its y mark; a lone x or y is a self hop.  Deleted
     positions never sign but old records by them remain acceptable, and
     either way they count toward hop lengths, so weights keep their
-    geometric meaning.  The parse is unambiguous: a run of pairs belongs to
-    one group exactly as long as the extender signature matches, because
-    the next group would have to be closed by the new chain end instead.
+    geometric meaning.  A :class:`Deleted` set knows the round of each
+    deletion, and group g, the extension of round g, is parsed under the
+    deletions it was made under: a position deleted before round g may not
+    extend or mark in it, and one deleted up to round g is skipped by its
+    path and its end (see :class:`PoRProcess`).  A plain set deletes its
+    positions from every group.  The parse is unambiguous: a run of pairs
+    belongs to one group exactly as long as the extender signature
+    matches, because the next group would have to be closed by the new
+    chain end instead.
 
     ``resume`` is the state of an earlier parse, under the same ``N``,
     ``genesis`` and ``deleted``, of a chain that ``records`` extends (see
@@ -308,7 +314,12 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
     i, end, total, done = resume or (1, genesis, 0, ())
     groups: list[Group] = list(done)
     n_records = len(records)
+    since = getattr(deleted, "since", None) if deleted else None
+    skipped = deleted
     while i < n_records:
+        if since:
+            deleted = frozenset(a for a, d in since.items() if d < len(groups))
+            skipped = frozenset(a for a, d in since.items() if d <= len(groups))
         rec = records[i]
         if rec.tag == TAG_BASE:
             return None
@@ -334,7 +345,7 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
                 break
             pos = cursor
             hops = 0
-            while pos != p.signer and pos in deleted and hops < N:
+            while pos != p.signer and pos in skipped and hops < N:
                 pos = (pos + 1) % N
                 hops += 1
             if pos != p.signer:
@@ -353,10 +364,10 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
             return None
         new_end = cursor
         guard = 0
-        while new_end in deleted and guard < N:
+        while new_end in skipped and guard < N:
             new_end = (new_end + 1) % N
             guard += 1
-        if new_end in deleted:
+        if new_end in skipped:
             return None
         hop = cycle_distance(extender, new_end, N)
         if hop == 0:
@@ -365,6 +376,16 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
         total += hop
         end = new_end
     return ChainShape(tuple(records), tuple(groups), end, total)
+
+
+class Deleted(frozenset):
+    """The positions of ``deletions``, (round, period, position) triples,
+    with ``since`` mapping each to the round it was deleted in."""
+
+    def __new__(cls, deletions: list[tuple[int, int, int]]) -> Deleted:
+        self = super().__new__(cls, (a for _, _, a in deletions))
+        self.since = {a: r for r, _, a in deletions}
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -845,6 +866,28 @@ class PoRProcess(CCProcess):
     refusal was justified and the payment stops, or the process is deleted
     from the cycle and the payment routes around it.  Deletion changes no
     weights: the same partial simply points one position further.
+
+    A deletion must not undo a chain that was valid when it was taken.
+    A chain has one group per round (:meth:`_begin_payment` pads idle
+    self hops, and a group is checked only in its own round), and group g
+    was countersigned and accepted in round g under the deletions made
+    until then.  A position deleted in round g before the group closed
+    was routed around, so the group skips it; one deleted later took
+    part in the group.  So ``deleted`` is a :class:`Deleted`, and
+    :func:`assemble` parses group g with the positions deleted before
+    round g barred from extending or marking it, and those deleted up to
+    round g skipped by its path and its end; routes skip every current
+    deletion.  A deletion made after the group closed cannot undo it: its
+    extender and marks are judged on earlier rounds only, its path
+    signers are matched before any skip, and its end moves only if its
+    payee is deleted, which a payee refusing with the chain is not while
+    its refusal is judged.  Under the current set instead, deleting a
+    payer that had already paid broke the chain it paid: the honest
+    holder's refusal then failed, every honest process deleted it, and a
+    fork of the same marker landed beside it (a double spend); or no
+    later payment over the chain could land.
+    Honest processes decide deletions from the same broadcasts, so they
+    all hold the same ``deletions``, rounds included.
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
@@ -1014,8 +1057,8 @@ class PoRProcess(CCProcess):
             if payer:
                 self._on_refuse(accused, evidence)
             return
-        self.deleted |= {accused}
         self.deletions.append((r, k, accused))
+        self.deleted = Deleted(self.deletions)
         if payer:
             self._reroute(r)
 

@@ -31,7 +31,7 @@ from lockstep.adversary import (
 )
 from lockstep import marker
 from lockstep.consensus import LEADER, inspect_proper, run_dolev_strong
-from lockstep.cyclecoin import KIND_QUERY, cycle_round_steps, wire
+from lockstep.cyclecoin import KIND_QUERY, PoRProcess, cycle_round_steps, wire
 from lockstep.hopnet import HopNetwork, gen_binary_search_pair, shortest_hop_path
 from lockstep.payments import Bank
 from lockstep.simnet import (Adversary, CoalitionOracle, ConfigFault,
@@ -395,6 +395,19 @@ def test_cycle_galleries_are_clean():
     for result in (cycle_gallery() + exhaustive_cycle_cases()
                    + [random_cycle_attack(s) for s in range(150)]):
         assert result.ok, (result.name, result.violations)
+
+
+def test_the_marker_moves_on_past_a_payer_that_fell_silent():
+    """Each chain group is judged under the deletions of its own round, so
+    after 2 is paid, pays 4 and falls silent, the marker goes on from 4 to
+    3, then to 0 and then to 1, and only 2 is deleted."""
+    everyone = frozenset(range(8))
+    violations, system = gallery._marker_attack(
+        PoRProcess, 8, 1, frozenset({2}), [{0: 2}, {}, {4: 3}, {3: 0}, {0: 1}],
+        [({2}, everyone, {1: {2: 4}}, range(2))], {}, 0)
+    assert violations == []
+    assert [p.n for p in system.procs if p.marked] == [1]
+    assert [p.deletions for p in system.procs if p.n != 2] == [[(2, 5, 2)]] * 7
 
 
 def test_bank_galleries_are_clean():

@@ -141,9 +141,9 @@ GOLDEN = {
         "transcript.jsonl": "aa92ea8441a039d141ea915585e9ffc778f51c2b8039800c6713fb519d41468d",
     },
     "attack-all": {
-        "metrics.csv": "3b209b52da1a77a976dc9aed835e03f596a382169256c927c18bf8c9bed46a44",
-        "summary.json": "66177b07fee28f15d1d2a1a00d26186ebadd5d099710ab9329e3fe788945eded",
-        "transcript.jsonl": "6b78cca3aebe3ead52a027f46aaa64add2376d8133c3403d05a1d2fec994e91c",
+        "metrics.csv": "69b0f25b4f27a6d4cdcd866314fad89bb6a6dcdff5caf372f0e44219be16a3a9",
+        "summary.json": "dd14d29807a2598c3222afaad2b1764c66cc6a36191640e42ef2cf424eebaca6",
+        "transcript.jsonl": "bfc6f11c19aa1eea7d91b99dd695417c1e965942d6518c0a38cd57f875fbf816",
     },
     "gen-topology-random": {
         "cycles.txt": "067f44ecd252508f53b85d381a9e7c70d4fc20e4c7deb2815b6f205a4bbf2079",
@@ -157,9 +157,9 @@ GOLDEN = {
         "transcript.jsonl": "05947068d46a826c87aa85afb17bc558f4c671e425db2cc5dc2cf53de8dd3039",
     },
     "attack-cycle": {
-        "metrics.csv": "37bb47f7680c15f84bf79e3449b130d0233976db3c766619f418e46106e0f867",
-        "summary.json": "f6fc2d4c35ef0397e9b5588379ca6005b3fa85ece6266c2f409d44ab71b1dd51",
-        "transcript.jsonl": "9c5929341fd25e0339425ce7366da6eef3af536e08b2ca4da9612e8190f3123c",
+        "metrics.csv": "696c5b46bd49d344c138128f5eba854a9eac72dff6e5ae9272d7dc9dab85b1cd",
+        "summary.json": "79d0c91ab7a6f2772e5b3b5a4953b46f3a90fd3a4ba1205d5a973c53451351fb",
+        "transcript.jsonl": "9921e77f8b9657e7715830e4426f4eae664063022d261276d69dcf8809822364",
     },
     "attack-strawman": {
         "metrics.csv": "08d132d2e9813b2228f0cfd259886dd547ed2d6926bc4f87da2b79a0ea7d498e",

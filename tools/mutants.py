@@ -79,26 +79,33 @@ MUTANTS = (
     Mutant("C5", "cyclecoin.py", "assemble: deleted processes may sign x/y",
            "if rec.signer != end or end in deleted:", "if rec.signer != end:",
            equivalent=(
-               "At a lone x or y, `end` is the genesis or the end of a path "
-               "group, and a path group's end skips every deleted position; "
-               "a resumed parse stood at such an end under the same deleted "
-               "set.  So `end in deleted` holds there only while `end` is a "
-               "deleted genesis and no path group has been parsed, and a path "
-               "group after it is refused anyway (`extender in deleted`).  The "
-               "chains C5 lets through are therefore the genesis record "
-               "followed by the genesis's own lone marks.  Such a chain is "
-               "never a request (its last group has no path), and it is "
-               "complete only if it ends in a lone y, which an honest process "
-               "never signs: `_finish` puts a y right after a path record.  So "
-               "it carries a corrupted genesis's signatures, and it ends at "
-               "the genesis: only the genesis itself takes it (`_on_chain`), "
-               "an audit of it is about the genesis (`verify_payment_claim`), "
-               "and refusal evidence must end at the accused, who is not "
-               "deleted while its complaint is settled.  The argument does "
-               "not lean on 'a deleted process is corrupted', which is false "
-               "today: an honest holder whose chain runs through a process "
-               "deleted later can itself be deleted (ROADMAP item 7, "
-               "cycle banks under silence).")),
+               "At a lone x or y of group g, `end` is the genesis or the end "
+               "of the last path group j < g, which skipped the positions "
+               "deleted up to round j, while `deleted` holds those deleted "
+               "before round g; a resumed parse stood at such an end under "
+               "the same deleted set.  So `end in deleted` holds there only "
+               "while `end` is a deleted genesis and no path group has been "
+               "parsed, or is the end of group j deleted in a round from j+1 "
+               "to g-1, and a path group after it is refused anyway "
+               "(`extender in deleted`, a set that only grows with g).  The "
+               "chains C5 lets through are therefore a prefix that ends at a "
+               "deleted position followed by that position's own lone marks.  "
+               "Such a chain is never a request (its last group has no path), "
+               "and it is complete only if it ends in a lone y, which an "
+               "honest process never signs: `_finish` puts a y right after a "
+               "path record.  So it carries the lone y of a corrupted "
+               "position, and it ends there: only that position takes it "
+               "(`_on_chain`), an audit of it is about that position "
+               "(`verify_payment_claim`), and refusal evidence must end at "
+               "the accused, who is not deleted while its complaint is "
+               "settled.  The argument does not lean on 'a deleted process "
+               "is corrupted', which the gallery checks on its response "
+               "enforcement coalitions only.")),
+    Mutant("D1", "cyclecoin.py", "assemble: all groups under current deletions",
+           '    since = getattr(deleted, "since", None) if deleted else None\n',
+           "    since = None\n"),
+    Mutant("D2", "cyclecoin.py", "assemble: round g deletions bar group g",
+           "if d < len(groups))", "if d <= len(groups))"),
     Mutant("C6", "cyclecoin.py", "_on_query: round check dropped",
            "        if len(shape.groups) - 1 != r:\n            return []\n", ""),
     Mutant("F1", "simnet.py", "CoalitionOracle.sign: forgery refusal dropped",
