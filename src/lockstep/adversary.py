@@ -435,9 +435,9 @@ def _marker_attack(family: type[MarkerProcess], N: int, f: int,
     ``coalition``, which plays ``script`` and runs a :class:`SimWorld` for
     each (members, feed, plan, rounds) of ``worlds``, whose sims are the
     members running the honest code; return the audit of the rounds and
-    the system.  The sims of every world sign
-    through one :class:`CoalitionOracle`, over which a corrupted genesis
-    holder first signs the genesis record that chains start from."""
+    the system.  The sims of every world sign through one
+    :class:`CoalitionOracle`, over which a corrupted genesis holder first
+    signs the genesis record that chains start from."""
     oracle = SignatureOracle(coalition)
     shadow = CoalitionOracle(oracle)
     if genesis in coalition:
