@@ -25,12 +25,15 @@ the honest code, and plays a script that maps a step to a move, a
 function of the network that returns what the coalition sends at that
 step; a move that re-sends what the coalition sent reads it from the
 transcript of the steps before.  A world starts its rounds from its own
-plan, as a driver starts them for honest processes, and its range of
-rounds and its feed make the deviations: it forks when it starts late
-from fresh sims, crashes when its range ends, and omits what it does not
-hear.  Besides these, only adversaries that pick their sends from what
-they observe are classes of their own, and one :class:`JunkAdversary`
-makes every flood of random bytes, which observes nothing.
+plan through :func:`~lockstep.marker.start_round`, as a driver starts
+them for honest processes, and its range of rounds and its feed make the
+deviations: it forks when it starts late from fresh sims, crashes when
+its range ends, and omits what it does not hear.  One runner builds and
+audits every such run, and it holds every check a coalition run gets, so
+an entry adds only checks the runner cannot state.  Besides these, only
+adversaries that pick their sends from what they observe are classes of
+their own, and one :class:`JunkAdversary` makes every flood of random
+bytes, which observes nothing.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from lockstep.marker import (
     handoff,
     intent_content,
     receipt_content,
+    start_round,
 )
 from lockstep.muxer import nonce_for
 from lockstep.payments import FAMILIES as BANK_FAMILIES, Bank, deal
@@ -344,7 +348,10 @@ class SimWorld:
     state, and after it they are silent, which is a crash.  It hears the
     real messages of the senders in ``feed`` to the sims it runs, and no
     others, which is an omission.  Messages between its sims stay inside
-    the world; all other traffic reaches the real wire.
+    the world; all other traffic reaches the real wire.  A sim does all
+    its work in its steps and asks for the ones it needs, so a world runs
+    any family across rounds: a broadcast marker sim applies each round's
+    decision at the round's last step, to which it wakes itself.
     """
 
     def __init__(self, sims: dict[int, Process], feed: frozenset[int],
@@ -368,17 +375,13 @@ class SimWorld:
         """Run the world at step ``t`` of round ``r`` on the observations
         ``heard`` since the last step, and return the sends its sims make
         to the real wire.  At the world's first step in a round of its
-        range it starts the round as a driver does: each payer of the
-        round's plan pays and wakes, and every sim schedules its round."""
+        range it starts the round through
+        :func:`~lockstep.marker.start_round`, as a driver does."""
         if r not in self.rounds:
             return []
         if r != self.round:
             self.round = r
-            for payer, target in self.plan.get(r, {}).items():
-                self.sims[payer].pay(r, target)
-                self.wake(payer, t)
-            for sim in self.sims.values():
-                sim.round_wakes(t)
+            start_round(self.sims, self.plan.get(r, {}), r, t)
         for obs in heard:
             if obs.sender in self.feed and obs.recipient in self.sims:
                 self.queues[obs.recipient].setdefault(obs.step, []).append(
@@ -453,10 +456,13 @@ def _marker_attack(family: type[MarkerProcess], N: int, f: int,
 
 
 def _audited_rounds(system, plans: list[dict[int, int]]) -> list[str]:
-    """Run scripted rounds and collect checker output for each.  After
-    each round at most one honest process holds the marker, and one does
-    if the round marked an honest process; two holders that the round's
-    own markings already show are reported once, by the round checker."""
+    """Run scripted rounds and collect every check of a coalition run.
+    After each round the round checker audits its markings, at most one
+    honest process holds the marker, and one does if the round marked an
+    honest process; two holders that the round's own markings already
+    show are reported once, by the round checker.  After the last round,
+    under response enforcement, every honest process holds the same
+    deletions and none is deleted: an honest process always answers."""
     violations = []
     honest = frozenset(range(system.N)) - system.corrupted
     for plan in plans:
@@ -469,6 +475,12 @@ def _audited_rounds(system, plans: list[dict[int, int]]) -> list[str]:
         holders = [n for n in sorted(honest) if system.procs[n].marked]
         if (len(holders) > 1 and len(markings) < 2) or (markings and not holders):
             violations.append(f"round {r}: honest holders {holders}")
+    procs = [system.procs[n] for n in sorted(honest)]
+    if len({tuple(getattr(p, "deletions", ())) for p in procs}) > 1:
+        violations.append("honest processes disagree on the deletions")
+    gone = sorted(honest & set().union(*(getattr(p, "deleted", ()) for p in procs)))
+    if gone:
+        violations.append(f"honest {gone} deleted")
     return violations
 
 
@@ -668,9 +680,10 @@ def _split_intents(payer: int, N: int, f: int,
             for k, b in enumerate(casters)]
 
 
-def quorum_gallery(N: int = 7, f: int = 2) -> list[AttackResult]:
-    """Named attack-must-fail entries against the quorum marker, each a
-    coalition, its honest plans and its script."""
+def quorum_gallery() -> list[AttackResult]:
+    """Named attack-must-fail entries against the quorum marker at N=7,
+    f=2, each a coalition, its honest plans and its script."""
+    N, f = 7, 2
     casters = sorted(default_broadcasters(N, f))
     proof = encode_proof(())
     crooked = frozenset(casters[-f:])
@@ -717,13 +730,9 @@ def cycle_stale_replay(N: int, first_target: int) -> AttackResult:
 
     follow_up = first_target + 1 if first_target + 1 < N else first_target
     world = (frozenset({0}), frozenset(range(N)), {0: {0: first_target}}, range(2))
-    violations, system = _marker_attack(
+    violations, _ = _marker_attack(
         CCProcess, N, 0, frozenset({0}), [{}, {first_target: follow_up}],
         [world], {cycle_round_steps(N): replay}, 0)
-    stray = [m for m in system.procs[first_target].markings
-             if m.round == 1 and m.predecessor != first_target]
-    if stray:
-        violations.append(f"stale chain re-marked {first_target}: {stray}")
     return AttackResult("cycle-stale-replay", "cycle", N, 1, tuple(violations),
                         details=f"target={first_target}")
 
@@ -755,17 +764,14 @@ def cycle_equal_weight(N: int) -> AttackResult:
     violations, system = _marker_attack(CCProcess, N, 0, coalition,
                                         [{}, {2: 3}], [world],
                                         {cycle_round_steps(N): rival}, 0)
-    target = system.procs[2]
-    if [m for m in target.markings if m.round == 1]:
-        violations.append("rival chain re-marked the spent position")
-    verdict, exhibit = verify_payment_claim(target, forged[0], 1)
+    verdict, _ = verify_payment_claim(system.procs[2], forged[0], 1)
     if verdict != "refuted":
         violations.append(f"rival claim audited as {verdict}, not refuted")
     return AttackResult("cycle-equal-weight", "cycle", N, 2, tuple(violations))
 
 
 def cycle_silent_responder(N: int, f: int, target: int,
-                           silent: int = 1) -> AttackResult:
+                           silent: int) -> AttackResult:
     """A path process refuses to answer under response enforcement.
 
     The payment must complete anyway and every honest process must agree
@@ -784,8 +790,7 @@ def cycle_silent_responder(N: int, f: int, target: int,
 def cycle_por_coalitions(N: int) -> list[AttackResult]:
     """Coalitions that run the honest response enforcement code and then
     crash, omit or fork, each its f, coalition, genesis holder, worlds
-    and honest plans.  Every round passes the marker audits, every honest
-    process holds the same deletions, and none is deleted."""
+    and honest plans.  Every run must pass the runner's checks."""
     everyone = frozenset(range(N))
     entries = {
         # 0 pays 1 and 1 pays 2; in round 2 a fresh 0 spends the genesis
@@ -804,18 +809,10 @@ def cycle_por_coalitions(N: int) -> list[AttackResult]:
         "cycle-por-genesis-pay-then-silent": (1, {2}, 2, [
             ({2}, everyone, {0: {2: 1}}, range(1))], [{}, {1: 3}]),
     }
-    results = []
-    for name, (f, coalition, genesis, worlds, plans) in entries.items():
-        violations, system = _marker_attack(PoRProcess, N, f, frozenset(coalition),
-                                            plans, worlds, {}, genesis)
-        honest = [p for p in system.procs if p.n not in coalition]
-        if len({tuple(p.deletions) for p in honest}) > 1:
-            violations.append("honest processes disagree on the deletions")
-        gone = sorted({p.n for p in honest if any(p.n in q.deleted for q in honest)})
-        if gone:
-            violations.append(f"honest {gone} deleted")
-        results.append(AttackResult(name, "cycle", N, f, tuple(violations)))
-    return results
+    return [AttackResult(name, "cycle", N, f, tuple(_marker_attack(
+                PoRProcess, N, f, frozenset(coalition), plans, worlds, {},
+                genesis)[0]))
+            for name, (f, coalition, genesis, worlds, plans) in entries.items()]
 
 
 _EMPTY_QUERY = wire(KIND_QUERY, ())
@@ -840,7 +837,7 @@ def cycle_gallery(N: int = 8) -> list[AttackResult]:
                                  details=f"accepted={report.accepted}"))
     results.append(cycle_stale_replay(N, 2))
     results.append(cycle_equal_weight(N))
-    results.append(cycle_silent_responder(N, 2, 3))
+    results.append(cycle_silent_responder(N, 2, 3, 1))
     results.append(cycle_junk(N, 1))
     return results + cycle_por_coalitions(N)
 

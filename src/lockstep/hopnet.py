@@ -375,6 +375,10 @@ class CheatPlan:
 
 @dataclass
 class MacroOutcome:
+    """One macro payment.  ``messages`` counts the 4Z+1 messages of its Z
+    promises and its intent, which are signed but not sent, and every
+    message the banks sent during its macro round."""
+
     macro_round: int
     payer: int
     payee: int
@@ -456,6 +460,7 @@ class HopNetwork:
             promises.append(promise)
         self.oracle.sign(a, intent_bytes(a, b, self.macro_index))
         base = self.macro_index * self.micro_rounds
+        sent = sum(bank.net.metrics.messages() for bank in self.banks)
         delivered = 0
         blocked = (cheat.position if cheat is not None
                    and cheat.mode in (CHEAT_KEEP, CHEAT_FORGE)
@@ -473,8 +478,9 @@ class HopNetwork:
                     if pos_payer in row.credits.get(pos_payee, ()):
                         delivered += 1
         paid = delivered == len(legs)
-        messages = (4 * len(promises) + 1
-                    + sum(2 * d - 1 for _, _, _, d in legs[:delivered]))
+        # the legs' messages are the banks' traffic of the macro round
+        messages = (4 * len(promises) + 1 - sent
+                    + sum(bank.net.metrics.messages() for bank in self.banks))
         claims_paid = paid and not (cheat is not None
                                     and cheat.mode == CHEAT_DENY)
         outcome = MacroOutcome(self.macro_index, a, b, path, tuple(promises),
@@ -555,15 +561,14 @@ class HopNetwork:
                 pos_down, ())
             down_cheats = cheat is not None and cheat.position == j
             if credited and not down_cheats:
-                break  # downstream side is satisfied, nothing to dispute
-            up_cheats = cheat is not None and cheat.position == j - 1
-            if up_cheats and cheat.mode == CHEAT_FORGE:
+                raise ConfigFault("walkback found no edge in dispute")
+            if (cheat is not None and cheat.position == j - 1
+                    and cheat.mode == CHEAT_FORGE):
                 # what a forger can show: the chain it was paid with, if any
                 exhibit = (self._leg_proof(leg_index - 1, outcome)
                            if leg_index else None)
-            elif up_cheats and cheat.mode == CHEAT_KEEP:
-                exhibit = None  # pretends it was never paid itself
             else:
+                # a keeper's leg never ran, so it has no exhibit
                 exhibit = self._leg_proof(leg_index, outcome)
             if exhibit is None:
                 trace.append((j, upstream, downstream, TRACE_ADMIT))
@@ -573,7 +578,6 @@ class HopNetwork:
             if finding == TRACE_PAID:
                 return downstream, trace
             return upstream, trace
-        raise ConfigFault("walkback found no edge in dispute")
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,9 @@ class MarkerProcess(Process):
     many steps one round occupies, keeps ``marked`` true while it holds the
     marker, and appends a :class:`Marking` to ``markings`` whenever it
     accepts one.  ``pending`` maps a round to the target the process pays
-    in it.
+    in it.  Its one round hook is :meth:`round_wakes`: every state change,
+    a decision at the end of a round included, happens in a step, so a
+    driver and a simulation world run a construction alike.
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
@@ -169,10 +171,21 @@ class MarkerProcess(Process):
         return None
 
     def round_wakes(self, base: int) -> None:
-        """Schedule the spontaneous steps of the round starting at ``base``."""
+        """Schedule the spontaneous steps of the round starting at ``base``,
+        the one round hook a construction has."""
 
-    def end_round(self, r: int) -> None:
-        """Local state transition after the last step of round ``r``."""
+
+def start_round(procs: dict[int, MarkerProcess], plan: dict[int, int],
+                r: int, base: int) -> None:
+    """Start round ``r`` at step ``base`` for ``procs``, by id: each payer
+    of ``plan``, which must be one of them, pays and wakes, and every one
+    schedules its round.  Both the driver and a simulation world start
+    rounds here."""
+    for payer, target in plan.items():
+        procs[payer].pay(r, target)
+        procs[payer].net.wake(payer, base)
+    for proc in procs.values():
+        proc.round_wakes(base)
 
 
 class MarkerSystem:
@@ -201,19 +214,12 @@ class MarkerSystem:
         r = self.round_index
         base = r * self.round_steps
         self.net.round = r
-        honest = [p for p in self.procs if p.n not in self.corrupted]
-        for payer, target in (inputs or {}).items():
-            if payer in self.corrupted:
-                continue
-            self.procs[payer].pay(r, target)
-            self.net.wake(payer, base)
-        for proc in honest:
-            proc.round_wakes(base)
+        honest = {p.n: p for p in self.procs if p.n not in self.corrupted}
+        plan = {payer: t for payer, t in (inputs or {}).items() if payer in honest}
+        start_round(honest, plan, r, base)
         self.net.run_until(base + self.round_steps - 1)
-        for proc in honest:
-            proc.end_round(r)
         self.round_index += 1
-        return [m for proc in honest for m in round_tail(proc.markings, r)]
+        return [m for proc in honest.values() for m in round_tail(proc.markings, r)]
 
 
 def handoff(family: type[MarkerProcess], N: int, f: int, payer: int,
@@ -522,10 +528,11 @@ class BBMProcess(MarkerProcess):
     """Marker tracking by one authenticated broadcast per round.
 
     The current holder is the broadcast leader; the broadcast value is the
-    target id plus one, zero meaning the round carried no handoff.  All
-    honest processes apply the decided value at the end of the round, so
-    the holder is replicated state.  Broadcast signatures are scoped to the
-    round, which keeps chains from one round meaningless in another.
+    target id plus one, zero meaning the round carried no handoff.  Every
+    honest process wakes at the round's last step and applies the decided
+    value there, after its broadcast's last step, so the holder is
+    replicated state.  Broadcast signatures are scoped to the round, which
+    keeps chains from one round meaningless in another.
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
@@ -547,33 +554,23 @@ class BBMProcess(MarkerProcess):
     def marked(self) -> bool:
         return self.holder == self.n
 
-    def _rotate(self, r: int) -> None:
-        if self.ds_round == r:
-            return
-        value = None
-        if self.n == self.holder and r in self.pending:
-            value = enc_int(self.pending.pop(r) + 1)
-        scoped = ScopedOracle(self.oracle, nonce_for(r))
-        self.ds = DSProcess(self.n, self.N, self.f, self.holder, value, scoped)
-        self.ds_round = r
+    def round_wakes(self, base: int) -> None:
+        self.net.wake(self.n, base + self.f + 2)
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
         r, phase = divmod(t, self.round_steps)
-        self._rotate(r)
-        return self.ds.step(phase, inbox)
-
-    def end_round(self, r: int) -> None:
-        """Apply the round's broadcast decision to the replicated holder.
-
-        This is the local end of round state transition; it consumes no
-        messages and every honest process computes the same result.
-        """
-        self._rotate(r)
-        value, fault = self.ds.decide()
-        if fault or not 1 <= value <= self.N:
-            return
-        target = value - 1
-        predecessor = self.holder
-        self.holder = target
-        if self.n == target:
-            self.markings.append(Marking(r, self.n, predecessor))
+        if self.ds_round != r:
+            value = None
+            if self.marked and r in self.pending:
+                value = enc_int(self.pending.pop(r) + 1)
+            scoped = ScopedOracle(self.oracle, nonce_for(r))
+            self.ds = DSProcess(self.n, self.N, self.f, self.holder, value, scoped)
+            self.ds_round = r
+        sends = self.ds.step(phase, inbox)
+        if phase == self.f + 2:
+            value, fault = self.ds.decide()
+            if not fault and 1 <= value <= self.N:
+                predecessor, self.holder = self.holder, value - 1
+                if self.marked:
+                    self.markings.append(Marking(r, self.n, predecessor))
+        return sends

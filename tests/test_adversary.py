@@ -410,6 +410,31 @@ def test_the_marker_moves_on_past_a_payer_that_fell_silent():
     assert [p.deletions for p in system.procs if p.n != 2] == [[(2, 5, 2)]] * 7
 
 
+def test_a_broadcast_marker_world_carries_the_marker_across_rounds():
+    """A BBM sim decides each round at its own last step, so the world's 1
+    knows it holds the marker after 0 pays it and can pay 2 a round on."""
+    everyone = frozenset(range(5))
+    violations, system = gallery._marker_attack(
+        marker.BBMProcess, 5, 2, frozenset({0, 1}), [{}, {}],
+        [({0, 1}, everyone, {0: {0: 1}, 1: {1: 2}}, range(2))], {}, 0)
+    assert violations == []
+    assert system.procs[2].markings == [marker.Marking(1, 2, 1)]
+    assert {p.holder for p in system.procs[2:]} == {2}
+
+
+def test_a_split_broadcast_marker_holder_spends_nothing():
+    """Two worlds of the corrupted holder 0 pay 1 and 2 in one round;
+    broadcast agreement leaves every honest process deciding a fault."""
+    everyone = frozenset(range(5))
+    violations, system = gallery._marker_attack(
+        marker.BBMProcess, 5, 2, frozenset({0}), [{}],
+        [({0}, everyone, {0: {0: target}}, range(1)) for target in (1, 2)],
+        {}, 0)
+    assert violations == []
+    assert [p.markings for p in system.procs[1:]] == [[]] * 4
+    assert {p.holder for p in system.procs[1:]} == {0}
+
+
 def test_bank_galleries_are_clean():
     for family, f in (("quorum", 1), ("cycle", 2)):
         for result in bank_gallery(family, 6, f, 3, 5, seed=4):

@@ -135,6 +135,14 @@ def test_honest_macro_payment_pays_and_conserves():
         assert after[n] == expected
 
 
+@pytest.mark.parametrize("a, b", [(0, 16), (0, 3), (0, 1), (0, 17), (8, 26)])
+def test_an_honest_macro_payment_sends_what_its_route_costs(a, b):
+    """On each specimen route of ``dispute_coverage``, the banks' traffic
+    plus the signed promises and intent make the route's 2D+Z."""
+    outcome = HopNetwork(gen_binary_search_pair(32)).macro_payment(a, b)
+    assert outcome.paid and outcome.messages == outcome.path.messages
+
+
 def _cheat_route(seed=5):
     net = HopNetwork(gen_random_cycles(8, 2, seed=seed))
     graph = net.graph()

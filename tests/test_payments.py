@@ -361,6 +361,8 @@ def test_late_acceptance_keeps_the_book_exact(checked_rounds):
     outcome = net.macro_payment(a, b)
     restore()
     assert outcome.delivered_legs == len(path.legs) - 1 and not outcome.paid
+    # the messages are the banks' traffic: all but the withheld chain
+    assert outcome.messages == path.messages - 1 == 3
     # the payee's instance takes the withheld chain during the dispute,
     # outside any round, and the rounds after it must still book exactly
     accused, trace = net.dispute_walkback(outcome)

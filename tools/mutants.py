@@ -108,6 +108,11 @@ MUTANTS = (
            "if d < len(groups))", "if d <= len(groups))"),
     Mutant("C6", "cyclecoin.py", "_on_query: round check dropped",
            "        if len(shape.groups) - 1 != r:\n            return []\n", ""),
+    Mutant("P1", "cyclecoin.py", "_refusal_justified: never justifies",
+           "return chain_signatures_ok(evidence, self.oracle)", "return False"),
+    Mutant("P2", "cyclecoin.py", "_settle_period: a COMPLY ignored",
+           "if not fault and value == COMPLY and self.oracle.verify(",
+           "if False and self.oracle.verify("),
     Mutant("F1", "simnet.py", "CoalitionOracle.sign: forgery refusal dropped",
            "        if signer not in self.corrupted:\n"
            "            raise ForgeryViolation(\n", "        if False:\n"
