@@ -27,7 +27,9 @@ only from its first new record: in the chain shape and in the signature
 check, whose signed contents start from the prefix's bytes.  The verdicts
 are those of a check from genesis, because the prefix was verified by the
 same process against its own oracle, whose registry never drops an entry,
-and because no negative verdict is kept.
+because no negative verdict is kept, and because a kept prefix holds only
+groups of rounds that no later deletion bears on (see
+:meth:`CCProcess._verify`).
 
 Decoding costs a lookup.  The encoder keeps what it encoded for the
 decoder, so the receiver of an honest chain decodes it without parsing,
@@ -38,8 +40,10 @@ record.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from lockstep.consensus import DSProcess
 from lockstep.marker import GENESIS_ROUND, Marking, MarkerProcess
@@ -65,6 +69,9 @@ TAG_X = "x"
 TAG_Y = "y"
 
 _TAGS = frozenset({TAG_BASE, TAG_PATH, TAG_X, TAG_Y})
+
+# No position deleted: the default deletions of a parse or a route.
+NO_DELETIONS: Mapping[int, int] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -222,7 +229,7 @@ def cycle_distance(a: int, b: int, N: int) -> int:
 
 
 def cycle_path(a: int, b: int, N: int,
-               deleted: frozenset[int] = frozenset()) -> list[int]:
+               deleted: Mapping[int, int] = NO_DELETIONS) -> list[int]:
     """Positions from a inclusive to b exclusive, skipping deleted ones.
 
     The path from a process to itself is empty by convention.
@@ -285,28 +292,29 @@ class ChainShape:
 
 
 def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
-             deleted: frozenset[int] = frozenset(),
+             deleted: Mapping[int, int] = NO_DELETIONS,
              resume: tuple[int, int, int, tuple[Group, ...]] | None = None
              ) -> ChainShape | None:
     """Parse records into extension groups, or None if malformed.
 
     Groups alternate path countersignatures with the extender's own x marks
-    and close on its y mark; a lone x or y is a self hop.  Deleted
-    positions never sign but old records by them remain acceptable, and
-    either way they count toward hop lengths, so weights keep their
-    geometric meaning.  A :class:`Deleted` set knows the round of each
-    deletion, and group g, the extension of round g, is parsed under the
-    deletions it was made under: a position deleted before round g may not
-    extend or mark in it, and one deleted up to round g is skipped by its
-    path and its end (see :class:`PoRProcess`).  A plain set deletes its
-    positions from every group.  The parse is unambiguous: a run of pairs
-    belongs to one group exactly as long as the extender signature
-    matches, because the next group would have to be closed by the new
-    chain end instead.
+    and close on its y mark; a lone x or y is a self hop.  ``deleted`` maps
+    each deleted position to the round it was deleted in, -1 for one
+    deleted from the start.  Group g, the extension of round g, is parsed
+    under the deletions it was made under: a position deleted before round
+    g may not extend or mark in it, and one deleted up to round g is
+    skipped by its path and its end (see :class:`PoRProcess`).  Old records
+    by deleted positions remain acceptable, and deleted positions count
+    toward hop lengths, so weights keep their geometric meaning.  The parse
+    is unambiguous: a run of pairs belongs to one group exactly as long as
+    the extender signature matches, because the next group would have to
+    be closed by the new chain end instead.
 
-    ``resume`` is the state of an earlier parse, under the same ``N``,
-    ``genesis`` and ``deleted``, of a chain that ``records`` extends (see
-    :attr:`VerifiedPrefix.state`); the parse goes on from it.
+    ``resume`` is the state of an earlier parse, under the same ``N`` and
+    ``genesis``, of a chain that ``records`` extends (see
+    :attr:`VerifiedPrefix.state`); the parse goes on from it.  The groups
+    it holds are not parsed again, so ``deleted`` must agree with the
+    deletions of that parse on the rounds of those groups.
     """
     if (not records or records[0].tag != TAG_BASE
             or records[0].signer != genesis):
@@ -314,17 +322,16 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
     i, end, total, done = resume or (1, genesis, 0, ())
     groups: list[Group] = list(done)
     n_records = len(records)
-    since = getattr(deleted, "since", None) if deleted else None
-    skipped = deleted
+    barred = skipped = deleted
     while i < n_records:
-        if since:
-            deleted = frozenset(a for a, d in since.items() if d < len(groups))
-            skipped = frozenset(a for a, d in since.items() if d <= len(groups))
+        if deleted:
+            barred = {a for a, d in deleted.items() if d < len(groups)}
+            skipped = {a for a, d in deleted.items() if d <= len(groups)}
         rec = records[i]
         if rec.tag == TAG_BASE:
             return None
         if rec.tag in (TAG_X, TAG_Y):
-            if rec.signer != end or end in deleted:
+            if rec.signer != end or end in barred:
                 return None
             groups.append(Group(end, (), rec.tag, end, 0))
             if rec.tag == TAG_Y and i + 1 != n_records:
@@ -332,7 +339,7 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
             i += 1
             continue
         extender = end
-        if extender in deleted:
+        if extender in barred:
             return None
         path: list[int] = []
         cursor = extender
@@ -378,16 +385,6 @@ def assemble(records: tuple[Record, ...], N: int, *, genesis: int = 0,
     return ChainShape(tuple(records), tuple(groups), end, total)
 
 
-class Deleted(frozenset):
-    """The positions of ``deletions``, (round, period, position) triples,
-    with ``since`` mapping each to the round it was deleted in."""
-
-    def __new__(cls, deletions: list[tuple[int, int, int]]) -> Deleted:
-        self = super().__new__(cls, (a for _, _, a in deletions))
-        self.since = {a: r for r, _, a in deletions}
-        return self
-
-
 @dataclass(frozen=True, eq=False)
 class VerifiedPrefix:
     """What a process keeps of the last chain it accepted as well formed
@@ -395,24 +392,20 @@ class VerifiedPrefix:
     chain's closing y comes back as an x on the next payment.
 
     ``body`` is the record bytes of ``records``.  ``state`` is where
-    :func:`assemble` stood, under ``N``, ``genesis`` and ``deleted``, at
-    the start of the latest group that the parse reached from these
-    records alone, two records of lookahead included: (record index,
-    chain end, weight so far, the groups before it).  A process keeps one,
-    of O(L) size for a chain of L records.  It is only sound with the
-    oracle that verified the chain, so it is never shared.
+    :func:`assemble` stood at the start of the latest group that the parse
+    reached from these records alone, two records of lookahead included:
+    (record index, chain end, weight so far, the groups before it).  A
+    process keeps one, of O(L) size for a chain of L records.  It is only
+    sound with the oracle that verified the chain, and under the ``N``,
+    genesis and deletions it was parsed under, so it is never shared.
     """
 
     records: tuple[Record, ...]
     body: bytes
-    N: int
-    genesis: int
-    deleted: frozenset[int]
     state: tuple[int, int, int, tuple[Group, ...]]
 
     @classmethod
-    def of(cls, shape: ChainShape, encoded: bytes, N: int, genesis: int,
-           deleted: frozenset[int]) -> VerifiedPrefix:
+    def of(cls, shape: ChainShape, encoded: bytes) -> VerifiedPrefix:
         """The prefix of a chain whose shape and signatures passed;
         ``encoded`` is the chain's :func:`encode_records` bytes, from which
         the prefix's bytes are cut."""
@@ -425,56 +418,47 @@ class VerifiedPrefix:
             g -= 1
             start -= 2 * len(groups[g].path) or 1
             weight -= groups[g].hop
-        end = groups[g - 1].end if g else genesis
-        return cls(records[:keep], encoded[12:-len(records[-1].enc)], N,
-                   genesis, deleted, (start, end, weight, groups[:g]))
-
-    def skip(self, records: tuple[Record, ...], N: int, genesis: int,
-             deleted: frozenset[int]
-             ) -> tuple[int, tuple[int, int, int, tuple[Group, ...]] | None]:
-        """How much of a check of ``records`` this prefix saves: the
-        number of leading records whose signatures are verified, and the
-        :func:`assemble` state to resume from, or None."""
-        if records[:len(self.records)] != self.records:
-            return 0, None
-        if (N, genesis, deleted) != (self.N, self.genesis, self.deleted):
-            return len(self.records), None
-        return len(self.records), self.state
+        end = groups[g - 1].end if g else records[0].signer
+        return cls(records[:keep], encoded[12:-len(records[-1].enc)],
+                   (start, end, weight, groups[:g]))
 
 
 def _inspect(rule: str, records: tuple[Record, ...], N: int, oracle,
-             genesis: int, deleted: frozenset[int],
+             genesis: int, deleted: Mapping[int, int],
              known: VerifiedPrefix | None) -> ChainShape | None:
     """The shape of ``records`` if it obeys the :class:`ChainShape`
     property ``rule`` and its signatures verify, or None.  The rule is
-    applied before the oracle is asked anything."""
-    start, state = (known.skip(records, N, genesis, deleted)
-                    if known is not None else (0, None))
+    applied before the oracle is asked anything.  A check of records that
+    extend ``known.records`` resumes from ``known``."""
+    if known is not None and records[:len(known.records)] != known.records:
+        known = None
     shape = assemble(records, N, genesis=genesis, deleted=deleted,
-                     resume=state)
+                     resume=None if known is None else known.state)
     if shape is None or not getattr(shape, rule):
         return None
-    if not chain_signatures_ok(records, oracle, known if start else None):
+    if not chain_signatures_ok(records, oracle, known):
         return None
     return shape
 
 
 def inspect_chain(records: tuple[Record, ...], N: int, oracle, *,
                   genesis: int = 0,
-                  deleted: frozenset[int] = frozenset(),
+                  deleted: Mapping[int, int] = NO_DELETIONS,
                   known: VerifiedPrefix | None = None) -> ChainShape | None:
     """Shape of a :attr:`~ChainShape.complete` chain with verified
     signatures, or None.
 
-    ``known`` is a prefix verified against ``oracle`` before; a chain that
-    extends it is checked from its first new record, with the same verdict.
+    ``known`` is a prefix verified against ``oracle`` before, under the
+    same ``N`` and ``genesis`` and under deletions that agree with
+    ``deleted`` on the rounds of its groups; a chain that extends it is
+    checked from its first new record, with the same verdict.
     """
     return _inspect("complete", records, N, oracle, genesis, deleted, known)
 
 
 def inspect_request(records: tuple[Record, ...], N: int, oracle, *,
                     genesis: int = 0,
-                    deleted: frozenset[int] = frozenset(),
+                    deleted: Mapping[int, int] = NO_DELETIONS,
                     known: VerifiedPrefix | None = None) -> ChainShape | None:
     """Shape of a partial chain in flight, a :attr:`~ChainShape.request`
     with verified signatures, or None.  ``known`` works as in
@@ -551,13 +535,17 @@ class CCProcess(MarkerProcess):
     fully signed, or None; a later chain that extends it is shaped and
     verified from its first new record.  Audits such as
     :func:`verify_payment_claim` neither read nor write it.
+
+    ``deleted`` maps each position deleted from the cycle to the round it
+    was deleted in; only response enforcement (:class:`PoRProcess`) adds
+    to it.
     """
 
     verified: VerifiedPrefix | None = None
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
         super().__init__(n, N, f, oracle, genesis_holder)
-        self.deleted: frozenset[int] = frozenset()
+        self.deleted: dict[int, int] = {}
         self.marked = n == genesis_holder
         self.marked_round: int | None = GENESIS_ROUND if self.marked else None
         self.chain: tuple[Record, ...] = ((_record(TAG_BASE, genesis_holder),)
@@ -689,22 +677,33 @@ class CCProcess(MarkerProcess):
             self.refusals.append((r, w, refusal[0]))
         return refusal
 
-    def _verify(self, inspect, records: tuple[Record, ...], encoded: bytes
-                ) -> ChainShape | None:
-        """``inspect`` the records from where ``verified`` leaves off, and
-        keep the prefix of a chain that passes; ``encoded`` is their
-        :func:`encode_records` bytes."""
+    def _verify(self, inspect, records: tuple[Record, ...], encoded: bytes,
+                r: int) -> ChainShape | None:
+        """``inspect`` the records in round ``r`` from where ``verified``
+        leaves off, and keep the prefix of a chain that passes and has no
+        group past round ``r``; ``encoded`` is their :func:`encode_records`
+        bytes.
+
+        So no deletion made after a prefix was kept bears on its groups.
+        :meth:`VerifiedPrefix.of` walks back at least one group, so a
+        prefix kept in round r holds only groups of rounds before r.
+        :func:`assemble` parses group g under the deletions of rounds up to
+        g only.  And a deletion carries the round it is decided in, never
+        an earlier one, so every later deletion carries round r or later.
+        The rounds of ``deleted`` before r are therefore those the prefix
+        was parsed under, and a check resumed from it gets the verdict of a
+        check from genesis.
+        """
         shape = inspect(records, self.N, self.oracle,
                         genesis=self.genesis_holder, deleted=self.deleted,
                         known=self.verified)
-        if shape is not None:
-            self.verified = VerifiedPrefix.of(shape, encoded, self.N,
-                                              self.genesis_holder, self.deleted)
+        if shape is not None and len(shape.groups) <= r + 1:
+            self.verified = VerifiedPrefix.of(shape, encoded)
         return shape
 
     def _on_query(self, sender: int, records: tuple[Record, ...],
                   r: int, encoded: bytes) -> list[Send]:
-        shape = self._verify(inspect_request, records, encoded)
+        shape = self._verify(inspect_request, records, encoded, r)
         if shape is None:
             return []
         open_group = shape.groups[-1]
@@ -739,7 +738,7 @@ class CCProcess(MarkerProcess):
 
     def _on_chain(self, sender: int, records: tuple[Record, ...],
                   r: int, encoded: bytes) -> None:
-        shape = self._verify(inspect_chain, records, encoded)
+        shape = self._verify(inspect_chain, records, encoded, r)
         if shape is None or not shape.groups or shape.end != self.n:
             return
         w = shape.weight
@@ -873,15 +872,15 @@ class PoRProcess(CCProcess):
     was countersigned and accepted in round g under the deletions made
     until then.  A position deleted in round g before the group closed
     was routed around, so the group skips it; one deleted later took
-    part in the group.  So ``deleted`` is a :class:`Deleted`, and
-    :func:`assemble` parses group g with the positions deleted before
-    round g barred from extending or marking it, and those deleted up to
-    round g skipped by its path and its end; routes skip every current
-    deletion.  A deletion made after the group closed cannot undo it: its
-    extender and marks are judged on earlier rounds only, its path
-    signers are matched before any skip, and its end moves only if its
-    payee is deleted, which a payee refusing with the chain is not while
-    its refusal is judged.  Under the current set instead, deleting a
+    part in the group.  So ``deleted`` maps each deleted position to the
+    round it was deleted in, and :func:`assemble` parses group g with the
+    positions deleted before round g barred from extending or marking it,
+    and those deleted up to round g skipped by its path and its end;
+    routes skip every current deletion.  A deletion made after the group
+    closed cannot undo it: its extender and marks are judged on earlier
+    rounds only, its path signers are matched before any skip, and its
+    end moves only if its payee is deleted, which a payee refusing with
+    the chain is not while its refusal is judged.  Under the current set instead, deleting a
     payer that had already paid broke the chain it paid: the honest
     holder's refusal then failed, every honest process deleted it, and a
     fork of the same marker landed beside it (a double spend); or no
@@ -1058,7 +1057,7 @@ class PoRProcess(CCProcess):
                 self._on_refuse(accused, evidence)
             return
         self.deletions.append((r, k, accused))
-        self.deleted = Deleted(self.deletions)
+        self.deleted[accused] = r
         if payer:
             self._reroute(r)
 

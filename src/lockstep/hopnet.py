@@ -119,14 +119,9 @@ def format_cycles(cycleset: CycleSet) -> str:
                    for cycle in cycleset.cycles)
 
 
-def save_cycles(path: str, cycleset: CycleSet) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_cycles(cycleset))
-
-
 def load_cycles(path: str) -> CycleSet:
-    """Read cycles written by ``save_cycles``; a malformed file raises
-    :class:`ConfigFault`."""
+    """Read cycles in the :func:`format_cycles` format; a malformed file
+    raises :class:`ConfigFault`."""
     cycles = []
     with open(path, encoding="ascii") as fh:
         try:
@@ -437,7 +432,7 @@ class HopNetwork:
         legs ride the first len(legs) of them.  A cheat plan suppresses
         the planted leg, or only poisons the later dispute.
         """
-        if a == b:
+        if a == b or not (0 <= a < self.N and 0 <= b < self.N):
             raise ConfigFault(f"cannot run payment {a}->{b}")
         path = shortest_hop_path(self.graph(), a, b)
         if path is None:

@@ -160,6 +160,8 @@ class MarkerProcess(Process):
 
     def pay(self, r: int, target: int) -> None:
         """Hand the marker to ``target`` in round ``r``."""
+        if not 0 <= target < self.N:
+            raise ConfigFault(f"target {target} is not a process")
         if not self.marked:
             raise ConfigFault(f"process {self.n} is not marked in round {r}")
         self.pending[r] = target

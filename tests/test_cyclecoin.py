@@ -159,7 +159,7 @@ def test_response_enforcement_is_free_when_honest():
     backed = MarkerSystem(PoRProcess, 7, 2)
     backed.run_round({0: 4})
     assert backed.net.metrics.messages() == plain.net.metrics.messages()
-    assert [p.deleted for p in backed.procs] == [frozenset()] * 7
+    assert [p.deleted for p in backed.procs] == [{}] * 7
 
 
 def test_a_complaint_from_a_holder_other_than_zero_is_read():

@@ -15,12 +15,12 @@ from lockstep.hopnet import (
     TRACE_PAID,
     bfs_distances,
     build_hop_graph,
+    format_cycles,
     gen_binary_search_pair,
     gen_random_cycles,
     graph_diameter,
     hop_experiment,
     load_cycles,
-    save_cycles,
     shortest_hop_path,
     unspent_graph,
 )
@@ -38,7 +38,7 @@ def test_random_cycles_are_permutations():
 def test_cycle_file_round_trip(tmp_path):
     cycleset = gen_random_cycles(8, 2, seed=1)
     path = tmp_path / "cycles.txt"
-    save_cycles(str(path), cycleset)
+    path.write_text(format_cycles(cycleset), encoding="ascii")
     assert load_cycles(str(path)).cycles == cycleset.cycles
 
 
@@ -50,6 +50,14 @@ def test_a_malformed_cycle_file_raises_config_fault(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(ConfigFault):
         load_cycles(str(path))
+
+
+@pytest.mark.parametrize("a,b", [(-1, 3), (0, -2), (0, 12), (12, 0)])
+def test_a_macro_payment_naming_no_process_is_refused_before_routing(a, b):
+    hop = HopNetwork(gen_random_cycles(8, 2, 0))
+    with pytest.raises(ConfigFault):
+        hop.macro_payment(a, b)
+    assert hop.outcomes == [] and hop.macro_index == 0
 
 
 def test_degenerate_cycle_is_refused():

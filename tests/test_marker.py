@@ -43,6 +43,20 @@ from lockstep.simnet import (
 HONEST = frozenset(range(6))
 
 
+@pytest.mark.parametrize("family,f", [(CCProcess, 0), (PoRProcess, 1),
+                                      (QMProcess, 1), (BBMProcess, 1)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+@pytest.mark.parametrize("target", [6, 9, -1])
+def test_a_payment_to_no_process_is_refused_and_the_marker_stays(
+        family, f, target):
+    """Without the check the chain marker's route walks the cycle for
+    ever, and the quorum marker's holder loses the marker to nobody."""
+    system = MarkerSystem(family, 6, f)
+    with pytest.raises(ConfigFault):
+        system.run_round({0: target})
+    assert system.procs[0].marked and not system.procs[0].pending
+
+
 def test_audit_accepts_a_clean_handoff():
     markings = [Marking(0, 3, 1)]
     assert check_marker_round(0, HONEST, markings, 1, True, 3) == []

@@ -26,3 +26,12 @@ def test_each_old_text_occurs_once_under_src_and_mutates_to_python(mutant):
     mutated = mutants.mutate(SOURCES[mutant.module], mutant)
     assert mutated != SOURCES[mutant.module]
     compile(mutated, mutant.module, "exec")
+
+
+def test_an_unknown_mutant_name_is_refused_before_anything_runs(
+        tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        mutants.main(["--only", "C2,Z9", "--workdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unknown mutant Z9" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

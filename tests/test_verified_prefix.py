@@ -5,18 +5,24 @@ A process keeps a :class:`VerifiedPrefix` of the last chain it accepted and
 checks a later chain that extends it from its first new record.  Here honest
 chains are built the way :class:`CCProcess` builds them, then cut, swapped,
 replaced and re-signed, in the tail only or anywhere, and checked with and
-without an earlier prefix, under the prefix's own deleted set or another.
+without an earlier prefix, under the prefix's own deletions or with more
+made in rounds after its groups.
 """
 
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lockstep import cyclecoin
+from lockstep.adversary import ScriptAdversary, SimWorld, _audited_rounds
 from lockstep.cyclecoin import (
     KIND_CHAIN,
     KIND_QUERY,
+    MAIN_NONCE,
     CCProcess,
+    PoRProcess,
     Record,
     TAG_BASE,
     TAG_PATH,
@@ -33,8 +39,14 @@ from lockstep.cyclecoin import (
     verify_payment_claim,
     wire,
 )
+from lockstep.marker import MarkerSystem
 from lockstep.payments import Bank
-from lockstep.simnet import SignatureOracle
+from lockstep.simnet import (
+    CoalitionOracle,
+    Delivery,
+    SignatureOracle,
+    tag_payload,
+)
 
 TAGS = (TAG_BASE, TAG_PATH, TAG_X, TAG_Y)
 
@@ -71,10 +83,10 @@ def _history(oracle, N, deleted, payments):
 @st.composite
 def histories(draw):
     """(N, deleted, oracle, snapshots) of a random run of honest payments
-    on a cycle with some positions deleted."""
+    on a cycle with some positions deleted from the start."""
     N = draw(st.integers(min_value=3, max_value=7))
-    deleted = frozenset(draw(st.sets(st.integers(min_value=1, max_value=N - 1),
-                                     max_size=N - 3)))
+    deleted = {a: -1 for a in draw(st.sets(
+        st.integers(min_value=1, max_value=N - 1), max_size=N - 3))}
     alive = [n for n in range(N) if n not in deleted]
     payments = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=2),
                                        st.sampled_from(alive)),
@@ -115,16 +127,22 @@ def test_a_check_from_a_verified_prefix_matches_a_check_from_genesis(
     N, deleted, oracle, snapshots = history
     i = data.draw(st.integers(min_value=0, max_value=len(snapshots) - 1))
     inspect, earlier = snapshots[i]
-    elsewhere = frozenset(data.draw(st.sets(
-        st.integers(min_value=1, max_value=N - 1), max_size=N - 2)))
-    memo_deleted, check_deleted = data.draw(st.sampled_from(
-        ((deleted, deleted), (deleted, elsewhere), (elsewhere, elsewhere))))
+    elsewhere = {a: -1 for a in data.draw(st.sets(
+        st.integers(min_value=1, max_value=N - 1), max_size=N - 2))}
+    memo_deleted, more = data.draw(st.sampled_from(
+        ((deleted, False), (deleted, True), (elsewhere, True))))
     shape = inspect(earlier, N, oracle, deleted=memo_deleted)
     assume(shape is not None)
-    known = VerifiedPrefix.of(shape, encode_records(earlier), N, 0,
-                              memo_deleted)
+    known = VerifiedPrefix.of(shape, encode_records(earlier))
     assert known.records == earlier[:-1]
     assert known.body == encode_records(earlier[:-1])[12:]
+    # deletions made later carry rounds past the groups the prefix holds
+    held = len(known.state[3])
+    check_deleted = dict(memo_deleted)
+    for a in data.draw(st.sets(st.integers(min_value=1, max_value=N - 1),
+                               max_size=N - 2)) if more else ():
+        check_deleted.setdefault(
+            a, data.draw(st.integers(min_value=held, max_value=held + 3)))
 
     j = data.draw(st.integers(min_value=i, max_value=len(snapshots) - 1))
     lo = data.draw(st.sampled_from((0, len(known.records))))
@@ -154,7 +172,7 @@ def test_a_prefix_cut_from_a_parsed_wire_holds_its_records_bytes(
         _, parsed, encoded = parse(payload)
         assert parsed == records and encoded == body
         shape = inspect(parsed, N, oracle, deleted=deleted)
-        known = VerifiedPrefix.of(shape, encoded, N, 0, deleted)
+        known = VerifiedPrefix.of(shape, encoded)
         assert known.records == records[:-1]
         assert known.body == b"".join(rec.enc for rec in records[:-1])
 
@@ -173,7 +191,7 @@ def test_a_refused_chain_passes_once_its_missing_content_is_signed(
     for k, rec in enumerate(earlier):
         oracle.sign(rec.signer, record_content(earlier[:k], rec.tag))
     known = VerifiedPrefix.of(inspect(earlier, N, oracle, deleted=deleted),
-                              encode_records(earlier), N, 0, deleted)
+                              encode_records(earlier))
     missing = [(rec.signer, record_content(later[:k], rec.tag))
                for k, rec in enumerate(later)]
     missing = [entry for entry in missing if not oracle.verify(*entry)]
@@ -186,10 +204,10 @@ def test_a_refused_chain_passes_once_its_missing_content_is_signed(
     assert shape == check(later, N, full, deleted=deleted)
 
 
-def _known(oracle, N, snapshot, deleted=frozenset()):
+def _known(oracle, N, snapshot):
     check, records = snapshot
-    return VerifiedPrefix.of(check(records, N, oracle, deleted=deleted),
-                             encode_records(records), N, 0, deleted)
+    return VerifiedPrefix.of(check(records, N, oracle),
+                             encode_records(records))
 
 
 class _CountingOracle(SignatureOracle):
@@ -236,19 +254,60 @@ def test_a_group_end_decided_past_the_prefix_is_parsed_again():
     assert inspect_chain(chain, 5, oracle, known=known) == shape
 
 
-def test_a_prefix_kept_under_other_deletions_is_parsed_again():
-    """Deleting 1, which extended the chain inside the kept prefix, makes
-    the chain malformed, although the groups after that prefix are not."""
+def _deletion_history():
+    """A request whose kept prefix holds the groups of rounds 0 and 1: 0
+    pays 1, 1 pays 3, 3 idles in round 2 and asks 4 in round 3."""
     oracle = SignatureOracle()
-    snapshots = _history(oracle, 6, frozenset(), [(0, 1), (0, 3), (1, 5)])
+    snapshots = _history(oracle, 6, {}, [(0, 1), (0, 3), (1, 5)])
     check, request = snapshots[4]
     assert check is inspect_request and request[7] == Record(TAG_X, 3)
     known = _known(oracle, 6, snapshots[4])
-    assert known.state[0] == 7
-    assert check(request, 6, oracle, deleted=frozenset({1})) is None
-    assert check(request, 6, oracle, deleted=frozenset({1}),
-                 known=known) is None
+    assert known.state[0] == 7 and len(known.state[3]) == 2
+    return oracle, check, request, known
+
+
+def test_deleting_an_extender_in_a_round_of_its_group_breaks_the_chain():
+    """Deleting 1 in round 0 skips it as 0's payee and bars it from
+    extending in round 1, so the request is malformed from genesis.  A
+    process never checks it from this prefix under that deletion: the
+    prefix holds round 0's group, and a deletion made after it was kept
+    carries a later round."""
+    oracle, check, request, known = _deletion_history()
     assert check(request, 6, oracle, known=known) is not None
+    assert check(request, 6, oracle, deleted={1: 0}) is None
+
+
+def test_a_deletion_after_the_prefix_rounds_gives_the_verdict_from_genesis():
+    """Deleting 1 in round 2 leaves the groups of rounds 0 and 1, and the
+    request checks alike from the prefix and from genesis."""
+    oracle, check, request, known = _deletion_history()
+    shape = check(request, 6, oracle, deleted={1: 2})
+    assert shape is not None and shape.groups[-1].end == 4
+    assert check(request, 6, oracle, deleted={1: 2}, known=known) == shape
+
+
+@pytest.mark.parametrize("family", [CCProcess, PoRProcess])
+def test_no_prefix_is_kept_of_a_chain_with_a_group_past_the_round(family):
+    """The corrupted genesis holder 0 pads two idle self hops and asks 1
+    to countersign the group of round 2 in round 0.  The request is well
+    formed and signed, but 1 keeps no prefix of it: one of its groups is
+    of a round to come, and a deletion made before then could bear on
+    it.  A request of round 0 from the same holder is kept."""
+    N, f = 5, 1
+    oracle = SignatureOracle(frozenset({0}))
+    chain = append_record(oracle, 0, (), TAG_BASE)
+    ahead = append_record(oracle, 0, chain, TAG_X)
+    ahead = append_record(oracle, 0, ahead, TAG_X)
+    for records, kept in ((ahead, False), (chain, True)):
+        records = append_record(oracle, 0, records, TAG_PATH)
+        records = append_record(oracle, 0, records, TAG_X)
+        assert inspect_request(records, N, oracle) is not None
+        payload = wire(KIND_QUERY, records)
+        if family is PoRProcess:
+            payload = tag_payload(payload, MAIN_NONCE)
+        proc = family(1, N, f, oracle)
+        proc.step(0, [Delivery(0, payload)])
+        assert (proc.verified is not None) == kept
 
 
 def test_a_chain_off_the_prefix_is_checked_from_genesis():
@@ -336,3 +395,86 @@ def test_doubling_the_rounds_at_most_two_and_a_half_times_the_checks():
     (at_40, issued_40), (at_80, issued_80) = _verifications(40), _verifications(80)
     assert (issued_40, issued_80) == (1152, 2374)
     assert at_80 / at_40 <= 2.5
+
+
+class _MarkedOnly(dict):
+    """A world plan whose payments are made only by sims that hold the
+    marker, to targets they have not deleted, so that no world aborts."""
+
+    def __init__(self, plan, sims):
+        super().__init__(plan)
+        self.sims = sims
+
+    def get(self, r, default=None):
+        return {z: t for z, t in dict.get(self, r, {}).items()
+                if self.sims[z].marked and t not in self.sims[z].deleted}
+
+
+def _coalition_run(seed: int, rounds: int = 6) -> list[str]:
+    """The checks of one seeded response enforcement run: a coalition of
+    up to f processes runs worlds that crash (stop after a range of
+    rounds), omit (hear only some senders) or fork (start late from the
+    genesis state), while an honest holder pays a random live target in
+    most rounds."""
+    rng = random.Random(seed)
+    N, f = rng.randint(5, 7), rng.randint(1, 2)
+    everyone = range(N)
+    coalition = sorted(rng.sample(everyone, rng.randint(1, f)))
+    genesis = rng.choice(coalition if rng.random() < 0.5 else everyone)
+    oracle = SignatureOracle(frozenset(coalition))
+    shadow = CoalitionOracle(oracle)
+    if genesis in coalition:
+        shadow.sign(genesis, record_content((), TAG_BASE))
+    worlds = []
+    for kind in rng.sample(("crash", "omit", "fork"), rng.randint(1, 2)):
+        members = rng.sample(coalition, rng.randint(1, len(coalition)))
+        feed = frozenset(everyone)
+        span = range(rounds)
+        if kind == "crash":
+            span = range(rng.randint(1, rounds - 1))
+        elif kind == "omit":
+            feed -= set(rng.sample(everyone, rng.randint(1, N - 1)))
+        else:
+            span = range(rng.randint(1, rounds - 1), rounds)
+        sims = {z: PoRProcess(z, N, f, shadow, genesis) for z in members}
+        plan = {r: {rng.choice(members): rng.choice(everyone)}
+                for r in span if rng.random() < 0.7}
+        worlds.append(SimWorld(sims, feed, _MarkedOnly(plan, sims), span))
+    system = MarkerSystem(PoRProcess, N, f, oracle,
+                          ScriptAdversary({}, worlds), genesis)
+
+    def plans():
+        for _ in range(rounds):
+            holders = [p for p in system.procs
+                       if p.marked and p.n not in coalition]
+            if not holders or rng.random() < 0.2:
+                yield {}
+                continue
+            payer = rng.choice(holders)
+            yield {payer.n: rng.choice([n for n in everyone
+                                        if n not in payer.deleted])}
+
+    return _audited_rounds(system, plans())
+
+
+def test_checks_from_kept_prefixes_in_coalition_runs_match_genesis(
+        monkeypatch):
+    """Every chain check that a process resumes from its kept prefix, in
+    seeded response enforcement runs against crashing, omitting and
+    forking coalitions, gives the verdict of the same check from genesis
+    under the process's current deletions."""
+    inspect = cyclecoin._inspect
+    resumed = Counter()
+
+    def compared(rule, records, N, oracle, genesis, deleted, known):
+        shape = inspect(rule, records, N, oracle, genesis, deleted, known)
+        if known is not None and records[:len(known.records)] == known.records:
+            resumed[bool(deleted)] += 1
+            assert shape == inspect(rule, records, N, oracle, genesis,
+                                    deleted, None)
+        return shape
+
+    monkeypatch.setattr(cyclecoin, "_inspect", compared)
+    for seed in range(250):
+        _coalition_run(seed)
+    assert resumed[True] >= 100 and resumed[False] >= 400

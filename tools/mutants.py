@@ -10,11 +10,13 @@ mutant is killed when a test fails, other than the smoke test of
 control; a failing control makes the matrix meaningless, so the run
 stops.
 
-    python tools/mutants.py [--rev REV] [--workdir DIR] [PYTEST_ARG ...]
+    python tools/mutants.py [--rev REV] [--workdir DIR] [--only NAME[,NAME...]]
+                            [PYTEST_ARG ...]
 
-runs every mutant under pytest with the given arguments (default: the
-whole suite) and prints the kill matrix: one row per mutant with the
-tests that failed.  ``--rev`` defaults to HEAD; pass
+runs every mutant, or only those named by ``--only``, under pytest with
+the given arguments (default: the whole suite) and prints the kill
+matrix: one row per mutant with the tests that failed.  An unknown name
+is refused before anything runs.  ``--rev`` defaults to HEAD; pass
 ``$(git stash create)`` to include uncommitted edits of tracked files.
 Each copy lives under ``--workdir`` (default: a temporary directory),
 which is removed afterwards.  The exit code is 1 when a mutant that is
@@ -77,19 +79,21 @@ MUTANTS = (
            "fresh = w not in self.signed_log and w not in self.received_log",
            "fresh = True"),
     Mutant("C5", "cyclecoin.py", "assemble: deleted processes may sign x/y",
-           "if rec.signer != end or end in deleted:", "if rec.signer != end:",
+           "if rec.signer != end or end in barred:", "if rec.signer != end:",
            equivalent=(
                "At a lone x or y of group g, `end` is the genesis or the end "
                "of the last path group j < g, which skipped the positions "
-               "deleted up to round j, while `deleted` holds those deleted "
-               "before round g; a resumed parse stood at such an end under "
-               "the same deleted set.  So `end in deleted` holds there only "
-               "while `end` is a deleted genesis and no path group has been "
-               "parsed, or is the end of group j deleted in a round from j+1 "
-               "to g-1, and a path group after it is refused anyway "
-               "(`extender in deleted`, a set that only grows with g).  The "
-               "chains C5 lets through are therefore a prefix that ends at a "
-               "deleted position followed by that position's own lone marks.  "
+               "deleted up to round j, while `barred` holds those deleted "
+               "before round g; a parse resumed from a kept prefix stood at "
+               "such an end, since the prefix's groups are of rounds no "
+               "later deletion bears on.  So `end in barred` holds there "
+               "only while `end` is a genesis deleted before round g and no "
+               "path group has been parsed, or is the end of group j "
+               "deleted in a round from j+1 to g-1, and a path group after "
+               "it is refused anyway (`extender in barred`, a set that only "
+               "grows with g).  The chains C5 lets through are therefore a "
+               "prefix that ends at a deleted position followed by that "
+               "position's own lone marks.  "
                "Such a chain is never a request (its last group has no path), "
                "and it is complete only if it ends in a lone y, which an "
                "honest process never signs: `_finish` puts a y right after a "
@@ -102,12 +106,15 @@ MUTANTS = (
                "is corrupted', which the gallery checks on its response "
                "enforcement coalitions only.")),
     Mutant("D1", "cyclecoin.py", "assemble: all groups under current deletions",
-           '    since = getattr(deleted, "since", None) if deleted else None\n',
-           "    since = None\n"),
+           "        if deleted:\n            barred",
+           "        if False:\n            barred"),
     Mutant("D2", "cyclecoin.py", "assemble: round g deletions bar group g",
-           "if d < len(groups))", "if d <= len(groups))"),
+           "if d < len(groups)}", "if d <= len(groups)}"),
     Mutant("C6", "cyclecoin.py", "_on_query: round check dropped",
            "        if len(shape.groups) - 1 != r:\n            return []\n", ""),
+    Mutant("V1", "cyclecoin.py", "_verify: every prefix kept",
+           "if shape is not None and len(shape.groups) <= r + 1:",
+           "if shape is not None:"),
     Mutant("P1", "cyclecoin.py", "_refusal_justified: never justifies",
            "return chain_signatures_ok(evidence, self.oracle)", "return False"),
     Mutant("P2", "cyclecoin.py", "_settle_period: a COMPLY ignored",
@@ -152,7 +159,15 @@ def main(argv: list[str]) -> int:
                                      allow_abbrev=False)
     parser.add_argument("--rev", default="HEAD")
     parser.add_argument("--workdir", type=Path)
+    parser.add_argument("--only", metavar="NAME[,NAME...]")
     args, pytest_args = parser.parse_known_args(argv)
+    chosen = MUTANTS
+    if args.only is not None:
+        names = args.only.split(",")
+        unknown = sorted(set(names) - {m.name for m in MUTANTS})
+        if unknown:
+            parser.error(f"unknown mutant {', '.join(unknown)}")
+        chosen = tuple(m for m in MUTANTS if m.name in names)
     work = Path(tempfile.mkdtemp(prefix="mutants-", dir=args.workdir))
     survivors = 0
     try:
@@ -162,7 +177,7 @@ def main(argv: list[str]) -> int:
         if failed:
             print(f"control fails, no matrix: {', '.join(failed)}")
             return 2
-        for mutant in MUTANTS:
+        for mutant in chosen:
             tree = work / mutant.name
             checkout(args.rev, tree)
             path = tree / "src" / "lockstep" / mutant.module
