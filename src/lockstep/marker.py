@@ -26,7 +26,11 @@ bounded table shared by every process, and every broadcaster that sees
 the same proof reads them once.  The target that accepts a proof has just
 read those facts, so it keeps them, and its intent seeds the table with
 them under the proof's bytes: an honest proof is never decoded.  The 3f+1
-countersigners of a handoff sign one shared :func:`receipt_message`.
+countersigners of a handoff sign one shared :func:`receipt_message`, and
+each writes its receipt as that wire countersigned in one join
+(:func:`~lockstep.simnet.countersign`).  A receipt thus has one fixed
+layout, which :func:`read_receipt` reads by slicing: no receipt is made,
+seeded or looked up as a :class:`~lockstep.simnet.SignedMessage`.
 Whether the signers are broadcasters is one subset test, and whether the
 oracle issued the signatures is one batched question,
 :meth:`~lockstep.simnet.SignatureOracle.verify_all`; each process asks both
@@ -53,6 +57,7 @@ from lockstep.simnet import (
     Send,
     SignatureOracle,
     SignedMessage,
+    countersign,
     enc_bytes,
     enc_int,
     enc_str,
@@ -60,6 +65,8 @@ from lockstep.simnet import (
 )
 
 GENESIS_ROUND = -1
+# the length prefix of every enc_int
+INT_WIDTH = (8).to_bytes(4, "big")
 
 
 @dataclass(frozen=True)
@@ -286,8 +293,8 @@ def receipt_content(round_index: int, payer: int, target: int) -> bytes:
 # the same step, so one step's handoffs suffice.  At worst 64 × 0.5 KB.
 @lru_cache(maxsize=64)
 def receipt_message(round_index: int, payer: int, target: int) -> SignedMessage:
-    """The unsigned receipt of a handoff, whose wire and signers are then
-    built once for all of its countersigners."""
+    """The unsigned receipt of a handoff, whose wire is then built once
+    for all of its countersigners."""
     return SignedMessage(receipt_content(round_index, payer, target))
 
 
@@ -313,20 +320,27 @@ def parse_typed(payload: bytes, expected: str, fields: int) -> tuple[int, ...] |
 
 def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
     """(round, payer, target, signer, signed content) of a well formed
-    receipt signed by one signer alone, or None.  Pure: whether the signer
-    is a broadcaster and whether the oracle issued the signature are left
-    to the reader."""
-    try:
-        sm = SignedMessage.from_bytes(wire)
-    except CodecError:
+    receipt signed by one signer alone, or None.  A receipt has one fixed
+    layout, the :func:`~lockstep.simnet.countersign` wire X ‖
+    enc_int(signer) ‖ enc_bytes(X) of its message X = enc_bytes(payload),
+    so it is read by slicing, with the checks a
+    :meth:`~lockstep.simnet.SignedMessage.from_bytes` parse and a stack of
+    one entry that signed X would make.  Pure: whether the signer is a
+    broadcaster and whether the oracle issued the signature are left to
+    the reader."""
+    end = 4 + int.from_bytes(wire[:4], "big")
+    if (len(wire) != 2 * end + 16 or wire[end:end + 4] != INT_WIDTH
+            or int.from_bytes(wire[end + 12:end + 16], "big") != end):
         return None
-    fields = parse_typed(sm.payload, RECEIPT, 3)
-    if fields is None or len(sm.stack) != 1:
+    signed = wire[end + 16:]
+    # the one entry signed exactly X, the bytes before it
+    if not wire.startswith(signed):
         return None
-    signer, content = sm.stack[0]
-    if content != enc_bytes(sm.payload):
+    fields = parse_typed(wire[4:end], RECEIPT, 3)
+    if fields is None:
         return None
-    return (*fields, signer, content)
+    return (*fields, int.from_bytes(wire[end + 4:end + 12], "big", signed=True),
+            signed)
 
 
 # The summaries of the proofs that payers showed lately, by the encoded
@@ -478,9 +492,10 @@ class QMProcess(MarkerProcess):
                 continue
             if not self._fresh(claimed, payer):
                 continue
-            receipt = receipt_message(r, payer, target).signed_by(self.oracle, self.n)
+            receipt = countersign(self.oracle, self.n,
+                                  receipt_message(r, payer, target).to_bytes())
             self._remember(r, payer, target)
-            sends.append(Send(target, receipt.to_bytes(), 1))
+            sends.append(Send(target, receipt, 1))
         return sends
 
     # -- target side --------------------------------------------------------

@@ -65,6 +65,8 @@ class MuxHost(Process):
             self.net.wake(self.n, step)
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
+        # named tuples built as in Network._post
+        new = tuple.__new__
         groups: dict[bytes, list[Delivery]] = {}
         for d in inbox:
             try:
@@ -72,14 +74,15 @@ class MuxHost(Process):
             except CodecError:
                 continue
             if nonce in self.instances:
-                groups.setdefault(nonce, []).append(Delivery(d.sender, content))
+                groups.setdefault(nonce, []).append(new(Delivery, (d.sender, content)))
         for nonce in self._later.pop(t, ()):
             if nonce in self.instances:
                 groups.setdefault(nonce, [])
         self.stepped.update(groups)
         out: list[Send] = []
         for nonce in sorted(groups):
-            for send in self.instances[nonce].step(t, groups[nonce]):
-                out.append(Send(send.recipient, tag_payload(send.payload, nonce),
-                                send.signatures))
+            for recipient, payload, signatures in self.instances[nonce].step(
+                    t, groups[nonce]):
+                out.append(new(Send, (recipient, tag_payload(payload, nonce),
+                                      signatures)))
         return out

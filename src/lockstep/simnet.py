@@ -179,10 +179,22 @@ def split_payload(data: bytes) -> tuple[bytes, bytes]:
 # signatures
 
 # The messages signed_by made lately, by their own wire, which seed
-# SignedMessage.from_bytes on a miss: an intent or receipt is read a step
-# after it is signed, so a step or two of messages suffice.  At worst
-# 512 × (2B + 0.6 KB).
-_signed_seeds = Seeds(512)
+# SignedMessage.from_bytes on a miss.  What is read a step after it is
+# signed is an intent or a broadcast relay (a receipt is written and read
+# without a SignedMessage), so one step's signing suffices: a quorum bank
+# of 16 units signs at most 16 intents a step, each up to 4 KB at f=5 with
+# its proof of up to 16 receipts.  At worst 64 × (2B + 0.6 KB).
+_signed_seeds = Seeds(64)
+
+
+def countersign(oracle, signer: int, wire: bytes) -> bytes:
+    """The wire of the message whose wire is ``wire``, countersigned by
+    ``signer`` through ``oracle``: wire ‖ enc_int(signer) ‖
+    enc_bytes(wire), built in one join."""
+    oracle.sign(signer, wire)
+    return b"".join((wire, b"\x00\x00\x00\x08",
+                     int(signer).to_bytes(8, "big", signed=True),
+                     len(wire).to_bytes(4, "big"), wire))
 
 
 # A batch of k pairs with B bytes of contents; every broadcaster checks
@@ -311,10 +323,11 @@ class SignedMessage:
         return enc_bytes(self.payload) + b"".join(
             enc_int(signer) + enc_bytes(content) for signer, content in self.stack)
 
-    # a proof is checked by every broadcaster in one step; at worst
-    # 512 × (2B + 0.7 KB)
+    # what is read is an intent or a relayed chain, each by all its
+    # recipients in one step, so one step's signing suffices as for
+    # _signed_seeds; at worst 64 × (2B + 0.7 KB)
     @classmethod
-    @lru_cache(maxsize=512)
+    @lru_cache(maxsize=64)
     def from_bytes(cls, data: bytes) -> "SignedMessage":
         # on a miss, a message signed_by made lately is its own decode
         seeded = _signed_seeds.get(data)
@@ -340,11 +353,7 @@ class SignedMessage:
         The child gets its wire and signers by plain stores, as in
         :class:`once`, and seeds :meth:`from_bytes` with its wire."""
         content = self._wire
-        oracle.sign(signer, content)
-        # content + enc_int(signer) + enc_bytes(content), in one join
-        wire = b"".join((content, b"\x00\x00\x00\x08",
-                         int(signer).to_bytes(8, "big", signed=True),
-                         len(content).to_bytes(4, "big"), content))
+        wire = countersign(oracle, signer, content)
         child = SignedMessage(self.payload, self.stack + ((signer, content),))
         object.__setattr__(child, "_wire", wire)
         object.__setattr__(child, "signers", self.signers + (signer,))
@@ -387,6 +396,11 @@ class Send(NamedTuple):
 
 
 class Delivery(NamedTuple):
+    """One received message.  A process reads only ``sender`` and
+    ``payload`` of what it receives, so the network hands over the
+    :class:`TranscriptEvent` it recorded, and a host that passes a message
+    on builds a Delivery."""
+
     sender: int
     payload: bytes
 
@@ -513,7 +527,8 @@ class Network:
     adversary may act spontaneously, so no agenda of due steps is kept.
     The sends one sender makes in a step are posted in one pass: the next
     step's inboxes and the round's counters are looked up once, and each
-    message costs its transcript event, its counts and its delivery.
+    message costs one record, its transcript event, which is also the
+    recipient's delivery, and its counts.
     The corrupted processes are those of ``oracle`` (by default a fresh
     oracle with none), and ``adversary`` speaks for exactly them.
     """
@@ -533,7 +548,7 @@ class Network:
         self.transcript = Transcript()
         self.metrics = MetricsLedger()
         self.observed: list[Observation] = []
-        self._pending: dict[int, dict[int, list[Delivery]]] = {}
+        self._pending: dict[int, dict[int, list[TranscriptEvent]]] = {}
         self._wakes: dict[int, set[int]] = {}
         self._agenda: list[int] = []
         for p in processes:
@@ -564,7 +579,7 @@ class Network:
 
     def _post(self, t: int, sender: int, sends: list[Send], honest: bool) -> None:
         """Record ``sender``'s sends of step ``t`` in the transcript, count
-        the honest ones, and queue each for step t+1, in order."""
+        the honest ones, and queue each event for step t+1, in order."""
         if not sends:
             return
         r, events = self.round, self.transcript.events
@@ -573,8 +588,12 @@ class Network:
             self._due(t + 1)
             inboxes = self._pending[t + 1] = {}
         row = self.metrics.row(r) if honest else None
+        # tuple.__new__ builds the named tuple without the Python-level
+        # __new__ of its class, at about half the cost
+        new = tuple.__new__
         for recipient, payload, signatures in sends:
-            events.append(TranscriptEvent(t, r, sender, recipient, payload, signatures))
+            event = new(TranscriptEvent, (t, r, sender, recipient, payload, signatures))
+            events.append(event)
             if row is not None:
                 row[0] += 1
                 row[1] += signatures
@@ -583,14 +602,14 @@ class Network:
             inbox = inboxes.get(recipient)
             if inbox is None:
                 inbox = inboxes[recipient] = []
-            inbox.append(Delivery(sender, payload))
+            inbox.append(event)
 
     def _execute(self, t: int) -> None:
         inboxes = self._pending.pop(t, {})
         for recipient in sorted(inboxes):
             if recipient in self.corrupted:
-                for sender, payload in inboxes[recipient]:
-                    self.observed.append(Observation(t, recipient, sender, payload))
+                for d in inboxes[recipient]:
+                    self.observed.append(Observation(t, recipient, d.sender, d.payload))
         wakers = self._wakes.pop(t, set())
         active = sorted((set(inboxes) | wakers) - self.corrupted)
         for n in active:

@@ -146,6 +146,44 @@ def test_twenty_quorum_bank_rounds_ask_the_oracle_as_often_as_before(
     assert len(asked) == QUORUM_BANK_VERIFIES
 
 
+# Wire bytes each signing table may hold over the twenty rounds below:
+# about 64 intents of 4 KB, each with a proof of up to 3f+1 = 16 receipts.
+# With 512 entries the tables held up to 0.75 MB each here, and the
+# benchmark's bank-quorum peak RSS rose from 42.8 to 48.9 MB, past its
+# 10 % bound.
+SIGNING_TABLE_BYTES = 300_000
+
+
+def test_twenty_quorum_bank_rounds_keep_few_wire_bytes_in_the_signing_tables(
+        monkeypatch):
+    """The from_bytes table is modelled as the LRU it is, from the calls
+    made to it; _signed_seeds is read directly."""
+    parse = SignedMessage.from_bytes
+    cap = parse.cache_parameters()["maxsize"]
+    held: dict[bytes, None] = {}
+
+    def recording(cls, data):
+        held.pop(data, None)
+        held[data] = None
+        if len(held) > cap:
+            del held[next(iter(held))]
+        return parse(data)
+
+    monkeypatch.setattr(SignedMessage, "from_bytes", classmethod(recording))
+    bank = Bank(16, 5, [1] * 16, family="quorum")
+    rng = random.Random(11)
+    peaks = [0, 0]
+    for _ in range(20):
+        bank.run_round({payer: rng.randrange(16)
+                        for payer, balance in bank.balances().items()
+                        if balance > 0 and rng.random() < 0.6})
+        assert len(held) == parse.cache_info().currsize
+        for k, table in enumerate((held, simnet._signed_seeds)):
+            peaks[k] = max(peaks[k], sum(map(len, table)))
+    assert bank.audit() == []
+    assert 0 < min(peaks) and max(peaks) <= SIGNING_TABLE_BYTES
+
+
 def test_a_quorum_round_with_receipt_proofs_parses_each_message_once(
         monkeypatch):
     # Round 1 is the first whose proofs carry 2f+1 receipts, which each of
@@ -172,10 +210,10 @@ def test_a_quorum_round_with_receipt_proofs_parses_each_message_once(
 
 def test_a_quorum_round_decodes_the_messages_it_signed_by_lookup(
         monkeypatch):
-    # Every intent and receipt of a round was built by signed_by a step
-    # before it is read, so round 1 parses no signed-message wire: intents
-    # and fresh receipts come from the seed table, the receipts of proofs
-    # from the decode table.
+    # Every intent of a round was built by signed_by a step before it is
+    # read, and a receipt is read by slicing its fixed layout, never as a
+    # SignedMessage, so round 1 parses no signed-message wire: intents come
+    # from the seed table.
     bank = Bank(16, 5, [1] * 16, family="quorum")
     bank.run_round({n: (n + 1) % 16 for n in range(16)})
     parsed = []
@@ -444,6 +482,23 @@ def test_only_a_receipt_signed_by_one_broadcaster_is_read(signers, forged,
     signing = SignatureOracle() if forged else oracle
     wire = _signed(receipt_content(0, 0, 4), signers, signing)
     assert proc._receipt(wire) == ((0, 0, 4, 2) if read else None)
+
+
+def test_a_receipt_whose_entry_signed_another_rounds_receipt_is_refused():
+    """Broadcaster 2 did countersign the receipt of round 0 for 0 -> 4, and
+    its entry is put under the payload of round 1: the oracle issued that
+    signature, so only the check that the entry signed the payload's own
+    encoding refuses it, alone and in a proof."""
+    oracle = SignatureOracle()
+    proc = QMProcess(0, 10, 2, oracle)  # broadcasters 0..6
+    signed = [_signed(receipt_content(0, 0, 4), (b,), oracle)
+              for b in range(5)]
+    old, new = (enc_bytes(receipt_content(j, 0, 4)) for j in (0, 1))
+    moved = tuple(new + wire[len(old):] for wire in signed)
+    assert proc._receipt(signed[2]) == (0, 0, 4, 2)
+    assert proc._receipt(moved[2]) is None
+    assert proc._proof_round(4, encode_proof(tuple(signed))) == 0
+    assert proc._proof_round(4, encode_proof(moved)) is None
 
 
 @pytest.mark.parametrize("signers, forged, granted", [

@@ -16,7 +16,10 @@ and change only the records after it; each receiver must end in the state
 of a twin that keeps no prefix.  Intents of the quorum bank's second round
 are also rebuilt around an edited proof and signed again by their payer,
 so the edit gets past the payer's signature to the proof check; the two
-passes, the first on emptied tables, must end alike.
+passes, the first on emptied tables, must end alike.  The receipts of the
+quorum bank, edited, must read by slicing as they read through a
+:meth:`SignedMessage.from_bytes` parse, and each was written as
+:meth:`SignedMessage.signed_by` writes it.
 """
 
 import copy
@@ -43,6 +46,7 @@ from lockstep.cyclecoin import (
 )
 from lockstep.marker import (
     INTENT,
+    RECEIPT,
     BBMProcess,
     MarkerSystem,
     QMProcess,
@@ -50,6 +54,9 @@ from lockstep.marker import (
     encode_proof,
     intent_content,
     parse_typed,
+    read_receipt,
+    receipt_content,
+    receipt_message,
     summarize_proof,
 )
 from lockstep.payments import Bank
@@ -61,6 +68,10 @@ from lockstep.simnet import (
     Send,
     SignatureOracle,
     SignedMessage,
+    countersign,
+    enc_bytes,
+    enc_int,
+    enc_str,
     split_payload,
     tag_payload,
 )
@@ -416,3 +427,95 @@ def test_mutated_broadcast_chains_are_dropped_or_faulted(pick, flips, cut,
         proc = DSProcess(n, N, f, 0, None, copy.deepcopy(net.oracle))
         for t in range(f + 3):
             _step_or_fault(proc, t, sender, payload)
+
+
+def _read_receipt_by_parse(data):
+    """:func:`read_receipt` as it read a receipt through a
+    :meth:`SignedMessage.from_bytes` parse."""
+    try:
+        sm = SignedMessage.from_bytes(data)
+    except CodecError:
+        return None
+    fields = parse_typed(sm.payload, RECEIPT, 3)
+    if fields is None or len(sm.stack) != 1:
+        return None
+    signer, content = sm.stack[0]
+    if content != enc_bytes(sm.payload):
+        return None
+    return (*fields, signer, content)
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded_receipts() -> tuple[bytes, ...]:
+    receipts = []
+    for event in _recorded_bank("quorum").net.transcript.events:
+        content, _ = split_payload(event.payload)
+        if _read_receipt_by_parse(content) is not None:
+            receipts.append(content)
+    return tuple(receipts)
+
+
+def test_every_recorded_receipt_is_written_as_signed_by_writes_it():
+    receipts = _recorded_receipts()
+    # three units over two rounds, each handed on (a holder that keeps
+    # its unit pays itself), and countersigned by the 3f+1 = 7 broadcasters
+    assert len(receipts) == 3 * 2 * 7
+    for data in receipts:
+        j, payer, target, signer, content = read_receipt(data)
+        message = receipt_message(j, payer, target)
+        assert content == message.to_bytes()
+        oracle = SignatureOracle()
+        assert data == countersign(oracle, signer, content)
+        assert oracle.verify(signer, content)
+        assert data == message.signed_by(SignatureOracle(), signer).to_bytes()
+        assert data == SignedMessage(receipt_content(j, payer, target),
+                                     ((signer, content),)).to_bytes()
+
+
+def _edited_receipt(data, edit, k, flips, cut):
+    """``data`` under one edit, ``k`` choosing where and how."""
+    j, payer, target, signer, x = _read_receipt_by_parse(data)
+    end = len(x)
+    if edit == "flip-cut":
+        return _mutate(data, flips, cut)
+    if edit == "second-entry":
+        return countersign(SignatureOracle(), k % 16, data)
+    if edit == "other-content":
+        # another round's receipt, of the same length, or any bytes
+        other = (enc_bytes(receipt_content(j + 1 + k % 3, payer, target))
+                 if k % 2 else enc_int(k))
+        return x + enc_int(signer) + enc_bytes(other)
+    if edit == "int-width":
+        wide = enc_bytes((k % 256).to_bytes(4 + k % 3 * 5, "big"))
+        if k % 4 == 0:
+            return x + wide + enc_bytes(x)
+        ints = [enc_int(j), enc_int(payer), enc_int(target)]
+        ints[k % 3] = wide
+        x = enc_bytes(enc_str(RECEIPT) + b"".join(ints))
+        return x + enc_int(signer) + enc_bytes(x)
+    # a length prefix that runs past the end, or past where it should stop
+    at = (0, end, end + 12)[k % 3]
+    length = int.from_bytes(data[at:at + 4], "big")
+    length = 0xFFFFFFFF if k % 2 else length + 1 + k % 7
+    return data[:at] + length.to_bytes(4, "big") + data[at + 4:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(pick=st.integers(min_value=0),
+       edit=st.sampled_from(("none", "flip-cut", "second-entry",
+                             "other-content", "int-width", "overrun")),
+       k=st.integers(min_value=0, max_value=2 ** 16),
+       flips=mutations["flips"], cut=mutations["cut"])
+def test_a_receipt_read_by_slicing_equals_one_read_through_a_parse(
+        pick, edit, k, flips, cut):
+    receipts = _recorded_receipts()
+    data = receipts[pick % len(receipts)]
+    if edit != "none":
+        data = _edited_receipt(data, edit, k, flips, cut)
+    # malformed bytes read as None; any exception fails the test
+    got = read_receipt(data)
+    assert got == _read_receipt_by_parse(data)
+    if edit == "none":
+        assert got is not None
+    elif edit != "flip-cut":
+        assert got is None

@@ -37,7 +37,6 @@ from lockstep.simnet import (
     CoalitionOracle,
     CodecError,
     ConfigFault,
-    Delivery,
     MetricsLedger,
     Network,
     Process,
@@ -662,12 +661,14 @@ class _Scripted(Process):
 
 class _PerMessage(Network):
     """The scheduler with every message recorded, counted and queued on
-    its own, as it was before a sender's sends were posted in one pass."""
+    its own, as it was before a sender's sends were posted in one pass.
+    Like the scheduler, it queues each transcript event as its delivery."""
 
     def _post(self, t, sender, sends, honest):
         for recipient, payload, signatures in sends:
-            self.transcript.events.append(TranscriptEvent(
-                t, self.round, sender, recipient, payload, signatures))
+            event = TranscriptEvent(t, self.round, sender, recipient, payload,
+                                    signatures)
+            self.transcript.events.append(event)
             if honest:
                 row = self.metrics._rows.setdefault(self.round, [0, 0])
                 row[0] += 1
@@ -676,7 +677,7 @@ class _PerMessage(Network):
             if inboxes is None:
                 self._due(t + 1)
                 inboxes = self._pending[t + 1] = {}
-            inboxes.setdefault(recipient, []).append(Delivery(sender, payload))
+            inboxes.setdefault(recipient, []).append(event)
 
 
 _SCRIPT = st.dictionaries(
@@ -708,6 +709,12 @@ def test_posting_a_senders_sends_at_once_equals_posting_each_alone(scripts,
     *got, events = run(Network)
     *expected, _ = run(_PerMessage)
     assert got == expected
+    # each inbox item is the very event the transcript recorded for it
+    for n, inboxes in enumerate(got[2]):
+        for t, inbox in inboxes:
+            sent = [e for e in events if e.step == t - 1 and e.recipient == n]
+            assert len(inbox) == len(sent)
+            assert all(d is e for d, e in zip(inbox, sent))
     # the adversary's sends are recorded in the order it made them
     for t, pairs in (moves or {}).items():
         assert [(e.sender, e.recipient, e.payload) for e in events

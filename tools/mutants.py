@@ -70,6 +70,8 @@ MUTANTS = (
            "return j if self.oracle.verify_all(pairs) else None", "return j"),
     Mutant("Q6", "marker.py", "_countersigns: intent signature dropped",
            "\n                    or not sm.verify_stack(self.oracle))", ")"),
+    Mutant("R1", "marker.py", "read_receipt: entry may sign other content",
+           "    if not wire.startswith(signed):\n        return None\n", ""),
     Mutant("C2", "cyclecoin.py", "_vouch: >= w -> > w",
            "over = [v for v in log if v >= w]", "over = [v for v in log if v > w]"),
     Mutant("C3", "cyclecoin.py", "_vouch: the holder vouches",
