@@ -582,7 +582,7 @@ class CCProcess(MarkerProcess):
         # keeping the marker moves no records and costs nothing
         if not self.marked:
             raise ConfigFault(f"process {self.n} is not marked in round {r}")
-        marking = Marking(r, self.n, self.n)
+        marking = tuple.__new__(Marking, (r, self.n, self.n))
         self.markings.append(marking)
         self.marked_round = r
         return marking

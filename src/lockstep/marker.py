@@ -40,8 +40,8 @@ shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from lockstep.consensus import DSProcess
 from lockstep.muxer import nonce_for
@@ -69,10 +69,11 @@ GENESIS_ROUND = -1
 INT_WIDTH = (8).to_bytes(4, "big")
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(NamedTuple):
     """One acceptance event: ``target`` became marked in ``round`` and
-    decided the marker came from ``predecessor``."""
+    decided the marker came from ``predecessor``.  A named tuple, which a
+    process that makes one every round builds with ``tuple.__new__``, as
+    the network builds a ``Send``."""
 
     round: int
     target: int

@@ -31,21 +31,26 @@ over honest processes only:
   same round.
 
 On top of those the per instance marking rules are replayed for every
-instance and round, with the bank supplying which honest payer, if any,
-fed that instance.
+round, with the bank supplying which honest payer, if any, fed each
+instance; an instance that no payer fed and nobody marked passes every
+rule, so only the instances a round marked or fed are replayed.
 
 A round costs what it touches.  Each host's mux records the instances it
 stepped, and the bank keeps, per host, the set of units it holds; after a
 round it re-reads ``marked`` and the new markings of the stepped
-instances only, and books each free keep's marking as it makes it.  So a
-round steps only the instances that carry traffic, and costs those plus
-O(N) ``keep`` calls and O(N + supply) to write its book row, not a scan
-of all N·V unit states.  The sets are refreshed from the instances, never
-derived from the book, so the recurrence audit still checks instance
-states against the book.  The price is a rule: any change to a unit made
-outside ``MuxHost.step`` must be reported with :meth:`Bank.touch`, or the
-book misses it.  A keep needs no touch: it leaves ``marked`` as it was,
-and the bank books its marking itself.
+instances only.  It also keeps standing maps: the balances, each funded
+process's lowest unit and its self transfer, the self credits, and the
+processes that keep those units.  Free keeps run over the standing
+keepers, O(funded) ``keep`` calls a round, and every other piece of book
+work is O(touched): a round that moves no unit hands its row the
+standing maps as they are, and one that moves a unit replaces each map
+it changes by one C-level copy of its N entries with the moved entries
+written.  No map is written once a row holds it.  The sets are refreshed
+from the instances, never derived from the book, so the recurrence audit
+still checks instance states against the book.  The price is a rule:
+any change to a unit made outside ``MuxHost.step`` must be reported with
+:meth:`Bank.touch`, or the book misses it.  A keep needs no touch: it
+leaves ``marked`` as it was, and the bank books its marking itself.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .cyclecoin import CCProcess
 from .marker import (Marking, MarkerProcess, QMProcess, check_marker_round,
                      round_tail)
 from .muxer import MuxHost, nonce_for
-from .simnet import (ConfigFault, Network, ScopedOracle, SignatureOracle)
+from .simnet import ConfigFault, Network, ScopedOracle, SignatureOracle, once
 
 # family name -> the process class of one marking instance
 FAMILIES = {"quorum": QMProcess, "cycle": CCProcess}
@@ -79,6 +84,15 @@ class BankRound:
     them used.  ``credits`` lists, per honest recipient, the senders of
     the units it collected this round, duplicates kept.  Balance maps
     cover honest processes only.
+
+    The maps are shared and read-only: a row holds the bank's maps in
+    force, rounds that move no unit hold the same objects, and no map is
+    written once a row holds it.  ``kept`` holds the markings of the
+    keeps booked without a step, and ``tails`` the (host, unit, markings)
+    of each stepped instance that accepted a marking this round, in
+    ascending (host, unit) order; a marking's target is the host that
+    made it.  ``instance_markings``, for every unit of the ``supply``, is
+    built from them on its first read.
     """
 
     round: int
@@ -87,7 +101,39 @@ class BankRound:
     balances_before: dict[int, int]
     balances_after: dict[int, int]
     credits: dict[int, tuple[int, ...]]
-    instance_markings: dict[int, tuple[Marking, ...]]
+    supply: int
+    kept: list[Marking]
+    tails: list[tuple[int, int, tuple[Marking, ...]]]
+
+    def marked_units(self) -> dict[int, tuple[Marking, ...]]:
+        """The markings of the round per unit, for the units with any, in
+        ascending host order on each unit.  A kept unit that was stepped
+        too is read once, off its tail, which already holds the keep."""
+        spent, seen = self.spent_instance, {(n, v) for n, v, _ in self.tails}
+        kept = [(m.target, spent[m.target], (m,)) for m in self.kept]
+        marked: dict[int, tuple[Marking, ...]] = {}
+        # distinct (host, unit) pairs: the sort never compares markings
+        for _, v, ms in sorted(self.tails + [e for e in kept
+                                             if e[:2] not in seen]):
+            marked[v] = marked.get(v, ()) + ms
+        return marked
+
+    @once
+    def instance_markings(self) -> dict[int, tuple[Marking, ...]]:
+        """The markings of the round per unit, for every unit."""
+        return dict.fromkeys(range(self.supply), ()) | self.marked_units()
+
+
+def _patched(standing: dict, changes: dict, gone: list[int]) -> dict:
+    """A copy of ``standing`` with ``changes`` written and the keys of
+    ``gone`` dropped, in ascending key order when both maps are; the
+    standing map is left as is."""
+    patched = standing | changes
+    for key in gone:
+        patched.pop(key, None)
+    if standing and not changes.keys() <= standing.keys():
+        patched = dict(sorted(patched.items()))
+    return patched
 
 
 class Bank:
@@ -138,6 +184,11 @@ class Bank:
         self._held: list[set[int]] = [set() for _ in range(N)]
         for v, n in enumerate(self.holders0):
             self._held[n].add(v)
+        # the standing maps, each replaced, never written, when a unit
+        # moves; the first refresh builds them, as if every host had moved
+        self._balances = self._credits = self._lowest = {}
+        self._inputs, self._keepers = {}, {}
+        self._moved = list(self._order)
 
     # -- book keeping --------------------------------------------------------
 
@@ -152,17 +203,34 @@ class Bank:
         go unseen."""
         self.hosts[n].stepped.add(self.nonces[v])
 
+    def _patch(self, moved: list[int] | tuple[int, ...]) -> None:
+        """Replace the standing maps by copies with the entries of the
+        ``moved`` hosts rewritten from the units they hold."""
+        held = self._held
+        # every honest host has a balance and a credit entry, in order
+        self._balances = self._balances | {n: len(held[n]) for n in moved}
+        self._credits = self._credits | {n: (n,) if held[n] else ()
+                                         for n in moved}
+        lowest = {n: min(held[n]) for n in moved if held[n]}
+        gone = [n for n in moved if not held[n]]
+        self._lowest = _patched(self._lowest, lowest, gone)
+        self._inputs = _patched(self._inputs, {n: n for n in lowest}, gone)
+        self._keepers = _patched(self._keepers, {
+            n: self.unit(n, v) for n, v in lowest.items()}, gone)
+
     def _refresh(self) -> list[tuple[int, int, MarkerProcess]]:
         """Re-read ``marked`` of every honest instance stepped or touched
-        since the last refresh, and return those (host, unit, process)
-        triples in ascending (host, unit) order; nonces sort as their
-        units do."""
+        since the last refresh, patch the standing maps of the hosts whose
+        units moved, and return those (host, unit, process) triples in
+        ascending (host, unit) order; nonces sort as their units do."""
         touched = []
+        moved, self._moved = self._moved, []
         for n in self._order:
             host = self.hosts[n]
             if not host.stepped:
                 continue
             held = self._held[n]
+            was = set(held)
             for nonce in sorted(host.stepped):
                 v = self._unit_of[nonce]
                 proc = host.instances[nonce]
@@ -172,47 +240,18 @@ class Bank:
                     held.discard(v)
                 touched.append((n, v, proc))
             host.stepped.clear()
+            if held != was:
+                moved.append(n)
+        if moved:
+            self._patch(moved)
         return touched
 
     def balances(self) -> dict[int, int]:
         """Current balance of every honest process, counted off the
-        instance states."""
+        instance states.  The dict is a fresh copy, the caller's to keep
+        or write; the book's own map is shared by its rows."""
         self._refresh()
-        return {n: len(self._held[n]) for n in self._order}
-
-    def _round_markings(self, r: int,
-                        touched: list[tuple[int, int, MarkerProcess]],
-                        kept: list[tuple[int, int, Marking]]):
-        """The markings honest processes accepted in round ``r``, per
-        instance, and the senders each honest process was credited with.
-
-        Only the ``touched`` instances, the ones stepped in the round, and
-        the ``kept`` ones, (host, unit, marking) of each keep booked
-        without a step, can hold a marking of it.  Markings are appended
-        in round order, so a round's markings are the tail of each list;
-        a kept instance that was stepped too is read once, off its tail,
-        which already holds the keep.
-        """
-        per_instance: dict[int, tuple[Marking, ...]] = dict.fromkeys(
-            range(self.supply), ())
-        credited: dict[int, list[int]] = {n: [] for n in self._order}
-        tails = []
-        for n, v, proc in touched:
-            tail = round_tail(proc.markings, r)
-            if tail:
-                tails.append((n, v, tail))
-        if kept:
-            seen = {(n, v) for n, v, _ in touched}
-            tails += [(n, v, [m]) for n, v, m in kept if (n, v) not in seen]
-            # two ascending runs: the sort merges them in linear time
-            tails.sort(key=lambda e: (e[0], e[1]))
-        for n, v, ms in tails:
-            per_instance[v] += tuple(ms)
-            for m in ms:
-                if m.target in credited:
-                    credited[m.target].append(m.predecessor)
-        return (per_instance,
-                {n: tuple(sorted(senders)) for n, senders in credited.items()})
+        return dict(self._balances)
 
     # -- round driver --------------------------------------------------------
 
@@ -223,7 +262,10 @@ class Bank:
         r = self.round_index
         base = r * self.steps_per_round
         self.net.round = r
-        before = self.balances()
+        self._refresh()
+        # the maps in force entering the round
+        before, spent = self._balances, self._lowest
+        effective, credits = self._inputs, self._credits
         for payer, target in given.items():
             if not 0 <= payer < self.N or not 0 <= target < self.N:
                 raise ConfigFault(
@@ -231,35 +273,40 @@ class Bank:
             if payer in self.honest and before[payer] == 0 and target != payer:
                 raise ConfigFault(
                     f"round {r}: process {payer} has no balance to spend")
-        effective: dict[int, int] = {}
-        spent: dict[int, int] = {}
-        kept: list[tuple[int, int, Marking]] = []
+        kept: list[Marking] = []
+        paid: dict[int, int] = {}
         # a delivery at ``base`` is processed before a keep, so the keep
         # goes through the network then; every such delivery is already
         # queued, because the previous round ran to base - 1
         busy = self.net.queued(base)
-        for payer in self._order:
-            if before[payer] == 0:
-                continue
+        for payer, proc in self._keepers.items():
             target = given.get(payer, payer)
-            v = min(self._held[payer])
-            host, nonce = self.hosts[payer], self.nonces[v]
-            proc = host.instances[nonce]
-            marking = (proc.keep(r) if target == payer and payer not in busy
-                       else None)
-            if marking is None:
-                proc.pay(r, target)
-                host.wake_instance(nonce, base)
-            else:
-                kept.append((payer, v, marking))
-            effective[payer] = target
-            spent[payer] = v
+            if target == payer and payer not in busy:
+                marking = proc.keep(r)
+                if marking is not None:
+                    kept.append(marking)
+                    continue
+            proc.pay(r, target)
+            self.hosts[payer].wake_instance(self.nonces[spent[payer]], base)
+            paid[payer] = target
         self.net.run_until(base + self.steps_per_round - 1)
-        instance_markings, credits = self._round_markings(
-            r, self._refresh(), kept)
-        after = self.balances()
-        row = BankRound(r, effective, spent, before, after, credits,
-                        instance_markings)
+        tails = [(n, v, tuple(tail)) for n, v, proc in self._refresh()
+                 if (tail := round_tail(proc.markings, r))]
+        if paid or tails:
+            effective = effective | {p: t for p, t in paid.items() if t != p}
+            # the credits of the hosts whose round is not one free keep; a
+            # free keep credits its host, unless the host's tail holds it
+            senders: dict[int, list[int]] = {n: [] for n in paid}
+            for n, _, ms in tails:
+                senders.setdefault(n, []).extend(m.predecessor for m in ms)
+            seen = {(n, v) for n, v, _ in tails}
+            for n, credited in senders.items():
+                if n in spent and n not in paid and (n, spent[n]) not in seen:
+                    credited.append(n)
+            credits = credits | {n: tuple(sorted(credited))
+                                 for n, credited in senders.items()}
+        row = BankRound(r, effective, spent, before, self._balances, credits,
+                        self.supply, kept, tails)
         self.history.append(row)
         self.round_index += 1
         return row
@@ -323,16 +370,17 @@ class Bank:
         return violations
 
     def audit_instances(self) -> list[str]:
-        """Replay the per instance marking rules for every round."""
+        """Replay the per instance marking rules for every round, on the
+        instances it marked or fed, in ascending unit order."""
         violations = []
         for row in self.history:
             fed = {v: payer for payer, v in row.spent_instance.items()}
-            for v in range(self.supply):
+            marked = row.marked_units()
+            for v in sorted(fed.keys() | marked.keys()):
                 payer = fed.get(v)
                 target = row.inputs[payer] if payer is not None else None
                 for text in check_marker_round(
-                        row.round, self.honest,
-                        list(row.instance_markings[v]),
+                        row.round, self.honest, list(marked.get(v, ())),
                         payer, payer is not None, target):
                     violations.append(f"instance {v}: {text}")
         return violations

@@ -1,5 +1,8 @@
 """Multi-unit payment books built from stacked marker instances."""
 
+import copy
+import dataclasses
+
 import pytest
 
 from lockstep.adversary import bank_gallery
@@ -7,7 +10,7 @@ from lockstep.cyclecoin import (KIND_CHAIN, CCProcess, cycle_round_steps,
                                 parse_wire)
 from lockstep.hopnet import (TRACE_LATE, HopNetwork, gen_random_cycles,
                              shortest_hop_path)
-from lockstep.marker import Marking
+from lockstep.marker import Marking, check_marker_round
 from lockstep.muxer import MuxHost, nonce_for
 from lockstep.payments import Bank, deal
 from lockstep.simnet import (Adversary, ConfigFault, Network, Send,
@@ -112,6 +115,54 @@ def test_silent_corrupted_holder_cannot_break_conservation():
     assert bank.audit() == []
     for row in bank.history:
         assert sum(row.balances_after.values()) <= bank.supply
+
+
+def test_an_instance_nobody_fed_or_marked_passes_every_rule():
+    # why the instance audit replays only the instances a round marked or
+    # fed: the rules have nothing to say about the others
+    for N in range(1, 7):
+        for mask in range(1 << N):
+            honest = frozenset(n for n in range(N) if mask >> n & 1)
+            for r in (0, 1, 7):
+                assert check_marker_round(r, honest, [], None, False,
+                                          None) == []
+
+
+def _ref_audit_instances(bank):
+    """The instance audit as a replay of every unit of every round."""
+    violations = []
+    for row in bank.history:
+        fed = {v: payer for payer, v in row.spent_instance.items()}
+        for v in range(bank.supply):
+            payer = fed.get(v)
+            target = row.inputs[payer] if payer is not None else None
+            for text in check_marker_round(
+                    row.round, bank.honest, list(row.instance_markings[v]),
+                    payer, payer is not None, target):
+                violations.append(f"instance {v}: {text}")
+    return violations
+
+
+def test_the_sparse_instance_audit_equals_a_replay_of_every_unit():
+    # payments routed across the silent corrupted process 5 do not land
+    bank = Bank(6, 1, deal(6, 9), SignatureOracle(frozenset({5})),
+                family="cycle")
+    _drive(bank, 4, seed=2)
+    landed = bank.audit_instances()
+    assert landed and landed == _ref_audit_instances(bank)
+    # forge markings on two units nobody fed: two honest holders in the
+    # name of the corrupted 5, and a mark in the name of honest 1
+    for row in bank.history:
+        u, w = [u for u in range(bank.supply)
+                if u not in row.spent_instance.values()][:2]
+        forged = [(2, u, (Marking(row.round, 2, 5),)),
+                  (3, u, (Marking(row.round, 3, 5),)),
+                  (4, w, (Marking(row.round, 4, 1),))]
+        bank.history[row.round] = dataclasses.replace(
+            row, tails=sorted(list(row.tails) + forged))
+    found = bank.audit_instances()
+    assert found == _ref_audit_instances(bank)
+    assert len(found) == len(landed) + 2 * len(bank.history)
 
 
 # -- the book against its defining scans ---------------------------------
@@ -410,3 +461,47 @@ def test_a_round_reads_only_the_instances_it_stepped():
     assert len(kept) == len(row.inputs) - 1
     assert len(stepped) == 1 + 5
     assert read == stepped | kept
+
+
+def test_idle_rounds_share_one_map_of_each_kind():
+    bank = Bank(64, 0, [1] * 64, family="cycle")
+    rows = [bank.run_round() for _ in range(10)]
+    for name in ("balances_before", "balances_after", "inputs",
+                 "spent_instance", "credits"):
+        assert len({id(getattr(row, name)) for row in rows}) == 1, name
+    assert rows[0].balances_before is rows[0].balances_after
+    assert bank.audit() == []
+
+
+def test_late_acceptance_leaves_every_row_as_it_was_made(checked_rounds,
+                                                         monkeypatch):
+    made = []
+    checked = Bank.run_round
+
+    def copying(bank, inputs=None):
+        row = checked(bank, inputs)
+        made.append((row, copy.deepcopy(row)))
+        return row
+
+    monkeypatch.setattr(Bank, "run_round", copying)
+    test_late_acceptance_keeps_the_book_exact(checked_rounds)
+    assert len(made) == len(checked_rounds)
+    for row, as_made in made:
+        assert row == as_made
+        assert row.instance_markings == as_made.instance_markings
+
+
+def test_balances_are_the_callers_to_write():
+    bank = Bank(6, 1, deal(6, 8), family="cycle")
+    row = bank.run_round({0: 3})
+    held = bank.balances()
+    assert held == row.balances_after == {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 1}
+    held[0] = 7
+    del held[1]
+    held.clear()
+    assert row.balances_after == {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 1}
+    assert bank.balances() == row.balances_after
+    following = bank.run_round({})
+    assert following.balances_before == row.balances_after
+    assert following.inputs == {n: n for n in range(6)}
+    assert bank.audit() == []

@@ -122,6 +122,17 @@ MUTANTS = (
     Mutant("P2", "cyclecoin.py", "_settle_period: a COMPLY ignored",
            "if not fault and value == COMPLY and self.oracle.verify(",
            "if False and self.oracle.verify("),
+    Mutant("B1", "payments.py", "run_round: a keep of None booked as free",
+           "                marking = proc.keep(r)\n"
+           "                if marking is not None:\n"
+           "                    kept.append(marking)\n"
+           "                    continue\n",
+           "                kept.append(proc.keep(r))\n"
+           "                continue\n"),
+    Mutant("B2", "payments.py", "run_round: a moving round keeps the credits",
+           "            credits = credits | {n: tuple(sorted(credited))\n"
+           "                                 for n, credited in senders.items()}\n",
+           ""),
     Mutant("F1", "simnet.py", "CoalitionOracle.sign: forgery refusal dropped",
            "        if signer not in self.corrupted:\n"
            "            raise ForgeryViolation(\n", "        if False:\n"
