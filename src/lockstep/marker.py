@@ -12,11 +12,13 @@ The broadcast solution replays every handoff through the authenticated
 broadcast of :mod:`lockstep.consensus`, so everybody tracks the marker and
 each round costs a full broadcast.  The quorum solution designates 3f+1
 broadcaster processes; a handoff is one signed intent to the broadcasters
-plus their countersigned receipts to the target, and the receipt set
-doubles as the proof of ownership for the next handoff.  Receipt freshness
-is enforced by each broadcaster against its own countersign history, and
-any two receipt quorums share an honest broadcaster, which is what makes
-stale or split proofs unusable.
+plus their countersigned receipts to the target, and the target keeps the
+valid receipts of the 2f+1 lowest signer ids as the proof of ownership
+for the next handoff.  Receipt freshness is enforced by each broadcaster
+against its own countersign history, and any two quorums of 2f+1
+receipts share an honest broadcaster, which is what makes stale or split
+proofs unusable; so a proof of 2f+1 receipts proves as much as one of
+3f+1, in fewer bytes and fewer oracle questions.
 
 Checking a proof splits into pure facts and oracle verdicts.  The pure
 facts of a proof (the one round and one target of its receipts, the set of
@@ -347,13 +349,16 @@ def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
 # The summaries of the proofs that payers showed lately, by the encoded
 # proof, which seed summarize_proof on a miss: a proof is checked a step
 # after it is shown, so one step's intents suffice.  At worst
-# 64 × (B + 0.5 KB + 0.16 KB × k) for a proof of k receipts.
+# 64 × (B + 0.5 KB + 0.16 KB × k) for a proof of k receipts; over 20
+# rounds of Bank(16, 5), whose proofs hold 11, it alone held 0.12 MB
+# (tracemalloc).
 _proof_seeds = Seeds(64)
 
 
-# A proof holds 2f+1 or more receipts, a few KB at f=5, and every
+# An honest proof holds 2f+1 receipts, 1.4 KB at f=5, and every
 # broadcaster checks it in one step, so this table is the small one.  At
-# worst 64 × (2.5B + 0.3 KB + 0.1 KB × k) for a proof of k receipts.
+# worst 64 × (2.5B + 0.3 KB + 0.1 KB × k) for a proof of k receipts; over
+# 20 rounds of Bank(16, 5) it alone held 34 KB (tracemalloc).
 @lru_cache(maxsize=64)
 def summarize_proof(proof: bytes) -> tuple | None:
     """The pure facts of a receipt proof as (round, holder, signers,
@@ -393,8 +398,11 @@ class QMProcess(MarkerProcess):
     rule, combined with quorum intersection, rules out stale proofs,
     replayed proofs and split handoffs.  Read newest first, the triples
     of the latest round settle the rule, so ``history`` keeps only those.
-    ``summary`` is the :func:`summarize_proof` result of ``proof``, kept
-    when the proof is accepted.
+    A target accepts a payer's handoff on 2f+1 valid receipts and keeps
+    as ``proof`` exactly the receipts of the 2f+1 lowest signer ids among
+    them; a broadcaster accepts any proof of at least 2f+1 distinct
+    broadcaster signers.  ``summary`` is the :func:`summarize_proof`
+    result of ``proof``, kept when the proof is accepted.
     """
 
     summary: tuple | None = None
@@ -517,11 +525,13 @@ class QMProcess(MarkerProcess):
                 self.marked = True
                 self.marked_round = r
                 self.predecessor = payer
-                self.proof = tuple(receipts[s] for s in sorted(receipts))
+                # any 2f+1 receipts prove the handoff: keep the lowest
+                kept = sorted(receipts)[:2 * self.f + 1]
+                self.proof = tuple(receipts[s] for s in kept)
                 # each receipt read signed the wire of this one message
                 content = receipt_message(r, payer, self.n).to_bytes()
-                self.summary = (r, self.n, frozenset(receipts),
-                                frozenset((s, content) for s in receipts))
+                self.summary = (r, self.n, frozenset(kept),
+                                frozenset((s, content) for s in kept))
                 self.markings.append(Marking(r, self.n, payer))
                 break
 

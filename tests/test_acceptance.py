@@ -124,6 +124,11 @@ def test_criterion_03_reduction_overheads():
     _verdict(3, ok, "; ".join(detail))
 
 
+# Honest payload bytes of a handoff at N=7, f=2 whose intents carry a
+# proof of 2f+1 = 5 receipts.
+ROUND_1_PAYLOAD_BYTES = 10_402
+
+
 def test_criterion_04_quorum_marker_exact_counts():
     ok = True
     for N in range(4, 11):
@@ -136,8 +141,19 @@ def test_criterion_04_quorum_marker_exact_counts():
     system = MarkerSystem(QMProcess, 7, 2)
     system.run_round({0: 3})
     ok = ok and system.net.now == 3
+    # round 1's intents carry the proof of round 0's handoff: exactly 2f+1
+    first = len(system.net.transcript.events)
+    proof = len(system.procs[3].proof)
+    system.run_round({3: 5})
+    events = system.net.transcript.events[first:]
+    payload = sum(len(e.payload) for e in events
+                  if e.sender not in system.corrupted)
+    ok = ok and proof == len(system.procs[5].proof) == 5
+    ok = ok and len(events) == 14 and payload == ROUND_1_PAYLOAD_BYTES
     _verdict(4, ok, "per-handoff 2(3f+1), totals N(6f+2) on the full "
-                    "grid, rounds take 3 steps")
+                    "grid, rounds take 3 steps, a proof carries 2f+1 "
+                    f"receipts, a handoff showing one sends {len(events)} "
+                    f"messages of {payload} payload bytes")
 
 
 def test_criterion_05_cycle_coin_locality():

@@ -18,8 +18,9 @@ The agreement runners that no command reaches are pinned by the digest of
 their transcript and decisions, each with one silent corrupted process.
 A direct hop network run is pinned the same way: its books, its traffic
 counts, its outcomes and its walk-back traces.  The CLI's quorum runs use
-f=2, so a 16-process quorum bank at f=5, whose proofs hold up to 16
-receipts, is pinned by its book, its metrics and its transcript.  The
+f=2, so a 16-process quorum bank at f=5, whose proofs hold exactly the
+2f+1 = 11 lowest of the 16 receipts a target gets, is pinned by its book,
+its metrics and its transcript.  The
 seeded attacks are pinned by their gallery rows and by the transcript and
 metrics of every network they build, adversarial traffic included.
 """
@@ -74,8 +75,8 @@ GOLDEN = {
     },
     "run-quorum": {
         "metrics.csv": "80710479f6941573e6ffc697a3e3446a3fa3915b9290760796ee6b85b97c6496",
-        "summary.json": "3138fbbf62a3edfb3d6bfef7df4a781fc2fe7d56eca5cf779fca3e3a9cd2645f",
-        "transcript.jsonl": "8a098be7ba1156662a8a4b4e8cd46f25ed337517ca5577d025c4347cf9bf8ffb",
+        "summary.json": "11ae78980f0a131c34340fa5e2a6936fb27ecd232b6e111437bd7cb93556017d",
+        "transcript.jsonl": "ecbc465460a5c3c78b758d75e1145ae536663eadcbf2cfd73c4d33af9bf72cae",
     },
     "run-cycle": {
         "metrics.csv": "e4f9e2bded34e764d4c3c16d5f75f074187f236ebf42db05a746a0006d2fa236",
@@ -85,8 +86,8 @@ GOLDEN = {
     "run-bank-quorum": {
         "ledger.csv": "11701d7ce98d6a9cc9009f0049ba1175d3657d1f9563ce2365ca7f6aa608a942",
         "metrics.csv": "54c9288747d09dd4a813eb8f82d68a58ec469bdede1f32dcd9150cee93855a2f",
-        "summary.json": "a0038d006c355bbd545989dbf71abb6b99fa5a1a0eb5b16ae4da11e1d2f48cb5",
-        "transcript.jsonl": "32d44f02c2c42e778e5b9cc8527722ace72159ca6413a62e5e7573bdc8694cfe",
+        "summary.json": "f1d21cedfe749eb62c885bd431d6ce605db1f9058e3e8e06ef4cb949e793db15",
+        "transcript.jsonl": "7680ce1deed95e8c430ade9c23fbe89806000aaf1dd4c77942804ab16d932aa2",
     },
     "run-bank-cycle": {
         "ledger.csv": "11701d7ce98d6a9cc9009f0049ba1175d3657d1f9563ce2365ca7f6aa608a942",
@@ -212,7 +213,7 @@ def test_response_enforcement_signs_the_pinned_contents():
 
 
 def test_sixteen_process_quorum_bank_matches_the_pinned_digests():
-    """At f=5 every proof holds up to 16 receipts, each checked by all 16
+    """At f=5 every proof holds 2f+1 = 11 receipts, each checked by all 16
     broadcasters: the book, the metrics and the transcript of four seeded
     rounds."""
     bank = Bank(16, 5, [1] * 16, family="quorum")
@@ -227,7 +228,7 @@ def test_sixteen_process_quorum_bank_matches_the_pinned_digests():
         bank.net.transcript.to_jsonl())] == [
         "ecb7c2cee4f5f27cb68b40de1d8ffa488bbfc250b2668ea192f0ec8d42c71713",
         "9d32f83ddcd0b71b599d387687f732de8d0ba776fb4ad6d0b515b48b58bea3d9",
-        "f82df11ece4477ab6547aed0dc73716c873acc9a771d761924337a70fb168651",
+        "342f7d8dc4989bab4fd2b70b906af642f4749a7bafab66bb39f71c032e0d700c",
     ]
 
 

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lockstep import marker, simnet
-from lockstep.adversary import StrawmanProcess
+from lockstep import adversary as gallery, marker, simnet
+from lockstep.adversary import JunkAdversary, StrawmanProcess
 from lockstep.consensus import ds_all_honest_messages
 from lockstep.cyclecoin import CCProcess, PoRProcess
 from lockstep.marker import (
@@ -38,6 +38,7 @@ from lockstep.simnet import (
     SignedMessage,
     enc_bytes,
     enc_int,
+    seeded_rng,
 )
 
 HONEST = frozenset(range(6))
@@ -117,8 +118,10 @@ def test_a_malformed_proof_raises_on_every_call():
 
 # Base oracle checks of the twenty rounds below, one per pair asked alone
 # or in a batch.  The shared tables save encoding, parsing and hashing,
-# never a question to the oracle, so no table may move this count.
-QUORUM_BANK_VERIFIES = 53792
+# never a question to the oracle, so no table may move this count.  A
+# proof holds 2f+1 = 11 receipts, so each broadcaster asks 11 pairs a
+# proof.
+QUORUM_BANK_VERIFIES = 38992
 
 
 def test_twenty_quorum_bank_rounds_ask_the_oracle_as_often_as_before(
@@ -147,11 +150,11 @@ def test_twenty_quorum_bank_rounds_ask_the_oracle_as_often_as_before(
 
 
 # Wire bytes each signing table may hold over the twenty rounds below:
-# about 64 intents of 4 KB, each with a proof of up to 3f+1 = 16 receipts.
-# With 512 entries the tables held up to 0.75 MB each here, and the
-# benchmark's bank-quorum peak RSS rose from 42.8 to 48.9 MB, past its
-# 10 % bound.
-SIGNING_TABLE_BYTES = 300_000
+# 64 intents of at most 2.8 KB, each with a proof of 2f+1 = 11 receipts;
+# both tables peak at 181,248 bytes here.  With 512 entries a table held
+# up to 0.75 MB, which raised the benchmark's bank-quorum peak RSS from
+# 42.8 to 48.9 MB, past its 10 % bound.
+SIGNING_TABLE_BYTES = 200_000
 
 
 def test_twenty_quorum_bank_rounds_keep_few_wire_bytes_in_the_signing_tables(
@@ -398,6 +401,75 @@ def test_every_seeded_proof_summary_equals_one_read_from_its_bytes(
     fresh = summarize_proof(proof)
     assert fresh == summary and fresh is not summary
     assert decoded == [proof]
+
+
+def _kept_proofs_hold_2f_plus_1_receipts(procs, f, all_honest):
+    """Every process of ``procs`` that accepted a handoff keeps exactly
+    2f+1 receipts, and its kept summary is the one read from the proof's
+    bytes; in an all honest run its signers are the 2f+1 lowest
+    broadcasters.  Returns how many processes were checked."""
+    holders = [p for p in procs if p.summary is not None]
+    for proc in holders:
+        assert len(proc.proof) == 2 * f + 1
+        marker._proof_seeds.clear()
+        assert summarize_proof.__wrapped__(encode_proof(proc.proof)) == \
+            proc.summary
+        if all_honest:
+            assert proc.summary[2] == \
+                frozenset(sorted(proc.broadcasters)[:2 * f + 1])
+    assert all(p.summary is not None for p in procs
+               if p.marked and p.marked_round != GENESIS_ROUND)
+    return len(holders)
+
+
+def _honest_instances(bank):
+    return [bank.hosts[n].instances[nonce]
+            for n in sorted(bank.honest) for nonce in bank.nonces]
+
+
+@pytest.mark.parametrize("N", range(4, 11))
+def test_an_honest_bank_keeps_proofs_of_the_2f_plus_1_lowest_receipts(N):
+    f = (N - 1) // 3
+    bank = Bank(N, f, [1] * N, family="quorum")
+    rng = random.Random(N)
+    checked = 0
+    for _ in range(6):
+        bank.run_round({payer: rng.randrange(N)
+                        for payer, balance in bank.balances().items()
+                        if balance > 0 and rng.random() < 0.6})
+        checked += _kept_proofs_hold_2f_plus_1_receipts(
+            _honest_instances(bank), f, all_honest=True)
+    assert bank.audit() == [] and checked > 0
+
+
+def test_a_flooded_bank_keeps_proofs_of_2f_plus_1_receipts():
+    """The adversarial bank of ``tests/test_simnet.py``: process 6, a
+    broadcaster, floods every honest process with junk."""
+    bank = Bank(7, 2, [1] * 7, SignatureOracle(frozenset({6})),
+                JunkAdversary(seeded_rng(5, 17), 10), family="quorum")
+    checked = 0
+    for r in range(40):
+        payer, target = r % 6, (r + 1) % 6
+        bank.run_round({payer: target} if bank.balances()[payer] else {})
+        checked += _kept_proofs_hold_2f_plus_1_receipts(
+            _honest_instances(bank), 2, all_honest=False)
+    assert bank.audit() == [] and checked > 0
+
+
+def test_the_quorum_gallery_keeps_proofs_of_2f_plus_1_receipts(monkeypatch):
+    systems = []
+
+    class Recording(MarkerSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    monkeypatch.setattr(gallery, "MarkerSystem", Recording)
+    assert all(result.ok for result in gallery.quorum_gallery())
+    checked = sum(_kept_proofs_hold_2f_plus_1_receipts(
+        [p for p in system.procs if p.n not in system.corrupted],
+        system.f, all_honest=False) for system in systems)
+    assert len(systems) == 4 and checked > 0
 
 
 @settings(max_examples=200, deadline=None)

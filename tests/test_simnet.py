@@ -540,8 +540,8 @@ def test_seeded_rng_reproducible_and_keyed():
 
 # Digest of the book, transcript and metrics of the adversarial quorum bank
 # run below, as the scheduler produced them before it stopped keeping an
-# agenda under an adversary.
-JUNK_BANK_DIGEST = "b5539137bce696b3228369a878c0433601d6b97abdbbf362f56fda24268f7409"
+# agenda under an adversary, with proofs of the 2f+1 lowest receipts.
+JUNK_BANK_DIGEST = "a317efe63b76ef766259a8e45c7ffcad657c6f57fd5ddd3c8ebaef689d0fe6b0"
 
 
 def test_an_adversarial_run_keeps_its_schedule_bounded():

@@ -70,6 +70,8 @@ MUTANTS = (
            "return j if self.oracle.verify_all(pairs) else None", "return j"),
     Mutant("Q6", "marker.py", "_countersigns: intent signature dropped",
            "\n                    or not sm.verify_stack(self.oracle))", ")"),
+    Mutant("Q7", "marker.py", "_proof_round: 2f+1 signers -> 2f",
+           "len(signers) < 2 * self.f + 1", "len(signers) < 2 * self.f"),
     Mutant("R1", "marker.py", "read_receipt: entry may sign other content",
            "    if not wire.startswith(signed):\n        return None\n", ""),
     Mutant("C2", "cyclecoin.py", "_vouch: >= w -> > w",
