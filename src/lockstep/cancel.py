@@ -21,7 +21,6 @@ prices every permutation, stays the reference both are tested against.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -40,7 +39,7 @@ BRUTEFORCE_LIMIT = 9
 class PairingInstance:
     """Q same-round payments on one cycle, reduced to payers and payees.
 
-    ``cycle`` lists process ids in cycle order and defaults to id order.
+    Process ids are cycle positions: the cycle runs in id order.
     ``sources`` must be distinct because a process spends at most one
     unit per round; repeated ``sinks`` are fine, two payers may owe the
     same recipient.  A payer may also appear among the sinks, and a
@@ -50,13 +49,10 @@ class PairingInstance:
     N: int
     sources: tuple[int, ...]
     sinks: tuple[int, ...]
-    cycle: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ConfigFault("a cycle needs at least one process")
-        if self.cycle is not None and sorted(self.cycle) != list(range(self.N)):
-            raise ConfigFault("cycle must order exactly the ids 0..N-1")
         if not self.sources or len(self.sources) != len(self.sinks):
             raise ConfigFault("need equally many sources and sinks, at least one each")
         if len(set(self.sources)) != len(self.sources):
@@ -69,18 +65,10 @@ class PairingInstance:
     def q(self) -> int:
         return len(self.sources)
 
-    def _positions(self, ids: tuple[int, ...]) -> list[int]:
-        if self.cycle is None:
-            return list(ids)
-        where = {n: k for k, n in enumerate(self.cycle)}
-        return [where[n] for n in ids]
-
     def cost_rows(self) -> list[list[int]]:
         """The full Q by Q cost matrix, sources down, sinks across."""
-        spos = self._positions(self.sources)
-        tpos = self._positions(self.sinks)
         N = self.N
-        return [[(b - a) % N for b in tpos] for a in spos]
+        return [[(b - a) % N for b in self.sinks] for a in self.sources]
 
 
 @dataclass(frozen=True)
@@ -236,7 +224,6 @@ def sweep_cell(N: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def random_instance(N: int, q: int, rng: Random, *,
-                    shuffle_cycle: bool = False,
                     repeat_sinks: bool = False) -> PairingInstance:
     """Draw a pairing instance for sweeps and stress tests.
 
@@ -251,39 +238,4 @@ def random_instance(N: int, q: int, rng: Random, *,
         sinks = tuple(rng.choice(range(N)) for _ in range(q))
     else:
         sinks = tuple(rng.sample(range(N), q))
-    cycle = None
-    if shuffle_cycle:
-        order = list(range(N))
-        rng.shuffle(order)
-        cycle = tuple(order)
-    return PairingInstance(N, sources, sinks, cycle)
-
-
-def save_instance(instance: PairingInstance, path: str) -> None:
-    """Write an instance as CSV rows under a cycle-order header line."""
-    cycle = instance.cycle or tuple(range(instance.N))
-    with open(path, "w", newline="") as handle:
-        handle.write("# cycle: " + " ".join(str(n) for n in cycle) + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(["source", "sink"])
-        for i in range(instance.q):
-            writer.writerow([instance.sources[i], instance.sinks[i]])
-
-
-def load_instance(path: str) -> PairingInstance:
-    """Read an instance written by ``save_instance``; a malformed file
-    raises :class:`ConfigFault`."""
-    with open(path, newline="") as handle:
-        header = handle.readline()
-        if not header.startswith("# cycle:"):
-            raise ConfigFault("instance file must open with a cycle-order header")
-        try:
-            cycle = tuple(int(tok) for tok in header.split(":", 1)[1].split())
-            rows = list(csv.DictReader(handle))
-            sources = tuple(int(row["source"]) for row in rows)
-            sinks = tuple(int(row["sink"]) for row in rows)
-        except (ValueError, KeyError, TypeError, csv.Error) as exc:
-            raise ConfigFault(f"malformed instance file {path}: {exc!r}") from exc
-    N = len(cycle)
-    plain = cycle == tuple(range(N))
-    return PairingInstance(N, sources, sinks, None if plain else cycle)
+    return PairingInstance(N, sources, sinks)

@@ -553,8 +553,6 @@ class CCProcess(MarkerProcess):
         if self.marked and n not in oracle.corrupted:
             oracle.sign(n, record_content((), TAG_BASE))
         self.chain_groups = 0
-        self.weight = 0 if self.marked else None
-        self.predecessor: int | None = None
         self.signed_log: dict[int, tuple[Record, ...]] = {}
         self.received_log: dict[int, tuple[Record, ...]] = {}
         self.refusals: list[tuple[int, int, str]] = []
@@ -724,9 +722,7 @@ class CCProcess(MarkerProcess):
         self.marked_round = r
         self.chain = shape.records
         self.chain_groups = len(shape.groups)
-        self.weight = shape.weight
-        self.predecessor = shape.groups[-1].extender
-        self.markings.append(Marking(r, self.n, self.predecessor))
+        self.markings.append(Marking(r, self.n, shape.groups[-1].extender))
 
     def accept_late(self, shape: ChainShape, r: int) -> None:
         """Take a chain that :func:`verify_payment_claim` found withheld
@@ -1097,6 +1093,10 @@ class PoRProcess(CCProcess):
             sub_sends.extend(self._answer_complaint(r, k))
         elif off == 2 * self.f + 7:
             self._settle_period(r, k)
+            # nothing reads a settled period again, and a late message
+            # fails the window check before a sub is built
+            self.subs.clear()
+            self.accused.clear()
         wrapped = [Send(s.recipient, tag_payload(s.payload, MAIN_NONCE),
                         s.signatures) for s in plain]
         wrapped.extend(sub_sends)

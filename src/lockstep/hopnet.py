@@ -408,9 +408,6 @@ class HopNetwork:
 
     # -- views ---------------------------------------------------------------
 
-    def value(self, k: int, n: int) -> int:
-        return self.banks[k].balances()[self.positions[k][n]]
-
     def graph(self) -> HopGraph:
         """The route graph of the current balances, reading each bank's
         balances once."""
@@ -539,7 +536,11 @@ class HopNetwork:
         Returns the accused process and the trace of (edge, upstream,
         downstream, finding) tuples.  The downstream party of each edge
         claims non-payment; the upstream party answers with an exhibit or
-        an admission.
+        an admission, and the edge is judged by that answer alone.  An
+        exhibit the downstream's instance state confirms convicts the
+        downstream, whatever the book says, so walking back a payment
+        that was paid accuses its payee.  An admission passes the claim
+        one edge upstream; a late or bad exhibit convicts the upstream.
         """
         path = outcome.path
         chain = [outcome.payer] + list(path.intermediaries) + [outcome.payee]
@@ -548,15 +549,6 @@ class HopNetwork:
         for j in range(len(chain) - 1, 0, -1):
             upstream, downstream = chain[j - 1], chain[j]
             leg_index = j - 1
-            k, _, _, _ = path.legs[leg_index]
-            m = outcome.base_round + leg_index
-            pos_down = self.positions[k][downstream]
-            pos_up = self.positions[k][upstream]
-            credited = pos_up in self.banks[k].history[m].credits.get(
-                pos_down, ())
-            down_cheats = cheat is not None and cheat.position == j
-            if credited and not down_cheats:
-                raise ConfigFault("walkback found no edge in dispute")
             if (cheat is not None and cheat.position == j - 1
                     and cheat.mode == CHEAT_FORGE):
                 # what a forger can show: the chain it was paid with, if any

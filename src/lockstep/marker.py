@@ -412,7 +412,6 @@ class QMProcess(MarkerProcess):
         self.broadcasters = default_broadcasters(N, f)
         self.marked = n == genesis_holder
         self.marked_round = GENESIS_ROUND
-        self.predecessor: int | None = None
         self.proof: tuple[bytes, ...] = ()
         self.history: list[tuple[int, int, int]] = []
 
@@ -524,7 +523,6 @@ class QMProcess(MarkerProcess):
             if len(receipts) >= 2 * self.f + 1:
                 self.marked = True
                 self.marked_round = r
-                self.predecessor = payer
                 # any 2f+1 receipts prove the handoff: keep the lowest
                 kept = sorted(receipts)[:2 * self.f + 1]
                 self.proof = tuple(receipts[s] for s in kept)

@@ -63,7 +63,7 @@ from .cyclecoin import CCProcess
 from .marker import (Marking, MarkerProcess, QMProcess, check_marker_round,
                      round_tail)
 from .muxer import MuxHost, nonce_for
-from .simnet import ConfigFault, Network, ScopedOracle, SignatureOracle, once
+from .simnet import ConfigFault, Network, ScopedOracle, SignatureOracle
 
 # family name -> the process class of one marking instance
 FAMILIES = {"quorum": QMProcess, "cycle": CCProcess}
@@ -91,8 +91,7 @@ class BankRound:
     keeps booked without a step, and ``tails`` the (host, unit, markings)
     of each stepped instance that accepted a marking this round, in
     ascending (host, unit) order; a marking's target is the host that
-    made it.  ``instance_markings``, for every unit of the ``supply``, is
-    built from them on its first read.
+    made it.  :meth:`marked_units` reads the markings per unit off both.
     """
 
     round: int
@@ -101,7 +100,6 @@ class BankRound:
     balances_before: dict[int, int]
     balances_after: dict[int, int]
     credits: dict[int, tuple[int, ...]]
-    supply: int
     kept: list[Marking]
     tails: list[tuple[int, int, tuple[Marking, ...]]]
 
@@ -117,11 +115,6 @@ class BankRound:
                                              if e[:2] not in seen]):
             marked[v] = marked.get(v, ()) + ms
         return marked
-
-    @once
-    def instance_markings(self) -> dict[int, tuple[Marking, ...]]:
-        """The markings of the round per unit, for every unit."""
-        return dict.fromkeys(range(self.supply), ()) | self.marked_units()
 
 
 def _patched(standing: dict, changes: dict, gone: list[int]) -> dict:
@@ -157,7 +150,6 @@ class Bank:
         process.check(N, f)
         self.N = N
         self.f = f
-        self.family = family
         if oracle is None:
             oracle = SignatureOracle()
         self.oracle = oracle
@@ -306,7 +298,7 @@ class Bank:
             credits = credits | {n: tuple(sorted(credited))
                                  for n, credited in senders.items()}
         row = BankRound(r, effective, spent, before, self._balances, credits,
-                        self.supply, kept, tails)
+                        kept, tails)
         self.history.append(row)
         self.round_index += 1
         return row

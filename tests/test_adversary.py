@@ -30,9 +30,13 @@ from lockstep.adversary import (
     AttackResult,
 )
 from lockstep import marker
-from lockstep.consensus import LEADER, inspect_proper, run_dolev_strong
-from lockstep.cyclecoin import KIND_QUERY, PoRProcess, cycle_round_steps, wire
+from lockstep.consensus import (LEADER, DSProcess, inspect_proper,
+                                run_dolev_strong)
+from lockstep.cyclecoin import (COMPLAINT_PREFIX, KIND_QUERY, CCProcess,
+                                PoRProcess, cycle_round_steps,
+                                por_period_steps, wire)
 from lockstep.hopnet import HopNetwork, gen_binary_search_pair, shortest_hop_path
+from lockstep.muxer import nonce_for
 from lockstep.payments import Bank
 from lockstep.simnet import (Adversary, CoalitionOracle, ConfigFault,
                              ForgeryViolation, Network, Process, ScopedOracle,
@@ -86,6 +90,27 @@ def test_a_run_missing_an_honest_decision_is_flagged():
         run, decisions={n: v for n, v in run.decisions.items() if n != 2})
     assert _ds_audit(dropped, 1) == [
         "decisions from [0, 1, 4], not from the honest [0, 1, 2, 4]"]
+
+
+@pytest.mark.parametrize("corrupted, leader_value, planted, expected", [
+    (frozenset({0}), None, {2: (7, False)},
+     ["inconsistent decisions {1: (0, True), 2: (7, False), 3: (0, True)}"]),
+    (frozenset(), 5, {n: (6, False) for n in range(4)},
+     [f"process {n} decided 6 fault=False against honest leader value 5"
+      for n in range(4)]),
+], ids=["inconsistent", "invalid"])
+def test_a_planted_broadcast_outcome_is_flagged_and_nothing_written(
+        corrupted, leader_value, planted, expected):
+    run = run_dolev_strong(4, 1, leader_value, corrupted=corrupted)
+    assert _ds_audit(run, leader_value) == []
+    run = dataclasses.replace(
+        run, decisions=run.decisions | {n: v for n, (v, _) in planted.items()},
+        sender_fault=run.sender_fault | {n: f for n, (_, f) in planted.items()})
+    state = (dict(run.decisions), dict(run.sender_fault),
+             list(run.net.transcript.events))
+    assert _ds_audit(run, leader_value) == expected
+    assert _ds_audit(run, leader_value) == expected
+    assert (run.decisions, run.sender_fault, run.net.transcript.events) == state
 
 
 def test_random_broadcast_attacks_stay_clean():
@@ -447,6 +472,57 @@ def test_the_marker_moves_on_past_a_payer_that_fell_silent():
     assert violations == []
     assert [p.n for p in system.procs if p.marked] == [1]
     assert [p.deletions for p in system.procs if p.n != 2] == [[(2, 5, 2)]] * 7
+
+
+@pytest.mark.parametrize("rounds", [2, 8])
+def test_response_enforcement_holds_no_settled_sub_broadcast(rounds):
+    """The corrupted 5 leads a complaint broadcast in every period of every
+    round; once a period is settled no honest process keeps its
+    sub-broadcasts, so what each holds does not grow with the rounds."""
+    N, f = 6, 1
+    period = por_period_steps(f)
+
+    def complaint(r, k):
+        nonce = COMPLAINT_PREFIX + nonce_for(r, k, 5)
+
+        def move(net):
+            leader = DSProcess(5, N, f, 5, b"junk",
+                               ScopedOracle(CoalitionOracle(net.oracle), nonce))
+            return [(5, Send(s.recipient, simnet.tag_payload(s.payload, nonce),
+                             s.signatures))
+                    for s in leader.step(0, []) if s.recipient != 5]
+        return move
+
+    script = {r * N * period + k * period + 2: complaint(r, k)
+              for r in range(rounds) for k in range(N)}
+    violations, system = gallery._marker_attack(
+        PoRProcess, N, f, frozenset({5}), [{}] * rounds, [], script, 0)
+    assert violations == []
+    # every period carries the complaint and its relays
+    assert len(system.net.transcript.events) == 126 * rounds
+    assert [(len(p.subs), len(p.accused)) for p in system.procs[:5]] == \
+        [(0, 0)] * 5
+
+
+@pytest.mark.parametrize("family, name, planted, expected", [
+    (CCProcess, "marked", True, ["round {r}: honest holders [0, 3]"]),
+    (PoRProcess, "deletions", [(0, 0, 4)],
+     ["honest processes disagree on the deletions"]),
+    (PoRProcess, "deleted", {2: 0}, ["honest [2] deleted"]),
+], ids=["two-holders", "deletions-disagree", "honest-deleted"])
+def test_the_round_runner_flags_a_planted_process_state(family, name, planted,
+                                                         expected):
+    """The state is planted on process 3 before a round with no payment;
+    the same checks over the next round report it again, and they change
+    no process's state."""
+    system = marker.MarkerSystem(family, 5, 1)
+    setattr(system.procs[3], name, planted)
+    for r in (0, 1):
+        events = len(system.net.transcript.events)
+        assert gallery._audited_rounds(system, [{}]) == [
+            text.format(r=r) for text in expected]
+        assert len(system.net.transcript.events) == events
+        assert getattr(system.procs[3], name) == planted
 
 
 def test_a_broadcast_marker_world_carries_the_marker_across_rounds():

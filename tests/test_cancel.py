@@ -12,12 +12,10 @@ from lockstep.cancel import (
     Pairing,
     PairingInstance,
     audit_two_swap,
-    load_instance,
     pair_bruteforce,
     pair_greedy,
     pairing_cost,
     random_instance,
-    save_instance,
     sweep_cell,
 )
 from lockstep.simnet import ConfigFault
@@ -96,27 +94,18 @@ def test_bruteforce_size_guard():
         pair_bruteforce(inst)
 
 
-def test_instance_file_round_trip(tmp_path):
-    inst = random_instance(9, 4, Random(5), shuffle_cycle=True)
-    path = tmp_path / "instance.csv"
-    save_instance(inst, str(path))
-    assert load_instance(str(path)) == inst
-
-
-@pytest.mark.parametrize("content", [
-    "0 1 2\nsource,sink\n0,1\n",
-    "# cycle: 0 x 2\nsource,sink\n0,1\n",
-    "# cycle: 0 1 2\nsource,sink\n0,one\n",
-    "# cycle: 0 1 2\nsource,sink\n0\n",
-    "# cycle: 0 1 2\npayer,sink\n0,1\n",
-    "# cycle: 0 1 2\nsource,sink\n0,5\n",
-], ids=["no-header", "non-integer-cycle", "non-integer-field", "short-row",
-        "no-source-column", "id-outside-cycle"])
-def test_a_malformed_instance_file_raises_config_fault(tmp_path, content):
-    path = tmp_path / "instance.csv"
-    path.write_text(content)
+@pytest.mark.parametrize("N, sources, sinks", [
+    (0, (), ()),
+    (3, (), ()),
+    (3, (0, 1), (2,)),
+    (3, (0, 0), (1, 2)),
+    (3, (0,), (5,)),
+    (3, (-1,), (1,)),
+], ids=["no-process", "no-pair", "unequal-lengths", "repeated-source",
+        "id-outside-cycle", "negative-id"])
+def test_a_malformed_instance_raises_config_fault(N, sources, sinks):
     with pytest.raises(ConfigFault):
-        load_instance(str(path))
+        PairingInstance(N, sources, sinks)
 
 
 def test_random_instance_is_seed_deterministic():

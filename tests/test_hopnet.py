@@ -130,13 +130,11 @@ def test_diameter_equals_the_largest_bfs_eccentricity(N, K, seed, data):
 
 def test_honest_macro_payment_pays_and_conserves():
     net = HopNetwork(gen_random_cycles(12, 2, seed=7))
-    before = [sum(net.value(k, n) for k in range(len(net.cycles)))
-              for n in range(12)]
+    before = [sum(held[n] for held in net.graph().balances) for n in range(12)]
     outcome = net.macro_payment(0, 8)
     assert outcome.paid and outcome.payee_claims_paid
     assert outcome.delivered_legs == len(outcome.path.legs)
-    after = [sum(net.value(k, n) for k in range(len(net.cycles)))
-             for n in range(12)]
+    after = [sum(held[n] for held in net.graph().balances) for n in range(12)]
     payer, payee = 0, 8
     for n in range(12):
         expected = before[n] + (n == payee) - (n == payer)
@@ -166,6 +164,17 @@ def test_promises_cover_every_intermediary():
     promised = {p.promiser for p in outcome.promises}
     assert promised
     assert promised == set(path.intermediaries)
+
+
+def test_walking_back_a_paid_payment_accuses_its_payee():
+    """The last edge is judged by its exhibit alone: the payee's own
+    instance state confirms it, so the payee's claim is the lie."""
+    net, (a, b), path = _cheat_route()
+    outcome = net.macro_payment(a, b)
+    assert outcome.paid and len(path.legs) >= 2
+    accused, trace = net.dispute_walkback(outcome)
+    assert accused == b
+    assert trace == [(len(path.legs), path.intermediaries[-1], b, TRACE_PAID)]
 
 
 def test_walkback_accuses_the_keeper():
@@ -226,5 +235,5 @@ def test_the_graph_reads_each_bank_once(monkeypatch):
     assert [net.banks.index(bank) for bank in calls] == \
         list(range(len(net.banks)))
     assert graph.balances == tuple(
-        tuple(net.value(k, n) for n in range(net.N))
-        for k in range(len(net.cycles)))
+        tuple(bank.balances()[position[n]] for n in range(net.N))
+        for bank, position in zip(net.banks, net.positions))

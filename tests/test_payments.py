@@ -36,6 +36,40 @@ def test_honest_runs_pass_every_audit(family):
     assert bank.audit() == []
 
 
+# audit -> (row field, entries written over it, the audit's exact report)
+# for round 0 of Bank(6, 1, [1] * 6), where 0 pays 3 and the rest keep
+PLANTED = {
+    "holdings-exceed-supply": ("audit_conservation", "balances_after", {1: 2}, [
+        "round 0: honest holdings 7 exceed supply 6",
+        "round 0: supply drifted to 7, expected 6"]),
+    "supply-drifts": ("audit_conservation", "balances_after", {1: 0}, [
+        "round 0: supply drifted to 5, expected 6"]),
+    "negative-balance": ("audit_conservation", "balances_after",
+                         {1: -1, 2: 3}, ["round 0: negative balance -1 at 1"]),
+    "credit-without-spend": ("audit_consent", "credits", {1: (1, 2)}, [
+        "round 0: 1 credited in the name of honest 2 without a "
+        "matching spend"]),
+    "balance-off-its-credits": ("audit_recurrence", "credits", {3: (3,)}, [
+        "round 0: balance of 3 moved 1->2 but 1 credits and delta 1 "
+        "predict 1"]),
+    "payment-never-credited": ("audit_delivery", "credits", {3: (3,)}, [
+        "round 0: payment 0->3 never credited"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_each_book_audit_reports_its_planted_defect_and_writes_nothing(name):
+    audit, field, written, expected = PLANTED[name]
+    bank = Bank(6, 1, [1] * 6, family="cycle")
+    row = bank.run_round({0: 3})
+    bank.history[0] = dataclasses.replace(
+        row, **{field: getattr(row, field) | written})
+    state = (copy.deepcopy(bank.history), bank.to_csv(), bank.balances())
+    assert getattr(bank, audit)() == expected
+    assert getattr(bank, audit)() == expected
+    assert (bank.history, bank.to_csv(), bank.balances()) == state
+
+
 @pytest.mark.parametrize("family", ["quorum", "cycle"])
 def test_supply_is_exact_without_corruption(family):
     bank = Bank(5, 1, deal(5, 3), family=family)
@@ -65,7 +99,7 @@ def test_cycle_keeps_are_booked_without_a_network_step(monkeypatch):
     for n in funded:
         assert row.inputs[n] == n
         assert row.credits[n] == (n,)
-        assert row.instance_markings[row.spent_instance[n]] == (
+        assert row.marked_units()[row.spent_instance[n]] == (
             Marking(0, n, n),)
     assert row.balances_after == row.balances_before
     assert bank.net.transcript.events == []
@@ -137,7 +171,7 @@ def _ref_audit_instances(bank):
             payer = fed.get(v)
             target = row.inputs[payer] if payer is not None else None
             for text in check_marker_round(
-                    row.round, bank.honest, list(row.instance_markings[v]),
+                    row.round, bank.honest, list(row.marked_units().get(v, ())),
                     payer, payer is not None, target):
                 violations.append(f"instance {v}: {text}")
     return violations
@@ -186,16 +220,20 @@ def _ref_lowest_unit(bank, n):
     return min(v for v in range(bank.supply) if _ref_marked(bank, n, v))
 
 
-def _ref_instance_markings(bank, r):
-    return {v: tuple(m for n in sorted(bank.honest)
-                     for m in bank.hosts[n].instances[bank.nonces[v]].markings
-                     if m.round == r)
-            for v in range(bank.supply)}
+def _ref_marked_units(bank, r):
+    marked = {}
+    for v, nonce in enumerate(bank.nonces):
+        ms = tuple(m for n in sorted(bank.honest)
+                   for m in bank.hosts[n].instances[nonce].markings
+                   if m.round == r)
+        if ms:
+            marked[v] = ms
+    return marked
 
 
-def _ref_credits(bank, instance_markings):
+def _ref_credits(bank, marked_units):
     return {n: tuple(sorted(m.predecessor
-                            for ms in instance_markings.values()
+                            for ms in marked_units.values()
                             for m in ms if m.target == n))
             for n in sorted(bank.honest)}
 
@@ -214,13 +252,13 @@ def checked_rounds(monkeypatch):
         funded = [n for n in sorted(bank.honest) if before[n] > 0]
         lowest = {n: _ref_lowest_unit(bank, n) for n in funded}
         row = original(bank, inputs)
-        markings = _ref_instance_markings(bank, r)
+        markings = _ref_marked_units(bank, r)
         assert row.round == r
         assert row.inputs == {n: given.get(n, n) for n in funded}
         assert row.spent_instance == lowest
         assert row.balances_before == before
         assert row.balances_after == _ref_balances(bank)
-        assert row.instance_markings == markings
+        assert row.marked_units() == markings
         assert row.credits == _ref_credits(bank, markings)
         rows.append(row)
         return row
@@ -310,7 +348,7 @@ def test_a_kept_unit_stepped_later_in_its_round_is_booked_once(
         assert woken == paying < len(row.inputs)
         for n, target in row.inputs.items():
             if target == n:
-                assert row.instance_markings[row.spent_instance[n]] == (
+                assert row.marked_units()[row.spent_instance[n]] == (
                     Marking(row.round, n, n),)
 
 
@@ -488,7 +526,7 @@ def test_late_acceptance_leaves_every_row_as_it_was_made(checked_rounds,
     assert len(made) == len(checked_rounds)
     for row, as_made in made:
         assert row == as_made
-        assert row.instance_markings == as_made.instance_markings
+        assert row.marked_units() == as_made.marked_units()
 
 
 def test_balances_are_the_callers_to_write():

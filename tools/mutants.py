@@ -135,6 +135,8 @@ MUTANTS = (
            "            credits = credits | {n: tuple(sorted(credited))\n"
            "                                 for n, credited in senders.items()}\n",
            ""),
+    Mutant("W1", "hopnet.py", "dispute_walkback: confirmed -> upstream",
+           "return downstream, trace", "return upstream, trace"),
     Mutant("F1", "simnet.py", "CoalitionOracle.sign: forgery refusal dropped",
            "        if signer not in self.corrupted:\n"
            "            raise ForgeryViolation(\n", "        if False:\n"
