@@ -17,8 +17,12 @@ The class at the bottom wraps the same logic in a response enforcement
 schedule.  Every query slot is followed by room for a complaint broadcast
 and a response broadcast, so a process that goes silent on the payment path
 is either exposed and deleted from the cycle by all honest processes, or
-shown to have refused for a provable reason.  All of that machinery costs
-zero messages when every queried process answers.
+shown to have refused for a provable reason.  A process asks for a step
+only where it has work: the payer at the query and the complaint check of
+each period its payment is in, and a holder of a complaint or response
+broadcast where it reads, answers and settles it.  So all of that
+machinery costs zero messages and no idle steps when every queried
+process answers.
 
 A chain only grows, and every countersigner and payee checks the whole
 chain it is handed.  So each process keeps a :class:`VerifiedPrefix` of the
@@ -484,6 +488,8 @@ def wire(kind: str, records: tuple[Record, ...]) -> bytes:
 
 
 _KIND_OF = {kind.encode(): kind for kind in _KINDS}
+# a step handles its inbox in _KINDS order
+_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
 
 
 # The latest chain wires: an attack sends one wire to many processes.
@@ -504,9 +510,6 @@ def parse_wire(payload: bytes) -> tuple[str, tuple[Record, ...], bytes]:
         raise CodecError("malformed chain wire")
     body = payload[mid + 4:]
     return kind, decode_records(body), body
-
-
-_by_sender_and_bytes = operator.itemgetter(0, 1)
 
 
 def cycle_round_steps(N: int) -> int:
@@ -750,27 +753,27 @@ class CCProcess(MarkerProcess):
         r = t // self.round_steps
         sends: list[Send] = []
         if inbox:
-            buckets: dict[str, list[tuple[int, bytes, tuple[Record, ...]]]] = {
-                kind: [] for kind in _KINDS}
+            parsed = []
             for d in inbox:
                 try:
                     kind, records, body = parse_wire(d.payload)
                 except CodecError:
                     continue
-                buckets[kind].append((d.sender, body, records))
-            for kind in _KINDS:
-                # the record encoding is canonical: sorting by the bytes
-                # sorts by what encode_records(records) would give
-                for sender, body, records in sorted(buckets[kind],
-                                                    key=_by_sender_and_bytes):
-                    if kind == KIND_CHAIN:
-                        self._on_chain(sender, records, r, body)
-                    elif kind == KIND_QUERY:
-                        sends.extend(self._on_query(sender, records, r, body))
-                    elif kind == KIND_RESPONSE:
-                        sends.extend(self._on_response(sender, records, r))
-                    else:
-                        self._on_refuse(sender, records)
+                parsed.append((_RANK[kind], d.sender, body, kind, records))
+            # kinds in _KINDS order, then sender, then the record bytes,
+            # which are canonical, so this sorts by what
+            # encode_records(records) would give; equal bytes decode to
+            # equal records, so the records themselves are never ordered
+            parsed.sort()
+            for _, sender, body, kind, records in parsed:
+                if kind == KIND_CHAIN:
+                    self._on_chain(sender, records, r, body)
+                elif kind == KIND_QUERY:
+                    sends.extend(self._on_query(sender, records, r, body))
+                elif kind == KIND_RESPONSE:
+                    sends.extend(self._on_response(sender, records, r))
+                else:
+                    self._on_refuse(sender, records)
         if t % self.round_steps == 0 and self.marked and r in self.pending:
             sends.extend(self._begin_payment(r))
         return sends
@@ -883,6 +886,20 @@ class PoRProcess(CCProcess):
     later payment over the chain could land.
     Honest processes decide deletions from the same broadcasts, so they
     all hold the same ``deletions``, rounds included.
+
+    A process asks for the steps it runs without a delivery through
+    :meth:`_wake_at`, only where it has work.  The payer's first step at
+    the round's base comes from :func:`~lockstep.marker.start_round`.  A
+    payer with a query ready or unanswered asks for offset 0 of the next
+    period, and with a query out, for offset 2 of its period, the
+    complaint check.  A process that holds a sub-broadcast of a period,
+    from a delivery or from its own complaint, asks for offsets f+4, f+5
+    and 2f+7 of it: read the complaints, answer one, settle the period.
+    At any other offset a step without a delivery would change nothing
+    but ``query_mark``, and a later step reads that only when it carries
+    its own (round, period).  So on a route whose processes all answer,
+    only the payer steps without a delivery: once at the start of each
+    period in which it sends.
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
@@ -902,11 +919,13 @@ class PoRProcess(CCProcess):
     def steps(N: int, f: int) -> int:
         return N * por_period_steps(f)
 
-    def round_wakes(self, base: int) -> None:
-        offsets = (0, 2, self.f + 4, self.f + 5, 2 * self.f + 7)
-        for k in range(self.N):
-            for off in offsets:
-                self.net.wake(self.n, base + k * self.period_steps + off)
+    def _wake_at(self, step: int) -> None:
+        """Ask for a step at ``step``: the one way response enforcement
+        schedules the steps it runs without a delivery.  A process with no
+        network is stepped at every step by whoever holds it, so it asks
+        for nothing."""
+        if self.net is not None:
+            self.net.wake(self.n, step)
 
     def _absorb_countersign(self, responder: int, r: int) -> list[Send]:
         self.ready = super()._absorb_countersign(responder, r)
@@ -1073,6 +1092,7 @@ class PoRProcess(CCProcess):
                 main.append(Delivery(d.sender, body))
             elif nonce:
                 by_sub.setdefault(nonce, []).append(Delivery(d.sender, body))
+        held = len(self.subs)
         plain = super().step(t, main)
         sub_sends: list[Send] = []
         for nonce in sorted(by_sub):
@@ -1084,6 +1104,8 @@ class PoRProcess(CCProcess):
             # remember what went out; a complaint is only in order if the
             # very same query is still unanswered two steps later
             self.query_mark = ((r, k), self.outstanding) if self.outstanding else None
+            if self.query_mark is not None:
+                self._wake_at(t + 2)
         elif off == 2 and self.outstanding is not None \
                 and self.query_mark == ((r, k), self.outstanding):
             sub_sends.extend(self._complain(r, k))
@@ -1097,6 +1119,14 @@ class PoRProcess(CCProcess):
             # fails the window check before a sub is built
             self.subs.clear()
             self.accused.clear()
+        if self.subs and not held:
+            # the first sub-broadcast of this period: read the complaints,
+            # answer one and settle the period at the offsets to come
+            for later in (self.f + 4, self.f + 5, 2 * self.f + 7):
+                if later > off:
+                    self._wake_at(t - off + later)
+        if self.ready is not None or self.outstanding is not None:
+            self._wake_at(t - off + self.period_steps)
         wrapped = [Send(s.recipient, tag_payload(s.payload, MAIN_NONCE),
                         s.signatures) for s in plain]
         wrapped.extend(sub_sends)

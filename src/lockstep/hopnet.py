@@ -431,9 +431,9 @@ class HopNetwork:
         """
         if a == b or not (0 <= a < self.N and 0 <= b < self.N):
             raise ConfigFault(f"cannot run payment {a}->{b}")
+        # every cycle orders all N processes, so a walk along any cycle
+        # a holds value on reaches b: the route is never None
         path = shortest_hop_path(self.graph(), a, b)
-        if path is None:
-            raise ConfigFault(f"no route from {a} to {b}")
         legs = path.legs
         if len(legs) > self.micro_rounds:
             raise ConfigFault("route needs more micro rounds than budgeted")

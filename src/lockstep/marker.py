@@ -139,9 +139,11 @@ class MarkerProcess(Process):
     many steps one round occupies, keeps ``marked`` true while it holds the
     marker, and appends a :class:`Marking` to ``markings`` whenever it
     accepts one.  ``pending`` maps a round to the target the process pays
-    in it.  Its one round hook is :meth:`round_wakes`: every state change,
-    a decision at the end of a round included, happens in a step, so a
-    driver and a simulation world run a construction alike.
+    in it.  Every state change, a decision at the end of a round
+    included, happens in a step, and a construction asks for the steps it
+    runs without a delivery, at the start of a round through its one
+    round hook :meth:`round_wakes` or from within a step, so a driver and
+    a simulation world run a construction alike.
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
@@ -184,7 +186,11 @@ class MarkerProcess(Process):
 
     def round_wakes(self, base: int) -> None:
         """Schedule the spontaneous steps of the round starting at ``base``,
-        the one round hook a construction has."""
+        the one round hook a construction has.  :class:`BBMProcess` wakes
+        at its round's last step here.  The chain families schedule
+        nothing here: the payer's first step comes from
+        :func:`start_round`, and response enforcement asks for each later
+        step from within a step, once it has work there."""
 
 
 def start_round(procs: dict[int, MarkerProcess], plan: dict[int, int],

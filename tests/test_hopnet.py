@@ -221,6 +221,17 @@ def test_a_cheat_plan_that_does_not_fit_the_route_is_refused(plan):
     assert net.outcomes == [] and net.macro_index == 0
 
 
+def test_a_route_longer_than_the_budget_is_refused_before_routing():
+    """No route found so far has more legs than twice the unspent
+    diameter, the budget, so the check is reached by lowering it."""
+    net, (a, b), path = _cheat_route()
+    net.micro_rounds = len(path.legs) - 1
+    with pytest.raises(ConfigFault) as exc:
+        net.macro_payment(a, b)
+    assert str(exc.value) == "route needs more micro rounds than budgeted"
+    assert net.outcomes == [] and net.macro_index == 0
+
+
 def test_the_graph_reads_each_bank_once(monkeypatch):
     net = HopNetwork(gen_random_cycles(12, 2, seed=7))
     calls = []

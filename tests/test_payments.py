@@ -141,6 +141,26 @@ def test_bad_initial_allocation_is_refused():
         Bank(4, 1, [1, 0, 0, 0], family="marble")
 
 
+@pytest.mark.parametrize("payer,target", [(-1, 0), (4, 0), (0, -1), (0, 4)])
+def test_a_payment_naming_no_process_is_refused(payer, target):
+    bank = Bank(4, 0, [1, 1, 1, 1], family="cycle")
+    with pytest.raises(ConfigFault) as exc:
+        bank.run_round({payer: target})
+    assert str(exc.value) == f"round 0: payment {payer}->{target} out of range"
+    assert bank.round_index == 0 and bank.history == []
+
+
+def test_an_honest_payer_with_nothing_to_spend_is_refused():
+    bank = Bank(4, 0, [2, 0, 1, 1], family="cycle")
+    with pytest.raises(ConfigFault) as exc:
+        bank.run_round({1: 3})
+    assert str(exc.value) == "round 0: process 1 has no balance to spend"
+    assert bank.round_index == 0 and bank.history == []
+    # paying itself asks nothing of its balance
+    bank.run_round({1: 1})
+    assert bank.balances() == {0: 2, 1: 0, 2: 1, 3: 1}
+
+
 def test_silent_corrupted_holder_cannot_break_conservation():
     # process 2 holds a unit and never spends; books must stay consistent
     bank = Bank(6, 1, deal(6, 3), SignatureOracle(frozenset({2})),

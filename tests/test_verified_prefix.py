@@ -7,6 +7,10 @@ chains are built the way :class:`CCProcess` builds them, then cut, swapped,
 replaced and re-signed, in the tail only or anywhere, and checked with and
 without an earlier prefix, under the prefix's own deletions or with more
 made in rounds after its groups.
+
+The seeded coalition runs also pin response enforcement's schedule: each
+process asks for the steps its own work needs, and every output is that of
+the schedule that stepped every process at every offset of every period.
 """
 
 import random
@@ -15,7 +19,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lockstep import cyclecoin
+from lockstep import adversary, cyclecoin
 from lockstep.adversary import ScriptAdversary, SimWorld, _audited_rounds
 from lockstep.cyclecoin import (
     KIND_CHAIN,
@@ -410,12 +414,13 @@ class _MarkedOnly(dict):
                 if self.sims[z].marked and t not in self.sims[z].deleted}
 
 
-def _coalition_run(seed: int, rounds: int = 6) -> list[str]:
-    """The checks of one seeded response enforcement run: a coalition of
-    up to f processes runs worlds that crash (stop after a range of
-    rounds), omit (hear only some senders) or fork (start late from the
-    genesis state), while an honest holder pays a random live target in
-    most rounds."""
+def _coalition_run(seed: int, rounds: int = 6, family=PoRProcess
+                   ) -> tuple[list[str], MarkerSystem]:
+    """The checks and the system of one seeded response enforcement run
+    of ``family``: a coalition of up to f processes runs worlds that crash
+    (stop after a range of rounds), omit (hear only some senders) or fork
+    (start late from the genesis state), while an honest holder pays a
+    random live target in most rounds."""
     rng = random.Random(seed)
     N, f = rng.randint(5, 7), rng.randint(1, 2)
     everyone = range(N)
@@ -436,11 +441,11 @@ def _coalition_run(seed: int, rounds: int = 6) -> list[str]:
             feed -= set(rng.sample(everyone, rng.randint(1, N - 1)))
         else:
             span = range(rng.randint(1, rounds - 1), rounds)
-        sims = {z: PoRProcess(z, N, f, shadow, genesis) for z in members}
+        sims = {z: family(z, N, f, shadow, genesis) for z in members}
         plan = {r: {rng.choice(members): rng.choice(everyone)}
                 for r in span if rng.random() < 0.7}
         worlds.append(SimWorld(sims, feed, _MarkedOnly(plan, sims), span))
-    system = MarkerSystem(PoRProcess, N, f, oracle,
+    system = MarkerSystem(family, N, f, oracle,
                           ScriptAdversary({}, worlds), genesis)
 
     def plans():
@@ -454,7 +459,7 @@ def _coalition_run(seed: int, rounds: int = 6) -> list[str]:
             yield {payer.n: rng.choice([n for n in everyone
                                         if n not in payer.deleted])}
 
-    return _audited_rounds(system, plans())
+    return _audited_rounds(system, plans()), system
 
 
 def test_checks_from_kept_prefixes_in_coalition_runs_match_genesis(
@@ -478,3 +483,95 @@ def test_checks_from_kept_prefixes_in_coalition_runs_match_genesis(
     for seed in range(250):
         _coalition_run(seed)
     assert resumed[True] >= 100 and resumed[False] >= 400
+
+
+# ---------------------------------------------------------------------------
+# the response enforcement schedule
+
+
+class EagerPoRProcess(PoRProcess):
+    """Response enforcement that also steps every process at offsets 0,
+    2, f+4, f+5 and 2f+7 of every period of every round, whether or not
+    it has work there: the reference for the schedule each process asks
+    for itself."""
+
+    def round_wakes(self, base: int) -> None:
+        offsets = (0, 2, self.f + 4, self.f + 5, 2 * self.f + 7)
+        for k in range(self.N):
+            for off in offsets:
+                self.net.wake(self.n, base + k * self.period_steps + off)
+
+
+def _outputs(violations, system):
+    """What a run leaves: its checks, its transcript and metrics, and what
+    each process marked, deleted, holds, refused and kept as evidence."""
+    return (violations, system.net.transcript.to_jsonl(),
+            system.net.metrics.to_csv(),
+            [(p.markings, p.deleted, p.deletions, p.chain, p.refusals,
+              p.evidence) for p in system.procs])
+
+
+def _counted_steps(monkeypatch) -> Counter:
+    """Count the steps of every response enforcement process by class."""
+    steps = Counter()
+    step = PoRProcess.step
+
+    def counted(self, t, inbox):
+        steps[type(self)] += 1
+        return step(self, t, inbox)
+
+    monkeypatch.setattr(PoRProcess, "step", counted)
+    return steps
+
+
+def test_the_asked_for_steps_give_the_eager_schedule_in_coalition_runs(
+        monkeypatch):
+    """Crashing, omitting and forking coalitions, some with deletions and
+    some with failed handoffs, leave the same bytes and the same process
+    states on both schedules, from a tenth of the steps or fewer."""
+    steps = _counted_steps(monkeypatch)
+    violating = deleting = 0
+    for seed in range(150):
+        asked = _outputs(*_coalition_run(seed))
+        assert asked == _outputs(*_coalition_run(seed, family=EagerPoRProcess))
+        violating += bool(asked[0])
+        deleting += any(deleted for _, deleted, *_ in asked[3])
+    assert violating >= 5 and deleting >= 25
+    assert steps[PoRProcess] * 10 <= steps[EagerPoRProcess]
+
+
+def test_the_asked_for_steps_give_the_eager_schedule_in_the_gallery(
+        monkeypatch):
+    """The response enforcement coalitions of the cycle gallery and every
+    silent responder at N = 8, f = 2 leave the same results, bytes and
+    process states on both schedules."""
+    attack = adversary._marker_attack
+    runs = []
+
+    def recorded(*args):
+        violations, system = attack(*args)
+        runs.append(_outputs(violations, system))
+        return violations, system
+
+    monkeypatch.setattr(adversary, "_marker_attack", recorded)
+    outputs = []
+    for family in (PoRProcess, EagerPoRProcess):
+        runs.clear()
+        monkeypatch.setattr(adversary, "PoRProcess", family)
+        results = adversary.cycle_por_coalitions(8) + [
+            adversary.cycle_silent_responder(8, 2, target, silent)
+            for silent in range(1, 7) for target in range(silent + 1, 8)]
+        assert all(result.ok for result in results)
+        outputs.append((results, list(runs)))
+    assert len(outputs[0][1]) == 25
+    assert outputs[0] == outputs[1]
+
+
+def test_a_silent_responder_run_steps_only_where_there_is_work(monkeypatch):
+    """One payment across a silent process at N = 8, f = 2: the payer's
+    queries and complaint, the two sub-broadcasts and the settling step.
+    Stepping every process at five offsets of every period took 298
+    steps."""
+    steps = _counted_steps(monkeypatch)
+    assert adversary.cycle_silent_responder(8, 2, 5, 3).ok
+    assert steps[PoRProcess] <= 60

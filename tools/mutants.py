@@ -124,6 +124,9 @@ MUTANTS = (
     Mutant("P2", "cyclecoin.py", "_settle_period: a COMPLY ignored",
            "if not fault and value == COMPLY and self.oracle.verify(",
            "if False and self.oracle.verify("),
+    Mutant("P4", "cyclecoin.py", "step: a sub holder asks no settling step",
+           "for later in (self.f + 4, self.f + 5, 2 * self.f + 7):",
+           "for later in (self.f + 4, self.f + 5):"),
     Mutant("B1", "payments.py", "run_round: a keep of None booked as free",
            "                marking = proc.keep(r)\n"
            "                if marking is not None:\n"
