@@ -700,6 +700,13 @@ def quorum_gallery() -> list[AttackResult]:
             [(b, 1, receipt_content(0, 0, 1)) for b in sorted(crooked)])}),
         # corrupted holder that never spends: nothing may move
         "quorum-silent-holder": (frozenset({0}), [{}, {}], {}),
+        # a corrupted genesis pays 2 through honest broadcasters 2..4 and
+        # 1 through 5 and 6, and the coalition's own receipts give 2 a
+        # quorum: 5 and 6 countersigned round 0 for 1, yet 2 pays on
+        "quorum-equivocating-genesis": (frozenset({0, 1}), [{}, {2: 3}], {
+            0: _signed([(0, b, intent_content(0, 0, 2 if b < 5 else 1, proof))
+                        for b in casters[2:]]),
+            1: _signed([(b, 2, receipt_content(0, 0, 2)) for b in (0, 1)])}),
     }
     return [AttackResult(name, "quorum", N, f, tuple(_marker_attack(
                 QMProcess, N, f, coalition, plans, [], script, 0)[0]))

@@ -15,7 +15,7 @@ broadcaster processes; a handoff is one signed intent to the broadcasters
 plus their countersigned receipts to the target, and the target keeps the
 valid receipts of the 2f+1 lowest signer ids as the proof of ownership
 for the next handoff.  Receipt freshness is enforced by each broadcaster
-against its own countersign history, and any two quorums of 2f+1
+against the last round it countersigned, and any two quorums of 2f+1
 receipts share an honest broadcaster, which is what makes stale or split
 proofs unusable; so a proof of 2f+1 receipts proves as much as one of
 3f+1, in fewer bytes and fewer oracle questions.
@@ -30,9 +30,12 @@ read those facts, so it keeps them, and its intent seeds the table with
 them under the proof's bytes: an honest proof is never decoded.  The 3f+1
 countersigners of a handoff sign one shared :func:`receipt_message`, and
 each writes its receipt as that wire countersigned in one join
-(:func:`~lockstep.simnet.countersign`).  A receipt thus has one fixed
-layout, which :func:`read_receipt` reads by slicing: no receipt is made,
-seeded or looked up as a :class:`~lockstep.simnet.SignedMessage`.
+(:func:`~lockstep.simnet.countersign`), which marks the signed bytes as
+the wire before the entry instead of copying them.  A receipt thus has
+one fixed layout, 16 bytes longer than the message it signs, which
+:func:`read_receipt` reads by slicing: no receipt is made, seeded or
+looked up as a :class:`~lockstep.simnet.SignedMessage`, and its signed
+content is a slice of its own bytes.
 Whether the signers are broadcasters is one subset test, and whether the
 oracle issued the signatures is one batched question,
 :meth:`~lockstep.simnet.SignatureOracle.verify_all`; each process asks both
@@ -48,6 +51,7 @@ from typing import NamedTuple
 from lockstep.consensus import DSProcess
 from lockstep.muxer import nonce_for
 from lockstep.simnet import (
+    PRIOR,
     ByteReader,
     CodecError,
     ConfigFault,
@@ -299,7 +303,8 @@ def receipt_content(round_index: int, payer: int, target: int) -> bytes:
 
 
 # Every broadcaster of a handoff countersigns the same receipt message in
-# the same step, so one step's handoffs suffice.  At worst 64 × 0.5 KB.
+# the same step, so one step's handoffs suffice.  At worst 64 × 0.5 KB:
+# an entry took 0.42 KB (tracemalloc).
 @lru_cache(maxsize=64)
 def receipt_message(round_index: int, payer: int, target: int) -> SignedMessage:
     """The unsigned receipt of a handoff, whose wire is then built once
@@ -331,25 +336,22 @@ def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
     """(round, payer, target, signer, signed content) of a well formed
     receipt signed by one signer alone, or None.  A receipt has one fixed
     layout, the :func:`~lockstep.simnet.countersign` wire X ‖
-    enc_int(signer) ‖ enc_bytes(X) of its message X = enc_bytes(payload),
-    so it is read by slicing, with the checks a
+    enc_int(signer) ‖ PRIOR of its message X = enc_bytes(payload), whose
+    one entry signed X, so it is read by slicing, with the checks a
     :meth:`~lockstep.simnet.SignedMessage.from_bytes` parse and a stack of
-    one entry that signed X would make.  Pure: whether the signer is a
-    broadcaster and whether the oracle issued the signature are left to
-    the reader."""
+    one entry that signed X would make; the signed content is the slice
+    X.  Pure: whether the signer is a broadcaster and whether the oracle
+    issued the signature are left to the reader."""
     end = 4 + int.from_bytes(wire[:4], "big")
-    if (len(wire) != 2 * end + 16 or wire[end:end + 4] != INT_WIDTH
-            or int.from_bytes(wire[end + 12:end + 16], "big") != end):
-        return None
-    signed = wire[end + 16:]
-    # the one entry signed exactly X, the bytes before it
-    if not wire.startswith(signed):
+    if (len(wire) != end + 16 or wire[end:end + 4] != INT_WIDTH
+            # the one entry signed exactly X, the bytes before it
+            or wire[end + 12:] != PRIOR):
         return None
     fields = parse_typed(wire[4:end], RECEIPT, 3)
     if fields is None:
         return None
     return (*fields, int.from_bytes(wire[end + 4:end + 12], "big", signed=True),
-            signed)
+            wire[:end])
 
 
 # The summaries of the proofs that payers showed lately, by the encoded
@@ -357,14 +359,15 @@ def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
 # after it is shown, so one step's intents suffice.  At worst
 # 64 × (B + 0.5 KB + 0.16 KB × k) for a proof of k receipts; over 20
 # rounds of Bank(16, 5), whose proofs hold 11, it alone held 0.12 MB
-# (tracemalloc).
+# (tracemalloc), 0.16 MB while each receipt copied the bytes it signed.
 _proof_seeds = Seeds(64)
 
 
-# An honest proof holds 2f+1 receipts, 1.4 KB at f=5, and every
+# An honest proof holds 2f+1 receipts, 0.8 KB at f=5, and every
 # broadcaster checks it in one step, so this table is the small one.  At
-# worst 64 × (2.5B + 0.3 KB + 0.1 KB × k) for a proof of k receipts; over
-# 20 rounds of Bank(16, 5) it alone held 34 KB (tracemalloc).
+# worst 64 × (B + 0.3 KB + 0.45 KB × k) for a proof of B bytes and k
+# receipts, whose signed contents are slices of 51 bytes each; over 20
+# rounds of Bank(16, 5) it alone held 74 KB (tracemalloc).
 @lru_cache(maxsize=64)
 def summarize_proof(proof: bytes) -> tuple | None:
     """The pure facts of a receipt proof as (round, holder, signers,
@@ -398,17 +401,31 @@ class QMProcess(MarkerProcess):
     """One participant of the quorum marker, possibly also a broadcaster.
 
     Rounds occupy three steps: intent, countersign, accept.  A broadcaster
-    treats a proof claiming a marking at round j as fresh only when every
-    (round, payer, target) triple it ever countersigned sits strictly
-    before j, apart from the claimed marking itself.  That single local
-    rule, combined with quorum intersection, rules out stale proofs,
-    replayed proofs and split handoffs.  Read newest first, the triples
-    of the latest round settle the rule, so ``history`` keeps only those.
-    A target accepts a payer's handoff on 2f+1 valid receipts and keeps
-    as ``proof`` exactly the receipts of the 2f+1 lowest signer ids among
-    them; a broadcaster accepts any proof of at least 2f+1 distinct
-    broadcaster signers.  ``summary`` is the :func:`summarize_proof`
-    result of ``proof``, kept when the proof is accepted.
+    countersigns at most one intent a round, and an intent whose proof
+    claims a marking at round j only if it has countersigned nothing after
+    round j, so all it keeps is ``countersigned``, the last round it
+    countersigned.  A target accepts a payer's handoff on 2f+1 valid
+    receipts and keeps as ``proof`` exactly the receipts of the 2f+1
+    lowest signer ids among them; a broadcaster accepts any proof of at
+    least 2f+1 distinct broadcaster signers.  ``summary`` is the
+    :func:`summarize_proof` result of ``proof``, kept when the proof is
+    accepted.
+
+    The rule rests on quorum intersection (Malkhi & Reiter, Byzantine
+    quorum systems, 1997; FastPay's certificates of 2f+1 signatures over
+    one content, Baudet, Danezis & Sonnino, 2020): any two sets of 2f+1
+    of the 3f+1 broadcasters share at least f+1, one of them honest.
+    *Split handoffs.*  Two targets of one round with a proof each would
+    share an honest broadcaster that countersigned both in that round, so
+    at most one target a round gets a proof.  A broadcaster that checks a
+    proof of round j so knows that any other intent it countersigned at
+    round j reached no quorum, and it needs to refuse nothing there.
+    *Stale and replayed proofs.*  Once a handoff of round r > j has a
+    proof, f+1 honest broadcasters have countersigned at round r, and any
+    2f+1 that would countersign a later claim of round j include one of
+    them, which refuses: a proof stops counting once the marker it shows
+    has moved on, however often and in whichever round it is shown
+    again.
     """
 
     summary: tuple | None = None
@@ -419,7 +436,7 @@ class QMProcess(MarkerProcess):
         self.marked = n == genesis_holder
         self.marked_round = GENESIS_ROUND
         self.proof: tuple[bytes, ...] = ()
-        self.history: list[tuple[int, int, int]] = []
+        self.countersigned = GENESIS_ROUND
 
     @staticmethod
     def check(N: int, f: int) -> None:
@@ -469,22 +486,6 @@ class QMProcess(MarkerProcess):
             return None
         return j if self.oracle.verify_all(pairs) else None
 
-    def _fresh(self, claimed: int, payer: int) -> bool:
-        """Whether the history holds nothing after round ``claimed`` and, at
-        it, only handoffs to ``payer``.  The history is appended in round
-        order, so only its tail from the claimed round on is read."""
-        for j, _, target in reversed(self.history):
-            if j < claimed:
-                return True
-            if j > claimed or target != payer:
-                return False
-        return True
-
-    def _remember(self, r: int, payer: int, target: int) -> None:
-        if self.history and self.history[-1][0] != r:
-            self.history.clear()
-        self.history.append((r, payer, target))
-
     def _countersigns(self, r: int, inbox: list[Delivery]) -> list[Send]:
         sends = []
         for d in inbox:
@@ -504,11 +505,12 @@ class QMProcess(MarkerProcess):
             claimed = self._proof_round(payer, proof)
             if claimed is None or claimed >= r:
                 continue
-            if not self._fresh(claimed, payer):
+            # fresh: nothing countersigned after the claimed round
+            if self.countersigned > claimed:
                 continue
             receipt = countersign(self.oracle, self.n,
                                   receipt_message(r, payer, target).to_bytes())
-            self._remember(r, payer, target)
+            self.countersigned = r
             sends.append(Send(target, receipt, 1))
         return sends
 

@@ -91,6 +91,13 @@ def enc_str(text: str) -> bytes:
     return enc_bytes(text.encode("utf-8"))
 
 
+# The length prefix of a signature stack entry that signed exactly the
+# wire bytes before it: no chunk shorter than 4 GiB has it, and such an
+# entry is written as its signer and this mark instead of a copy of those
+# bytes (see SignedMessage).
+PRIOR = b"\xff\xff\xff\xff"
+
+
 class ByteReader:
     """Sequential reader for concatenated length prefixed chunks."""
 
@@ -120,6 +127,17 @@ class ByteReader:
             return self.read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CodecError("bad utf-8 chunk") from exc
+
+    def read_prior(self) -> bool:
+        """Whether a :data:`PRIOR` mark comes next, read if it does."""
+        if self._data[self._pos:self._pos + 4] != PRIOR:
+            return False
+        self._pos += 4
+        return True
+
+    def tell(self) -> int:
+        """How many bytes have been read."""
+        return self._pos
 
     def at_end(self) -> bool:
         return self._pos == len(self._data)
@@ -182,24 +200,26 @@ def split_payload(data: bytes) -> tuple[bytes, bytes]:
 # SignedMessage.from_bytes on a miss.  What is read a step after it is
 # signed is an intent or a broadcast relay (a receipt is written and read
 # without a SignedMessage), so one step's signing suffices: a quorum bank
-# of 16 units signs at most 16 intents a step, each up to 2.8 KB at f=5
-# with its proof of 2f+1 = 11 receipts.  At worst 64 × (2B + 0.6 KB); over
-# 20 rounds of Bank(16, 5) this table alone held 0.26 MB (tracemalloc).
+# of 16 units signs at most 16 intents a step, each 0.86 KB at f=5 with
+# its proof of 2f+1 = 11 receipts.  A message of B bytes and k entries
+# holds its payload and the k wires before its entries, so at worst
+# 64 × ((k + 2)B + 0.4 KB + 0.1 KB × k); over 20 rounds of Bank(16, 5)
+# this table alone held 0.12 MB (tracemalloc).
 _signed_seeds = Seeds(64)
 
 
 def countersign(oracle, signer: int, wire: bytes) -> bytes:
     """The wire of the message whose wire is ``wire``, countersigned by
-    ``signer`` through ``oracle``: wire ‖ enc_int(signer) ‖
-    enc_bytes(wire), built in one join."""
+    ``signer`` through ``oracle``: wire ‖ enc_int(signer) ‖ PRIOR, whose
+    entry signed ``wire`` itself, built in one join."""
     oracle.sign(signer, wire)
     return b"".join((wire, b"\x00\x00\x00\x08",
-                     int(signer).to_bytes(8, "big", signed=True),
-                     len(wire).to_bytes(4, "big"), wire))
+                     int(signer).to_bytes(8, "big", signed=True), PRIOR))
 
 
 # A batch of k pairs with B bytes of contents; every broadcaster checks
-# the same proof in one step.  At worst 64 × (2B + 0.35 KB × k).
+# the same proof in one step.  At worst 64 × (2B + 0.45 KB × k); a batch
+# of 11 receipt pairs took 3.9 KB (tracemalloc).
 @lru_cache(maxsize=64)
 def tag_pairs(pairs: frozenset[tuple[int, bytes]],
               nonce: bytes) -> frozenset[tuple[int, bytes]]:
@@ -305,12 +325,17 @@ class once:
 class SignedMessage:
     """A payload plus a stack of countersignatures, outermost last.
 
-    Each stack entry stores the exact bytes that were signed, verbatim.  For
-    a well formed message entry k signed the serialization of the message
-    truncated to its first k entries, but adversarial senders may put
-    anything there; :meth:`verify_stack` recomputes the expected bytes and
-    rejects mismatches.  That check, the bytes and the signers are computed
-    once per object; the oracle is asked on every call.
+    Each stack entry holds a signer and the bytes it signed.  For a well
+    formed message entry k signed the wire of the message truncated to its
+    first k entries, the wire bytes before the entry, and the wire writes
+    such an entry as enc_int(signer) ‖ :data:`PRIOR` instead of a copy of
+    those bytes: a chain of k signatures over payload P takes
+    |P| + 4 + 16k bytes.  Adversarial senders may put anything in an
+    entry, and any other content is written as enc_int(signer) ‖
+    enc_bytes(content), so every stack has a wire that decodes back to it.
+    :meth:`verify_stack` recomputes the bytes each entry should have signed
+    and rejects mismatches.  That check, the bytes and the signers are
+    computed once per object; the oracle is asked on every call.
     """
 
     payload: bytes
@@ -321,27 +346,44 @@ class SignedMessage:
 
     @once
     def _wire(self) -> bytes:
-        return enc_bytes(self.payload) + b"".join(
-            enc_int(signer) + enc_bytes(content) for signer, content in self.stack)
+        wire = enc_bytes(self.payload)
+        for signer, content in self.stack:
+            wire += enc_int(signer) + (PRIOR if content == wire
+                                       else enc_bytes(content))
+        return wire
 
     # what is read is an intent or a relayed chain, each by all its
     # recipients in one step, so one step's signing suffices as for
-    # _signed_seeds; at worst 64 × (2B + 0.7 KB), and over 20 rounds of
-    # Bank(16, 5) this table alone held 0.42 MB (tracemalloc)
+    # _signed_seeds; a parse of B bytes and k entries holds its payload
+    # and a slice for each entry, so at worst
+    # 64 × ((k + 2)B + 0.5 KB + 0.1 KB × k), and over 20 rounds of
+    # Bank(16, 5) this table alone held 0.17 MB (tracemalloc)
     @classmethod
     @lru_cache(maxsize=64)
     def from_bytes(cls, data: bytes) -> "SignedMessage":
+        """The message whose wire is ``data``.  An entry written as
+        :data:`PRIOR` signed ``data`` up to the entry, a slice taken once
+        and shared by the checks; an entry that copies those bytes in
+        full, where the mark belongs, raises :class:`CodecError`, so that
+        the wire kept is the one the message encodes to."""
         # on a miss, a message signed_by made lately is its own decode
         seeded = _signed_seeds.get(data)
         if seeded is not None:
             return seeded
         reader = ByteReader(data)
-        payload = reader.read_bytes()
-        stack = []
+        payload, stack = reader.read_bytes(), []
         while not reader.at_end():
-            stack.append((reader.read_int(), reader.read_bytes()))
+            start = reader.tell()
+            signer = reader.read_int()
+            if reader.read_prior():
+                content = data[:start]
+            else:
+                content = reader.read_bytes()
+                if len(content) == start and data.startswith(content):
+                    raise CodecError("a copy of the wire where PRIOR belongs")
+            stack.append((signer, content))
         msg = cls(payload, tuple(stack))
-        # the parse is exact, so the message encodes to ``data``
+        # the parse is canonical, so the message encodes to ``data``
         object.__setattr__(msg, "_wire", data)
         object.__setattr__(msg, "signers", tuple(signer for signer, _ in stack))
         return msg
@@ -364,16 +406,14 @@ class SignedMessage:
 
     @once
     def _formed(self) -> int:
-        """How many leading entries signed exactly the encoding of the
-        entries before them."""
-        stack = self.stack
-        if not stack or stack[0][1] != enc_bytes(self.payload):
-            return 0
-        for k, ((signer, content), (_, following)) in enumerate(
-                zip(stack, stack[1:]), start=1):
-            if following != content + enc_int(signer) + enc_bytes(content):
+        """How many leading entries signed exactly the wire bytes before
+        them."""
+        expected = enc_bytes(self.payload)
+        for k, (signer, content) in enumerate(self.stack):
+            if content != expected:
                 return k
-        return len(stack)
+            expected = expected + enc_int(signer) + PRIOR
+        return len(self.stack)
 
     def verify_stack(self, oracle) -> bool:
         formed = self._formed

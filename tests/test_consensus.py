@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lockstep.adversary import ScriptAdversary
 from lockstep.consensus import (
     DSProcess,
     audit_extractions,
@@ -18,10 +19,13 @@ from lockstep.consensus import (
     turpin_coan_steps,
 )
 from lockstep.simnet import (
+    CoalitionOracle,
     ConfigFault,
     Delivery,
+    Send,
     SignatureOracle,
     SignedMessage,
+    enc_bytes,
     enc_int,
 )
 
@@ -87,6 +91,28 @@ def test_only_a_proper_chain_is_extracted(signers, forged, taken):
     proc = DSProcess(2, 4, 1, 0, None, oracle)
     proc.step(len(signers), [Delivery(signers[-1], chain.to_bytes())])
     assert proc.extracted == ([enc_int(1)] if taken else [])
+
+
+def test_a_chain_that_copies_what_the_mark_stands_for_splits_no_broadcast():
+    """Corrupted leader 0 signs the wire X = enc_bytes(P) of P = 1 and
+    sends process 2 alone the entry written as a copy, X ‖ enc_int(0) ‖
+    enc_bytes(X), where a countersignature writes X ‖ enc_int(0) ‖ PRIOR.
+    Read as the message it decodes to, the copy would let 2 extract P and
+    relay bytes whose first entry its peers re-encode otherwise, so they
+    refuse the relay and 2 alone decides 1.  The copy is refused where it
+    is read, and every honest process decides 0 with a sender fault."""
+    value = enc_int(1)
+
+    def move(net):
+        CoalitionOracle(net.oracle).sign(0, enc_bytes(value))
+        copy = enc_bytes(value) + enc_int(0) + enc_bytes(enc_bytes(value))
+        return [(0, Send(2, copy, 1))]
+
+    run = run_dolev_strong(6, 2, None, corrupted=frozenset({0, 1}),
+                           adversary=ScriptAdversary({0: move}, []))
+    assert run.decisions == dict.fromkeys((2, 3, 4, 5), 0)
+    assert all(run.sender_fault.values())
+    assert audit_extractions(run)
 
 
 # runner on (N, f), and the smallest N its rule admits for a given f

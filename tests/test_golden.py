@@ -70,13 +70,13 @@ CONFIGS = {
 GOLDEN = {
     "run-broadcast": {
         "metrics.csv": "d8d32c47aa9a39d4ea50ac8ca951dec3f4fa0e4c6138dfd018887cbeb281f567",
-        "summary.json": "7acd173e367a7901bfac4928b6782098fc0e1a742a4672127ae81a4f7f9c56f1",
-        "transcript.jsonl": "d8b118a387fc9ddf10ad97a8abbd114595392adce642218a22698d3e8499bf2c",
+        "summary.json": "074147b67c421502c0fb7e40d61119907c7b7f3f8294aa2a779a0b93a710685a",
+        "transcript.jsonl": "e5aab08afc17759082a704bbb2eff669fd9b026eaaf856b2365b4bb53a4a91a4",
     },
     "run-quorum": {
         "metrics.csv": "80710479f6941573e6ffc697a3e3446a3fa3915b9290760796ee6b85b97c6496",
-        "summary.json": "11ae78980f0a131c34340fa5e2a6936fb27ecd232b6e111437bd7cb93556017d",
-        "transcript.jsonl": "ecbc465460a5c3c78b758d75e1145ae536663eadcbf2cfd73c4d33af9bf72cae",
+        "summary.json": "169ac7316585d7c0c9bbe5e8bac2e8f85344a0e22974cc8167dd1783384e056d",
+        "transcript.jsonl": "56da888e256be55bd50378f11bac438a6a173366ac6d3b4b914fb86bcc1bedeb",
     },
     "run-cycle": {
         "metrics.csv": "e4f9e2bded34e764d4c3c16d5f75f074187f236ebf42db05a746a0006d2fa236",
@@ -86,8 +86,8 @@ GOLDEN = {
     "run-bank-quorum": {
         "ledger.csv": "11701d7ce98d6a9cc9009f0049ba1175d3657d1f9563ce2365ca7f6aa608a942",
         "metrics.csv": "54c9288747d09dd4a813eb8f82d68a58ec469bdede1f32dcd9150cee93855a2f",
-        "summary.json": "f1d21cedfe749eb62c885bd431d6ce605db1f9058e3e8e06ef4cb949e793db15",
-        "transcript.jsonl": "7680ce1deed95e8c430ade9c23fbe89806000aaf1dd4c77942804ab16d932aa2",
+        "summary.json": "e4c69f5601f41df91f2d3a1557e9380d80f866ff1701f14bc9dda043be6da878",
+        "transcript.jsonl": "8f1880a014d364694714873acefc14f361132852dcfbccc24ef6224a28d3c7db",
     },
     "run-bank-cycle": {
         "ledger.csv": "11701d7ce98d6a9cc9009f0049ba1175d3657d1f9563ce2365ca7f6aa608a942",
@@ -142,9 +142,9 @@ GOLDEN = {
         "transcript.jsonl": "aa92ea8441a039d141ea915585e9ffc778f51c2b8039800c6713fb519d41468d",
     },
     "attack-all": {
-        "metrics.csv": "69b0f25b4f27a6d4cdcd866314fad89bb6a6dcdff5caf372f0e44219be16a3a9",
-        "summary.json": "dd14d29807a2598c3222afaad2b1764c66cc6a36191640e42ef2cf424eebaca6",
-        "transcript.jsonl": "bfc6f11c19aa1eea7d91b99dd695417c1e965942d6518c0a38cd57f875fbf816",
+        "metrics.csv": "baf3c490f7e09e38ce9f1a074daeee3fb2868f8cd92ed72af416400defd4f895",
+        "summary.json": "1a37434ebae9c73ed06cfc53fce19fa0308e23faa87c4f73e6cd6cbea0db23a0",
+        "transcript.jsonl": "ed8d46cc3a28a5b8b76e4f49ee8012ec8c21d464b75a8d7bcb43ba0917b11e89",
     },
     "gen-topology-random": {
         "cycles.txt": "067f44ecd252508f53b85d381a9e7c70d4fc20e4c7deb2815b6f205a4bbf2079",
@@ -153,9 +153,9 @@ GOLDEN = {
         "transcript.jsonl": "60d5de2f16c29f2cfbdb86f490b9281d041a8a557a0877296131bc92173c2cef",
     },
     "attack-quorum": {
-        "metrics.csv": "a7147de591a3bfb8c6c97c13751804cfb84b376140dc281c9bf67761605f1591",
-        "summary.json": "d782707fd1a771d491208405f9b4a5bed5bbd7ad3e8e5b5712c2285fcc024524",
-        "transcript.jsonl": "05947068d46a826c87aa85afb17bc558f4c671e425db2cc5dc2cf53de8dd3039",
+        "metrics.csv": "1ee96577ca6255aa16c85da2a66c6cc207d8bb42eaf2a49ae28ffe3005864efc",
+        "summary.json": "380773b2ce5b93275e8cb1a8bdcad393d6e0d59b221efdcf2e3959abe69792fa",
+        "transcript.jsonl": "dd26384e02d7d36a488b069450929b60a2e1a84ce4b88f9303721386eee4bd33",
     },
     "attack-cycle": {
         "metrics.csv": "696c5b46bd49d344c138128f5eba854a9eac72dff6e5ae9272d7dc9dab85b1cd",
@@ -209,7 +209,7 @@ def test_response_enforcement_signs_the_pinned_contents():
     system.run_round({4: 3})
     assert [sorted(p.deleted) for p in system.procs] == [[2]] * 2 + [[]] + [[2]] * 3
     assert _registry_digest(system.net.oracle) == \
-        "c289e0f96cd937d60224fed50b1d229b74248aa19b94b6d87760eb8bcd1585e5"
+        "8492c311db5a1b3e35923e7a9d5c8646202e1e55640d014c63ab4684c53eed2b"
 
 
 def test_sixteen_process_quorum_bank_matches_the_pinned_digests():
@@ -228,19 +228,19 @@ def test_sixteen_process_quorum_bank_matches_the_pinned_digests():
         bank.net.transcript.to_jsonl())] == [
         "ecb7c2cee4f5f27cb68b40de1d8ffa488bbfc250b2668ea192f0ec8d42c71713",
         "9d32f83ddcd0b71b599d387687f732de8d0ba776fb4ad6d0b515b48b58bea3d9",
-        "342f7d8dc4989bab4fd2b70b906af642f4749a7bafab66bb39f71c032e0d700c",
+        "015aa8de5ffed75d36b6c40ebec2a9f4acf9fe7f825a4c057dd032efe2dee41a",
     ]
 
 
 AGREEMENT_RUNS = {
     "majority-ba": (lambda: run_majority_ba(
         5, 1, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0}, corrupted=frozenset({3})),
-        "d1b4bc7854ea81fae2ab72c9394bdd25cb76a429dcfd01f49221cf8844ec0308"),
+        "0e75975b7b7a547ba7930607b1d2ab60aafe2fec3f26e113371f3bd696dfd29d"),
     "turpin-coan": (lambda: run_turpin_coan(
         4, 1, {0: 5, 1: 5, 2: 7, 3: 5}, corrupted=frozenset({2})),
-        "956b3e2bd0d6d7259099a9b38cf2f9ff4b03a6d51004436a348c3ef5eb84267e"),
+        "c26c0c5b60648da47f986c79e6460cb0d4eabb3eeb69abcb3c645d61255acca1"),
     "bb-from-ba": (lambda: run_bb_from_ba(4, 1, 9, corrupted=frozenset({2})),
-                   "85342f1740ec0a1a64d06b848b6238de6bd3c284b6de99ac7262176cf1566c45"),
+                   "ce2617f3d171f1e0e6531faaaf19a6353d7c95900d936dda1fce2805c5de0caf"),
 }
 
 
@@ -297,4 +297,4 @@ def test_seeded_attack_runs_match_the_pinned_digest(monkeypatch):
         h.update(net.metrics.to_csv().encode())
     assert len(built) == 552
     assert h.hexdigest() == \
-        "8c01b4d5d62fc86c33fe28f6c6c3ec24b8cf60255fa01f993ad7bbb60e9ba702"
+        "ca9f5d74837c24a19e146be9b089c2ef176ee9e675363c2ca7e566613e4cfd9c"

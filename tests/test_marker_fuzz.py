@@ -61,6 +61,7 @@ from lockstep.marker import (
 )
 from lockstep.payments import Bank
 from lockstep.simnet import (
+    PRIOR,
     CodecError,
     Delivery,
     ProtocolFault,
@@ -480,29 +481,37 @@ def _edited_receipt(data, edit, k, flips, cut):
         return _mutate(data, flips, cut)
     if edit == "second-entry":
         return countersign(SignatureOracle(), k % 16, data)
+    if edit == "copy":
+        # the entry written as a copy of X where the mark belongs
+        return x + enc_int(signer) + enc_bytes(x)
     if edit == "other-content":
-        # another round's receipt, of the same length, or any bytes
-        other = (enc_bytes(receipt_content(j + 1 + k % 3, payer, target))
-                 if k % 2 else enc_int(k))
+        # the empty content, whose entry is as long as the mark, another
+        # round's receipt, or any bytes
+        other = (b"", enc_bytes(receipt_content(j + 1 + k % 3, payer, target)),
+                 enc_int(k))[k % 3]
         return x + enc_int(signer) + enc_bytes(other)
     if edit == "int-width":
         wide = enc_bytes((k % 256).to_bytes(4 + k % 3 * 5, "big"))
         if k % 4 == 0:
-            return x + wide + enc_bytes(x)
+            return x + wide + PRIOR
         ints = [enc_int(j), enc_int(payer), enc_int(target)]
         ints[k % 3] = wide
         x = enc_bytes(enc_str(RECEIPT) + b"".join(ints))
-        return x + enc_int(signer) + enc_bytes(x)
-    # a length prefix that runs past the end, or past where it should stop
+        return x + enc_int(signer) + PRIOR
+    # a length prefix that runs past the end, or past where it should
+    # stop, or a chunk where the mark stands
     at = (0, end, end + 12)[k % 3]
     length = int.from_bytes(data[at:at + 4], "big")
-    length = 0xFFFFFFFF if k % 2 else length + 1 + k % 7
+    if at == end + 12:
+        length = k % 7 if k % 2 else 0xFFFFFFFE
+    else:
+        length = 0xFFFFFFFF if k % 2 else length + 1 + k % 7
     return data[:at] + length.to_bytes(4, "big") + data[at + 4:]
 
 
 @settings(max_examples=400, deadline=None)
 @given(pick=st.integers(min_value=0),
-       edit=st.sampled_from(("none", "flip-cut", "second-entry",
+       edit=st.sampled_from(("none", "flip-cut", "second-entry", "copy",
                              "other-content", "int-width", "overrun")),
        k=st.integers(min_value=0, max_value=2 ** 16),
        flips=mutations["flips"], cut=mutations["cut"])

@@ -32,6 +32,7 @@ from lockstep.marker import (
 )
 from lockstep.payments import Bank
 from lockstep.simnet import (
+    PRIOR,
     Adversary,
     ByteReader,
     CoalitionOracle,
@@ -242,9 +243,14 @@ def test_a_cached_decode_equals_a_fresh_parse(payload, stack):
 
 
 def _encoding(payload, stack):
-    """A signed message's wire bytes, built from its fields."""
-    return enc_bytes(payload) + b"".join(
-        enc_int(signer) + enc_bytes(content) for signer, content in stack)
+    """A signed message's wire bytes, built from its fields: an entry that
+    signed the bytes before it is its signer and the PRIOR mark, any other
+    its signer and a copy of its content."""
+    wire = enc_bytes(payload)
+    for signer, content in stack:
+        wire += enc_int(signer) + (PRIOR if content == wire
+                                   else enc_bytes(content))
+    return wire
 
 
 int64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
@@ -267,6 +273,94 @@ def test_kept_wire_bytes_equal_an_encoding_from_scratch(payload, signers,
         parsed = SignedMessage.from_bytes(wire)
         assert parsed == made and parsed.signers == made.signers
         assert parsed.to_bytes() == _encoding(parsed.payload, parsed.stack)
+
+
+def test_a_relay_chain_grows_by_sixteen_bytes_a_signer():
+    """A Dolev-Strong relay of one integer P at k = 1..7 signatures takes
+    |P| + 4 + 16k bytes, where a copy of each signed prefix took
+    2^k(|P| + 4) + 16(2^k - 1)."""
+    oracle, value = SignatureOracle(), enc_int(1)
+    chain = SignedMessage(value)
+    sizes = []
+    for k in range(1, 8):
+        chain = chain.signed_by(oracle, k)
+        assert len(chain.to_bytes()) == len(value) + 4 + 16 * k
+        sizes.append(len(chain.to_bytes()))
+        assert SignedMessage.from_bytes.__wrapped__(
+            SignedMessage, chain.to_bytes()).verify_stack(oracle)
+    assert sizes == [32, 48, 64, 80, 96, 112, 128]
+
+
+# Stack entries over few signers, each written as the mark, as a copy of
+# the bytes before it where the mark belongs, or as other content: empty,
+# a near copy, a prefix of the wire, or any bytes.
+entry_forms = st.lists(st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(("prior", "copy", "empty", "longer", "shorter", "any")),
+    st.binary(max_size=6)), max_size=5)
+
+
+@given(st.binary(max_size=12), entry_forms,
+       st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)),
+                max_size=3),
+       st.none() | st.integers(0, 200))
+def test_every_accepted_wire_encodes_back_to_itself(payload, entries, flips,
+                                                    cut):
+    """Any stack, the malformed ones included, decodes from its wire to an
+    equal message.  Whatever bytes from_bytes accepts, the message it
+    returns encodes to those bytes again, from scratch as well as kept; a
+    copy of the wire before an entry where the mark belongs is refused, so
+    an honest relay never countersigns bytes its peers re-encode
+    otherwise."""
+    wire, stack = enc_bytes(payload), []
+    for signer, form, data in entries:
+        content = {"prior": wire, "copy": wire, "empty": b"",
+                   "longer": wire + data, "shorter": wire[:-1],
+                   "any": data}[form]
+        stack.append((signer, content))
+        wire += enc_int(signer) + (PRIOR if form == "prior"
+                                   else enc_bytes(content))
+    made = SignedMessage(payload, tuple(stack))
+    back = SignedMessage.from_bytes.__wrapped__(SignedMessage, made.to_bytes())
+    assert back == made and back.signers == made.signers
+    # the wire as written, copies and all, then flipped and cut
+    data = bytearray(wire)
+    for at, value in flips:
+        if at < len(data):
+            data[at] = value
+    data = bytes(data if cut is None else data[:cut])
+    read = _read_any(data)
+    try:
+        parsed = SignedMessage.from_bytes.__wrapped__(SignedMessage, data)
+    except CodecError:
+        # refused only where the bytes do not read, or hold a copy
+        assert read is None or read[2]
+        return
+    assert read == (parsed.payload, parsed.stack, 0)
+    assert parsed.to_bytes() == data
+    assert SignedMessage(parsed.payload, parsed.stack).to_bytes() == data
+    assert _encoding(parsed.payload, parsed.stack) == data
+
+
+def _read_any(data):
+    """(payload, stack, copies) of ``data`` read entry by entry, where
+    ``copies`` counts the entries that copy the bytes before them in
+    full, taken as they stand; None when the bytes do not read."""
+    reader = ByteReader(data)
+    try:
+        payload, stack, copies = reader.read_bytes(), [], 0
+        while not reader.at_end():
+            start = reader.tell()
+            signer = reader.read_int()
+            if reader.read_prior():
+                content = data[:start]
+            else:
+                content = reader.read_bytes()
+                copies += content == data[:start]
+            stack.append((signer, content))
+    except CodecError:
+        return None
+    return payload, tuple(stack), copies
 
 
 def test_malformed_bytes_raise_on_every_call():
@@ -386,7 +480,7 @@ def test_verify_stack_asks_the_oracle_what_the_entry_by_entry_check_asks(
         if content != expected or not reference.verify(signer, content):
             verdict = False
             break
-        expected = expected + enc_int(signer) + enc_bytes(content)
+        expected = expected + enc_int(signer) + PRIOR
     for _ in range(2):
         oracle = _Recorder(known)
         assert msg.verify_stack(oracle) is verdict
@@ -540,8 +634,9 @@ def test_seeded_rng_reproducible_and_keyed():
 
 # Digest of the book, transcript and metrics of the adversarial quorum bank
 # run below, as the scheduler produced them before it stopped keeping an
-# agenda under an adversary, with proofs of the 2f+1 lowest receipts.
-JUNK_BANK_DIGEST = "a317efe63b76ef766259a8e45c7ffcad657c6f57fd5ddd3c8ebaef689d0fe6b0"
+# agenda under an adversary, with proofs of the 2f+1 lowest receipts and
+# countersignatures that mark the bytes they sign instead of copying them.
+JUNK_BANK_DIGEST = "f248cac8b5d2c49fc43956ae6f5f280cd6c3d859f514485dc5aace27c8778c2f"
 
 
 def test_an_adversarial_run_keeps_its_schedule_bounded():

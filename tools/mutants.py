@@ -56,7 +56,7 @@ MUTANTS = (
     Mutant("M4", "consensus.py", "inspect_proper: verify_stack dropped",
            "    if not sm.verify_stack(oracle):\n        return None\n", ""),
     Mutant("Q1", "marker.py", "_countersigns: freshness dropped",
-           "            if not self._fresh(claimed, payer):\n"
+           "            if self.countersigned > claimed:\n"
            "                continue\n", ""),
     Mutant("Q2", "marker.py", "_proof_round: 2f+1 signers -> 1",
            "len(signers) < 2 * self.f + 1", "len(signers) < 1"),
@@ -72,8 +72,25 @@ MUTANTS = (
            "\n                    or not sm.verify_stack(self.oracle))", ")"),
     Mutant("Q7", "marker.py", "_proof_round: 2f+1 signers -> 2f",
            "len(signers) < 2 * self.f + 1", "len(signers) < 2 * self.f"),
+    Mutant("Q8", "marker.py", "_countersigns: same-round clause restored",
+           "            if self.countersigned > claimed:\n"
+           "                continue\n"
+           "            receipt = countersign(self.oracle, self.n,\n"
+           "                                  receipt_message(r, payer, target)"
+           ".to_bytes())\n"
+           "            self.countersigned = r\n",
+           "            if self.countersigned > claimed or (\n"
+           "                    self.countersigned == claimed\n"
+           "                    and getattr(self, 'last_target', payer) != payer):\n"
+           "                continue\n"
+           "            receipt = countersign(self.oracle, self.n,\n"
+           "                                  receipt_message(r, payer, target)"
+           ".to_bytes())\n"
+           "            self.countersigned = r\n"
+           "            self.last_target = target\n"),
     Mutant("R1", "marker.py", "read_receipt: entry may sign other content",
-           "    if not wire.startswith(signed):\n        return None\n", ""),
+           "\n            # the one entry signed exactly X, the bytes before it\n"
+           "            or wire[end + 12:] != PRIOR)", ")"),
     Mutant("C2", "cyclecoin.py", "_vouch: >= w -> > w",
            "over = [v for v in log if v >= w]", "over = [v for v in log if v > w]"),
     Mutant("C3", "cyclecoin.py", "_vouch: the holder vouches",
@@ -140,6 +157,10 @@ MUTANTS = (
            ""),
     Mutant("W1", "hopnet.py", "dispute_walkback: confirmed -> upstream",
            "return downstream, trace", "return upstream, trace"),
+    Mutant("S1", "simnet.py", "from_bytes: a copy where PRIOR belongs",
+           "                if len(content) == start and data.startswith(content):\n"
+           "                    raise CodecError(\"a copy of the wire where PRIOR "
+           "belongs\")\n", ""),
     Mutant("F1", "simnet.py", "CoalitionOracle.sign: forgery refusal dropped",
            "        if signer not in self.corrupted:\n"
            "            raise ForgeryViolation(\n", "        if False:\n"
