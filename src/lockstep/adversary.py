@@ -74,6 +74,7 @@ from lockstep.hopnet import (
     unspent_graph,
 )
 from lockstep.marker import (
+    GENESIS_ROUND,
     Marking,
     MarkerProcess,
     MarkerSystem,
@@ -83,6 +84,7 @@ from lockstep.marker import (
     encode_proof,
     handoff,
     intent_content,
+    read_receipt,
     receipt_content,
     start_round,
 )
@@ -669,6 +671,34 @@ def _signed(sends: list[tuple[int, int, bytes]], nonce: bytes | None = None):
     return move
 
 
+def _claims(payer: int, shows: list[tuple[int, int, tuple[int, ...]]]):
+    """A move in which corrupted ``payer`` signs, for each (target,
+    claimed round, recipients) of ``shows``, its intent of the current
+    round showing the certificate of its marking at the claimed round:
+    the message of the receipts it was sent in that round, signed by every
+    coalition member too, and all their signers.  A genesis claim shows
+    the empty proof."""
+    def move(net: Network) -> list[tuple[int, Send]]:
+        oracle = CoalitionOracle(net.oracle)
+        out = []
+        for target, claimed, recipients in shows:
+            proof = encode_proof((), b"")
+            if claimed != GENESIS_ROUND:
+                receipts = [receipt for receipt in (
+                    read_receipt(e.payload) for e in net.transcript.events
+                    if e.recipient == payer and e.round == claimed) if receipt]
+                message = receipts[0][5]
+                for c in sorted(net.corrupted):
+                    oracle.sign(c, message)
+                proof = encode_proof(tuple(sorted(
+                    net.corrupted | {receipt[4] for receipt in receipts})), message)
+            wire = SignedMessage(intent_content(net.round, payer, target, proof)
+                                 ).signed_by(oracle, payer).to_bytes()
+            out.extend((payer, Send(b, wire, 1)) for b in recipients)
+        return out
+    return move
+
+
 def _split_intents(payer: int, N: int, f: int,
                    targets: tuple[int, int]) -> list[tuple[int, int, bytes]]:
     """Conflicting first round intents of a payer that owns its genesis,
@@ -676,7 +706,7 @@ def _split_intents(payer: int, N: int, f: int,
     half of the broadcaster set, one paying ``targets[1]`` to the rest."""
     casters = sorted(default_broadcasters(N, f))
     return [(payer, b, intent_content(0, payer, targets[k >= len(casters) // 2],
-                                      encode_proof(())))
+                                      encode_proof((), b"")))
             for k, b in enumerate(casters)]
 
 
@@ -685,7 +715,7 @@ def quorum_gallery() -> list[AttackResult]:
     f=2, each a coalition, its honest plans and its script."""
     N, f = 7, 2
     casters = sorted(default_broadcasters(N, f))
-    proof = encode_proof(())
+    proof = encode_proof((), b"")
     crooked = frozenset(casters[-f:])
     entries = {
         # conflicting intents to two halves of the broadcaster set
@@ -697,7 +727,8 @@ def quorum_gallery() -> list[AttackResult]:
             3: _signed([(0, b, intent_content(1, 0, 2, proof)) for b in casters])}),
         # corrupted broadcasters countersign a handoff that never happened
         "quorum-fake-receipts": (crooked, [{0: 2}], {1: _signed(
-            [(b, 1, receipt_content(0, 0, 1)) for b in sorted(crooked)])}),
+            [(b, 1, receipt_content(0, 0, 1, GENESIS_ROUND))
+             for b in sorted(crooked)])}),
         # corrupted holder that never spends: nothing may move
         "quorum-silent-holder": (frozenset({0}), [{}, {}], {}),
         # a corrupted genesis pays 2 through honest broadcasters 2..4 and
@@ -706,7 +737,32 @@ def quorum_gallery() -> list[AttackResult]:
         "quorum-equivocating-genesis": (frozenset({0, 1}), [{}, {2: 3}], {
             0: _signed([(0, b, intent_content(0, 0, 2 if b < 5 else 1, proof))
                         for b in casters[2:]]),
-            1: _signed([(b, 2, receipt_content(0, 0, 2)) for b in (0, 1)])}),
+            1: _signed([(b, 2, receipt_content(0, 0, 2, GENESIS_ROUND))
+                        for b in (0, 1)])}),
+        # a corrupted genesis pays 2 through honest broadcasters 2..4 and
+        # the coalition's receipts, then shows its spent genesis claim to
+        # 5 and 6, which never saw round 0: their countersigns of that
+        # stale claim must not bar 2's claim of round 0
+        "quorum-stale-genesis-claim": (frozenset({0, 1}), [{}, {}, {2: 3}], {
+            0: _signed([(0, b, intent_content(0, 0, 2, proof))
+                        for b in casters[2:5]]),
+            1: _signed([(b, 2, receipt_content(0, 0, 2, GENESIS_ROUND))
+                        for b in (0, 1)]),
+            3: _signed([(0, b, intent_content(1, 0, 1, proof))
+                        for b in casters[5:]])}),
+        # a corrupted genesis marks itself in rounds 0 and 1 through 2..4
+        # and the coalition, then in round 2 shows its genesis claim and
+        # then its claim of round 0 to 5 and 6, which missed both rounds,
+        # and its claim of round 1 to 2..4, paying 5 or 6 each time: the
+        # countersigns of different claims must not join into two proofs
+        "quorum-mixed-claims": (frozenset({0, 1}), [{}, {}, {}], {
+            0: _claims(0, [(0, GENESIS_ROUND, casters[2:5])]),
+            3: _claims(0, [(0, 0, casters[2:5])]),
+            6: _claims(0, [(5, GENESIS_ROUND, (5, 6)), (6, 0, (5, 6)),
+                           (5, 1, (2, 3)), (6, 1, (4,))]),
+            7: _signed([(c, t, receipt_content(2, 0, t, claimed))
+                        for c in (0, 1) for t in (5, 6)
+                        for claimed in (GENESIS_ROUND, 0, 1)])}),
     }
     return [AttackResult(name, "quorum", N, f, tuple(_marker_attack(
                 QMProcess, N, f, coalition, plans, [], script, 0)[0]))

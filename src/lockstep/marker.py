@@ -12,24 +12,29 @@ The broadcast solution replays every handoff through the authenticated
 broadcast of :mod:`lockstep.consensus`, so everybody tracks the marker and
 each round costs a full broadcast.  The quorum solution designates 3f+1
 broadcaster processes; a handoff is one signed intent to the broadcasters
-plus their countersigned receipts to the target, and the target keeps the
-valid receipts of the 2f+1 lowest signer ids as the proof of ownership
-for the next handoff.  Receipt freshness is enforced by each broadcaster
-against the last round it countersigned, and any two quorums of 2f+1
-receipts share an honest broadcaster, which is what makes stale or split
-proofs unusable; so a proof of 2f+1 receipts proves as much as one of
-3f+1, in fewer bytes and fewer oracle questions.
+plus their countersigned receipts to the target.  Every receipt of a
+handoff countersigns one shared :func:`receipt_message`, so the target
+keeps as the proof of ownership for the next handoff a certificate: that
+message once and the 2f+1 lowest signer ids whose signatures on it are
+valid, the way FastPay's certificates carry one content and its signers
+(Baudet, Danezis & Sonnino, 2020).  It asks the oracle about the signers
+in ascending order and stops at the (2f+1)-th valid one.  Receipt
+freshness is enforced by each broadcaster against the claimed round of
+the last claim it countersigned, a receipt message names the claim it
+answers, and any two quorums of 2f+1 signers share an honest
+broadcaster, which is what makes stale or split proofs unusable; so a
+proof of 2f+1 signers proves as much as one of 3f+1, in fewer bytes and
+fewer oracle questions.
 
 Checking a proof splits into pure facts and oracle verdicts.  The pure
-facts of a proof (the one round and one target of its receipts, the set of
-their distinct signers and the set of their (signer, content) signatures)
-depend on its bytes alone, so :func:`summarize_proof` keeps them in a
-bounded table shared by every process, and every broadcaster that sees
-the same proof reads them once.  The target that accepts a proof has just
-read those facts, so it keeps them, and its intent seeds the table with
-them under the proof's bytes: an honest proof is never decoded.  The 3f+1
-countersigners of a handoff sign one shared :func:`receipt_message`, and
-each writes its receipt as that wire countersigned in one join
+facts of a proof (the round and target of its receipt message, its
+signers and their (signer, message) signatures) depend on its bytes
+alone, so :func:`summarize_proof` keeps them in a bounded table shared by
+every process, and every broadcaster that sees the same proof reads them
+once.  The target that accepts a proof has just read those facts, so it
+keeps them, and its intent seeds the table with them under the proof's
+bytes: an honest proof is never decoded.  Each countersigner writes its
+receipt as the receipt message's wire countersigned in one join
 (:func:`~lockstep.simnet.countersign`), which marks the signed bytes as
 the wire before the entry instead of copying them.  A receipt thus has
 one fixed layout, 16 bytes longer than the message it signs, which
@@ -39,13 +44,14 @@ content is a slice of its own bytes.
 Whether the signers are broadcasters is one subset test, and whether the
 oracle issued the signatures is one batched question,
 :meth:`~lockstep.simnet.SignatureOracle.verify_all`; each process asks both
-about every receipt, on every check, and no oracle verdict is kept or
+about every signer, on every check, and no oracle verdict is kept or
 shared.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from lockstep.consensus import DSProcess
@@ -276,21 +282,36 @@ def default_broadcasters(N: int, f: int) -> frozenset[int]:
     return frozenset(range(3 * f + 1))
 
 
-def encode_proof(receipts: tuple[bytes, ...]) -> bytes:
-    parts = [enc_int(len(receipts))]
-    parts.extend(enc_bytes(r) for r in receipts)
-    return b"".join(parts)
+def encode_proof(signers: tuple[int, ...], message: bytes) -> bytes:
+    """The certificate enc_int(k) ‖ enc_bytes(message) ‖ k × enc_int(signer)
+    of the k ``signers`` that countersigned the receipt message
+    ``message``; with no signers, the genesis holder's empty proof
+    enc_int(0).  Written as given: only what :func:`decode_proof` accepts
+    is a proof."""
+    if not signers:
+        return enc_int(0)
+    return b"".join((enc_int(len(signers)), enc_bytes(message),
+                     *map(enc_int, signers)))
 
 
-def decode_proof(data: bytes) -> tuple[bytes, ...]:
+def decode_proof(data: bytes) -> tuple[tuple[int, ...], bytes]:
+    """(signers, message) of a proof in its one layout: strictly ascending
+    signers, a message of exactly one ``enc_bytes`` chunk and nothing
+    after the last signer, so every proof read encodes back to ``data``.
+    Raises :class:`CodecError` on anything else."""
     reader = ByteReader(data)
     count = reader.read_int()
     if count < 0:
-        raise CodecError("negative receipt count")
-    receipts = tuple(reader.read_bytes() for _ in range(count))
+        raise CodecError("negative signer count")
+    message = reader.read_bytes() if count else b""
+    if count and 4 + int.from_bytes(message[:4], "big") != len(message):
+        raise CodecError("a receipt message of other than one chunk")
+    signers = tuple(reader.read_int() for _ in range(count))
+    if any(a >= b for a, b in zip(signers, signers[1:])):
+        raise CodecError("signers out of order or repeated")
     if not reader.at_end():
         raise CodecError("trailing bytes after proof")
-    return receipts
+    return signers, message
 
 
 def intent_content(round_index: int, payer: int, target: int, proof: bytes) -> bytes:
@@ -298,18 +319,24 @@ def intent_content(round_index: int, payer: int, target: int, proof: bytes) -> b
             + enc_int(target) + enc_bytes(proof))
 
 
-def receipt_content(round_index: int, payer: int, target: int) -> bytes:
-    return enc_str(RECEIPT) + enc_int(round_index) + enc_int(payer) + enc_int(target)
+def receipt_content(round_index: int, payer: int, target: int,
+                    claimed: int) -> bytes:
+    """What a broadcaster countersigns for a handoff of ``round_index``
+    whose intent claimed a marking of ``payer`` at round ``claimed``."""
+    return (enc_str(RECEIPT) + enc_int(round_index) + enc_int(payer)
+            + enc_int(target) + enc_int(claimed))
 
 
 # Every broadcaster of a handoff countersigns the same receipt message in
-# the same step, so one step's handoffs suffice.  At worst 64 × 0.5 KB:
-# an entry took 0.42 KB (tracemalloc).
+# the same step, so one step's handoffs suffice.  At worst 64 × 0.7 KB:
+# an entry of four ids past the small-int cache took 0.61 KB
+# (tracemalloc).
 @lru_cache(maxsize=64)
-def receipt_message(round_index: int, payer: int, target: int) -> SignedMessage:
+def receipt_message(round_index: int, payer: int, target: int,
+                    claimed: int) -> SignedMessage:
     """The unsigned receipt of a handoff, whose wire is then built once
     for all of its countersigners."""
-    return SignedMessage(receipt_content(round_index, payer, target))
+    return SignedMessage(receipt_content(round_index, payer, target, claimed))
 
 
 # Every broadcaster reads each intent and receipt of a step.  At worst
@@ -332,9 +359,9 @@ def parse_typed(payload: bytes, expected: str, fields: int) -> tuple[int, ...] |
         return None
 
 
-def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
-    """(round, payer, target, signer, signed content) of a well formed
-    receipt signed by one signer alone, or None.  A receipt has one fixed
+def read_receipt(wire: bytes) -> tuple[int, int, int, int, int, bytes] | None:
+    """(round, payer, target, claimed round, signer, signed content) of a
+    well formed receipt signed by one signer alone, or None.  A receipt has one fixed
     layout, the :func:`~lockstep.simnet.countersign` wire X ‖
     enc_int(signer) ‖ PRIOR of its message X = enc_bytes(payload), whose
     one entry signed X, so it is read by slicing, with the checks a
@@ -347,7 +374,7 @@ def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
             # the one entry signed exactly X, the bytes before it
             or wire[end + 12:] != PRIOR):
         return None
-    fields = parse_typed(wire[4:end], RECEIPT, 3)
+    fields = parse_typed(wire[4:end], RECEIPT, 4)
     if fields is None:
         return None
     return (*fields, int.from_bytes(wire[end + 4:end + 12], "big", signed=True),
@@ -357,57 +384,62 @@ def read_receipt(wire: bytes) -> tuple[int, int, int, int, bytes] | None:
 # The summaries of the proofs that payers showed lately, by the encoded
 # proof, which seed summarize_proof on a miss: a proof is checked a step
 # after it is shown, so one step's intents suffice.  At worst
-# 64 × (B + 0.5 KB + 0.16 KB × k) for a proof of k receipts; over 20
-# rounds of Bank(16, 5), whose proofs hold 11, it alone held 0.12 MB
-# (tracemalloc), 0.16 MB while each receipt copied the bytes it signed.
+# 64 × (B + 0.8 KB + 0.25 KB × k) for a proof of B bytes and k signers
+# (64 distinct entries took 0.8 KB at k = 1 and 2.5 KB at k = 11); over
+# 20 rounds of Bank(16, 5), whose proofs certify 11, it alone held 85 KB
+# (tracemalloc), 121 KB while a proof carried its receipts whole.
 _proof_seeds = Seeds(64)
 
 
-# An honest proof holds 2f+1 receipts, 0.8 KB at f=5, and every
+# An honest proof certifies 2f+1 signers, 0.2 KB at f=5, and every
 # broadcaster checks it in one step, so this table is the small one.  At
-# worst 64 × (B + 0.3 KB + 0.45 KB × k) for a proof of B bytes and k
-# receipts, whose signed contents are slices of 51 bytes each; over 20
-# rounds of Bank(16, 5) it alone held 74 KB (tracemalloc).
+# worst 64 × (0.8 KB + 0.25 KB × k) for a proof of k signers, whose
+# summary holds its receipt message once (64 distinct entries took
+# 0.8 KB at k = 1 and 2.3 KB at k = 11); over 20 rounds of Bank(16, 5)
+# it alone held 89 KB (tracemalloc), 125 KB while a proof carried its
+# receipts whole.
 @lru_cache(maxsize=64)
 def summarize_proof(proof: bytes) -> tuple | None:
-    """The pure facts of a receipt proof as (round, holder, signers,
-    pairs): in ``round`` the receipts handed the marker to ``holder``, the
-    payer who shows the proof; ``signers`` is the set of their distinct
-    signers and ``pairs`` the set of their (signer, signed content) pairs,
-    the signatures a checker asks its oracle about.  None when a receipt
-    is malformed or the receipts disagree on round or target; the empty
+    """The pure facts of a certificate as (round, holder, signers, pairs),
+    read from its one receipt message X in one parse: in ``round`` the
+    receipts handed the marker to ``holder``, the payer who shows the
+    proof; ``signers`` is the set of its signers and ``pairs`` the set of
+    (signer, X), the signatures a checker asks its oracle about.  None
+    when the proof does not decode or X is no receipt message; the empty
     proof, which only the genesis holder may show, has no holder."""
     # on a miss, a proof shown lately has the summary its holder kept
     seeded = _proof_seeds.get(proof)
     if seeded is not None:
         return seeded
     try:
-        wires = decode_proof(proof)
+        signers, message = decode_proof(proof)
     except CodecError:
         return None
-    receipts = tuple(map(read_receipt, wires))
-    if not receipts:
+    if not signers:
         return GENESIS_ROUND, None, frozenset(), frozenset()
-    if None in receipts:
+    fields = parse_typed(message[4:], RECEIPT, 4)
+    if fields is None:
         return None
-    if len({(j, target) for j, _, target, _, _ in receipts}) != 1:
-        return None
-    j, _, holder, _, _ = receipts[0]
-    pairs = frozenset((signer, content) for _, _, _, signer, content in receipts)
-    return j, holder, frozenset(signer for signer, _ in pairs), pairs
+    j, _, holder, _ = fields
+    return (j, holder, frozenset(signers),
+            frozenset((signer, message) for signer in signers))
 
 
 class QMProcess(MarkerProcess):
     """One participant of the quorum marker, possibly also a broadcaster.
 
-    Rounds occupy three steps: intent, countersign, accept.  A broadcaster
-    countersigns at most one intent a round, and an intent whose proof
-    claims a marking at round j only if it has countersigned nothing after
-    round j, so all it keeps is ``countersigned``, the last round it
-    countersigned.  A target accepts a payer's handoff on 2f+1 valid
-    receipts and keeps as ``proof`` exactly the receipts of the 2f+1
-    lowest signer ids among them; a broadcaster accepts any proof of at
-    least 2f+1 distinct broadcaster signers.  ``summary`` is the
+    Rounds occupy three steps: intent, countersign, accept.  An intent's
+    proof claims a marking of its payer at round j (the genesis holder's
+    empty proof claims GENESIS_ROUND), and a broadcaster countersigns it
+    only if j is after ``countersigned``, the claimed round of the last
+    claim it countersigned, which then becomes j; it starts before
+    GENESIS_ROUND.  Its receipt countersigns the :func:`receipt_message`
+    of the handoff's round, payer and target and of the claimed round j.
+    A target groups its receipts by message, asks the oracle about each
+    message's broadcaster signers in ascending order, and accepts a
+    payer's handoff once 2f+1 have passed; it keeps as ``proof`` the
+    certificate (those signers, that message).  A broadcaster accepts any
+    certificate of at least 2f+1 broadcaster signers.  ``summary`` is the
     :func:`summarize_proof` result of ``proof``, kept when the proof is
     accepted.
 
@@ -415,17 +447,32 @@ class QMProcess(MarkerProcess):
     quorum systems, 1997; FastPay's certificates of 2f+1 signatures over
     one content, Baudet, Danezis & Sonnino, 2020): any two sets of 2f+1
     of the 3f+1 broadcasters share at least f+1, one of them honest.
-    *Split handoffs.*  Two targets of one round with a proof each would
-    share an honest broadcaster that countersigned both in that round, so
-    at most one target a round gets a proof.  A broadcaster that checks a
-    proof of round j so knows that any other intent it countersigned at
-    round j reached no quorum, and it needs to refuse nothing there.
-    *Stale and replayed proofs.*  Once a handoff of round r > j has a
-    proof, f+1 honest broadcasters have countersigned at round r, and any
-    2f+1 that would countersign a later claim of round j include one of
-    them, which refuses: a proof stops counting once the marker it shows
-    has moved on, however often and in whichever round it is shown
-    again.
+    *Once per claimed round.*  The claimed rounds an honest broadcaster
+    countersigns strictly increase, so it countersigns each at most once.
+    *One successor.*  Every honest signer of a certificate countersigned
+    the claim its message names, so two certificates claiming round j
+    would share an honest broadcaster that countersigned j twice: a proof
+    has at most one successor.  The claimed round must be in the receipt
+    message: were it left out, a certificate could join countersigns of
+    several claims of one payer, use up none of them, and a stale claim
+    and a later one could each complete a certificate in the same round.
+    *One chain.*  A valid claim of round j shows the certificate of round
+    j, or is the genesis claim, and it is countersigned only in a round
+    after j; so, by induction on the round, the certificates form one
+    chain from genesis, each claiming the round of the one before, in
+    rising rounds.  At most one target a round gets a proof, and no
+    handoff splits.  *Stale and replayed proofs.*  Once the successor of
+    the certificate of round j exists, its f+1 honest signers have
+    countersigned claim j, and any 2f+1 that would countersign claim j
+    again include one of them, which refuses: a proof stops counting once
+    the marker it shows has moved on, however often and in whichever
+    round it is shown again.  *The holder.*  Let h hold the last
+    certificate, of round j.  A later certificate would be its successor,
+    which needs a claim of j, and only h can make one, since an intent is
+    countersigned only when signed by the payer its certificate names.  So
+    no honest broadcaster has countersigned a claim of j or later unless h
+    showed it, and all 2f+1 honest broadcasters countersign h's one
+    intent: an honest holder's claim can be pre-empted only by its own.
     """
 
     summary: tuple | None = None
@@ -435,8 +482,8 @@ class QMProcess(MarkerProcess):
         self.broadcasters = default_broadcasters(N, f)
         self.marked = n == genesis_holder
         self.marked_round = GENESIS_ROUND
-        self.proof: tuple[bytes, ...] = ()
-        self.countersigned = GENESIS_ROUND
+        self.proof: tuple[tuple[int, ...], bytes] = ((), b"")
+        self.countersigned = GENESIS_ROUND - 1
 
     @staticmethod
     def check(N: int, f: int) -> None:
@@ -451,7 +498,7 @@ class QMProcess(MarkerProcess):
 
     def _intent_sends(self, r: int) -> list[Send]:
         target = self.pending.pop(r)
-        proof = encode_proof(self.proof)
+        proof = encode_proof(*self.proof)
         if self.summary is not None:
             _proof_seeds.put(proof, self.summary)
         content = intent_content(r, self.n, target, proof)
@@ -461,17 +508,6 @@ class QMProcess(MarkerProcess):
         return [Send(b, wire, 1) for b in sorted(self.broadcasters)]
 
     # -- broadcaster side ---------------------------------------------------
-
-    def _receipt(self, wire: bytes) -> tuple[int, int, int, int] | None:
-        """(round, payer, target, signer) of a receipt signed by one
-        broadcaster alone, or None."""
-        receipt = read_receipt(wire)
-        if receipt is None:
-            return None
-        j, payer, target, signer, content = receipt
-        if signer in self.broadcasters and self.oracle.verify(signer, content):
-            return j, payer, target, signer
-        return None
 
     def _proof_round(self, payer: int, proof: bytes) -> int | None:
         """Round at which the proof says the payer was marked, or None."""
@@ -505,41 +541,43 @@ class QMProcess(MarkerProcess):
             claimed = self._proof_round(payer, proof)
             if claimed is None or claimed >= r:
                 continue
-            # fresh: nothing countersigned after the claimed round
-            if self.countersigned > claimed:
+            # fresh: a claim of a later round than any countersigned before
+            if claimed <= self.countersigned:
                 continue
-            receipt = countersign(self.oracle, self.n,
-                                  receipt_message(r, payer, target).to_bytes())
-            self.countersigned = r
+            receipt = countersign(self.oracle, self.n, receipt_message(
+                r, payer, target, claimed).to_bytes())
+            self.countersigned = claimed
             sends.append(Send(target, receipt, 1))
         return sends
 
     # -- target side --------------------------------------------------------
 
     def _accept(self, r: int, inbox: list[Delivery]) -> None:
-        by_payer: dict[int, dict[int, bytes]] = {}
+        # the broadcasters that countersigned each receipt message of this
+        # round to this target, by its (payer, claimed round)
+        groups: dict[tuple[int, int], tuple[bytes, set[int]]] = {}
         for d in inbox:
-            receipt = self._receipt(d.payload)
+            receipt = read_receipt(d.payload)
             if receipt is None:
                 continue
-            j, payer, target, signer = receipt
-            if j != r or target != self.n:
+            j, payer, target, claimed, signer, message = receipt
+            if j != r or target != self.n or signer not in self.broadcasters:
                 continue
-            by_payer.setdefault(payer, {})[signer] = d.payload
-        for payer in sorted(by_payer):
-            receipts = by_payer[payer]
-            if len(receipts) >= 2 * self.f + 1:
-                self.marked = True
-                self.marked_round = r
-                # any 2f+1 receipts prove the handoff: keep the lowest
-                kept = sorted(receipts)[:2 * self.f + 1]
-                self.proof = tuple(receipts[s] for s in kept)
-                # each receipt read signed the wire of this one message
-                content = receipt_message(r, payer, self.n).to_bytes()
-                self.summary = (r, self.n, frozenset(kept),
-                                frozenset((s, content) for s in kept))
-                self.markings.append(Marking(r, self.n, payer))
-                break
+            groups.setdefault((payer, claimed), (message, set()))[1].add(signer)
+        quorum = 2 * self.f + 1
+        for (payer, _), (message, signers) in sorted(groups.items()):
+            # any 2f+1 receipts prove the handoff: keep the lowest valid
+            kept = tuple(islice((s for s in sorted(signers)
+                                 if self.oracle.verify(s, message)), quorum))
+            if len(kept) < quorum:
+                continue
+            self.marked = True
+            self.marked_round = r
+            self.proof = (kept, message)
+            self.summary = (r, self.n, frozenset(kept),
+                            frozenset((s, message) for s in kept))
+            self.markings.append(Marking(r, self.n, payer))
+            break
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
         r, phase = divmod(t, self.round_steps)

@@ -200,11 +200,12 @@ def split_payload(data: bytes) -> tuple[bytes, bytes]:
 # SignedMessage.from_bytes on a miss.  What is read a step after it is
 # signed is an intent or a broadcast relay (a receipt is written and read
 # without a SignedMessage), so one step's signing suffices: a quorum bank
-# of 16 units signs at most 16 intents a step, each 0.86 KB at f=5 with
-# its proof of 2f+1 = 11 receipts.  A message of B bytes and k entries
-# holds its payload and the k wires before its entries, so at worst
-# 64 × ((k + 2)B + 0.4 KB + 0.1 KB × k); over 20 rounds of Bank(16, 5)
-# this table alone held 0.12 MB (tracemalloc).
+# of 16 units signs at most 16 intents a step, each 0.28 KB at f=5 with
+# its certificate of 2f+1 = 11 signers.  A message of B bytes and k
+# entries holds its payload and the k wires before its entries, so at
+# worst 64 × ((k + 2)B + 0.4 KB + 0.1 KB × k); over 20 rounds of
+# Bank(16, 5) this table alone held 81 KB (tracemalloc), 190 KB while a
+# proof carried its receipts whole.
 _signed_seeds = Seeds(64)
 
 
@@ -357,7 +358,8 @@ class SignedMessage:
     # _signed_seeds; a parse of B bytes and k entries holds its payload
     # and a slice for each entry, so at worst
     # 64 × ((k + 2)B + 0.5 KB + 0.1 KB × k), and over 20 rounds of
-    # Bank(16, 5) this table alone held 0.17 MB (tracemalloc)
+    # Bank(16, 5) this table alone held 103 KB (tracemalloc), 249 KB
+    # while a proof carried its receipts whole
     @classmethod
     @lru_cache(maxsize=64)
     def from_bytes(cls, data: bytes) -> "SignedMessage":

@@ -125,10 +125,13 @@ def test_criterion_03_reduction_overheads():
 
 
 # Honest payload bytes of a handoff at N=7, f=2 whose intents carry a
-# proof of 2f+1 = 5 receipts: 7 intents of 437 bytes and 7 receipts of
-# 67, each a message and a 16-byte countersignature (10,402 while every
-# entry carried a copy of the bytes it signed).
-ROUND_1_PAYLOAD_BYTES = 3_528
+# proof of 2f+1 = 5 receipts: 7 intents of 149 + 12 × 5 = 209 bytes, each
+# with the certificate of one receipt message and its 5 signers, and 7
+# receipts of 79, each a message that names the claimed round and a
+# 16-byte countersignature: 2,016 (3,528 while a proof carried its 5
+# receipts whole and a receipt left out the claimed round, 10,402 while
+# every entry carried a copy of the bytes it signed).
+ROUND_1_PAYLOAD_BYTES = 7 * (149 + 12 * 5) + 7 * 79
 
 
 def test_criterion_04_quorum_marker_exact_counts():
@@ -145,12 +148,12 @@ def test_criterion_04_quorum_marker_exact_counts():
     ok = ok and system.net.now == 3
     # round 1's intents carry the proof of round 0's handoff: exactly 2f+1
     first = len(system.net.transcript.events)
-    proof = len(system.procs[3].proof)
+    proof = len(system.procs[3].proof[0])
     system.run_round({3: 5})
     events = system.net.transcript.events[first:]
     payload = sum(len(e.payload) for e in events
                   if e.sender not in system.corrupted)
-    ok = ok and proof == len(system.procs[5].proof) == 5
+    ok = ok and proof == len(system.procs[5].proof[0]) == 5
     ok = ok and len(events) == 14 and payload == ROUND_1_PAYLOAD_BYTES
     _verdict(4, ok, "per-handoff 2(3f+1), totals N(6f+2) on the full "
                     "grid, rounds take 3 steps, a proof carries 2f+1 "

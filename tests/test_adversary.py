@@ -419,40 +419,39 @@ def test_quorum_gallery_is_clean():
 def test_a_proof_of_2f_receipts_cannot_move_broadcasters_past_a_holder():
     """At N=7, f=2 the corrupted genesis holder 0 pays 1, also corrupted,
     through broadcasters 5 and 6 alone in round 0: with the coalition's
-    own two, 1 holds 2f = 4 receipts.  In round 1, 0 pays honest 2 through
-    2, 3 and 4, whose 3 receipts and the coalition's 2 mark it, and 1
-    pays itself with its short proof through 5 and 6.  Were a proof of
-    2f signers accepted, 5 and 6 would countersign that self payment, and
-    2's honest handoff to 3 in round 2 would find only 3 broadcasters
-    fresh.  It must land."""
-    empty = marker.encode_proof(())
+    own two, 1 holds 2f = 4 signers of its receipt message.  In the same
+    round 0 pays honest 2 through 2, 3 and 4, whose 3 receipts and the
+    coalition's 2 mark it.  In round 1, while 2 is idle, 1 pays itself
+    with the certificate of those 4 signers through 5 and 6.  Were a
+    proof of 2f signers accepted, 5 and 6 would countersign that claim of
+    round 0, and 2's honest handoff to 3 in round 2, a claim of round 0
+    too, would find only 3 broadcasters fresh.  It must land."""
+    empty = marker.encode_proof((), b"")
 
     def short_self_payment(net):
         oracle = CoalitionOracle(net.oracle)
-        held = [e.payload for e in net.transcript.events
-                if e.recipient == 1 and e.sender in (5, 6)]
-        forged = [simnet.SignedMessage(marker.receipt_content(0, 0, 1))
-                  .signed_by(oracle, c).to_bytes() for c in (0, 1)]
-        proof = marker.encode_proof(tuple(held + forged))
+        message = marker.receipt_message(0, 0, 1, -1).to_bytes()
+        for c in (0, 1):
+            oracle.sign(c, message)
+        # 5 and 6 countersigned ``message``; the coalition signs it too
+        proof = marker.encode_proof((0, 1, 5, 6), message)
         wire = simnet.SignedMessage(marker.intent_content(1, 1, 1, proof)
                                     ).signed_by(oracle, 1).to_bytes()
         return [(1, Send(b, wire, 1)) for b in (5, 6)]
 
-    to_two = gallery._signed([(0, b, marker.intent_content(1, 0, 2, empty))
-                              for b in (2, 3, 4)])
     script = {
-        0: gallery._signed([(0, b, marker.intent_content(0, 0, 1, empty))
-                            for b in (5, 6)]),
-        3: lambda net: to_two(net) + short_self_payment(net),
-        4: gallery._signed([(c, 2, marker.receipt_content(1, 0, 2))
+        0: gallery._signed([(0, b, marker.intent_content(
+            0, 0, 2 if b < 5 else 1, empty)) for b in (2, 3, 4, 5, 6)]),
+        1: gallery._signed([(c, 2, marker.receipt_content(0, 0, 2, -1))
                             for c in (0, 1)]),
+        3: short_self_payment,
     }
     violations, system = gallery._marker_attack(
         marker.QMProcess, 7, 2, frozenset({0, 1}), [{}, {}, {2: 3}], [],
         script, 0)
     assert violations == []
     assert [m for p in system.procs for m in p.markings] == [
-        marker.Marking(1, 2, 0), marker.Marking(2, 3, 2)]
+        marker.Marking(0, 2, 0), marker.Marking(2, 3, 2)]
 
 
 def test_cycle_galleries_are_clean():

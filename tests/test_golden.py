@@ -18,9 +18,9 @@ The agreement runners that no command reaches are pinned by the digest of
 their transcript and decisions, each with one silent corrupted process.
 A direct hop network run is pinned the same way: its books, its traffic
 counts, its outcomes and its walk-back traces.  The CLI's quorum runs use
-f=2, so a 16-process quorum bank at f=5, whose proofs hold exactly the
-2f+1 = 11 lowest of the 16 receipts a target gets, is pinned by its book,
-its metrics and its transcript.  The
+f=2, so a 16-process quorum bank at f=5, whose proofs certify exactly the
+2f+1 = 11 lowest of the 16 signers of the receipt message a target gets,
+is pinned by its book, its metrics and its transcript.  The
 seeded attacks are pinned by their gallery rows and by the transcript and
 metrics of every network they build, adversarial traffic included.
 """
@@ -75,8 +75,8 @@ GOLDEN = {
     },
     "run-quorum": {
         "metrics.csv": "80710479f6941573e6ffc697a3e3446a3fa3915b9290760796ee6b85b97c6496",
-        "summary.json": "169ac7316585d7c0c9bbe5e8bac2e8f85344a0e22974cc8167dd1783384e056d",
-        "transcript.jsonl": "56da888e256be55bd50378f11bac438a6a173366ac6d3b4b914fb86bcc1bedeb",
+        "summary.json": "2d935027d78d3ebccc9c679cba73d6b3ea05428c3320d1504de5d64290efb0fc",
+        "transcript.jsonl": "80d48894d3ee4c533edcabb71a0d25601dfd94751f1b2aa3a9369bb8dd015eb8",
     },
     "run-cycle": {
         "metrics.csv": "e4f9e2bded34e764d4c3c16d5f75f074187f236ebf42db05a746a0006d2fa236",
@@ -86,8 +86,8 @@ GOLDEN = {
     "run-bank-quorum": {
         "ledger.csv": "11701d7ce98d6a9cc9009f0049ba1175d3657d1f9563ce2365ca7f6aa608a942",
         "metrics.csv": "54c9288747d09dd4a813eb8f82d68a58ec469bdede1f32dcd9150cee93855a2f",
-        "summary.json": "e4c69f5601f41df91f2d3a1557e9380d80f866ff1701f14bc9dda043be6da878",
-        "transcript.jsonl": "8f1880a014d364694714873acefc14f361132852dcfbccc24ef6224a28d3c7db",
+        "summary.json": "70ee5fe6b3d388f9e65eb098f05006bd4e291763e3d164fb47da6f154b75cade",
+        "transcript.jsonl": "b44d91b91fa2dbf2b0dbb74324192523e4a64e516794b1c011c1a9ed7c537460",
     },
     "run-bank-cycle": {
         "ledger.csv": "11701d7ce98d6a9cc9009f0049ba1175d3657d1f9563ce2365ca7f6aa608a942",
@@ -142,9 +142,9 @@ GOLDEN = {
         "transcript.jsonl": "aa92ea8441a039d141ea915585e9ffc778f51c2b8039800c6713fb519d41468d",
     },
     "attack-all": {
-        "metrics.csv": "baf3c490f7e09e38ce9f1a074daeee3fb2868f8cd92ed72af416400defd4f895",
-        "summary.json": "1a37434ebae9c73ed06cfc53fce19fa0308e23faa87c4f73e6cd6cbea0db23a0",
-        "transcript.jsonl": "ed8d46cc3a28a5b8b76e4f49ee8012ec8c21d464b75a8d7bcb43ba0917b11e89",
+        "metrics.csv": "6fe2b3b727910eebdd9d18c236db087a34f6c223fc499583c2bc52992085ad61",
+        "summary.json": "4a3f44612c38c968615a930403e542dfa35400965ca408f01b304a24e2602090",
+        "transcript.jsonl": "39baf40b520e222457a8d5ff606607ed14ec01f3a08bb778a23415f6739e079b",
     },
     "gen-topology-random": {
         "cycles.txt": "067f44ecd252508f53b85d381a9e7c70d4fc20e4c7deb2815b6f205a4bbf2079",
@@ -153,9 +153,9 @@ GOLDEN = {
         "transcript.jsonl": "60d5de2f16c29f2cfbdb86f490b9281d041a8a557a0877296131bc92173c2cef",
     },
     "attack-quorum": {
-        "metrics.csv": "1ee96577ca6255aa16c85da2a66c6cc207d8bb42eaf2a49ae28ffe3005864efc",
-        "summary.json": "380773b2ce5b93275e8cb1a8bdcad393d6e0d59b221efdcf2e3959abe69792fa",
-        "transcript.jsonl": "dd26384e02d7d36a488b069450929b60a2e1a84ce4b88f9303721386eee4bd33",
+        "metrics.csv": "63b74d27527672951125537d57906abea9e682db300c7171e8eb467cbc0371c3",
+        "summary.json": "1b7f982dc99cfcaf43e5bc03c287d0012864c2a09d9833443cbd66281686ac96",
+        "transcript.jsonl": "075ca8425bb2475e0345a0c3e349f09f43d31b5790e54b3f29fb8f5304c85e09",
     },
     "attack-cycle": {
         "metrics.csv": "696c5b46bd49d344c138128f5eba854a9eac72dff6e5ae9272d7dc9dab85b1cd",
@@ -213,9 +213,9 @@ def test_response_enforcement_signs_the_pinned_contents():
 
 
 def test_sixteen_process_quorum_bank_matches_the_pinned_digests():
-    """At f=5 every proof holds 2f+1 = 11 receipts, each checked by all 16
-    broadcasters: the book, the metrics and the transcript of four seeded
-    rounds."""
+    """At f=5 every proof certifies 2f+1 = 11 signers, each checked by all
+    16 broadcasters: the book, the metrics and the transcript of four
+    seeded rounds."""
     bank = Bank(16, 5, [1] * 16, family="quorum")
     rng = random.Random(11)
     for _ in range(4):
@@ -228,7 +228,7 @@ def test_sixteen_process_quorum_bank_matches_the_pinned_digests():
         bank.net.transcript.to_jsonl())] == [
         "ecb7c2cee4f5f27cb68b40de1d8ffa488bbfc250b2668ea192f0ec8d42c71713",
         "9d32f83ddcd0b71b599d387687f732de8d0ba776fb4ad6d0b515b48b58bea3d9",
-        "015aa8de5ffed75d36b6c40ebec2a9f4acf9fe7f825a4c057dd032efe2dee41a",
+        "57b2833cd070840e93e4220b4e9e578c87193cc4627ba3faaa2f2020b82b77cb",
     ]
 
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lockstep import adversary as gallery, marker, simnet
 from lockstep.adversary import JunkAdversary, StrawmanProcess
@@ -91,26 +91,78 @@ def test_audit_allows_corrupted_predecessors():
                               None, False, None) == []
 
 
-@given(st.lists(st.binary(min_size=1, max_size=24), max_size=5))
-def test_receipt_proof_codec_round_trip(receipts):
-    assert decode_proof(encode_proof(tuple(receipts))) == tuple(receipts)
+receipt_messages = st.builds(
+    lambda j, payer, target: enc_bytes(receipt_content(j, payer, target,
+                                                       j - 1)),
+    st.integers(-1, 9), st.integers(0, 15), st.integers(0, 15))
+certificates = st.tuples(
+    st.lists(st.integers(-2, 20), unique=True, max_size=7).map(
+        lambda signers: tuple(sorted(signers))),
+    receipt_messages | st.binary(max_size=24).map(enc_bytes))
 
 
-@given(st.lists(st.binary(max_size=24), max_size=5),
-       st.integers(min_value=0, max_value=63), st.integers(-9, 99))
-def test_cached_decodes_equal_fresh_parses(receipts, payer, target):
-    proof = encode_proof(tuple(receipts))
+@given(certificates)
+def test_receipt_proof_codec_round_trip(certificate):
+    signers, message = certificate
+    assert decode_proof(encode_proof(signers, message)) == (
+        certificate if signers else ((), b""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificates, st.lists(st.tuples(st.integers(min_value=0),
+                                        st.integers(1, 255)), max_size=3),
+       st.none() | st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+       st.integers(min_value=0))
+def test_every_accepted_proof_encodes_back_to_itself(certificate, flips, cut,
+                                                     i):
+    """Flipped and cut certificates are accepted only when they re-encode
+    to their own bytes, and a certificate whose signers are repeated or
+    out of order, or whose message is not exactly one chunk, is refused."""
+    signers, message = certificate
+    data = bytearray(encode_proof(signers, message))
+    for position, mask in flips:
+        data[position % len(data)] ^= mask
+    if cut is not None:
+        start, end = sorted(c % (len(data) + 1) for c in cut)
+        del data[start:end]
+    data = bytes(data)
+    try:
+        decoded = decode_proof(data)
+    except CodecError:
+        decoded = None
+    if decoded is not None:
+        assert encode_proof(*decoded) == data
+    if signers:
+        i %= len(signers)
+        refused = [(signers[:i + 1] + signers[i:], message),
+                   (signers, message[:-1]), (signers, message + b"x")]
+        if len(signers) > 1:
+            refused.append((signers[::-1], message))
+        for bad in refused:
+            with pytest.raises(CodecError):
+                decode_proof(encode_proof(*bad))
+
+
+@given(certificates, st.integers(min_value=0, max_value=63), st.integers(-9, 99))
+def test_cached_decodes_equal_fresh_parses(certificate, payer, target):
+    proof = encode_proof(*certificate)
     for payload, tag, fields in (
             (intent_content(3, payer, target, proof), INTENT, 3),
-            (receipt_content(3, payer, target), RECEIPT, 3),
-            (receipt_content(3, payer, target), INTENT, 3),
-            (proof, RECEIPT, 3)):
+            (receipt_content(3, payer, target, 2), RECEIPT, 4),
+            (receipt_content(3, payer, target, 2), RECEIPT, 3),
+            (receipt_content(3, payer, target, 2), INTENT, 3),
+            (proof, RECEIPT, 4)):
         assert parse_typed(payload, tag, fields) == \
             parse_typed.__wrapped__(payload, tag, fields)
 
 
 def test_a_malformed_proof_raises_on_every_call():
-    for bad in (enc_int(-1), enc_int(2) + enc_int(0), encode_proof(()) + b"x"):
+    message = enc_bytes(receipt_content(0, 0, 4, GENESIS_ROUND))
+    for bad in (enc_int(-1), enc_int(2) + enc_int(0),
+                encode_proof((), b"") + b"x", encode_proof((1, 0), message), encode_proof((1, 1), message),
+                encode_proof((0, 1), message) + b"x",
+                encode_proof((0, 1), message[:-1]),
+                encode_proof((0, 1), message + message)):
         for _ in range(2):
             with pytest.raises(CodecError):
                 decode_proof(bad)
@@ -118,10 +170,12 @@ def test_a_malformed_proof_raises_on_every_call():
 
 # Base oracle checks of the twenty rounds below, one per pair asked alone
 # or in a batch.  The shared tables save encoding, parsing and hashing,
-# never a question to the oracle, so no table may move this count.  A
-# proof holds 2f+1 = 11 receipts, so each broadcaster asks 11 pairs a
-# proof.
-QUORUM_BANK_VERIFIES = 38992
+# never a question to the oracle, so no table may move this count; only a
+# rule may.  A proof holds 2f+1 = 11 signers, so each broadcaster asks 11
+# pairs a proof, and a target asks about its receipts' signers in
+# ascending order and stops at the 11th valid one of the 16 (38,992 while
+# it asked about all 16).
+QUORUM_BANK_VERIFIES = 37987
 
 
 def test_twenty_quorum_bank_rounds_ask_the_oracle_as_often_as_before(
@@ -150,12 +204,13 @@ def test_twenty_quorum_bank_rounds_ask_the_oracle_as_often_as_before(
 
 
 # Wire bytes each signing table may hold over the twenty rounds below:
-# 64 intents of 863 bytes, each with a proof of 2f+1 = 11 receipts; both
-# tables peak at 55,232 bytes here (181,248 while every countersignature
-# carried a copy of the bytes it signed).  With 512 entries a table held
-# up to 0.75 MB, which raised the benchmark's bank-quorum peak RSS from
-# 42.8 to 48.9 MB, past its 10 % bound.
-SIGNING_TABLE_BYTES = 60_000
+# 64 intents of 281 bytes, each with a certificate of 2f+1 = 11 signers;
+# both tables peak at 17,984 bytes here, and the cap leaves 11 % above
+# that (55,232 while a proof carried its receipts whole, 181,248 while
+# every countersignature carried a copy of the bytes it signed).  With
+# 512 entries a table held up to 0.75 MB, which raised the benchmark's
+# bank-quorum peak RSS from 42.8 to 48.9 MB, past its 10 % bound.
+SIGNING_TABLE_BYTES = 20_000
 
 
 def test_twenty_quorum_bank_rounds_keep_few_wire_bytes_in_the_signing_tables(
@@ -246,50 +301,46 @@ def test_a_marker_round_reads_its_markings_off_each_tail():
         holder = target
 
 
-def _reference_receipt(proc, wire):
-    """The per-receipt check as it was before proofs were summarised."""
-    try:
-        sm = SignedMessage.from_bytes(wire)
-    except CodecError:
-        return None
-    fields = parse_typed(sm.payload, RECEIPT, 3)
-    if fields is None or len(sm.stack) != 1:
-        return None
-    signer = sm.stack[0][0]
-    if signer not in proc.broadcasters or not sm.verify_stack(proc.oracle):
-        return None
-    return (*fields, signer)
-
-
 def _reference_proof_round(proc, payer, proof):
-    """The proof check as it was before proofs were summarised: every
-    receipt decoded and checked in turn by every process."""
+    """The proof check read from the certificate's layout alone: the
+    count, the receipt message and every signer read in turn, each
+    signer checked on its own, and no shared table."""
+    reader = simnet.ByteReader(proof)
     try:
-        receipts = decode_proof(proof)
+        count = reader.read_int()
+        message = reader.read_bytes() if count > 0 else b""
+        signers = [reader.read_int() for _ in range(max(count, 0))]
     except CodecError:
         return None
-    if not receipts:
-        return GENESIS_ROUND if payer == proc.genesis_holder else None
-    seen = {}
-    rounds = set()
-    for wire in receipts:
-        receipt = _reference_receipt(proc, wire)
-        if receipt is None or receipt[2] != payer:
-            return None
-        j, _, _, signer = receipt
-        rounds.add(j)
-        seen[signer] = j
-    if len(rounds) != 1 or len(seen) < 2 * proc.f + 1:
+    if count < 0 or not reader.at_end():
         return None
-    return rounds.pop()
+    if count == 0:
+        return GENESIS_ROUND if payer == proc.genesis_holder else None
+    inner = simnet.ByteReader(message)
+    try:
+        fields = parse_typed.__wrapped__(inner.read_bytes(), RECEIPT, 4)
+    except CodecError:
+        return None
+    if fields is None or not inner.at_end() or fields[2] != payer:
+        return None
+    if signers != sorted(set(signers)) or len(signers) < 2 * proc.f + 1:
+        return None
+    for signer in signers:
+        if signer not in proc.broadcasters or not proc.oracle.verify(signer,
+                                                                     message):
+            return None
+    return fields[0]
 
 
-# Edits of a proof of round 1 that hands the marker from 2 to 4 (the
-# checking processes run at N=10, f=2, broadcasters 0..6).  A borrowed
-# signature is one the oracle issued for another receipt.
-PROOF_EDITS = ("wrong-payer", "mixed-rounds", "duplicate-signer",
-               "outsider", "unsigned", "other-nonce", "borrowed-signature",
-               "malformed-receipt", "malformed-proof")
+# Edits of a certificate of round 1 that hands the marker from 2 to 4
+# (the checking processes run at N=10, f=2, broadcasters 0..6).  A
+# borrowed signature is one the oracle issued for another receipt
+# message, a signer out of order is moved to the front, and a message
+# without its claimed round is one chunk that is no receipt message.
+PROOF_EDITS = ("wrong-holder", "other-round", "duplicate-signer",
+               "out-of-order", "outsider", "unsigned", "other-nonce",
+               "borrowed-signature", "malformed-message", "malformed-proof",
+               "no-claim")
 
 
 @settings(max_examples=300, deadline=None)
@@ -297,48 +348,53 @@ PROOF_EDITS = ("wrong-payer", "mixed-rounds", "duplicate-signer",
        st.lists(st.tuples(st.sampled_from(PROOF_EDITS), st.integers(0, 99)),
                 max_size=3),
        st.sampled_from((4, 0)))
+@example(list(range(5)), [("no-claim", 0)], 4)
 def test_the_proof_check_equals_the_per_receipt_reference(signers, edits,
                                                           payer):
     base = SignatureOracle()
     nonce, other = nonce_for(0), nonce_for(1)
-    specs = [[1, 2, 4, signer, nonce] for signer in signers]
-    cut = False
+    signers = sorted(signers)
+    scopes = {signer: nonce for signer in signers}
+    round_index, holder, cut = 1, 4, None
     for edit, k in edits:
-        spec = specs[k % len(specs)] if specs else None
-        if edit == "malformed-proof":
-            cut = True
-        elif spec is None:
+        signer = signers[k % len(signers)] if signers else None
+        if edit == "wrong-holder":
+            holder = 3
+        elif edit == "other-round":
+            round_index = 0
+        elif edit == "malformed-message":
+            cut = "message"
+        elif edit == "malformed-proof":
+            cut = "proof"
+        elif edit == "no-claim":
+            cut = "claim"
+        elif signer is None:
             continue
-        elif edit == "wrong-payer":
-            spec[2] = 3
-        elif edit == "mixed-rounds":
-            spec[0] = 0
         elif edit == "duplicate-signer":
-            specs.append(list(spec))
+            signers.insert(k % (len(signers) + 1), signer)
+        elif edit == "out-of-order":
+            signers.remove(signer)
+            signers.insert(0, signer)
         elif edit == "outsider":
-            spec[3] = 7 + k % 3
-        elif edit == "unsigned":
-            spec[4] = None
-        elif edit == "other-nonce":
-            spec[4] = other
+            scopes[7 + k % 3] = nonce
+            signers[signers.index(signer)] = 7 + k % 3
         else:
-            spec[4] = edit
-    wires = []
-    for j, from_, to, signer, scope in specs:
-        payload = receipt_content(j, from_, to)
-        signed = payload
+            scopes[signer] = {"unsigned": None, "other-nonce": other}.get(
+                edit, edit)
+    message = enc_bytes(receipt_content(round_index, 2, holder, 0))
+    for signer, scope in scopes.items():
         if scope == "borrowed-signature":
-            signed = receipt_content(j, from_, 5)
-            scope = nonce
-        if scope in (nonce, other):
-            ScopedOracle(base, scope).sign(signer, enc_bytes(signed))
-        wire = SignedMessage(payload, ((signer, enc_bytes(signed)),)
-                             ).to_bytes()
-        if scope == "malformed-receipt":
-            wire = wire[:-3]
-        wires.append(wire)
-    proof = encode_proof(tuple(wires))
-    if cut:
+            ScopedOracle(base, nonce).sign(
+                signer, enc_bytes(receipt_content(round_index, 2, 5, 0)))
+        elif scope is not None:
+            ScopedOracle(base, scope).sign(signer, message)
+    if cut == "claim":
+        message = enc_bytes(receipt_content(round_index, 2, holder, 0)[:-12])
+        for signer in signers:
+            ScopedOracle(base, nonce).sign(signer, message)
+    proof = encode_proof(tuple(signers),
+                         message[:-1] if cut == "message" else message)
+    if cut == "proof":
         proof = proof[:-1]
     for n in (0, 5):
         proc = QMProcess(n, 10, 2, ScopedOracle(base, nonce))
@@ -357,7 +413,7 @@ def test_a_summarised_proof_still_needs_the_checkers_own_oracle():
     bank.run_round({0: 4})
     other.run_round({0: 5})
     nonce = bank.nonces[0]
-    proof = encode_proof(bank.hosts[4].instances[nonce].proof)
+    proof = encode_proof(*bank.hosts[4].instances[nonce].proof)
     summarize_proof.cache_clear()
     assert bank.hosts[1].instances[nonce]._proof_round(4, proof) == 0
     sibling = bank.hosts[1].instances[bank.nonces[1]]
@@ -390,7 +446,7 @@ def test_every_seeded_proof_summary_equals_one_read_from_its_bytes(
     assert bank.audit() == []
     assert len(seeded) > 20
     # of the proofs shown, only the genesis holders' empty one is decoded
-    assert set(decoded) == {encode_proof(())}
+    assert set(decoded) == {encode_proof((), b"")}
     marker._proof_seeds.clear()
     for proof, summary in seeded:
         assert len(summary[3]) >= 2 * bank.f + 1
@@ -411,9 +467,9 @@ def _kept_proofs_hold_2f_plus_1_receipts(procs, f, all_honest):
     broadcasters.  Returns how many processes were checked."""
     holders = [p for p in procs if p.summary is not None]
     for proc in holders:
-        assert len(proc.proof) == 2 * f + 1
+        assert len(proc.proof[0]) == 2 * f + 1
         marker._proof_seeds.clear()
-        assert summarize_proof.__wrapped__(encode_proof(proc.proof)) == \
+        assert summarize_proof.__wrapped__(encode_proof(*proc.proof)) == \
             proc.summary
         if all_honest:
             assert proc.summary[2] == \
@@ -470,35 +526,40 @@ def test_the_quorum_gallery_keeps_proofs_of_2f_plus_1_receipts(monkeypatch):
     checked = sum(_kept_proofs_hold_2f_plus_1_receipts(
         [p for p in system.procs if p.n not in system.corrupted],
         system.f, all_honest=False) for system in systems)
-    assert len(systems) == 5 and checked > 0
+    assert len(systems) == 7 and checked > 0
 
 
 def _claim(oracle, r: int, claimed: int, payer: int, target: int) -> Delivery:
     """At N=7, f=2: the intent of round ``r`` in which ``payer`` pays
-    ``target``, showing receipts of broadcasters 0..4 that handed it the
-    marker in round ``claimed``, or the empty proof of the genesis holder,
-    process 0, at GENESIS_ROUND."""
-    receipts = () if claimed == GENESIS_ROUND else tuple(
-        _signed(receipt_content(claimed, 6, payer), (b,), oracle)
-        for b in range(5))
-    return Delivery(payer, _signed(
-        intent_content(r, payer, target, encode_proof(receipts)), (payer,),
-        oracle))
+    ``target``, showing the certificate of broadcasters 0..4 that handed
+    it the marker in round ``claimed``, or the empty proof of the genesis
+    holder, process 0, at GENESIS_ROUND."""
+    proof = encode_proof((), b"")
+    if claimed != GENESIS_ROUND:
+        message = enc_bytes(receipt_content(claimed, 6, payer, claimed - 1))
+        for b in range(5):
+            oracle.sign(b, message)
+        proof = encode_proof(tuple(range(5)), message)
+    return Delivery(payer, _signed(intent_content(r, payer, target, proof),
+                                   (payer,), oracle))
 
 
-def _countersigned(proc, history) -> list[tuple[int, int, int]]:
-    """Deliver to broadcaster ``proc`` each (round, payer, target) of
-    ``history`` in round order, claiming the round before, and return the
-    ones it countersigned."""
+def _countersigned(proc, history) -> list[tuple[int, int, int, int]]:
+    """Deliver to broadcaster ``proc`` each (round, claimed round, payer,
+    target) of ``history`` in round order, its claim at most the round
+    before, and return the ones it countersigned."""
     granted = []
-    for r, payer, target in sorted(history, key=lambda entry: entry[0]):
-        if proc._countersigns(r, [_claim(proc.oracle, r, r - 1, payer, target)]):
-            granted.append((r, payer, target))
+    for r, back, payer, target in sorted(history, key=lambda entry: entry[0]):
+        claimed = max(r - 1 - back, GENESIS_ROUND)
+        claim = _claim(proc.oracle, r, claimed, payer, target)
+        if proc._countersigns(r, [claim]):
+            granted.append((r, claimed, payer, target))
     return granted
 
 
 countersign_histories = st.lists(st.tuples(
-    st.integers(0, 6), st.integers(0, 3), st.integers(0, 3)), max_size=12)
+    st.integers(0, 6), st.integers(0, 3), st.integers(0, 3),
+    st.integers(0, 3)), max_size=12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -507,38 +568,44 @@ countersign_histories = st.lists(st.tuples(
 def test_freshness_read_from_the_tail_equals_the_whole_history(
         history, claimed, payer, target):
     """A broadcaster countersigns a claim of round ``claimed`` exactly when
-    nothing it countersigned is after that round: the last round it
-    countersigned answers for its whole history, and a countersign at the
-    claimed round to another target refuses nothing."""
+    every claim it countersigned before is of an earlier round: the last
+    claimed round it countersigned answers for its whole history, and a
+    claim shown before, or a stale one, is refused whatever its round."""
     proc = QMProcess(1, 7, 2, SignatureOracle())
     granted = _countersigned(proc, history)
     if claimed == GENESIS_ROUND:
         payer = 0
-    r = max([claimed, *(j for j, _, _ in history)]) + 1
+    r = max([claimed, *(j for j, _, _, _ in history)]) + 1
     sends = proc._countersigns(r, [_claim(proc.oracle, r, claimed, payer,
                                           target)])
-    assert len(sends) == all(j <= claimed for j, _, _ in granted)
+    assert len(sends) == all(c < claimed for _, c, _, _ in granted)
 
 
 @settings(max_examples=200, deadline=None)
 @given(countersign_histories, st.integers(-1, 7), st.integers(0, 3))
 def test_the_latest_round_of_countersigns_answers_as_all_of_them(
         countersigned, claimed, payer):
-    """A broadcaster countersigns the first fresh intent of a round only,
-    keeps the last round it countersigned, and answers every later claim
-    as a twin that countersigned that round alone."""
+    """A broadcaster countersigns each claimed round at most once and only
+    after every claim it countersigned, keeps the last claimed round it
+    countersigned, and answers every later claim as a twin that
+    countersigned that claim alone."""
     proc, twin = (QMProcess(1, 7, 2, SignatureOracle()) for _ in range(2))
     granted = _countersigned(proc, countersigned)
-    first = {}
-    for entry in sorted(countersigned, key=lambda entry: entry[0]):
-        if entry[0] > 0 or entry[1] == 0:  # round 0 needs the genesis holder
-            first.setdefault(entry[0], entry)
-    assert granted == list(first.values())
-    assert proc.countersigned == (granted[-1][0] if granted else GENESIS_ROUND)
-    assert _countersigned(twin, granted[-1:]) == granted[-1:]
+    expected, last = [], GENESIS_ROUND - 1
+    for r, back, payer_, target in sorted(countersigned,
+                                          key=lambda entry: entry[0]):
+        j = max(r - 1 - back, GENESIS_ROUND)
+        # a genesis claim needs the genesis holder
+        if j > last and (j > GENESIS_ROUND or payer_ == 0):
+            expected.append((r, j, payer_, target))
+            last = j
+    assert granted == expected
+    assert proc.countersigned == last
+    assert _countersigned(twin, [(r, r - 1 - j, p, t)
+                                 for r, j, p, t in granted[-1:]]) == granted[-1:]
     if claimed == GENESIS_ROUND:
         payer = 0
-    r = max([claimed, *(j for j, _, _ in countersigned)]) + 1
+    r = max([claimed, *(j for j, _, _, _ in countersigned)]) + 1
     claim = [_claim(proc.oracle, r, claimed, payer, 4)]
     twin.oracle = proc.oracle
     assert len(proc._countersigns(r, claim)) == len(twin._countersigns(r, claim))
@@ -546,7 +613,9 @@ def test_the_latest_round_of_countersigns_answers_as_all_of_them(
 
 def test_a_broadcaster_keeps_only_its_latest_round_of_countersigns():
     """Over twenty rounds of a quorum bank, each broadcaster of each unit
-    keeps one integer, the last round in which it sent a receipt."""
+    keeps one integer, the claimed round of the last intent it
+    countersigned, read from the transcript: the round its payer was
+    marked in, shown by the intent's proof and named by the receipt."""
     bank = Bank(16, 5, [1] * 16, family="quorum")
     rng = random.Random(3)
     for _ in range(20):
@@ -554,17 +623,24 @@ def test_a_broadcaster_keeps_only_its_latest_round_of_countersigns():
                         for payer, balance in bank.balances().items()
                         if balance > 0 and rng.random() < 0.6})
     assert bank.audit() == []
-    latest = {}
+    claims, latest = {}, {}
     for e in bank.net.transcript.events:
         content, nonce = simnet.split_payload(e.payload)
         receipt = marker.read_receipt(content)
-        if receipt is not None:
-            latest[e.sender, nonce] = max(latest.get((e.sender, nonce),
-                                                     GENESIS_ROUND), receipt[0])
+        if receipt is None:
+            r, payer, target, proof = parse_typed(
+                SignedMessage.from_bytes(content).payload, INTENT, 3)
+            claims[nonce, r, payer, target] = summarize_proof(proof)[0]
+        else:
+            # the receipt names the round its intent's proof claimed
+            claimed = receipt[3]
+            assert claimed == claims[(nonce, *receipt[:3])]
+            latest[e.sender, nonce] = max(
+                latest.get((e.sender, nonce), GENESIS_ROUND - 1), claimed)
     kept = {(host.n, nonce): host.instances[nonce].countersigned
             for host in bank.hosts for nonce in bank.nonces}
     assert len(latest) > 0 and set(map(type, kept.values())) == {int}
-    assert kept == {key: latest.get(key, GENESIS_ROUND) for key in kept}
+    assert kept == {key: latest.get(key, GENESIS_ROUND - 1) for key in kept}
 
 
 def _signed(payload, signers, oracle):
@@ -584,12 +660,20 @@ def test_only_an_intent_signed_by_its_payer_alone_is_countersigned(
         signers, forged, granted):
     oracle = SignatureOracle()
     broadcaster = QMProcess(1, 7, 2, oracle)
-    intent = intent_content(0, 0, 4, encode_proof(()))
+    intent = intent_content(0, 0, 4, encode_proof((), b""))
     signing = SignatureOracle() if forged else oracle
     sends = broadcaster._countersigns(
         0, [Delivery(0, _signed(intent, signers, signing))])
     assert len(sends) == (1 if granted else 0)
-    assert broadcaster.countersigned == (0 if granted else GENESIS_ROUND)
+    assert broadcaster.countersigned == (
+        GENESIS_ROUND if granted else GENESIS_ROUND - 1)
+
+
+def _receipts(oracle, signers, r=0, payer=0, target=4):
+    """Receipts of ``signers`` for the handoff of round ``r`` from
+    ``payer``, which claimed the round before."""
+    return [Delivery(b, _signed(receipt_content(r, payer, target, r - 1), (b,),
+                                oracle)) for b in signers]
 
 
 @pytest.mark.parametrize("signers, forged, read", [
@@ -599,38 +683,116 @@ def test_only_an_intent_signed_by_its_payer_alone_is_countersigned(
         "forged"])
 def test_only_a_receipt_signed_by_one_broadcaster_is_read(signers, forged,
                                                           read):
+    """Target 4 holds 2f = 4 good receipts, so the one under test marks
+    it exactly when it is read."""
     oracle = SignatureOracle()
-    proc = QMProcess(0, 10, 2, oracle)  # broadcasters 0..6
+    proc = QMProcess(4, 10, 2, oracle)  # broadcasters 0..6
     signing = SignatureOracle() if forged else oracle
-    wire = _signed(receipt_content(0, 0, 4), signers, signing)
-    assert proc._receipt(wire) == ((0, 0, 4, 2) if read else None)
+    wire = _signed(receipt_content(0, 0, 4, GENESIS_ROUND), signers, signing)
+    proc._accept(0, _receipts(oracle, (0, 1, 5, 6)) + [Delivery(2, wire)])
+    assert proc.marked == read
+    message = enc_bytes(receipt_content(0, 0, 4, GENESIS_ROUND))
+    assert proc.proof == (((0, 1, 2, 5, 6), message) if read else ((), b""))
 
 
 def test_a_receipt_whose_entry_signed_another_rounds_receipt_is_refused():
-    """Broadcaster 2 did countersign the receipt of round 0 for 0 -> 4, and
-    its entry is put under the payload of round 1, carrying the bytes it
-    signed: the oracle issued that signature, so only the layout check,
-    which takes the signed bytes to be those before the entry, refuses
-    it, alone and in a proof."""
+    """Broadcasters 0..4 did countersign the receipt message of round 0
+    for 0 -> 4, and their entries are put under the payload of round 1,
+    carrying the bytes they signed: the oracle issued those signatures, so
+    only the layout check, which takes the signed bytes to be those
+    before the entry, refuses them, and a certificate naming them as
+    signers of round 1's message is refused too."""
     oracle = SignatureOracle()
-    proc = QMProcess(0, 10, 2, oracle)  # broadcasters 0..6
-    signed = [_signed(receipt_content(0, 0, 4), (b,), oracle)
-              for b in range(5)]
-    old, new = (enc_bytes(receipt_content(j, 0, 4)) for j in (0, 1))
-    moved = tuple(new + enc_int(b) + enc_bytes(old) for b in range(5))
+    proc = QMProcess(4, 10, 2, oracle)  # broadcasters 0..6
+    signed = _receipts(oracle, range(5))
+    old, new = (enc_bytes(receipt_content(j, 0, 4, j - 1)) for j in (0, 1))
+    moved = [Delivery(b, new + enc_int(b) + enc_bytes(old)) for b in range(5)]
     assert all(oracle.verify(b, old) for b in range(5))
-    assert proc._receipt(signed[2]) == (0, 0, 4, 2)
-    assert proc._receipt(moved[2]) is None
-    assert proc._proof_round(4, encode_proof(tuple(signed))) == 0
-    assert proc._proof_round(4, encode_proof(moved)) is None
+    assert marker.read_receipt(signed[2].payload) == (0, 0, 4, -1, 2, old)
+    assert marker.read_receipt(moved[2].payload) is None
+    proc._accept(1, moved)
+    assert not proc.marked
+    proc._accept(0, signed)
+    assert proc.marked and proc.proof == (tuple(range(5)), old)
+    assert proc._proof_round(4, encode_proof(tuple(range(5)), old)) == 0
+    assert proc._proof_round(4, encode_proof(tuple(range(5)), new)) is None
 
 
-# An intent at N=16, f=5 and its proof of 2f+1 = 11 receipts, each the
-# receipt message enc_bytes(receipt_content) and a 16-byte entry: a
-# receipt of 67 bytes and an intent of 863, where copies of the signed
-# bytes made them 118 and 2,832.
-RECEIPT_BYTES = 67
-INTENT_BYTES = 863
+class _Asked(SignatureOracle):
+    """An oracle over ``base``'s registry that records whom it is asked
+    about, one question at a time."""
+
+    def __init__(self, base):
+        super().__init__()
+        self._issued = base._issued
+        self.asked = []
+
+    def verify(self, signer, content):
+        self.asked.append(signer)
+        return super().verify(signer, content)
+
+
+def test_a_receipt_of_another_round_or_target_marks_nobody():
+    """Quorums of good receipts for round 0 shown in round 1, and for
+    target 5 shown to 4, are dropped before the oracle is asked."""
+    oracle = SignatureOracle()
+    stale = _receipts(oracle, range(7))
+    elsewhere = _receipts(oracle, range(7), r=1, target=5)
+    proc = QMProcess(4, 10, 2, _Asked(oracle))  # broadcasters 0..6
+    proc._accept(1, stale + elsewhere)
+    assert not proc.marked and proc.markings == [] and proc.oracle.asked == []
+
+
+# receipt kinds -> (payer, round, claimed round) of the receipt
+INBOX_KINDS = {"good": (2, 1, 0), "forged": (2, 1, 0), "other-payer": (3, 1, 0),
+               "other-claim": (2, 1, GENESIS_ROUND), "other-round": (2, 0, 0)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.sampled_from(
+    sorted(INBOX_KINDS))), max_size=14))
+@example([(0, "forged"), *((b, "good") for b in range(1, 7))])
+def test_an_inbox_keeps_the_lowest_2f_plus_1_valid_signers(receipts):
+    """Receipts of round 1 to target 4 at N=10, f=2 (broadcasters 0..6),
+    forged, from payer 3 instead of 2, naming the genesis claim instead of
+    round 0, or of round 0: the target takes their messages in (payer,
+    claimed round) order, keeps the lowest 2f+1 valid signers of the first
+    that has them, and asks the oracle about each message's broadcaster
+    signers in ascending order, up to the (2f+1)-th valid one.  The
+    reference asks about every receipt."""
+    oracle, forger = SignatureOracle(), SignatureOracle()
+    inbox, candidates = [], {}
+    for signer, kind in receipts:
+        payer, r, claimed = INBOX_KINDS[kind]
+        signing = forger if kind == "forged" else oracle
+        content = receipt_content(r, payer, 4, claimed)
+        inbox.append(Delivery(signer, _signed(content, (signer,), signing)))
+        if r == 1 and signer < 7:
+            candidates.setdefault((payer, claimed), set()).add(signer)
+    proc = QMProcess(4, 10, 2, _Asked(oracle))
+    proc._accept(1, inbox)
+    asked, kept = [], ((), b"")
+    for (payer, claimed), signers in sorted(candidates.items()):
+        message = enc_bytes(receipt_content(1, payer, 4, claimed))
+        valid = [b for b in sorted(signers) if oracle.verify(b, message)]
+        if len(valid) >= 5:
+            asked += [b for b in sorted(signers) if b <= valid[4]]
+            kept = (tuple(valid[:5]), message)
+            break
+        asked += sorted(signers)
+    assert proc.oracle.asked == asked
+    assert proc.marked == bool(kept[0]) and proc.proof == kept
+
+
+# An intent at N=16, f=5 and its proof of 2f+1 = 11 receipts: a receipt
+# is the receipt message enc_bytes(receipt_content), 63 bytes, and a
+# 16-byte entry; the certificate holds that message once and 11 signer
+# ids of 12 bytes.  A receipt of 79 bytes and an intent of 149 + 12k
+# bytes for k signers, 281 at k = 11.  While a receipt left out the
+# claimed round, 11 whole receipts of 67 bytes made it 82 + 71k = 863,
+# and copies of the signed bytes 2,832.
+RECEIPT_BYTES = 79
+INTENT_BYTES = 281
 
 
 def test_an_intent_and_its_receipts_have_the_stated_sizes():
@@ -642,15 +804,16 @@ def test_an_intent_and_its_receipts_have_the_stated_sizes():
     # the intents go out at step 3, the receipts at step 4
     intents = [e.payload for e in events if e.step == 3]
     receipts = [e.payload for e in events if e.step == 4]
-    proof = encode_proof(system.procs[3].proof)
+    signers, message = system.procs[3].proof
+    proof = encode_proof(signers, message)
     content = intent_content(1, 3, 5, proof)
-    assert len(system.procs[3].proof) == 11 and len(receipts) == 16
-    assert {len(r) for r in system.procs[3].proof} == {RECEIPT_BYTES}
+    assert len(signers) == 11 and len(receipts) == 16
+    assert message == enc_bytes(receipt_content(0, 0, 3, GENESIS_ROUND))
     assert {len(r) for r in receipts} == {
-        len(enc_bytes(receipt_content(1, 3, 5))) + 16} == {RECEIPT_BYTES}
-    assert len(proof) == 12 + 11 * (4 + RECEIPT_BYTES)
+        len(enc_bytes(receipt_content(1, 3, 5, 0))) + 16} == {RECEIPT_BYTES}
+    assert len(proof) == 12 + 4 + len(message) + 11 * 12
     assert {len(i) for i in intents} == {len(enc_bytes(content)) + 16} == {
-        INTENT_BYTES}
+        149 + 12 * 11} == {INTENT_BYTES}
 
 
 @pytest.mark.parametrize("signers, forged, granted", [
@@ -659,16 +822,18 @@ def test_an_intent_and_its_receipts_have_the_stated_sizes():
 def test_only_an_intent_showing_a_quorum_of_receipts_is_countersigned(
         signers, forged, granted):
     # at N=7, f=2 (broadcasters 0..6) process 3 was marked by 0 in round
-    # 0 and pays 5 in round 1 with the receipts of ``signers``
+    # 0 and pays 5 in round 1 with the certificate of ``signers``
     oracle = SignatureOracle()
     broadcaster = QMProcess(1, 7, 2, oracle)
     signing = SignatureOracle() if forged else oracle
-    proof = encode_proof(tuple(_signed(receipt_content(0, 0, 3), (b,), signing)
-                               for b in signers))
+    message = enc_bytes(receipt_content(0, 0, 3, GENESIS_ROUND))
+    for b in signers:
+        signing.sign(b, message)
+    proof = encode_proof(tuple(signers), message)
     intent = _signed(intent_content(1, 3, 5, proof), (3,), oracle)
     sends = broadcaster._countersigns(1, [Delivery(3, intent)])
     assert len(sends) == (1 if granted else 0)
-    assert broadcaster.countersigned == (1 if granted else GENESIS_ROUND)
+    assert broadcaster.countersigned == (0 if granted else GENESIS_ROUND - 1)
 
 
 def test_broadcaster_committee_size():

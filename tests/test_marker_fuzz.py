@@ -196,23 +196,23 @@ def test_mutated_quorum_bank_payloads_are_dropped_or_faulted(pick, flips, cut,
 
 @functools.lru_cache(maxsize=None)
 def _recorded_intents():
-    """The intents of the recorded quorum bank whose proofs hold receipts,
-    each as (recipient, nonce, round, payer, target, receipts), and the
-    wire of every receipt the bank sent."""
-    intents, receipts = [], []
+    """The intents of the recorded quorum bank whose proofs certify
+    receipts, each as (recipient, nonce, round, payer, target, signers,
+    receipt message), and the message of every receipt the bank sent."""
+    intents, messages = [], []
     for event in _recorded_bank("quorum").net.transcript.events:
         body, nonce = split_payload(event.payload)
         fields = parse_typed(SignedMessage.from_bytes(body).payload, INTENT, 3)
         if fields is None:
-            receipts.append(body)
-        elif decode_proof(fields[3]):
+            messages.append(read_receipt(body)[5])
+        elif decode_proof(fields[3])[0]:
             intents.append((event.recipient, nonce, *fields[:3],
-                            decode_proof(fields[3])))
-    return intents, receipts
+                            *decode_proof(fields[3])))
+    return intents, messages
 
 
 proof_edits = st.lists(st.tuples(
-    st.sampled_from(("drop", "duplicate", "foreign")),
+    st.sampled_from(("drop", "duplicate", "swap", "foreign", "message")),
     st.integers(min_value=0), st.integers(min_value=0)), max_size=3)
 
 
@@ -220,24 +220,31 @@ proof_edits = st.lists(st.tuples(
 @given(edits=proof_edits, **mutations)
 def test_mutated_proofs_in_re_signed_intents_reach_the_proof_check(
         edits, pick, flips, cut, recipient):
-    """Receipts of a recorded intent's proof are dropped, duplicated or
-    replaced by receipts sent elsewhere, then its bytes flipped and cut;
-    the payer signs the rebuilt intent through the instance's oracle."""
-    intents, foreign = _recorded_intents()
-    n, nonce, r, payer, target, receipts = intents[pick % len(intents)]
-    wires = list(receipts)
+    """Signers of a recorded intent's certificate are dropped, duplicated,
+    swapped or replaced by any id, or its receipt message by one sent
+    elsewhere, then its bytes flipped and cut; the payer signs the
+    rebuilt intent through the instance's oracle."""
+    intents, messages = _recorded_intents()
+    n, nonce, r, payer, target, signers, message = intents[pick % len(intents)]
+    signers = list(signers)
     for edit, i, j in edits:
-        if not wires:
+        if edit == "message":
+            message = messages[j % len(messages)]
+            continue
+        if not signers:
             break
-        i %= len(wires)
+        i %= len(signers)
         if edit == "drop":
-            del wires[i]
+            del signers[i]
         elif edit == "duplicate":
-            wires.insert(j % (len(wires) + 1), wires[i])
+            signers.insert(j % (len(signers) + 1), signers[i])
+        elif edit == "swap":
+            j %= len(signers)
+            signers[i], signers[j] = signers[j], signers[i]
         else:
-            wires[i] = foreign[j % len(foreign)]
-    proof = _mutate(encode_proof(tuple(wires)), flips, cut)
-    assume(proof != encode_proof(receipts))
+            signers[i] = j % 20 - 2
+    proof = _mutate(encode_proof(tuple(signers), message), flips, cut)
+    assume(proof != encode_proof(*intents[pick % len(intents)][5:]))
     recorded = _recorded_bank("quorum")
     n = n if recipient is None else recipient % recorded.N
     passes = []
@@ -437,7 +444,7 @@ def _read_receipt_by_parse(data):
         sm = SignedMessage.from_bytes(data)
     except CodecError:
         return None
-    fields = parse_typed(sm.payload, RECEIPT, 3)
+    fields = parse_typed(sm.payload, RECEIPT, 4)
     if fields is None or len(sm.stack) != 1:
         return None
     signer, content = sm.stack[0]
@@ -462,20 +469,20 @@ def test_every_recorded_receipt_is_written_as_signed_by_writes_it():
     # its unit pays itself), and countersigned by the 3f+1 = 7 broadcasters
     assert len(receipts) == 3 * 2 * 7
     for data in receipts:
-        j, payer, target, signer, content = read_receipt(data)
-        message = receipt_message(j, payer, target)
+        j, payer, target, claimed, signer, content = read_receipt(data)
+        message = receipt_message(j, payer, target, claimed)
         assert content == message.to_bytes()
         oracle = SignatureOracle()
         assert data == countersign(oracle, signer, content)
         assert oracle.verify(signer, content)
         assert data == message.signed_by(SignatureOracle(), signer).to_bytes()
-        assert data == SignedMessage(receipt_content(j, payer, target),
+        assert data == SignedMessage(receipt_content(j, payer, target, claimed),
                                      ((signer, content),)).to_bytes()
 
 
 def _edited_receipt(data, edit, k, flips, cut):
     """``data`` under one edit, ``k`` choosing where and how."""
-    j, payer, target, signer, x = _read_receipt_by_parse(data)
+    j, payer, target, claimed, signer, x = _read_receipt_by_parse(data)
     end = len(x)
     if edit == "flip-cut":
         return _mutate(data, flips, cut)
@@ -487,15 +494,15 @@ def _edited_receipt(data, edit, k, flips, cut):
     if edit == "other-content":
         # the empty content, whose entry is as long as the mark, another
         # round's receipt, or any bytes
-        other = (b"", enc_bytes(receipt_content(j + 1 + k % 3, payer, target)),
-                 enc_int(k))[k % 3]
+        other = (b"", enc_bytes(receipt_content(j + 1 + k % 3, payer, target,
+                                                claimed)), enc_int(k))[k % 3]
         return x + enc_int(signer) + enc_bytes(other)
     if edit == "int-width":
         wide = enc_bytes((k % 256).to_bytes(4 + k % 3 * 5, "big"))
         if k % 4 == 0:
             return x + wide + PRIOR
-        ints = [enc_int(j), enc_int(payer), enc_int(target)]
-        ints[k % 3] = wide
+        ints = [enc_int(j), enc_int(payer), enc_int(target), enc_int(claimed)]
+        ints[k // 4 % 4] = wide
         x = enc_bytes(enc_str(RECEIPT) + b"".join(ints))
         return x + enc_int(signer) + PRIOR
     # a length prefix that runs past the end, or past where it should

@@ -108,11 +108,11 @@ def _encoded(k):
 def _shown(k):
     """A holder of a k-receipt proof shows it in an intent."""
     proc = QMProcess(0, 4, 1, SignatureOracle())
-    proc.proof = tuple(enc_int(j) for j in range(k))
+    proc.proof = ((0,), enc_bytes(receipt_content(k, 0, 0, k - 1)))
     proc.summary = (k, 0, frozenset({0}), frozenset({(0, enc_int(k))}))
     proc.pending[k] = 1
     proc._intent_sends(k)
-    return encode_proof(proc.proof), proc.summary
+    return encode_proof(*proc.proof), proc.summary
 
 
 # Each table's flood: the arguments of its k-th distinct call, and the
@@ -130,10 +130,12 @@ LRU_FLOODS = {
     "simnet.SignedMessage.from_bytes": (
         lambda k: (SignedMessage, SignedMessage(enc_int(k)).to_bytes()),
         (SignedMessage, b"\x00\x00")),
-    "marker.receipt_message": (lambda k: (k, 0, 1), None),
-    "marker.parse_typed": (lambda k: (receipt_content(k, 0, 1), RECEIPT, 3),
-                           None),
-    "marker.summarize_proof": (lambda k: (encode_proof((enc_int(k),)),), None),
+    "marker.receipt_message": (lambda k: (k, 0, 1, k - 1), None),
+    "marker.parse_typed": (
+        lambda k: (receipt_content(k, 0, 1, k - 1), RECEIPT, 4), None),
+    "marker.summarize_proof": (
+        lambda k: (encode_proof(
+            (0,), enc_bytes(receipt_content(k, 0, 1, k - 1))),), None),
     "cyclecoin.parse_wire": (
         lambda k: (wire(KIND_QUERY, (Record(TAG_BASE, k),)),),
         (wire(KIND_CHAIN, ())[:-1],)),
@@ -634,9 +636,10 @@ def test_seeded_rng_reproducible_and_keyed():
 
 # Digest of the book, transcript and metrics of the adversarial quorum bank
 # run below, as the scheduler produced them before it stopped keeping an
-# agenda under an adversary, with proofs of the 2f+1 lowest receipts and
-# countersignatures that mark the bytes they sign instead of copying them.
-JUNK_BANK_DIGEST = "f248cac8b5d2c49fc43956ae6f5f280cd6c3d859f514485dc5aace27c8778c2f"
+# agenda under an adversary, with countersignatures that mark the bytes
+# they sign instead of copying them and proofs that certify the 2f+1
+# lowest signers of one receipt message.
+JUNK_BANK_DIGEST = "5bc56bedcc249d81162165186af999617d06de67ff3acca2f92aaa306a120961"
 
 
 def test_an_adversarial_run_keeps_its_schedule_bounded():

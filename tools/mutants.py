@@ -56,38 +56,40 @@ MUTANTS = (
     Mutant("M4", "consensus.py", "inspect_proper: verify_stack dropped",
            "    if not sm.verify_stack(oracle):\n        return None\n", ""),
     Mutant("Q1", "marker.py", "_countersigns: freshness dropped",
-           "            if self.countersigned > claimed:\n"
+           "            if claimed <= self.countersigned:\n"
            "                continue\n", ""),
     Mutant("Q2", "marker.py", "_proof_round: 2f+1 signers -> 1",
            "len(signers) < 2 * self.f + 1", "len(signers) < 1"),
     Mutant("Q3", "marker.py", "_accept: 2f+1 receipts -> f+1",
-           "if len(receipts) >= 2 * self.f + 1:",
-           "if len(receipts) >= self.f + 1:"),
-    Mutant("Q4", "marker.py", "_receipt: signature check dropped",
-           "if signer in self.broadcasters and self.oracle.verify(signer, content):",
-           "if signer in self.broadcasters:"),
+           "        quorum = 2 * self.f + 1\n", "        quorum = self.f + 1\n"),
+    Mutant("Q4", "marker.py", "_accept: signature check dropped",
+           "(s for s in sorted(signers)\n"
+           "                                 if self.oracle.verify(s, message))",
+           "(s for s in sorted(signers))"),
     Mutant("Q5", "marker.py", "_proof_round: verify_all dropped",
            "return j if self.oracle.verify_all(pairs) else None", "return j"),
     Mutant("Q6", "marker.py", "_countersigns: intent signature dropped",
            "\n                    or not sm.verify_stack(self.oracle))", ")"),
     Mutant("Q7", "marker.py", "_proof_round: 2f+1 signers -> 2f",
            "len(signers) < 2 * self.f + 1", "len(signers) < 2 * self.f"),
-    Mutant("Q8", "marker.py", "_countersigns: same-round clause restored",
-           "            if self.countersigned > claimed:\n"
+    Mutant("Q8", "marker.py", "_countersigns: countersigning round kept",
+           "            if claimed <= self.countersigned:\n"
            "                continue\n"
-           "            receipt = countersign(self.oracle, self.n,\n"
-           "                                  receipt_message(r, payer, target)"
-           ".to_bytes())\n"
-           "            self.countersigned = r\n",
-           "            if self.countersigned > claimed or (\n"
-           "                    self.countersigned == claimed\n"
-           "                    and getattr(self, 'last_target', payer) != payer):\n"
+           "            receipt = countersign(self.oracle, self.n, receipt_message(\n"
+           "                r, payer, target, claimed).to_bytes())\n"
+           "            self.countersigned = claimed\n",
+           "            if claimed < self.countersigned:\n"
            "                continue\n"
-           "            receipt = countersign(self.oracle, self.n,\n"
-           "                                  receipt_message(r, payer, target)"
-           ".to_bytes())\n"
-           "            self.countersigned = r\n"
-           "            self.last_target = target\n"),
+           "            receipt = countersign(self.oracle, self.n, receipt_message(\n"
+           "                r, payer, target, claimed).to_bytes())\n"
+           "            self.countersigned = r\n"),
+    Mutant("Q9", "marker.py", "decode_proof: signers in any order",
+           "    if any(a >= b for a, b in zip(signers, signers[1:])):\n"
+           "        raise CodecError(\"signers out of order or repeated\")\n",
+           ""),
+    Mutant("Q10", "marker.py", "_countersigns: receipt names no claim",
+           "                r, payer, target, claimed).to_bytes())",
+           "                r, payer, target, GENESIS_ROUND).to_bytes())"),
     Mutant("R1", "marker.py", "read_receipt: entry may sign other content",
            "\n            # the one entry signed exactly X, the bytes before it\n"
            "            or wire[end + 12:] != PRIOR)", ")"),
