@@ -28,24 +28,24 @@ fewer oracle questions.
 
 Checking a proof splits into pure facts and oracle verdicts.  The pure
 facts of a proof (the round and target of its receipt message, its
-signers and their (signer, message) signatures) depend on its bytes
-alone, so :func:`summarize_proof` keeps them in a bounded table shared by
-every process, and every broadcaster that sees the same proof reads them
-once.  The target that accepts a proof has just read those facts, so it
-keeps them, and its intent seeds the table with them under the proof's
-bytes: an honest proof is never decoded.  Each countersigner writes its
-receipt as the receipt message's wire countersigned in one join
-(:func:`~lockstep.simnet.countersign`), which marks the signed bytes as
-the wire before the entry instead of copying them.  A receipt thus has
-one fixed layout, 16 bytes longer than the message it signs, which
-:func:`read_receipt` reads by slicing: no receipt is made, seeded or
-looked up as a :class:`~lockstep.simnet.SignedMessage`, and its signed
-content is a slice of its own bytes.
-Whether the signers are broadcasters is one subset test, and whether the
-oracle issued the signatures is one batched question,
-:meth:`~lockstep.simnet.SignatureOracle.verify_all`; each process asks both
-about every signer, on every check, and no oracle verdict is kept or
-shared.
+signers and that message) depend on its bytes alone, so
+:func:`summarize_proof` keeps them in a bounded table shared by every
+process, and every broadcaster that sees the same proof reads them once.
+The target that accepts a proof knows those facts, its marked round, its
+own id and the certificate it keeps, so its intent seeds the table with
+them under the proof's bytes: an honest proof is never decoded.  Each
+countersigner writes its receipt as the receipt message's wire
+countersigned in one join (:func:`~lockstep.simnet.countersign`), which
+marks the signed bytes as the wire before the entry instead of copying
+them.  A receipt thus has one fixed layout, 16 bytes longer than the
+message it signs, which :func:`read_receipt` reads by slicing: no
+receipt is made, seeded or looked up as a
+:class:`~lockstep.simnet.SignedMessage`, and its signed content is a
+slice of its own bytes.
+Whether the signers are broadcasters is one subset test, and whether
+each of them signed the message is one question,
+:meth:`~lockstep.simnet.SignatureOracle.verify_all`; each process asks
+both on every check, and no oracle verdict is kept or shared.
 """
 
 from __future__ import annotations
@@ -328,15 +328,15 @@ def receipt_content(round_index: int, payer: int, target: int,
 
 
 # Every broadcaster of a handoff countersigns the same receipt message in
-# the same step, so one step's handoffs suffice.  At worst 64 × 0.7 KB:
-# an entry of four ids past the small-int cache took 0.61 KB
-# (tracemalloc).
+# the same step, so one step's handoffs suffice.  At worst 64 × 0.4 KB:
+# an entry of four ids past the small-int cache took 0.38 KB; over 20
+# rounds of Bank(16, 5) it alone held 19 KB (tracemalloc).
 @lru_cache(maxsize=64)
 def receipt_message(round_index: int, payer: int, target: int,
-                    claimed: int) -> SignedMessage:
-    """The unsigned receipt of a handoff, whose wire is then built once
-    for all of its countersigners."""
-    return SignedMessage(receipt_content(round_index, payer, target, claimed))
+                    claimed: int) -> bytes:
+    """The receipt message X = enc_bytes(receipt_content) of a handoff,
+    built once for all of its countersigners."""
+    return enc_bytes(receipt_content(round_index, payer, target, claimed))
 
 
 # Every broadcaster reads each intent and receipt of a step.  At worst
@@ -384,30 +384,30 @@ def read_receipt(wire: bytes) -> tuple[int, int, int, int, int, bytes] | None:
 # The summaries of the proofs that payers showed lately, by the encoded
 # proof, which seed summarize_proof on a miss: a proof is checked a step
 # after it is shown, so one step's intents suffice.  At worst
-# 64 × (B + 0.8 KB + 0.25 KB × k) for a proof of B bytes and k signers
-# (64 distinct entries took 0.8 KB at k = 1 and 2.5 KB at k = 11); over
-# 20 rounds of Bank(16, 5), whose proofs certify 11, it alone held 85 KB
-# (tracemalloc), 121 KB while a proof carried its receipts whole.
+# 64 × (2B + 0.3 KB + 0.05 KB × k) for a proof of B bytes and k signers
+# (64 distinct entries, their keys included, took 0.51 KB at k = 1,
+# 1.01 KB at k = 11 and 2.03 KB at k = 31); over 20 rounds of
+# Bank(16, 5), whose proofs certify 11, it alone held 34 KB (tracemalloc).
 _proof_seeds = Seeds(64)
 
 
 # An honest proof certifies 2f+1 signers, 0.2 KB at f=5, and every
 # broadcaster checks it in one step, so this table is the small one.  At
-# worst 64 × (0.8 KB + 0.25 KB × k) for a proof of k signers, whose
-# summary holds its receipt message once (64 distinct entries took
-# 0.8 KB at k = 1 and 2.3 KB at k = 11); over 20 rounds of Bank(16, 5)
-# it alone held 89 KB (tracemalloc), 125 KB while a proof carried its
-# receipts whole.
+# worst 64 × (2B + 0.75 KB + 0.05 KB × k) for a proof of B bytes and k
+# signers, whose summary holds its receipt message once (64 distinct
+# entries, their keys included, took 0.93 KB at k = 1, 1.44 KB at k = 11
+# and 2.46 KB at k = 31); over 20 rounds of Bank(16, 5) it alone held
+# 37 KB (tracemalloc).
 @lru_cache(maxsize=64)
 def summarize_proof(proof: bytes) -> tuple | None:
-    """The pure facts of a certificate as (round, holder, signers, pairs),
+    """The pure facts of a certificate as (round, holder, signers, X),
     read from its one receipt message X in one parse: in ``round`` the
     receipts handed the marker to ``holder``, the payer who shows the
-    proof; ``signers`` is the set of its signers and ``pairs`` the set of
-    (signer, X), the signatures a checker asks its oracle about.  None
-    when the proof does not decode or X is no receipt message; the empty
-    proof, which only the genesis holder may show, has no holder."""
-    # on a miss, a proof shown lately has the summary its holder kept
+    proof, and ``signers``, strictly ascending, are those a checker asks
+    its oracle about.  None when the proof does not decode or X is no
+    receipt message; the empty proof, which only the genesis holder may
+    show, has no holder."""
+    # on a miss, a proof shown lately has the facts its holder seeded
     seeded = _proof_seeds.get(proof)
     if seeded is not None:
         return seeded
@@ -416,13 +416,12 @@ def summarize_proof(proof: bytes) -> tuple | None:
     except CodecError:
         return None
     if not signers:
-        return GENESIS_ROUND, None, frozenset(), frozenset()
+        return GENESIS_ROUND, None, (), b""
     fields = parse_typed(message[4:], RECEIPT, 4)
     if fields is None:
         return None
     j, _, holder, _ = fields
-    return (j, holder, frozenset(signers),
-            frozenset((signer, message) for signer in signers))
+    return j, holder, signers, message
 
 
 class QMProcess(MarkerProcess):
@@ -435,13 +434,12 @@ class QMProcess(MarkerProcess):
     claim it countersigned, which then becomes j; it starts before
     GENESIS_ROUND.  Its receipt countersigns the :func:`receipt_message`
     of the handoff's round, payer and target and of the claimed round j.
-    A target groups its receipts by message, asks the oracle about each
+    A target groups its receipts by message, passes over a message with
+    fewer than 2f+1 broadcaster signers, asks the oracle about each other
     message's broadcaster signers in ascending order, and accepts a
     payer's handoff once 2f+1 have passed; it keeps as ``proof`` the
     certificate (those signers, that message).  A broadcaster accepts any
-    certificate of at least 2f+1 broadcaster signers.  ``summary`` is the
-    :func:`summarize_proof` result of ``proof``, kept when the proof is
-    accepted.
+    certificate of at least 2f+1 broadcaster signers.
 
     The rule rests on quorum intersection (Malkhi & Reiter, Byzantine
     quorum systems, 1997; FastPay's certificates of 2f+1 signatures over
@@ -475,8 +473,6 @@ class QMProcess(MarkerProcess):
     intent: an honest holder's claim can be pre-empted only by its own.
     """
 
-    summary: tuple | None = None
-
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
         super().__init__(n, N, f, oracle, genesis_holder)
         self.broadcasters = default_broadcasters(N, f)
@@ -499,8 +495,8 @@ class QMProcess(MarkerProcess):
     def _intent_sends(self, r: int) -> list[Send]:
         target = self.pending.pop(r)
         proof = encode_proof(*self.proof)
-        if self.summary is not None:
-            _proof_seeds.put(proof, self.summary)
+        if self.proof[0]:
+            _proof_seeds.put(proof, (self.marked_round, self.n, *self.proof))
         content = intent_content(r, self.n, target, proof)
         sm = SignedMessage(content).signed_by(self.oracle, self.n)
         wire = sm.to_bytes()
@@ -514,13 +510,13 @@ class QMProcess(MarkerProcess):
         summary = summarize_proof(proof)
         if summary is None:
             return None
-        j, holder, signers, pairs = summary
-        if not pairs:
+        j, holder, signers, message = summary
+        if not signers:
             return GENESIS_ROUND if payer == self.genesis_holder else None
         if (holder != payer or len(signers) < 2 * self.f + 1
                 or not self.broadcasters.issuperset(signers)):
             return None
-        return j if self.oracle.verify_all(pairs) else None
+        return j if self.oracle.verify_all(signers, message) else None
 
     def _countersigns(self, r: int, inbox: list[Delivery]) -> list[Send]:
         sends = []
@@ -535,8 +531,7 @@ class QMProcess(MarkerProcess):
             intent_round, payer, target, proof = fields
             if intent_round != r or not 0 <= target < self.N:
                 continue
-            if (len(sm.stack) != 1 or sm.stack[0][0] != payer
-                    or not sm.verify_stack(self.oracle)):
+            if sm.signers != (payer,) or not sm.verify_stack(self.oracle):
                 continue
             claimed = self._proof_round(payer, proof)
             if claimed is None or claimed >= r:
@@ -545,7 +540,7 @@ class QMProcess(MarkerProcess):
             if claimed <= self.countersigned:
                 continue
             receipt = countersign(self.oracle, self.n, receipt_message(
-                r, payer, target, claimed).to_bytes())
+                r, payer, target, claimed))
             self.countersigned = claimed
             sends.append(Send(target, receipt, 1))
         return sends
@@ -566,6 +561,9 @@ class QMProcess(MarkerProcess):
             groups.setdefault((payer, claimed), (message, set()))[1].add(signer)
         quorum = 2 * self.f + 1
         for (payer, _), (message, signers) in sorted(groups.items()):
+            # fewer than 2f+1 signers give no quorum: ask nothing
+            if len(signers) < quorum:
+                continue
             # any 2f+1 receipts prove the handoff: keep the lowest valid
             kept = tuple(islice((s for s in sorted(signers)
                                  if self.oracle.verify(s, message)), quorum))
@@ -574,8 +572,6 @@ class QMProcess(MarkerProcess):
             self.marked = True
             self.marked_round = r
             self.proof = (kept, message)
-            self.summary = (r, self.n, frozenset(kept),
-                            frozenset((s, message) for s in kept))
             self.markings.append(Marking(r, self.n, payer))
             break
 

@@ -30,12 +30,12 @@ bytes have no size limit).  A function that raises keeps nothing, while a
 ``None`` result is kept and bounded like any other.  Equal inputs get the
 same result object back, whose hash is then kept, so the lookups after it
 do not hash the bytes again.  :meth:`ScopedOracle.verify` and
-:meth:`SignedMessage.verify_stack` ask the oracle on every call, and a
-batch is one question, :meth:`SignatureOracle.verify_all`, asked about
-every pair on every call, because a later ``sign`` can turn a refusal into
-an acceptance.  The one verdict kept is per process, positive only, and
-rests on the registry being append-only: a chain-marker process keeps the
-prefix of the last chain it accepted
+:meth:`SignedMessage.verify_stack` ask the oracle on every call, and so
+does a batch, one question, :meth:`SignatureOracle.verify_all`, whether
+each of some signers signed one content, because a later ``sign`` can
+turn a refusal into an acceptance.  The one verdict kept is per process,
+positive only, and rests on the registry being append-only: a
+chain-marker process keeps the prefix of the last chain it accepted
 (:class:`lockstep.cyclecoin.VerifiedPrefix`) and asks the oracle only
 about the records of a later chain past it.
 """
@@ -48,7 +48,7 @@ from collections import OrderedDict
 from collections.abc import KeysView
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -161,21 +161,18 @@ class Seeds(OrderedDict):
             self.popitem(last=False)
 
 
-def _tag(content: bytes, nonce: bytes) -> bytes:
-    """Suffix ``content`` with an instance nonce.
-
-    The content is length prefixed and followed by a reserved separator byte,
-    so the (content, nonce) split is unambiguous for any nonce bytes.
-    :func:`tag_payload` is this function behind a table: equal arguments get
-    the same bytes object back, whose hash is then kept.
-    """
-    return b"".join((len(content).to_bytes(4, "big"), content, SEPARATOR, nonce))
-
-
 # The tag and split tables hit within a step: one payload sent to many
 # recipients, one receipt checked by every broadcaster, one tagged intent
 # split by each receiver.  Each at worst 256 × (2B + 0.2 KB).
-tag_payload = lru_cache(maxsize=256)(_tag)
+@lru_cache(maxsize=256)
+def tag_payload(content: bytes, nonce: bytes) -> bytes:
+    """Suffix ``content`` with an instance nonce.
+
+    The content is length prefixed and followed by a reserved separator byte,
+    so the (content, nonce) split is unambiguous for any nonce bytes.  Equal
+    arguments get the same bytes object back, whose hash is then kept.
+    """
+    return b"".join((len(content).to_bytes(4, "big"), content, SEPARATOR, nonce))
 
 
 @lru_cache(maxsize=256)
@@ -218,18 +215,6 @@ def countersign(oracle, signer: int, wire: bytes) -> bytes:
                      int(signer).to_bytes(8, "big", signed=True), PRIOR))
 
 
-# A batch of k pairs with B bytes of contents; every broadcaster checks
-# the same proof in one step.  At worst 64 × (2B + 0.45 KB × k); a batch
-# of 11 receipt pairs took 3.9 KB (tracemalloc).
-@lru_cache(maxsize=64)
-def tag_pairs(pairs: frozenset[tuple[int, bytes]],
-              nonce: bytes) -> frozenset[tuple[int, bytes]]:
-    """The (signer, content) ``pairs`` with every content suffixed by
-    ``nonce`` as :func:`tag_payload` does, built without filling its
-    table."""
-    return frozenset((signer, _tag(content, nonce)) for signer, content in pairs)
-
-
 class SignatureOracle:
     """Registry of issued signatures, and the name of the run's coalition.
 
@@ -249,11 +234,10 @@ class SignatureOracle:
     def verify(self, signer: int, content: bytes) -> bool:
         return (signer, content) in self._issued
 
-    def verify_all(self, pairs: frozenset[tuple[int, bytes]]) -> bool:
-        """Whether every (signer, content) pair was issued: one question
-        for a batch, answered now, like :meth:`verify`.  ``pairs`` may be
-        any collection; a scoped view needs it hashable."""
-        return self._issued.issuperset(pairs)
+    def verify_all(self, signers: tuple[int, ...], content: bytes) -> bool:
+        """Whether every one of ``signers`` signed ``content``: one
+        question for a batch, answered now, like :meth:`verify`."""
+        return self._issued.issuperset(zip(signers, repeat(content)))
 
 
 class CoalitionOracle(SignatureOracle):
@@ -298,8 +282,8 @@ class ScopedOracle:
     def verify(self, signer: int, content: bytes) -> bool:
         return self._base.verify(signer, tag_payload(content, self._nonce))
 
-    def verify_all(self, pairs: frozenset[tuple[int, bytes]]) -> bool:
-        return self._base.verify_all(tag_pairs(pairs, self._nonce))
+    def verify_all(self, signers: tuple[int, ...], content: bytes) -> bool:
+        return self._base.verify_all(signers, tag_payload(content, self._nonce))
 
 
 class once:

@@ -1,6 +1,7 @@
 """Attack gallery: everything must fail exactly where it should."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from lockstep.consensus import (LEADER, DSProcess, inspect_proper,
 from lockstep.cyclecoin import (COMPLAINT_PREFIX, KIND_QUERY, CCProcess,
                                 PoRProcess, cycle_round_steps,
                                 por_period_steps, wire)
-from lockstep.hopnet import HopNetwork, gen_binary_search_pair, shortest_hop_path
+from lockstep.hopnet import (CHEAT_DENY, HopNetwork, gen_binary_search_pair,
+                             gen_random_cycles, shortest_hop_path)
 from lockstep.muxer import nonce_for
 from lockstep.payments import Bank
 from lockstep.simnet import (Adversary, CoalitionOracle, ConfigFault,
@@ -430,7 +432,7 @@ def test_a_proof_of_2f_receipts_cannot_move_broadcasters_past_a_holder():
 
     def short_self_payment(net):
         oracle = CoalitionOracle(net.oracle)
-        message = marker.receipt_message(0, 0, 1, -1).to_bytes()
+        message = marker.receipt_message(0, 0, 1, -1)
         for c in (0, 1):
             oracle.sign(c, message)
         # 5 and 6 countersigned ``message``; the coalition signs it too
@@ -619,3 +621,120 @@ def test_the_message_floor_runs_one_handoff_per_target(monkeypatch):
     monkeypatch.setattr(marker, "Network", CountingNetwork)
     assert message_floor_report("cycle", 8, 2) == []
     assert len(built) == 7
+
+
+# ---------------------------------------------------------------------------
+# the gallery's own audit strings, each reported for a planted defect
+
+
+def test_the_message_floor_reports_a_handoff_below_half_its_contacts(
+        monkeypatch):
+    monkeypatch.setattr(gallery, "handoff", lambda family, N, f, payer, target:
+                        (0, frozenset({payer, target})))
+    assert message_floor_report("quorum", 4, 1) == [
+        f"target {t}: 0 messages for 2 contacts" for t in (1, 2, 3)]
+
+
+def test_an_equal_weight_rival_not_refuted_is_reported(monkeypatch):
+    monkeypatch.setattr(gallery, "verify_payment_claim",
+                        lambda target, records, r: ("paid", None))
+    assert gallery.cycle_equal_weight(5).violations == (
+        "rival claim audited as paid, not refuted",)
+
+
+def test_a_process_that_keeps_the_silent_responder_is_reported(monkeypatch):
+    attack = gallery._marker_attack
+
+    def forgetful(*args):
+        violations, system = attack(*args)
+        system.procs[4].deleted.clear()
+        return violations, system
+
+    monkeypatch.setattr(gallery, "_marker_attack", forgetful)
+    assert gallery.cycle_silent_responder(6, 2, 3, 1).violations == (
+        "process 4 kept the silent process",)
+
+
+def _planted_bank_gallery(monkeypatch, **planted):
+    """The quorum bank gallery at N=6, f=1, three units over K=2 rounds,
+    with a bank that, once its K rounds have run, reports each planted
+    balance or marked unit: ``balances`` maps a process to the units
+    added to its balance, ``marked`` holds the (process, unit) pairs
+    reported as marked."""
+    K = 2
+
+    class Planted(Bank):
+        def balances(self):
+            got = super().balances()
+            if self.round_index == K:
+                for n, extra in planted.get("balances", {}).items():
+                    got[n] += extra
+            return got
+
+        def unit(self, n, v):
+            if self.round_index == K and (n, v) in planted.get("marked", ()):
+                return types.SimpleNamespace(marked=True)
+            return super().unit(n, v)
+
+    monkeypatch.setattr(gallery, "Bank", Planted)
+    return {r.name: r.violations for r in bank_gallery("quorum", 6, 1, 3, K, 4)}
+
+
+def test_a_drifted_supply_is_reported(monkeypatch):
+    got = _planted_bank_gallery(monkeypatch, balances={1: 1})
+    assert got.pop("bank-honest-baseline") == (
+        "supply drifted in the all honest run",)
+    assert all(v == () for v in got.values())
+
+
+def test_an_intent_split_that_mints_two_markers_is_reported(monkeypatch):
+    got = _planted_bank_gallery(monkeypatch, marked={(1, 0), (2, 0)})
+    assert got.pop("bank-intent-split") == ("intent split minted two markers",)
+    assert all(v == () for v in got.values())
+
+
+def _sweep_with(monkeypatch, name, wrap):
+    """The violations, by entry name, of the cheat sweep of
+    ``cheating_intermediary_cases(8, 2, seed=5)`` with ``HopNetwork.<name>``
+    wrapped by ``wrap``, and the route's participants, payer first."""
+    cycleset = gen_random_cycles(8, 2, 5)
+    payer, payee = gallery._longest_route(cycleset)
+    path = HopNetwork(cycleset).macro_payment(payer, payee).path
+    chain = [payer, *path.intermediaries, payee]
+    monkeypatch.setattr(HopNetwork, name, wrap(getattr(HopNetwork, name)))
+    results = gallery._cheat_sweep(cycleset, payer, payee, 2, "t")
+    return {r.name: r.violations for r in results}, chain
+
+
+def test_a_payee_paid_through_a_cheat_is_reported(monkeypatch):
+    def claiming(macro_payment):
+        def paid(self, a, b, cheat=None):
+            outcome = macro_payment(self, a, b, cheat=cheat)
+            if cheat is not None and cheat.mode != CHEAT_DENY:
+                outcome.payee_claims_paid = True
+            return outcome
+        return paid
+
+    got, chain = _sweep_with(monkeypatch, "macro_payment", claiming)
+    cheats = {name for name in got if name.startswith(("hop-keep", "hop-forge"))}
+    assert len(cheats) == 2 * (len(chain) - 2) > 0
+    for name in cheats:
+        assert got.pop(name) == ("payee reports paid through a cheat",)
+    assert all(v == () for v in got.values())
+
+
+def test_a_walk_back_that_accuses_the_payer_is_reported(monkeypatch):
+    def blaming(dispute_walkback):
+        def walkback(self, outcome):
+            _, trace = dispute_walkback(self, outcome)
+            return outcome.payer, trace
+        return walkback
+
+    got, chain = _sweep_with(monkeypatch, "dispute_walkback", blaming)
+    payer = chain[0]
+    assert got.pop("hop-honest-t") == ()
+    assert got.pop("hop-deny-at-payee-t") == (
+        f"denying payee not accused, got {payer}",)
+    assert got == {f"hop-{mode}-at-{k}-t": (
+        f"accused {payer}, cheater was {chain[k]}",)
+        for k in range(1, len(chain) - 1) for mode in ("keep", "forge")}

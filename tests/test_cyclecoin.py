@@ -38,8 +38,13 @@ from lockstep.simnet import (
     CoalitionOracle,
     CodecError,
     Delivery,
+    ScopedOracle,
     SignatureOracle,
+    SignedMessage,
+    enc_bytes,
+    enc_int,
     split_payload,
+    tag_payload,
 )
 
 record_lists = st.lists(
@@ -388,3 +393,115 @@ def test_twenty_cycle_bank_rounds_decode_every_chain_by_lookup(monkeypatch):
     monkeypatch.setattr(cyclecoin, "decode_records", recording)
     _twenty_cycle_bank_rounds()
     assert hits and all(hits)
+
+
+# ---------------------------------------------------------------------------
+# reject exits: each drops crafted input and leaves the process as it was
+
+
+def _kept(proc):
+    """What a process keeps, its network and oracle aside, as text: a
+    list or map changed in place, or an object replaced, reads
+    differently."""
+    return {k: repr(v) for k, v in vars(proc).items() if k not in ("net", "oracle")}
+
+
+@pytest.mark.parametrize("family,f", [(CCProcess, 0), (PoRProcess, 1)],
+                         ids=["chain", "por"])
+def test_a_response_the_registry_lacks_is_dropped(family, f):
+    """Responder 1 answers payer 0's query with the very records asked
+    about, but never countersigned them."""
+    system = MarkerSystem(family, 5, f)
+    payer = system.procs[0]
+    payer.pay(0, 3)
+    assert [s.recipient for s in payer._begin_payment(0)] == [1]
+    responder, records = payer.outstanding
+    assert responder == 1
+    assert not system.net.oracle.verify(1, record_content(records, TAG_PATH))
+    before = _kept(payer)
+    assert payer._on_response(1, records, 0) == []
+    assert _kept(payer) == before
+
+
+def test_a_malformed_refusal_value_is_no_refusal():
+    evidence = (Record(TAG_BASE, 0), Record(TAG_PATH, 0), Record(TAG_X, 0))
+    good = cyclecoin.refusal_wire(evidence)
+    assert cyclecoin.parse_refusal(good) == evidence
+    for bad in (cyclecoin.COMPLY,  # a tag other than 2
+                enc_int(3) + good[12:],
+                good + b"x",  # trailing bytes
+                good[:-1],  # a cut chunk
+                enc_int(2) + enc_bytes(b"junk")):
+        assert cyclecoin.parse_refusal(bad) is None
+
+
+def test_a_response_broadcast_for_a_period_without_accusation_is_dropped():
+    """Process 3 of a fresh system hears, in the response window of
+    round 0's first period, a response broadcast led by 1: no complaint
+    accused anyone there, so no sub-broadcast is built.  Once the period
+    has an accusation of 1, the same message builds one."""
+    system = MarkerSystem(PoRProcess, 5, 1)
+    proc = system.procs[3]
+    nonce = cyclecoin.RESPONSE_PREFIX + cyclecoin.nonce_for(0, 0)
+    leader = SignedMessage(cyclecoin.COMPLY).signed_by(
+        ScopedOracle(system.net.oracle, nonce), 1)
+    inbox = [Delivery(1, tag_payload(leader.to_bytes(), nonce))]
+    t = proc.f + 6  # local step 1 of the response broadcast
+    proc.round_steps  # read at the first step
+    before = _kept(proc)
+    assert proc.step(t, inbox) == []
+    assert _kept(proc) == before and proc.subs == {}
+    proc.accused[(0, 0)] = (1, (), 1)
+    proc.step(t, inbox)
+    assert list(proc.subs) == [nonce]
+
+
+@pytest.mark.parametrize("case", ["light", "unsigned", "no-path"])
+def test_refusal_evidence_short_of_a_heavy_enough_signed_request_is_refused(
+        case):
+    """Evidence that assembles and ends at the accused but is no complete
+    chain must be a request of no lesser weight that the accused
+    countersigned: the partial 1 countersigned at weight 1, against a
+    complaint of weight 2; a request of weight 4 ending at 4, which 4
+    never countersigned; and a lone self hop of 0, which has no path."""
+    system, adversary = _withheld_query_system()
+    adversary.payer.pay(0, 3)
+    system.run_round({})
+    judge = system.procs[2]
+    partial = system.procs[1].signed_log[1]
+    accused, evidence, w = {
+        "light": (1, partial, 2),
+        "unsigned": (4, (Record(TAG_BASE, 0),
+                         *(r for b in range(4) for r in (Record(TAG_PATH, b),
+                                                         Record(TAG_X, 0)))),
+                     4),
+        "no-path": (0, (Record(TAG_BASE, 0), Record(TAG_X, 0)), 0),
+    }[case]
+    shape = cyclecoin.assemble(evidence, 5)
+    assert shape.end == accused and not shape.complete
+    before = _kept(judge)
+    assert judge._refusal_justified(accused, evidence, w) is False
+    assert _kept(judge) == before
+    if case == "light":
+        assert judge._refusal_justified(1, partial, 1)
+
+
+def test_a_partial_that_no_longer_assembles_is_dropped_on_reroute():
+    """Payer 0 of N=6 pays 5 and, once 1, 2 and 3 have countersigned,
+    waits for 4.  With the target 5 deleted earlier in the round and now
+    4, the partial's end walks past both back to 0, a hop of length 0:
+    the partial no longer assembles, so it is dropped, and the payer
+    keeps its marker and everything else."""
+    proc = PoRProcess(0, 6, 2, SignatureOracle())
+    proc.pay(0, 5)
+    proc._begin_payment(0)
+    for responder in (1, 2, 3):
+        proc._absorb_countersign(responder, 0)
+    assert proc.outstanding[0] == 4 and proc.route == [4]
+    proc.deleted.update({5: 0, 4: 0})
+    before = _kept(proc)
+    proc._reroute(0)
+    assert proc.outstanding is None and proc.route == [] and proc.marked
+    after = _kept(proc)
+    before.update(outstanding=after["outstanding"], route=after["route"])
+    assert after == before

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from conftest import shared_tables
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("linecount",
@@ -56,3 +57,38 @@ class _Private:
         pass
 '''
     assert linecount.options(source) == 5
+
+
+def test_tables_count_each_cached_wrapped_and_seeded_table():
+    source = '''
+import functools
+from functools import lru_cache
+
+from lockstep.simnet import Seeds
+
+
+@lru_cache(maxsize=8)
+def decorated(x):
+    return x
+
+
+def plain(x):
+    return x
+
+
+wrapped = functools.lru_cache(maxsize=8)(plain)
+_seeds = Seeds(8)
+
+
+class Holder(Seeds):
+    @classmethod
+    @lru_cache(maxsize=8)
+    def table(cls, x):
+        return isinstance(x, Seeds)
+'''
+    assert linecount.tables(source) == 4
+
+
+def test_the_tables_column_counts_every_shared_table():
+    assert sum(linecount.tables(path.read_text()) for path in MODULES) == \
+        len(shared_tables())

@@ -168,13 +168,12 @@ def test_a_malformed_proof_raises_on_every_call():
                 decode_proof(bad)
 
 
-# Base oracle checks of the twenty rounds below, one per pair asked alone
-# or in a batch.  The shared tables save encoding, parsing and hashing,
-# never a question to the oracle, so no table may move this count; only a
-# rule may.  A proof holds 2f+1 = 11 signers, so each broadcaster asks 11
-# pairs a proof, and a target asks about its receipts' signers in
-# ascending order and stops at the 11th valid one of the 16 (38,992 while
-# it asked about all 16).
+# Base oracle checks of the twenty rounds below, one per signer asked
+# about alone or in a batch.  The shared tables save encoding, parsing and
+# hashing, never a question to the oracle, so no table may move this count;
+# only a rule may.  A proof holds 2f+1 = 11 signers, so each broadcaster
+# asks about 11 signers a proof, and a target asks about its receipts'
+# signers in ascending order and stops at the 11th valid one of the 16.
 QUORUM_BANK_VERIFIES = 37987
 
 
@@ -187,9 +186,9 @@ def test_twenty_quorum_bank_rounds_ask_the_oracle_as_often_as_before(
         asked.append(signer)
         return verify(oracle, signer, content)
 
-    def counted_all(oracle, pairs):
-        asked.extend(signer for signer, _ in pairs)
-        return verify_all(oracle, pairs)
+    def counted_all(oracle, signers, content):
+        asked.extend(signers)
+        return verify_all(oracle, signers, content)
 
     monkeypatch.setattr(SignatureOracle, "verify", counted)
     monkeypatch.setattr(SignatureOracle, "verify_all", counted_all)
@@ -349,6 +348,7 @@ PROOF_EDITS = ("wrong-holder", "other-round", "duplicate-signer",
                 max_size=3),
        st.sampled_from((4, 0)))
 @example(list(range(5)), [("no-claim", 0)], 4)
+@example(list(range(5)), [("unsigned", 1)], 4)
 def test_the_proof_check_equals_the_per_receipt_reference(signers, edits,
                                                           payer):
     base = SignatureOracle()
@@ -449,7 +449,7 @@ def test_every_seeded_proof_summary_equals_one_read_from_its_bytes(
     assert set(decoded) == {encode_proof((), b"")}
     marker._proof_seeds.clear()
     for proof, summary in seeded:
-        assert len(summary[3]) >= 2 * bank.f + 1
+        assert len(summary[2]) >= 2 * bank.f + 1
         assert summary == summarize_proof.__wrapped__(proof)
     # a proof never seeded is summarised from its bytes
     summarize_proof.cache_clear()
@@ -462,19 +462,19 @@ def test_every_seeded_proof_summary_equals_one_read_from_its_bytes(
 
 def _kept_proofs_hold_2f_plus_1_receipts(procs, f, all_honest):
     """Every process of ``procs`` that accepted a handoff keeps exactly
-    2f+1 receipts, and its kept summary is the one read from the proof's
-    bytes; in an all honest run its signers are the 2f+1 lowest
-    broadcasters.  Returns how many processes were checked."""
-    holders = [p for p in procs if p.summary is not None]
+    2f+1 receipts, and the facts its intent seeds, its marked round, its
+    id and its certificate, are the ones read from the proof's bytes; in
+    an all honest run its signers are the 2f+1 lowest broadcasters.
+    Returns how many processes were checked."""
+    holders = [p for p in procs if p.proof[0]]
     for proc in holders:
         assert len(proc.proof[0]) == 2 * f + 1
         marker._proof_seeds.clear()
         assert summarize_proof.__wrapped__(encode_proof(*proc.proof)) == \
-            proc.summary
+            (proc.marked_round, proc.n, *proc.proof)
         if all_honest:
-            assert proc.summary[2] == \
-                frozenset(sorted(proc.broadcasters)[:2 * f + 1])
-    assert all(p.summary is not None for p in procs
+            assert proc.proof[0] == tuple(sorted(proc.broadcasters)[:2 * f + 1])
+    assert all(p.proof[0] for p in procs
                if p.marked and p.marked_round != GENESIS_ROUND)
     return len(holders)
 
@@ -757,9 +757,11 @@ def test_an_inbox_keeps_the_lowest_2f_plus_1_valid_signers(receipts):
     forged, from payer 3 instead of 2, naming the genesis claim instead of
     round 0, or of round 0: the target takes their messages in (payer,
     claimed round) order, keeps the lowest 2f+1 valid signers of the first
-    that has them, and asks the oracle about each message's broadcaster
-    signers in ascending order, up to the (2f+1)-th valid one.  The
-    reference asks about every receipt."""
+    that has them, passes over a message of fewer than 2f+1 broadcaster
+    signers without a question, and asks the oracle about each other
+    message's broadcaster signers in ascending order, up to the (2f+1)-th
+    valid one.  The reference checks every receipt of each message it
+    asks about."""
     oracle, forger = SignatureOracle(), SignatureOracle()
     inbox, candidates = [], {}
     for signer, kind in receipts:
@@ -773,6 +775,8 @@ def test_an_inbox_keeps_the_lowest_2f_plus_1_valid_signers(receipts):
     proc._accept(1, inbox)
     asked, kept = [], ((), b"")
     for (payer, claimed), signers in sorted(candidates.items()):
+        if len(signers) < 5:
+            continue
         message = enc_bytes(receipt_content(1, payer, 4, claimed))
         valid = [b for b in sorted(signers) if oracle.verify(b, message)]
         if len(valid) >= 5:
@@ -782,6 +786,21 @@ def test_an_inbox_keeps_the_lowest_2f_plus_1_valid_signers(receipts):
         asked += sorted(signers)
     assert proc.oracle.asked == asked
     assert proc.marked == bool(kept[0]) and proc.proof == kept
+
+
+def test_a_short_receipt_group_costs_the_target_no_question():
+    """Corrupted payer 1, whose intent 2f = 4 broadcasters countersigned,
+    can give target 4 no quorum, so its receipts cost no oracle question,
+    alone or before the 2f+1 receipts of payer 2's handoff, which are
+    asked about and mark the target."""
+    oracle = SignatureOracle()
+    short = _receipts(oracle, range(4), r=1, payer=1)
+    proc = QMProcess(4, 10, 2, _Asked(oracle))  # broadcasters 0..6
+    proc._accept(1, short)
+    assert not proc.marked and proc.oracle.asked == []
+    proc._accept(1, short + _receipts(oracle, range(2, 7), r=1, payer=2))
+    assert proc.oracle.asked == [2, 3, 4, 5, 6]
+    assert proc.markings == [Marking(1, 4, 2)]
 
 
 # An intent at N=16, f=5 and its proof of 2f+1 = 11 receipts: a receipt

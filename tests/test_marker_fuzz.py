@@ -470,12 +470,12 @@ def test_every_recorded_receipt_is_written_as_signed_by_writes_it():
     assert len(receipts) == 3 * 2 * 7
     for data in receipts:
         j, payer, target, claimed, signer, content = read_receipt(data)
-        message = receipt_message(j, payer, target, claimed)
-        assert content == message.to_bytes()
+        assert content == receipt_message(j, payer, target, claimed)
         oracle = SignatureOracle()
         assert data == countersign(oracle, signer, content)
         assert oracle.verify(signer, content)
-        assert data == message.signed_by(SignatureOracle(), signer).to_bytes()
+        assert data == SignedMessage(receipt_content(j, payer, target, claimed)
+                                     ).signed_by(SignatureOracle(), signer).to_bytes()
         assert data == SignedMessage(receipt_content(j, payer, target, claimed),
                                      ((signer, content),)).to_bytes()
 

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 from conftest import shared_tables
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from lockstep import simnet
+from lockstep import marker, simnet
 from lockstep.adversary import JunkAdversary
 from lockstep.cancel import BRUTEFORCE_LIMIT
 from lockstep.cyclecoin import (
@@ -51,7 +51,6 @@ from lockstep.simnet import (
     enc_str,
     seeded_rng,
     split_payload,
-    tag_pairs,
     tag_payload,
 )
 
@@ -91,8 +90,6 @@ def test_tags_and_splits_from_the_tables_equal_fresh_ones(content, nonce):
     split = split_payload(tagged)
     assert split == split_payload.__wrapped__(tagged) == (content, nonce)
     assert split_payload(bytes(bytearray(tagged))) is split
-    # a batch of pairs is tagged as tag_payload tags each content
-    assert tag_pairs(frozenset({(0, content)}), nonce) == frozenset({(0, tagged)})
 
 
 def _signed(k):
@@ -106,13 +103,17 @@ def _encoded(k):
 
 
 def _shown(k):
-    """A holder of a k-receipt proof shows it in an intent."""
+    """A holder marked in round k by a one-signer proof shows it in an
+    intent, which seeds the facts it knows."""
     proc = QMProcess(0, 4, 1, SignatureOracle())
     proc.proof = ((0,), enc_bytes(receipt_content(k, 0, 0, k - 1)))
-    proc.summary = (k, 0, frozenset({0}), frozenset({(0, enc_int(k))}))
+    proc.marked_round = k
     proc.pending[k] = 1
     proc._intent_sends(k)
-    return encode_proof(*proc.proof), proc.summary
+    proof = encode_proof(*proc.proof)
+    seeded = marker._proof_seeds[proof]
+    assert seeded == (k, 0, *proc.proof)
+    return proof, seeded
 
 
 # Each table's flood: the arguments of its k-th distinct call, and the
@@ -125,8 +126,6 @@ LRU_FLOODS = {
     "simnet.split_payload": (
         lambda k: (tag_payload.__wrapped__(enc_int(k), b"unit"),),
         (enc_bytes(b"abc"),)),
-    "simnet.tag_pairs": (
-        lambda k: (frozenset({(0, enc_int(k)), (1, enc_int(k))}), b"n"), None),
     "simnet.SignedMessage.from_bytes": (
         lambda k: (SignedMessage, SignedMessage(enc_int(k)).to_bytes()),
         (SignedMessage, b"\x00\x00")),
@@ -395,31 +394,34 @@ def test_a_spliced_stack_stays_rejected_after_its_content_is_signed():
     assert not SignedMessage.from_bytes(wire).verify_stack(oracle)
 
 
-# Pairs over few signers and contents, so that batches repeat and overlap.
-pair_lists = st.lists(st.tuples(st.integers(0, 3),
-                                st.sampled_from((b"", b"a", b"b", b"ab"))),
-                      max_size=6)
+# Few signers and contents, so that batches repeat and overlap.
+few_contents = st.sampled_from((b"", b"a", b"b", b"ab"))
+few_signers = st.lists(st.integers(0, 3), max_size=6)
 
 
-@given(pair_lists, pair_lists)
-def test_a_batch_verdict_equals_the_verdicts_of_its_pairs(issued, asked):
-    """Over the plain, scoped and coalition oracles, for empty, duplicate
-    and unsigned pairs; no verdict is kept, so a refused batch passes once
-    its missing pairs are signed."""
+@given(st.lists(st.tuples(st.integers(0, 3), few_contents), max_size=6),
+       few_signers, few_contents)
+@example([(0, b"a")], [0, 1], b"a")
+def test_a_batch_verdict_equals_the_verdicts_of_its_pairs(issued, asked,
+                                                          content):
+    """Over the plain, scoped and coalition oracles, for no, repeated and
+    unsigned signers, a batch passes exactly when each (signer, content)
+    pair does; no verdict is kept, so a refused batch passes once its
+    missing signers sign."""
     for view in (lambda base: base, lambda base: ScopedOracle(base, b"n"),
                  CoalitionOracle):
         oracle = view(SignatureOracle(frozenset(range(4))))
-        for signer, content in issued:
+        for signer, signed in issued:
+            oracle.sign(signer, signed)
+        for signers in (tuple(asked), tuple(sorted(set(asked)))):
+            assert oracle.verify_all(signers, content) == all(
+                oracle.verify(signer, content) for signer in signers)
+        missing = [s for s in asked if not oracle.verify(s, content)]
+        assert oracle.verify_all(tuple(asked), content) == (not missing)
+        for signer in missing:
             oracle.sign(signer, content)
-        for pairs in (tuple(asked), frozenset(asked)):
-            assert oracle.verify_all(pairs) == all(
-                oracle.verify(signer, content) for signer, content in pairs)
-        missing = [pair for pair in asked if not oracle.verify(*pair)]
-        assert oracle.verify_all(frozenset(asked)) == (not missing)
-        for signer, content in missing:
-            oracle.sign(signer, content)
-        assert oracle.verify_all(frozenset(asked))
-        assert oracle.verify_all(())
+        assert oracle.verify_all(tuple(asked), content)
+        assert oracle.verify_all((), content)
 
 
 @given(st.binary(max_size=24), st.lists(int64, max_size=5))

@@ -4,10 +4,12 @@ Every line is exactly one of: docstring (a line of a module, class or
 function docstring), blank, comment (a comment and nothing else) or code
 (any other line that a token of the program touches, a line of a
 multi-line string that is not a docstring included).  "Code lines" in
-ROADMAP.md mean the code column of this script.  A last column, outside
-the line kinds, counts ``options``: the parameters with a default value of
-the public top-level functions, and of the public methods, ``__init__``
-included, of public top-level classes.
+ROADMAP.md mean the code column of this script.  Two last columns, outside
+the line kinds, count ``options``, the parameters with a default value of
+the public top-level functions and of the public methods, ``__init__``
+included, of public top-level classes, and ``tables``, the shared tables:
+each function defined under ``lru_cache`` or wrapped as
+``lru_cache(...)(fn)``, and each ``Seeds(...)`` built.
 
     python tools/linecount.py [DIR]
 
@@ -75,13 +77,36 @@ def options(source: str) -> int:
                for d in defs)
 
 
+def _names(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` is ``name`` or ``module.name``, or a call of it."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def tables(source: str) -> int:
+    """The shared tables of one module: its functions decorated with
+    ``lru_cache``, its ``lru_cache(...)(fn)`` wrappings and its
+    ``Seeds(...)`` calls."""
+    found = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += any(_names(d, "lru_cache") for d in node.decorator_list)
+        elif isinstance(node, ast.Call):
+            found += (isinstance(node.func, ast.Call)
+                      and _names(node.func, "lru_cache")) or _names(node, "Seeds")
+    return found
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).parent.parent / "src" / "lockstep"
     rows = {}
     for path in sorted(root.glob("*.py")):
         source = path.read_text()
-        rows[path.name] = {**count(source), "options": options(source)}
-    columns = (*COLUMNS, "options")
+        rows[path.name] = {**count(source), "options": options(source),
+                           "tables": tables(source)}
+    columns = (*COLUMNS, "options", "tables")
     rows["total"] = {column: sum(row[column] for row in rows.values())
                      for column in columns}
     print(f"{'module':<16}" + "".join(f"{column:>10}" for column in columns))

@@ -67,29 +67,33 @@ MUTANTS = (
            "                                 if self.oracle.verify(s, message))",
            "(s for s in sorted(signers))"),
     Mutant("Q5", "marker.py", "_proof_round: verify_all dropped",
-           "return j if self.oracle.verify_all(pairs) else None", "return j"),
+           "return j if self.oracle.verify_all(signers, message) else None",
+           "return j"),
     Mutant("Q6", "marker.py", "_countersigns: intent signature dropped",
-           "\n                    or not sm.verify_stack(self.oracle))", ")"),
+           "if sm.signers != (payer,) or not sm.verify_stack(self.oracle):",
+           "if sm.signers != (payer,):"),
     Mutant("Q7", "marker.py", "_proof_round: 2f+1 signers -> 2f",
            "len(signers) < 2 * self.f + 1", "len(signers) < 2 * self.f"),
     Mutant("Q8", "marker.py", "_countersigns: countersigning round kept",
            "            if claimed <= self.countersigned:\n"
            "                continue\n"
            "            receipt = countersign(self.oracle, self.n, receipt_message(\n"
-           "                r, payer, target, claimed).to_bytes())\n"
+           "                r, payer, target, claimed))\n"
            "            self.countersigned = claimed\n",
            "            if claimed < self.countersigned:\n"
            "                continue\n"
            "            receipt = countersign(self.oracle, self.n, receipt_message(\n"
-           "                r, payer, target, claimed).to_bytes())\n"
+           "                r, payer, target, claimed))\n"
            "            self.countersigned = r\n"),
     Mutant("Q9", "marker.py", "decode_proof: signers in any order",
            "    if any(a >= b for a, b in zip(signers, signers[1:])):\n"
            "        raise CodecError(\"signers out of order or repeated\")\n",
            ""),
     Mutant("Q10", "marker.py", "_countersigns: receipt names no claim",
-           "                r, payer, target, claimed).to_bytes())",
-           "                r, payer, target, GENESIS_ROUND).to_bytes())"),
+           "                r, payer, target, claimed))",
+           "                r, payer, target, GENESIS_ROUND))"),
+    Mutant("O1", "simnet.py", "verify_all: the first signer decides",
+           "zip(signers, repeat(content))", "zip(signers[:1], repeat(content))"),
     Mutant("R1", "marker.py", "read_receipt: entry may sign other content",
            "\n            # the one entry signed exactly X, the bytes before it\n"
            "            or wire[end + 12:] != PRIOR)", ")"),
