@@ -763,6 +763,19 @@ def quorum_gallery() -> list[AttackResult]:
             7: _signed([(c, t, receipt_content(2, 0, t, claimed))
                         for c in (0, 1) for t in (5, 6)
                         for claimed in (GENESIS_ROUND, 0, 1)])}),
+        # a corrupted genesis pays 2 through honest broadcasters 2..4 and
+        # the coalition's receipts, and 1 through 5 and 6, so with the
+        # coalition's own two 1 holds 2f = 4 signers of its receipt
+        # message; in round 1 it pays itself with them through 5 and 6.
+        # Were 2f signers a proof, 5 and 6 would countersign that claim of
+        # round 0, and 2's handoff in round 2, a claim of round 0 too,
+        # would find only 3 broadcasters fresh
+        "quorum-2f-certificate": (frozenset({0, 1}), [{}, {}, {2: 3}], {
+            0: _signed([(0, b, intent_content(0, 0, 2 if b < 5 else 1, proof))
+                        for b in casters[2:]]),
+            1: _signed([(b, 2, receipt_content(0, 0, 2, GENESIS_ROUND))
+                        for b in (0, 1)]),
+            3: _claims(1, [(1, 0, (5, 6))])}),
     }
     return [AttackResult(name, "quorum", N, f, tuple(_marker_attack(
                 QMProcess, N, f, coalition, plans, [], script, 0)[0]))

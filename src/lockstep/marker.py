@@ -17,23 +17,29 @@ handoff countersigns one shared :func:`receipt_message`, so the target
 keeps as the proof of ownership for the next handoff a certificate: that
 message once and the 2f+1 lowest signer ids whose signatures on it are
 valid, the way FastPay's certificates carry one content and its signers
-(Baudet, Danezis & Sonnino, 2020).  It asks the oracle about the signers
-in ascending order and stops at the (2f+1)-th valid one.  Receipt
-freshness is enforced by each broadcaster against the claimed round of
-the last claim it countersigned, a receipt message names the claim it
-answers, and any two quorums of 2f+1 signers share an honest
-broadcaster, which is what makes stale or split proofs unusable; so a
-proof of 2f+1 signers proves as much as one of 3f+1, in fewer bytes and
-fewer oracle questions.
+(Baudet, Danezis & Sonnino, 2020).  On the wire the signers are one bit
+mask over the broadcasters, bit i for broadcaster i, as compact
+multi-signatures over a known committee name theirs (Boneh, Drijvers &
+Neven, 2018).  The target asks the oracle about the signers in ascending
+order and stops at the (2f+1)-th valid one.  Receipt freshness is
+enforced by each broadcaster against the claimed round of the last claim
+it countersigned, a receipt message names the claim it answers, and any
+two quorums of 2f+1 signers share an honest broadcaster, which is what
+makes stale or split proofs unusable; so a proof of 2f+1 signers proves
+as much as one of 3f+1, in fewer oracle questions.
 
 Checking a proof splits into pure facts and oracle verdicts.  The pure
 facts of a proof (the round and target of its receipt message, its
-signers and that message) depend on its bytes alone, so
-:func:`summarize_proof` keeps them in a bounded table shared by every
-process, and every broadcaster that sees the same proof reads them once.
+signers and that message) depend on its bytes and the checker's fault
+bound alone, so :func:`summarize_proof` keeps them in a bounded table
+shared by every process, and every broadcaster that sees the same proof
+reads them once.  A mask of B bytes can name 8B ids, so one that names
+anything but a quorum of broadcasters is refused before it names any,
+and no entry holds more than O(B) for a proof of B bytes.
 The target that accepts a proof knows those facts, its marked round, its
 own id and the certificate it keeps, so its intent seeds the table with
-them under the proof's bytes: an honest proof is never decoded.  Each
+them under the proof's bytes and its own fault bound: an honest proof is
+never decoded.  Each
 countersigner writes its receipt as the receipt message's wire
 countersigned in one join (:func:`~lockstep.simnet.countersign`), which
 marks the signed bytes as the wire before the entry instead of copying
@@ -42,17 +48,16 @@ message it signs, which :func:`read_receipt` reads by slicing: no
 receipt is made, seeded or looked up as a
 :class:`~lockstep.simnet.SignedMessage`, and its signed content is a
 slice of its own bytes.
-Whether the signers are broadcasters is one subset test, and whether
-each of them signed the message is one question,
-:meth:`~lockstep.simnet.SignatureOracle.verify_all`; each process asks
-both on every check, and no oracle verdict is kept or shared.
+Whether each signer signed the message is one question,
+:meth:`~lockstep.simnet.SignatureOracle.verify_all`, which each process
+asks on every check; no oracle verdict is kept or shared.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
-from typing import NamedTuple
+from itertools import compress, count, islice
+from typing import Iterable, NamedTuple
 
 from lockstep.consensus import DSProcess
 from lockstep.muxer import nonce_for
@@ -282,36 +287,42 @@ def default_broadcasters(N: int, f: int) -> frozenset[int]:
     return frozenset(range(3 * f + 1))
 
 
-def encode_proof(signers: tuple[int, ...], message: bytes) -> bytes:
-    """The certificate enc_int(k) ‖ enc_bytes(message) ‖ k × enc_int(signer)
-    of the k ``signers`` that countersigned the receipt message
-    ``message``; with no signers, the genesis holder's empty proof
-    enc_int(0).  Written as given: only what :func:`decode_proof` accepts
-    is a proof."""
-    if not signers:
-        return enc_int(0)
-    return b"".join((enc_int(len(signers)), enc_bytes(message),
-                     *map(enc_int, signers)))
+def encode_proof(signers: Iterable[int], message: bytes) -> bytes:
+    """The certificate X ‖ mask of the ``signers`` that countersigned the
+    receipt message X = ``message``: X is one ``enc_bytes`` chunk, so it
+    delimits itself, and the rest is the mask, big-endian with no leading
+    zero byte, whose bit i is signer i.  With no signers, the genesis
+    holder's empty proof, which has no bytes.  Raises
+    :class:`ConfigFault` on a negative id, which no mask names; else
+    written as given: only what :func:`decode_proof` accepts is a proof."""
+    mask = 0
+    for signer in signers:
+        if signer < 0:
+            raise ConfigFault(f"signer {signer} has no bit in a mask")
+        mask |= 1 << signer
+    if not mask:
+        return b""
+    return message + mask.to_bytes((mask.bit_length() + 7) // 8, "big")
 
 
-def decode_proof(data: bytes) -> tuple[tuple[int, ...], bytes]:
-    """(signers, message) of a proof in its one layout: strictly ascending
-    signers, a message of exactly one ``enc_bytes`` chunk and nothing
-    after the last signer, so every proof read encodes back to ``data``.
-    Raises :class:`CodecError` on anything else."""
-    reader = ByteReader(data)
-    count = reader.read_int()
-    if count < 0:
-        raise CodecError("negative signer count")
-    message = reader.read_bytes() if count else b""
-    if count and 4 + int.from_bytes(message[:4], "big") != len(message):
-        raise CodecError("a receipt message of other than one chunk")
-    signers = tuple(reader.read_int() for _ in range(count))
-    if any(a >= b for a, b in zip(signers, signers[1:])):
-        raise CodecError("signers out of order or repeated")
-    if not reader.at_end():
-        raise CodecError("trailing bytes after proof")
-    return signers, message
+def decode_proof(data: bytes) -> tuple[int, bytes]:
+    """(mask, message) of a proof in its one layout: no bytes for the
+    empty proof, else a message of exactly one ``enc_bytes`` chunk and a
+    mask of at least one byte, the first not zero, so every proof read
+    encodes back to ``data``.  In time linear in ``len(data)``: the mask
+    is read as one integer, not bit by bit.  Raises :class:`CodecError`
+    on anything else."""
+    if not data:
+        return 0, b""
+    end = 4 + int.from_bytes(data[:4], "big")
+    if len(data) <= end or not data[end]:
+        raise CodecError("a proof is a chunk and a mask with no leading zero")
+    return int.from_bytes(data[end:], "big"), data[:end]
+
+
+def mask_signers(mask: int) -> tuple[int, ...]:
+    """The ids a mask names, ascending: one C pass over its bits."""
+    return tuple(compress(count(), map(int, reversed(f"{mask:b}"))))
 
 
 def intent_content(round_index: int, payer: int, target: int, proof: bytes) -> bytes:
@@ -382,46 +393,54 @@ def read_receipt(wire: bytes) -> tuple[int, int, int, int, int, bytes] | None:
 
 
 # The summaries of the proofs that payers showed lately, by the encoded
-# proof, which seed summarize_proof on a miss: a proof is checked a step
-# after it is shown, so one step's intents suffice.  At worst
-# 64 × (2B + 0.3 KB + 0.05 KB × k) for a proof of B bytes and k signers
-# (64 distinct entries, their keys included, took 0.51 KB at k = 1,
-# 1.01 KB at k = 11 and 2.03 KB at k = 31); over 20 rounds of
-# Bank(16, 5), whose proofs certify 11, it alone held 34 KB (tracemalloc).
+# proof and the fault bound, which seed summarize_proof on a miss: a
+# proof is checked a step after it is shown, so one step's intents
+# suffice.  Only a holder's own certificate is seeded, so at worst
+# 64 × (2B + 0.45 KB + 0.04 KB × k) for a proof of B bytes naming its
+# k <= 3f+1 signers (64 distinct entries, their keys included, took
+# 0.47 KB at k = 1, 0.55 KB at k = 11, 0.71 KB at k = 31 and 3.45 KB at
+# k = 201, f = 100); over 20 rounds of Bank(16, 5), whose proofs certify
+# 11, it alone held 29 KB (tracemalloc).
 _proof_seeds = Seeds(64)
 
 
-# An honest proof certifies 2f+1 signers, 0.2 KB at f=5, and every
+# An honest proof certifies 2f+1 signers, 65 bytes at f=5, and every
 # broadcaster checks it in one step, so this table is the small one.  At
-# worst 64 × (2B + 0.75 KB + 0.05 KB × k) for a proof of B bytes and k
-# signers, whose summary holds its receipt message once (64 distinct
-# entries, their keys included, took 0.93 KB at k = 1, 1.44 KB at k = 11
-# and 2.46 KB at k = 31); over 20 rounds of Bank(16, 5) it alone held
-# 37 KB (tracemalloc).
+# worst 64 × (2B + 0.45 KB + 0.04 KB × k) for a proof of B bytes naming
+# k <= 3f+1 signers, whose summary holds its receipt message once, and a
+# refused proof holds its key alone, whatever its mask names (64 distinct
+# entries, their keys included, took 0.50 KB at k = 1, 0.58 KB at k = 11,
+# 0.74 KB at k = 31 and 3.31 KB at k = 201, f = 100, and a refused 1 MiB
+# mask 1.00 MiB); over 20 rounds of Bank(16, 5) it alone held 27 KB
+# (tracemalloc).
 @lru_cache(maxsize=64)
-def summarize_proof(proof: bytes) -> tuple | None:
+def summarize_proof(proof: bytes, f: int) -> tuple | None:
     """The pure facts of a certificate as (round, holder, signers, X),
     read from its one receipt message X in one parse: in ``round`` the
     receipts handed the marker to ``holder``, the payer who shows the
-    proof, and ``signers``, strictly ascending, are those a checker asks
-    its oracle about.  None when the proof does not decode or X is no
-    receipt message; the empty proof, which only the genesis holder may
-    show, has no holder."""
+    proof, and ``signers``, strictly ascending, are those a checker at
+    fault bound ``f`` asks its oracle about.  None when the proof does
+    not decode, its mask names other than 2f+1 or more of the 3f+1
+    broadcasters 0..3f, or X is no receipt message; the empty proof,
+    which only the genesis holder may show, has no holder."""
     # on a miss, a proof shown lately has the facts its holder seeded
-    seeded = _proof_seeds.get(proof)
+    seeded = _proof_seeds.get((proof, f))
     if seeded is not None:
         return seeded
     try:
-        signers, message = decode_proof(proof)
+        mask, message = decode_proof(proof)
     except CodecError:
         return None
-    if not signers:
+    if not mask:
         return GENESIS_ROUND, None, (), b""
+    # refused before it names an id: a mask of B bytes names up to 8B
+    if mask.bit_length() > 3 * f + 1 or mask.bit_count() < 2 * f + 1:
+        return None
     fields = parse_typed(message[4:], RECEIPT, 4)
     if fields is None:
         return None
     j, _, holder, _ = fields
-    return j, holder, signers, message
+    return j, holder, mask_signers(mask), message
 
 
 class QMProcess(MarkerProcess):
@@ -496,7 +515,8 @@ class QMProcess(MarkerProcess):
         target = self.pending.pop(r)
         proof = encode_proof(*self.proof)
         if self.proof[0]:
-            _proof_seeds.put(proof, (self.marked_round, self.n, *self.proof))
+            _proof_seeds.put((proof, self.f),
+                             (self.marked_round, self.n, *self.proof))
         content = intent_content(r, self.n, target, proof)
         sm = SignedMessage(content).signed_by(self.oracle, self.n)
         wire = sm.to_bytes()
@@ -506,15 +526,15 @@ class QMProcess(MarkerProcess):
     # -- broadcaster side ---------------------------------------------------
 
     def _proof_round(self, payer: int, proof: bytes) -> int | None:
-        """Round at which the proof says the payer was marked, or None."""
-        summary = summarize_proof(proof)
+        """Round at which the proof says the payer was marked, or None.
+        A summary names 2f+1 or more broadcasters, or none."""
+        summary = summarize_proof(proof, self.f)
         if summary is None:
             return None
         j, holder, signers, message = summary
         if not signers:
             return GENESIS_ROUND if payer == self.genesis_holder else None
-        if (holder != payer or len(signers) < 2 * self.f + 1
-                or not self.broadcasters.issuperset(signers)):
+        if holder != payer:
             return None
         return j if self.oracle.verify_all(signers, message) else None
 

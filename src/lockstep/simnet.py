@@ -147,9 +147,8 @@ SEPARATOR = b"\x00"
 
 
 class Seeds(OrderedDict):
-    """A table a producer fills for a later decoder, keyed by the bytes
-    the decoder will be handed: at most ``cap`` entries, oldest out
-    first."""
+    """A table a producer fills for a later decoder, keyed by what the
+    decoder will be handed: at most ``cap`` entries, oldest out first."""
 
     def __init__(self, cap: int):
         super().__init__()

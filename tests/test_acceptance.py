@@ -125,13 +125,14 @@ def test_criterion_03_reduction_overheads():
 
 
 # Honest payload bytes of a handoff at N=7, f=2 whose intents carry a
-# proof of 2f+1 = 5 receipts: 7 intents of 149 + 12 × 5 = 209 bytes, each
-# with the certificate of one receipt message and its 5 signers, and 7
-# receipts of 79, each a message that names the claimed round and a
-# 16-byte countersignature: 2,016 (3,528 while a proof carried its 5
-# receipts whole and a receipt left out the claimed round, 10,402 while
-# every entry carried a copy of the bytes it signed).
-ROUND_1_PAYLOAD_BYTES = 7 * (149 + 12 * 5) + 7 * 79
+# proof of 2f+1 = 5 receipts: 7 intents of 70 + 63 + 1 = 134 bytes, each
+# with the certificate of one receipt message of 63 bytes and a 1-byte
+# mask of its 5 signers, and 7 receipts of 79, each a message that names
+# the claimed round and a 16-byte countersignature: 1,491 (2,016 while
+# the certificate named its 5 signers by 12-byte ids, 3,528 while a
+# proof carried its 5 receipts whole and a receipt left out the claimed
+# round, 10,402 while every entry carried a copy of the bytes it signed).
+ROUND_1_PAYLOAD_BYTES = 7 * (70 + 63 + 1) + 7 * 79
 
 
 def test_criterion_04_quorum_marker_exact_counts():

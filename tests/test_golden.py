@@ -75,8 +75,8 @@ GOLDEN = {
     },
     "run-quorum": {
         "metrics.csv": "80710479f6941573e6ffc697a3e3446a3fa3915b9290760796ee6b85b97c6496",
-        "summary.json": "2d935027d78d3ebccc9c679cba73d6b3ea05428c3320d1504de5d64290efb0fc",
-        "transcript.jsonl": "80d48894d3ee4c533edcabb71a0d25601dfd94751f1b2aa3a9369bb8dd015eb8",
+        "summary.json": "983f58c2bfc20eeaa251cea55e0dc3af14f25d672ada657ad1c2a4f37f9cc580",
+        "transcript.jsonl": "bbf38950576442af197beb18420713ad17dfe8be6a9c23ccac5384dee0d48ee2",
     },
     "run-cycle": {
         "metrics.csv": "e4f9e2bded34e764d4c3c16d5f75f074187f236ebf42db05a746a0006d2fa236",
@@ -86,8 +86,8 @@ GOLDEN = {
     "run-bank-quorum": {
         "ledger.csv": "11701d7ce98d6a9cc9009f0049ba1175d3657d1f9563ce2365ca7f6aa608a942",
         "metrics.csv": "54c9288747d09dd4a813eb8f82d68a58ec469bdede1f32dcd9150cee93855a2f",
-        "summary.json": "70ee5fe6b3d388f9e65eb098f05006bd4e291763e3d164fb47da6f154b75cade",
-        "transcript.jsonl": "b44d91b91fa2dbf2b0dbb74324192523e4a64e516794b1c011c1a9ed7c537460",
+        "summary.json": "03cead9262c50a25368be5bca989539893aa335a7ff7c00cfc964eb24de521e9",
+        "transcript.jsonl": "bf3c020c47e6525b8dfeed6fc119e5aa902867c4604e70e14c150bd863902a49",
     },
     "run-bank-cycle": {
         "ledger.csv": "11701d7ce98d6a9cc9009f0049ba1175d3657d1f9563ce2365ca7f6aa608a942",
@@ -142,9 +142,9 @@ GOLDEN = {
         "transcript.jsonl": "aa92ea8441a039d141ea915585e9ffc778f51c2b8039800c6713fb519d41468d",
     },
     "attack-all": {
-        "metrics.csv": "6fe2b3b727910eebdd9d18c236db087a34f6c223fc499583c2bc52992085ad61",
-        "summary.json": "4a3f44612c38c968615a930403e542dfa35400965ca408f01b304a24e2602090",
-        "transcript.jsonl": "39baf40b520e222457a8d5ff606607ed14ec01f3a08bb778a23415f6739e079b",
+        "metrics.csv": "ba0e9ce1f4846d3579d0e78dd63bc1453e516d07b1f250bd4c62fab68944e38a",
+        "summary.json": "84d85c57f71a7939a8888adeb5cbc1845b73347222f7c91c9a6e2a0ca0f09b3c",
+        "transcript.jsonl": "b1a96a89458ea69d21df3a650787cdbdbda63bd4e11c1388168c2fbd0f521f5a",
     },
     "gen-topology-random": {
         "cycles.txt": "067f44ecd252508f53b85d381a9e7c70d4fc20e4c7deb2815b6f205a4bbf2079",
@@ -153,9 +153,9 @@ GOLDEN = {
         "transcript.jsonl": "60d5de2f16c29f2cfbdb86f490b9281d041a8a557a0877296131bc92173c2cef",
     },
     "attack-quorum": {
-        "metrics.csv": "63b74d27527672951125537d57906abea9e682db300c7171e8eb467cbc0371c3",
-        "summary.json": "1b7f982dc99cfcaf43e5bc03c287d0012864c2a09d9833443cbd66281686ac96",
-        "transcript.jsonl": "075ca8425bb2475e0345a0c3e349f09f43d31b5790e54b3f29fb8f5304c85e09",
+        "metrics.csv": "a44c3e409031e364190fb088f3d15b37f72b1411725b5c1c744374158aa4c9eb",
+        "summary.json": "39ae4d52e768994f8ba2dfaa7f110e134772809ca5f6763b40839a32289709bb",
+        "transcript.jsonl": "bf65c65a6f78f065ea9fb15461cca6d7838bc6d684298c5936c2b0587c635c96",
     },
     "attack-cycle": {
         "metrics.csv": "696c5b46bd49d344c138128f5eba854a9eac72dff6e5ae9272d7dc9dab85b1cd",
@@ -228,7 +228,7 @@ def test_sixteen_process_quorum_bank_matches_the_pinned_digests():
         bank.net.transcript.to_jsonl())] == [
         "ecb7c2cee4f5f27cb68b40de1d8ffa488bbfc250b2668ea192f0ec8d42c71713",
         "9d32f83ddcd0b71b599d387687f732de8d0ba776fb4ad6d0b515b48b58bea3d9",
-        "57b2833cd070840e93e4220b4e9e578c87193cc4627ba3faaa2f2020b82b77cb",
+        "513934ce4b889b81e88e19aefec1d7623eb5dc71b38a9d4be6b4c232bafa12bb",
     ]
 
 

@@ -1,6 +1,7 @@
 """Marker ownership: audit rules, quorum solution counts, broadcast solution."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from lockstep.marker import (
     default_broadcasters,
     encode_proof,
     intent_content,
+    mask_signers,
     measure_z,
     parse_typed,
     receipt_content,
@@ -96,7 +98,7 @@ receipt_messages = st.builds(
                                                        j - 1)),
     st.integers(-1, 9), st.integers(0, 15), st.integers(0, 15))
 certificates = st.tuples(
-    st.lists(st.integers(-2, 20), unique=True, max_size=7).map(
+    st.lists(st.integers(0, 40), unique=True, max_size=7).map(
         lambda signers: tuple(sorted(signers))),
     receipt_messages | st.binary(max_size=24).map(enc_bytes))
 
@@ -104,24 +106,26 @@ certificates = st.tuples(
 @given(certificates)
 def test_receipt_proof_codec_round_trip(certificate):
     signers, message = certificate
-    assert decode_proof(encode_proof(signers, message)) == (
+    mask, decoded = decode_proof(encode_proof(signers, message))
+    assert mask == sum(1 << signer for signer in signers)
+    assert (mask_signers(mask), decoded) == (
         certificate if signers else ((), b""))
 
 
 @settings(max_examples=300, deadline=None)
 @given(certificates, st.lists(st.tuples(st.integers(min_value=0),
                                         st.integers(1, 255)), max_size=3),
-       st.none() | st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
-       st.integers(min_value=0))
-def test_every_accepted_proof_encodes_back_to_itself(certificate, flips, cut,
-                                                     i):
+       st.none() | st.tuples(st.integers(min_value=0), st.integers(min_value=0)))
+def test_every_accepted_proof_encodes_back_to_itself(certificate, flips, cut):
     """Flipped and cut certificates are accepted only when they re-encode
-    to their own bytes, and a certificate whose signers are repeated or
-    out of order, or whose message is not exactly one chunk, is refused."""
+    to their own bytes, and a certificate whose mask has a leading zero
+    byte or is missing, or whose message is cut, is refused."""
     signers, message = certificate
-    data = bytearray(encode_proof(signers, message))
-    for position, mask in flips:
-        data[position % len(data)] ^= mask
+    proof = encode_proof(signers, message)
+    data = bytearray(proof)
+    for position, flip in flips:
+        if data:
+            data[position % len(data)] ^= flip
     if cut is not None:
         start, end = sorted(c % (len(data) + 1) for c in cut)
         del data[start:end]
@@ -131,16 +135,14 @@ def test_every_accepted_proof_encodes_back_to_itself(certificate, flips, cut,
     except CodecError:
         decoded = None
     if decoded is not None:
-        assert encode_proof(*decoded) == data
+        mask, decoded_message = decoded
+        assert encode_proof(mask_signers(mask), decoded_message) == data
     if signers:
-        i %= len(signers)
-        refused = [(signers[:i + 1] + signers[i:], message),
-                   (signers, message[:-1]), (signers, message + b"x")]
-        if len(signers) > 1:
-            refused.append((signers[::-1], message))
-        for bad in refused:
+        mask = proof[len(message):]
+        for bad in (message, message + b"\x00" + mask, message[:-1],
+                    message[:3]):
             with pytest.raises(CodecError):
-                decode_proof(encode_proof(*bad))
+                decode_proof(bad)
 
 
 @given(certificates, st.integers(min_value=0, max_value=63), st.integers(-9, 99))
@@ -158,14 +160,23 @@ def test_cached_decodes_equal_fresh_parses(certificate, payer, target):
 
 def test_a_malformed_proof_raises_on_every_call():
     message = enc_bytes(receipt_content(0, 0, 4, GENESIS_ROUND))
-    for bad in (enc_int(-1), enc_int(2) + enc_int(0),
-                encode_proof((), b"") + b"x", encode_proof((1, 0), message), encode_proof((1, 1), message),
-                encode_proof((0, 1), message) + b"x",
-                encode_proof((0, 1), message[:-1]),
-                encode_proof((0, 1), message + message)):
+    proof = encode_proof(range(5), message)
+    assert proof == message + b"\x1f"
+    for bad in (b"\x00", b"\x00\x00\x00\x00", message, message + b"\x00",
+                message + b"\x00\x1f", message[:-1] + b"\x1f", proof[1:],
+                proof[4:]):
         for _ in range(2):
             with pytest.raises(CodecError):
                 decode_proof(bad)
+
+
+def test_a_negative_signer_id_cannot_be_written():
+    """A mask has no bit for a negative id, so the codec refuses to write
+    one instead of writing another certificate."""
+    message = enc_bytes(receipt_content(0, 0, 4, GENESIS_ROUND))
+    for signers in ((-1,), (0, 1, -2, 3)):
+        with pytest.raises(ConfigFault):
+            encode_proof(signers, message)
 
 
 # Base oracle checks of the twenty rounds below, one per signer asked
@@ -302,27 +313,22 @@ def test_a_marker_round_reads_its_markings_off_each_tail():
 
 def _reference_proof_round(proc, payer, proof):
     """The proof check read from the certificate's layout alone: the
-    count, the receipt message and every signer read in turn, each
-    signer checked on its own, and no shared table."""
-    reader = simnet.ByteReader(proof)
-    try:
-        count = reader.read_int()
-        message = reader.read_bytes() if count > 0 else b""
-        signers = [reader.read_int() for _ in range(max(count, 0))]
-    except CodecError:
-        return None
-    if count < 0 or not reader.at_end():
-        return None
-    if count == 0:
+    empty proof, or the receipt message and then the mask, whose bits are
+    read one by one, each signer checked on its own, and no shared
+    table."""
+    if not proof:
         return GENESIS_ROUND if payer == proc.genesis_holder else None
-    inner = simnet.ByteReader(message)
     try:
-        fields = parse_typed.__wrapped__(inner.read_bytes(), RECEIPT, 4)
+        content = simnet.ByteReader(proof).read_bytes()
     except CodecError:
         return None
-    if fields is None or not inner.at_end() or fields[2] != payer:
+    message, mask = proof[:4 + len(content)], proof[4 + len(content):]
+    if not mask or mask[0] == 0:
         return None
-    if signers != sorted(set(signers)) or len(signers) < 2 * proc.f + 1:
+    bits = int.from_bytes(mask, "big")
+    signers = [i for i in range(8 * len(mask)) if bits >> i & 1]
+    fields = parse_typed.__wrapped__(content, RECEIPT, 4)
+    if fields is None or fields[2] != payer or len(signers) < 2 * proc.f + 1:
         return None
     for signer in signers:
         if signer not in proc.broadcasters or not proc.oracle.verify(signer,
@@ -334,10 +340,12 @@ def _reference_proof_round(proc, payer, proof):
 # Edits of a certificate of round 1 that hands the marker from 2 to 4
 # (the checking processes run at N=10, f=2, broadcasters 0..6).  A
 # borrowed signature is one the oracle issued for another receipt
-# message, a signer out of order is moved to the front, and a message
-# without its claimed round is one chunk that is no receipt message.
-PROOF_EDITS = ("wrong-holder", "other-round", "duplicate-signer",
-               "out-of-order", "outsider", "unsigned", "other-nonce",
+# message, an outsider is process 7, 8 or 9 and a far outsider an id past
+# every process, each of whom signed the message, a leading zero is a
+# zero byte put before the mask, and a message without its claimed round
+# is one chunk that is no receipt message.
+PROOF_EDITS = ("wrong-holder", "other-round", "leading-zero", "outsider",
+               "far-outsider", "unsigned", "other-nonce",
                "borrowed-signature", "malformed-message", "malformed-proof",
                "no-claim")
 
@@ -349,6 +357,8 @@ PROOF_EDITS = ("wrong-holder", "other-round", "duplicate-signer",
        st.sampled_from((4, 0)))
 @example(list(range(5)), [("no-claim", 0)], 4)
 @example(list(range(5)), [("unsigned", 1)], 4)
+@example(list(range(5)), [("far-outsider", 1)], 4)
+@example(list(range(5)), [("leading-zero", 0)], 4)
 def test_the_proof_check_equals_the_per_receipt_reference(signers, edits,
                                                           payer):
     base = SignatureOracle()
@@ -362,19 +372,17 @@ def test_the_proof_check_equals_the_per_receipt_reference(signers, edits,
             holder = 3
         elif edit == "other-round":
             round_index = 0
-        elif edit == "malformed-message":
-            cut = "message"
+        elif edit in ("malformed-message", "leading-zero"):
+            cut = edit
         elif edit == "malformed-proof":
             cut = "proof"
         elif edit == "no-claim":
             cut = "claim"
+        elif edit == "far-outsider":
+            scopes[10 + k] = nonce
+            signers.append(10 + k)
         elif signer is None:
             continue
-        elif edit == "duplicate-signer":
-            signers.insert(k % (len(signers) + 1), signer)
-        elif edit == "out-of-order":
-            signers.remove(signer)
-            signers.insert(0, signer)
         elif edit == "outsider":
             scopes[7 + k % 3] = nonce
             signers[signers.index(signer)] = 7 + k % 3
@@ -392,10 +400,12 @@ def test_the_proof_check_equals_the_per_receipt_reference(signers, edits,
         message = enc_bytes(receipt_content(round_index, 2, holder, 0)[:-12])
         for signer in signers:
             ScopedOracle(base, nonce).sign(signer, message)
-    proof = encode_proof(tuple(signers),
-                         message[:-1] if cut == "message" else message)
+    proof = encode_proof(signers, message[:-1] if cut == "malformed-message"
+                         else message)
     if cut == "proof":
         proof = proof[:-1]
+    elif cut == "leading-zero" and proof:
+        proof = message + b"\x00" + proof[len(message):]
     for n in (0, 5):
         proc = QMProcess(n, 10, 2, ScopedOracle(base, nonce))
         for _ in range(2):
@@ -448,14 +458,14 @@ def test_every_seeded_proof_summary_equals_one_read_from_its_bytes(
     # of the proofs shown, only the genesis holders' empty one is decoded
     assert set(decoded) == {encode_proof((), b"")}
     marker._proof_seeds.clear()
-    for proof, summary in seeded:
-        assert len(summary[2]) >= 2 * bank.f + 1
-        assert summary == summarize_proof.__wrapped__(proof)
+    for (proof, f), summary in seeded:
+        assert len(summary[2]) >= 2 * bank.f + 1 and f == bank.f
+        assert summary == summarize_proof.__wrapped__(proof, f)
     # a proof never seeded is summarised from its bytes
     summarize_proof.cache_clear()
-    proof, summary = seeded[-1]
+    (proof, f), summary = seeded[-1]
     decoded.clear()
-    fresh = summarize_proof(proof)
+    fresh = summarize_proof(proof, f)
     assert fresh == summary and fresh is not summary
     assert decoded == [proof]
 
@@ -470,7 +480,7 @@ def _kept_proofs_hold_2f_plus_1_receipts(procs, f, all_honest):
     for proc in holders:
         assert len(proc.proof[0]) == 2 * f + 1
         marker._proof_seeds.clear()
-        assert summarize_proof.__wrapped__(encode_proof(*proc.proof)) == \
+        assert summarize_proof.__wrapped__(encode_proof(*proc.proof), f) == \
             (proc.marked_round, proc.n, *proc.proof)
         if all_honest:
             assert proc.proof[0] == tuple(sorted(proc.broadcasters)[:2 * f + 1])
@@ -526,7 +536,7 @@ def test_the_quorum_gallery_keeps_proofs_of_2f_plus_1_receipts(monkeypatch):
     checked = sum(_kept_proofs_hold_2f_plus_1_receipts(
         [p for p in system.procs if p.n not in system.corrupted],
         system.f, all_honest=False) for system in systems)
-    assert len(systems) == 7 and checked > 0
+    assert len(systems) == 8 and checked > 0
 
 
 def _claim(oracle, r: int, claimed: int, payer: int, target: int) -> Delivery:
@@ -630,7 +640,7 @@ def test_a_broadcaster_keeps_only_its_latest_round_of_countersigns():
         if receipt is None:
             r, payer, target, proof = parse_typed(
                 SignedMessage.from_bytes(content).payload, INTENT, 3)
-            claims[nonce, r, payer, target] = summarize_proof(proof)[0]
+            claims[nonce, r, payer, target] = summarize_proof(proof, bank.f)[0]
         else:
             # the receipt names the round its intent's proof claimed
             claimed = receipt[3]
@@ -720,7 +730,7 @@ def test_a_receipt_whose_entry_signed_another_rounds_receipt_is_refused():
 
 class _Asked(SignatureOracle):
     """An oracle over ``base``'s registry that records whom it is asked
-    about, one question at a time."""
+    about, alone or in a batch."""
 
     def __init__(self, base):
         super().__init__()
@@ -730,6 +740,10 @@ class _Asked(SignatureOracle):
     def verify(self, signer, content):
         self.asked.append(signer)
         return super().verify(signer, content)
+
+    def verify_all(self, signers, content):
+        self.asked.extend(signers)
+        return super().verify_all(signers, content)
 
 
 def test_a_receipt_of_another_round_or_target_marks_nobody():
@@ -803,15 +817,44 @@ def test_a_short_receipt_group_costs_the_target_no_question():
     assert proc.markings == [Marking(1, 4, 2)]
 
 
+def test_a_mebibyte_mask_is_refused_before_it_names_an_id():
+    """Payer 3 signs an intent whose proof is a receipt message and a
+    1 MiB all-ones mask, which names 8,388,608 ids, and broadcaster 1 at
+    N=7, f=2 reads it from the wire, past every table: it is refused, the
+    oracle is asked about the intent's signature and nothing else, the
+    summary kept is None, and the call's tracemalloc peak stays within a
+    small multiple of the wire, where 8 Mi ids would take some 300."""
+    oracle = SignatureOracle()
+    message = enc_bytes(receipt_content(0, 0, 3, GENESIS_ROUND))
+    proof = message + b"\xff" * 2**20
+    wire = SignedMessage(intent_content(1, 3, 5, proof)).signed_by(
+        oracle, 3).to_bytes()
+    simnet._signed_seeds.clear()
+    proc = QMProcess(1, 7, 2, _Asked(oracle))
+    tracemalloc.start()
+    try:
+        sends = proc._countersigns(1, [Delivery(3, wire)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sends == [] and proc.oracle.asked == [3]
+    assert proc.countersigned == GENESIS_ROUND - 1
+    assert summarize_proof(proof, 2) is None
+    assert summarize_proof.cache_info().currsize == 1
+    assert peak < 8 * len(wire)
+
+
 # An intent at N=16, f=5 and its proof of 2f+1 = 11 receipts: a receipt
 # is the receipt message enc_bytes(receipt_content), 63 bytes, and a
-# 16-byte entry; the certificate holds that message once and 11 signer
-# ids of 12 bytes.  A receipt of 79 bytes and an intent of 149 + 12k
-# bytes for k signers, 281 at k = 11.  While a receipt left out the
-# claimed round, 11 whole receipts of 67 bytes made it 82 + 71k = 863,
-# and copies of the signed bytes 2,832.
+# 16-byte entry; the certificate holds that message once and a 2-byte
+# mask of its signers among the 16 broadcasters.  A receipt of 79 bytes
+# and an intent of 70 bytes and its proof, 70 + 63 + 2 = 135.  While the
+# certificate named each signer by a 12-byte id behind a 12-byte count,
+# 149 + 12k bytes for k signers, 281 at k = 11; while a receipt left out
+# the claimed round, 11 whole receipts of 67 bytes made it
+# 82 + 71k = 863, and copies of the signed bytes 2,832.
 RECEIPT_BYTES = 79
-INTENT_BYTES = 281
+INTENT_BYTES = 135
 
 
 def test_an_intent_and_its_receipts_have_the_stated_sizes():
@@ -830,9 +873,9 @@ def test_an_intent_and_its_receipts_have_the_stated_sizes():
     assert message == enc_bytes(receipt_content(0, 0, 3, GENESIS_ROUND))
     assert {len(r) for r in receipts} == {
         len(enc_bytes(receipt_content(1, 3, 5, 0))) + 16} == {RECEIPT_BYTES}
-    assert len(proof) == 12 + 4 + len(message) + 11 * 12
+    assert proof == message + b"\x07\xff"
     assert {len(i) for i in intents} == {len(enc_bytes(content)) + 16} == {
-        149 + 12 * 11} == {INTENT_BYTES}
+        70 + 63 + 2} == {INTENT_BYTES}
 
 
 @pytest.mark.parametrize("signers, forged, granted", [

@@ -53,6 +53,7 @@ from lockstep.marker import (
     decode_proof,
     encode_proof,
     intent_content,
+    mask_signers,
     parse_typed,
     read_receipt,
     receipt_content,
@@ -205,14 +206,15 @@ def _recorded_intents():
         fields = parse_typed(SignedMessage.from_bytes(body).payload, INTENT, 3)
         if fields is None:
             messages.append(read_receipt(body)[5])
-        elif decode_proof(fields[3])[0]:
+        elif fields[3]:
+            mask, message = decode_proof(fields[3])
             intents.append((event.recipient, nonce, *fields[:3],
-                            *decode_proof(fields[3])))
+                            mask_signers(mask), message))
     return intents, messages
 
 
 proof_edits = st.lists(st.tuples(
-    st.sampled_from(("drop", "duplicate", "swap", "foreign", "message")),
+    st.sampled_from(("drop", "add", "foreign", "message")),
     st.integers(min_value=0), st.integers(min_value=0)), max_size=3)
 
 
@@ -220,30 +222,23 @@ proof_edits = st.lists(st.tuples(
 @given(edits=proof_edits, **mutations)
 def test_mutated_proofs_in_re_signed_intents_reach_the_proof_check(
         edits, pick, flips, cut, recipient):
-    """Signers of a recorded intent's certificate are dropped, duplicated,
-    swapped or replaced by any id, or its receipt message by one sent
-    elsewhere, then its bytes flipped and cut; the payer signs the
-    rebuilt intent through the instance's oracle."""
+    """Signers of a recorded intent's certificate are dropped, added or
+    replaced by any id up to 39, past the 16 broadcasters, or its receipt
+    message by one sent elsewhere, then its bytes flipped and cut; the
+    payer signs the rebuilt intent through the instance's oracle."""
     intents, messages = _recorded_intents()
     n, nonce, r, payer, target, signers, message = intents[pick % len(intents)]
-    signers = list(signers)
+    signers = set(signers)
     for edit, i, j in edits:
         if edit == "message":
             message = messages[j % len(messages)]
-            continue
-        if not signers:
-            break
-        i %= len(signers)
-        if edit == "drop":
-            del signers[i]
-        elif edit == "duplicate":
-            signers.insert(j % (len(signers) + 1), signers[i])
-        elif edit == "swap":
-            j %= len(signers)
-            signers[i], signers[j] = signers[j], signers[i]
-        else:
-            signers[i] = j % 20 - 2
-    proof = _mutate(encode_proof(tuple(signers), message), flips, cut)
+        elif edit == "add":
+            signers.add(j % 40)
+        elif signers:
+            signers.discard(sorted(signers)[i % len(signers)])
+            if edit == "foreign":
+                signers.add(j % 40)
+    proof = _mutate(encode_proof(signers, message), flips, cut)
     assume(proof != encode_proof(*intents[pick % len(intents)][5:]))
     recorded = _recorded_bank("quorum")
     n = n if recipient is None else recipient % recorded.N

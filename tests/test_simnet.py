@@ -110,10 +110,10 @@ def _shown(k):
     proc.marked_round = k
     proc.pending[k] = 1
     proc._intent_sends(k)
-    proof = encode_proof(*proc.proof)
-    seeded = marker._proof_seeds[proof]
+    key = (encode_proof(*proc.proof), proc.f)
+    seeded = marker._proof_seeds[key]
     assert seeded == (k, 0, *proc.proof)
-    return proof, seeded
+    return key, seeded
 
 
 # Each table's flood: the arguments of its k-th distinct call, and the
@@ -134,7 +134,7 @@ LRU_FLOODS = {
         lambda k: (receipt_content(k, 0, 1, k - 1), RECEIPT, 4), None),
     "marker.summarize_proof": (
         lambda k: (encode_proof(
-            (0,), enc_bytes(receipt_content(k, 0, 1, k - 1))),), None),
+            (0,), enc_bytes(receipt_content(k, 0, 1, k - 1))), 0), None),
     "cyclecoin.parse_wire": (
         lambda k: (wire(KIND_QUERY, (Record(TAG_BASE, k),)),),
         (wire(KIND_CHAIN, ())[:-1],)),
@@ -148,7 +148,7 @@ SEEDS_FLOODS = {
         _encoded,
         lambda: encode_records((Record(TAG_BASE, 0), Record("z", 1))),
         decode_records),
-    "marker._proof_seeds": (_shown, None, summarize_proof),
+    "marker._proof_seeds": (_shown, None, lambda key: summarize_proof(*key)),
 }
 # built once for every q that pair_bruteforce accepts, never flooded
 PERM_TABLES = "cancel._perm_tables"
@@ -640,8 +640,8 @@ def test_seeded_rng_reproducible_and_keyed():
 # run below, as the scheduler produced them before it stopped keeping an
 # agenda under an adversary, with countersignatures that mark the bytes
 # they sign instead of copying them and proofs that certify the 2f+1
-# lowest signers of one receipt message.
-JUNK_BANK_DIGEST = "5bc56bedcc249d81162165186af999617d06de67ff3acca2f92aaa306a120961"
+# lowest signers of one receipt message in a bit mask.
+JUNK_BANK_DIGEST = "2c10af46d739e4b5b2d58b02465d43eb2b94e9b6ce545705e8c3b44532d0e771"
 
 
 def test_an_adversarial_run_keeps_its_schedule_bounded():

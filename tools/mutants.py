@@ -58,8 +58,8 @@ MUTANTS = (
     Mutant("Q1", "marker.py", "_countersigns: freshness dropped",
            "            if claimed <= self.countersigned:\n"
            "                continue\n", ""),
-    Mutant("Q2", "marker.py", "_proof_round: 2f+1 signers -> 1",
-           "len(signers) < 2 * self.f + 1", "len(signers) < 1"),
+    Mutant("Q2", "marker.py", "summarize_proof: 2f+1 signers -> 1",
+           "mask.bit_count() < 2 * f + 1", "mask.bit_count() < 1"),
     Mutant("Q3", "marker.py", "_accept: 2f+1 receipts -> f+1",
            "        quorum = 2 * self.f + 1\n", "        quorum = self.f + 1\n"),
     Mutant("Q4", "marker.py", "_accept: signature check dropped",
@@ -72,8 +72,8 @@ MUTANTS = (
     Mutant("Q6", "marker.py", "_countersigns: intent signature dropped",
            "if sm.signers != (payer,) or not sm.verify_stack(self.oracle):",
            "if sm.signers != (payer,):"),
-    Mutant("Q7", "marker.py", "_proof_round: 2f+1 signers -> 2f",
-           "len(signers) < 2 * self.f + 1", "len(signers) < 2 * self.f"),
+    Mutant("Q7", "marker.py", "summarize_proof: 2f+1 signers -> 2f",
+           "mask.bit_count() < 2 * f + 1", "mask.bit_count() < 2 * f"),
     Mutant("Q8", "marker.py", "_countersigns: countersigning round kept",
            "            if claimed <= self.countersigned:\n"
            "                continue\n"
@@ -85,13 +85,13 @@ MUTANTS = (
            "            receipt = countersign(self.oracle, self.n, receipt_message(\n"
            "                r, payer, target, claimed))\n"
            "            self.countersigned = r\n"),
-    Mutant("Q9", "marker.py", "decode_proof: signers in any order",
-           "    if any(a >= b for a, b in zip(signers, signers[1:])):\n"
-           "        raise CodecError(\"signers out of order or repeated\")\n",
-           ""),
+    Mutant("Q9", "marker.py", "decode_proof: a leading zero byte accepted",
+           "if len(data) <= end or not data[end]:", "if len(data) <= end:"),
     Mutant("Q10", "marker.py", "_countersigns: receipt names no claim",
            "                r, payer, target, claimed))",
            "                r, payer, target, GENESIS_ROUND))"),
+    Mutant("Q11", "marker.py", "summarize_proof: bits past the broadcasters",
+           "mask.bit_length() > 3 * f + 1 or ", ""),
     Mutant("O1", "simnet.py", "verify_all: the first signer decides",
            "zip(signers, repeat(content))", "zip(signers[:1], repeat(content))"),
     Mutant("R1", "marker.py", "read_receipt: entry may sign other content",
