@@ -25,15 +25,15 @@ the honest code, and plays a script that maps a step to a move, a
 function of the network that returns what the coalition sends at that
 step; a move that re-sends what the coalition sent reads it from the
 transcript of the steps before.  A world starts its rounds from its own
-plan through :func:`~lockstep.marker.start_round`, as a driver starts
-them for honest processes, and its range of rounds and its feed make the
-deviations: it forks when it starts late from fresh sims, crashes when
-its range ends, and omits what it does not hear.  One runner builds and
-audits every such run, and it holds every check a coalition run gets, so
-an entry adds only checks the runner cannot state.  Besides these, only
-adversaries that pick their sends from what they observe are classes of
-their own, and one :class:`JunkAdversary` makes every flood of random
-bytes, which observes nothing.
+plan, each payer through :meth:`~lockstep.marker.MarkerProcess.pay`, as a
+driver starts them for honest processes, and its range of rounds and its
+feed make the deviations: it forks when it starts late from fresh sims,
+crashes when its range ends, and omits what it does not hear.  One runner
+builds and audits every such run, and it holds every check a coalition run
+gets, so an entry adds only checks the runner cannot state.  Besides
+these, only adversaries that pick their sends from what they observe are
+classes of their own, and one :class:`JunkAdversary` makes every flood of
+random bytes, which observes nothing.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from lockstep.marker import (
     intent_content,
     read_receipt,
     receipt_content,
-    start_round,
 )
 from lockstep.muxer import nonce_for
 from lockstep.payments import FAMILIES as BANK_FAMILIES, Bank, deal
@@ -344,7 +343,10 @@ class SimWorld:
     ``sims`` are honest protocol instances for some of the corrupted ids.
     Each sim's ``net`` is the world, so a sim asks for its wakes through
     :meth:`wake` exactly as it does on a real network.  ``plan`` maps a
-    round to the payments {id: target} the sims make in it.  The world
+    round to the payments {id: target} the sims make in it; a payer pays
+    at the world's first step in the round and asks, as on a real network,
+    for its first step at the round's base, so the world's first step in a
+    round must be that base.  The world
     hears and steps only in the rounds of the range ``rounds``: before it
     the sims are fresh, so a world that starts late forks an earlier
     state, and after it they are silent, which is a crash.  It hears the
@@ -377,13 +379,14 @@ class SimWorld:
         """Run the world at step ``t`` of round ``r`` on the observations
         ``heard`` since the last step, and return the sends its sims make
         to the real wire.  At the world's first step in a round of its
-        range it starts the round through
-        :func:`~lockstep.marker.start_round`, as a driver does."""
+        range it starts the round, each payer of its plan through
+        :meth:`~lockstep.marker.MarkerProcess.pay`, as a driver does."""
         if r not in self.rounds:
             return []
         if r != self.round:
             self.round = r
-            start_round(self.sims, self.plan.get(r, {}), r, t)
+            for payer, target in self.plan.get(r, {}).items():
+                self.sims[payer].pay(r, target)
         for obs in heard:
             if obs.sender in self.feed and obs.recipient in self.sims:
                 self.queues[obs.recipient].setdefault(obs.step, []).append(
@@ -1059,23 +1062,18 @@ def bank_gallery(family: str, N: int, f: int, V: int, K: int,
 
 
 def _route_legs(cycleset) -> Iterator[tuple[int, int, int]]:
-    """(legs, payer, payee) of the shortest route of every ordered pair
-    that has one, in scan order, on the unspent network."""
+    """(legs, payer, payee) of the shortest route of every ordered pair,
+    in scan order, on the unspent network."""
     graph = unspent_graph(cycleset)
     for a in range(cycleset.N):
         for b in range(cycleset.N):
-            path = shortest_hop_path(graph, a, b) if a != b else None
-            if path is not None:
-                yield len(path.legs), a, b
+            if a != b:
+                yield len(shortest_hop_path(graph, a, b).legs), a, b
 
 
 def _longest_route(cycleset) -> tuple[int, int]:
     """The first endpoint pair whose shortest route uses the most hops."""
-    best = max(_route_legs(cycleset), key=lambda route: route[0],
-               default=None)
-    if best is None:
-        raise ConfigFault("the hop graph is disconnected")
-    return best[1:]
+    return max(_route_legs(cycleset), key=lambda route: route[0])[1:]
 
 
 def _cheat_sweep(cycleset, payer: int, payee: int, K: int,

@@ -888,18 +888,18 @@ class PoRProcess(CCProcess):
     all hold the same ``deletions``, rounds included.
 
     A process asks for the steps it runs without a delivery through
-    :meth:`_wake_at`, only where it has work.  The payer's first step at
-    the round's base comes from :func:`~lockstep.marker.start_round`.  A
-    payer with a query ready or unanswered asks for offset 0 of the next
-    period, and with a query out, for offset 2 of its period, the
-    complaint check.  A process that holds a sub-broadcast of a period,
-    from a delivery or from its own complaint, asks for offsets f+4, f+5
-    and 2f+7 of it: read the complaints, answer one, settle the period.
-    At any other offset a step without a delivery would change nothing
-    but ``query_mark``, and a later step reads that only when it carries
-    its own (round, period).  So on a route whose processes all answer,
-    only the payer steps without a delivery: once at the start of each
-    period in which it sends.
+    :meth:`~lockstep.marker.MarkerProcess._wake_at`, only where it has
+    work.  The payer's first step at the round's base comes from
+    :meth:`~lockstep.marker.MarkerProcess.pay`.  A payer with a query
+    ready or unanswered asks for offset 0 of the next period, and with a
+    query out, for offset 2 of its period, the complaint check.  A process
+    that holds a sub-broadcast of a period, from a delivery or from its
+    own complaint, asks for offsets f+4, f+5 and 2f+7 of it: read the
+    complaints, answer one, settle the period.  At any other offset a step
+    without a delivery would change nothing but ``query_mark``, and a
+    later step reads that only when it carries its own (round, period).
+    So on a route whose processes all answer, only the payer steps without
+    a delivery: once at the start of each period in which it sends.
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
@@ -918,14 +918,6 @@ class PoRProcess(CCProcess):
     @staticmethod
     def steps(N: int, f: int) -> int:
         return N * por_period_steps(f)
-
-    def _wake_at(self, step: int) -> None:
-        """Ask for a step at ``step``: the one way response enforcement
-        schedules the steps it runs without a delivery.  A process with no
-        network is stepped at every step by whoever holds it, so it asks
-        for nothing."""
-        if self.net is not None:
-            self.net.wake(self.n, step)
 
     def _absorb_countersign(self, responder: int, r: int) -> list[Send]:
         self.ready = super()._absorb_countersign(responder, r)

@@ -230,12 +230,14 @@ def _decompose(vertices: tuple[tuple[int, int], ...]) -> tuple[tuple, int]:
     return tuple(legs), hops
 
 
-def shortest_hop_path(graph: HopGraph, a: int, b: int) -> HopPath | None:
+def shortest_hop_path(graph: HopGraph, a: int, b: int) -> HopPath:
     """Breadth first route from a's funded cycles to b on any cycle.
 
     Sources and neighbours are visited in ascending (cycle, process)
-    order, so the returned route is canonical.  Returns None when b is
-    unreachable.
+    order, so the returned route is canonical.  A route always exists:
+    every cycle of a :class:`CycleSet` orders all N processes, and its
+    step edges do not depend on balances, so a walk along any cycle a
+    holds value on reaches b.
     """
     start_cycles = [k for k in range(graph.K) if graph.balances[k][a] > 0]
     if not start_cycles:
@@ -264,10 +266,8 @@ def shortest_hop_path(graph: HopGraph, a: int, b: int) -> HopPath | None:
                 queue.append(v)
                 if v % N == b and best is None:
                     best = du
-    hits = [v for v in targets if dist[v] >= 0]
-    if not hits:
-        return None
-    final = min(hits, key=lambda v: (dist[v], v))
+    final = min((v for v in targets if dist[v] >= 0),
+                key=lambda v: (dist[v], v))
     chain = [final]
     while parent[chain[-1]] != chain[-1]:
         chain.append(parent[chain[-1]])
@@ -431,8 +431,6 @@ class HopNetwork:
         """
         if a == b or not (0 <= a < self.N and 0 <= b < self.N):
             raise ConfigFault(f"cannot run payment {a}->{b}")
-        # every cycle orders all N processes, so a walk along any cycle
-        # a holds value on reaches b: the route is never None
         path = shortest_hop_path(self.graph(), a, b)
         legs = path.legs
         if len(legs) > self.micro_rounds:

@@ -155,10 +155,11 @@ class MarkerProcess(Process):
     marker, and appends a :class:`Marking` to ``markings`` whenever it
     accepts one.  ``pending`` maps a round to the target the process pays
     in it.  Every state change, a decision at the end of a round
-    included, happens in a step, and a construction asks for the steps it
-    runs without a delivery, at the start of a round through its one
-    round hook :meth:`round_wakes` or from within a step, so a driver and
-    a simulation world run a construction alike.
+    included, happens in a step.  A round starts with :meth:`pay`, which
+    asks for the payer's first step at the round's base; every other step
+    a construction runs without a delivery it asks for from within a
+    step.  Both go through :meth:`_wake_at`, so a driver and a simulation
+    world run a construction alike.
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
@@ -181,44 +182,35 @@ class MarkerProcess(Process):
 
     @once
     def round_steps(self) -> int:
-        """:meth:`steps` at this process's (N, f), read at its first step,
-        so that the many processes a bank builds cost nothing until then."""
+        """:meth:`steps` at this process's (N, f), read at its first step
+        or payment, so that the many processes a bank builds cost nothing
+        until then."""
         return self.steps(self.N, self.f)
 
     def pay(self, r: int, target: int) -> None:
-        """Hand the marker to ``target`` in round ``r``."""
+        """Hand the marker to ``target`` in round ``r``: the one way a
+        round starts.  The payer asks for its first step at the round's
+        base."""
         if not 0 <= target < self.N:
             raise ConfigFault(f"target {target} is not a process")
         if not self.marked:
             raise ConfigFault(f"process {self.n} is not marked in round {r}")
         self.pending[r] = target
+        self._wake_at(r * self.round_steps)
+
+    def _wake_at(self, step: int) -> None:
+        """Ask for a step at ``step``: the one way a construction schedules
+        the steps it runs without a delivery.  A process with no network
+        is stepped by whoever holds it, as a bank's host wakes its units,
+        so it asks for nothing."""
+        if self.net is not None:
+            self.net.wake(self.n, step)
 
     def keep(self, r: int) -> Marking | None:
         """Book "pay myself in round ``r``" without a network step and
         return its marking, or None when the construction needs the
         network to keep its marker; the caller then pays itself."""
         return None
-
-    def round_wakes(self, base: int) -> None:
-        """Schedule the spontaneous steps of the round starting at ``base``,
-        the one round hook a construction has.  :class:`BBMProcess` wakes
-        at its round's last step here.  The chain families schedule
-        nothing here: the payer's first step comes from
-        :func:`start_round`, and response enforcement asks for each later
-        step from within a step, once it has work there."""
-
-
-def start_round(procs: dict[int, MarkerProcess], plan: dict[int, int],
-                r: int, base: int) -> None:
-    """Start round ``r`` at step ``base`` for ``procs``, by id: each payer
-    of ``plan``, which must be one of them, pays and wakes, and every one
-    schedules its round.  Both the driver and a simulation world start
-    rounds here."""
-    for payer, target in plan.items():
-        procs[payer].pay(r, target)
-        procs[payer].net.wake(payer, base)
-    for proc in procs.values():
-        proc.round_wakes(base)
 
 
 class MarkerSystem:
@@ -248,8 +240,9 @@ class MarkerSystem:
         base = r * self.round_steps
         self.net.round = r
         honest = {p.n: p for p in self.procs if p.n not in self.corrupted}
-        plan = {payer: t for payer, t in (inputs or {}).items() if payer in honest}
-        start_round(honest, plan, r, base)
+        for payer, target in (inputs or {}).items():
+            if payer in honest:
+                honest[payer].pay(r, target)
         self.net.run_until(base + self.round_steps - 1)
         self.round_index += 1
         return [m for proc in honest.values() for m in round_tail(proc.markings, r)]
@@ -616,11 +609,14 @@ class BBMProcess(MarkerProcess):
     """Marker tracking by one authenticated broadcast per round.
 
     The current holder is the broadcast leader; the broadcast value is the
-    target id plus one, zero meaning the round carried no handoff.  Every
-    honest process wakes at the round's last step and applies the decided
-    value there, after its broadcast's last step, so the holder is
-    replicated state.  Broadcast signatures are scoped to the round, which
-    keeps chains from one round meaningless in another.
+    target id plus one, zero meaning the round carried no handoff.  A
+    process that runs a step of a round, the payer at the round's base or
+    any process a delivery reaches, asks for the round's last step and
+    applies the decided value there, after its broadcast's last step, so
+    the holder is replicated state.  A process that hears nothing in a
+    round would decide a sender fault, which moves no holder, so it does
+    not run.  Broadcast signatures are scoped to the round, which keeps
+    chains from one round meaningless in another.
     """
 
     def __init__(self, n: int, N: int, f: int, oracle, genesis_holder: int = 0):
@@ -642,9 +638,6 @@ class BBMProcess(MarkerProcess):
     def marked(self) -> bool:
         return self.holder == self.n
 
-    def round_wakes(self, base: int) -> None:
-        self.net.wake(self.n, base + self.f + 2)
-
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
         r, phase = divmod(t, self.round_steps)
         if self.ds_round != r:
@@ -654,6 +647,8 @@ class BBMProcess(MarkerProcess):
             scoped = ScopedOracle(self.oracle, nonce_for(r))
             self.ds = DSProcess(self.n, self.N, self.f, self.holder, value, scoped)
             self.ds_round = r
+            if phase < self.f + 2:
+                self._wake_at(t - phase + self.f + 2)
         sends = self.ds.step(phase, inbox)
         if phase == self.f + 2:
             value, fault = self.ds.decide()

@@ -249,7 +249,11 @@ class Bank:
 
     def run_round(self, inputs: dict[int, int] | None = None) -> BankRound:
         """Advance one round.  ``inputs`` maps payers to targets; honest
-        payers with a balance and no entry transfer to themselves."""
+        payers with a balance and no entry transfer to themselves.  A
+        round starts as every marker round does, with
+        :meth:`MarkerProcess.pay`; a hosted unit has no network of its
+        own, so its payment asks for no step, and its host wakes it by
+        nonce at the round's base through :meth:`MuxHost.wake_instance`."""
         given = dict(inputs or {})
         r = self.round_index
         base = r * self.steps_per_round

@@ -6,7 +6,6 @@ criterion and ``-s`` adds the measurements.
 """
 
 import time
-from itertools import combinations
 from random import Random
 
 import numpy as np
@@ -18,7 +17,6 @@ from lockstep.adversary import (
     dispute_coverage,
     enumerate_ds_cases,
     exhaustive_cycle_cases,
-    quorum_gallery,
     random_cycle_attack,
     random_ds_case,
     run_ds_case,

@@ -48,6 +48,7 @@ from lockstep.payments import Bank
 from lockstep.simnet import (
     CoalitionOracle,
     Delivery,
+    Send,
     SignatureOracle,
     tag_payload,
 )
@@ -493,13 +494,22 @@ class EagerPoRProcess(PoRProcess):
     """Response enforcement that also steps every process at offsets 0,
     2, f+4, f+5 and 2f+7 of every period of every round, whether or not
     it has work there: the reference for the schedule each process asks
-    for itself."""
+    for itself.  A process on the network asks for the first such step
+    when it attaches and for the next at each step it runs; a sim, which
+    its world never attaches, from its first step there."""
 
-    def round_wakes(self, base: int) -> None:
-        offsets = (0, 2, self.f + 4, self.f + 5, 2 * self.f + 7)
-        for k in range(self.N):
-            for off in offsets:
-                self.net.wake(self.n, base + k * self.period_steps + off)
+    def register_wakes(self) -> None:
+        self._wake_at(0)
+
+    def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
+        sends = super().step(t, inbox)
+        period, off = divmod(t, self.period_steps)
+        later = [o for o in (2, self.f + 4, self.f + 5, 2 * self.f + 7)
+                 if o > off]
+        # offset 0 of the next period follows the last offset of this one
+        self._wake_at(period * self.period_steps + later[0] if later
+                      else (period + 1) * self.period_steps)
+        return sends
 
 
 def _outputs(violations, system):

@@ -150,6 +150,13 @@ MUTANTS = (
     Mutant("P4", "cyclecoin.py", "step: a sub holder asks no settling step",
            "for later in (self.f + 4, self.f + 5, 2 * self.f + 7):",
            "for later in (self.f + 4, self.f + 5):"),
+    Mutant("N1", "marker.py", "BBMProcess.step: the decision wake dropped",
+           "            if phase < self.f + 2:\n"
+           "                self._wake_at(t - phase + self.f + 2)\n", ""),
+    Mutant("N2", "marker.py", "pay: the payer's first-step wake dropped",
+           "        self.pending[r] = target\n"
+           "        self._wake_at(r * self.round_steps)\n",
+           "        self.pending[r] = target\n"),
     Mutant("B1", "payments.py", "run_round: a keep of None booked as free",
            "                marking = proc.keep(r)\n"
            "                if marking is not None:\n"
