@@ -342,11 +342,13 @@ class SimWorld:
 
     ``sims`` are honest protocol instances for some of the corrupted ids.
     Each sim's ``net`` is the world, so a sim asks for its wakes through
-    :meth:`wake` exactly as it does on a real network.  ``plan`` maps a
-    round to the payments {id: target} the sims make in it; a payer pays
-    at the world's first step in the round and asks, as on a real network,
-    for its first step at the round's base, so the world's first step in a
-    round must be that base.  The world
+    :meth:`wake` exactly as it does on a real network, which refuses a
+    step before ``now``.  The world attaches its sims at its first step,
+    calling each one's ``register_wakes`` as a network does at its step 0.
+    ``plan`` maps a round to the payments {id: target} the sims make in
+    it; a payer pays at the world's first step in the round and asks, as
+    on a real network, for its first step at the round's base, so the
+    world's first step in a round must be that base.  The world
     hears and steps only in the rounds of the range ``rounds``: before it
     the sims are fresh, so a world that starts late forks an earlier
     state, and after it they are silent, which is a crash.  It hears the
@@ -365,6 +367,7 @@ class SimWorld:
         self.plan = plan
         self.rounds = rounds
         self.round: int | None = None
+        self.now = 0
         # step -> the sims that run at it without a delivery
         self.wakes: dict[int, set[int]] = {}
         self.queues: dict[int, dict[int, list[Delivery]]] = {n: {} for n in sims}
@@ -372,17 +375,24 @@ class SimWorld:
             sim.net = self
 
     def wake(self, pid: int, step: int) -> None:
+        if step < self.now:
+            raise ConfigFault(f"wake in the past: step {step}, now {self.now}")
         self.wakes.setdefault(step, set()).add(pid)
 
     def act(self, t: int, r: int, heard: list[Observation]
             ) -> list[tuple[int, Send]]:
         """Run the world at step ``t`` of round ``r`` on the observations
         ``heard`` since the last step, and return the sends its sims make
-        to the real wire.  At the world's first step in a round of its
-        range it starts the round, each payer of its plan through
+        to the real wire.  At its first step the world attaches its sims,
+        and at its first step in a round of its range it starts the round,
+        each payer of its plan through
         :meth:`~lockstep.marker.MarkerProcess.pay`, as a driver does."""
         if r not in self.rounds:
             return []
+        self.now = t
+        if self.round is None:
+            for sim in self.sims.values():
+                sim.register_wakes()
         if r != self.round:
             self.round = r
             for payer, target in self.plan.get(r, {}).items():

@@ -1,8 +1,6 @@
 """Attack gallery: everything must fail exactly where it should."""
 
-import collections
 import dataclasses
-import random
 import types
 
 import numpy as np
@@ -306,13 +304,13 @@ def test_a_script_adversary_sends_what_its_script_returns_at_its_steps_only():
 
 
 class _Talker(Process):
-    """A simulated coalition member whose payment in round 0 asks its
-    network for wakes at steps 1, 2 and 4 and which sends to process 1
-    when stepped."""
+    """A simulated coalition member that asks its world, which attaches
+    it at the base of its first round, for wakes at steps 1, 2 and 4 of
+    that round and sends to process 1 when stepped."""
 
-    def pay(self, r, target):
+    def register_wakes(self):
         for step in (1, 2, 4):
-            self.net.wake(self.n, step)
+            self.net.wake(self.n, self.net.now + step)
 
     def step(self, t, inbox):
         return [Send(1, b"world", 1)]
@@ -322,7 +320,7 @@ def test_a_split_adversary_sends_its_worlds_traffic_before_its_script():
     """Within one step the worlds' sends go out before the script plays,
     and a move reads in the transcript what was sent in the steps before
     its own."""
-    world = SimWorld({0: _Talker(0)}, frozenset({1}), {0: {0: 1}}, range(1))
+    world = SimWorld({0: _Talker(0)}, frozenset({1}), {}, range(1))
     kept = []
 
     def script_move(net):
@@ -554,107 +552,6 @@ def test_a_split_broadcast_marker_holder_spends_nothing():
     assert violations == []
     assert [p.markings for p in system.procs[1:]] == [[]] * 4
     assert {p.holder for p in system.procs[1:]} == {0}
-
-
-class EagerBBMProcess(marker.BBMProcess):
-    """The broadcast marker on the schedule of the old round hook: every
-    process also steps at the last step of every round, whether or not it
-    heard anything in it.  A process on the network asks for the first
-    such step when it attaches and for the next at each step it runs; a
-    sim, which its world never attaches, from its first step there."""
-
-    def register_wakes(self):
-        self._wake_at(self.f + 2)
-
-    def step(self, t, inbox):
-        sends = super().step(t, inbox)
-        r, phase = divmod(t, self.round_steps)
-        if phase == self.f + 2:
-            r += 1
-        self._wake_at(r * self.round_steps + self.f + 2)
-        return sends
-
-
-class _HolderPlan(dict):
-    """A world plan whose payments are made only by sims that hold the
-    marker, so that no world aborts."""
-
-    def __init__(self, plan, sims):
-        super().__init__(plan)
-        self.sims = sims
-
-    def get(self, r, default=None):
-        return {z: t for z, t in dict.get(self, r, {}).items()
-                if self.sims[z].marked}
-
-
-def _bbm_coalition_run(seed, corrupted_leader, family):
-    """The audit, transcript, metrics, holders and markings of one seeded
-    broadcast marker run at N = 4..7: worlds of the coalition pay, omit,
-    crash and fork (two worlds of one holder equivocate), while the
-    honest holder pays a random target in most rounds.  The genesis
-    holder, the first leader, is corrupted or honest as asked."""
-    rng = random.Random(seed)
-    N = rng.randint(4, 7)
-    f = rng.randint(1, N - 2)
-    rounds = 4
-    everyone = range(N)
-    coalition = sorted(rng.sample(everyone, rng.randint(1, f)))
-    genesis = rng.choice(coalition if corrupted_leader else
-                         [n for n in everyone if n not in coalition])
-    oracle = SignatureOracle(frozenset(coalition))
-    shadow = CoalitionOracle(oracle)
-    worlds = []
-    for _ in range(rng.randint(1, 2)):
-        members = rng.sample(coalition, rng.randint(1, len(coalition)))
-        feed = frozenset(everyone) - set(rng.sample(everyone, rng.randint(0, N)))
-        start = rng.randrange(rounds)
-        span = range(start, rng.randint(start + 1, rounds))
-        sims = {z: family(z, N, f, shadow, genesis) for z in members}
-        plan = {r: {rng.choice(members): rng.choice(everyone)}
-                for r in span if rng.random() < 0.7}
-        worlds.append(SimWorld(sims, feed, _HolderPlan(plan, sims), span))
-    system = marker.MarkerSystem(family, N, f, oracle,
-                                 ScriptAdversary({}, worlds), genesis)
-
-    def plans():
-        for _ in range(rounds):
-            holders = [p.n for p in system.procs
-                       if p.marked and p.n not in coalition]
-            yield ({holders[0]: rng.choice(everyone)}
-                   if holders and rng.random() < 0.8 else {})
-
-    violations = gallery._audited_rounds(system, plans())
-    return (violations, system.net.transcript.to_jsonl(),
-            system.net.metrics.to_csv(),
-            [(p.holder, p.markings) for p in system.procs])
-
-
-@pytest.mark.parametrize("corrupted_leader", [False, True],
-                         ids=["honest-leader", "corrupted-leader"])
-def test_the_decision_steps_bbm_asks_for_give_the_eager_schedule(
-        corrupted_leader, monkeypatch):
-    """Over seeded coalition runs, a broadcast marker process that steps
-    only in the rounds it hears something, and then at the round's last
-    step too, leaves the audit, transcript, metrics, holders and markings
-    of one that steps at the last step of every round, from fewer steps."""
-    steps = collections.Counter()
-    step = marker.BBMProcess.step
-
-    def counted(self, t, inbox):
-        steps[type(self)] += 1
-        return step(self, t, inbox)
-
-    monkeypatch.setattr(marker.BBMProcess, "step", counted)
-    moved = 0
-    for seed in range(150):
-        asked = _bbm_coalition_run(seed, corrupted_leader, marker.BBMProcess)
-        assert asked == _bbm_coalition_run(seed, corrupted_leader,
-                                           EagerBBMProcess)
-        assert asked[0] == []
-        moved += any(markings for _, markings in asked[3])
-    assert moved >= 60
-    assert steps[marker.BBMProcess] < steps[EagerBBMProcess]
 
 
 def test_bank_galleries_are_clean():

@@ -8,9 +8,10 @@ replaced and re-signed, in the tail only or anywhere, and checked with and
 without an earlier prefix, under the prefix's own deletions or with more
 made in rounds after its groups.
 
-The seeded coalition runs also pin response enforcement's schedule: each
-process asks for the steps its own work needs, and every output is that of
-the schedule that stepped every process at every offset of every period.
+The seeded coalition runs also pin the schedules of response enforcement
+and of the broadcast marker: each process asks for the steps its own work
+needs, and every output is that of a reference schedule that steps every
+process at every offset where its family can have work.
 """
 
 import random
@@ -43,7 +44,7 @@ from lockstep.cyclecoin import (
     verify_payment_claim,
     wire,
 )
-from lockstep.marker import MarkerSystem
+from lockstep.marker import BBMProcess, MarkerSystem
 from lockstep.payments import Bank
 from lockstep.simnet import (
     CoalitionOracle,
@@ -402,6 +403,12 @@ def test_doubling_the_rounds_at_most_two_and_a_half_times_the_checks():
     assert at_80 / at_40 <= 2.5
 
 
+def _live(proc) -> list[int]:
+    """The targets ``proc`` may pay: those it has not deleted, which under
+    a family without deletions is every process."""
+    return [n for n in range(proc.N) if n not in getattr(proc, "deleted", ())]
+
+
 class _MarkedOnly(dict):
     """A world plan whose payments are made only by sims that hold the
     marker, to targets they have not deleted, so that no world aborts."""
@@ -412,18 +419,18 @@ class _MarkedOnly(dict):
 
     def get(self, r, default=None):
         return {z: t for z, t in dict.get(self, r, {}).items()
-                if self.sims[z].marked and t not in self.sims[z].deleted}
+                if self.sims[z].marked and t in _live(self.sims[z])}
 
 
-def _coalition_run(seed: int, rounds: int = 6, family=PoRProcess
-                   ) -> tuple[list[str], MarkerSystem]:
-    """The checks and the system of one seeded response enforcement run
-    of ``family``: a coalition of up to f processes runs worlds that crash
-    (stop after a range of rounds), omit (hear only some senders) or fork
-    (start late from the genesis state), while an honest holder pays a
-    random live target in most rounds."""
+def _coalition_run(seed: int, rounds: int = 6, family=PoRProcess,
+                   smallest: int = 5) -> tuple[list[str], MarkerSystem]:
+    """The checks and the system of one seeded run of the marker
+    ``family`` at N = ``smallest``..7: a coalition of up to f processes
+    runs worlds that crash (stop after a range of rounds), omit (hear only
+    some senders) or fork (start late from the genesis state), while an
+    honest holder pays a random live target in most rounds."""
     rng = random.Random(seed)
-    N, f = rng.randint(5, 7), rng.randint(1, 2)
+    N, f = rng.randint(smallest, 7), rng.randint(1, 2)
     everyone = range(N)
     coalition = sorted(rng.sample(everyone, rng.randint(1, f)))
     genesis = rng.choice(coalition if rng.random() < 0.5 else everyone)
@@ -457,8 +464,7 @@ def _coalition_run(seed: int, rounds: int = 6, family=PoRProcess
                 yield {}
                 continue
             payer = rng.choice(holders)
-            yield {payer.n: rng.choice([n for n in everyone
-                                        if n not in payer.deleted])}
+            yield {payer.n: rng.choice(_live(payer))}
 
     return _audited_rounds(system, plans()), system
 
@@ -487,19 +493,19 @@ def test_checks_from_kept_prefixes_in_coalition_runs_match_genesis(
 
 
 # ---------------------------------------------------------------------------
-# the response enforcement schedule
+# the schedules a process asks for
 
 
 class EagerPoRProcess(PoRProcess):
     """Response enforcement that also steps every process at offsets 0,
     2, f+4, f+5 and 2f+7 of every period of every round, whether or not
     it has work there: the reference for the schedule each process asks
-    for itself.  A process on the network asks for the first such step
-    when it attaches and for the next at each step it runs; a sim, which
-    its world never attaches, from its first step there."""
+    for itself.  A process asks for the first such step when its network
+    or world attaches it, at a round's base, and for the next at each step
+    it runs."""
 
     def register_wakes(self) -> None:
-        self._wake_at(0)
+        self._wake_at(self.net.now)
 
     def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
         sends = super().step(t, inbox)
@@ -512,25 +518,48 @@ class EagerPoRProcess(PoRProcess):
         return sends
 
 
-def _outputs(violations, system):
-    """What a run leaves: its checks, its transcript and metrics, and what
-    each process marked, deleted, holds, refused and kept as evidence."""
+class EagerBBMProcess(BBMProcess):
+    """The broadcast marker that also steps every process at the last
+    step of every round, whether or not it heard anything in it: the
+    reference for the decision steps each process asks for itself.  A
+    process asks for the first such step when its network or world
+    attaches it, at a round's base, and for the next at each step it
+    runs."""
+
+    def register_wakes(self) -> None:
+        self._wake_at(self.net.now + self.f + 2)
+
+    def step(self, t: int, inbox: list[Delivery]) -> list[Send]:
+        sends = super().step(t, inbox)
+        r, phase = divmod(t, self.round_steps)
+        self._wake_at((r + (phase == self.f + 2)) * self.round_steps
+                      + self.f + 2)
+        return sends
+
+
+POR_STATE = ("markings", "deleted", "deletions", "chain", "refusals",
+             "evidence")
+
+
+def _outputs(violations, system, state=POR_STATE):
+    """What a run leaves: its checks, its transcript and metrics, and the
+    attributes ``state`` of each process, by default what it marked,
+    deleted, holds, refused and kept as evidence."""
     return (violations, system.net.transcript.to_jsonl(),
             system.net.metrics.to_csv(),
-            [(p.markings, p.deleted, p.deletions, p.chain, p.refusals,
-              p.evidence) for p in system.procs])
+            [tuple(getattr(p, name) for name in state) for p in system.procs])
 
 
-def _counted_steps(monkeypatch) -> Counter:
-    """Count the steps of every response enforcement process by class."""
+def _counted_steps(monkeypatch, family=PoRProcess) -> Counter:
+    """Count the steps of every process of ``family`` by class."""
     steps = Counter()
-    step = PoRProcess.step
+    step = family.step
 
     def counted(self, t, inbox):
         steps[type(self)] += 1
         return step(self, t, inbox)
 
-    monkeypatch.setattr(PoRProcess, "step", counted)
+    monkeypatch.setattr(family, "step", counted)
     return steps
 
 
@@ -548,6 +577,28 @@ def test_the_asked_for_steps_give_the_eager_schedule_in_coalition_runs(
         deleting += any(deleted for _, deleted, *_ in asked[3])
     assert violating >= 5 and deleting >= 25
     assert steps[PoRProcess] * 10 <= steps[EagerPoRProcess]
+
+
+def test_the_decision_steps_bbm_asks_for_give_the_eager_schedule(
+        monkeypatch):
+    """Over seeded coalition runs at N = 4..7, with the genesis holder,
+    the first leader, corrupted or honest, a broadcast marker process that
+    steps only in the rounds it hears something, and then at the round's
+    last step too, leaves the checks, transcript, metrics, holders and
+    markings of one that steps at the last step of every round, from
+    fewer steps."""
+    steps = _counted_steps(monkeypatch, BBMProcess)
+    leaders, moved = Counter(), 0
+    for seed in range(150):
+        violations, system = _coalition_run(seed, 4, BBMProcess, 4)
+        asked = _outputs(violations, system, ("holder", "markings"))
+        assert asked == _outputs(*_coalition_run(seed, 4, EagerBBMProcess, 4),
+                                 ("holder", "markings"))
+        assert violations == []
+        leaders[system.procs[0].genesis_holder in system.corrupted] += 1
+        moved += any(markings for _, markings in asked[3])
+    assert min(leaders[True], leaders[False]) >= 40 and moved >= 100
+    assert steps[BBMProcess] < steps[EagerBBMProcess]
 
 
 def test_the_asked_for_steps_give_the_eager_schedule_in_the_gallery(
